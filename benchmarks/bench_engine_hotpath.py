@@ -13,13 +13,13 @@ made the contended case O(queue) per release — quadratic overall — and
 this is exactly the workload where it showed.
 """
 
-import os
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from benchmarks.conftest import report
-from repro.sim.engine import ENV_FASTPATH, Engine
+from repro.sim.engine import Engine, eager_protocol
 
 
 def _contended_run(nprocs: int, rounds: int) -> int:
@@ -101,18 +101,11 @@ def _protocol_run(nkernels: int, fast: bool):
     from repro.apps import get_benchmark, problem_sizes
     from repro.platforms import TFluxHard
 
-    old = os.environ.get(ENV_FASTPATH)
-    os.environ[ENV_FASTPATH] = "1" if fast else "0"
-    try:
-        bench = get_benchmark("trapez")
-        size = problem_sizes("trapez", "S")["small"]
-        prog = bench.build(size, unroll=8, max_threads=1024)
+    bench = get_benchmark("trapez")
+    size = problem_sizes("trapez", "S")["small"]
+    prog = bench.build(size, unroll=8, max_threads=1024)
+    with nullcontext() if fast else eager_protocol():
         result = TFluxHard().execute(prog, nkernels=nkernels)
-    finally:
-        if old is None:
-            del os.environ[ENV_FASTPATH]
-        else:
-            os.environ[ENV_FASTPATH] = old
     return (
         result.counters["engine.events"],
         result.total_dthreads,

@@ -147,7 +147,7 @@ class CellTSUAdapter(ProtocolAdapter):
             self.mailboxes[k].send(f)
 
     def _ppe_proc(self) -> Generator:
-        # Deliberately outside the TFLUX_FASTPATH coalescing: each poll
+        # Deliberately outside the engine's event coalescing: each poll
         # must be its own timeout because a command written *mid-sweep*
         # is observed (or missed) depending on whether its buffer's
         # drain() has already run this sweep — collapsing the empty

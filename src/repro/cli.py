@@ -293,25 +293,19 @@ def _profile(platform, bench_name: str, size, evaluation) -> None:
     the DES fast path on and off, as an events/instance + sec/run table
     (scheduled events ≈ heap churn: every push pays a heapq rebalance)."""
     import time
+    from contextlib import nullcontext
 
     from repro.apps import get_benchmark
-    from repro.sim.engine import ENV_FASTPATH
+    from repro.sim.engine import eager_protocol
 
     bench = get_benchmark(bench_name)
     rows = []
     for fast in (True, False):
-        old = os.environ.get(ENV_FASTPATH)
-        os.environ[ENV_FASTPATH] = "1" if fast else "0"
-        try:
-            prog = bench.build(size, unroll=evaluation.best_unroll)
+        prog = bench.build(size, unroll=evaluation.best_unroll)
+        with nullcontext() if fast else eager_protocol():
             start = time.perf_counter()
             result = platform.execute(prog, nkernels=evaluation.nkernels)
             seconds = time.perf_counter() - start
-        finally:
-            if old is None:
-                del os.environ[ENV_FASTPATH]
-            else:
-                os.environ[ENV_FASTPATH] = old
         instances = max(result.total_dthreads, 1)
         rows.append(
             (

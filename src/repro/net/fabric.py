@@ -10,8 +10,8 @@ full mesh of directed links.  The model follows the split established by
   its serialisation time, then propagates for the link latency.  Both the
   NIC and each link are FIFO :class:`~repro.sim.engine.Resource`\\ s, so
   bursts of remote Ready-Count updates queue and the contention shows up
-  in cycle counts — with the same uncontended fast path (``try_acquire``
-  + ``release_at``) the system bus uses, so cheap runs stay cheap.
+  in cycle counts — through the same ``Resource.hold`` the system bus
+  uses, so uncontended runs stay one timeout per occupancy.
 * **bulk data** (:meth:`Network.pull`) is accounted analytically: the
   destination's RX ingest is a FIFO clock, not an event source.  A
   DThread that must pull operand lines from remote owners stalls for
@@ -39,7 +39,7 @@ from typing import Callable, Dict, Generator, Mapping, Optional
 
 from repro.net.message import Message, MsgKind, NetParams
 from repro.net.topology import FullMesh, LinkId, Topology
-from repro.sim.engine import Engine, Resource, fastpath_enabled
+from repro.sim.engine import Engine, Resource
 
 __all__ = ["Network"]
 
@@ -61,7 +61,6 @@ class Network:
         self.params = params
         self.topology = topology if topology is not None else FullMesh()
         self.topology.validate(nnodes)
-        self._fast = fastpath_enabled()
         self._nic_tx: list[Resource] = [
             Resource(engine, capacity=1, name=f"nic-tx:{n}") for n in range(nnodes)
         ]
@@ -96,21 +95,10 @@ class Network:
         return link
 
     def _occupy(self, resource: Resource, hold: int) -> Generator:
-        """Hold *resource* for *hold* cycles (SystemBus-style fast path)."""
-        if hold <= 0:
-            return
-        if self._fast and resource.try_acquire():
-            resource.release_at(self.engine.now + hold)
-            yield hold
-            return
-        queued_at = self.engine.now
-        grant = resource.request()
-        yield grant
-        self.link_queue_cycles += int(self.engine.now - queued_at)
-        try:
-            yield hold
-        finally:
-            resource.release()
+        """Hold *resource* for *hold* cycles, tallying the time queued."""
+        if hold > 0:
+            queued = yield from resource.hold(hold)
+            self.link_queue_cycles += int(queued)
 
     def transmit(
         self,

@@ -251,10 +251,8 @@ class SimulatedRuntime:
         counters = Counters()
         self.tsu.publish_counters(counters)
         self.adapter.publish_counters(counters)
-        # DES engine telemetry: heap churn of this run.  These are the
-        # only counters allowed to differ between TFLUX_FASTPATH on/off
-        # (the differential suite compares everything else exactly);
-        # events/instance is the fast path's figure of merit.
+        # DES engine telemetry: heap churn of this run (events/instance
+        # is event coalescing's figure of merit).
         engine = counters.scope("engine")
         engine.inc("events", self.engine.events_executed)
         engine.inc("scheduled", self.engine.events_scheduled)

@@ -14,6 +14,17 @@ Processes are plain Python generators.  A process may ``yield``:
 * another :class:`Process` — suspend until that process terminates (the
   ``yield`` evaluates to its return value).
 
+Event coalescing is decided here and nowhere else.  Models say "hold
+this resource for N cycles" (``yield from resource.hold(n)``); with
+:attr:`Engine.coalesce` set (the default) an uncontended hold is a
+synchronous grant plus a lazy release — one timeout — and otherwise the
+queued eager protocol, grant event and all.  Both schedules are the
+same simulation: cycles, functional output, spans and every counter
+outside the ``engine.*`` namespace (events dispatched/scheduled and the
+coalescing tallies) are bit-identical, which the differential suites pin
+by running the eager protocol as the reference under
+:func:`eager_protocol`.
+
 Example
 -------
 >>> eng = Engine()
@@ -35,9 +46,9 @@ Example
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 __all__ = [
     "Engine",
@@ -46,22 +57,29 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
-    "fastpath_enabled",
+    "eager_protocol",
 ]
 
-#: Environment toggle for the uncontended-protocol fast path (default on).
-#: Read at model *construction* time, never stored on platform objects —
-#: platform instances feed the repro.exec cache digest, and the toggle
-#: must not change cache keys (cycles are bit-identical either way).
-ENV_FASTPATH = "TFLUX_FASTPATH"
+#: What ``Engine()`` sets :attr:`Engine.coalesce` to; only
+#: :func:`eager_protocol` ever changes it.
+_coalesce_default = True
 
 
-def fastpath_enabled(default: bool = True) -> bool:
-    """Whether the event-coalescing fast path is enabled (``TFLUX_FASTPATH``)."""
-    raw = os.environ.get(ENV_FASTPATH, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "off", "false", "no")
+@contextmanager
+def eager_protocol() -> Iterator[None]:
+    """Build engines in the reference mode (``coalesce=False``) inside the block.
+
+    Platforms construct their engine internally, so the differential
+    suites and ``tflux-run --profile`` reach the eager protocol through
+    this process-wide default rather than a parameter threaded through
+    every layer.  Not thread-safe: a measurement tool, not an option.
+    """
+    global _coalesce_default
+    saved, _coalesce_default = _coalesce_default, False
+    try:
+        yield
+    finally:
+        _coalesce_default = saved
 
 
 class SimulationError(RuntimeError):
@@ -178,7 +196,6 @@ class Process:
         self.done = Event(engine, name=f"done:{self.name}")
         engine._schedule(0.0, self._resume, _SEND_NONE)
 
-    # Sentinel distinguishing "send None" from "event delivery".
     @property
     def value(self) -> Any:
         """Return value of the finished process (raises if still running)."""
@@ -210,10 +227,7 @@ class Process:
         """Suspend on the yielded target (delay, event, or process)."""
         if type(target) is int:  # plain cycle delay: the hot case
             self.engine._schedule(target, self._resume, _SEND_NONE)
-        elif isinstance(target, (int, float)):
-            # Numeric delays short-circuit here (float and the rare int
-            # subclass); they used to fall through two failed isinstance
-            # checks to a duplicate tail branch.
+        elif isinstance(target, (int, float)):  # float, or an int subclass
             self.engine._schedule(float(target), self._resume, _SEND_NONE)
         elif isinstance(target, Process):
             target.done.add_callback(self._resume)
@@ -238,30 +252,37 @@ class Process:
         return f"<Process {self.name!r} {state}>"
 
 
+# Sentinel distinguishing "send None" from "event delivery".
 _SEND_NONE = object()
 
 
 class Resource:
     """FIFO capacity resource (bus arbiter, TSU port, emulator core...).
 
-    ``request()`` returns an :class:`Event` that triggers when a slot is
-    granted; the holder must call ``release()`` exactly once.  Grant order
-    is strictly FIFO, which models the paper's bus arbiter behaviour and
-    keeps simulations deterministic.
+    Models occupy a slot with ``yield from resource.hold(cycles)``; the
+    engine decides how many heap events that costs (see the module
+    docstring).  Grant order is strictly FIFO either way, which models
+    the paper's bus arbiter behaviour and keeps simulations
+    deterministic.
 
-    The uncontended fast path pairs :meth:`try_acquire` (synchronous
-    grant when a slot is free — no grant event, no zero-delay hop) with
-    :meth:`release_at` (a *lazy* release: the slot is free from the given
-    time onward, but no callback is scheduled for it).  Lazy holds expire
-    passively inside the next ``try_acquire``/``request`` at or after
-    their deadline; the moment a requester actually has to queue, every
-    outstanding lazy hold is materialised into a scheduled release so the
-    waiter is granted at exactly the time the slow path would have
-    granted it.  Invariant: a non-empty wait queue implies no
-    unmaterialised lazy holds.
+    Underneath, the eager protocol is ``request()`` (an :class:`Event`
+    that triggers when a slot is granted) paired with exactly one
+    ``release()``.  The coalesced one pairs :meth:`try_acquire`
+    (synchronous grant when a slot is free — no grant event, no
+    zero-delay hop) with :meth:`release_at` (a *lazy* release: the slot
+    is free from the given time onward, but no callback is scheduled for
+    it).  Lazy holds expire passively inside the next
+    ``try_acquire``/``request`` after their deadline; the moment a
+    requester actually has to queue, every outstanding lazy hold is
+    materialised into a scheduled release so the waiter is granted at
+    exactly the time the eager protocol would have granted it.
+    Invariant: a non-empty wait queue implies no unmaterialised lazy
+    holds.
     """
 
-    __slots__ = ("engine", "capacity", "_in_use", "_queue", "_lazy", "name")
+    __slots__ = (
+        "engine", "capacity", "_in_use", "_queue", "_lazy", "name", "coalesced",
+    )
 
     def __init__(self, engine: "Engine", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -276,6 +297,9 @@ class Resource:
         self._queue: deque[Event] = deque()
         #: Min-heap of lazy-release deadlines (times, not delays).
         self._lazy: list[float] = []
+        #: Holds granted synchronously and released lazily (one timeout
+        #: each); always 0 on a reference-mode engine.
+        self.coalesced = 0
 
     def _expire_lazy(self, now: float) -> None:
         # Strictly past deadlines only: a hold expiring exactly *now* is
@@ -283,7 +307,7 @@ class Resource:
         # this cycle's sequence order), so a same-cycle requester must
         # queue behind it — passively freeing the slot here would let the
         # requester jump same-cycle FIFO arbitration and win a grant the
-        # slow path gives to somebody else.
+        # eager protocol gives to somebody else.
         lazy = self._lazy
         while lazy and lazy[0] < now:
             heapq.heappop(lazy)
@@ -309,8 +333,8 @@ class Resource:
         """Grant a slot synchronously if one is free *right now*.
 
         Returns ``True`` and takes the slot without creating any event,
-        or ``False`` when the caller must use the eager ``request()``
-        protocol (at capacity, or waiters are queued).
+        or ``False`` when the caller must queue through ``request()``
+        (at capacity, or waiters are queued).
         """
         if self._lazy:
             self._expire_lazy(self.engine.now)
@@ -322,16 +346,48 @@ class Resource:
     def release_at(self, time: float) -> None:
         """Lazily free a slot at *time* (>= now).
 
-        Only valid for slots taken with :meth:`try_acquire` while no
-        waiter is queued; contended paths must use :meth:`release`.
+        Only valid for slots taken with :meth:`try_acquire`; slots
+        granted through :meth:`request` must use :meth:`release`.
         """
+        engine = self.engine
+        if time < engine.now:
+            raise SimulationError(
+                f"resource {self.name!r} released at {time!r}, before now={engine.now!r}"
+            )
         if self._queue:
             # A waiter queued after our try_acquire: deliver eagerly so
-            # the FIFO grant fires at the exact slow-path time.
-            engine = self.engine
+            # the FIFO grant fires at the exact eager-protocol time.
             engine._schedule(time - engine.now, self._lazy_release, None)
         else:
             heapq.heappush(self._lazy, time)
+
+    def hold(self, cycles: float) -> Generator[Any, Any, float]:
+        """Occupy one slot for *cycles*; returns the cycles spent queued.
+
+        Process fragment (``queued = yield from resource.hold(n)``).
+        On a coalescing engine a free slot is taken synchronously and
+        released lazily, so the whole hold is the caller's one timeout;
+        otherwise — reference mode, at capacity, or waiters queued — it
+        is the eager request → grant → timeout → release protocol.
+        """
+        if cycles < 0:
+            raise SimulationError(
+                f"negative hold {cycles!r} on resource {self.name!r}"
+            )
+        engine = self.engine
+        if engine.coalesce and self.try_acquire():
+            self.release_at(engine.now + cycles)
+            self.coalesced += 1
+            yield cycles
+            return 0.0
+        queued_at = engine.now
+        yield self.request()
+        queued = engine.now - queued_at
+        try:
+            yield cycles
+        finally:
+            self.release()
+        return queued
 
     def request(self) -> Event:
         """Ask for a slot; the returned event triggers when granted."""
@@ -374,10 +430,15 @@ class Engine:
     order, making every simulation deterministic.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_nevents")
+    __slots__ = ("now", "coalesce", "_heap", "_seq", "_nevents")
 
-    def __init__(self) -> None:
+    def __init__(self, coalesce: Optional[bool] = None) -> None:
         self.now: float = 0.0
+        #: Whether an uncontended :meth:`Resource.hold` collapses into one
+        #: timeout.  ``False`` is the reference mode: every hold runs the
+        #: eager protocol.  Models that coalesce more than one resource at
+        #: once (the MMI ladder) consult this too.
+        self.coalesce = _coalesce_default if coalesce is None else coalesce
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0
         self._nevents = 0

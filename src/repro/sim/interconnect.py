@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.sim.engine import Engine, Resource, fastpath_enabled
+from repro.sim.engine import Engine, Resource
 
 __all__ = ["SystemBus"]
 
@@ -28,7 +28,6 @@ class SystemBus:
         self._arbiter = Resource(engine, capacity=1, name="system-bus")
         self.transactions = 0
         self.busy_cycles = 0
-        self._fast = fastpath_enabled()
 
     def transfer(self, payload_cycles: int = 0) -> Generator:
         """DES process fragment: occupy the bus for one transaction.
@@ -40,25 +39,9 @@ class SystemBus:
         The caller resumes once the transaction (arbitration + occupancy)
         has completed.  *payload_cycles* extends the occupancy for larger
         payloads (e.g. a multi-word TSU load).
-
-        Uncontended fast path: when the arbiter grants synchronously, the
-        whole transaction collapses into one timeout with a lazy release
-        at its exact end time — queued contenders re-engage the eager
-        event-per-step protocol (see ``Resource``).
         """
         hold = self.cycles_per_transaction + payload_cycles
-        if self._fast and self._arbiter.try_acquire():
-            self._arbiter.release_at(self.engine.now + hold)
-            yield hold
-            self.transactions += 1
-            self.busy_cycles += hold
-            return
-        grant = self._arbiter.request()
-        yield grant
-        try:
-            yield hold
-        finally:
-            self._arbiter.release()
+        yield from self._arbiter.hold(hold)
         self.transactions += 1
         self.busy_cycles += hold
 

@@ -18,18 +18,18 @@ The model exposes the two timed primitives the Kernel code uses:
 Both are DES process fragments (``yield from``), so queueing at the bus
 and at the single TSU command port is modelled faithfully.
 
-Uncontended fast path (``TFLUX_FASTPATH``, default on): when an op is
-*alone* in the device (no other command/query between entry and exit)
-and both the bus arbiter and the command port grant synchronously, the
-whole bus-hold → port-acquire → TSU-processing ladder collapses into a
-single accumulated timeout: the bus is lazily released at the exact
+Coalesced ladder (on a coalescing engine, see :mod:`repro.sim.engine`):
+when an op is *alone* in the device (no other command/query between
+entry and exit) and both the bus arbiter and the command port grant
+synchronously, the whole bus-hold → port-acquire → TSU-processing
+ladder collapses into a single accumulated timeout: the bus is lazily released at the exact
 cycle the eager protocol would free it, and the port is released
 eagerly when the timeout fires — the exact point the eager protocol
 releases it.  The alone-in-device gate matters: a contender already in
 flight (past the bus, about to request the port) may reach the port at
 the *same timestamp* as our plan-time claim, and pre-claiming would
 jump it in the FIFO and reorder TSU operations.  The functional
-*action* still runs at its exact slow-path time (end of the TSU
+*action* still runs at its exact eager-protocol time (end of the TSU
 processing slot), preserving the functional/timing split and
 bit-identical cycle counts.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-from repro.sim.engine import Engine, Resource, fastpath_enabled
+from repro.sim.engine import Engine, Resource
 from repro.sim.interconnect import SystemBus
 
 __all__ = ["MemoryMappedInterface", "InflightGate"]
@@ -49,8 +49,8 @@ class InflightGate:
 
     A single-device adapter keeps a private gate; adapters with several
     MMI devices in front of the *same* functional TSU (multigroup) must
-    share one.  The fast path coalesces an op into a single timeout whose
-    action-resume event is scheduled at *entry* time, while the eager path
+    share one.  A coalesced op is a single timeout whose action-resume
+    event is scheduled at *entry* time, while the eager protocol
     schedules it at the *port-grant* instant — same cycle, different
     engine sequence numbers.  With a sibling op in flight on another
     device, a TSU mutation can land between those two instants and the
@@ -86,10 +86,9 @@ class MemoryMappedInterface:
         self._port = Resource(engine, capacity=1, name="tsu-port")
         self.commands = 0
         self.queries = 0
-        self._fast = fastpath_enabled()
         #: Ops currently somewhere between entry and exit of command/query
         #: on any MMI sharing this gate (see :class:`InflightGate`).  The
-        #: fast path engages only when an op is alone in front of the TSU
+        #: ladder coalesces only when an op is alone in front of the TSU
         #: (``count == 1``): a contender mid-flight may reach a command
         #: port at the *same timestamp* as our claim, and jumping it in
         #: the FIFO would reorder TSU operations.
@@ -103,15 +102,15 @@ class MemoryMappedInterface:
         return self.l1_access_cycles + self.tsu_processing_cycles
 
     def _try_claim(self) -> bool:
-        """Claim bus + port synchronously, or neither (fast-path gate).
+        """Claim bus + port synchronously, or neither (coalescing gate).
 
-        Only called when this op is alone in the device; the port is
-        then acquired at plan time (unobservable: any later contender
-        must first win the bus, which stays held for the full eager bus
-        slot) and released *eagerly* when the plan's timeout fires — the
-        exact point the eager protocol releases it.
+        Succeeds only on a coalescing engine with this op alone in the
+        device; the port is then acquired at plan time (unobservable:
+        any later contender must first win the bus, which stays held for
+        the full eager bus slot) and released *eagerly* when the plan's
+        timeout fires — the exact point the eager protocol releases it.
         """
-        if self._inflight.count != 1:
+        if not self.engine.coalesce or self._inflight.count != 1:
             return False
         bus_arbiter = self.bus._arbiter
         if not bus_arbiter.try_acquire():
@@ -132,57 +131,44 @@ class MemoryMappedInterface:
         self.bus.busy_cycles += bus_hold
         return bus_hold + self.access_cycles
 
-    def command(self, action: Callable[[], Any]) -> Generator:
-        """Deliver an encoded command; *action* mutates the TSU state."""
+    def _op(self, action: Callable[[], Any], reply: bool) -> Generator:
+        """One TSU access: bus slot, then the command port for the TSU
+        processing time with *action* at its end; a query's *reply*
+        travels back over the network as an arbiter-granted write."""
         self._inflight.count += 1
         try:
-            if self._fast and self._try_claim():
+            claimed = self._try_claim()
+            if claimed:
                 # One accumulated timeout for bus hold + TSU processing;
                 # the action still runs at the exact eager-protocol cycle.
                 yield self._claim_plan()
-                action()
-                self._port.release()
-                self.commands += 1
-                self.fast_commands += 1
-                return
-            yield from self.bus.transfer()
-            grant = self._port.request()
-            yield grant
-            try:
-                yield self.access_cycles
-                action()
-            finally:
-                self._port.release()
-            self.commands += 1
-        finally:
-            self._inflight.count -= 1
-
-    def query(self, action: Callable[[], Any]) -> Generator:
-        """Round-trip load; the process's return value is *action*'s result."""
-        self._inflight.count += 1
-        try:
-            if self._fast and self._try_claim():
-                yield self._claim_plan()
                 result = action()
                 self._port.release()
-                # Reply travels back over the network (arbiter-granted
-                # write); the bus may have been re-taken mid-flight, so
-                # the reply leg arbitrates on its own.
+            else:
+                yield from self.bus.transfer()
+                yield self._port.request()
+                try:
+                    yield self.access_cycles
+                    result = action()
+                finally:
+                    self._port.release()
+            if reply:
+                # The bus may have been re-taken mid-flight, so the reply
+                # leg arbitrates on its own.
                 yield from self.bus.transfer()
                 self.queries += 1
-                self.fast_queries += 1
-                return result
-            yield from self.bus.transfer()
-            grant = self._port.request()
-            yield grant
-            try:
-                yield self.access_cycles
-                result = action()
-            finally:
-                self._port.release()
-            # Reply travels back over the network (arbiter-granted write).
-            yield from self.bus.transfer()
-            self.queries += 1
+                self.fast_queries += claimed
+            else:
+                self.commands += 1
+                self.fast_commands += claimed
             return result
         finally:
             self._inflight.count -= 1
+
+    def command(self, action: Callable[[], Any]) -> Generator:
+        """Deliver an encoded command; *action* mutates the TSU state."""
+        return self._op(action, reply=False)
+
+    def query(self, action: Callable[[], Any]) -> Generator:
+        """Round-trip load; the process's return value is *action*'s result."""
+        return self._op(action, reply=True)

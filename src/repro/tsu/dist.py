@@ -43,7 +43,7 @@ from repro.net.message import INLET_ENTRY_BYTES, UPDATE_BYTES, Message, MsgKind,
 from repro.net.ownermap import RegionOwnerMap
 from repro.net.topology import Topology
 from repro.sim.accesses import AccessSummary
-from repro.sim.engine import Engine, Event, Resource, fastpath_enabled
+from repro.sim.engine import Engine, Event, Resource
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
 from repro.tsu.software import SoftTSUCosts
@@ -78,7 +78,6 @@ class DistTSUAdapter(ProtocolAdapter):
         self.nnodes = nnodes
         self.costs = costs
         self.net = Network(engine, nnodes, net_params or NetParams(), topology)
-        self._fast = fastpath_enabled()
         self._node_of_kernel = [k * nnodes // tsu.nkernels for k in range(tsu.nkernels)]
         self._node_kernels: list[list[int]] = [[] for _ in range(nnodes)]
         for k, n in enumerate(self._node_of_kernel):
@@ -105,7 +104,6 @@ class DistTSUAdapter(ProtocolAdapter):
         self.emulator_items = 0
         self.emulator_updates = 0
         self.tub_pushes = 0
-        self.fast_pushes = 0
         self.remote_updates = 0
         self.local_updates = 0
 
@@ -120,7 +118,9 @@ class DistTSUAdapter(ProtocolAdapter):
         emu.inc("items", self.emulator_items)
         emu.inc("updates", self.emulator_updates)
         counters.inc("tub.pushes", self.tub_pushes)
-        counters.inc("engine.coalesced_pushes", self.fast_pushes)
+        counters.inc(
+            "engine.coalesced_pushes", sum(r.coalesced for r in self._tub_slots)
+        )
         counters.inc("net.remote_updates", self.remote_updates)
         counters.inc("net.local_updates", self.local_updates)
         self.net.publish_counters(counters)
@@ -292,20 +292,9 @@ class DistTSUAdapter(ProtocolAdapter):
         outcome: object = None,
     ) -> Generator:
         # Push into the *node-local* TUB — same segment try-lock protocol
-        # (and fast path) as SoftwareTSUAdapter.complete_thread.
+        # as SoftwareTSUAdapter.complete_thread.
         node = self._node_of_kernel[kernel]
-        slots = self._tub_slots[node]
-        if self._fast and slots.try_acquire():
-            slots.release_at(self.engine.now + self.costs.tub_push_cycles)
-            yield self.costs.tub_push_cycles
-            self.fast_pushes += 1
-        else:
-            grant = slots.request()
-            yield grant
-            try:
-                yield self.costs.tub_push_cycles
-            finally:
-                slots.release()
+        yield from self._tub_slots[node].hold(self.costs.tub_push_cycles)
         self._queues[node].append((kernel, local_iid, outcome))
         self.tub_pushes += 1
         self._kick_emulator(node)

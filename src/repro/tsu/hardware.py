@@ -62,16 +62,13 @@ class HardwareTSUAdapter(ProtocolAdapter):
         scope = counters.scope("mmi")
         scope.inc("commands", self.mmi.commands)
         scope.inc("queries", self.mmi.queries)
-        # Coalescing statistics live under engine.* — the one namespace
-        # allowed to differ between TFLUX_FASTPATH on and off.
         engine = counters.scope("engine")
         engine.inc("coalesced_commands", self.mmi.fast_commands)
         engine.inc("coalesced_queries", self.mmi.fast_queries)
 
     def fetch(self, kernel: int) -> Generator:
-        # Uncontended fetches take the MMI's coalesced fast path: the
-        # bus → port → processing ladder is one accumulated timeout
-        # (see repro.sim.mmi), with identical cycle accounting.
+        # An uncontended fetch is one accumulated timeout for the whole
+        # bus → port → processing ladder (see repro.sim.mmi).
         result = yield from self.mmi.query(lambda: self.tsu.fetch(kernel))
         return result
 

@@ -88,9 +88,7 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
         mmi.inc("commands", sum(m.commands for m in self.mmis))
         mmi.inc("queries", sum(m.queries for m in self.mmis))
         # Each group's MMI coalesces ops that were alone in front of the
-        # shared TSU (the in-flight gate spans all group devices).  The
-        # statistics live under engine.* — the one namespace allowed to
-        # differ between TFLUX_FASTPATH on and off.
+        # shared TSU (the in-flight gate spans all group devices).
         engine = counters.scope("engine")
         engine.inc("coalesced_commands", sum(m.fast_commands for m in self.mmis))
         engine.inc("coalesced_queries", sum(m.fast_queries for m in self.mmis))

@@ -33,7 +33,7 @@ from typing import Generator, Optional
 from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
 from repro.core.dynamic import Subflow
-from repro.sim.engine import Engine, Event, Resource, fastpath_enabled
+from repro.sim.engine import Engine, Event, Resource
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
 
@@ -71,7 +71,6 @@ class SoftwareTSUAdapter(ProtocolAdapter):
     ) -> None:
         super().__init__(engine, tsu)
         self.costs = costs
-        self._fast = fastpath_enabled()
         self._tub_slots = Resource(engine, capacity=costs.tub_segments, name="tub")
         # (kernel, local_iid, outcome): the TUB entry carries the dynamic
         # outcome (branch key / spawned Subflow) to the emulator, which
@@ -85,7 +84,6 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         self.emulator_items = 0
         self.emulator_updates = 0
         self.tub_pushes = 0
-        self.fast_pushes = 0
 
     def publish_counters(self, counters) -> None:
         emu = counters.scope("emulator")
@@ -93,9 +91,7 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         emu.inc("items", self.emulator_items)
         emu.inc("updates", self.emulator_updates)
         counters.inc("tub.pushes", self.tub_pushes)
-        # Coalescing statistics live under engine.* — the one namespace
-        # allowed to differ between TFLUX_FASTPATH on and off.
-        counters.inc("engine.coalesced_pushes", self.fast_pushes)
+        counters.inc("engine.coalesced_pushes", self._tub_slots.coalesced)
 
     # -- emulator lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -159,22 +155,8 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         outcome: object = None,
     ) -> Generator:
         # Find a free TUB segment (try/lock; blocking only when all
-        # segments are simultaneously held).  A synchronous grant skips
-        # the grant-event hop entirely: one timeout for the push, with
-        # the segment lazily freed at its exact eager release time.
-        if self._fast and self._tub_slots.try_acquire():
-            self._tub_slots.release_at(
-                self.engine.now + self.costs.tub_push_cycles
-            )
-            yield self.costs.tub_push_cycles
-            self.fast_pushes += 1
-        else:
-            grant = self._tub_slots.request()
-            yield grant
-            try:
-                yield self.costs.tub_push_cycles
-            finally:
-                self._tub_slots.release()
+        # segments are simultaneously held) and keep it for the push.
+        yield from self._tub_slots.hold(self.costs.tub_push_cycles)
         self._queue.append((kernel, local_iid, outcome))
         self.tub_pushes += 1
         self._kick_emulator()

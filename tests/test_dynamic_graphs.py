@@ -7,8 +7,6 @@ schedule equivalence, the recursive apps on every backend, and the
 single-run guard (:class:`~repro.core.ProgramReusedError`).
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from repro.platforms.hard import TFluxHard
 from repro.platforms.soft import TFluxSoft
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
-from repro.sim.engine import ENV_FASTPATH
+from repro.sim.engine import eager_protocol
 from repro.sim.machine import BAGLE_27
 
 # -- builders (fresh per run: programs are single-use) -------------------------
@@ -267,17 +265,9 @@ def test_qsort_rec_dist_fastpath_agrees():
     def go():
         return TFluxDist(nnodes=2).execute(_qsort_prog(), nkernels=4)
 
-    old = os.environ.get(ENV_FASTPATH)
-    try:
-        os.environ[ENV_FASTPATH] = "1"
-        fast = go()
-        os.environ[ENV_FASTPATH] = "0"
+    fast = go()
+    with eager_protocol():
         slow = go()
-    finally:
-        if old is None:
-            os.environ.pop(ENV_FASTPATH, None)
-        else:
-            os.environ[ENV_FASTPATH] = old
     assert fast.cycles == slow.cycles
     assert fast.region_cycles == slow.region_cycles
     fast_c = {k: v for k, v in fast.counters.as_dict().items()

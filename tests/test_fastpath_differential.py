@@ -1,10 +1,9 @@
-"""TFLUX_FASTPATH on/off differential suite.
+"""Coalesced vs reference-mode (``eager_protocol()``) differential suite.
 
 The event-coalesced fast path through the DES protocol stack
-(``repro.sim.engine.Resource.try_acquire`` + the adapter plans in
-``sim/mmi.py``, ``sim/interconnect.py``, ``tsu/software.py``) is a pure
-event-count optimisation: it must never change *what* is simulated.
-These tests pin the contract on every simulated platform:
+(``repro.sim.engine.Resource.hold`` + the MMI ladder in ``sim/mmi.py``)
+is a pure event-count optimisation: it must never change *what* is
+simulated.  These tests pin the contract on every simulated platform:
 
 * bit-identical total and region cycle counts;
 * identical counters — excluding the ``engine.*`` namespace, the one
@@ -19,7 +18,6 @@ fork/join DAGs through the same check, so protocol interleavings no
 benchmark happens to produce still keep the two schedules married.
 """
 
-import os
 from collections import Counter as Multiset
 
 import numpy as np
@@ -34,7 +32,7 @@ from repro.platforms.cellbe import TFluxCell
 from repro.platforms.hard import TFluxHard
 from repro.platforms.soft import TFluxSoft
 from repro.runtime.simdriver import SimulatedRuntime
-from repro.sim.engine import ENV_FASTPATH
+from repro.sim.engine import Engine, eager_protocol
 from repro.tsu.multigroup import MultiGroupHardwareAdapter
 
 NKERNELS = 4
@@ -62,16 +60,11 @@ PLATFORMS = ("hard", "soft", "cell", "multigroup")
 
 
 def _with_fastpath(enabled, fn):
-    """Run *fn* with TFLUX_FASTPATH forced on/off (read at model build)."""
-    old = os.environ.get(ENV_FASTPATH)
-    os.environ[ENV_FASTPATH] = "1" if enabled else "0"
-    try:
+    """Run *fn* on coalescing engines, or on reference-mode ones."""
+    if enabled:
         return fn()
-    finally:
-        if old is None:
-            del os.environ[ENV_FASTPATH]
-        else:
-            os.environ[ENV_FASTPATH] = old
+    with eager_protocol():
+        return fn()
 
 
 # -- program builders (fresh per run: programs are single-use) -----------------
@@ -224,8 +217,11 @@ def test_fastpath_actually_coalesces():
     assert slow.counters["engine.coalesced_queries"] == 0
 
 
-def test_fastpath_default_is_on(monkeypatch):
-    monkeypatch.delenv(ENV_FASTPATH, raising=False)
+def test_fastpath_default_is_on():
+    assert Engine().coalesce
+    with eager_protocol():
+        assert not Engine().coalesce
+    assert Engine().coalesce
     prog, _ = build_trapez("S")
     run = TFluxHard().execute(prog, nkernels=2)
     assert run.counters["engine.coalesced_queries"] > 0

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine, Event, Resource, SimulationError
 
@@ -311,6 +312,87 @@ def test_resource_try_acquire_respects_queue_fifo():
     eng.process(sniper(eng, res))
     eng.run()
     assert order == [("waiter", 5.0)]
+
+
+def _hold_schedule(coalesce, capacity, arrivals):
+    """Every holder's (grant time, finish time, hold's return value) for
+    *arrivals* = [(arrival time, hold cycles)] on one capacity-k resource."""
+    eng = Engine(coalesce=coalesce)
+    res = Resource(eng, capacity=capacity)
+    rows = [None] * len(arrivals)
+
+    def holder(i, at, cycles):
+        yield at
+        queued = yield from res.hold(cycles)
+        rows[i] = (eng.now - cycles, eng.now, queued)
+
+    for i, (at, cycles) in enumerate(arrivals):
+        eng.process(holder(i, at, cycles))
+    eng.run()
+    return rows, res.coalesced, eng.events_executed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=3),
+    arrivals=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=0, max_value=6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_hold_coalesced_schedule_equals_eager(capacity, arrivals):
+    """The one place coalescing is decided: whatever the arrival pattern,
+    a coalescing engine grants and finishes every hold at the cycle the
+    reference-mode engine does, and only the event count differs."""
+    fast, fast_coalesced, fast_events = _hold_schedule(True, capacity, arrivals)
+    slow, slow_coalesced, slow_events = _hold_schedule(False, capacity, arrivals)
+    assert fast == slow
+    for (at, _cycles), (granted, _finished, queued) in zip(arrivals, slow):
+        assert queued == granted - at
+    assert slow_coalesced == 0
+    assert 0 <= fast_coalesced <= len(arrivals)
+    # Each coalesced hold saves its grant hop; a waiter queueing behind
+    # it may cost one materialised release back.
+    assert slow_events - fast_coalesced <= fast_events <= slow_events
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_hold_rejects_negative_duration_before_taking_a_slot(coalesce):
+    eng = Engine(coalesce=coalesce)
+    res = Resource(eng, capacity=1)
+    eng.process(res.hold(-1))
+    with pytest.raises(SimulationError, match="negative hold"):
+        eng.run()
+    assert res.in_use == 0 and res.try_acquire()
+
+
+@pytest.mark.parametrize("queued", [False, True])
+def test_release_at_rejects_past_deadline(queued):
+    """Same error whether or not somebody is queued, and nothing parked."""
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+
+    def holder():
+        assert res.try_acquire()
+        yield 5
+        if queued:
+            res.request()
+        with pytest.raises(SimulationError, match="before now"):
+            res.release_at(eng.now - 1)
+        res.release_at(eng.now)
+
+    done = eng.process(holder())
+    eng.run()
+    assert not done.is_alive
+    # Nothing was parked by the rejected call: the one valid release_at
+    # freed the slot, handing it to the waiter when one queued.
+    eng.run(until=6)
+    assert res.queue_length == 0
+    assert res.try_acquire() is not queued
 
 
 def test_all_of_combines_events():

@@ -4,12 +4,9 @@
 Runs a representative slice of the paper grid (a Figure-5-style
 multi-benchmark evaluate batch) three ways — serial, parallel
 (``TFLUX_JOBS``), and warm-cache — verifies all three produce identical
-cycle numbers, cross-checks the engine fast path (``TFLUX_FASTPATH`` on
-vs off must be cycle-identical over a slice of the figure and ablation
-dimensions, while dispatching fewer events per DThread instance), times
-the coherence-hot FFT/MMULT cells whose invalidation sweeps stress the
-two-level sharer directory (cycles must match the flat-mask seed
-bit-for-bit), measures the ``unrolls="auto"`` adaptive search against
+cycle numbers, times the coherence-hot FFT/MMULT cells whose
+invalidation sweeps stress the two-level sharer directory (cycles must
+match the flat-mask seed bit-for-bit), measures the ``unrolls="auto"`` adaptive search against
 the full A2 factor grid (same best cells, fewer simulations), measures
 the dynamic race detector's on-path overhead (instrumented vs plain
 functional runs, plus a simulated cycle-identity check), and writes the
@@ -45,8 +42,7 @@ from repro.exec import (
     clear_baseline_memo,
     evaluate_many,
 )
-from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
-from repro.sim.engine import ENV_FASTPATH
+from repro.platforms import TFluxHard, TFluxSoft
 
 
 def build_requests(quick: bool) -> list[EvalRequest]:
@@ -217,92 +213,6 @@ def time_auto_unroll() -> dict:
     }
 
 
-# -- TFLUX_FASTPATH neutrality over the figure/ablation dimensions -------------
-def _fastpath_configs():
-    """One representative cell per figure (F5/F6/F7) and per ablation
-    dimension the fast path touches (multi-group hardware, exact memory
-    model, work stealing)."""
-    return [
-        ("F5 hard trapez", TFluxHard(), "trapez", dict(nkernels=8)),
-        ("F5 hard mmult", TFluxHard(), "mmult", dict(nkernels=8)),
-        ("F6 soft trapez", TFluxSoft(), "trapez", dict(nkernels=6)),
-        ("F7 cell trapez", TFluxCell(), "trapez", dict(nkernels=6)),
-        (
-            "A exact-memory hard",
-            TFluxHard(),
-            "trapez",
-            dict(nkernels=4, exact_memory=True),
-        ),
-        (
-            "A stealing hard qsort",
-            TFluxHard(),
-            "qsort",
-            dict(nkernels=4, allow_stealing=True),
-        ),
-        ("A multigroup hard", None, "trapez", dict(nkernels=8)),
-    ]
-
-
-def _fastpath_run(platform, bench_name: str, fast: bool, **kwargs):
-    old = os.environ.get(ENV_FASTPATH)
-    os.environ[ENV_FASTPATH] = "1" if fast else "0"
-    try:
-        if platform is None:  # the multi-group hardware ablation
-            from repro.runtime.simdriver import SimulatedRuntime
-            from repro.sim.machine import BAGLE_27
-            from repro.tsu.multigroup import MultiGroupHardwareAdapter
-
-            bench = get_benchmark(bench_name)
-            size = problem_sizes(bench_name, "S")["small"]
-            prog = bench.build(size, unroll=8, max_threads=1024)
-            return SimulatedRuntime(
-                prog,
-                BAGLE_27,
-                nkernels=kwargs["nkernels"],
-                adapter_factory=lambda e, t: MultiGroupHardwareAdapter(
-                    e, t, n_groups=2
-                ),
-            ).run()
-        bench = get_benchmark(bench_name)
-        size = problem_sizes(bench_name, platform.target)["small"]
-        prog = bench.build(size, unroll=8, max_threads=1024)
-        return platform.execute(prog, **kwargs)
-    finally:
-        if old is None:
-            del os.environ[ENV_FASTPATH]
-        else:
-            os.environ[ENV_FASTPATH] = old
-
-
-def check_fastpath() -> dict:
-    """Run the slice with coalescing on and off; cycles must be
-    bit-identical, events/instance strictly lower with coalescing."""
-    identical = True
-    rows = {}
-    for label, platform, bench_name, kwargs in _fastpath_configs():
-        on = _fastpath_run(platform, bench_name, True, **kwargs)
-        off = _fastpath_run(platform, bench_name, False, **kwargs)
-        same = (on.cycles, on.region_cycles) == (off.cycles, off.region_cycles)
-        identical &= same
-        instances = max(on.total_dthreads, 1)
-        rows[label] = {
-            "identical_cycles": same,
-            "events_per_instance_off": round(
-                off.counters["engine.events"] / instances, 2
-            ),
-            "events_per_instance_on": round(
-                on.counters["engine.events"] / instances, 2
-            ),
-        }
-        flag = "" if same else "  << CYCLES DIVERGE"
-        print(
-            f"{label:>28}: ev/inst "
-            f"{rows[label]['events_per_instance_off']:6.2f} -> "
-            f"{rows[label]['events_per_instance_on']:6.2f}{flag}"
-        )
-    return {"identical_cycles": identical, "configs": rows}
-
-
 # -- race-check instrumentation overhead ---------------------------------------
 def time_check_overhead() -> dict:
     """Cost of the dynamic race detector (``--check-races``), two ways:
@@ -454,7 +364,6 @@ def main() -> None:
             "cache warm",
             fresh(lambda: evaluate_many(requests, jobs=1, cache=cache)),
         )
-        fastpath = check_fastpath()
         coherence = time_coherence()
         auto_unroll = time_auto_unroll()
         race_check = time_check_overhead()
@@ -474,8 +383,6 @@ def main() -> None:
         "execution paths disagree on cycle numbers"
     )
     print(f"cycle numbers identical across all {len(paths)} paths")
-    assert fastpath["identical_cycles"], "fast path is not cycle-neutral"
-    print("fast path cycle-neutral across the figure/ablation slice")
     assert coherence["matches_seed_fingerprint"], (
         "two-level sharer directory diverged from the flat-mask seed cycles"
     )
@@ -524,7 +431,6 @@ def main() -> None:
         "identical_cycles": True,
         "coherence_hot": coherence,
         "auto_unroll": auto_unroll,
-        "fastpath": fastpath,
         "race_check": race_check,
         "serial_seconds_prev_pr": prev_serial,
         "bench_headline_seconds": headline,
