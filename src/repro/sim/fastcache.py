@@ -31,6 +31,14 @@ word first, so sharer-set union, upgrade detection and invalidation
 sweeps stay vectorised numpy ops that only touch nodes that actually
 hold copies.
 
+Cost: vectorised NumPy per declared range (``_sweep``), scalar Python
+ints for ranges of exactly one cache line (``_sweep_line``) — 88 % of the
+sweeps of the ``perf`` ``fine_grain`` workload (every TRAPEZ instance
+writing its 8-byte partial sum), where three dozen NumPy calls on
+length-1 arrays were the whole bill; sweeps of 2–16 lines are too few to
+earn a third tier.  ``_sweep`` is the reference: the test suite requires
+``_sweep_line`` to leave identical state after every op.
+
 Latency constants are identical to the exact model, and the test suite
 cross-validates the two models' hit/miss breakdowns on the workload access
 patterns.
@@ -139,6 +147,10 @@ class FastMemorySystem:
         self._othernodes = [
             np.uint64(((1 << nwords) - 1) ^ (1 << w)) for w in range(nwords)
         ]
+        # The same three masks as Python ints, for the scalar _sweep_line.
+        self._corebit_int = [int(m) for m in self._corebit]
+        self._othermask_int = [int(m) for m in self._othermask]
+        self._othernodes_int = [int(m) for m in self._othernodes]
         self._group_of = np.asarray(self.l2_groups, dtype=np.int64)
         # Reusable 1..k fill-count ramp for the single-core scatter path,
         # and a reusable 0..n-1 line-index ramp for downgrade scatters.
@@ -168,6 +180,16 @@ class FastMemorySystem:
             st = self._new_region_state(reg.lines(self.line_size))
             self._state[name] = st
         return st
+
+    def _claim_issuer(self, core: int) -> None:
+        """First traffic on a ``single_issuer`` system names its one issuing
+        core; traffic from any other core raises rather than mis-modelling."""
+        if self._issuer is not None:
+            raise RuntimeError(
+                "memory system declared single_issuer but saw traffic "
+                f"from cores {self._issuer} and {core}"
+            )
+        self._issuer = core
 
     def _lines_of(self, sel) -> np.ndarray:
         """Line indices selected by *sel* (cached ramp for dense slices)."""
@@ -219,7 +241,7 @@ class FastMemorySystem:
             held = (masked & self._corebit[other]) != 0
             olast = rs.l1_last[other, sel]
             resident = held & (olast >= max(0, self._clock[other] - cap + 1))
-            self._holes[other] += int(resident.sum())
+            self._holes[other] += int(np.count_nonzero(resident))
             return
         cores = []
         while union:
@@ -237,18 +259,20 @@ class FastMemorySystem:
     def run_op(self, core: int, op: _RangeOp) -> int:
         total = 0
         idx = op.line_indices(self.line_size)
-        if isinstance(idx, range):
+        nlines = len(idx)
+        if nlines == 0:
+            return 0
+        if nlines == 1:
+            # One line (a dense range inside a line, or the one-element
+            # list of a strided op): the scalar protocol step.
+            line = idx[0]
+        elif isinstance(idx, range):
             # Dense sweeps (the overwhelmingly common shape) index the
             # per-line arrays with a slice: gathers become views and
             # scatters contiguous writes, instead of fancy-indexed copies.
-            nlines = len(idx)
             sel: slice | np.ndarray = slice(idx.start, idx.stop)
         else:
-            lines = np.asarray(idx, dtype=np.int64)
-            nlines = lines.size
-            sel = lines
-        if nlines == 0:
-            return 0
+            sel = np.asarray(idx, dtype=np.int64)
         dense = op.stride <= self.line_size
         fits_l1 = nlines <= self.l1_capacity
         for rep in range(op.reps):
@@ -266,11 +290,19 @@ class FastMemorySystem:
                 st.cycles += lat * nlines * remaining
                 total += lat * nlines * remaining
                 break
-            total += self._sweep(core, op.region.name, sel, nlines, op.is_write, dense)
+            if nlines == 1:
+                total += self._sweep_line(core, op.region.name, line, op.is_write)
+            else:
+                total += self._sweep(
+                    core, op.region.name, sel, nlines, op.is_write, dense
+                )
         return total
 
     def run_summary(self, core: int, summary: AccessSummary) -> int:
-        return sum(self.run_op(core, op) for op in summary)
+        total = 0
+        for op in summary:
+            total += self.run_op(core, op)
+        return total
 
     # -- the vectorised protocol ----------------------------------------------
     def _sweep(
@@ -283,12 +315,7 @@ class FastMemorySystem:
         single = self._single_issuer
         nw = self._nwords
         if single and core != self._issuer:
-            if self._issuer is not None:
-                raise RuntimeError(
-                    "memory system declared single_issuer but saw traffic "
-                    f"from cores {self._issuer} and {core}"
-                )
-            self._issuer = core
+            self._claim_issuer(core)
 
         clock = self._clock[core]
         l2_clock = self._l2_clock[group]
@@ -307,12 +334,12 @@ class FastMemorySystem:
             # and owner array are provably inert (no remote copies to
             # track, no remote owner to downgrade) and never touched.
             miss = last < thr1
-            n_miss = int(miss.sum())
+            n_miss = int(np.count_nonzero(miss))
             n_l1 = n - n_miss
             remote_owned = None
             n_coh = 0
             mem_miss = miss & (l2_last < thr2)
-            n_mem = int(mem_miss.sum())
+            n_mem = int(np.count_nonzero(mem_miss))
             n_l2 = n_miss - n_mem
         else:
             word = self._word_of[core]
@@ -325,14 +352,14 @@ class FastMemorySystem:
             # Remote modified owner → cache-to-cache transfer.
             remote_owned = miss & (own >= 0) & (own != core)
             plain_miss = miss & ~remote_owned
-            n_coh = int(remote_owned.sum())
+            n_coh = int(np.count_nonzero(remote_owned))
             # L2 residency for plain misses.
             in_l2 = l2_last >= thr2
             l2_hit = plain_miss & in_l2
             mem_miss = plain_miss & ~in_l2
-            n_l1 = int(in_l1.sum())
-            n_l2 = int(l2_hit.sum())
-            n_mem = int(mem_miss.sum())
+            n_l1 = int(np.count_nonzero(in_l1))
+            n_l2 = int(np.count_nonzero(l2_hit))
+            n_mem = int(np.count_nonzero(mem_miss))
 
         l1r, l1w = self.l1cfg.read_latency, self.l1cfg.write_latency
         l2r = self.l2cfg.read_latency
@@ -353,7 +380,7 @@ class FastMemorySystem:
                         (pres & self._othernodes[word]) != 0
                     )
                 shared_hit = in_l1 & remote_any
-                n_upg = int(shared_hit.sum())
+                n_upg = int(np.count_nonzero(shared_hit))
                 cycles += n_upg * (l1w + self.mem.upgrade_latency)
                 cycles += (n_l1 - n_upg) * l1w
                 # All written lines: invalidate remote copies, become owner.
@@ -455,6 +482,119 @@ class FastMemorySystem:
         st.upgrades += n_upg
         st.cycles += cycles
         self.bus_transactions += n_coh + n_l2 + n_mem + n_upg
+        return cycles
+
+    # -- the same protocol step, one line, on Python ints -----------------------
+    def _sweep_line(self, core: int, region: str, line: int, is_write: bool) -> int:
+        """:meth:`_sweep` for a footprint of exactly one cache line.
+
+        Must leave the same state and return the same cycles as
+        ``_sweep(core, region, slice(line, line + 1), 1, is_write, True)``
+        — the reference ``tests/test_fastcache.py`` compares it against
+        after every op; change the two together.
+        """
+        rs = self._region_state(region)
+        group = self.l2_groups[core]
+        single = self._single_issuer
+        if single and core != self._issuer:
+            self._claim_issuer(core)
+
+        clock = self._clock.item(core)
+        l2_clock = self._l2_clock.item(group)
+        l1_last, l2_last = rs.l1_last, rs.l2_last
+        cap = self.l1_capacity
+        in_l1 = l1_last.item(core, line) >= max(0, clock - cap + 1)
+        in_l2 = l2_last.item(group, line) >= max(0, l2_clock - self.l2_capacity + 1)
+        l1r = self.l1cfg.read_latency
+        remote_owned = upgrade = False
+
+        if not single:
+            nw = self._nwords
+            word = self._word_of[core]
+            mybit = self._corebit_int[core]
+            sharers = rs.sharers
+            sh = sharers.item(word, line)
+            in_l1 = in_l1 and (sh & mybit) != 0
+            own = rs.owner.item(line)
+            # Remote modified owner → cache-to-cache transfer.
+            remote_owned = not in_l1 and own >= 0 and own != core
+            if is_write:
+                # One word keeps no presence array: node 0 is the only node.
+                pres = rs.presence.item(line) if nw > 1 else 1
+                others = sh & self._othermask_int[core]
+                upgrade = in_l1 and (
+                    others != 0 or (pres & self._othernodes_int[word]) != 0
+                )
+                # Invalidate every remote copy; a still-resident one frees
+                # an L1 slot on its core (a hole, see _sweep).
+                while pres:
+                    w2 = (pres & -pres).bit_length() - 1
+                    pres &= pres - 1
+                    masked = others if w2 == word else sharers.item(w2, line)
+                    while masked:
+                        other = w2 * CORES_PER_NODE + (masked & -masked).bit_length() - 1
+                        masked &= masked - 1
+                        if l1_last.item(other, line) >= max(
+                            0, self._clock.item(other) - cap + 1
+                        ):
+                            self._holes[other] += 1
+                    if w2 != word:
+                        sharers[w2, line] = 0
+                sharers[word, line] = mybit
+                if nw > 1:
+                    rs.presence[line] = 1 << word
+                rs.owner[line] = core
+            else:
+                if remote_owned:
+                    # Downgrade: the owner's copy stays valid (SHARED) and
+                    # the line lands in the owner's L2 via write-back.
+                    g = self.l2_groups[own]
+                    rs.owner[line] = -1
+                    l2_last[g, line] = self._l2_clock.item(g)
+                sharers[word, line] = sh | mybit
+                if nw > 1:
+                    rs.presence[line] = rs.presence.item(line) | 1 << word
+
+        st = self.stats[core]
+        st.accesses += 1
+        l2_fill = 1
+        if in_l1:
+            l2_fill = 0
+            st.l1_hits += 1
+            if is_write:
+                cycles = self.l1cfg.write_latency
+                if upgrade:
+                    cycles += self.mem.upgrade_latency
+                    st.upgrades += 1
+                    self.bus_transactions += 1
+            else:
+                cycles = l1r
+        elif remote_owned:
+            cycles = self.mem.cache_to_cache_latency + l1r
+            st.coherence_misses += 1
+        elif in_l2:
+            l2_fill = 0
+            cycles = l1r + self.l2cfg.read_latency
+            st.l2_hits += 1
+        else:
+            # A lone DRAM miss leads its own run: full latency, no burst.
+            cycles = l1r + self.l2cfg.read_latency + self.mem.dram_latency
+            st.mem_misses += 1
+        st.cycles += cycles
+
+        # Residency: a fill first consumes one of this core's invalidation
+        # holes, else it advances the LRU clock (see _sweep).
+        if not in_l1:
+            self.bus_transactions += 1
+            if self._holes[core]:
+                self._holes[core] -= 1
+            else:
+                clock += 1
+                self._clock[core] = clock
+        l1_last[core, line] = clock
+        l2_clock += l2_fill
+        l2_last[group, line] = l2_clock
+        self._l2_clock[group] = l2_clock
         return cycles
 
     # -- aggregate ------------------------------------------------------------

@@ -31,9 +31,13 @@ def _space(nlines=64):
     return space
 
 
-def _chunk_op(space, write, chunk):
+def _chunk_op(space, write, chunk, one_line=False):
+    """An 8-line chunk, or only its first line (the scalar ``_sweep_line``
+    path of the fast model)."""
     s = AccessSummary()
-    kw = dict(offset=chunk * 8 * 64, count=64, elem_size=8, stride=8)
+    kw = dict(
+        offset=chunk * 8 * 64, count=8 if one_line else 64, elem_size=8, stride=8
+    )
     (s.write if write else s.read)(space.get("C"), **kw)
     return s
 
@@ -55,6 +59,7 @@ def _stats_tuple(model, core):
             st.integers(min_value=0, max_value=2),  # active-core index
             st.booleans(),  # write?
             st.integers(min_value=0, max_value=7),  # chunk index
+            st.booleans(),  # first line of the chunk only?
         ),
         min_size=1,
         max_size=30,
@@ -62,15 +67,16 @@ def _stats_tuple(model, core):
 )
 def test_two_level_bit_identical_to_flat_below_old_ceiling(ncores, words, pattern):
     """Any ≤63-core config: forcing the multi-word directory paths must
-    reproduce the flat single-word mask's cycles bit for bit."""
+    reproduce the flat single-word mask's cycles bit for bit — on whole
+    chunks (``_sweep``) and on one-line ops (``_sweep_line``) alike."""
     space = _space()
     flat = FastMemorySystem(ncores, L1, L2, MEM, space)
     wide = FastMemorySystem(ncores, L1, L2, MEM, space, directory_words=words)
     assert flat._nwords == 1 and wide._nwords == words
     cores = sorted({0, ncores // 2, ncores - 1})
-    for ci, write, chunk in pattern:
+    for ci, write, chunk, one_line in pattern:
         core = cores[ci % len(cores)]
-        s = _chunk_op(space, write, chunk)
+        s = _chunk_op(space, write, chunk, one_line)
         assert flat.run_summary(core, s) == wide.run_summary(core, s)
     for c in cores:
         assert _stats_tuple(flat, c) == _stats_tuple(wide, c)

@@ -1,6 +1,9 @@
 """Tests for the vectorised memory model, including cross-validation
 against the exact MESI model on the workload-style access patterns."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -223,3 +226,148 @@ def test_cross_validation_chunked_traffic(pattern):
         # that bounded divergence; DRAM-level misses stay close.
         assert abs(se.l1_hits - sf.l1_hits) <= max(8, se.accesses * 0.35)
         assert abs(se.mem_misses - sf.mem_misses) <= max(8, se.accesses * 0.35)
+
+
+# -- one-line sweeps: scalar _sweep_line vs the vector _sweep ---------------
+
+# 4-line L1s and 16-line L2s over a 24-line region whose ops all start in
+# its first 12 lines: cores keep colliding on the same lines *and* keep
+# overflowing both levels, so the directory and the residency thresholds
+# both decide hits.
+L1_TINY = CacheConfig(size=256, line_size=64, assoc=2, read_latency=2, write_latency=0)
+L2_TINY = CacheConfig(size=1024, line_size=64, assoc=4, read_latency=20, write_latency=20)
+LINES = 24
+
+
+class _VectorLine(FastMemorySystem):
+    """The reference: one-line sweeps through the vector ``_sweep``."""
+
+    def _sweep_line(self, core, region, line, is_write):
+        return self._sweep(core, region, slice(line, line + 1), 1, is_write, True)
+
+
+def _assert_same_state(a, b):
+    ra, rb = a._state["R"], b._state["R"]
+    for name in ("l1_last", "l2_last", "owner", "sharers", "presence"):
+        assert np.array_equal(getattr(ra, name), getattr(rb, name)), name
+    assert np.array_equal(a._clock, b._clock)
+    assert np.array_equal(a._l2_clock, b._l2_clock)
+    assert a._holes == b._holes
+    assert a.stats == b.stats
+    assert a.bus_transactions == b.bus_transactions
+
+
+def _line_op(region, write, shape, line, k, reps):
+    """*shape* 0/1 are the two one-line forms, 2/3 multi-line sweeps."""
+    if shape == 0:  # dense, inside one line: k 8-byte slots from slot 8 - k
+        kw = dict(offset=line * 64 + (8 - k) * 8, count=k, elem_size=8, stride=8)
+    elif shape == 1:  # strided form: line_indices returns a one-element list
+        kw = dict(offset=line * 64, count=1, elem_size=8, stride=128)
+    elif shape == 2:  # dense, 2..9 lines
+        kw = dict(offset=line * 64, count=8 * (k + 1), elem_size=8, stride=8)
+    else:  # strided, every other line, 2..6 lines
+        kw = dict(offset=line * 64, count=k % 5 + 2, elem_size=8, stride=128)
+    s = AccessSummary()
+    (s.write if write else s.read)(region, reps=reps, **kw)
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ncores=st.sampled_from([1, 2, 3, 4, 8, 27, 64, 70, 130]),
+    extra_words=st.integers(min_value=0, max_value=2),
+    shared_l2=st.booleans(),
+    single_issuer=st.booleans(),
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # active-core index
+            st.booleans(),  # write?
+            st.sampled_from([0, 0, 1, 1, 2, 3]),  # shape, see _line_op
+            st.integers(min_value=0, max_value=11),  # first line
+            st.integers(min_value=1, max_value=8),  # k
+            st.integers(min_value=1, max_value=3),  # reps
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+# Three branches random streams rarely reach.  An upgrade seen only through
+# the presence word (the other sharer lives in another directory node):
+@example(
+    ncores=70, extra_words=0, shared_l2=False, single_issuer=False,
+    ops=[(0, False, 0, 5, 1, 1), (3, False, 0, 5, 1, 1), (0, True, 0, 5, 1, 1)],
+)
+# ... a line this core still owns but has evicted from its L1:
+@example(
+    ncores=2, extra_words=0, shared_l2=False, single_issuer=False,
+    ops=[(0, True, 0, 3, 1, 1), (0, False, 2, 6, 4, 1), (0, False, 0, 3, 1, 1)],
+)
+# ... and a line that has aged out of the L2 as well:
+@example(
+    ncores=2, extra_words=0, shared_l2=False, single_issuer=False,
+    ops=[
+        (0, False, 0, 0, 1, 1), (0, False, 2, 2, 8, 1),
+        (0, False, 2, 11, 8, 1), (0, False, 0, 0, 1, 1),
+    ],
+)
+def test_sweep_line_state_identical_to_sweep(
+    ncores, extra_words, shared_l2, single_issuer, ops
+):
+    """Same op stream through ``_sweep_line`` and through ``_sweep`` with a
+    one-line slice: equal cycles and equal model state after every op,
+    with multi-line sweeps interleaved so the holes, upgrades and
+    downgrades one path sets up are consumed by the other."""
+    space = RegionSpace()
+    region = space.region("R", LINES * 64)
+    kw = dict(
+        l2_groups=[c // 2 for c in range(ncores)] if shared_l2 else None,
+        single_issuer=single_issuer,
+        directory_words=-(-ncores // 64) + extra_words if extra_words else None,
+    )
+    shipped = FastMemorySystem(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
+    reference = _VectorLine(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
+    cores = sorted({0, 1 % ncores, ncores // 2, ncores - 1})
+    for ci, write, shape, line, k, reps in ops:
+        core = cores[0] if single_issuer else cores[ci % len(cores)]
+        s = _line_op(region, write, shape, line, k, reps)
+        assert shipped.run_summary(core, s) == reference.run_summary(core, s)
+        _assert_same_state(shipped, reference)
+
+
+@pytest.mark.parametrize("ncores", [2, 4, 6])
+def test_partial_sum_false_sharing_matches_exact(ncores):
+    """The TRAPEZ partial-sum shape: cores write neighbouring 8-byte slots
+    of the same few lines in rotation (upgrades, invalidations, holes),
+    then core 0 reads the whole array.  Pins the one-line path to the
+    exact model, not only to ``_sweep``."""
+    space = RegionSpace()
+    sums = space.region("SUMS", 4 * 64)
+    exact = CoherentMemorySystem(ncores, L1, L2, MEM, space)
+    fast = FastMemorySystem(ncores, L1, L2, MEM, space)
+    for slot in range(32):
+        w = AccessSummary().write(sums, offset=slot * 8, count=1, elem_size=8)
+        assert exact.run_summary(slot % ncores, w) == fast.run_summary(
+            slot % ncores, w
+        )
+    r = AccessSummary().read(sums)
+    assert exact.run_summary(0, r) == fast.run_summary(0, r)
+    for c in range(ncores):
+        # Every field but the write-back tally, which only the exact model keeps.
+        assert replace(exact.stats[c], writebacks=0) == fast.stats[c], f"core {c}"
+
+
+@pytest.mark.parametrize("count", [1, 64])
+def test_single_issuer_guard_raises_before_any_write(count):
+    """A second issuing core is rejected on the one-line path exactly as
+    on a long sweep, leaving the model untouched."""
+    space = RegionSpace()
+    region = space.region("R", LINES * 64)
+    fast = FastMemorySystem(2, L1, L2, MEM, space, single_issuer=True)
+    untouched = FastMemorySystem(2, L1, L2, MEM, space, single_issuer=True)
+    first = AccessSummary().write(region, count=64, elem_size=8)
+    fast.run_summary(0, first)
+    untouched.run_summary(0, first)
+    second = AccessSummary().write(region, count=count, elem_size=8)
+    with pytest.raises(RuntimeError, match="single_issuer but saw traffic"):
+        fast.run_summary(1, second)
+    _assert_same_state(fast, untouched)
