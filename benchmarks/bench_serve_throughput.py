@@ -16,10 +16,10 @@ under the two workload extremes the frontier is built for:
   throughput is bounded by the worker pool and should scale with
   concurrent clients when the host has the cores to back it.
 
-Measurements land in ``BENCH_PR9.json`` at the repo root.  The
-4-vs-1-client scaling assertion (≥2x) only applies on hosts with ≥4
-CPUs — a 1-CPU host runs the pool serially, which the JSON annotates
-(same convention as BENCH_PR8's ``parallel_skipped``).
+The table is printed, not recorded: the recorded trajectory of the
+serving tier is ``perf/``'s ``serve_mix`` workload.  The 4-vs-1-client
+scaling assertion (≥2x) only applies on hosts with ≥4 CPUs — a 1-CPU
+host runs the pool serially, which the table annotates.
 
 Also runnable standalone::
 
@@ -28,16 +28,12 @@ Also runnable standalone::
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from pathlib import Path
 
 from benchmarks.conftest import FULL, report
 from repro.serve import ServeClient, ServeConfig, job_to_wire, serve_in_thread
-
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
 
 #: Distinct max_threads values change the spec digest but barely the
 #: simulated work (trapez small, nk=2 runs ~10-30ms at this cap).
@@ -103,10 +99,9 @@ def _measure(nclients: int, jobs_for, workers: int) -> dict:
         handle.stop()
     counters = stats["counters"]
     return {
-        "clients": nclients,
         "jobs": total,
-        "seconds": round(elapsed, 3),
-        "jobs_per_sec": round(total / elapsed, 1),
+        "seconds": elapsed,
+        "jobs_per_sec": total / elapsed,
         "executed": stats["executed"],
         "deduped": counters.get("serve.deduped", 0),
         "lru_hits": counters.get("serve.lru_hits", 0),
@@ -117,18 +112,6 @@ def _measure(nclients: int, jobs_for, workers: int) -> dict:
 def test_serve_throughput():
     cpu = os.cpu_count() or 1
     workers = 4 if cpu >= 4 else 1
-    payload: dict = {
-        "host": {"cpu_count": cpu},
-        "config": {
-            "workers": workers,
-            "unique_jobs_dedup": UNIQUE_JOBS,
-            "rounds_dedup": ROUNDS,
-            "jobs_per_client_nodedup": JOBS_PER_CLIENT,
-            "full": FULL,
-        },
-        "dedup": {},
-        "nodedup": {},
-    }
     lines = [
         "P9 — tflux-serve sustained throughput (closed-loop clients)",
         f"{'workload':>10} {'clients':>8} {'jobs':>6} {'seconds':>8} "
@@ -143,7 +126,7 @@ def test_serve_throughput():
 
     for nclients in CLIENT_COUNTS:
         m = _measure(nclients, same_grid, workers)
-        batches = m.pop("results")
+        batches = m["results"]
         total = m["jobs"]
         # The single-flight acceptance invariant: unique specs simulate
         # once; every duplicate is a coalesced flight or an LRU hit.
@@ -156,7 +139,6 @@ def test_serve_throughput():
             for r, batch in enumerate(client_batches):
                 cycles = by_spec.setdefault(r % UNIQUE_JOBS, batch.outcomes[0].cycles)
                 assert batch.outcomes[0].cycles == cycles
-        payload["dedup"][str(nclients)] = m
         lines.append(
             f"{'dedup':>10} {nclients:>8} {total:>6} {m['seconds']:>7.2f}s "
             f"{m['jobs_per_sec']:>8,.0f} {m['executed']:>5} "
@@ -170,12 +152,12 @@ def test_serve_throughput():
             for j in range(JOBS_PER_CLIENT)
         ]
 
+    rates = {}
     for nclients in CLIENT_COUNTS:
         m = _measure(nclients, fresh_stream, workers)
-        m.pop("results")
         assert m["executed"] == m["jobs"]  # nothing to dedup
         assert m["deduped"] == 0 and m["lru_hits"] == 0
-        payload["nodedup"][str(nclients)] = m
+        rates[nclients] = m["jobs_per_sec"]
         lines.append(
             f"{'no-dedup':>10} {nclients:>8} {m['jobs']:>6} "
             f"{m['seconds']:>7.2f}s {m['jobs_per_sec']:>8,.0f} "
@@ -183,30 +165,15 @@ def test_serve_throughput():
         )
 
     # -- scaling: 4 clients must beat 1 by >= 2x given >= 4 CPUs ------------
-    rate1 = payload["nodedup"]["1"]["jobs_per_sec"]
-    rate4 = payload["nodedup"]["4"]["jobs_per_sec"]
-    payload["scaling"] = {
-        "rate_1_client": rate1,
-        "rate_4_clients": rate4,
-        "ratio": round(rate4 / rate1, 2),
-    }
     if cpu >= 4:
-        payload["scaling"]["ok"] = rate4 >= 2 * rate1
-        assert rate4 >= 2 * rate1, payload["scaling"]
+        assert rates[4] >= 2 * rates[1], rates
     else:
-        payload["scaling"]["ok"] = None
-        payload["scaling_skipped"] = (
-            f"host has {cpu} CPU(s); the pool runs simulations serially, "
-            f"so client concurrency cannot scale throughput"
-        )
+        # The pool runs simulations serially on such a host, so client
+        # concurrency cannot scale throughput.
         lines.append(f"  (4v1 scaling assertion skipped: {cpu} CPU host)")
-    lines.append(f"  4-client vs 1-client: {payload['scaling']['ratio']}x")
-
-    OUT_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    lines.append(f"  wrote {OUT_PATH.name}")
+    lines.append(f"  4-client vs 1-client: {rates[4] / rates[1]:.2f}x")
     report("\n".join(lines))
 
 
 if __name__ == "__main__":
     test_serve_throughput()
-    print(OUT_PATH.read_text())

@@ -12,14 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from repro.obs import RunRecord
-from repro.runtime.stats import RunResult
-
-#: Either the live result or its env-free record — both carry
-#: ``wall_seconds``, which is all this module reads.
-RunLike = Union[RunResult, RunRecord]
 
 __all__ = ["Measurement", "measure_native", "summarize"]
 
@@ -85,22 +80,24 @@ def summarize(samples: Sequence[float]) -> Measurement:
 
 
 def measure_native(
-    run_factory: Callable[[], RunLike],
+    run_factory: Callable[[], RunRecord],
     runs: int = 5,
     warmup: int = 1,
-) -> tuple[Measurement, RunLike]:
+) -> tuple[Measurement, RunRecord]:
     """Repeat a native execution; returns (statistics, last result).
 
     *run_factory* must build a fresh program and runtime each call
     (programs are single-run objects).  It may return either the live
-    :class:`RunResult` or an already-converted :class:`RunRecord`.
+    :class:`~repro.runtime.stats.RunResult` (a record plus the env) or
+    an already-converted :class:`RunRecord`; only ``wall_seconds`` is
+    read.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     for _ in range(warmup):
         run_factory()
     samples: list[float] = []
-    last: RunLike | None = None
+    last: RunRecord | None = None
     for _ in range(runs):
         last = run_factory()
         samples.append(last.wall_seconds)

@@ -20,8 +20,8 @@ needs no special handling — an instance is only squashed once *all* its
 live inputs die, and phantom decrements fire during the producing
 instance's resolution, so every edge (through squashed nodes included)
 is causally ordered.  Reachability over this DAG is the per-instance
-vector clock, kept as packed uint64 bitsets exactly like the static
-deriver's path check.
+vector clock: the packed-bitset :class:`~repro.core.deps.Reachability`
+kernel the static deriver's path check also uses.
 
 Candidate conflict pairs come from a last-writer/reader-set sweep over
 coordinate-compressed segments (:class:`~repro.core.regions.SegmentSpace`)
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.context import Context
-from repro.core.deps import _topo_order
+from repro.core.deps import Reachability
 from repro.core.dthread import DThreadTemplate
 from repro.core.environment import Environment
 from repro.core.graph import ExpandedGraph
@@ -282,7 +282,6 @@ def analyze(
             for iid in expanded.entry:
                 spawn_edges.append((spawner, offset + iid))
 
-    n = len(consumers)
     for spawner, dst in spawn_edges:
         src = gids.get((id(spawner.template), spawner.ctx))
         if src is None:  # pragma: no cover - internal invariant
@@ -298,20 +297,9 @@ def analyze(
             )
         rec_gid[gid] = rec
 
-    # -- reachability: packed-bitset vector clocks ---------------------------
-    order = _topo_order(consumers, n)
-    words = (n + 63) // 64
-    reach = np.zeros((n, words), dtype=np.uint64)
-    bit_word = np.arange(n) >> 6
-    bit_mask = np.uint64(1) << (np.arange(n, dtype=np.uint64) & np.uint64(63))
-    for u in reversed(order):
-        row = reach[u]
-        for v in consumers[u]:
-            row |= reach[v]
-            row[bit_word[v]] |= bit_mask[v]
-
-    def ordered(a: int, b: int) -> bool:
-        return bool(reach[a, bit_word[b]] & bit_mask[b])
+    # -- reachability: the per-instance vector clocks ------------------------
+    reach = Reachability(consumers)
+    order = reach.order
 
     # -- undeclared/out-of-bounds accesses -----------------------------------
     opaque: set = set()
@@ -407,7 +395,7 @@ def analyze(
     for a, b, region in sorted(
         candidates, key=lambda c: (position[c[0]], position[c[1]], c[2])
     ):
-        if ordered(a, b):
+        if reach.ordered(a, b):
             continue
         ar, aw = footprints[a][region]
         br, bw = footprints[b][region]

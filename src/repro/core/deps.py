@@ -60,6 +60,7 @@ __all__ = [
     "MissingDep",
     "DepsReport",
     "check_deps",
+    "Reachability",
 ]
 
 #: Conflict kinds, in the order they are reported.
@@ -472,27 +473,14 @@ def check_deps(program) -> DepsReport:
             ArcDiagnosis(prod.name, cons.name, status, supported, total)
         )
 
-    # Reachability over the declared instance graph (packed bitsets,
-    # reverse topological order): reach[u] covers every instance a token
-    # from u can precede.
-    n = expanded.ninstances
     if derivation.pairs:
-        order = _topo_order(expanded.consumers, n)
-        words = (n + 63) // 64
-        reach = np.zeros((n, words), dtype=np.uint64)
-        bit_word = np.arange(n) >> 6
-        bit_mask = np.uint64(1) << (np.arange(n, dtype=np.uint64) & np.uint64(63))
-        for u in reversed(order):
-            row = reach[u]
-            for v in expanded.consumers[u]:
-                row |= reach[v]
-                row[bit_word[v]] |= bit_mask[v]
+        reach = Reachability(expanded.consumers)
         for (src, dst) in sorted(derivation.pairs):
             ptid, pctx = derivation.instances[src]
             ctid, cctx = derivation.instances[dst]
             s = expanded.iid_of(ptid, pctx)
             d = expanded.iid_of(ctid, cctx)
-            if not (reach[s, bit_word[d]] & bit_mask[d]):
+            if not reach.ordered(s, d):
                 report.missing.append(
                     MissingDep(
                         graph.template(ptid).name,
@@ -506,7 +494,39 @@ def check_deps(program) -> DepsReport:
     return report
 
 
-def _topo_order(consumers: Sequence[Sequence[int]], n: int) -> List[int]:
+class Reachability:
+    """Transitive closure of an instance DAG — the one path query both
+    checkers ask (static: "is this derived conflict ordered by the
+    declared arcs?"; dynamic: "is there a happens-before path?").
+
+    *consumers[u]* lists the successors of node *u*.  ``reach[u]`` is a
+    packed uint64 bitset of every node a token from *u* can precede,
+    filled in reverse topological order (:attr:`order` is the forward
+    one); the closure costs n²/64 words, a query is one word test.
+    """
+
+    def __init__(self, consumers: Sequence[Sequence[int]]) -> None:
+        n = len(consumers)
+        order = _topo_order(consumers)
+        word = np.arange(n) >> 6
+        mask = np.uint64(1) << (np.arange(n, dtype=np.uint64) & np.uint64(63))
+        reach = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+        for u in reversed(order):
+            row = reach[u]
+            for v in consumers[u]:
+                row |= reach[v]
+                row[word[v]] |= mask[v]
+        #: A topological linearisation of the DAG (producers first).
+        self.order = order
+        self._word, self._mask, self._reach = word, mask, reach
+
+    def ordered(self, a: int, b: int) -> bool:
+        """Whether a directed path leads from node *a* to node *b*."""
+        return bool(self._reach[a, self._word[b]] & self._mask[b])
+
+
+def _topo_order(consumers: Sequence[Sequence[int]]) -> List[int]:
+    n = len(consumers)
     indeg = [0] * n
     for outs in consumers:
         for v in outs:

@@ -7,7 +7,10 @@ makes the harness's own wall-clock scale with the host machine:
   executor (``TFLUX_JOBS``), and the batched §5 evaluation protocol;
 * :mod:`repro.exec.cache` — a content-addressed on-disk result cache
   (``TFLUX_CACHE_DIR``) keyed on job spec + cost-model parameters +
-  a fingerprint of the simulator sources.
+  a fingerprint of the simulator sources;
+* :mod:`repro.exec.singleflight` — the one single-flight + bounded-LRU
+  primitive, shared by ``evaluate_many``'s baseline memo and the
+  :mod:`repro.serve` job frontier.
 
 See ``docs/simulation.md`` ("Running the harness fast") for usage.
 """
@@ -33,12 +36,14 @@ from repro.exec.pool import (
     run_job,
     run_jobs,
 )
+from repro.exec.singleflight import SingleFlightLRU
 
 __all__ = [
     "ENV_CACHE_DIR",
     "ENV_JOBS",
     "UNROLL_LADDER",
     "ResultCache",
+    "SingleFlightLRU",
     "cache_from_env",
     "describe",
     "source_fingerprint",

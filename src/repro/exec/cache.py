@@ -152,7 +152,10 @@ class ResultCache:
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
+        except Exception:
+            # Missing file, or corrupt bytes: unpickling garbage can raise
+            # nearly anything (ValueError for an unknown protocol byte,
+            # KeyError/IndexError for bad opcodes, ...).  All are misses.
             self.misses += 1
             return None
         if not self._schema_ok(value):
@@ -263,10 +266,11 @@ class ResultCache:
             cutoff = time.time() - max_age
             doomed.extend(d for d, (_, mtime) in entries.items() if mtime < cutoff)
         if max_bytes is not None:
+            aged_out = set(doomed)
             survivors = [
                 (mtime, size, d)
                 for d, (size, mtime) in entries.items()
-                if d not in set(doomed)
+                if d not in aged_out
             ]
             total = sum(size for _, size, _ in survivors)
             survivors.sort()  # oldest first

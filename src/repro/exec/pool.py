@@ -10,7 +10,7 @@ invariant (a ``DDMProgram``'s ``Environment`` is mutated by execution)
 is preserved by construction, because a program object never crosses a
 process boundary.
 
-Three job modes exist:
+Two job modes exist:
 
 * ``"execute"`` — a single parallel run (the ablation grids that sweep
   runtime parameters, and the parallel side of every speedup cell).
@@ -21,8 +21,6 @@ Three job modes exist:
   (:data:`_BASELINE_MEMO`), so a sweep only pays for its parallel side;
   the disk cache gives the baseline its own dedicated key because
   ``mode`` participates in :func:`repro.exec.cache.spec_digest`.
-* ``"evaluate"`` — legacy combined mode (parallel run plus a baseline at
-  the *same* unroll); kept for callers that want a self-contained job.
 
 Results are transparently memoised through the content-addressed disk
 cache (:mod:`repro.exec.cache`) when ``TFLUX_CACHE_DIR`` is set.
@@ -38,13 +36,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
-from collections import OrderedDict
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.exec.cache import ResultCache, cache_from_env, spec_digest
+from repro.exec.singleflight import SingleFlightLRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.apps.common import ProblemSize
@@ -100,9 +97,8 @@ class JobSpec:
     unroll: int
     max_threads: int = 4096
     verify: bool = False
-    #: "execute" is parallel-only, "sequential" is the §5 baseline alone,
-    #: "evaluate" (legacy) runs both at the same unroll.
-    mode: str = "evaluate"
+    #: "execute" is one parallel run, "sequential" the §5 baseline alone.
+    mode: str = "execute"
     tsu_capacity: Optional[int] = None
     exact_memory: bool = False
     allow_stealing: bool = False
@@ -148,9 +144,9 @@ class JobOutcome:
 def run_job(spec: JobSpec) -> JobOutcome:
     """Execute one job in this process.
 
-    Builds the program(s) fresh — never reuses a program object — runs
-    the parallel simulation (and the sequential baseline in
-    ``"evaluate"`` mode), verifies the functional results against the
+    Builds the program fresh — never reuses a program object — runs
+    the parallel simulation (or the sequential baseline in
+    ``"sequential"`` mode), verifies the functional results against the
     benchmark oracle while the live ``Environment`` is still at hand,
     and returns the outcome carrying only the run's RunRecord.
     """
@@ -205,19 +201,9 @@ def run_job(spec: JobSpec) -> JobOutcome:
             bench.verify(par.env, spec.size)
         if check_report is not None:
             check_report.publish(par.counters)
-        seq_cycles: Optional[int] = None
-        if spec.mode == "evaluate":
-            seq_prog = bench.build(
-                spec.size, unroll=spec.unroll, max_threads=spec.max_threads
-            )
-            seq = platform.sequential_baseline(
-                seq_prog, exact_memory=spec.exact_memory
-            )
-            seq_cycles = seq.region_cycles or seq.cycles
         return JobOutcome(
             cycles=par.cycles,
             region_cycles=par.region_cycles,
-            seq_cycles=seq_cycles,
             result=par.to_record(),
         )
     except Exception as exc:
@@ -334,80 +320,16 @@ class EvalRequest:
     max_threads: int = 4096
 
 
-#: Completed baselines the memo keeps (LRU-evicted beyond this, so a
-#: long-running server sweeping many platform configurations cannot
-#: grow the memo without bound; real sweeps hold a handful of cells).
-_BASELINE_MEMO_CAPACITY = 256
-
-
-class _BaselineMemo:
-    """Thread-safe, bounded, single-flight memo of baseline outcomes.
-
-    Keyed by the baseline JobSpec's cache digest.  The baseline depends
-    only on (platform configuration, bench, size, exact memory model) —
-    never on the sweep's kernel counts or unroll grid — so consecutive
-    ``evaluate_many`` batches (e.g. a speedup curve over nkernels)
-    reuse it without re-simulating.
-
-    Entries are ``concurrent.futures.Future`` objects so *concurrent*
-    ``evaluate_many`` calls (the server's request handlers) agree under
-    one lock on a single owner per digest: the owner simulates and
-    :meth:`fill`\\ s, everyone else blocks on the same future instead of
-    racing a duplicate baseline simulation.  Failures :meth:`fail` the
-    future (waiters re-raise) and are never retained, and completed
-    entries are LRU-evicted beyond *capacity*.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._done: "OrderedDict[str, Future]" = OrderedDict()
-        self._inflight: dict[str, Future] = {}
-
-    def claim(self, digest: str) -> tuple[Future, bool]:
-        """The shared future for *digest* and whether the caller owns it
-        (an owner must later :meth:`fill` or :meth:`fail`)."""
-        with self._lock:
-            fut = self._done.get(digest)
-            if fut is not None:
-                self._done.move_to_end(digest)
-                return fut, False
-            fut = self._inflight.get(digest)
-            if fut is not None:
-                return fut, False
-            fut = Future()
-            self._inflight[digest] = fut
-            return fut, True
-
-    def fill(self, digest: str, outcome: JobOutcome) -> None:
-        with self._lock:
-            fut = self._inflight.pop(digest, Future())
-            self._done[digest] = fut
-            self._done.move_to_end(digest)
-            while len(self._done) > self.capacity:
-                self._done.popitem(last=False)
-        fut.set_result(outcome)  # wake waiters outside the lock
-
-    def fail(self, digest: str, exc: BaseException) -> None:
-        with self._lock:
-            fut = self._inflight.pop(digest, None)
-        if fut is not None and not fut.done():
-            fut.set_exception(exc)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._done.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._done)
-
-    def __contains__(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._done
-
-
-_BASELINE_MEMO = _BaselineMemo(_BASELINE_MEMO_CAPACITY)
+#: In-process single-flight memo of baseline outcomes, keyed by the
+#: baseline JobSpec's cache digest.  The baseline depends only on
+#: (platform configuration, bench, size, exact memory model) — never on
+#: the sweep's kernel counts or unroll grid — so consecutive
+#: ``evaluate_many`` batches (e.g. a speedup curve over nkernels) reuse
+#: it without re-simulating, and *concurrent* calls agree on one owner
+#: per digest.  Bounded, so a long-running server sweeping many platform
+#: configurations cannot grow it without limit; real sweeps hold a
+#: handful of cells.
+_BASELINE_MEMO = SingleFlightLRU(256)
 
 
 def clear_baseline_memo() -> None:
@@ -529,9 +451,9 @@ def evaluate_many(
         digest = spec_digest(spec)
         seq_digests.append(digest)
         if digest not in seq_futures:
-            fut, owner = _BASELINE_MEMO.claim(digest)
+            fut, leader = _BASELINE_MEMO.claim(digest)
             seq_futures[digest] = fut
-            if owner:
+            if leader:
                 owned.append(digest)
                 seq_position[digest] = len(seq_specs)
                 seq_specs.append(spec)
@@ -540,11 +462,11 @@ def evaluate_many(
         outcomes = run_jobs(par_specs + seq_specs, jobs=jobs, cache=cache)
     except BaseException as exc:
         for digest in owned:
-            _BASELINE_MEMO.fail(digest, exc)
+            _BASELINE_MEMO.reject(digest, exc)
         raise
     seq_outcomes = outcomes[len(par_specs):]
     for digest, pos in seq_position.items():
-        _BASELINE_MEMO.fill(digest, seq_outcomes[pos])
+        _BASELINE_MEMO.resolve(digest, seq_outcomes[pos])
 
     evaluated: list[dict[int, JobOutcome]] = [
         dict(zip(grid if grid is not None else _AUTO_PROBES, outcomes[a:b]))

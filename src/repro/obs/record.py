@@ -1,8 +1,8 @@
 """RunRecord: the schema-versioned, picklable telemetry payload of one run.
 
-A :class:`~repro.runtime.stats.RunResult` is a *live* object — it carries
-the program's mutated :class:`~repro.core.environment.Environment` so
-callers can verify functional output.  A :class:`RunRecord` is what is
+A :class:`~repro.runtime.stats.RunResult` is a *live* object — a record
+plus the program's mutated :class:`~repro.core.environment.Environment`,
+so callers can verify functional output.  A :class:`RunRecord` is what is
 left once the run is over and only the *measurement* matters: identity,
 cycle/wall totals, per-kernel stats, memory-system stats, the unified
 counter registry, and any collected spans.  It is what crosses the
@@ -141,16 +141,18 @@ class RunRecord:
     nkernels: int
     cycles: int
     #: Cycles of the parallelised region only (prologue/epilogue excluded)
-    #: — what the paper measures with gettimeofday (§5).
-    region_cycles: int
+    #: — what the paper measures with gettimeofday (§5).  0 when the
+    #: program has no sequential sections (``measured_cycles`` falls back).
+    region_cycles: int = 0
     #: Wall-clock seconds for native runs (0.0 for simulated runs).
-    wall_seconds: float
-    kernels: list[KernelStats]
-    memory: Optional[CacheStats]
-    #: The unified counter registry (tsu.*, tub.*, mmi.*, ppe.*, dma.*, ...).
-    counters: Counters
+    wall_seconds: float = 0.0
+    kernels: list[KernelStats] = field(default_factory=list)
+    memory: Optional[CacheStats] = None
+    #: The unified counter registry (tsu.*, tub.*, mmi.*, ppe.*, dma.*, ...)
+    #: published by the TSU Group, the protocol adapter and the runtime.
+    counters: Counters = field(default_factory=Counters)
     #: Spans collected by an attached probe (empty unless one was attached).
-    spans: list[Span]
+    spans: list[Span] = field(default_factory=list)
     #: Message-passing nodes of a TFluxDist run (1 on single-node platforms).
     nnodes: int = 1
     #: Fabric wiring of a TFluxDist run, e.g. ``"fullmesh"`` or

@@ -1,92 +1,36 @@
 """Run statistics and results shared by all runtime backends.
 
-:class:`RunResult` is the *live* outcome of one execution: it still holds
-the program's mutated :class:`~repro.core.environment.Environment` so the
-caller can verify functional output.  All accounting rides in two typed
-containers from :mod:`repro.obs` — the :class:`~repro.obs.Counters`
-registry every component publishes into and the span list an attached
-probe collected.  :meth:`RunResult.to_record` converts to the picklable,
-env-free :class:`~repro.obs.RunRecord` that crosses process and cache
-boundaries.
+:class:`RunResult` is the *live* outcome of one execution: the run's
+:class:`~repro.obs.RunRecord` — identity, cycle/wall totals, per-kernel
+stats, the :class:`~repro.obs.Counters` registry every component
+publishes into and the span list an attached probe collected — plus the
+program's mutated :class:`~repro.core.environment.Environment`, so the
+caller can verify functional output.  :meth:`RunResult.to_record` drops
+the environment, leaving the plain picklable record that crosses process
+and cache boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
 
 from repro.core.environment import Environment
-from repro.obs import Counters, KernelStats, RunRecord, Span
-from repro.sim.cache import CacheStats
+from repro.obs import KernelStats, RunRecord
 
 __all__ = ["KernelStats", "RunResult"]
 
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+
 
 @dataclass
-class RunResult:
-    """Outcome of one program execution on one platform."""
+class RunResult(RunRecord):
+    """Outcome of one program execution on one platform: every
+    :class:`~repro.obs.RunRecord` field and derived quantity, plus the
+    live ``env``."""
 
-    program: str
-    platform: str
-    nkernels: int
-    cycles: int
-    env: Environment
-    #: Cycles of the parallelised region only (prologue/epilogue excluded)
-    #: — what the paper measures with gettimeofday (§5).  Equal to
-    #: ``cycles`` when the program has no sequential sections.
-    region_cycles: int = 0
-    kernels: list[KernelStats] = field(default_factory=list)
-    memory: Optional[CacheStats] = None
-    #: The unified counter registry (``tsu.*``, ``tub.*``, ``mmi.*``, ...)
-    #: published by the TSU Group, the protocol adapter and the runtime.
-    counters: Counters = field(default_factory=Counters)
-    #: Spans collected by the attached probe (empty without a tracer).
-    spans: list[Span] = field(default_factory=list)
-    #: Wall-clock seconds for native runs (cycles is 0 there unless set).
-    wall_seconds: float = 0.0
-    #: Message-passing nodes of a TFluxDist run (1 everywhere else).
-    nnodes: int = 1
-    #: Fabric wiring of a TFluxDist run ("" everywhere else).
-    topology: str = ""
+    env: Environment = field(kw_only=True)
 
     def to_record(self) -> RunRecord:
-        """The env-free, schema-versioned telemetry payload of this run."""
-        return RunRecord(
-            program=self.program,
-            platform=self.platform,
-            nkernels=self.nkernels,
-            cycles=self.cycles,
-            region_cycles=self.region_cycles,
-            wall_seconds=self.wall_seconds,
-            kernels=self.kernels,
-            memory=self.memory,
-            counters=self.counters,
-            spans=self.spans,
-            nnodes=self.nnodes,
-            topology=self.topology,
-        )
-
-    def speedup_over(self, sequential_cycles: int) -> float:
-        """Paper-style speedup: sequential time / parallel time, over the
-        parallelised region."""
-        cyc = self.region_cycles or self.cycles
-        if cyc <= 0:
-            raise ValueError("run has no cycle measurement")
-        return sequential_cycles / cyc
-
-    @property
-    def total_dthreads(self) -> int:
-        return sum(k.dthreads for k in self.kernels)
-
-    def utilisation(self) -> float:
-        """Mean fraction of kernel time spent busy (not waiting on TSU)."""
-        if not self.kernels:
-            return 0.0
-        return sum(k.core.utilisation() for k in self.kernels) / len(self.kernels)
-
-    def summary_line(self) -> str:
-        return (
-            f"{self.program:>8s} on {self.platform:<10s} "
-            f"kernels={self.nkernels:<3d} cycles={self.cycles:>14,d} "
-            f"util={self.utilisation():.2f}"
-        )
+        """The env-free, schema-versioned telemetry payload of this run
+        (a plain :class:`~repro.obs.RunRecord`, never ``self``)."""
+        return RunRecord(**{name: getattr(self, name) for name in _RECORD_FIELDS})

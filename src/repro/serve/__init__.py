@@ -6,9 +6,10 @@ specs from many tenants over a line-delimited-JSON socket protocol and
 streams schema-versioned results back as each cell finishes.  The
 performance core is three layers above the process pool:
 
-* **single-flight dedup** (:mod:`repro.serve.lru`) — identical in-flight
-  jobs coalesce onto one running simulation, with a bounded in-memory
-  LRU of recent outcomes above the on-disk
+* **single-flight dedup** (:mod:`repro.exec.singleflight`, the class the
+  baseline memo of :func:`~repro.exec.evaluate_many` also uses) —
+  identical in-flight jobs coalesce onto one running simulation, with a
+  bounded in-memory LRU of recent outcomes above the on-disk
   :class:`~repro.exec.cache.ResultCache`;
 * **fair scheduling** (:mod:`repro.serve.scheduler`) — per-tenant
   round-robin with priority aging, deterministic and wall-clock-free;
@@ -18,13 +19,12 @@ performance core is three layers above the process pool:
   ``ProcessPoolExecutor``.
 
 See ``docs/serving.md`` for the protocol, the fairness/backpressure
-semantics, and the ``TFLUX_SERVE_*`` knobs;
+semantics, and the ``tflux-serve`` sizing flags;
 ``benchmarks/bench_serve_throughput.py`` measures sustained jobs/sec at
 1/4/16 concurrent clients.
 """
 
 from repro.serve.client import BatchResult, ServeClient
-from repro.serve.lru import MISS, LRUCache, SingleFlightLRU
 from repro.serve.protocol import (
     WIRE_VERSION,
     WireError,
@@ -44,9 +44,6 @@ from repro.serve.server import (
 __all__ = [
     "BatchResult",
     "ServeClient",
-    "MISS",
-    "LRUCache",
-    "SingleFlightLRU",
     "WIRE_VERSION",
     "WireError",
     "job_from_wire",

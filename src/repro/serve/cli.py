@@ -39,6 +39,12 @@ def _address(args: argparse.Namespace) -> "tuple[str, int] | str":
     return (host or "127.0.0.1", int(port))
 
 
+def _worker_count(raw: str) -> int:
+    if raw.lower() in ("auto", "max"):
+        return os.cpu_count() or 1
+    return max(1, int(raw))
+
+
 def main_serve(argv: Optional[list[str]] = None) -> int:
     from repro.exec import ENV_CACHE_DIR
     from repro.serve.server import ServeConfig, TFluxServer
@@ -51,39 +57,35 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=7077, help="0 = any free port")
     parser.add_argument("--unix", default=None, metavar="PATH",
                         help="listen on a Unix socket instead of TCP")
-    parser.add_argument("--workers", default=None,
-                        help="worker processes (overrides TFLUX_SERVE_WORKERS; "
-                        "'auto' = all cores)")
-    parser.add_argument("--lru", type=int, default=None,
+    defaults = ServeConfig()
+    parser.add_argument("--workers", type=_worker_count, default=defaults.workers,
+                        help="worker processes ('auto' = all cores)")
+    parser.add_argument("--lru", type=int, default=defaults.lru_capacity,
                         help="in-memory LRU capacity (outcomes)")
-    parser.add_argument("--max-inflight", type=int, default=None,
+    parser.add_argument("--max-inflight", type=int, default=defaults.max_inflight,
                         help="unique simulations in flight (0 = 2x workers)")
-    parser.add_argument("--max-queued", type=int, default=None,
+    parser.add_argument("--max-queued", type=int,
+                        default=defaults.max_queued_per_tenant,
                         help="queued jobs per tenant before 'overloaded'")
-    parser.add_argument("--queue-total", type=int, default=None,
+    parser.add_argument("--queue-total", type=int,
+                        default=defaults.max_queued_total,
                         help="queued jobs across all tenants")
-    parser.add_argument("--aging", type=int, default=None,
+    parser.add_argument("--aging", type=int, default=defaults.aging_rounds,
                         help="dispatch skips per +1 effective priority")
     parser.add_argument("--cache-dir", default=None,
                         help=f"on-disk result cache (overrides {ENV_CACHE_DIR})")
     args = parser.parse_args(argv)
 
-    if args.workers is not None:
-        os.environ["TFLUX_SERVE_WORKERS"] = str(args.workers)
     if args.cache_dir is not None:
         os.environ[ENV_CACHE_DIR] = os.path.expanduser(args.cache_dir)
-    overrides = {
-        name: value
-        for name, value in (
-            ("lru_capacity", args.lru),
-            ("max_inflight", args.max_inflight),
-            ("max_queued_per_tenant", args.max_queued),
-            ("max_queued_total", args.queue_total),
-            ("aging_rounds", args.aging),
-        )
-        if value is not None
-    }
-    config = ServeConfig.from_env(**overrides)
+    config = ServeConfig(
+        workers=args.workers,
+        lru_capacity=args.lru,
+        max_inflight=args.max_inflight,
+        max_queued_per_tenant=args.max_queued,
+        max_queued_total=args.queue_total,
+        aging_rounds=args.aging,
+    )
 
     async def _run() -> None:
         server = TFluxServer(config=config)

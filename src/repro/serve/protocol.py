@@ -152,7 +152,7 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
     if label not in sizes:
         raise WireError(f"unknown size {label!r} (have {sorted(sizes)})")
     mode = wire.get("mode", "execute")
-    if mode not in ("execute", "sequential", "evaluate"):
+    if mode not in ("execute", "sequential"):
         raise WireError(f"unknown mode {mode!r}")
     check = wire.get("check", "")
     if check not in ("", "races"):

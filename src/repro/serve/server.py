@@ -38,16 +38,8 @@ they are: an outcome is computed by the same :func:`repro.exec.pool.run_job`
 a direct sweep uses, and the differential tests pin the streamed records
 bit-identical to a pool run.
 
-Knobs (environment, overridable per :class:`ServeConfig` field)::
-
-    TFLUX_SERVE_WORKERS       worker processes          (default 1, 'auto' = cores)
-    TFLUX_SERVE_LRU           in-memory LRU capacity    (default 512 outcomes)
-    TFLUX_SERVE_MAX_INFLIGHT  unique running sims       (default 2x workers)
-    TFLUX_SERVE_MAX_QUEUED    queued jobs per tenant    (default 256)
-    TFLUX_SERVE_QUEUE_TOTAL   queued jobs, all tenants  (default 1024)
-    TFLUX_SERVE_AGING         skips per +1 priority     (default 4)
-
-plus ``TFLUX_CACHE_DIR`` for the on-disk layer, exactly as in
+Sizing is a :class:`ServeConfig` (one ``tflux-serve`` flag per field);
+``TFLUX_CACHE_DIR`` selects the on-disk layer, exactly as in
 :mod:`repro.exec`.
 """
 
@@ -58,14 +50,15 @@ import itertools
 import os
 import re
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 from repro.exec.cache import ResultCache, cache_from_env, spec_digest
 from repro.exec.pool import JobSpec, pool_context, run_job
+from repro.exec.singleflight import SingleFlightLRU
 from repro.obs import Counters
-from repro.serve.lru import MISS, SingleFlightLRU
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     WIRE_VERSION,
@@ -83,14 +76,9 @@ __all__ = ["ServeConfig", "TFluxServer", "ServerHandle", "serve_in_thread"]
 _ENV_CACHE = object()
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
-
-
 @dataclass
 class ServeConfig:
-    """Server sizing; every field has a ``TFLUX_SERVE_*`` spelling."""
+    """Server sizing; every field has a ``tflux-serve`` flag."""
 
     workers: int = 1
     lru_capacity: int = 512
@@ -100,27 +88,6 @@ class ServeConfig:
     max_queued_per_tenant: int = 256
     max_queued_total: int = 1024
     aging_rounds: int = 4
-
-    @classmethod
-    def from_env(cls, **overrides: int) -> "ServeConfig":
-        raw_workers = os.environ.get("TFLUX_SERVE_WORKERS", "").strip().lower()
-        if raw_workers in ("auto", "max"):
-            workers = os.cpu_count() or 1
-        elif raw_workers:
-            workers = max(1, int(raw_workers))
-        else:
-            workers = 1
-        config = cls(
-            workers=workers,
-            lru_capacity=_env_int("TFLUX_SERVE_LRU", 512),
-            max_inflight=_env_int("TFLUX_SERVE_MAX_INFLIGHT", 0),
-            max_queued_per_tenant=_env_int("TFLUX_SERVE_MAX_QUEUED", 256),
-            max_queued_total=_env_int("TFLUX_SERVE_QUEUE_TOTAL", 1024),
-            aging_rounds=_env_int("TFLUX_SERVE_AGING", 4),
-        )
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
 
     @property
     def effective_inflight(self) -> int:
@@ -184,7 +151,7 @@ class TFluxServer:
         config: Optional[ServeConfig] = None,
         cache: "Optional[ResultCache] | object" = _ENV_CACHE,
     ) -> None:
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
         self.cache = cache_from_env() if cache is _ENV_CACHE else cache
         self.counters = Counters()
         self.scheduler = FairScheduler(
@@ -364,7 +331,10 @@ class TFluxServer:
         """Drain the scheduler while unique-simulation slots are free.
 
         Classification is synchronous, so the in-flight bound is exact
-        and hits/coalesces never occupy a slot.
+        and hits/coalesces never occupy a slot.  Flights resolve on this
+        thread too, so a non-leader claim that is already done is an LRU
+        hit (delivered on the spot) and one still pending is a
+        coalesced duplicate.
         """
         while self.lru.inflight < self.config.effective_inflight:
             entry = self.scheduler.next()
@@ -372,26 +342,16 @@ class TFluxServer:
                 return
             tenant, job = entry
             tenant_key = _counter_key(tenant)
-            cached = self.lru.lookup(job.digest)
-            if cached is not MISS:
-                self.counters.inc("serve.lru_hits")
-                self.counters.inc(f"serve.tenant.{tenant_key}.lru_hits")
-                self._deliver(tenant_key, job, cached, None)
-                continue
             fut, leader = self.lru.claim(job.digest)
-            fut.add_done_callback(
-                lambda f, tenant_key=tenant_key, job=job: self._deliver(
-                    tenant_key, job, f.result() if f.exception() is None else None,
-                    f.exception(),
-                )
-            )
             if leader:
                 task = asyncio.create_task(self._compute(job.digest, job.spec))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
             else:
-                self.counters.inc("serve.deduped")
-                self.counters.inc(f"serve.tenant.{tenant_key}.deduped")
+                kind = "lru_hits" if fut.done() else "deduped"
+                self.counters.inc(f"serve.{kind}")
+                self.counters.inc(f"serve.tenant.{tenant_key}.{kind}")
+            fut.add_done_callback(partial(self._deliver, tenant_key, job))
 
     async def _compute(self, digest: str, spec: JobSpec) -> None:
         """Leader path: disk cache, else the persistent pool; resolve or
@@ -416,14 +376,10 @@ class TFluxServer:
             self._wake.set()
 
     # -- delivery --------------------------------------------------------------
-    def _deliver(
-        self,
-        tenant_key: str,
-        job: _Job,
-        outcome: Any,
-        error: Optional[BaseException],
-    ) -> None:
+    def _deliver(self, tenant_key: str, job: _Job, flight: Future) -> None:
+        """Stream one job's settled *flight* (a result or a job_error)."""
         batch = job.batch
+        error = flight.exception()
         if error is not None:
             qualname = f"{type(error).__module__}.{type(error).__qualname__}"
             batch.conn.send(
@@ -440,7 +396,7 @@ class TFluxServer:
                     "type": "result",
                     "batch_id": batch.batch_id,
                     "index": job.index,
-                    "outcome": outcome_to_wire(outcome),
+                    "outcome": outcome_to_wire(flight.result()),
                 }
             )
         self.counters.inc("serve.completed")

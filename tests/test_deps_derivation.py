@@ -1,6 +1,6 @@
 """The dependence deriver (repro.core.deps) and its diagnosis pass.
 
-Three layers of evidence that derived graphs are *the same graphs* the
+Four layers of evidence that derived graphs are *the same graphs* the
 apps declare by hand:
 
 * differential — building each static app with ``deps="derived"`` must
@@ -11,19 +11,22 @@ apps declare by hand:
 * property — random access-annotated programs always derive an acyclic,
   buildable graph that ``check_deps`` judges sufficient (no missing
   ordering);
+* kernel — the packed-bitset :class:`Reachability` closure both checkers
+  query agrees with a naive DFS on random DAGs, across the 64-bit word
+  boundary;
 * unit — template-arc folding, intra-template conflict rejection, and
   the duplicate-arc Ready-Count guard on ``ProgramBuilder.depends``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_benchmark
 from repro.apps.common import ProblemSize
 from repro.core import GraphError, ProgramBuilder, check_deps, derive
-from repro.core.deps import ContextMap, DerivationError
+from repro.core.deps import ContextMap, DerivationError, Reachability
 from repro.platforms import TFluxHard, TFluxSoft
 from repro.sim.accesses import AccessSummary
 
@@ -254,3 +257,58 @@ def test_duplicate_contextmap_arcs_compare_by_table():
     # ... a different table is a different Ready Count: rejected.
     with pytest.raises(GraphError, match="declared twice"):
         b.depends(t1, t2, ContextMap({0: (1,), 1: (0,)}))
+
+
+# -- the shared reachability kernel ---------------------------------------------
+def _naive_closure(consumers):
+    """closure[a] = every node a DFS along the edges out of *a* visits."""
+    closure = []
+    for a in range(len(consumers)):
+        seen = set()
+        stack = list(consumers[a])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(consumers[v])
+        closure.append(seen)
+    return closure
+
+
+@st.composite
+def _random_dags(draw):
+    """Consumer lists of a random DAG under a hidden node relabelling
+    (edges only run forward in the hidden order, so it is acyclic, but
+    node ids carry no topological hint).  Sizes favour 0, 1 and the
+    uint64 word boundary."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 128, 129]),
+                       st.integers(0, 40)))
+    label = draw(st.permutations(range(n)))
+    consumers = [[] for _ in range(n)]
+    if n > 1:
+        edges = draw(st.lists(
+            st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)),
+            max_size=3 * n,
+        ))
+        for lo, hi in edges:
+            if lo < hi:  # duplicates allowed: arcs may carry two tokens
+                consumers[label[lo]].append(label[hi])
+    return consumers
+
+
+@settings(deadline=None, max_examples=150)
+@given(consumers=_random_dags())
+# A 130-node chain: node 0 must reach bits 63, 64, 65 and 128, 129 — the
+# last bit of word 0 and the first bits of words 1 and 2.
+@example(consumers=[[u + 1] if u < 129 else [] for u in range(130)])
+def test_reachability_matches_naive_dfs(consumers):
+    n = len(consumers)
+    reach = Reachability(consumers)
+    closure = _naive_closure(consumers)
+    assert sorted(reach.order) == list(range(n))
+    position = {u: i for i, u in enumerate(reach.order)}
+    for a in range(n):
+        for b in range(n):
+            assert reach.ordered(a, b) == (b in closure[a]), (a, b)
+            if b in closure[a]:
+                assert position[a] < position[b]

@@ -166,7 +166,7 @@ def test_spec_parameters_all_reach_the_digest():
         dict(allow_stealing=True),
         dict(exact_memory=True),
         dict(collect_spans=True),
-        dict(mode="evaluate"),
+        dict(mode="sequential"),
         dict(size=problem_sizes("trapez", "S")["large"]),
     ):
         other = dataclasses.replace(base, **change)
@@ -183,8 +183,13 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     digest = spec_digest(spec)
     run_jobs([spec], jobs=1, cache=cache)
     path = cache._path(digest)
-    path.write_bytes(b"not a pickle")
-    assert cache.get(digest) is None
+    # The second blob is a well-formed PROTO opcode naming protocol 99:
+    # pickle raises ValueError for it, not an UnpicklingError.
+    for blob in (b"not a pickle", b"\x80\x63"):
+        path.write_bytes(blob)
+        assert cache.get(digest) is None, blob
+    assert run_jobs([spec], jobs=1, cache=cache)[0].error is None  # recomputes
+    assert cache.get(digest) is not None
 
 
 def test_capture_errors_round_trips_through_cache(tmp_path):
@@ -293,7 +298,7 @@ def test_baseline_memo_capacity_bound(monkeypatch):
     for i in range(5):
         fut, owner = pool._BASELINE_MEMO.claim(f"digest{i}")
         assert owner
-        pool._BASELINE_MEMO.fill(f"digest{i}", f"outcome{i}")
+        pool._BASELINE_MEMO.resolve(f"digest{i}", f"outcome{i}")
         assert fut.result() == f"outcome{i}"
     assert len(pool._BASELINE_MEMO) == 2
     assert "digest4" in pool._BASELINE_MEMO
@@ -312,11 +317,11 @@ def test_baseline_memo_failure_not_cached():
     assert owner
     fut2, owner2 = pool._BASELINE_MEMO.claim("d")
     assert not owner2 and fut2 is fut
-    pool._BASELINE_MEMO.fail("d", RuntimeError("sim died"))
+    pool._BASELINE_MEMO.reject("d", RuntimeError("sim died"))
     with pytest.raises(RuntimeError):
         fut2.result()
     assert "d" not in pool._BASELINE_MEMO
     fut3, owner3 = pool._BASELINE_MEMO.claim("d")
     assert owner3 and fut3 is not fut
-    pool._BASELINE_MEMO.fill("d", "ok")
+    pool._BASELINE_MEMO.resolve("d", "ok")
     clear_baseline_memo()

@@ -308,7 +308,7 @@ def test_run_job_forwards_exact_memory_to_baseline(monkeypatch):
         return real(program, machine, exact_memory=exact_memory, tracer=tracer)
 
     monkeypatch.setattr(base_mod, "run_sequential_timed", spy)
-    run_job(_job_spec(mode="evaluate", exact_memory=True, collect_spans=False))
+    run_job(_job_spec(mode="sequential", exact_memory=True, collect_spans=False))
     assert calls == [True]
 
 

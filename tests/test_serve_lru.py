@@ -1,196 +1,114 @@
-"""Property and unit tests for the serve layer's LRU + single-flight."""
+"""The serve tier's LRU + single-flight behaviours, on the shared class.
 
-import asyncio
+``repro/serve/lru.py`` is gone: the server's job frontier is an instance
+of :class:`repro.exec.SingleFlightLRU`, the class ``evaluate_many``'s
+baseline memo also uses.  These are the tests that pinned the serve
+tier's copy, ported onto ``claim``/``resolve``/``reject`` under their
+original names (``put`` is a led flight, ``get`` a claim of a cached
+key, asyncio tasks are real threads); what the merge newly promises is
+in ``tests/test_singleflight.py``.
+"""
+
+import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.serve import LRUCache, MISS, SingleFlightLRU
+from repro.exec import SingleFlightLRU
+from tests.test_singleflight import TIMEOUT, lead, run_threads
 
 
-# -- LRUCache ------------------------------------------------------------------
+# -- the LRU side ----------------------------------------------------------------
 def test_capacity_validated():
     with pytest.raises(ValueError):
-        LRUCache(0)
+        SingleFlightLRU(0)
 
 
 def test_get_put_and_counters():
-    lru = LRUCache(2)
-    assert lru.get("a", MISS) is MISS
-    lru.put("a", 1)
-    assert lru.get("a") == 1
-    assert (lru.hits, lru.misses, lru.evictions) == (1, 1, 0)
+    sf = SingleFlightLRU(2)
+    lead(sf, "a", 1)  # a miss that launches
+    fut, leader = sf.claim("a")
+    assert not leader and fut.done() and fut.result() == 1
+    assert (sf.hits, sf.misses, sf.evictions) == (1, 1, 0)
 
 
 def test_eviction_is_strict_lru():
-    lru = LRUCache(2)
-    lru.put("a", 1)
-    lru.put("b", 2)
-    lru.get("a")  # refresh: "b" is now least recent
-    lru.put("c", 3)
-    assert "b" not in lru
-    assert lru.keys() == ["a", "c"]
-    assert lru.evictions == 1
+    sf = SingleFlightLRU(2)
+    lead(sf, "a", 1)
+    lead(sf, "b", 2)
+    sf.claim("a")  # refresh: "b" is now least recent
+    lead(sf, "c", 3)
+    assert "b" not in sf
+    assert "a" in sf and "c" in sf
+    assert sf.evictions == 1
 
 
 def test_contains_does_not_refresh():
-    lru = LRUCache(2)
-    lru.put("a", 1)
-    lru.put("b", 2)
-    assert "a" in lru  # probe only
-    lru.put("c", 3)  # "a" must still be the eviction victim
-    assert "a" not in lru and "b" in lru
+    sf = SingleFlightLRU(2)
+    lead(sf, "a", 1)
+    lead(sf, "b", 2)
+    assert "a" in sf  # probe only
+    lead(sf, "c", 3)  # "a" must still be the eviction victim
+    assert "a" not in sf and "b" in sf
 
 
-def test_put_updates_in_place():
-    lru = LRUCache(2)
-    lru.put("a", 1)
-    lru.put("b", 2)
-    lru.put("a", 10)  # update, not insert: nothing evicted
-    assert len(lru) == 2 and lru.get("a") == 10
-
-
-_OPS = st.lists(
-    st.tuples(st.sampled_from(["put", "get"]), st.integers(0, 7)),
-    max_size=60,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(1, 5), ops=_OPS)
-def test_lru_matches_reference_model(capacity, ops):
-    """The cache tracks an ordered-dict reference model exactly: same
-    contents, same recency order, same eviction victims."""
-    from collections import OrderedDict
-
-    lru = LRUCache(capacity)
-    model: OrderedDict = OrderedDict()
-    for op, key in ops:
-        if op == "put":
-            lru.put(key, key * 10)
-            model[key] = key * 10
-            model.move_to_end(key)
-            while len(model) > capacity:
-                model.popitem(last=False)
-        else:
-            got = lru.get(key, MISS)
-            if key in model:
-                model.move_to_end(key)
-                assert got == model[key]
-            else:
-                assert got is MISS
-        assert len(lru) <= capacity
-        assert lru.keys() == list(model)  # identical LRU -> MRU order
-
-
-# -- SingleFlightLRU -----------------------------------------------------------
+# -- the single-flight side ------------------------------------------------------
 def test_single_flight_n_concurrent_one_compute():
-    """N concurrent get_or_compute calls for one missing key run the
-    computation exactly once and all observe its value."""
+    """N threads claim one missing key: exactly one leads, and all N
+    observe the value it resolves."""
+    n = 16
+    sf = SingleFlightLRU(8)
+    everyone_claimed = threading.Barrier(n, timeout=TIMEOUT)
+    leaders = []
+    seen = []
 
-    async def main():
-        sf = SingleFlightLRU(8)
-        computes = 0
-        gate = asyncio.Event()
+    def claimer(i):
+        fut, leader = sf.claim("k")
+        everyone_claimed.wait()  # so the other N-1 all joined the flight
+        if leader:
+            leaders.append(i)
+            assert sf.inflight == 1
+            sf.resolve("k", "value")
+        seen.append(fut.result(timeout=TIMEOUT))
 
-        async def compute():
-            nonlocal computes
-            computes += 1
-            await gate.wait()
-            return "value"
-
-        tasks = [
-            asyncio.create_task(sf.get_or_compute("k", compute))
-            for _ in range(10)
-        ]
-        await asyncio.sleep(0)  # let every task reach the flight table
-        assert sf.inflight == 1
-        gate.set()
-        results = await asyncio.gather(*tasks)
-        assert results == ["value"] * 10
-        assert computes == 1
-        assert sf.launched == 1 and sf.coalesced == 9
-        assert sf.inflight == 0
-        # Later calls are plain LRU hits — no new flight.
-        assert await sf.get_or_compute("k", compute) == "value"
-        assert computes == 1
-
-    asyncio.run(main())
+    run_threads(claimer, n)
+    assert len(leaders) == 1
+    assert seen == ["value"] * n
+    assert sf.launched == 1 and sf.coalesced == n - 1
+    assert sf.inflight == 0
+    # Later claims are plain LRU hits: a done future, no new flight.
+    fut, leader = sf.claim("k")
+    assert not leader and fut.done() and fut.result() == "value"
+    assert sf.launched == 1 and sf.hits == 1
 
 
 def test_failed_flight_propagates_and_is_not_cached():
-    async def main():
-        sf = SingleFlightLRU(8)
-        attempts = 0
-        gate = asyncio.Event()
+    """reject wakes every blocked waiter with the leader's exception,
+    caches nothing, and the next claim leads a fresh flight."""
+    sf = SingleFlightLRU(8)
+    fut, leader = sf.claim("k")
+    assert leader
+    joined = threading.Barrier(4, timeout=TIMEOUT)
+    raised = []
 
-        async def boom():
-            nonlocal attempts
-            attempts += 1
-            await gate.wait()
-            raise RuntimeError("sim failed")
+    def waiter(i):
+        waiting, is_leader = sf.claim("k")
+        assert not is_leader and waiting is fut
+        joined.wait()
+        with pytest.raises(RuntimeError, match="sim failed"):
+            waiting.result(timeout=TIMEOUT)
+        raised.append(i)
 
-        waiters = [
-            asyncio.create_task(sf.get_or_compute("k", boom)) for _ in range(3)
-        ]
-        await asyncio.sleep(0)  # all three join the flight before it fails
-        gate.set()
-        results = await asyncio.gather(*waiters, return_exceptions=True)
-        assert all(isinstance(r, RuntimeError) for r in results)
-        assert attempts == 1  # the herd coalesced onto the one failure
-        assert sf.lookup("k") is MISS  # failure never cached...
+    def main(i):
+        if i:
+            return waiter(i)
+        joined.wait()  # all three joined the flight before it fails
+        sf.reject("k", RuntimeError("sim failed"))
 
-        async def ok():
-            return 42
-
-        assert await sf.get_or_compute("k", ok) == 42  # ...so retry recomputes
-
-    asyncio.run(main())
-
-
-def test_waiter_cancellation_does_not_kill_the_flight():
-    async def main():
-        sf = SingleFlightLRU(8)
-        gate = asyncio.Event()
-
-        async def compute():
-            await gate.wait()
-            return "v"
-
-        leader = asyncio.create_task(sf.get_or_compute("k", compute))
-        waiter = asyncio.create_task(sf.get_or_compute("k", compute))
-        await asyncio.sleep(0)
-        waiter.cancel()
-        gate.set()
-        assert await leader == "v"
-        with pytest.raises(asyncio.CancelledError):
-            await waiter
-        assert sf.lookup("k") == "v"  # flight completed despite the cancel
-
-    asyncio.run(main())
-
-
-def test_sync_primitives_exact_accounting():
-    """claim/resolve keep inflight exact — the server's max-in-flight
-    bound is computed from this number."""
-
-    async def main():
-        sf = SingleFlightLRU(2)
-        futa, leada = sf.claim("a")
-        futa2, leada2 = sf.claim("a")
-        assert leada and not leada2 and futa is futa2
-        futb, leadb = sf.claim("b")
-        assert leadb
-        assert sf.inflight == 2  # unique keys, not claims
-        sf.resolve("a", 1)
-        assert sf.inflight == 1
-        assert await futa == 1 and await futa2 == 1
-        sf.reject("b", ValueError("x"))
-        assert sf.inflight == 0
-        with pytest.raises(ValueError):
-            await futb
-        stats = sf.stats()
-        assert stats["launched"] == 2 and stats["coalesced"] == 1
-        assert stats["size"] == 1  # only the resolved key landed in the LRU
-
-    asyncio.run(main())
+    run_threads(main, 4)
+    assert sorted(raised) == [1, 2, 3]
+    assert sf.launched == 1 and sf.coalesced == 3
+    assert "k" not in sf and len(sf) == 0 and sf.inflight == 0
+    retry, leader = sf.claim("k")  # failure never cached, so retry leads
+    assert leader and retry is not fut
+    sf.resolve("k", 42)
+    assert sf.claim("k")[0].result() == 42
