@@ -24,10 +24,12 @@ vector clock: the packed-bitset :class:`~repro.core.deps.Reachability`
 kernel the static deriver's path check also uses.
 
 Candidate conflict pairs come from a last-writer/reader-set sweep over
-coordinate-compressed segments (:class:`~repro.core.regions.SegmentSpace`)
-in a topological linearisation of the happens-before DAG; coalescing is
-sound by chain transitivity (if W1 → W2 → W3 on one segment and both
-adjacent pairs are ordered, so is (W1, W3)).
+coordinate-compressed segments in a topological linearisation of the
+happens-before DAG, indexed through the window of segments each
+footprint covers (:meth:`~repro.core.regions.SegmentSpace.window`, the
+primitive the static deriver's sweep shares); coalescing is sound by
+chain transitivity (if W1 → W2 → W3 on one segment and both adjacent
+pairs are ordered, so is (W1, W3)).
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ from repro.core.graph import ExpandedGraph
 from repro.core.regions import (
     EMPTY_INTERVALS,
     SegmentSpace,
+    distinct,
     intervals_difference,
+    intervals_intersection,
     merge_intervals,
+    merged_footprints,
     op_intervals,
 )
 
@@ -75,32 +80,21 @@ class InstanceRecord:
 
     template: DThreadTemplate
     ctx: Context
-    reads: Dict[str, List[np.ndarray]] = field(default_factory=dict)
-    writes: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    #: Recorded ops in program order: (region, is_write, byte intervals).
+    touched: List[Tuple[str, bool, np.ndarray]] = field(default_factory=list)
     #: Declared summary, evaluated right after the body (None = opaque).
     declared: Optional[object] = None
-    ops: int = 0
 
     @property
     def name(self) -> str:
         return f"{self.template.name}[{self.ctx}]"
 
-    def add(self, region: str, intervals: np.ndarray, is_write: bool) -> None:
-        side = self.writes if is_write else self.reads
-        side.setdefault(region, []).append(intervals)
-        self.ops += 1
+    @property
+    def ops(self) -> int:
+        return len(self.touched)
 
-    def merged(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-region canonical (read, write) interval sets."""
-        out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for region in set(self.reads) | set(self.writes):
-            r = self.reads.get(region)
-            w = self.writes.get(region)
-            out[region] = (
-                merge_intervals(np.concatenate(r)) if r else EMPTY_INTERVALS,
-                merge_intervals(np.concatenate(w)) if w else EMPTY_INTERVALS,
-            )
-        return out
+    def add(self, region: str, intervals: np.ndarray, is_write: bool) -> None:
+        self.touched.append((region, is_write, intervals))
 
 
 @dataclass(frozen=True)
@@ -197,10 +191,6 @@ class CheckReport:
 
 
 # -- helpers --------------------------------------------------------------------
-def _intervals_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return intervals_difference(a, intervals_difference(a, b))
-
-
 def _as_tuples(iv: np.ndarray) -> Tuple[Tuple[int, int], ...]:
     return tuple((int(lo), int(hi)) for lo, hi in iv)
 
@@ -219,21 +209,6 @@ def _clause(
     if lo == 0 and hi * itemsize >= int(arr.nbytes):
         return f"{verb}({region})"
     return f"{verb}({region}[{lo} .. {hi}])"
-
-
-def _declared_intervals(declared) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Per-region (reads, writes) canonical intervals of one summary."""
-    by_region: Dict[str, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
-    for op in declared:
-        slot = by_region.setdefault(op.region.name, ([], []))
-        slot[1 if op.is_write else 0].append(op_intervals(op))
-    out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for region, (r, w) in by_region.items():
-        out[region] = (
-            merge_intervals(np.concatenate(r)) if r else EMPTY_INTERVALS,
-            merge_intervals(np.concatenate(w)) if w else EMPTY_INTERVALS,
-        )
-    return out
 
 
 def _scalar_names_by_offset(env: Environment) -> Dict[int, str]:
@@ -305,42 +280,39 @@ def analyze(
     opaque: set = set()
     footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]] = {}
     for gid, rec in rec_gid.items():
-        fp = rec.merged()
-        footprints[gid] = fp
+        fp = footprints[gid] = merged_footprints(rec.touched)
         if rec.declared is None:
             if rec.template.accesses is None:
                 opaque.add(rec.template.name)
             continue
-        decl = _declared_intervals(rec.declared)
+        decl = merged_footprints(
+            (op.region.name, op.is_write, op_intervals(op)) for op in rec.declared
+        )
         for region, (obs_r, obs_w) in fp.items():
             if region == SCALARS_REGION:
                 continue  # scalars are priced whole-region; not judged
             decl_r, decl_w = decl.get(region, (EMPTY_INTERVALS, EMPTY_INTERVALS))
-            decl_all = merge_intervals(np.concatenate([decl_r, decl_w]))
-            extra_w = intervals_difference(obs_w, decl_w)
-            if len(extra_w):
-                report.findings.append(
-                    Finding(
-                        kind="undeclared",
-                        region=region,
-                        intervals=_as_tuples(extra_w),
-                        instances=(rec.name,),
-                        access="write",
-                        suggestion=_clause("writes", region, extra_w, env),
-                    )
+            # A write must be declared written; a read may be either.
+            for access, obs, allowed in (
+                ("write", obs_w, [decl_w]),
+                ("read", obs_r, [decl_r, decl_w]),
+            ):
+                if not len(obs):
+                    continue
+                extra = intervals_difference(
+                    obs, merge_intervals(np.concatenate(allowed))
                 )
-            extra_r = intervals_difference(obs_r, decl_all)
-            if len(extra_r):
-                report.findings.append(
-                    Finding(
-                        kind="undeclared",
-                        region=region,
-                        intervals=_as_tuples(extra_r),
-                        instances=(rec.name,),
-                        access="read",
-                        suggestion=_clause("reads", region, extra_r, env),
+                if len(extra):
+                    report.findings.append(
+                        Finding(
+                            kind="undeclared",
+                            region=region,
+                            intervals=_as_tuples(extra),
+                            instances=(rec.name,),
+                            access=access,
+                            suggestion=_clause(access + "s", region, extra, env),
+                        )
                     )
-                )
     report.opaque_templates = sorted(opaque)
 
     # -- races ----------------------------------------------------------------
@@ -366,31 +338,26 @@ def analyze(
         last_writer = np.full(nseg, -1, dtype=np.int64)
         reader_id = np.zeros(nseg, dtype=np.int64)
         reader_sets: List[frozenset] = [frozenset()]
-        union_memo: Dict[Tuple[int, int], int] = {}
         for gid in touching:
             obs_r, obs_w = footprints[gid][region]
-            rmask = space.mask(obs_r)
-            wmask = space.mask(obs_w)
-            for prior in np.unique(last_writer[rmask | wmask]):
+            rsel = space.window(obs_r)
+            wsel = space.window(obs_w)
+            for prior in distinct(last_writer[rsel]) + distinct(last_writer[wsel]):
                 if prior >= 0 and prior != gid:
-                    candidates.add((int(prior), gid, region))
-            if wmask.any():
-                for rid in np.unique(reader_id[wmask]):
-                    for reader in reader_sets[rid]:
-                        if reader != gid:
-                            candidates.add((reader, gid, region))
-                last_writer[wmask] = gid
-                reader_id[wmask] = 0
-            radd = rmask & ~wmask
-            if radd.any():
-                for rid in np.unique(reader_id[radd]):
-                    key = (int(rid), gid)
-                    new_rid = union_memo.get(key)
-                    if new_rid is None:
-                        new_rid = len(reader_sets)
-                        reader_sets.append(reader_sets[rid] | {gid})
-                        union_memo[key] = new_rid
-                    reader_id[radd & (reader_id == rid)] = new_rid
+                    candidates.add((prior, gid, region))
+            # Read before write: a segment the instance also writes ends
+            # up with no readers, as after any other write.
+            current = reader_id[rsel]
+            for rid in distinct(current):
+                current[current == rid] = len(reader_sets)
+                reader_sets.append(reader_sets[rid] | {gid})
+            reader_id[rsel] = current
+            for rid in distinct(reader_id[wsel]):
+                for reader in reader_sets[rid]:
+                    if reader != gid:
+                        candidates.add((reader, gid, region))
+            last_writer[wsel] = gid
+            reader_id[wsel] = 0
 
     for a, b, region in sorted(
         candidates, key=lambda c: (position[c[0]], position[c[1]], c[2])
@@ -404,16 +371,16 @@ def analyze(
         conflict = merge_intervals(
             np.concatenate(
                 [
-                    _intervals_intersection(aw, b_all),
-                    _intervals_intersection(a_all, bw),
+                    intervals_intersection(aw, b_all),
+                    intervals_intersection(a_all, bw),
                 ]
             )
         )
         if not len(conflict):  # pragma: no cover - sweep only yields conflicts
             continue
-        ww = len(_intervals_intersection(aw, bw)) > 0
-        wr = len(_intervals_intersection(aw, br)) > 0
-        rw = len(_intervals_intersection(ar, bw)) > 0
+        ww = len(intervals_intersection(aw, bw)) > 0
+        wr = len(intervals_intersection(aw, br)) > 0
+        rw = len(intervals_intersection(ar, bw)) > 0
         kinds = [k for k, hit in (("write/write", ww), ("write/read", wr), ("read/write", rw)) if hit]
         report.findings.append(
             Finding(

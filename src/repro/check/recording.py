@@ -11,8 +11,9 @@ executing on the calling OS thread.
 Two properties matter:
 
 * **Exactness** — footprints are computed from the actual NumPy view
-  geometry (pointer delta + shape/strides, with a fancy-index fallback
-  through an index grid), never over-approximated, so the checker can
+  geometry (pointer delta + shape/strides; an all-integer index is
+  retaken as a 0-d view of its element; only fancy/boolean indices fall
+  back to an index grid), never over-approximated, so the checker can
   hold observed footprints to the *declared* ``AccessSummary`` without
   false positives on the shipped apps.
 * **Functional transparency** — wrappers delegate every operation to the
@@ -106,6 +107,8 @@ def _strided_intervals(
             run = st * (n - 1) + run
         else:
             outer.append((n, st))
+    if not outer:
+        return np.array([[start, start + run]], dtype=np.int64)
     starts = np.zeros(1, dtype=np.int64)
     for n, st in outer:
         starts = (
@@ -134,8 +137,11 @@ class RecordingArray:
         self._region = region
         self._sink = sink
         self._addr = base.__array_interface__["data"][0]
+        # What a view of *base* names as its ``.base``: NumPy collapses
+        # view chains to the array that owns the memory.
+        self._owner = base.base if type(base.base) is type(base) else base
         # Lazily built map from C-order element position to byte offset,
-        # for fancy/boolean indexing on non-trivial layouts.
+        # for fancy/boolean indexing only (it is as large as the array).
         self._posgrid: Optional[np.ndarray] = None
 
     # -- footprint computation ------------------------------------------------
@@ -147,13 +153,17 @@ class RecordingArray:
         except Exception:
             # Let the failing access re-raise from the real operation.
             return EMPTY_INTERVALS
-        if isinstance(out, np.ndarray) and out.base is base:
+        if not isinstance(out, np.ndarray):
+            # An all-integer index picked one element: retake it as a
+            # 0-d view so it goes down the geometry path too.
+            out = base[(*index, ...) if isinstance(index, tuple) else (index, ...)]
+        if out.base is self._owner:
             # Basic indexing: a strided view straight into the backing
             # array — the footprint is its exact geometry.
             off = out.__array_interface__["data"][0] - self._addr
             return _strided_intervals(off, out.shape, out.strides, out.itemsize)
-        # Scalar result or fancy-index copy: recover element positions
-        # through an index grid, then map positions to byte offsets.
+        # Fancy-index copy: recover element positions through an index
+        # grid, then map positions to byte offsets.
         if self._posgrid is None:
             self._posgrid = np.arange(base.size, dtype=np.int64).reshape(base.shape)
         pos = np.asarray(self._posgrid[index]).ravel()

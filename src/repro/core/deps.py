@@ -14,7 +14,8 @@ Ready Counts.
 Last-writer coalescing keeps derived graphs linear rather than
 quadratic: instances are replayed in program order (template id, then
 context order) over a coordinate-compressed segment space per region
-(:class:`~repro.core.regions.SegmentSpace`); a read draws arcs only from
+(:class:`~repro.core.regions.SegmentSpace`, indexed through the window
+of segments each op covers); a read draws arcs only from
 the current *last writer* of each overlapped segment, and a write draws
 arcs from the readers-since-last-write (plus the last writer of any
 segment nobody read) — every other ordering pair is implied
@@ -29,9 +30,11 @@ Templates without an ``accesses`` declaration are *opaque*: they
 contribute no derived arcs and are reported so a diagnosis never
 silently blesses a graph it could not see
 (:func:`check_deps` — the ``ddmcpp --check-deps`` /
-``tflux-run --check-deps`` pass, and the seed of the planned race
-checker).  Sequential sections (prologue/epilogue) are excluded by
-construction: they run strictly before/after the parallel region.
+``tflux-run --check-deps`` pass; it judges each declared arc's instance
+pairs in one batch over per-instance footprint hulls, with the exact
+interval test kept for multi-interval footprints).  Sequential sections
+(prologue/epilogue) are excluded by construction: they run strictly
+before/after the parallel region.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from repro.core.context import Context
 from repro.core.graph import GraphError, SynchronizationGraph
 from repro.core.regions import (
     SegmentSpace,
+    distinct,
     intervals_overlap,
-    merge_intervals,
+    merged_footprints,
     op_intervals,
 )
 
@@ -207,27 +211,14 @@ def derive(
             index[(tmpl.tid, ctx)] = idx
             if not participates:
                 continue
-            summary = tmpl.accesses(env, ctx)
-            raw: Dict[str, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
-            for op in summary:
-                iv = op_intervals(op)
-                if not len(iv):
-                    continue
-                name = op.region.name
-                region_ops.setdefault(name, []).append((idx, op.is_write, iv))
-                reads, writes = raw.setdefault(name, ([], []))
-                (writes if op.is_write else reads).append(iv)
-            footprints[idx] = {
-                name: (
-                    merge_intervals(np.concatenate(reads))
-                    if reads
-                    else np.empty((0, 2), dtype=np.int64),
-                    merge_intervals(np.concatenate(writes))
-                    if writes
-                    else np.empty((0, 2), dtype=np.int64),
-                )
-                for name, (reads, writes) in raw.items()
-            }
+            touched = [
+                (op.region.name, op.is_write, iv)
+                for op in tmpl.accesses(env, ctx)
+                if len(iv := op_intervals(op))
+            ]
+            for name, is_write, iv in touched:
+                region_ops.setdefault(name, []).append((idx, is_write, iv))
+            footprints[idx] = merged_footprints(touched)
 
     pairs: Dict[Tuple[int, int], Set[str]] = {}
     pair_regions: Dict[Tuple[int, int], Set[str]] = {}
@@ -251,27 +242,27 @@ def derive(
         reader_sets: List[Tuple[int, ...]] = [()]
         union_memo: Dict[Tuple[int, int], int] = {}
         for idx, is_write, iv in ops:
-            sel = space.mask(iv)
+            sel = space.window(iv)
             if is_write:
                 # Readers since the last write must precede this write.
-                for sid in np.unique(reader_sid[sel]).tolist():
+                for sid in distinct(reader_sid[sel]):
                     for reader in reader_sets[sid]:
                         record(reader, idx, "RW", name)
                 # Segments nobody read since their last write: order
                 # against that writer directly (otherwise the chain
                 # writer -> reader -> this write already orders it).
                 unread = reader_sid[sel] == 0
-                for src in np.unique(last_writer[sel][unread]).tolist():
+                for src in distinct(last_writer[sel][unread]):
                     if src >= 0:
                         record(src, idx, "WW", name)
                 last_writer[sel] = idx
                 reader_sid[sel] = 0
             else:
-                for src in np.unique(last_writer[sel]).tolist():
+                for src in distinct(last_writer[sel]):
                     if src >= 0:
                         record(src, idx, "WR", name)
                 current = reader_sid[sel]
-                for sid in np.unique(current).tolist():
+                for sid in distinct(current):
                     key = (sid, idx)
                     new_sid = union_memo.get(key)
                     if new_sid is None:
@@ -406,7 +397,8 @@ def _instance_overlap(
     dst: int,
 ) -> bool:
     """Raw (uncoalesced) conflict test between two instances: any
-    write/read, write/write or read/write byte overlap on any region."""
+    write/read, write/write or read/write byte overlap on any region.
+    The exact test behind :func:`_supported_pairs`' hull prefilter."""
     a = footprints.get(src)
     b = footprints.get(dst)
     if a is None or b is None:
@@ -421,6 +413,67 @@ def _instance_overlap(
         ):
             return True
     return False
+
+
+#: One instance's column of :func:`_footprint_hulls` before it touches
+#: the region: empty read and write hulls (``lo`` above every ``hi``, so
+#: they overlap nothing), single-interval.
+_INT64 = np.iinfo(np.int64)
+_NO_FOOTPRINT = np.array(
+    [[_INT64.max], [_INT64.min], [_INT64.max], [_INT64.min], [0]], dtype=np.int64
+)
+
+
+def _footprint_hulls(
+    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]], n: int
+) -> Dict[str, np.ndarray]:
+    """Per region, a ``(5, n)`` int64 table over instance indices: read
+    hull ``lo, hi``, write hull ``lo, hi`` and whether either side is
+    more than one interval (so its hull over-approximates it)."""
+    hulls: Dict[str, np.ndarray] = {}
+    for idx, by_region in footprints.items():
+        for name, (reads, writes) in by_region.items():
+            table = hulls.get(name)
+            if table is None:
+                table = hulls[name] = np.tile(_NO_FOOTPRINT, n)
+            for row, iv in ((0, reads), (2, writes)):
+                if len(iv):
+                    table[row, idx], table[row + 1, idx] = iv[0, 0], iv[-1, 1]
+            table[4, idx] = len(reads) > 1 or len(writes) > 1
+    return hulls
+
+
+def _supported_pairs(
+    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]],
+    hulls: Dict[str, np.ndarray],
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> int:
+    """How many ``(src[i], dst[i])`` instance pairs conflict on some region.
+
+    Hull overlap decides every pair at once per region and is exact when
+    neither footprint is multi-interval (every dense sweep); only pairs
+    whose sole hull overlaps involve a multi-interval footprint (strided
+    columns) go to the exact :func:`_instance_overlap`.
+    """
+    sure = np.zeros(len(src), dtype=bool)
+    maybe = sure.copy()
+    for table in hulls.values():
+        a_rlo, a_rhi, a_wlo, a_whi, a_multi = table[:, src]
+        b_rlo, b_rhi, b_wlo, b_whi, b_multi = table[:, dst]
+        hit = (
+            ((a_wlo < b_rhi) & (b_rlo < a_whi))
+            | ((a_wlo < b_whi) & (b_wlo < a_whi))
+            | ((a_rlo < b_whi) & (b_wlo < a_rhi))
+        )
+        multi = (a_multi | b_multi) != 0
+        sure |= hit & ~multi
+        maybe |= hit & multi
+    unsure = np.flatnonzero(maybe & ~sure)
+    return int(np.count_nonzero(sure)) + sum(
+        _instance_overlap(footprints, s, d)
+        for s, d in zip(src[unsure].tolist(), dst[unsure].tolist())
+    )
 
 
 def check_deps(program) -> DepsReport:
@@ -443,6 +496,7 @@ def check_deps(program) -> DepsReport:
     )
 
     opaque = set(derivation.opaque)
+    hulls = _footprint_hulls(derivation.footprints, len(derivation.instances))
     for arc in graph.arcs:
         prod = graph.template(arc.producer)
         cons = graph.template(arc.consumer)
@@ -454,15 +508,16 @@ def check_deps(program) -> DepsReport:
         if arc.producer in opaque or arc.consumer in opaque:
             report.arcs.append(ArcDiagnosis(prod.name, cons.name, "opaque"))
             continue
-        total = 0
-        supported = 0
+        src: List[int] = []
+        dst: List[int] = []
         for pctx in prod.contexts:
-            src = derivation.index[(arc.producer, pctx)]
-            for cctx in arc.consumer_contexts(pctx, cons):
-                total += 1
-                dst = derivation.index[(arc.consumer, cctx)]
-                if _instance_overlap(derivation.footprints, src, dst):
-                    supported += 1
+            outs = arc.consumer_contexts(pctx, cons)
+            src += [derivation.index[(arc.producer, pctx)]] * len(outs)
+            dst += [derivation.index[(arc.consumer, cctx)] for cctx in outs]
+        total = len(src)
+        supported = _supported_pairs(
+            derivation.footprints, hulls, np.array(src, np.intp), np.array(dst, np.intp)
+        )
         if total == 0 or supported == total:
             status = "supported"
         elif supported == 0:

@@ -17,14 +17,19 @@ Both views of one sweep live here.  A sweep is canonicalised either to
 its line-index vector (:func:`op_line_index`, exactly the representation
 the owner map always used) or to a canonical ``(k, 2)`` int64 array of
 disjoint half-open byte intervals (:func:`op_intervals`).  On top of the
-interval form sit the overlap queries (:func:`intervals_overlap`) and
-the coordinate-compressed :class:`SegmentSpace` the deriver sweeps its
-last-writer state over.  :class:`LineTable` is the per-region, per-line
-vector state the owner map keeps (one row per region, lazily created).
+interval form sit the set queries (:func:`intervals_overlap`,
+:func:`intervals_intersection`, :func:`intervals_difference`), the one
+per-instance footprint form (:func:`merged_footprints`) and the
+coordinate-compressed :class:`SegmentSpace` both checkers sweep their
+last-writer state over — through :meth:`SegmentSpace.window`, which
+selects only the segments a footprint covers, so a sweep costs what it
+touches.  :class:`LineTable` is the per-region, per-line vector state
+the owner map keeps (one row per region, lazily created).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,7 +41,10 @@ __all__ = [
     "op_intervals",
     "merge_intervals",
     "intervals_overlap",
+    "intervals_intersection",
     "intervals_difference",
+    "merged_footprints",
+    "distinct",
     "SegmentSpace",
     "LineTable",
     "EMPTY_INTERVALS",
@@ -44,6 +52,7 @@ __all__ = [
 
 #: Canonical empty interval set (shape ``(0, 2)``).
 EMPTY_INTERVALS = np.empty((0, 2), dtype=np.int64)
+_INT64 = np.iinfo(np.int64)
 
 
 # -- line view (the owner map's granularity) -----------------------------------
@@ -151,53 +160,106 @@ def intervals_overlap(a: np.ndarray, b: np.ndarray) -> bool:
     return bool((prior_end > b[has_prior, 0]).any())
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``arange(lo[i], hi[i])`` for every *i* (at least one), concatenated."""
+    n = hi - lo
+    ends = np.cumsum(n)
+    return np.arange(ends[-1]) + np.repeat(lo - (ends - n), n)
+
+
+def intervals_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bytes both *a* and *b* cover, in canonical form.
+
+    Both arguments must be canonical (disjoint, sorted).  Each *a*
+    interval meets a contiguous run of *b* intervals — found with two
+    bisects — so the cost is the number of overlapping pairs.
+    """
+    if len(a) == 0 or len(b) == 0:
+        return EMPTY_INTERVALS
+    first = np.searchsorted(b[:, 1], a[:, 0], side="right")
+    last = np.searchsorted(b[:, 0], a[:, 1], side="left")
+    i = np.repeat(np.arange(len(a)), last - first)
+    j = _ranges(first, last)
+    return np.stack(
+        [np.maximum(a[i, 0], b[j, 0]), np.minimum(a[i, 1], b[j, 1])], axis=1
+    )
+
+
 def intervals_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Parts of *a* not covered by *b*, in canonical form.
 
     Both arguments must be canonical (disjoint, sorted).  The race
     checker uses this to name exactly which bytes of an observed
-    footprint fall outside the declared one.
+    footprint fall outside the declared one — almost always one interval
+    against one, which is answered on Python ints; the general case
+    intersects *a* with the gaps of *b*.
     """
     a = np.asarray(a, dtype=np.int64).reshape(-1, 2)
     b = np.asarray(b, dtype=np.int64).reshape(-1, 2)
     if len(a) == 0 or len(b) == 0:
         return a.copy()
-    out: list[tuple[int, int]] = []
-    j = 0
-    for lo, hi in a:
-        cur = int(lo)
-        # b intervals ending at or before cur can never cover this or any
-        # later a interval (both sets are sorted and disjoint).
-        while j < len(b) and b[j, 1] <= cur:
-            j += 1
-        k = j
-        while k < len(b) and b[k, 0] < hi:
-            if b[k, 0] > cur:
-                out.append((cur, int(b[k, 0])))
-            cur = max(cur, int(b[k, 1]))
-            k += 1
-        if cur < hi:
-            out.append((cur, int(hi)))
-    if not out:
+    if len(a) == 1 and len(b) == 1:
+        (lo, hi), (cut_lo, cut_hi) = a[0].tolist(), b[0].tolist()
+        sides = [(lo, min(hi, cut_lo)), (max(lo, cut_hi), hi)]
+        return np.array(
+            [side for side in sides if side[0] < side[1]], dtype=np.int64
+        ).reshape(-1, 2)
+    gaps = np.empty((len(b) + 1, 2), dtype=np.int64)
+    gaps[0, 0], gaps[-1, 1] = _INT64.min, _INT64.max
+    gaps[1:, 0] = b[:, 1]
+    gaps[:-1, 1] = b[:, 0]
+    return intervals_intersection(a, gaps)
+
+
+def merged_footprints(
+    ops: Iterable[Tuple[str, bool, np.ndarray]],
+) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """Per-region canonical ``(read, write)`` interval sets of one
+    instance, from its ``(region name, is_write, intervals)`` ops — the
+    one footprint form the deriver, ``check_deps`` and the race checker
+    all judge.  Each op's intervals must be canonical; empty ones are
+    dropped, and a side made of a single op is that op's array as is.
+    """
+    sides: Dict[str, Tuple[list, list]] = {}
+    for name, is_write, iv in ops:
+        if len(iv):
+            sides.setdefault(name, ([], []))[is_write].append(iv)
+    return {
+        name: (_union(reads), _union(writes))
+        for name, (reads, writes) in sides.items()
+    }
+
+
+def _union(parts: Sequence[np.ndarray]) -> np.ndarray:
+    if not parts:
         return EMPTY_INTERVALS
-    return np.array(out, dtype=np.int64)
+    return parts[0] if len(parts) == 1 else merge_intervals(np.concatenate(parts))
+
+
+def distinct(values: np.ndarray) -> list:
+    """Sorted distinct values of an integer array, as Python ints (the
+    sweeps' windows are mostly a few segments wide, where a ``set`` beats
+    ``np.unique`` by its call overhead; it is no slower on wide ones)."""
+    return sorted(set(values.tolist()))
 
 
 class SegmentSpace:
     """Coordinate-compressed 1-D space over a fixed boundary set.
 
-    Built from every interval endpoint a region will ever see, it maps
-    interval sets onto boolean masks over the induced elementary
-    segments, so per-segment state (last writer, reader set) can be
-    swept with plain NumPy indexing.  Query intervals must be drawn from
-    the endpoint set the space was built with.
+    Built from every interval endpoint a region will ever see, it maps a
+    footprint onto the elementary segments it covers (:meth:`window`),
+    so per-segment state (last writer, reader set) can be swept with
+    plain NumPy indexing at a cost proportional to the segments touched,
+    not to the region.  Query intervals must be drawn from the endpoint
+    set the space was built with.
     """
 
-    __slots__ = ("bounds", "nsegments")
+    __slots__ = ("bounds", "nsegments", "_sorted")
 
     def __init__(self, bounds: np.ndarray) -> None:
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.nsegments = max(0, len(self.bounds) - 1)
+        self._sorted = self.bounds.tolist()
 
     @classmethod
     def from_intervals(cls, interval_sets: Iterable[np.ndarray]) -> "SegmentSpace":
@@ -205,16 +267,20 @@ class SegmentSpace:
         flat = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
         return cls(np.unique(flat))
 
-    def mask(self, intervals: np.ndarray) -> np.ndarray:
-        """Boolean mask over segments covered by *intervals*."""
-        covered = np.zeros(self.nsegments, dtype=bool)
-        if len(intervals) == 0 or self.nsegments == 0:
-            return covered
-        lo = np.searchsorted(self.bounds, intervals[:, 0], side="left")
-        hi = np.searchsorted(self.bounds, intervals[:, 1], side="left")
-        delta = np.zeros(self.nsegments + 1, dtype=np.int64)
-        np.add.at(delta, lo, 1)
-        np.add.at(delta, hi, -1)
-        np.cumsum(delta[:-1], out=delta[:-1])
-        np.greater(delta[:-1], 0, out=covered)
-        return covered
+    def window(self, intervals: np.ndarray) -> Union[slice, np.ndarray]:
+        """Index of the segments covered by canonical *intervals*.
+
+        One interval covers a contiguous run: a ``slice`` from two
+        bisects, so indexing per-segment state with it yields a view.
+        Several intervals yield the ``np.intp`` positions of exactly the
+        covered segments (the gaps between them are never visited).
+        """
+        if len(intervals) == 0:
+            return slice(0, 0)
+        if len(intervals) == 1:
+            lo, hi = intervals[0].tolist()
+            return slice(bisect_left(self._sorted, lo), bisect_left(self._sorted, hi))
+        return _ranges(
+            np.searchsorted(self.bounds, intervals[:, 0], side="left"),
+            np.searchsorted(self.bounds, intervals[:, 1], side="left"),
+        )

@@ -117,6 +117,59 @@ def test_scalar_and_fancy_index():
     ]
 
 
+@pytest.mark.parametrize(
+    "make_base",
+    [
+        lambda: np.arange(30.0).reshape(5, 6),                  # owns its memory
+        lambda: np.arange(120.0).reshape(10, 12)[::2, ::2],     # sliced view
+        lambda: np.arange(30.0).reshape(5, 6)[::-1, ::-1],      # negative strides
+        lambda: np.asfortranarray(np.arange(30.0).reshape(5, 6)),
+        lambda: np.arange(30.0).reshape(6, 5).T,                # Fortran-order view
+    ],
+    ids=["owner", "sliced", "negative", "fortran", "transposed"],
+)
+def test_integer_index_is_exact_without_position_grid(make_base):
+    """An all-integer index records exactly its element's bytes from the
+    view geometry; the ``base.size`` int64 position grid (larger than a
+    float32 array itself) is for fancy/boolean indices only."""
+    base = make_base()
+    ra, sink = wrapped(base)
+    expected = base.copy()
+
+    def element(i, j):
+        off = i * base.strides[0] + j * base.strides[1]
+        return [(off, off + base.itemsize)]
+
+    assert ra[2, 3] == expected[2, 3]
+    assert ra[(4, 0)] == expected[4, 0]
+    assert ra[-1, -2] == expected[-1, -2]
+    assert ra[np.int64(1), 5] == expected[1, 5]
+    ra[3, 1] = -7.0
+    assert base[3, 1] == -7.0
+    assert sink.ops == [
+        ("a", element(2, 3), False),
+        ("a", element(4, 0), False),
+        ("a", element(4, 4), False),
+        ("a", element(1, 5), False),
+        ("a", element(3, 1), True),
+    ]
+    row = ra[1]  # a partial integer index is a view: same path
+    np.testing.assert_array_equal(row, expected[1])
+    assert ra._posgrid is None
+
+    ra[[0, 2], 1]  # only a genuinely fancy index builds the grid
+    assert ra._posgrid is not None
+    assert sink.reads("a")[-1] == sorted(element(0, 1) + element(2, 1))
+
+
+def test_integer_index_of_1d_leaves_position_grid_unset():
+    ra, sink = wrapped(np.arange(8, dtype=np.float32))
+    assert ra[5] == 5.0
+    ra[-8] = 9.0
+    assert sink.ops == [("a", [(20, 24)], False), ("a", [(0, 4)], True)]
+    assert ra._posgrid is None
+
+
 def test_write_records_and_mutates():
     base = np.zeros(4)
     ra, sink = wrapped(base)
