@@ -21,18 +21,10 @@ import os
 
 from repro.apps import BENCHMARKS, problem_sizes
 from repro.exec import ENV_CACHE_DIR, ENV_JOBS, EvalRequest, evaluate_many
-from repro.net.topology import FatTree, OversubscribedSpine
-from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
+from repro.platforms import PLATFORMS, TOPOLOGIES, TFluxDist, platform_from_name
 from repro.sim.capability import MAX_CORES, MAX_NODES
 
 __all__ = ["main"]
-
-_PLATFORMS = {
-    "hard": TFluxHard,
-    "soft": TFluxSoft,
-    "cell": TFluxCell,
-    "dist": TFluxDist,
-}
 
 
 def _ladder(maximum: int, rungs: tuple[int, ...] = (2, 4, 8, 16)) -> list[int]:
@@ -47,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="tflux-run", description="Run a TFlux workload on a platform"
     )
     parser.add_argument("benchmark", choices=sorted(BENCHMARKS))
-    parser.add_argument("--platform", choices=sorted(_PLATFORMS), default="hard")
+    parser.add_argument("--platform", choices=sorted(PLATFORMS), default="hard")
     parser.add_argument("--kernels", type=int, default=0, help="0 = platform max")
     parser.add_argument("--size", choices=("small", "medium", "large"), default="small")
     parser.add_argument(
@@ -65,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--topology",
-        choices=("mesh", "fattree", "spine"),
+        choices=tuple(TOPOLOGIES),
         default="mesh",
         help="fabric wiring between dist nodes (mesh = dedicated pairwise "
         "links; fattree = pods of 8 with full bisection; spine = pods of 8 "
@@ -159,23 +151,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--cluster is only meaningful with --platform dist")
     if args.topology != "mesh" and args.platform != "dist":
         parser.error("--topology is only meaningful with --platform dist")
-    if args.platform == "dist":
-        topology = {
-            "mesh": None,
-            "fattree": FatTree(pod_size=8),
-            "spine": OversubscribedSpine(pod_size=8),
-        }[args.topology]
-        cluster = args.cluster or None
-        try:
-            # DirectoryCapacityError (a ValueError) surfaces the two-level
-            # directory limits — 64 nodes x 64 cores — in the CLI error.
-            platform = TFluxDist(
-                nnodes=args.nodes or 2, topology=topology, cluster_size=cluster
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-    else:
-        platform = _PLATFORMS[args.platform]()
+    try:
+        # DirectoryCapacityError (a ValueError) surfaces the two-level
+        # directory limits — 64 nodes x 64 cores — in the CLI error.
+        platform = platform_from_name(
+            args.platform,
+            nodes=args.nodes or 2,
+            topology=args.topology,
+            cluster=args.cluster,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     size = problem_sizes(args.benchmark, platform.target)[args.size]
 
     if args.check_deps or args.check_races:

@@ -29,7 +29,6 @@ from repro.net.message import NetParams
 from repro.net.topology import Topology
 from repro.obs import Probe
 from repro.platforms.base import Platform
-from repro.runtime.simdriver import SimulatedRuntime
 from repro.runtime.stats import RunResult
 from repro.sim.capability import check_nodes
 from repro.sim.engine import Engine
@@ -68,6 +67,8 @@ class TFluxDist(Platform):
         # The fused machine must fit the two-level sharer directory
         # (64 nodes x 64 cores); one check covers both axes.
         check_nodes(nnodes, cores_per_node=machine.ncores, what="TFluxDist")
+        if cluster_size is not None and cluster_size < 1:
+            raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         super().__init__(machine.with_cores(machine.ncores * nnodes), name="tfluxdist")
         self.nnodes = nnodes
         self.node_machine = machine
@@ -109,31 +110,17 @@ class TFluxDist(Platform):
             raise ValueError(
                 "tfluxdist cannot steal across nodes; use allow_stealing=False"
             )
-        if nkernels > self.max_kernels:
-            raise ValueError(
-                f"{self.name} offers at most {self.max_kernels} kernels "
-                f"({nkernels} requested)"
-            )
         if nkernels < self.nnodes:
             raise ValueError(
                 f"need at least one kernel per node ({self.nnodes} nodes, "
                 f"{nkernels} kernels requested)"
             )
-        runtime = SimulatedRuntime(
+        return super().execute(
             program,
-            self.machine,
-            nkernels=nkernels,
-            adapter_factory=self.adapter_factory(),
+            nkernels,
             tsu_capacity=tsu_capacity,
-            placement=placement,
             exact_memory=exact_memory,
             allow_stealing=allow_stealing,
-            platform_name=self.name,
+            placement=placement,
             tracer=tracer,
         )
-        # The adapter is built before the driver's memory system exists;
-        # wire the data plane in now that both are alive.
-        runtime.adapter.attach_memory(
-            runtime.memsys, self.machine.l1.line_size, program.env.regions
-        )
-        return runtime.run()

@@ -88,6 +88,9 @@ class SimulatedRuntime:
         self.adapter = factory(self.engine, self.tsu)
         self.adapter.wake_kernels = self._wake
         self.memsys = machine.memory_system(program.env.regions, exact=exact_memory)
+        self.adapter.attach_memory(
+            self.memsys, machine.l1.line_size, program.env.regions
+        )
         # Physical-memory accounting: the PS3's 256 MB XDR is small enough
         # to matter (paper §6.3); every shared region must fit.
         self.main_memory = MainMemory(
@@ -214,9 +217,7 @@ class SimulatedRuntime:
         yield from self._run_sections(self.program.prologue)
 
         self._region_start = self.engine.now
-        start = getattr(self.adapter, "start", None)
-        if start is not None:
-            start()
+        self.adapter.start()
         kernel_procs = [
             self.engine.process(
                 kernel_loop(self, k, self.accounts[k]), name=f"kernel{k}"
@@ -226,9 +227,7 @@ class SimulatedRuntime:
         yield self.engine.all_of([p.done for p in kernel_procs])
         self._region_end = self.engine.now
 
-        shutdown = getattr(self.adapter, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        self.adapter.shutdown()
 
         yield from self._run_sections(self.program.epilogue)
 
@@ -267,12 +266,8 @@ class SimulatedRuntime:
             memory=self.memsys.total_stats(),
             counters=counters,
             spans=list(self.probe.spans),
-            nnodes=getattr(self.adapter, "nnodes", 1),
-            topology=(
-                net.topology.describe()
-                if (net := getattr(self.adapter, "net", None)) is not None
-                else ""
-            ),
+            nnodes=self.adapter.nnodes,
+            topology=self.adapter.topology,
         )
 
 

@@ -19,9 +19,10 @@ performance core is three layers above the process pool:
   ``ProcessPoolExecutor``.
 
 See ``docs/serving.md`` for the protocol, the fairness/backpressure
-semantics, and the ``tflux-serve`` sizing flags;
-``benchmarks/bench_serve_throughput.py`` measures sustained jobs/sec at
-1/4/16 concurrent clients.
+semantics, and the ``tflux-serve`` sizing flags; the ``serve_mix``
+workload of ``perf/`` records sustained cold and hot jobs/sec, and
+``tests/test_serve_server.py`` pins the single-flight invariant under 2
+and 16 racing clients.
 """
 
 from repro.serve.client import BatchResult, ServeClient

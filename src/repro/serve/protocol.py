@@ -103,30 +103,16 @@ _JOB_DEFAULTS = {
 
 
 def _build_platform(wire: dict[str, Any]):
-    from repro.net.topology import FatTree, OversubscribedSpine
-    from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
+    from repro.platforms import platform_from_name
 
-    name = wire.get("platform", _JOB_DEFAULTS["platform"])
-    simple = {"hard": TFluxHard, "soft": TFluxSoft, "cell": TFluxCell}
-    if name in simple:
-        return simple[name]()
-    if name != "dist":
-        raise WireError(f"unknown platform {name!r}")
-    topologies = {
-        "mesh": None,
-        "fattree": FatTree(pod_size=8),
-        "spine": OversubscribedSpine(pod_size=8),
-    }
-    topology = wire.get("topology", "mesh")
-    if topology not in topologies:
-        raise WireError(f"unknown topology {topology!r}")
     try:
-        return TFluxDist(
-            nnodes=int(wire.get("nodes", _JOB_DEFAULTS["nodes"])),
-            topology=topologies[topology],
-            cluster_size=int(wire.get("cluster", 0)) or None,
+        return platform_from_name(
+            wire.get("platform", _JOB_DEFAULTS["platform"]),
+            nodes=int(wire.get("nodes", _JOB_DEFAULTS["nodes"])),
+            topology=wire.get("topology", _JOB_DEFAULTS["topology"]),
+            cluster=int(wire.get("cluster", _JOB_DEFAULTS["cluster"])),
         )
-    except ValueError as exc:  # DirectoryCapacityError included
+    except (TypeError, ValueError) as exc:  # DirectoryCapacityError included
         raise WireError(str(exc)) from None
 
 

@@ -21,11 +21,13 @@ ready DThreads to querying Kernels (paper §2, §3.3).
   configurable TSU processing latency.
 * :mod:`repro.tsu.software` — the TFluxSoft cost adapter: kernels push
   completions into the TUB; a TSU Emulator thread on a dedicated core
-  drains it.
-* :mod:`repro.tsu.multigroup` — the §4.1 multiple-TSU-Groups extension.
-* :mod:`repro.tsu.dist` — the TFluxDist cost adapter: one software-TSU
-  shard per node, remote Ready-Count updates as :mod:`repro.net`
-  messages.
+  drains it (the one ``EmulatorShard``).
+* :mod:`repro.tsu.multigroup` — the §4.1 multiple-TSU-Groups extension:
+  the hardware adapter with one MMI device per group.
+* :mod:`repro.tsu.dist` — the TFluxDist cost adapter: the software
+  adapter with one emulator shard per node, remote Ready-Count updates
+  as :mod:`repro.net` messages (:mod:`repro.tsu.hier` relays them
+  through cluster heads).
 
 (The TFluxCell cost adapter lives with its substrate in
 :mod:`repro.cell.adapter`.)

@@ -17,6 +17,14 @@ carry the wake side of the discipline documented in
 :mod:`repro.runtime.core`: any transition that can ready work must call
 :attr:`ProtocolAdapter.wake_kernels` at the simulated time it applies.
 
+The adapter's lifecycle is part of the interface too: the driver calls
+``attach_memory`` (once its memory system exists) → ``start`` (when the
+dataflow region opens) → ``shutdown`` (after every Kernel exited) on
+every adapter and reads its ``nnodes`` / ``topology`` for the run record
+— no-ops and single-chip defaults on :class:`ProtocolAdapter`,
+overridden by the platforms that run emulator processes or span nodes.
+The driver never probes an adapter for optional methods.
+
 :class:`ZeroOverheadAdapter` makes every operation free; it is used for
 the sequential-baseline runs ("the baseline program is the original
 sequential one, i.e. without any TFlux overheads", §5) and in tests that
@@ -43,13 +51,32 @@ class ProtocolAdapter:
     TSU transition must happen inside the generator at the simulated time
     the platform would apply it (e.g. the software TSU applies
     post-processing only when the emulator drains the TUB).
+
+    The lifecycle hooks (:meth:`attach_memory`, :meth:`start`,
+    :meth:`shutdown`) do nothing here; a platform with background
+    processes or its own data plane overrides them.
     """
+
+    #: Message-passing nodes the adapter spans, and their wiring — what
+    #: the driver writes into ``RunRecord.nnodes`` / ``.topology``.
+    nnodes = 1
+    topology = ""
 
     def __init__(self, engine: Engine, tsu: TSUGroup) -> None:
         self.engine = engine
         self.tsu = tsu
         #: Set by the driver: wake_kernels(kernel_ids or None for all).
         self.wake_kernels = lambda kernels=None: None
+
+    # -- lifecycle -------------------------------------------------------------
+    def attach_memory(self, memsys, line_size: int, regions) -> None:
+        """The driver's memory system, for adapters that price data movement."""
+
+    def start(self) -> None:
+        """Launch the platform's background processes (TSU emulators)."""
+
+    def shutdown(self) -> None:
+        """Let those processes drain and exit."""
 
     # -- queries ------------------------------------------------------------
     def fetch(self, kernel: int) -> Generator:

@@ -25,34 +25,38 @@ documented :mod:`repro.tsu.multigroup` precedent:
   :class:`~repro.net.ownermap.RegionOwnerMap` and the destination NIC's
   ingest clock before the DThread can run.
 
-With one node nothing is ever remote and every path above collapses to
-the exact :class:`~repro.tsu.software.SoftwareTSUAdapter` code —
-``tests/test_dist_differential.py`` pins the cycle counts bit-identical.
+The node-local half is not re-typed here: the adapter *is* a
+:class:`~repro.tsu.software.SoftwareTSUAdapter` whose kernels push to
+their own node's :class:`~repro.tsu.software.EmulatorShard` (fetch,
+spawn pricing, TUB push, emulator drain loop and its tallies are
+inherited).  This module holds only what is distributed: post-processing
+that fans Ready-Count updates out over the network, node-scoped
+Inlet/Outlet wakes, the TERMINATE/ACK barrier and cross-node operand
+pricing.  With one node nothing is ever remote and every path collapses
+to the TFluxSoft one — ``tests/test_dist_differential.py`` keeps the two
+bit-identical (cycles, counters, spans) as a guard.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Generator, Optional
 
 from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
-from repro.core.dynamic import Subflow
 from repro.net.fabric import Network
 from repro.net.message import INLET_ENTRY_BYTES, UPDATE_BYTES, Message, MsgKind, NetParams
 from repro.net.ownermap import RegionOwnerMap
 from repro.net.topology import Topology
 from repro.sim.accesses import AccessSummary
-from repro.sim.engine import Engine, Event, Resource
-from repro.tsu.base import ProtocolAdapter
+from repro.sim.engine import Engine
 from repro.tsu.group import TSUGroup
-from repro.tsu.software import SoftTSUCosts
+from repro.tsu.software import EmulatorShard, SoftTSUCosts, SoftwareTSUAdapter
 from repro.tsu.tkt import NodeThreadToKernelTable
 
 __all__ = ["DistTSUAdapter"]
 
 
-class DistTSUAdapter(ProtocolAdapter):
+class DistTSUAdapter(SoftwareTSUAdapter):
     """One software-TSU shard per node; remote updates ride the network."""
 
     def __init__(
@@ -64,7 +68,7 @@ class DistTSUAdapter(ProtocolAdapter):
         net_params: Optional[NetParams] = None,
         topology: Optional[Topology] = None,
     ) -> None:
-        super().__init__(engine, tsu)
+        super().__init__(engine, tsu, costs)
         if not 1 <= nnodes <= tsu.nkernels:
             raise ValueError(
                 f"need 1 <= nnodes <= nkernels, got nnodes={nnodes} "
@@ -76,106 +80,50 @@ class DistTSUAdapter(ProtocolAdapter):
                 "modelled across nodes; use allow_stealing=False for nnodes > 1"
             )
         self.nnodes = nnodes
-        self.costs = costs
         self.net = Network(engine, nnodes, net_params or NetParams(), topology)
+        self.topology = self.net.topology.describe()
         self._node_of_kernel = [k * nnodes // tsu.nkernels for k in range(tsu.nkernels)]
         self._node_kernels: list[list[int]] = [[] for _ in range(nnodes)]
         for k, n in enumerate(self._node_of_kernel):
             self._node_kernels[n].append(k)
-        # Per-node software-TSU shard state (mirrors SoftwareTSUAdapter).
-        self._tub_slots = [
-            Resource(engine, capacity=costs.tub_segments, name=f"tub:{n}")
+        # One emulator shard per node, in place of TFluxSoft's single one;
+        # a shard only ever drains completions of its own node's kernels.
+        self.shards = [
+            EmulatorShard(engine, tsu, costs, self._post_process, name=f":{n}")
             for n in range(nnodes)
         ]
-        self._queues: list[deque[tuple[int, int, object]]] = [
-            deque() for _ in range(nnodes)
-        ]
-        self._emulator_wake: list[Optional[Event]] = [None] * nnodes
-        self._emulator_started = False
-        self._shutdown = False
         self.node_tkt: Optional[NodeThreadToKernelTable] = None
-        # Cross-node memory pricing, wired by the platform after the
-        # driver builds its memory system (the adapter is constructed
-        # first — see SimulatedRuntime.__init__).
+        # Cross-node memory pricing needs the driver's memory system,
+        # which is built after the adapter (see attach_memory).
         self._memsys = None
         self._ownermap: Optional[RegionOwnerMap] = None
         # Statistics (plain ints on the hot path; see publish_counters).
-        self.emulator_busy_cycles = 0
-        self.emulator_items = 0
-        self.emulator_updates = 0
-        self.tub_pushes = 0
         self.remote_updates = 0
         self.local_updates = 0
 
+    def _shard(self, kernel: int) -> EmulatorShard:
+        return self.shards[self._node_of_kernel[kernel]]
+
     def attach_memory(self, memsys, line_size: int, regions) -> None:
-        """Enable cross-node data forwarding (called by TFluxDist)."""
+        """Enable cross-node data forwarding."""
         self._memsys = memsys
         self._ownermap = RegionOwnerMap(regions, line_size, self.nnodes)
 
     def publish_counters(self, counters) -> None:
-        emu = counters.scope("emulator")
-        emu.inc("busy_cycles", self.emulator_busy_cycles)
-        emu.inc("items", self.emulator_items)
-        emu.inc("updates", self.emulator_updates)
-        counters.inc("tub.pushes", self.tub_pushes)
-        counters.inc(
-            "engine.coalesced_pushes", sum(r.coalesced for r in self._tub_slots)
-        )
+        super().publish_counters(counters)
         counters.inc("net.remote_updates", self.remote_updates)
         counters.inc("net.local_updates", self.local_updates)
         self.net.publish_counters(counters)
 
-    # -- emulator lifecycle ------------------------------------------------
-    def start(self) -> None:
-        """Launch one TSU-Emulator process per node (idempotent)."""
-        if not self._emulator_started:
-            self._emulator_started = True
-            for node in range(self.nnodes):
-                self.engine.process(
-                    self._emulator_proc(node), name=f"tsu-emulator:{node}"
-                )
-
-    def shutdown(self) -> None:
-        self._shutdown = True
-        for node in range(self.nnodes):
-            self._kick_emulator(node)
-
-    def _kick_emulator(self, node: int) -> None:
-        wake = self._emulator_wake[node]
-        if wake is not None and not wake.triggered:
-            wake.succeed()
-
-    def _emulator_proc(self, node: int) -> Generator:
-        """One node's dedicated-core loop: drain its TUB, post-process."""
-        costs = self.costs
-        queue = self._queues[node]
-        while True:
-            if queue:
-                kernel, local_iid, outcome = queue.popleft()
-                nconsumers = len(self.tsu.current_block.consumers[local_iid])
-                busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
-                yield busy
-                self.emulator_busy_cycles += busy
-                self.emulator_items += 1
-                self.emulator_updates += nconsumers
-                self._post_process(node, kernel, local_iid, outcome)
-            elif self._shutdown:
-                return
-            else:
-                wake = Event(self.engine, name="tub-nonempty")
-                self._emulator_wake[node] = wake
-                yield wake
-                self._emulator_wake[node] = None
-
     # -- post-processing ---------------------------------------------------
-    def _post_process(
-        self, node: int, kernel: int, local_iid: int, outcome: object = None
-    ) -> None:
+    def _post_process(self, kernel: int, local_iid: int, outcome: object) -> None:
+        """What a node's emulator does with one drained completion."""
         if self.nnodes == 1:
             # The exact single-node code path: base wake semantics,
             # bit-identical to SoftwareTSUAdapter.
             self._apply_thread_completion(kernel, local_iid, outcome)
             return
+        node = self._node_of_kernel[kernel]
         tkt = self.node_tkt
         assert tkt is not None
         consumers = self.tsu.current_block.consumers[local_iid]
@@ -246,20 +194,22 @@ class DistTSUAdapter(ProtocolAdapter):
         """Send *kind* from *node* to every other node, waking each on
         arrival (Inlet/Outlet phase-change fan-out)."""
         for t in range(self.nnodes):
-            if t == node:
-                continue
-            self.net.transmit(
-                Message(kind, src=node, dst=t, payload_bytes=payload_bytes),
-                on_deliver=lambda msg, ks=frozenset(self._node_kernels[t]): (
-                    self.wake_kernels(set(ks))
-                ),
-            )
+            if t != node:
+                self._send_wakeup(node, t, kind, payload_bytes)
+
+    def _send_wakeup(
+        self, src: int, dst: int, kind: MsgKind, payload_bytes: int
+    ) -> None:
+        """The one wake-on-delivery sender: *dst*'s kernels wake when
+        the message lands."""
+        self.net.transmit(
+            Message(kind, src=src, dst=dst, payload_bytes=payload_bytes),
+            on_deliver=lambda msg, ks=frozenset(self._node_kernels[dst]): (
+                self.wake_kernels(set(ks))
+            ),
+        )
 
     # -- protocol costs ----------------------------------------------------
-    def fetch(self, kernel: int) -> Generator:
-        yield self.costs.fetch_cycles
-        return self.tsu.fetch(kernel)
-
     def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.inlet_per_entry * max(block.size, 1)
         self.tsu.complete_inlet(kernel)
@@ -273,31 +223,6 @@ class DistTSUAdapter(ProtocolAdapter):
         self._broadcast(
             node, MsgKind.INLET_BCAST, INLET_ENTRY_BYTES * max(block.size, 1)
         )
-
-    def resolve_dynamic(
-        self, kernel: int, local_iid: int, outcome: object
-    ) -> Generator:
-        # Same local pricing as TFluxSoft: the spawn descriptor is a
-        # second TUB-sized push on the completing kernel's node.  Remote
-        # nodes learn the new block's metadata through the ordinary
-        # INLET_BCAST when it loads — already priced in complete_inlet.
-        if isinstance(outcome, Subflow):
-            yield self.costs.tub_push_cycles
-
-    def complete_thread(
-        self,
-        kernel: int,
-        local_iid: int,
-        instance: DThreadInstance,
-        outcome: object = None,
-    ) -> Generator:
-        # Push into the *node-local* TUB — same segment try-lock protocol
-        # as SoftwareTSUAdapter.complete_thread.
-        node = self._node_of_kernel[kernel]
-        yield from self._tub_slots[node].hold(self.costs.tub_push_cycles)
-        self._queues[node].append((kernel, local_iid, outcome))
-        self.tub_pushes += 1
-        self._kick_emulator(node)
 
     def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.outlet_cycles

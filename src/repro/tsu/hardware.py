@@ -20,6 +20,12 @@ Cost model per operation:
 * **inlet** — one command per loaded DThread entry (metadata words are
   stores into the TSU's address window).
 * **outlet** — a single deallocate command.
+
+Every step goes through :meth:`HardwareTSUAdapter._mmi`, "the device
+this kernel talks to" — the only device here.  The §4.1 multiple-groups
+extension (:mod:`repro.tsu.multigroup`) subclasses this adapter with one
+device per group and overrides that lookup, so the MMI pricing of the
+five protocol steps is written once, in this module.
 """
 
 from __future__ import annotations
@@ -50,51 +56,60 @@ class HardwareTSUAdapter(ProtocolAdapter):
         l1_access_cycles: int = 2,
     ) -> None:
         super().__init__(engine, tsu)
-        self.bus = bus if bus is not None else SystemBus(engine)
-        self.mmi = MemoryMappedInterface(
-            engine,
-            self.bus,
-            tsu_processing_cycles=tsu_processing_cycles,
-            l1_access_cycles=l1_access_cycles,
-        )
+        #: The TSU Group devices and their network segments (one here).
+        self.buses = [bus if bus is not None else SystemBus(engine)]
+        self.mmis = [
+            MemoryMappedInterface(
+                engine,
+                self.buses[0],
+                tsu_processing_cycles=tsu_processing_cycles,
+                l1_access_cycles=l1_access_cycles,
+            )
+        ]
+
+    def _mmi(self, kernel: int) -> MemoryMappedInterface:
+        """The device *kernel* talks to (the only one)."""
+        return self.mmis[0]
 
     def publish_counters(self, counters) -> None:
         scope = counters.scope("mmi")
-        scope.inc("commands", self.mmi.commands)
-        scope.inc("queries", self.mmi.queries)
+        scope.inc("commands", sum(m.commands for m in self.mmis))
+        scope.inc("queries", sum(m.queries for m in self.mmis))
         engine = counters.scope("engine")
-        engine.inc("coalesced_commands", self.mmi.fast_commands)
-        engine.inc("coalesced_queries", self.mmi.fast_queries)
+        engine.inc("coalesced_commands", sum(m.fast_commands for m in self.mmis))
+        engine.inc("coalesced_queries", sum(m.fast_queries for m in self.mmis))
+
+    def _posted_stores(self, kernel: int, entries: int) -> Generator:
+        """A stream of *posted* stores into the TSU's address window:
+        the CPU issues them back-to-back at store-issue rate and the TSU
+        absorbs them in its internal pipeline, so after the first
+        command the cost per entry is the store issue latency —
+        independent of the TSU's command processing time (unlike
+        queries/completions)."""
+        mmi = self._mmi(kernel)
+        yield from mmi.command(lambda: None)
+        yield (mmi.l1_access_cycles + 2) * max(entries - 1, 0)
 
     def fetch(self, kernel: int) -> Generator:
         # An uncontended fetch is one accumulated timeout for the whole
         # bus → port → processing ladder (see repro.sim.mmi).
-        result = yield from self.mmi.query(lambda: self.tsu.fetch(kernel))
+        result = yield from self._mmi(kernel).query(lambda: self.tsu.fetch(kernel))
         return result
 
     def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
-        # Metadata loading is a stream of *posted* stores into the TSU's
-        # address window: the CPU issues them back-to-back at store-issue
-        # rate and the TSU absorbs them in its internal pipeline, so the
-        # cost per entry is the store issue latency — independent of the
-        # TSU's command processing time (unlike queries/completions).
-        per_entry = self.mmi.l1_access_cycles + 2
-        yield from self.mmi.command(lambda: None)
-        yield per_entry * max(block.size - 1, 0)
+        # Metadata loading: one posted store per DThread entry.
+        yield from self._posted_stores(kernel, block.size)
         self.tsu.complete_inlet(kernel)
         self.wake_kernels()
 
     def resolve_dynamic(
         self, kernel: int, local_iid: int, outcome: object
     ) -> Generator:
-        # A spawned subflow's template stream is posted stores into the
-        # TSU's address window, exactly like Inlet metadata (one command
-        # plus store-issue-rate entries); a branch key is encoded in the
-        # completion flag itself and costs nothing extra.
+        # A spawned subflow's template stream is posted stores exactly
+        # like Inlet metadata; a branch key is encoded in the completion
+        # flag itself and costs nothing extra.
         if isinstance(outcome, Subflow):
-            per_entry = self.mmi.l1_access_cycles + 2
-            yield from self.mmi.command(lambda: None)
-            yield per_entry * max(outcome.ninstances - 1, 0)
+            yield from self._posted_stores(kernel, outcome.ninstances)
 
     def complete_thread(
         self,
@@ -103,20 +118,16 @@ class HardwareTSUAdapter(ProtocolAdapter):
         instance: DThreadInstance,
         outcome: object = None,
     ) -> Generator:
-        nconsumers = len(self.tsu.current_block.consumers[local_iid])
-        # The completion flag is one posted store; internal consumer
-        # updates occupy the TSU pipeline but not the CPU.
-        yield from self.mmi.command(
+        # The completion flag is one posted store.  The TSU's internal
+        # consumer updates occupy its pipeline but not the CPU: nothing
+        # is charged to the kernel for them, the port hold already
+        # serialises back-to-back completions.
+        return self._mmi(kernel).command(
             lambda: self._apply_thread_completion(kernel, local_iid, outcome)
         )
-        # Internal update occupancy (overlapped with CPU progress): charge
-        # nothing to the kernel, the port hold above already serialises
-        # back-to-back completions.
-        del nconsumers
 
     def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
-        def apply() -> None:
-            self.tsu.complete_outlet(kernel)
-
-        yield from self.mmi.command(apply)
+        yield from self._mmi(kernel).command(
+            lambda: self.tsu.complete_outlet(kernel)
+        )
         self.wake_kernels()

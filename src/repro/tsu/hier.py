@@ -141,13 +141,3 @@ class HierDistTSUAdapter(DistTSUAdapter):
                 Message(kind, src=node, dst=head, payload_bytes=payload_bytes),
                 on_deliver=relay,
             )
-
-    def _send_wakeup(
-        self, src: int, dst: int, kind: MsgKind, payload_bytes: int
-    ) -> None:
-        self.net.transmit(
-            Message(kind, src=src, dst=dst, payload_bytes=payload_bytes),
-            on_deliver=lambda msg, ks=frozenset(self._node_kernels[dst]): (
-                self.wake_kernels(set(ks))
-            ),
-        )

@@ -21,6 +21,14 @@ own network segment, serving a static partition of the kernels:
   the cost the grouping originally avoided, now re-introduced at group
   granularity).
 
+"More of the same device", in code: the adapter subclasses
+:class:`~repro.tsu.hardware.HardwareTSUAdapter`, which prices all five
+protocol steps through "the device this kernel talks to".  This module
+adds the device list behind one shared in-flight gate, the kernel →
+group partition and the inter-group latency tail after a completion —
+nothing else; with one group it is the plain adapter, which
+``tests/test_multigroup.py`` holds bit-identical as a guard.
+
 The A5 ablation benchmark (``bench_ablation_multigroup.py``) measures the
 trade-off the paper anticipated: contention relief versus inter-group
 traffic.
@@ -28,21 +36,19 @@ traffic.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
-from repro.core.dynamic import Subflow
 from repro.sim.engine import Engine
 from repro.sim.interconnect import SystemBus
 from repro.sim.mmi import InflightGate, MemoryMappedInterface
-from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
+from repro.tsu.hardware import HardwareTSUAdapter
 
 __all__ = ["MultiGroupHardwareAdapter"]
 
 
-class MultiGroupHardwareAdapter(ProtocolAdapter):
+class MultiGroupHardwareAdapter(HardwareTSUAdapter):
     """TFluxHard with *n_groups* hardware TSU Group devices."""
 
     def __init__(
@@ -61,13 +67,14 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
             raise ValueError("more TSU groups than kernels is pointless")
         self.n_groups = n_groups
         self.intergroup_latency = intergroup_latency
-        # Each group device sits on its own network segment with its own
-        # command port — but all devices front the *same* functional TSU,
-        # so they share one in-flight gate: the DES fast path may only
-        # coalesce an op that is alone in front of the TSU, not merely
-        # alone on its own device (a sibling device's mutation landing in
-        # the window would otherwise be observed at a different logical
-        # instant than on the eager path).
+        # One device per group in place of the parent's single one.  Each
+        # sits on its own network segment with its own command port — but
+        # all devices front the *same* functional TSU, so they share one
+        # in-flight gate: the DES fast path may only coalesce an op that
+        # is alone in front of the TSU, not merely alone on its own device
+        # (a sibling device's mutation landing in the window would
+        # otherwise be observed at a different logical instant than on
+        # the eager path).
         self.buses = [SystemBus(engine) for _ in range(n_groups)]
         gate = InflightGate()
         self.mmis = [
@@ -84,14 +91,7 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
 
     def publish_counters(self, counters) -> None:
         counters.inc("tsu.intergroup_transfers", self.intergroup_transfers)
-        mmi = counters.scope("mmi")
-        mmi.inc("commands", sum(m.commands for m in self.mmis))
-        mmi.inc("queries", sum(m.queries for m in self.mmis))
-        # Each group's MMI coalesces ops that were alone in front of the
-        # shared TSU (the in-flight gate spans all group devices).
-        engine = counters.scope("engine")
-        engine.inc("coalesced_commands", sum(m.fast_commands for m in self.mmis))
-        engine.inc("coalesced_queries", sum(m.fast_queries for m in self.mmis))
+        super().publish_counters(counters)
 
     # -- partitioning -----------------------------------------------------------
     def group_of_kernel(self, kernel: int) -> int:
@@ -114,29 +114,6 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
         return count
 
     # -- protocol -----------------------------------------------------------------
-    def fetch(self, kernel: int) -> Generator:
-        result = yield from self._mmi(kernel).query(lambda: self.tsu.fetch(kernel))
-        return result
-
-    def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
-        mmi = self._mmi(kernel)
-        per_entry = mmi.l1_access_cycles + 2  # posted stores (see hardware.py)
-        yield from mmi.command(lambda: None)
-        yield per_entry * max(block.size - 1, 0)
-        self.tsu.complete_inlet(kernel)
-        self.wake_kernels()
-
-    def resolve_dynamic(
-        self, kernel: int, local_iid: int, outcome: object
-    ) -> Generator:
-        # Same pricing as the single-group device (hardware.py): spawned
-        # templates stream into the kernel's own group as posted stores.
-        if isinstance(outcome, Subflow):
-            mmi = self._mmi(kernel)
-            per_entry = mmi.l1_access_cycles + 2
-            yield from mmi.command(lambda: None)
-            yield per_entry * max(outcome.ninstances - 1, 0)
-
     def complete_thread(
         self,
         kernel: int,
@@ -145,10 +122,7 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
         outcome: object = None,
     ) -> Generator:
         cross = self._cross_group_updates(kernel, local_iid)
-        mmi = self._mmi(kernel)
-        yield from mmi.command(
-            lambda: self._apply_thread_completion(kernel, local_iid, outcome)
-        )
+        yield from super().complete_thread(kernel, local_iid, instance, outcome)
         if cross:
             # Inter-group Ready-Count updates travel between the TSU Group
             # devices; they occupy the source group's port (not the CPU),
@@ -159,9 +133,3 @@ class MultiGroupHardwareAdapter(ProtocolAdapter):
             # simplification, second-order at the 20-cycle default.
             self.intergroup_transfers += cross
             yield self.intergroup_latency
-
-    def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
-        yield from self._mmi(kernel).command(
-            lambda: self.tsu.complete_outlet(kernel)
-        )
-        self.wake_kernels()

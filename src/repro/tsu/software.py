@@ -22,13 +22,20 @@ Timing mechanics modelled here:
 
 All constants live in :class:`SoftTSUCosts` so the ablation benchmarks can
 sweep them.
+
+The emulator mechanism — TUB resource, completion queue, wake event,
+drain loop, push, occupancy tallies — lives once, in
+:class:`EmulatorShard`.  :class:`SoftwareTSUAdapter` owns one shard;
+:class:`~repro.tsu.dist.DistTSUAdapter` subclasses it with one shard per
+node and overrides only what is distributed, so a change to the emulator
+loop is made here and nowhere else.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
@@ -37,7 +44,7 @@ from repro.sim.engine import Engine, Event, Resource
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
 
-__all__ = ["SoftTSUCosts", "SoftwareTSUAdapter"]
+__all__ = ["SoftTSUCosts", "EmulatorShard", "SoftwareTSUAdapter"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,86 @@ class SoftTSUCosts:
     outlet_cycles: int = 400
 
 
+class EmulatorShard:
+    """One TSU-Emulator core and the TUB it drains.
+
+    The single home of the emulator mechanism: TFluxSoft owns one shard,
+    TFluxDist one per node.  *post_process* ``(kernel, local_iid,
+    outcome)`` is what the owner does when a drained completion's
+    emulator time has elapsed — where the two platforms differ.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        tsu: TSUGroup,
+        costs: SoftTSUCosts,
+        post_process: Callable[[int, int, object], None],
+        name: str = "",
+    ) -> None:
+        self.engine = engine
+        self.tsu = tsu
+        self.costs = costs
+        self.name = name
+        self._post_process = post_process
+        self.tub = Resource(engine, capacity=costs.tub_segments, name=f"tub{name}")
+        # (kernel, local_iid, outcome): the TUB entry carries the dynamic
+        # outcome (branch key / spawned Subflow) to the emulator, which
+        # applies it during post-processing.
+        self._queue: deque[tuple[int, int, object]] = deque()
+        self._wake: Optional[Event] = None
+        self._started = False
+        self._shutdown = False
+        # Statistics (plain ints on the hot path; see publish_counters).
+        self.busy_cycles = 0
+        self.items = 0
+        self.updates = 0
+        self.pushes = 0
+
+    def start(self) -> None:
+        """Launch the TSU Emulator process (idempotent)."""
+        if not self._started:
+            self._started = True
+            self.engine.process(self._drain(), name=f"tsu-emulator{self.name}")
+
+    def shutdown(self) -> None:
+        self._shutdown = True
+        self._kick()
+
+    def _kick(self) -> None:
+        if self._wake is not None and not self._wake.triggered:
+            self._wake.succeed()
+
+    def _drain(self) -> Generator:
+        """The dedicated-core loop: drain the TUB, apply post-processing."""
+        costs = self.costs
+        while True:
+            if self._queue:
+                kernel, local_iid, outcome = self._queue.popleft()
+                nconsumers = len(self.tsu.current_block.consumers[local_iid])
+                busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
+                yield busy
+                self.busy_cycles += busy
+                self.items += 1
+                self.updates += nconsumers
+                self._post_process(kernel, local_iid, outcome)
+            elif self._shutdown:
+                return
+            else:
+                self._wake = Event(self.engine, name="tub-nonempty")
+                yield self._wake
+                self._wake = None
+
+    def push(self, kernel: int, local_iid: int, outcome: object) -> Generator:
+        """A completing kernel's side: find a free TUB segment (try/lock;
+        blocking only when all segments are simultaneously held), keep
+        it for the push, and kick the emulator."""
+        yield from self.tub.hold(self.costs.tub_push_cycles)
+        self._queue.append((kernel, local_iid, outcome))
+        self.pushes += 1
+        self._kick()
+
+
 class SoftwareTSUAdapter(ProtocolAdapter):
     """Timed software-TSU protocol with an explicit emulator process."""
 
@@ -71,62 +158,45 @@ class SoftwareTSUAdapter(ProtocolAdapter):
     ) -> None:
         super().__init__(engine, tsu)
         self.costs = costs
-        self._tub_slots = Resource(engine, capacity=costs.tub_segments, name="tub")
-        # (kernel, local_iid, outcome): the TUB entry carries the dynamic
-        # outcome (branch key / spawned Subflow) to the emulator, which
-        # applies it during post-processing.
-        self._queue: deque[tuple[int, int, object]] = deque()
-        self._emulator_wake: Optional[Event] = None
-        self._emulator_started = False
-        self._shutdown = False
-        # Statistics (plain ints on the hot path; see publish_counters).
-        self.emulator_busy_cycles = 0
-        self.emulator_items = 0
-        self.emulator_updates = 0
-        self.tub_pushes = 0
+        self.shards = [
+            EmulatorShard(engine, tsu, costs, self._apply_thread_completion)
+        ]
+
+    def _shard(self, kernel: int) -> EmulatorShard:
+        """The emulator *kernel* pushes completions to (the only one)."""
+        return self.shards[0]
+
+    # -- statistics (summed over the shards) -------------------------------------
+    @property
+    def emulator_busy_cycles(self) -> int:
+        return sum(s.busy_cycles for s in self.shards)
+
+    @property
+    def emulator_items(self) -> int:
+        return sum(s.items for s in self.shards)
+
+    @property
+    def tub_pushes(self) -> int:
+        return sum(s.pushes for s in self.shards)
 
     def publish_counters(self, counters) -> None:
         emu = counters.scope("emulator")
         emu.inc("busy_cycles", self.emulator_busy_cycles)
         emu.inc("items", self.emulator_items)
-        emu.inc("updates", self.emulator_updates)
+        emu.inc("updates", sum(s.updates for s in self.shards))
         counters.inc("tub.pushes", self.tub_pushes)
-        counters.inc("engine.coalesced_pushes", self._tub_slots.coalesced)
+        counters.inc(
+            "engine.coalesced_pushes", sum(s.tub.coalesced for s in self.shards)
+        )
 
     # -- emulator lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Launch the TSU Emulator process (idempotent)."""
-        if not self._emulator_started:
-            self._emulator_started = True
-            self.engine.process(self._emulator_proc(), name="tsu-emulator")
+        for shard in self.shards:
+            shard.start()
 
     def shutdown(self) -> None:
-        self._shutdown = True
-        self._kick_emulator()
-
-    def _kick_emulator(self) -> None:
-        if self._emulator_wake is not None and not self._emulator_wake.triggered:
-            self._emulator_wake.succeed()
-
-    def _emulator_proc(self) -> Generator:
-        """The dedicated-core loop: drain the TUB, apply post-processing."""
-        costs = self.costs
-        while True:
-            if self._queue:
-                kernel, local_iid, outcome = self._queue.popleft()
-                nconsumers = len(self.tsu.current_block.consumers[local_iid])
-                busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
-                yield busy
-                self.emulator_busy_cycles += busy
-                self.emulator_items += 1
-                self.emulator_updates += nconsumers
-                self._apply_thread_completion(kernel, local_iid, outcome)
-            elif self._shutdown:
-                return
-            else:
-                self._emulator_wake = Event(self.engine, name="tub-nonempty")
-                yield self._emulator_wake
-                self._emulator_wake = None
+        for shard in self.shards:
+            shard.shutdown()
 
     # -- protocol costs -----------------------------------------------------------
     def fetch(self, kernel: int) -> Generator:
@@ -154,12 +224,7 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         instance: DThreadInstance,
         outcome: object = None,
     ) -> Generator:
-        # Find a free TUB segment (try/lock; blocking only when all
-        # segments are simultaneously held) and keep it for the push.
-        yield from self._tub_slots.hold(self.costs.tub_push_cycles)
-        self._queue.append((kernel, local_iid, outcome))
-        self.tub_pushes += 1
-        self._kick_emulator()
+        return self._shard(kernel).push(kernel, local_iid, outcome)
 
     def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.outlet_cycles

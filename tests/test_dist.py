@@ -159,6 +159,11 @@ def test_dist_validates_composition():
         TFluxDist(nnodes=65)  # over the presence word's 64 nodes
     assert TFluxDist(nnodes=4).max_kernels == 24
     assert TFluxDist(nnodes=2).machine.ncores == 16
+    # A relay cluster needs at least one node; None keeps the flat fan-out.
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="cluster_size"):
+            TFluxDist(nnodes=4, cluster_size=bad)
+    assert TFluxDist(nnodes=4, cluster_size=1).cluster_size == 1
 
 
 def _simple_program(n=24):
@@ -205,6 +210,28 @@ def test_dist_runs_and_publishes_net_counters():
         c["net.remote_updates"] + c["net.local_updates"] == c["tsu.post_updates"]
     )
     assert result.to_record().nnodes == 2
+
+
+def test_dist_adapter_prices_operands_under_a_bare_runtime():
+    """attach_memory is the driver's call, not the platform's: a dist
+    adapter handed straight to SimulatedRuntime forwards remote operand
+    lines exactly as TFluxDist.execute does."""
+    from repro.apps import get_benchmark, problem_sizes
+    from repro.runtime.simdriver import SimulatedRuntime
+
+    platform = TFluxDist(nnodes=2)
+    bench = get_benchmark("fft")
+    size = problem_sizes("fft", platform.target)["small"]
+    via_platform = platform.execute(bench.build(size, unroll=4), nkernels=12)
+    bare = SimulatedRuntime(
+        bench.build(size, unroll=4),
+        platform.machine,
+        nkernels=12,
+        adapter_factory=platform.adapter_factory(),
+    ).run()
+    assert bare.counters["net.bytes_forwarded"] > 0
+    assert bare.counters.as_dict() == via_platform.counters.as_dict()
+    assert bare.cycles == via_platform.cycles
 
 
 def test_dist_network_cost_slows_the_run():

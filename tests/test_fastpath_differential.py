@@ -27,8 +27,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.apps import get_benchmark, problem_sizes
 from repro.core import ProgramBuilder
 from repro.core.dynamic import Subflow
+from repro.net import FatTree
 from repro.obs import Tracer
 from repro.platforms.cellbe import TFluxCell
+from repro.platforms.dist import TFluxDist
 from repro.platforms.hard import TFluxHard
 from repro.platforms.soft import TFluxSoft
 from repro.runtime.simdriver import SimulatedRuntime
@@ -53,10 +55,20 @@ def _platform(key):
         return p.machine, (
             lambda engine, tsu: MultiGroupHardwareAdapter(engine, tsu, n_groups=2)
         )
+    # The network path: NIC and link occupancy are Resource.hold too.
+    if key == "dist2":
+        p = TFluxDist(nnodes=2)
+        return p.machine, p.adapter_factory()
+    if key == "hier":
+        p = TFluxDist(nnodes=8, topology=FatTree(pod_size=4), cluster_size=4)
+        return p.machine, p.adapter_factory()
     raise KeyError(key)
 
 
-PLATFORMS = ("hard", "soft", "cell", "multigroup")
+PLATFORMS = ("hard", "soft", "cell", "multigroup", "dist2", "hier")
+
+#: Fewest kernels a platform can run on (one per TSU group / node).
+_MIN_KERNELS = {"multigroup": 2, "dist2": 2, "hier": 8}
 
 
 def _with_fastpath(enabled, fn):
@@ -139,11 +151,14 @@ PROGRAMS = {
     "dynamic": build_dynamic,
 }
 
-_TARGET = {"hard": "S", "soft": "N", "cell": "C", "multigroup": "S"}
+_TARGET = {
+    "hard": "S", "soft": "N", "cell": "C", "multigroup": "S", "dist2": "N", "hier": "N",
+}
 
 
 def run_once(platform_key, program_key, fast, nkernels=NKERNELS):
     machine, factory = _platform(platform_key)
+    nkernels = max(nkernels, _MIN_KERNELS.get(platform_key, 1))
 
     def go():
         prog, cap = PROGRAMS[program_key](_TARGET[platform_key])
@@ -215,6 +230,14 @@ def test_fastpath_actually_coalesces():
     )
     assert slow.counters["engine.coalesced_commands"] == 0
     assert slow.counters["engine.coalesced_queries"] == 0
+    # Contention disengages coalescing per op (the 4-kernel pair above
+    # still saved events at equal cycles); the uncontended single-kernel
+    # shape — every sweep's serial side — must shed at least half.
+    assert fast.cycles == slow.cycles
+    fast1 = run_once("hard", "trapez", fast=True, nkernels=1)
+    slow1 = run_once("hard", "trapez", fast=False, nkernels=1)
+    assert fast1.cycles == slow1.cycles
+    assert slow1.counters["engine.events"] >= 2 * fast1.counters["engine.events"]
 
 
 def test_fastpath_default_is_on():
@@ -318,8 +341,7 @@ def build_dag(widths, reduce_tail, spawn=False):
 def test_fastpath_bit_identical_random_dags(platform_key, params):
     widths, reduce_tail, spawn, cap, nkernels = params
     machine, factory = _platform(platform_key)
-    if platform_key == "multigroup":
-        nkernels = max(nkernels, 2)  # need >= n_groups kernels
+    nkernels = max(nkernels, _MIN_KERNELS.get(platform_key, 1))
 
     def go():
         return SimulatedRuntime(

@@ -1,8 +1,11 @@
 """Unit tests for the multiple-TSU-Group hardware adapter (§4.1 extension)."""
 
+from collections import Counter as Multiset
+
 import pytest
 
 from repro.core import ProgramBuilder
+from repro.obs import Tracer
 from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.engine import Engine
 from repro.sim.machine import BAGLE_27
@@ -61,7 +64,7 @@ def test_invalid_group_counts():
         make_adapter(nkernels=4, n_groups=5)
 
 
-def run_with_groups(n_groups, nkernels=8, cost=2000, lat=4):
+def run_with_groups(n_groups, nkernels=8, cost=2000, lat=4, tracer=None):
     prog = fanout_program(cost=cost)
     adapters = []
 
@@ -73,7 +76,7 @@ def run_with_groups(n_groups, nkernels=8, cost=2000, lat=4):
         return a
 
     res = SimulatedRuntime(
-        prog, BAGLE_27, nkernels=nkernels, adapter_factory=factory
+        prog, BAGLE_27, nkernels=nkernels, adapter_factory=factory, tracer=tracer
     ).run()
     return res, adapters[0]
 
@@ -85,17 +88,32 @@ def test_functional_correctness_any_group_count():
 
 
 def test_single_group_matches_plain_hardware_adapter():
-    """n_groups=1 must be semantically identical to HardwareTSUAdapter."""
+    """n_groups=1 must be bit-identical to HardwareTSUAdapter — the same
+    contract test_dist_differential holds Dist(1 node) to against Soft."""
     from repro.tsu.hardware import HardwareTSUAdapter
 
-    res_multi, _ = run_with_groups(1)
-    res_plain = SimulatedRuntime(
+    multi, _ = run_with_groups(1, tracer=Tracer())
+    plain = SimulatedRuntime(
         fanout_program(),
         BAGLE_27,
         nkernels=8,
         adapter_factory=lambda e, t: HardwareTSUAdapter(e, t),
+        tracer=Tracer(),
     ).run()
-    assert res_multi.cycles == res_plain.cycles
+    assert multi.cycles == plain.cycles
+    assert multi.region_cycles == plain.region_cycles
+    counters = multi.counters.as_dict()
+    # The one counter only the multigroup adapter publishes: one group,
+    # nothing crosses.
+    assert counters.pop("tsu.intergroup_transfers") == 0
+    assert counters == plain.counters.as_dict()
+    assert Multiset((s.kind, s.name) for s in multi.spans) == Multiset(
+        (s.kind, s.name) for s in plain.spans
+    )
+    assert [(k.dthreads, k.fetches, k.waits) for k in multi.kernels] == [
+        (k.dthreads, k.fetches, k.waits) for k in plain.kernels
+    ]
+    assert multi.env.get("total") == plain.env.get("total")
 
 
 def test_intergroup_transfers_counted():

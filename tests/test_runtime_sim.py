@@ -45,6 +45,65 @@ def pipeline_program(depth=5, cost=100):
     return b.build()
 
 
+# -- adapter lifecycle contract -----------------------------------------------------
+def test_adapter_lifecycle_hooks_called_once_in_order_around_region():
+    """The driver calls ProtocolAdapter's three hooks unconditionally:
+    attach_memory at construction, start when the dataflow region opens,
+    shutdown when every Kernel has exited — never probing for them."""
+    from repro.tsu.base import ProtocolAdapter
+
+    class Recording(ProtocolAdapter):
+        def __init__(self, engine, tsu):
+            super().__init__(engine, tsu)
+            self.log = []
+
+        def attach_memory(self, memsys, line_size, regions):
+            self.log.append(("attach_memory", memsys, line_size, regions))
+
+        def start(self):
+            self.log.append(("start", self.engine.now))
+
+        def fetch(self, kernel):
+            self.log.append(("fetch",))
+            return (yield from super().fetch(kernel))
+
+        def shutdown(self):
+            self.log.append(("shutdown", self.engine.now))
+
+    b = ProgramBuilder("sections")
+    b.env.alloc("parts", 4)
+    b.prologue("init", lambda env: env.set("x", 1), cost=lambda env: 500)
+    b.thread(
+        "work",
+        body=lambda env, i: env.array("parts").__setitem__(i, i),
+        contexts=4,
+        cost=lambda e, c: 1000,
+    )
+    b.epilogue("fini", lambda env: env.set("y", 2), cost=lambda env: 300)
+    prog = b.build()
+    adapters = []
+
+    def factory(engine, tsu):
+        adapters.append(Recording(engine, tsu))
+        return adapters[0]
+
+    runtime = SimulatedRuntime(prog, BAGLE_27, nkernels=2, adapter_factory=factory)
+    (adapter,) = adapters
+    assert adapter.log == [
+        ("attach_memory", runtime.memsys, BAGLE_27.l1.line_size, prog.env.regions)
+    ]
+    res = runtime.run()
+    names = [entry[0] for entry in adapter.log]
+    assert names[:2] == ["attach_memory", "start"] and names[-1] == "shutdown"
+    assert set(names[2:-1]) == {"fetch"}
+    # start/shutdown bracket exactly the measured region: after the
+    # prologue, before the epilogue.
+    (_, started), (_, stopped) = adapter.log[1], adapter.log[-1]
+    assert started == 500 and stopped - started == res.region_cycles
+    assert res.cycles == stopped + 300
+    assert (res.nnodes, res.topology) == (1, "")
+
+
 # -- zero-overhead driver behaviour -------------------------------------------------
 def test_functional_result_correct():
     prog = parallel_sum_program(8)

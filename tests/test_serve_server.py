@@ -67,39 +67,42 @@ def test_results_stream_incrementally(spawn):
 
 
 def test_dedup_two_tenants_one_simulation_per_unique_spec(spawn):
-    """Two tenants race the same grid: total simulations equals unique
-    specs; every duplicate is a coalesced flight or an LRU hit.  The
-    invariant holds however the race interleaves."""
-    handle = spawn()
-    batches = {}
+    """Two tenants — then a herd of sixteen — race the same grid: total
+    simulations equals unique specs; every duplicate is a coalesced
+    flight or an LRU hit.  The invariant holds however the race
+    interleaves."""
+    for nclients in (2, 16):
+        handle = spawn()  # fresh LRU and counters per herd size
+        names = [f"tenant{c}" for c in range(nclients)]
+        batches = {}
 
-    def tenant(name):
-        with ServeClient(handle.address, tenant=name) as client:
-            batches[name] = client.submit(GRID)
+        def tenant(name):
+            with ServeClient(handle.address, tenant=name) as client:
+                batches[name] = client.submit(GRID)
 
-    threads = [threading.Thread(target=tenant, args=(n,)) for n in ("alice", "bob")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert batches["alice"].ok and batches["bob"].ok
-    # Bit-identical across tenants, index by index.
-    for i in range(len(GRID)):
-        assert batches["alice"].wire[i] == batches["bob"].wire[i]
+        threads = [threading.Thread(target=tenant, args=(n,)) for n in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(batches[n].ok for n in names)
+        # Bit-identical across tenants, index by index.
+        for n in names[1:]:
+            assert batches[n].wire == batches[names[0]].wire
 
-    with ServeClient(handle.address) as client:
-        stats = client.stats()
-    unique, total = len(GRID), 2 * len(GRID)
-    assert stats["executed"] == unique
-    counters = stats["counters"]
-    assert counters["serve.admitted"] == total
-    assert (
-        counters.get("serve.deduped", 0) + counters.get("serve.lru_hits", 0)
-        == total - unique
-    )
-    # Per-tenant accounting rode along.
-    assert counters["serve.tenant.alice.completed"] == len(GRID)
-    assert counters["serve.tenant.bob.completed"] == len(GRID)
+        with ServeClient(handle.address) as client:
+            stats = client.stats()
+        unique, total = len(GRID), nclients * len(GRID)
+        assert stats["executed"] == unique, nclients
+        counters = stats["counters"]
+        assert counters["serve.admitted"] == total
+        assert (
+            counters.get("serve.deduped", 0) + counters.get("serve.lru_hits", 0)
+            == total - unique
+        ), nclients
+        # Per-tenant accounting rode along.
+        for n in names:
+            assert counters[f"serve.tenant.{n}.completed"] == len(GRID)
 
 
 def test_overloaded_reply_instead_of_buffering(spawn):
@@ -123,6 +126,13 @@ def test_malformed_batch_rejected_whole(spawn):
         assert "no-such-bench" in batch.message
         batch = client.submit([{"bench": "trapez", "bogus_field": 1}])
         assert batch.status == "error"
+        # A composition the platform refuses is an admission error too,
+        # not a job_error after a pool round trip.
+        batch = client.submit(
+            [GRID[0], {"bench": "trapez", "platform": "dist", "cluster": -1}]
+        )
+        assert batch.status == "error"
+        assert "cluster_size" in batch.message
         stats = client.stats()
     assert stats["executed"] == 0  # admission is all-or-nothing
 

@@ -150,24 +150,35 @@ def test_resource_mutual_exclusion():
 
 
 def test_resource_capacity_two():
-    eng = Engine()
-    res = Resource(eng, capacity=2)
-    active = {"n": 0, "max": 0}
+    def contended(nusers, rounds=1):
+        """*nusers* processes queueing *rounds* times on two slots;
+        returns (most slots ever held, events dispatched)."""
+        eng = Engine()
+        res = Resource(eng, capacity=2)
+        active = {"n": 0, "max": 0}
 
-    def user(eng, res):
-        grant = res.request()
-        yield grant
-        active["n"] += 1
-        active["max"] = max(active["max"], active["n"])
-        yield 5
-        active["n"] -= 1
-        res.release()
+        def user(eng, res):
+            for _ in range(rounds):
+                grant = res.request()
+                yield grant
+                active["n"] += 1
+                active["max"] = max(active["max"], active["n"])
+                yield 5
+                active["n"] -= 1
+                res.release()
 
-    for _ in range(5):
-        eng.process(user(eng, res))
-    eng.run()
-    assert active["max"] == 2
-    assert active["n"] == 0
+        for _ in range(nusers):
+            eng.process(user(eng, res))
+        eng.run()
+        assert active["n"] == 0
+        return active["max"], eng.events_executed
+
+    assert contended(5)[0] == 2
+    # The grant queue under load (the bus arbiter / TSU command port
+    # shape) dispatches events in proportion to the work, whatever the
+    # queue depth: twice the waiters, twice the events.
+    base = contended(64, rounds=200)[1]
+    assert contended(128, rounds=200)[1] == pytest.approx(2 * base, rel=0.02)
 
 
 def test_resource_release_when_idle_rejected():
