@@ -23,7 +23,7 @@ from repro.check.checker import (
     RaceCheckError,
     analyze,
 )
-from repro.check.instrument import CheckSession, instrument, run_checked
+from repro.check.instrument import CheckSession, audit, instrument, run_checked
 from repro.check.recording import CheckedEnvironment, RecordingArray
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "RaceCheckError",
     "analyze",
     "CheckSession",
+    "audit",
     "instrument",
     "run_checked",
     "CheckedEnvironment",

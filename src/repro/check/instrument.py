@@ -25,18 +25,19 @@ before/after the dataflow region and cannot race with anything.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.check.checker import CheckReport, InstanceRecord, analyze
 from repro.check.recording import AccessSink, CheckedEnvironment
+from repro.core.deps import check_deps
 from repro.core.dynamic import Subflow
 from repro.core.dthread import DThreadTemplate
 from repro.core.graph import SynchronizationGraph
 from repro.core.program import DDMProgram
 
-__all__ = ["CheckSession", "instrument", "run_checked"]
+__all__ = ["CheckSession", "audit", "instrument", "run_checked"]
 
 
 class CheckSession(AccessSink):
@@ -127,3 +128,24 @@ def run_checked(program: DDMProgram) -> CheckReport:
     session = instrument(program)
     program.run_sequential()
     return session.report()
+
+
+def audit(
+    build: Callable[[], DDMProgram], label: str, deps: bool, races: bool
+) -> int:
+    """The ``--check-deps`` / ``--check-races`` frontend of both CLIs.
+
+    The two audits compose: static graph diagnosis
+    (:func:`~repro.core.deps.check_deps`), then one recorded functional
+    run (:func:`run_checked`) — each on a fresh ``build()``, since
+    programs are single-run objects.  Prints *label* and the report per
+    audit; the exit status is the worst of them (0 clean, 1 findings).
+    """
+    status = 0
+    for wanted, check in ((deps, check_deps), (races, run_checked)):
+        if wanted:
+            report = check(build())
+            print(f"{label}:")
+            print(report.format())
+            status = max(status, 0 if report.ok else 1)
+    return status

@@ -165,15 +165,16 @@ def main(argv: list[str] | None = None) -> int:
     size = problem_sizes(args.benchmark, platform.target)[args.size]
 
     if args.check_deps or args.check_races:
-        # The two audits compose: static graph diagnosis, then one
-        # recorded functional run (each on a fresh program build).
+        from repro.apps import get_benchmark
+        from repro.check import audit
+
         unroll = args.unroll if isinstance(args.unroll, int) else 0
-        status = 0
-        if args.check_deps:
-            status = max(status, _check_deps(args.benchmark, size, unroll))
-        if args.check_races:
-            status = max(status, _check_races(args.benchmark, size, unroll))
-        return status
+        return audit(
+            lambda: get_benchmark(args.benchmark).build(size, unroll=unroll or 1),
+            f"{args.benchmark} ({size})",
+            args.check_deps,
+            args.check_races,
+        )
 
     if args.unroll == "auto":
         unrolls: tuple[int, ...] | str = "auto"
@@ -232,30 +233,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"tflux-run: error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _check_deps(bench_name: str, size, unroll: int) -> int:
-    """Diagnose the benchmark's declared graph against the derived one."""
-    from repro.apps import get_benchmark
-    from repro.core.deps import check_deps
-
-    prog = get_benchmark(bench_name).build(size, unroll=unroll or 1)
-    report = check_deps(prog)
-    print(f"{bench_name} ({size}):")
-    print(report.format())
-    return 0 if report.ok else 1
-
-
-def _check_races(bench_name: str, size, unroll: int) -> int:
-    """Run once functionally under the dynamic race detector."""
-    from repro.apps import get_benchmark
-    from repro.check import run_checked
-
-    prog = get_benchmark(bench_name).build(size, unroll=unroll or 1)
-    report = run_checked(prog)
-    print(f"{bench_name} ({size}):")
-    print(report.format())
-    return 0 if report.ok else 1
 
 
 def _write_trace(path: str, platform, bench_name: str, size, evaluation) -> None:

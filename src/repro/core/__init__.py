@@ -17,7 +17,9 @@ This subpackage defines the machine-independent entities of §2 and §3:
   arrays, with the region map that lets the timing layer model their cache
   behaviour.
 * :class:`~repro.core.builder.ProgramBuilder` — the construction API used
-  by the preprocessor back-end, the decorator front-end, and the apps.
+  by the preprocessor back-end, the decorator front-end, and the apps;
+  its thread/arc declarations are :class:`~repro.core.graph.GraphBuilder`'s,
+  shared with :class:`~repro.core.dynamic.Subflow`.
 * :mod:`repro.core.regions` — the shared region algebra (byte intervals,
   line tables, segment spaces) used by the dependence deriver and the
   distributed owner map.
@@ -32,7 +34,7 @@ from repro.core.context import Context, CTX_ALL
 from repro.core.dthread import DThreadInstance, DThreadTemplate, ThreadKind
 from repro.core.dynamic import GraphEpoch, Subflow
 from repro.core.environment import Environment
-from repro.core.graph import Arc, GraphError, SynchronizationGraph
+from repro.core.graph import Arc, GraphBuilder, GraphError, SynchronizationGraph
 from repro.core.block import DDMBlock
 from repro.core.program import DDMProgram, ProgramReusedError
 from repro.core.builder import ProgramBuilder
@@ -55,6 +57,7 @@ __all__ = [
     "Subflow",
     "Environment",
     "Arc",
+    "GraphBuilder",
     "GraphError",
     "SynchronizationGraph",
     "DDMBlock",

@@ -7,6 +7,10 @@
   turns ``#pragma ddm`` directives into builder calls, and
 * the decorator front-end (:mod:`repro.frontend`).
 
+Its ``thread`` / ``depends`` / ``cond`` are inherited from
+:class:`~repro.core.graph.GraphBuilder`, the declaration surface it
+shares with :class:`~repro.core.dynamic.Subflow`.
+
 Example
 -------
 >>> from repro.core import ProgramBuilder
@@ -24,93 +28,29 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional
 
-from repro.core.context import Context
-from repro.core.dthread import DThreadTemplate, ThreadKind
 from repro.core.environment import Environment
-from repro.core.graph import SynchronizationGraph
+from repro.core.graph import GraphBuilder
 from repro.core.program import DDMProgram, SequentialSection
 
 __all__ = ["ProgramBuilder"]
 
-TemplateRef = Union[int, DThreadTemplate]
 
+class ProgramBuilder(GraphBuilder):
+    """Accumulates templates, arcs and sequential sections into a program.
 
-class ProgramBuilder:
-    """Accumulates templates, arcs and sequential sections into a program."""
+    ``thread`` / ``depends`` / ``cond`` are
+    :class:`~repro.core.graph.GraphBuilder`'s; this class adds what only
+    a whole program has: the Environment, the sequential sections, arc
+    derivation and :meth:`build`.
+    """
 
     def __init__(self, name: str, env: Optional[Environment] = None) -> None:
-        self.name = name
+        super().__init__(name)
         self.env = env if env is not None else Environment()
-        self.graph = SynchronizationGraph()
-        self._next_tid = 1
         self._prologue: list[SequentialSection] = []
         self._epilogue: list[SequentialSection] = []
-
-    # -- threads -----------------------------------------------------------
-    def thread(
-        self,
-        name: str,
-        body: Optional[Callable[[Environment, Context], None]] = None,
-        contexts: Union[int, Iterable[Context]] = 1,
-        cost: Optional[Callable[[Environment, Context], int]] = None,
-        accesses: Optional[Callable[[Environment, Context], Any]] = None,
-        affinity: Optional[Callable[[Context, int], int]] = None,
-        tid: Optional[int] = None,
-    ) -> DThreadTemplate:
-        """Declare a DThread template.
-
-        *contexts* may be an int (trip count, contexts ``0..n-1``) or an
-        explicit iterable of context values.
-        """
-        if tid is None:
-            tid = self._next_tid
-        self._next_tid = max(self._next_tid, tid + 1)
-        if isinstance(contexts, int):
-            ctxs: Sequence[Context] = tuple(range(contexts))
-        else:
-            ctxs = tuple(contexts)
-        tmpl = DThreadTemplate(
-            tid=tid,
-            name=name,
-            body=body,
-            contexts=ctxs,
-            cost=cost,
-            accesses=accesses,
-            kind=ThreadKind.APPLICATION,
-            affinity=affinity,
-        )
-        return self.graph.add_template(tmpl)
-
-    def depends(
-        self,
-        producer: TemplateRef,
-        consumer: TemplateRef,
-        mapping: Union[str, Callable[[Context], Iterable[Context]]] = "same",
-    ):
-        """Declare that *consumer* consumes data produced by *producer*."""
-        p = producer.tid if isinstance(producer, DThreadTemplate) else producer
-        c = consumer.tid if isinstance(consumer, DThreadTemplate) else consumer
-        return self.graph.add_arc(p, c, mapping)
-
-    def cond(
-        self,
-        producer: TemplateRef,
-        consumer: TemplateRef,
-        key: Any,
-        mapping: Union[str, Callable[[Context], Iterable[Context]]] = "same",
-    ):
-        """Declare a conditional arc, taken when *producer*'s body returns
-        *key*.  Unchosen branches are squashed — see
-        :mod:`repro.core.dynamic` for the exact semantics."""
-        if key is None:
-            raise ValueError(
-                "cond key must not be None (None is the no-branch outcome)"
-            )
-        p = producer.tid if isinstance(producer, DThreadTemplate) else producer
-        c = consumer.tid if isinstance(consumer, DThreadTemplate) else consumer
-        return self.graph.add_arc(p, c, mapping, cond_key=key)
 
     def auto_depends(self, templates: Optional[Iterable[int]] = None):
         """Derive arcs from the threads' declared access summaries.

@@ -490,7 +490,9 @@ def check_deps(program) -> DepsReport:
     """
     graph = program.graph
     derivation = derive(graph, program.env)
-    expanded = graph.expand()
+    # derive() numbers instances exactly as the expansion does (templates
+    # by tid, then contexts): its indices are iids of the cached expansion.
+    expanded = program.expanded()
     report = DepsReport(
         opaque_templates=[graph.template(t).name for t in derivation.opaque]
     )
@@ -533,9 +535,7 @@ def check_deps(program) -> DepsReport:
         for (src, dst) in sorted(derivation.pairs):
             ptid, pctx = derivation.instances[src]
             ctid, cctx = derivation.instances[dst]
-            s = expanded.iid_of(ptid, pctx)
-            d = expanded.iid_of(ctid, cctx)
-            if not reach.ordered(s, d):
+            if not reach.ordered(src, dst):
                 report.missing.append(
                     MissingDep(
                         graph.template(ptid).name,

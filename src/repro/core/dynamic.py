@@ -4,14 +4,15 @@ Static DDM programs fix their Synchronization Graph before execution;
 this module holds the two objects that relax that (the Taskflow-style
 extension of ROADMAP item 3):
 
-* :class:`Subflow` — a miniature graph builder a DThread *body* returns
-  as its outcome.  The scheduler (the TSU at the instant of the
-  completing thread's Post-Processing Phase, or the sequential oracle's
-  fire order) expands it into a fresh graph *epoch*, cuts it into DDM
-  Blocks and splices them after the spawning thread's block.  Because a
-  spawned thread's body may itself return a Subflow, arbitrary
-  data-dependent recursion (QSORT, adaptive quadrature) unrolls at run
-  time.
+* :class:`Subflow` — a miniature graph builder (a
+  :class:`~repro.core.graph.GraphBuilder`, like the program's own
+  builder) a DThread *body* returns as its outcome.  The scheduler (the
+  TSU at the instant of the completing thread's Post-Processing Phase,
+  or the sequential oracle's fire order) expands it into a fresh graph
+  *epoch*, cuts it into DDM Blocks and splices them after the spawning
+  thread's block.  Because a spawned thread's body may itself return a
+  Subflow, arbitrary data-dependent recursion (QSORT, adaptive
+  quadrature) unrolls at run time.
 
 * :class:`GraphEpoch` — the per-expansion bookkeeping for *conditional
   arcs*.  A conditional arc (``Arc.cond_key is not None``) counts in its
@@ -37,22 +38,22 @@ like a cross-block forward arc in a static program.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any
 
-from repro.core.context import Context
-from repro.core.dthread import DThreadTemplate, ThreadKind
-from repro.core.graph import ExpandedGraph, SynchronizationGraph
+from repro.core.graph import ExpandedGraph, GraphBuilder
 
 __all__ = ["Subflow", "GraphEpoch"]
 
 
-class Subflow:
+class Subflow(GraphBuilder):
     """A dynamically spawned sub-graph, built inside a DThread body.
 
-    Mirrors the :class:`~repro.core.builder.ProgramBuilder` thread/arc
-    API (without environment or sequential sections — a subflow shares
-    its program's :class:`~repro.core.environment.Environment`).  Bodies
-    typically close over the data range they should work on::
+    Declares threads and arcs through the same
+    :class:`~repro.core.graph.GraphBuilder` surface as
+    :class:`~repro.core.builder.ProgramBuilder` (without environment or
+    sequential sections — a subflow shares its program's
+    :class:`~repro.core.environment.Environment`).  Bodies typically
+    close over the data range they should work on::
 
         def body(env, ctx):
             if small_enough(env, ctx):
@@ -67,52 +68,7 @@ class Subflow:
     """
 
     def __init__(self, name: str = "subflow") -> None:
-        self.name = name
-        self.graph = SynchronizationGraph()
-        self._next_tid = 1
-
-    # -- construction (mirrors ProgramBuilder) -------------------------------
-    def thread(
-        self,
-        name: str,
-        body: Optional[Callable[[Any, Context], Any]] = None,
-        contexts: Union[int, Iterable[Context]] = 1,
-        cost: Optional[Callable[[Any, Context], int]] = None,
-        accesses: Optional[Callable[[Any, Context], Any]] = None,
-        affinity: Optional[Callable[[Context, int], int]] = None,
-    ) -> DThreadTemplate:
-        tid = self._next_tid
-        self._next_tid += 1
-        if isinstance(contexts, int):
-            ctxs: Sequence[Context] = tuple(range(contexts))
-        else:
-            ctxs = tuple(contexts)
-        tmpl = DThreadTemplate(
-            tid=tid,
-            name=name,
-            body=body,
-            contexts=ctxs,
-            cost=cost,
-            accesses=accesses,
-            kind=ThreadKind.APPLICATION,
-            affinity=affinity,
-        )
-        return self.graph.add_template(tmpl)
-
-    def depends(self, producer, consumer, mapping="same"):
-        p = producer.tid if isinstance(producer, DThreadTemplate) else producer
-        c = consumer.tid if isinstance(consumer, DThreadTemplate) else consumer
-        return self.graph.add_arc(p, c, mapping)
-
-    def cond(self, producer, consumer, key, mapping="same"):
-        """A conditional arc taken when *producer*'s outcome equals *key*."""
-        if key is None:
-            raise ValueError(
-                "cond key must not be None (None is the no-branch outcome)"
-            )
-        p = producer.tid if isinstance(producer, DThreadTemplate) else producer
-        c = consumer.tid if isinstance(consumer, DThreadTemplate) else consumer
-        return self.graph.add_arc(p, c, mapping, cond_key=key)
+        super().__init__(name)
 
     # -- inspection ----------------------------------------------------------
     @property

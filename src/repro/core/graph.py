@@ -20,6 +20,13 @@ callable
 :class:`~repro.core.dthread.DThreadInstance` ids and produces, for each
 instance, its *Ready Count* (number of producer instances) and its
 consumer list — exactly the metadata the Inlet DThread loads into the TSU.
+
+:class:`GraphBuilder` is the one surface on which threads and arcs are
+*declared* (``thread`` / ``depends`` / ``cond``); a whole program
+(:class:`~repro.core.builder.ProgramBuilder`) and a dynamically spawned
+sub-graph (:class:`~repro.core.dynamic.Subflow`) are both built through
+it, the way Taskflow builds ``Taskflow`` and ``Subflow`` through one
+``FlowBuilder``.
 """
 
 from __future__ import annotations
@@ -28,11 +35,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.core.context import CTX_ALL, Context, normalize_context
-from repro.core.dthread import DThreadInstance, DThreadTemplate
+from repro.core.dthread import DThreadInstance, DThreadTemplate, ThreadKind
 
-__all__ = ["Arc", "SynchronizationGraph", "ExpandedGraph", "GraphError"]
+__all__ = [
+    "Arc",
+    "SynchronizationGraph",
+    "ExpandedGraph",
+    "GraphBuilder",
+    "GraphError",
+]
 
 Mapping = Union[str, Callable[[Context], Iterable[Context]]]
+#: A template named by object or by id.
+TemplateRef = Union[int, DThreadTemplate]
 
 
 class GraphError(ValueError):
@@ -265,3 +280,81 @@ class SynchronizationGraph:
             instances, ready, consumers, entry, index, cond_targets
         )
         return graph
+
+
+def _tid(ref: TemplateRef) -> int:
+    return ref.tid if isinstance(ref, DThreadTemplate) else ref
+
+
+class GraphBuilder:
+    """Declares DThread templates and arcs into a :class:`SynchronizationGraph`.
+
+    The shared base of :class:`~repro.core.builder.ProgramBuilder` (which
+    adds the Environment and the sequential sections) and
+    :class:`~repro.core.dynamic.Subflow` (which adds spawn-time
+    expansion).  Template ids are local to one builder's graph.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.graph = SynchronizationGraph()
+        self._next_tid = 1
+
+    def thread(
+        self,
+        name: str,
+        body: Optional[Callable[[Any, Context], Any]] = None,
+        contexts: Union[int, Iterable[Context]] = 1,
+        cost: Optional[Callable[[Any, Context], int]] = None,
+        accesses: Optional[Callable[[Any, Context], Any]] = None,
+        affinity: Optional[Callable[[Context, int], int]] = None,
+        tid: Optional[int] = None,
+    ) -> DThreadTemplate:
+        """Declare a DThread template.
+
+        *body*, *cost* and *accesses* are called as ``f(env, ctx)``.
+        *contexts* may be an int (trip count, contexts ``0..n-1``) or an
+        explicit iterable of context values.  What *body* returns is the
+        instance's *outcome*: ``None``, a branch key (see :meth:`cond`)
+        or a spawned :class:`~repro.core.dynamic.Subflow`.
+        """
+        if tid is None:
+            tid = self._next_tid
+        self._next_tid = max(self._next_tid, tid + 1)
+        if isinstance(contexts, int):
+            contexts = range(contexts)
+        tmpl = DThreadTemplate(
+            tid=tid,
+            name=name,
+            body=body,
+            contexts=tuple(contexts),
+            cost=cost,
+            accesses=accesses,
+            kind=ThreadKind.APPLICATION,
+            affinity=affinity,
+        )
+        return self.graph.add_template(tmpl)
+
+    def depends(
+        self, producer: TemplateRef, consumer: TemplateRef, mapping: Mapping = "same"
+    ) -> Arc:
+        """Declare that *consumer* consumes data produced by *producer*."""
+        return self.graph.add_arc(_tid(producer), _tid(consumer), mapping)
+
+    def cond(
+        self,
+        producer: TemplateRef,
+        consumer: TemplateRef,
+        key: Any,
+        mapping: Mapping = "same",
+    ) -> Arc:
+        """Declare a conditional arc, taken when *producer*'s body returns
+        *key*.  Unchosen branches are squashed — see
+        :mod:`repro.core.dynamic` for the exact semantics."""
+        if key is None:
+            raise ValueError(
+                "cond key must not be None (None is the no-branch outcome)"
+            )
+        return self.graph.add_arc(
+            _tid(producer), _tid(consumer), mapping, cond_key=key
+        )

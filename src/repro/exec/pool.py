@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -229,7 +229,6 @@ def run_jobs(
     specs: Iterable[JobSpec],
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] | object = _ENV_CACHE,
-    executor: Optional[Executor] = None,
 ) -> list[JobOutcome]:
     """Run *specs*, returning outcomes in the order the specs were given.
 
@@ -237,13 +236,6 @@ def run_jobs(
     of :func:`job_count` workers (serially in-process when that is 1).
     The returned list order never depends on completion order, so
     parallel and serial sweeps are interchangeable.
-
-    Passing *executor* reuses a caller-owned persistent pool (built with
-    :func:`pool_context`) instead of spinning one up per call — worker
-    start-up is then amortised across many batches, which is how the
-    long-running server (:mod:`repro.serve`) runs.  Results are
-    bit-identical either way; *jobs* is ignored when *executor* is
-    given (the executor's own worker count applies).
     """
     specs = list(specs)
     if cache is _ENV_CACHE:
@@ -263,12 +255,7 @@ def run_jobs(
         pending.append(i)
 
     if pending:
-        if executor is not None:
-            for i, outcome in zip(
-                pending, executor.map(run_job, [specs[i] for i in pending])
-            ):
-                results[i] = outcome
-        elif njobs > 1 and len(pending) > 1:
+        if njobs > 1 and len(pending) > 1:
             workers = min(njobs, len(pending))
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=pool_context()

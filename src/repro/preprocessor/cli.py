@@ -63,24 +63,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.check_deps or args.check_races:
-            # Both audits compose in one invocation; programs are
-            # single-run objects, so each gets a fresh compile.
-            status = 0
-            if args.check_deps:
-                from repro.core.deps import check_deps
+            from repro.check import audit
 
-                report = check_deps(compile_to_program(source))
-                print(f"{args.input}:")
-                print(report.format())
-                status = max(status, 0 if report.ok else 1)
-            if args.check_races:
-                from repro.check import run_checked
-
-                report = run_checked(compile_to_program(source))
-                print(f"{args.input}:")
-                print(report.format())
-                status = max(status, 0 if report.ok else 1)
-            return status
+            return audit(
+                lambda: compile_to_program(source),
+                args.input,
+                args.check_deps,
+                args.check_races,
+            )
         if args.output:
             Path(args.output).write_text(emit_module(source))
             print(f"wrote {args.output}")

@@ -184,11 +184,7 @@ def _parse_thread_header(rest: str, lineno: int) -> ThreadDirective:
         td.context = int(cm.group(1))
         if td.context < 1:
             raise DDMSyntaxError("context(...) must be >= 1", lineno)
-    for producer, spec, map_expr in _scan_depends(rest, lineno):
-        if spec in ("same", "all"):
-            td.depends.append(Dependence(producer, spec))
-        else:
-            td.depends.append(Dependence(producer, "map", map_expr))
+    td.depends = _scan_depends(rest, lineno)
     for cm in _COND_RE.finditer(rest):
         inner = cm.group(1).strip()
         im = re.match(r"(\d+)\s+(-?\d+)(?:\s+(same|all))?$", inner)
@@ -260,41 +256,26 @@ def _parse_access(kind: str, inner: str, lineno: int) -> AccessClause:
     return AccessClause(kind, var, lo_expr=parts[0], hi_expr=parts[1])
 
 
-def _scan_depends(rest: str, lineno: int):
-    """Extract depends(...) clauses, balancing parentheses (map() specs
-    may contain nested calls like ``map(min(CTX / 2, 7))``)."""
+def _scan_depends(rest: str, lineno: int) -> list[Dependence]:
+    """Parse the depends(...) clauses of a thread header; map() specs
+    may contain nested calls like ``map(min(CTX / 2, 7))``."""
     out = []
-    pos = 0
-    while True:
-        start = rest.find("depends(", pos)
-        if start < 0:
-            return out
-        i = start + len("depends(")
-        depth = 1
-        while i < len(rest) and depth:
-            if rest[i] == "(":
-                depth += 1
-            elif rest[i] == ")":
-                depth -= 1
-            i += 1
-        if depth:
-            raise DDMSyntaxError("unbalanced parentheses in depends(...)", lineno)
-        inner = rest[start + len("depends("):i - 1].strip()
-        pos = i
+    for inner in _scan_clauses(rest, "depends", lineno):
         m = re.match(r"(\d+)\s+(.*)$", inner, re.S)
         if not m:
             raise DDMSyntaxError(f"malformed depends({inner!r})", lineno)
         producer = int(m.group(1))
         spec = m.group(2).strip()
         if spec in ("same", "all"):
-            out.append((producer, spec, None))
+            out.append(Dependence(producer, spec))
         elif spec.startswith("map(") and spec.endswith(")"):
-            out.append((producer, "map", spec[len("map("):-1]))
+            out.append(Dependence(producer, "map", spec[len("map("):-1]))
         else:
             raise DDMSyntaxError(
                 f"dependence spec must be same/all/map(...), got {spec!r}",
                 lineno,
             )
+    return out
 
 
 def split_directives(source: str) -> ProgramSource:

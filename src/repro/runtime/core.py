@@ -9,15 +9,19 @@ notification, span and counter emission — and every backend (the DES
 driver in :mod:`repro.runtime.simdriver`, the OS-thread backend in
 :mod:`repro.runtime.native`, the sequential baseline) supplies only the
 three things that genuinely differ, through the :class:`KernelBackend`
-protocol:
+protocol.  The *functional* half of a DThread — calling its body
+against the program's Environment — is the loop's own business: a
+backend never calls ``template.run``, it only prices the instance that
+just ran (`charge_thread`) and ships the body's outcome to its TSU
+(`complete`).  What a backend supplies:
 
 * a **time source** (`now`) — simulated cycles, ``perf_counter``
   microseconds, or a manual cycle accumulator;
 * a **blocking/wake strategy** (`wait`) — a DES event with the
   lost-wakeup guard, a condition-variable wait, or nothing at all;
-* **cost charging** (`charge_runtime`, plus whatever `run_thread`
-  charges) — adapter/memory-system cycles, wall-clock deltas, or
-  section cost models.
+* **cost charging** (`charge_runtime`, `charge_thread`) —
+  adapter/memory-system cycles, wall-clock deltas, or section cost
+  models.
 
 The loop is a generator so the DES engine can drive it directly: every
 `yield` a backend step performs propagates to the engine (`yield from`).
@@ -61,6 +65,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Protocol
 from repro.tsu.group import Fetch, FetchKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.program import DDMProgram
     from repro.obs import KernelAccount
 
 __all__ = [
@@ -90,6 +95,9 @@ class KernelBackend(Protocol):
     #: Checked at the top of every loop iteration; ``True`` makes the
     #: kernel leave its loop (cooperative shutdown after a peer failed).
     stop_requested: bool
+    #: The program being executed; the loop runs DThread bodies against
+    #: its Environment.
+    program: "DDMProgram"
 
     def now(self, kernel: int) -> float:
         """Current time on this backend's axis (cycles or µs)."""
@@ -112,23 +120,22 @@ class KernelBackend(Protocol):
         """Execute the block's Outlet (SM clear / block sequencing)."""
         ...
 
-    def run_thread(self, kernel: int, fetch: Fetch) -> StepGenerator:
-        """Run the DThread body against the Environment and charge its
-        compute/memory cost on this backend's axis."""
+    def charge_thread(
+        self, kernel: int, fetch: Fetch, since: float
+    ) -> StepGenerator:
+        """Charge the compute/memory cost of the DThread instance the
+        loop just ran (its body started at *since*) on this backend's
+        axis.  Pricing only: the body has already executed."""
         ...
 
-    def resolve_dynamic(self, kernel: int, fetch: Fetch) -> StepGenerator:
-        """Hand the completed DThread's outcome (branch key or spawned
-        Subflow) to the TSU ahead of the completion notification, and
-        charge whatever shipping it costs on this platform (TUB push,
-        posted command stores).  Static threads return ``None`` and this
-        step must cost nothing — static programs execute bit-identically
-        to a build without the hook."""
-        ...
-
-    def notify_completion(self, kernel: int, fetch: Fetch) -> StepGenerator:
+    def complete(self, kernel: int, fetch: Fetch, outcome: Any) -> StepGenerator:
         """Tell the TSU the DThread finished (Post-Processing Phase
-        entry point: posted command, TUB push, or direct call)."""
+        entry point: posted command, TUB push, or direct call), handing
+        it the body's *outcome* — a branch key or spawned Subflow, whose
+        shipping this step also charges (TUB push, posted command
+        stores).  Static threads return ``None``, for which the outcome
+        must cost nothing: static programs execute bit-identically to a
+        build without dynamic graphs."""
         ...
 
     def charge_runtime(self, kernel: int, since: float) -> None:
@@ -217,18 +224,18 @@ def kernel_loop(
             )
             continue
 
-        # FetchKind.THREAD — the application DThread path.  Dynamic
-        # outcomes (branch keys, spawned subflows) ship in the
-        # resolve_dynamic step, sharing the completion's runtime
-        # bracket; for static threads it is a zero-cost no-op and the
-        # bracket is exactly the pre-dynamic one.
+        # FetchKind.THREAD — the application DThread path.  The body
+        # runs here and nowhere else (the functional half); the backend
+        # then prices it and ships its outcome (branch key, spawned
+        # subflow, None for static threads) with the completion, inside
+        # one runtime bracket.
         inst = fetch.instance
         assert inst is not None, "THREAD fetch carries no instance"
         t_thread = backend.now(kernel)
-        yield from backend.run_thread(kernel, fetch)
+        outcome = inst.template.run(backend.program.env, inst.ctx)
+        yield from backend.charge_thread(kernel, fetch, t_thread)
         t0 = backend.now(kernel)
-        yield from backend.resolve_dynamic(kernel, fetch)
-        yield from backend.notify_completion(kernel, fetch)
+        yield from backend.complete(kernel, fetch, outcome)
         backend.charge_runtime(kernel, t0)
         account.dthreads += 1
         backend.emit_span(

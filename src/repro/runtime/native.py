@@ -14,7 +14,10 @@ is the :class:`~repro.runtime.core.KernelBackend` whose time source is
 ``perf_counter`` microseconds and whose wait strategy is a
 ``threading.Condition`` — parking only after re-checking
 ``TSUGroup.has_work`` under the same mutex every ``notify_all`` holds,
-the wake discipline documented in :mod:`repro.runtime.core`.  There is
+the wake discipline documented in :mod:`repro.runtime.core`.  The step
+machine runs each DThread body on the Kernel's own thread, outside that
+mutex; this backend charges the elapsed wall time (``charge_thread``)
+and pushes the outcome through the TUB (``complete``).  There is
 no poll timeout: kernels sleep until a TSU transition (inlet/outlet
 completion, emulator post-processing, error shutdown) notifies them.
 
@@ -80,9 +83,6 @@ class NativeRuntime:
             allow_stealing=allow_stealing,
             root_graph=program.expanded(), tsu_capacity=tsu_capacity,
         )
-        #: Per-kernel outcome of the body just run (each kernel thread
-        #: writes/reads only its own slot; shipped through the TUB).
-        self._outcomes: list[object] = [None] * nkernels
         self.tub = ThreadUpdateBuffer(tub_segments, tub_segment_capacity)
         # One mutex guards TSU state transitions (fetch / inlet / outlet /
         # post-processing application); DThread bodies run outside it.
@@ -155,26 +155,17 @@ class NativeRuntime:
             self._cond.notify_all()
 
     @blocking_step
-    def run_thread(self, kernel: int, fetch: Fetch) -> None:
-        # The body runs without any TSU lock held.
-        inst = fetch.instance
-        t0 = self._now_us()
-        self._outcomes[kernel] = inst.template.run(self.program.env, inst.ctx)
-        self._accounts[kernel].charge_compute(self._now_us() - t0)
+    def charge_thread(self, kernel: int, fetch: Fetch, since: float) -> None:
+        # kernel_loop ran the body with no TSU lock held; its wall time
+        # is the compute charge.
+        self._accounts[kernel].charge_compute(self._now_us() - since)
 
     @blocking_step
-    def resolve_dynamic(self, kernel: int, fetch: Fetch) -> None:
-        # The outcome rides the TUB entry pushed by notify_completion;
-        # the emulator applies it during the Post-Processing Phase.
-        pass
-
-    @blocking_step
-    def notify_completion(self, kernel: int, fetch: Fetch) -> None:
-        # Completion notification goes through the TUB; the emulator
-        # thread performs the Post-Processing Phase and notifies.
+    def complete(self, kernel: int, fetch: Fetch, outcome: object) -> None:
+        # Completion notification and the body's outcome ride one TUB
+        # entry; the emulator thread performs the Post-Processing Phase
+        # (applying the outcome) and notifies.
         assert fetch.local_iid is not None
-        outcome = self._outcomes[kernel]
-        self._outcomes[kernel] = None
         self.tub.push(
             (kernel, fetch.local_iid, outcome), preferred_segment=kernel
         )

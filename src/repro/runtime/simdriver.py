@@ -6,7 +6,10 @@ whose time source is the engine clock, whose wait strategy is a DES
 :class:`~repro.sim.engine.Event` guarded against lost wakeups (the
 discipline documented in :mod:`repro.runtime.core`), and whose cost
 charging flows through the platform's protocol adapter and the machine's
-memory system.  Each Kernel is one engine process running
+memory system.  It never runs a DThread body: the step machine does,
+then asks ``charge_thread`` for the instance's compute/memory price —
+the one producer of that number — and hands the body's outcome to
+``complete``.  Each Kernel is one engine process running
 :func:`~repro.runtime.core.kernel_loop`; the first Kernel's host process
 additionally executes the program's sequential prologue before the
 dataflow region opens and the epilogue after every Kernel exited.
@@ -16,7 +19,8 @@ program on one core of the same machine with no TFlux overheads, exactly
 the paper's §5 baseline definition.  It dispatches through the same step
 machine — its backend feeds the Kernel the program's instances in fire
 order with every protocol step free, so "no TFlux overheads" is a
-backend property, not a separate loop.
+backend property, not a separate loop.  Both backends price sequential
+sections (prologue/epilogue) with the one :func:`_section_cost`.
 """
 
 from __future__ import annotations
@@ -93,9 +97,7 @@ class SimulatedRuntime:
         )
         # Physical-memory accounting: the PS3's 256 MB XDR is small enough
         # to matter (paper §6.3); every shared region must fit.
-        self.main_memory = MainMemory(
-            capacity=machine.dram_bytes, line_size=machine.l1.line_size
-        )
+        self.main_memory = MainMemory(capacity=machine.dram_bytes)
         for region in program.env.regions:
             self.main_memory.allocate(region.size)
         #: One unified per-kernel account (repro.obs) per Kernel: the
@@ -106,10 +108,6 @@ class SimulatedRuntime:
         #: :class:`repro.obs.Tracer`) to keep them.
         self.probe: Probe = tracer if tracer is not None else NULL_PROBE
         self._wait_events: dict[int, Event] = {}
-        #: Per-kernel body outcome, stashed by run_thread and consumed by
-        #: resolve_dynamic/notify_completion later in the same loop
-        #: iteration (at most one in-flight DThread per kernel).
-        self._outcomes: dict[int, object] = {}
         self._ran = False
 
     # -- wake management ------------------------------------------------------
@@ -161,13 +159,10 @@ class SimulatedRuntime:
     def run_outlet(self, kernel: int, fetch: Fetch) -> Generator:
         yield from self.adapter.complete_outlet(kernel, fetch.block)
 
-    def run_thread(self, kernel: int, fetch: Fetch) -> Generator:
-        # Run functionally, then charge the cost models' verdict.
+    def charge_thread(self, kernel: int, fetch: Fetch, since: float) -> Generator:
+        # The cost models' verdict on the instance kernel_loop just ran.
         inst = fetch.instance
         env = self.program.env
-        outcome = inst.template.run(env, inst.ctx)
-        if outcome is not None:
-            self._outcomes[kernel] = outcome
         compute = inst.template.compute_cost(env, inst.ctx)
         summary = inst.template.access_summary(env, inst.ctx)
         memory = self.adapter.thread_memory_cycles(kernel, inst, summary)
@@ -179,35 +174,20 @@ class SimulatedRuntime:
         account.charge_compute(compute)
         account.charge_memory(int(memory))
 
-    def resolve_dynamic(self, kernel: int, fetch: Fetch) -> Generator:
-        outcome = self._outcomes.get(kernel)
-        if outcome is None:
-            return  # static thread: zero DES events, bit-identical timing
+    def complete(self, kernel: int, fetch: Fetch, outcome: object) -> Generator:
         assert fetch.local_iid is not None
-        yield from self.adapter.resolve_dynamic(kernel, fetch.local_iid, outcome)
-
-    def notify_completion(self, kernel: int, fetch: Fetch) -> Generator:
-        assert fetch.local_iid is not None
+        if outcome is not None:  # static threads: zero extra DES events
+            yield from self.adapter.resolve_dynamic(kernel, fetch.local_iid, outcome)
         yield from self.adapter.complete_thread(
-            kernel, fetch.local_iid, fetch.instance,
-            self._outcomes.pop(kernel, None),
+            kernel, fetch.local_iid, fetch.instance, outcome
         )
 
     # -- sequential sections --------------------------------------------------------
-    def _section_cycles(self, section) -> tuple[int, int]:
-        """(compute, memory) cycles of a sequential section on core 0."""
-        compute = int(section.compute_cost(self.program.env))
-        memory = 0
-        if section.accesses is not None:
-            summary = section.accesses(self.program.env)
-            memory = int(self.memsys.run_summary(0, summary))
-        return compute, memory
-
     def _run_sections(self, sections) -> Generator:
         env = self.program.env
         for section in sections:
             section.run(env)
-            compute, memory = self._section_cycles(section)
+            compute, memory = _section_cost(section, env, self.memsys)
             if compute + memory:
                 yield compute + memory
             self.accounts[0].charge_compute(compute)
@@ -290,8 +270,9 @@ class _SequentialBackend:
         self.cycles = 0
         self.account = KernelAccount(0)
         self._fire_order = program.fire_order()
-        #: Outcome of the last body run, sent back into the fire-order
-        #: coroutine at the next fetch (spawns/branches in the oracle).
+        #: Outcome of the last completed body, sent back into the
+        #: fire-order coroutine at the next fetch (spawns/branches in
+        #: the oracle).
         self._last_outcome: object = None
 
     # -- KernelBackend ---------------------------------------------------------
@@ -322,39 +303,42 @@ class _SequentialBackend:
     run_inlet = run_outlet = wait  # fire order has no Inlet/Outlet fetches
 
     @blocking_step
-    def run_thread(self, kernel: int, fetch: Fetch) -> None:
+    def charge_thread(self, kernel: int, fetch: Fetch, since: float) -> None:
         inst = fetch.instance
         env = self.program.env
-        self._last_outcome = inst.template.run(env, inst.ctx)
         compute = int(inst.template.compute_cost(env, inst.ctx))
         memory = int(
             self.memsys.run_summary(0, inst.template.access_summary(env, inst.ctx))
         )
+        self._charge(compute, memory)
+
+    @blocking_step
+    def complete(self, kernel: int, fetch: Fetch, outcome: object) -> None:
+        # No TSU: dependencies are satisfied by the fire order, which
+        # takes the outcome at the next fetch.
+        self._last_outcome = outcome
+
+    def _charge(self, compute: int, memory: int) -> None:
         self.cycles += compute + memory
         self.account.charge_compute(compute)
         self.account.charge_memory(memory)
-
-    @blocking_step
-    def resolve_dynamic(self, kernel: int, fetch: Fetch) -> None:
-        pass  # outcomes flow back through the fire-order coroutine
-
-    @blocking_step
-    def notify_completion(self, kernel: int, fetch: Fetch) -> None:
-        pass  # no TSU: dependencies are satisfied by the fire order
 
     # -- sequential sections ---------------------------------------------------
     def run_section(self, section) -> None:
         env = self.program.env
         section.run(env)
         t0 = self.cycles
-        compute = int(section.compute_cost(env))
-        memory = 0
-        if section.accesses is not None:
-            memory = int(self.memsys.run_summary(0, section.accesses(env)))
-        self.cycles += compute + memory
-        self.account.charge_compute(compute)
-        self.account.charge_memory(memory)
+        self._charge(*_section_cost(section, env, self.memsys))
         self.probe.record(0, section.name, "section", t0, self.cycles)
+
+
+def _section_cost(section, env, memsys) -> tuple[int, int]:
+    """(compute, memory) cycles of a sequential section on core 0."""
+    compute = int(section.compute_cost(env))
+    memory = 0
+    if section.accesses is not None:
+        memory = int(memsys.run_summary(0, section.accesses(env)))
+    return compute, memory
 
 
 def run_sequential_timed(

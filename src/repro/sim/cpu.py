@@ -1,17 +1,19 @@
-"""Simulated CPU core.
+"""Per-core cycle breakdown.
 
 Cores in TFlux run Kernels (the user-level runtime loop).  For the timing
-simulation a core is an accounting entity: it accumulates busy cycles
-(DThread compute + memory stalls + runtime code) and idle cycles (waiting
-on the TSU for a ready DThread), and exposes the utilisation numbers the
-analysis layer reports.
+simulation a core is an accounting entity: busy cycles (DThread compute +
+memory stalls + runtime code) and idle cycles (waiting on the TSU for a
+ready DThread).  :class:`CoreStats` is that breakdown as a record, with
+the utilisation numbers the analysis layer reports; the live accumulator
+every backend charges into is :class:`repro.obs.KernelAccount`, whose
+``snapshot()`` produces it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Core", "CoreStats"]
+__all__ = ["CoreStats"]
 
 
 @dataclass
@@ -35,27 +37,3 @@ class CoreStats:
     def utilisation(self) -> float:
         total = self.total_cycles
         return self.busy_cycles / total if total else 0.0
-
-
-@dataclass
-class Core:
-    """One core of the simulated machine."""
-
-    core_id: int
-    role: str = "compute"  # "compute" | "os" | "tsu" (TFluxSoft emulator)
-    stats: CoreStats = field(default_factory=CoreStats)
-
-    def charge_compute(self, cycles: int) -> None:
-        self.stats.compute_cycles += cycles
-
-    def charge_memory(self, cycles: int) -> None:
-        self.stats.memory_cycles += cycles
-
-    def charge_runtime(self, cycles: int) -> None:
-        self.stats.runtime_cycles += cycles
-
-    def charge_idle(self, cycles: int) -> None:
-        self.stats.idle_cycles += cycles
-
-    def finished_dthread(self) -> None:
-        self.stats.dthreads_executed += 1

@@ -1,10 +1,9 @@
-"""Main-memory (DRAM) model.
+"""Main-memory (DRAM) capacity accounting.
 
 The cache hierarchy charges a flat DRAM access latency per missing line
-(:class:`repro.sim.cache.MemoryConfig.dram_latency`); this module adds the
-machine-level view: capacity accounting (the PS3's 256 MB XDR is small
-enough that the paper had to care) and aggregate bandwidth statistics used
-by the analysis layer.
+(:class:`repro.sim.cache.MemoryConfig.dram_latency`); this module adds
+only the machine-level capacity check: the PS3's 256 MB XDR is small
+enough that the paper had to care (§6.3).
 """
 
 from __future__ import annotations
@@ -16,24 +15,11 @@ __all__ = ["MainMemory"]
 
 @dataclass
 class MainMemory:
-    """A flat memory device with capacity and traffic accounting.
-
-    Parameters
-    ----------
-    capacity:
-        Bytes of physical memory (e.g. ``256 << 20`` for the PS3).
-    latency:
-        Access latency in CPU cycles for one cache line.
-    line_size:
-        Transfer granularity in bytes.
-    """
+    """A flat memory device of *capacity* bytes (e.g. ``256 << 20`` for
+    the PS3) that shared regions are allocated from."""
 
     capacity: int
-    latency: int = 100
-    line_size: int = 64
     _allocated: int = field(default=0, init=False)
-    lines_read: int = field(default=0, init=False)
-    lines_written: int = field(default=0, init=False)
 
     def allocate(self, nbytes: int) -> int:
         """Reserve *nbytes*; returns the base offset.
@@ -50,16 +36,3 @@ class MainMemory:
         base = self._allocated
         self._allocated += nbytes
         return base
-
-    def free_bytes(self) -> int:
-        return self.capacity - self._allocated
-
-    def record_read(self, nbytes: int) -> None:
-        self.lines_read += -(-nbytes // self.line_size)
-
-    def record_write(self, nbytes: int) -> None:
-        self.lines_written += -(-nbytes // self.line_size)
-
-    @property
-    def traffic_bytes(self) -> int:
-        return (self.lines_read + self.lines_written) * self.line_size

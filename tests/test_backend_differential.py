@@ -21,7 +21,13 @@ import pytest
 from repro.apps import get_benchmark, problem_sizes
 from repro.core import ProgramBuilder
 from repro.core.dynamic import Subflow
-from repro.obs import Tracer
+from repro.obs import KernelAccount, Tracer
+from repro.runtime.core import (
+    Fetch,
+    FetchKind,
+    blocking_step,
+    run_kernel_blocking,
+)
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
 from repro.sim.machine import BAGLE_27
@@ -214,3 +220,76 @@ def test_sequential_baseline_accounting(runs):
     assert k.dthreads == r.total_dthreads
     assert k.fetches == k.dthreads + 1
     assert k.waits == 0
+
+
+# -- the step machine owns the functional half ----------------------------------
+class _PricingOnlyBackend:
+    """A minimal blocking KernelBackend with *no* way to run a body: it
+    feeds the program's instances in id order, every step is free, and
+    it logs the pricing/completion calls it receives.  ``now`` is the
+    log length, so ``since`` says where in the log the body started."""
+
+    stop_requested = False
+
+    def __init__(self, program, log):
+        self.program = program
+        self.log = log
+        self._pending = list(program.expanded().instances)
+
+    def now(self, kernel):
+        return len(self.log)
+
+    def charge_runtime(self, kernel, since):
+        pass
+
+    def emit_span(self, kernel, name, kind, start, end):
+        pass
+
+    @blocking_step
+    def fetch(self, kernel):
+        if not self._pending:
+            return Fetch(FetchKind.EXIT)
+        inst = self._pending.pop(0)
+        return Fetch(FetchKind.THREAD, instance=inst, local_iid=inst.iid)
+
+    @blocking_step
+    def charge_thread(self, kernel, fetch, since):
+        self.log.append(("charge", fetch.instance.template.name, since))
+
+    @blocking_step
+    def complete(self, kernel, fetch, outcome):
+        self.log.append(("complete", fetch.instance.template.name, outcome))
+
+
+def test_kernel_loop_runs_bodies_and_hands_outcomes_to_complete():
+    """kernel_loop itself calls each body exactly once, then asks the
+    backend to price it (``charge_thread``) and to complete it with the
+    very object the body returned — None, a branch key, a Subflow."""
+    log = []
+    spawned = Subflow("spawned")
+    spawned.thread("leaf")
+    outcomes = {"static": None, "branch": 7, "spawn": spawned}
+
+    b = ProgramBuilder("protocol")
+    for name, outcome in outcomes.items():
+        def body(env, ctx, name=name, outcome=outcome):
+            assert env is b.env
+            log.append(("body", name))
+            return outcome
+
+        b.thread(name, body=body)
+    backend = _PricingOnlyBackend(b.build(), log)
+    assert not hasattr(backend, "run_thread")
+    account = KernelAccount(0)
+    run_kernel_blocking(backend, 0, account)
+
+    assert [entry[:2] for entry in log] == [
+        (step, name)
+        for name in outcomes
+        for step in ("body", "charge", "complete")
+    ]
+    for i, (name, outcome) in enumerate(outcomes.items()):
+        _, charge, complete = log[3 * i:3 * i + 3]
+        assert charge[2] == 3 * i  # priced from the instant the body started
+        assert complete[2] is outcome  # identity, not equality
+    assert (account.dthreads, account.fetches, account.waits) == (3, 4, 0)

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.context import CTX_ALL, context_range, normalize_context
 from repro.core.dthread import DThreadTemplate, ThreadKind
-from repro.core.graph import GraphError, SynchronizationGraph
+from repro.core.builder import ProgramBuilder
+from repro.core.dynamic import Subflow
+from repro.core.graph import GraphBuilder, GraphError, SynchronizationGraph
 
 
 # -- contexts -----------------------------------------------------------
@@ -201,3 +203,33 @@ def test_layered_graph_expansion_invariants(widths, seed):
     assert eg.ninstances == sum(widths)
     # Entry fringe is exactly the first layer.
     assert sorted(eg.entry) == [eg.iid_of(1, i) for i in range(widths[0])]
+
+
+# -- one declaration surface: ProgramBuilder and Subflow ------------------------
+@pytest.mark.parametrize("make", [ProgramBuilder, Subflow], ids=["program", "subflow"])
+def test_program_and_subflow_declare_through_one_surface(make):
+    """The same thread/depends/cond calls build the same graph whether
+    the receiver is a whole program or a spawnable sub-graph."""
+    b = make("g")
+    assert isinstance(b, GraphBuilder)
+    for method in ("thread", "depends", "cond"):
+        assert getattr(type(b), method) is getattr(GraphBuilder, method)
+
+    src = b.thread("src", contexts=2)
+    mid = b.thread("mid", contexts=2)
+    join = b.thread("join")
+    assert [t.tid for t in (src, mid, join)] == [1, 2, 3]
+    b.depends(src, mid)  # "same", by template
+    b.depends(2, join, "all")  # by id
+    b.cond(src, join, key=1, mapping="all")
+
+    eg = b.graph.expand()
+    eg.check_invariants()
+    assert eg.ready_counts == [0, 0, 1, 1, 4]
+    assert eg.consumers == [[2, 4], [3, 4], [4], [4], []]
+    assert eg.cond_targets == {0: {1: [4]}, 1: {1: [4]}}
+
+    with pytest.raises(ValueError, match="cond key must not be None"):
+        b.cond(src, mid, key=None)
+    with pytest.raises(GraphError, match="declared twice with different mappings"):
+        b.depends(src, mid, "all")

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import get_benchmark
+from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.apps.common import ProblemSize
 from repro.core import GraphError, ProgramBuilder, check_deps, derive
 from repro.core.deps import ContextMap, DerivationError, Reachability
@@ -80,6 +80,16 @@ def test_static_apps_check_clean(bench_name):
     report = check_deps(bench.build(SIZES[bench_name], unroll=2))
     assert report.ok
     assert not report.redundant
+
+
+@pytest.mark.parametrize("unroll", [1, 4])
+@pytest.mark.parametrize("bench_name", sorted(BENCHMARKS))
+def test_derive_numbers_instances_like_the_expansion(bench_name, unroll):
+    """check_deps asks the expansion's Reachability about derive()'s pair
+    indices directly: the two instance numberings must be one."""
+    size = problem_sizes(bench_name, "S")["small"]
+    prog = get_benchmark(bench_name).build(size, unroll=unroll)
+    assert derive(prog.graph, prog.env).index == prog.expanded().index
 
 
 def test_trapez_derived_template_arcs():

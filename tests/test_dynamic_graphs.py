@@ -332,3 +332,46 @@ def test_pragma_spawn_and_cond_end_to_end():
     assert res.env.get("mode") == 10
     assert res.counters["tsu.spawns"] == 1
     assert res.counters["tsu.squashed"] == 1
+
+
+def test_pragma_subflow_arcs_emit_like_program_arcs():
+    """A subflow's map/all/cond arcs — a shape no shipped source has —
+    emit the same registrations the program scope gets, on ``sf``."""
+    from repro.preprocessor import compile_to_program, emit_module
+
+    src = """
+#pragma ddm startprogram name(sfarcs)
+#pragma ddm var int out[4]
+
+#pragma ddm subflow name(kid)
+#pragma ddm thread 1 context(4)
+  out[CTX] = CTX + 1;
+#pragma ddm endthread
+#pragma ddm thread 2 context(2) depends(1 map(CTX / 2))
+  DDMCHOICE = 1;
+#pragma ddm endthread
+#pragma ddm thread 3 depends(2 all) cond(2 1 all)
+  out[0] = out[0] + out[3];
+#pragma ddm endthread
+#pragma ddm endsubflow
+
+#pragma ddm thread 1
+  DDMSPAWN = kid;
+#pragma ddm endthread
+#pragma ddm endprogram
+"""
+    lines = emit_module(src).splitlines()
+    start = lines.index("def _subflow_kid():")
+    assert lines[start:start + 9] == [
+        "def _subflow_kid():",
+        "    sf = Subflow('kid')",
+        '    t1 = sf.thread("kid_1", body=_sf_kid_thread_1, contexts=4)',
+        '    t2 = sf.thread("kid_2", body=_sf_kid_thread_2, contexts=2)',
+        '    t3 = sf.thread("kid_3", body=_sf_kid_thread_3, contexts=1)',
+        "    sf.depends(t1, t2, lambda CTX: [int(_cdiv(CTX, 2))])",
+        "    sf.depends(t2, t3, 'all')",
+        "    sf.cond(t2, t3, 1, 'all')",
+        "    return sf",
+    ]
+    env = compile_to_program(src).run_sequential()
+    np.testing.assert_array_equal(env.array("out"), np.array([5, 2, 3, 4]))

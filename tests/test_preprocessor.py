@@ -144,6 +144,12 @@ def test_split_directives_map_dependence():
     assert dep.mapping == "map" and dep.map_expr == "CTX / 2"
 
 
+def test_depends_inside_longer_identifier_is_not_a_dependence():
+    """depends( is scanned like reads(/writes(: only as a whole word."""
+    prog = split_directives(GOOD.replace("depends(1 all)", "xdepends(1 same)"))
+    assert prog.threads[1].depends == []
+
+
 @pytest.mark.parametrize(
     "mutation, message",
     [
