@@ -14,10 +14,10 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.apps import problem_sizes
-from repro.exec import EvalRequest, evaluate_many
+from repro.exec import UNROLL_LADDER, EvalRequest, evaluate_many
 from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
 
-UNROLLS = (1, 2, 4, 8, 16, 32, 64)
+UNROLLS = UNROLL_LADDER
 MAX_THREADS = 8192
 
 

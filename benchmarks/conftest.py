@@ -27,11 +27,13 @@ import os
 
 import pytest
 
+from repro.exec import UNROLL_LADDER
+
 FULL = bool(int(os.environ.get("TFLUX_BENCH_FULL", "0")))
 
 #: Unroll grids (the paper sweeps 1..64; the reduced grid keeps the
 #: decision points that matter per platform).
-UNROLLS_FULL = (1, 2, 4, 8, 16, 32, 64)
+UNROLLS_FULL = UNROLL_LADDER
 UNROLLS_HARD = UNROLLS_FULL if FULL else (2, 8)
 UNROLLS_SOFT = UNROLLS_FULL if FULL else (8, 32, 64)
 UNROLLS_CELL = UNROLLS_FULL if FULL else (16, 64)

@@ -11,7 +11,6 @@ matches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["PAPER", "PaperReference"]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.apps import problem_sizes
-from repro.exec import EvalRequest, evaluate_many
+from repro.exec import UNROLL_LADDER, EvalRequest, evaluate_many
 from repro.platforms.base import Evaluation, Platform
 
 __all__ = ["FigureGrid", "sweep_figure"]
@@ -49,7 +49,7 @@ def sweep_figure(
     benches: Sequence[str],
     kernel_counts: Sequence[int],
     sizes: Sequence[str] = ("small", "medium", "large"),
-    unrolls: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
+    unrolls: Sequence[int] = UNROLL_LADDER,
     verify: bool = False,
     max_threads: int = 2048,
 ) -> FigureGrid:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Protocol
+from typing import Dict, Protocol
 
 from repro.core.program import DDMProgram
 

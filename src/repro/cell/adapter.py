@@ -40,7 +40,7 @@ from repro.sim.accesses import AccessSummary
 from repro.sim.engine import Engine, Event
 from repro.sim.machine import CellParams
 from repro.tsu.base import ProtocolAdapter
-from repro.tsu.group import Fetch, FetchKind, TSUGroup
+from repro.tsu.group import FetchKind, TSUGroup
 
 __all__ = ["CellCosts", "CellTSUAdapter"]
 

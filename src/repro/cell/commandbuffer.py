@@ -11,7 +11,7 @@ between DThreads" (paper §4.3).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["CommandBuffer", "SharedVariableBuffer", "Command"]

@@ -30,7 +30,7 @@ per-name offsets of :meth:`Environment.scalar_offset` inside the shared
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 

@@ -20,7 +20,8 @@ import argparse
 import os
 
 from repro.apps import BENCHMARKS, problem_sizes
-from repro.exec import ENV_CACHE_DIR, ENV_JOBS, EvalRequest, evaluate_many
+from repro.exec import ENV_CACHE_DIR, ENV_JOBS, UNROLL_LADDER
+from repro.exec import EvalRequest, evaluate_many
 from repro.platforms import PLATFORMS, TOPOLOGIES, TFluxDist, platform_from_name
 from repro.sim.capability import MAX_CORES, MAX_NODES
 
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.unroll:
         unrolls = (args.unroll,)
     else:
-        unrolls = (1, 2, 4, 8, 16, 32, 64)
+        unrolls = UNROLL_LADDER
 
     if args.sweep and args.platform == "dist":
         # On dist the interesting axis is node count, not kernels within

@@ -10,7 +10,7 @@ in dependence declarations.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 __all__ = ["Context", "CTX_ALL", "normalize_context", "context_range"]
 

@@ -27,7 +27,7 @@ purely functional runs (and the native threaded backend) never need them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.context import Context, normalize_context

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Union
 
-from repro.core.context import CTX_ALL, Context, normalize_context
+from repro.core.context import Context, normalize_context
 from repro.core.dthread import DThreadInstance, DThreadTemplate, ThreadKind
 
 __all__ = [

@@ -30,7 +30,7 @@ the owner map keeps (one row per region, lazily created).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class LineTable:
         if row is None:
             row = self.add(region)
         return row
-
-    def rows(self) -> Iterator[np.ndarray]:
-        return iter(self._rows.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._rows

@@ -127,13 +127,10 @@ class ResultCache:
     writes are atomic (temp file + rename) so concurrent workers and
     concurrent harness runs can share one directory.
 
-    ``__len__``/:meth:`stats` read a lazily-built in-memory index that
-    :meth:`put` keeps current, so polling them (the server's stats
-    endpoint does, per reply) costs a dict lookup, not a directory walk.
-    The index deliberately does *not* see entries written by other
-    processes after it was built — call ``stats(refresh=True)`` or
-    :meth:`refresh` when cross-process exactness matters (:meth:`prune`
-    always rescans first).
+    ``__len__``, :meth:`stats` and :meth:`prune` each walk the tree when
+    called, so they see other processes' writes; nothing polls them (the
+    server's stats reply carries only the hit/miss/store counters of
+    :meth:`publish_counters`) — they serve ``tflux-cache``.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -141,8 +138,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: digest -> (size bytes, mtime); None until first scan.
-        self._index: Optional[dict[str, tuple[int, float]]] = None
 
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.pkl"
@@ -200,42 +195,26 @@ class ResultCache:
                 pass
             raise
         self.stores += 1
-        if self._index is not None:
-            try:
-                st = path.stat()
-                self._index[digest] = (st.st_size, st.st_mtime)
-            except OSError:
-                self._index.pop(digest, None)
 
     # -- maintenance ----------------------------------------------------------
     def _scan(self) -> dict[str, tuple[int, float]]:
-        index: dict[str, tuple[int, float]] = {}
+        """``digest -> (size bytes, mtime)`` of every entry on disk now."""
+        entries: dict[str, tuple[int, float]] = {}
         if self.root.exists():
             for path in self.root.glob("*/*.pkl"):
                 try:
                     st = path.stat()
                 except OSError:
                     continue  # raced with a concurrent prune
-                index[path.stem] = (st.st_size, st.st_mtime)
-        return index
-
-    def refresh(self) -> None:
-        """Rebuild the index from disk (pick up other processes' writes)."""
-        self._index = self._scan()
-
-    def _entries(self) -> dict[str, tuple[int, float]]:
-        if self._index is None:
-            self._index = self._scan()
-        return self._index
+                entries[path.stem] = (st.st_size, st.st_mtime)
+        return entries
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return len(self._scan())
 
-    def stats(self, refresh: bool = False) -> dict[str, Any]:
+    def stats(self) -> dict[str, Any]:
         """Entry count / on-disk bytes plus this handle's hit counters."""
-        if refresh:
-            self.refresh()
-        entries = self._entries()
+        entries = self._scan()
         return {
             "root": str(self.root),
             "entries": len(entries),
@@ -253,14 +232,13 @@ class ResultCache:
         """Evict entries until the tree fits *max_bytes* / *max_age*.
 
         Age is mtime-based, in seconds; the size bound evicts
-        oldest-first until the total fits.  Always rescans the tree
-        first so concurrent writers' entries are governed too, and
-        tolerates entries vanishing mid-prune (two prunes may race the
-        same directory).  Returns ``{"removed", "freed_bytes",
-        "remaining", "remaining_bytes"}``.
+        oldest-first until the total fits.  Scans the tree first, so
+        concurrent writers' entries are governed too, and tolerates
+        entries vanishing mid-prune (two prunes may race the same
+        directory).  Returns ``{"removed", "freed_bytes", "remaining",
+        "remaining_bytes"}``.
         """
-        self.refresh()
-        entries = self._entries()
+        entries = self._scan()
         doomed: list[str] = []
         if max_age is not None:
             cutoff = time.time() - max_age

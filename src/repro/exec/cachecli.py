@@ -63,7 +63,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     if args.command == "stats":
-        info = cache.stats(refresh=True)
+        info = cache.stats()
         del info["hits"], info["misses"], info["stores"]  # fresh handle: all 0
         if args.json:
             print(json.dumps(info, indent=1, sort_keys=True))

@@ -10,7 +10,13 @@ invariant (a ``DDMProgram``'s ``Environment`` is mutated by execution)
 is preserved by construction, because a program object never crosses a
 process boundary.
 
-Two job modes exist:
+What a job *is* is written once, on :class:`JobSpec`: its fields, their
+defaults and their legal values (``__post_init__`` refuses an unknown
+``mode``/``check`` and an out-of-range count at construction, for the
+harness and the ``tflux-serve`` wire alike — :mod:`repro.serve.protocol`
+derives its field table from ``dataclasses.fields(JobSpec)``).  What a
+job *does* is written once, in :func:`run_job`: one ``build()``, one
+run, one verification.  Two job modes exist:
 
 * ``"execute"`` — a single parallel run (the ablation grids that sweep
   runtime parameters, and the parallel side of every speedup cell).
@@ -34,6 +40,7 @@ Knobs (both read at call time, so tests can monkeypatch):
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -54,6 +61,7 @@ __all__ = [
     "EvalRequest",
     "UNROLL_LADDER",
     "job_count",
+    "error_pair",
     "pool_context",
     "run_jobs",
     "evaluate_many",
@@ -66,17 +74,16 @@ ENV_JOBS = "TFLUX_JOBS"
 _ENV_CACHE = object()
 
 
-def job_count(jobs: Optional[int] = None) -> int:
-    """Effective worker count: explicit *jobs* or the ``TFLUX_JOBS`` knob."""
-    if jobs is not None:
-        return max(1, int(jobs))
-    raw = os.environ.get(ENV_JOBS, "").strip().lower()
-    if not raw or raw == "0":
-        return 1
-    if raw in ("auto", "max"):
-        return os.cpu_count() or 1
-    n = int(raw)
-    if n < 0:
+def job_count(jobs: Optional[int | str] = None) -> int:
+    """Effective worker count: explicit *jobs*, else the ``TFLUX_JOBS``
+    knob — either spelt as digits or ``auto``/``max`` (every core)."""
+    raw = os.environ.get(ENV_JOBS, "") if jobs is None else jobs
+    if isinstance(raw, str):
+        raw = raw.strip().lower()
+        if raw in ("auto", "max"):
+            return os.cpu_count() or 1
+    n = int(raw or 0)
+    if n < 0 and jobs is None:
         raise ValueError(f"{ENV_JOBS} must be >= 0, got {n}")
     return max(1, n)
 
@@ -117,6 +124,20 @@ class JobSpec:
     #: the cache digest like every other field.
     check: str = ""
 
+    def __post_init__(self) -> None:
+        # The one admission test: the harness gets it at construction,
+        # the wire through ``job_from_wire`` (which prints these texts).
+        if self.mode not in ("execute", "sequential"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.check not in ("", "races"):
+            raise ValueError(
+                f"unknown check {self.check!r} (expected '' or 'races')"
+            )
+        for name in ("nkernels", "unroll", "max_threads", "tsu_capacity"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class JobOutcome:
@@ -141,76 +162,74 @@ class JobOutcome:
         return self.region_cycles or self.cycles
 
 
+def error_pair(exc: BaseException) -> tuple[str, str]:
+    """A failed job as data: ``(fully-qualified exception class, message)``
+    — what ``JobOutcome.error`` holds and a ``job_error`` reply carries."""
+    return f"{type(exc).__module__}.{type(exc).__qualname__}", str(exc)
+
+
 def run_job(spec: JobSpec) -> JobOutcome:
     """Execute one job in this process.
 
-    Builds the program fresh — never reuses a program object — runs
-    the parallel simulation (or the sequential baseline in
-    ``"sequential"`` mode), verifies the functional results against the
-    benchmark oracle while the live ``Environment`` is still at hand,
-    and returns the outcome carrying only the run's RunRecord.
+    The one place a spec becomes a program and a run: ``build()`` makes
+    the program fresh each time it is called (never reuses a program
+    object — the optional race-check gate and the timed run each get
+    their own), the run is the parallel simulation or, in
+    ``"sequential"`` mode, the §5 baseline, and the functional results
+    are verified against the benchmark oracle while the live
+    ``Environment`` is still at hand.  The outcome carries only timing:
+    the baseline's cycles, or the parallel run's RunRecord.
     """
     import repro.apps  # ensures the benchmark registry is populated
 
     bench = repro.apps.get_benchmark(spec.bench)
     platform = spec.platform
+
+    def build():
+        return bench.build(
+            spec.size, unroll=spec.unroll, max_threads=spec.max_threads
+        )
+
     try:
         check_report = None
         if spec.check:
-            if spec.check != "races":
-                raise ValueError(
-                    f"unknown check {spec.check!r}; expected '' or 'races'"
-                )
             from repro.check import RaceCheckError, run_checked
 
-            check_prog = bench.build(
-                spec.size, unroll=spec.unroll, max_threads=spec.max_threads
-            )
-            check_report = run_checked(check_prog)
+            check_report = run_checked(build())
             if not check_report.ok:
                 raise RaceCheckError(check_report)
-        if spec.mode == "sequential":
-            prog = bench.build(
-                spec.size, unroll=spec.unroll, max_threads=spec.max_threads
+        sequential = spec.mode == "sequential"
+        if sequential:
+            run = platform.sequential_baseline(
+                build(), exact_memory=spec.exact_memory
             )
-            seq = platform.sequential_baseline(
-                prog, exact_memory=spec.exact_memory
-            )
-            if spec.verify:
-                bench.verify(prog.env, spec.size)
-            return JobOutcome(
-                cycles=seq.cycles,
-                region_cycles=seq.region_cycles,
-                seq_cycles=seq.region_cycles or seq.cycles,
-            )
-        tracer = None
-        if spec.collect_spans:
-            from repro.obs import Tracer
+        else:
+            tracer = None
+            if spec.collect_spans:
+                from repro.obs import Tracer
 
-            tracer = Tracer()
-        prog = bench.build(spec.size, unroll=spec.unroll, max_threads=spec.max_threads)
-        par = platform.execute(
-            prog,
-            nkernels=spec.nkernels,
-            tsu_capacity=spec.tsu_capacity,
-            exact_memory=spec.exact_memory,
-            allow_stealing=spec.allow_stealing,
-            tracer=tracer,
-        )
+                tracer = Tracer()
+            run = platform.execute(
+                build(),
+                nkernels=spec.nkernels,
+                tsu_capacity=spec.tsu_capacity,
+                exact_memory=spec.exact_memory,
+                allow_stealing=spec.allow_stealing,
+                tracer=tracer,
+            )
         if spec.verify:
-            bench.verify(par.env, spec.size)
+            bench.verify(run.env, spec.size)
+        if sequential:
+            return JobOutcome(
+                run.cycles, run.region_cycles, seq_cycles=run.measured_cycles
+            )
         if check_report is not None:
-            check_report.publish(par.counters)
-        return JobOutcome(
-            cycles=par.cycles,
-            region_cycles=par.region_cycles,
-            result=par.to_record(),
-        )
+            check_report.publish(run.counters)
+        return JobOutcome(run.cycles, run.region_cycles, result=run.to_record())
     except Exception as exc:
         if not spec.capture_errors:
             raise
-        qualname = f"{type(exc).__module__}.{type(exc).__qualname__}"
-        return JobOutcome(0, 0, error=(qualname, str(exc)))
+        return JobOutcome(0, 0, error=error_pair(exc))
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
@@ -324,26 +343,6 @@ def clear_baseline_memo() -> None:
     _BASELINE_MEMO.clear()
 
 
-def _baseline_spec(req: EvalRequest) -> JobSpec:
-    """The canonical §5 baseline job for a figure cell.
-
-    "We compare the parallel execution against the *original* sequential
-    program" — unroll=1, one core, no TFlux overheads.  The spec is
-    independent of the request's kernel count and unroll grid, which is
-    what makes it shareable across a whole sweep.
-    """
-    return JobSpec(
-        platform=req.platform,
-        bench=req.bench,
-        size=req.size,
-        nkernels=1,
-        unroll=1,
-        max_threads=req.max_threads,
-        verify=False,
-        mode="sequential",
-    )
-
-
 def _par_spec(req: EvalRequest, unroll: int) -> JobSpec:
     return JobSpec(
         platform=req.platform,
@@ -353,7 +352,19 @@ def _par_spec(req: EvalRequest, unroll: int) -> JobSpec:
         unroll=unroll,
         max_threads=req.max_threads,
         verify=req.verify,
-        mode="execute",
+    )
+
+
+def _baseline_spec(req: EvalRequest) -> JobSpec:
+    """The canonical §5 baseline job for a figure cell.
+
+    "We compare the parallel execution against the *original* sequential
+    program" — unroll=1, one core, no TFlux overheads.  The spec is
+    independent of the request's kernel count and unroll grid, which is
+    what makes it shareable across a whole sweep.
+    """
+    return dataclasses.replace(
+        _par_spec(req, 1), nkernels=1, verify=False, mode="sequential"
     )
 
 
@@ -396,96 +407,74 @@ def evaluate_many(
     Each unroll's speedup is measured against that baseline; ties keep
     the earliest unroll.
 
-    ``unrolls="auto"`` cells start with the :data:`_AUTO_PROBES` rungs in
-    the same first batch, then refine in batched rounds: each round
-    simulates, for every still-active auto cell, the unevaluated ladder
-    neighbours of its current best — all cells' round jobs share one
-    pool invocation and one cache pass.
+    Every round is the same loop body — simulate what the cells still
+    want, settle the baselines this call leads, scatter the outcomes,
+    ask the auto cells what they want next.  Round 0 is every
+    explicit grid, the :data:`_AUTO_PROBES` rungs of every
+    ``unrolls="auto"`` cell and the baselines no one has memoised yet,
+    in one pool invocation and one cache pass; each later round is, for
+    every auto cell not yet bracketed, the unevaluated ladder neighbours
+    of its current best.
     """
     requests = list(requests)
     if cache is _ENV_CACHE:
         cache = cache_from_env()
-    grids: list[Optional[tuple[int, ...]]] = []
-    for req in requests:
-        if isinstance(req.unrolls, str):
-            if req.unrolls != "auto":
-                raise ValueError(
-                    f"unrolls must be a tuple of factors or 'auto', "
-                    f"got {req.unrolls!r}"
-                )
-            grids.append(None)
-        else:
-            grids.append(tuple(req.unrolls))
+    todo: list[tuple[int, int]] = []
+    for cell, req in enumerate(requests):
+        if isinstance(req.unrolls, str) and req.unrolls != "auto":
+            raise ValueError(
+                f"unrolls must be a tuple of factors or 'auto', "
+                f"got {req.unrolls!r}"
+            )
+        grid = _AUTO_PROBES if req.unrolls == "auto" else req.unrolls
+        todo += [(cell, unroll) for unroll in grid]
 
-    par_specs: list[JobSpec] = []
-    slices: list[tuple[int, int]] = []
-    for req, grid in zip(requests, grids):
-        start = len(par_specs)
-        for unroll in (grid if grid is not None else _AUTO_PROBES):
-            par_specs.append(_par_spec(req, unroll))
-        slices.append((start, len(par_specs)))
-
-    # One baseline job per distinct cell not already memoised; baselines
-    # ride in the same run_jobs call as the parallel specs so the whole
-    # batch shares one pool (and one cache pass).
-    seq_digests: list[str] = []
-    seq_futures: dict[str, Future] = {}
-    seq_position: dict[str, int] = {}
-    seq_specs: list[JobSpec] = []
-    owned: list[str] = []
-    for req in requests:
-        spec = _baseline_spec(req)
+    # One claim per request: the memo answers with a finished baseline,
+    # another caller's flight, or makes this call the leader — and a
+    # second claim of a digest this call already leads just coalesces.
+    # Every spec is built before the first claim, so a request JobSpec
+    # refuses cannot strand a flight an earlier request already leads.
+    baselines: list[Future] = []
+    owned: dict[str, JobSpec] = {}
+    for spec in [_baseline_spec(req) for req in requests]:
         digest = spec_digest(spec)
-        seq_digests.append(digest)
-        if digest not in seq_futures:
-            fut, leader = _BASELINE_MEMO.claim(digest)
-            seq_futures[digest] = fut
-            if leader:
-                owned.append(digest)
-                seq_position[digest] = len(seq_specs)
-                seq_specs.append(spec)
+        fut, leader = _BASELINE_MEMO.claim(digest)
+        baselines.append(fut)
+        if leader:
+            owned[digest] = spec
 
-    try:
-        outcomes = run_jobs(par_specs + seq_specs, jobs=jobs, cache=cache)
-    except BaseException as exc:
-        for digest in owned:
-            _BASELINE_MEMO.reject(digest, exc)
-        raise
-    seq_outcomes = outcomes[len(par_specs):]
-    for digest, pos in seq_position.items():
-        _BASELINE_MEMO.resolve(digest, seq_outcomes[pos])
-
-    evaluated: list[dict[int, JobOutcome]] = [
-        dict(zip(grid if grid is not None else _AUTO_PROBES, outcomes[a:b]))
-        for grid, (a, b) in zip(grids, slices)
-    ]
-
-    # Adaptive refinement rounds, batched across every auto cell.
-    active = [i for i, grid in enumerate(grids) if grid is None]
-    while active:
-        round_specs: list[JobSpec] = []
-        owners: list[tuple[int, int]] = []
-        still: list[int] = []
-        for i in active:
-            seq_cycles = seq_futures[seq_digests[i]].result().seq_cycles
-            assert seq_cycles is not None
-            frontier = _auto_frontier(evaluated[i], seq_cycles)
-            if frontier:
-                still.append(i)
-                for unroll in frontier:
-                    round_specs.append(_par_spec(requests[i], unroll))
-                    owners.append((i, unroll))
-        if not round_specs:
-            break
-        for (i, unroll), outcome in zip(
-            owners, run_jobs(round_specs, jobs=jobs, cache=cache)
-        ):
-            evaluated[i][unroll] = outcome
-        active = still
+    evaluated: list[dict[int, JobOutcome]] = [{} for _ in requests]
+    # ``or owned``: a call with nothing to simulate still runs and
+    # settles the flights it leads, or their other waiters would hang.
+    while todo or owned:
+        try:
+            outcomes = run_jobs(
+                [_par_spec(requests[cell], unroll) for cell, unroll in todo]
+                + list(owned.values()),
+                jobs=jobs,
+                cache=cache,
+            )
+        except BaseException as exc:
+            for digest in owned:
+                _BASELINE_MEMO.reject(digest, exc)
+            raise
+        for digest, outcome in zip(owned, outcomes[len(todo):]):
+            _BASELINE_MEMO.resolve(digest, outcome)
+        for (cell, unroll), outcome in zip(todo, outcomes):
+            evaluated[cell][unroll] = outcome
+        owned = {}
+        todo = [
+            (cell, unroll)
+            for cell, req in enumerate(requests)
+            if req.unrolls == "auto"
+            for unroll in _auto_frontier(
+                evaluated[cell], baselines[cell].result().seq_cycles
+            )
+        ]
 
     return [
-        _assemble(req, evaluated[i], seq_futures[seq_digests[i]].result())
-        for i, req in enumerate(requests)
+        _assemble(req, evaluated[cell], baselines[cell].result())
+        for cell, req in enumerate(requests)
     ]
 
 

@@ -90,7 +90,3 @@ class RegionOwnerMap:
                         pulls[src] = pulls.get(src, 0) + count * self.line_size
                     copies[idx] |= np.where(remote, mybit, np.uint64(0))
         return pulls
-
-    def lines_owned_by(self, node: int) -> int:
-        """Diagnostic: lines whose last writer is *node*."""
-        return int(sum((o == node).sum() for o in self._owner.rows()))

@@ -16,10 +16,11 @@ report the speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.apps.common import Benchmark, ProblemSize
 from repro.core.program import DDMProgram
+from repro.exec import UNROLL_LADDER, EvalRequest, evaluate_many
 from repro.obs import Probe, RunRecord
 from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
 from repro.runtime.stats import RunResult
@@ -134,7 +135,7 @@ class Platform:
         bench: Benchmark,
         size: ProblemSize,
         nkernels: int,
-        unrolls: "Sequence[int] | str" = (1, 2, 4, 8, 16, 32, 64),
+        unrolls: "Sequence[int] | str" = UNROLL_LADDER,
         verify: bool = True,
         max_threads: int = 4096,
     ) -> Evaluation:
@@ -153,8 +154,6 @@ class Platform:
         local refinement over the standard ladder, same winner as the
         full grid in fewer simulations.
         """
-        from repro.exec import EvalRequest, evaluate_many
-
         request = EvalRequest(
             platform=self,
             bench=bench.name,

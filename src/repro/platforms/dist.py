@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.program import DDMProgram
 from repro.net.message import NetParams
 from repro.net.topology import Topology
-from repro.obs import Probe
 from repro.platforms.base import Platform
-from repro.runtime.stats import RunResult
 from repro.sim.capability import check_nodes
 from repro.sim.engine import Engine
 from repro.sim.machine import MachineConfig, XEON_8
@@ -37,7 +34,6 @@ from repro.tsu.base import ProtocolAdapter
 from repro.tsu.dist import DistTSUAdapter
 from repro.tsu.group import TSUGroup
 from repro.tsu.hier import HierDistTSUAdapter
-from repro.tsu.policy import PlacementPolicy, contiguous_placement
 from repro.tsu.software import SoftTSUCosts
 
 __all__ = ["TFluxDist"]
@@ -51,6 +47,11 @@ class TFluxDist(Platform):
     TSU fan-out to the hierarchical cluster-head relay of
     :class:`~repro.tsu.hier.HierDistTSUAdapter` (``None`` keeps the flat
     point-to-point adapter).
+
+    ``execute`` is :meth:`Platform.execute`, unchanged: the two things a
+    multi-node run cannot do — steal work across nodes, run with fewer
+    kernels than nodes — are refused by the adapter's constructor
+    (``ValueError``, before the program is claimed).
     """
 
     target = "N"
@@ -94,33 +95,4 @@ class TFluxDist(Platform):
         return lambda engine, tsu: DistTSUAdapter(
             engine, tsu, nnodes=nnodes, costs=costs, net_params=net,
             topology=topology,
-        )
-
-    def execute(
-        self,
-        program: DDMProgram,
-        nkernels: int,
-        tsu_capacity: Optional[int] = None,
-        exact_memory: bool = False,
-        allow_stealing: bool = False,
-        placement: PlacementPolicy = contiguous_placement,
-        tracer: Optional[Probe] = None,
-    ) -> RunResult:
-        if allow_stealing and self.nnodes > 1:
-            raise ValueError(
-                "tfluxdist cannot steal across nodes; use allow_stealing=False"
-            )
-        if nkernels < self.nnodes:
-            raise ValueError(
-                f"need at least one kernel per node ({self.nnodes} nodes, "
-                f"{nkernels} kernels requested)"
-            )
-        return super().execute(
-            program,
-            nkernels,
-            tsu_capacity=tsu_capacity,
-            exact_memory=exact_memory,
-            allow_stealing=allow_stealing,
-            placement=placement,
-            tracer=tracer,
         )

@@ -37,10 +37,6 @@ class Num:
 
     literal: str
 
-    @property
-    def is_float(self) -> bool:
-        return any(c in self.literal for c in ".eE")
-
 
 @dataclass(frozen=True)
 class Str:

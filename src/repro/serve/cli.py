@@ -39,14 +39,8 @@ def _address(args: argparse.Namespace) -> "tuple[str, int] | str":
     return (host or "127.0.0.1", int(port))
 
 
-def _worker_count(raw: str) -> int:
-    if raw.lower() in ("auto", "max"):
-        return os.cpu_count() or 1
-    return max(1, int(raw))
-
-
 def main_serve(argv: Optional[list[str]] = None) -> int:
-    from repro.exec import ENV_CACHE_DIR
+    from repro.exec import ENV_CACHE_DIR, job_count
     from repro.serve.server import ServeConfig, TFluxServer
 
     parser = argparse.ArgumentParser(
@@ -58,7 +52,7 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--unix", default=None, metavar="PATH",
                         help="listen on a Unix socket instead of TCP")
     defaults = ServeConfig()
-    parser.add_argument("--workers", type=_worker_count, default=defaults.workers,
+    parser.add_argument("--workers", type=job_count, default=defaults.workers,
                         help="worker processes ('auto' = all cores)")
     parser.add_argument("--lru", type=int, default=defaults.lru_capacity,
                         help="in-memory LRU capacity (outcomes)")
@@ -107,6 +101,8 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
 
 
 def main_submit(argv: Optional[list[str]] = None) -> int:
+    from repro.apps.common import SIZE_LABELS
+    from repro.platforms import PLATFORMS
     from repro.serve.client import ServeClient
     from repro.serve.protocol import job_to_wire
 
@@ -118,10 +114,8 @@ def main_submit(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--connect", default="127.0.0.1:7077", metavar="HOST:PORT")
     parser.add_argument("--unix", default=None, metavar="PATH")
     parser.add_argument("--tenant", default="")
-    parser.add_argument("--platform", default="hard",
-                        choices=("hard", "soft", "cell", "dist"))
-    parser.add_argument("--size", default="small",
-                        choices=("small", "medium", "large"))
+    parser.add_argument("--platform", default="hard", choices=tuple(PLATFORMS))
+    parser.add_argument("--size", default="small", choices=SIZE_LABELS)
     parser.add_argument("--kernels", default="0",
                         help="comma-separated kernel counts (0 = platform max)")
     parser.add_argument("--unroll", default="1",

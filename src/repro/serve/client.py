@@ -13,14 +13,13 @@ reassembled in submission order.
 
 from __future__ import annotations
 
-import json
 import socket
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.exec.pool import JobOutcome
-from repro.serve.protocol import outcome_from_wire
+from repro.serve.protocol import decode, encode, outcome_from_wire
 
 __all__ = ["BatchResult", "ServeClient"]
 
@@ -75,16 +74,14 @@ class ServeClient:
 
     # -- protocol I/O ---------------------------------------------------------
     def _write(self, message: dict[str, Any]) -> None:
-        self._file.write(
-            json.dumps(message, separators=(",", ":")).encode() + b"\n"
-        )
+        self._file.write(encode(message))
         self._file.flush()
 
     def _read(self) -> dict[str, Any]:
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        return decode(line)
 
     # -- API ------------------------------------------------------------------
     def submit(

@@ -27,7 +27,10 @@ Server → client::
 label, kernel count, unroll, ...) that the server turns into a
 :class:`~repro.exec.pool.JobSpec` via the benchmark/platform registries
 — a program object never crosses the wire, preserving the single-run
-invariant exactly as the process pool does.  ``OUTCOME`` is the JSON
+invariant exactly as the process pool does.  Its field table is derived
+from the dataclass (:data:`_JOB_DEFAULTS`), and what makes a job legal
+is decided by ``JobSpec.__post_init__`` — this module types neither a
+second time.  ``OUTCOME`` is the JSON
 form of a :class:`~repro.exec.pool.JobOutcome` whose ``record`` is
 ``RunRecord.to_json_dict()`` — the schema-versioned telemetry payload,
 bit-identical round-tripped, never program state.
@@ -35,6 +38,7 @@ bit-identical round-tripped, never program state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -81,48 +85,46 @@ def decode(line: bytes) -> dict[str, Any]:
 
 # -- job descriptions ----------------------------------------------------------
 
+#: Every wire field of a job and its default.  Six fields are *named*:
+#: the server resolves them through the platform and size registries
+#: (``nodes``/``topology``/``cluster`` shape ``dist`` only), and the wire
+#: defaults ``unroll``.  Every other :class:`JobSpec` field with a
+#: default is a wire field of the same name, default and type — a new
+#: run option is a new ``JobSpec`` field and nothing here.
 _JOB_DEFAULTS = {
     "platform": "hard",
     "size": "small",
     "nkernels": 0,  # 0 = platform max
     "unroll": 1,
-    "max_threads": 4096,
-    "verify": False,
-    "mode": "execute",
-    "tsu_capacity": None,
-    "exact_memory": False,
-    "allow_stealing": False,
-    "collect_spans": False,
-    "capture_errors": False,
-    "check": "",
-    # dist-only extras
     "nodes": 2,
     "topology": "mesh",
     "cluster": 0,
+    **{
+        f.name: f.default
+        for f in dataclasses.fields(JobSpec)
+        if f.default is not dataclasses.MISSING
+    },
 }
 
 
-def _build_platform(wire: dict[str, Any]):
-    from repro.platforms import platform_from_name
-
-    try:
-        return platform_from_name(
-            wire.get("platform", _JOB_DEFAULTS["platform"]),
-            nodes=int(wire.get("nodes", _JOB_DEFAULTS["nodes"])),
-            topology=wire.get("topology", _JOB_DEFAULTS["topology"]),
-            cluster=int(wire.get("cluster", _JOB_DEFAULTS["cluster"])),
-        )
-    except (TypeError, ValueError) as exc:  # DirectoryCapacityError included
-        raise WireError(str(exc)) from None
+def _coerce(value: Any, default: Any) -> Any:
+    """A wire value as the type of its field's default (a ``None``
+    default is an optional int)."""
+    if default is None:
+        return None if value is None else int(value)
+    return type(default)(value)
 
 
 def job_from_wire(wire: dict[str, Any]) -> JobSpec:
     """Turn a declarative wire job into a picklable :class:`JobSpec`.
 
-    Raises :class:`WireError` on any unknown benchmark/platform/size or
-    malformed field — admission rejects the batch before anything runs.
+    Raises :class:`WireError` for an unknown benchmark/platform/size, a
+    malformed field, a value :class:`JobSpec` refuses (unknown mode or
+    check, a count below 1) or more kernels than the platform has —
+    admission rejects the batch before anything runs.
     """
     import repro.apps  # benchmark registry
+    from repro.platforms import platform_from_name
 
     if not isinstance(wire, dict):
         raise WireError("job must be an object")
@@ -132,53 +134,38 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
     bench = wire.get("bench")
     if bench not in repro.apps.BENCHMARKS:
         raise WireError(f"unknown benchmark {bench!r}")
-    platform = _build_platform(wire)
-    label = wire.get("size", _JOB_DEFAULTS["size"])
-    sizes = repro.apps.problem_sizes(bench, platform.target)
-    if label not in sizes:
-        raise WireError(f"unknown size {label!r} (have {sorted(sizes)})")
-    mode = wire.get("mode", "execute")
-    if mode not in ("execute", "sequential"):
-        raise WireError(f"unknown mode {mode!r}")
-    check = wire.get("check", "")
-    if check not in ("", "races"):
-        raise WireError(f"unknown check {check!r} (expected '' or 'races')")
-    tsu_capacity = wire.get("tsu_capacity")
     try:
+        fields = dict(_JOB_DEFAULTS)
+        for name in wire.keys() - {"bench"}:
+            fields[name] = _coerce(wire[name], fields[name])
+        platform = platform_from_name(
+            fields.pop("platform"),
+            nodes=fields.pop("nodes"),
+            topology=fields.pop("topology"),
+            cluster=fields.pop("cluster"),
+        )  # DirectoryCapacityError is a ValueError
+        sizes = repro.apps.problem_sizes(bench, platform.target)
+        label = fields.pop("size")
+        if label not in sizes:
+            raise WireError(f"unknown size {label!r} (have {sorted(sizes)})")
+        nkernels = fields.pop("nkernels") or platform.max_kernels
+        if nkernels > platform.max_kernels:
+            raise WireError(
+                f"{platform.name} offers at most {platform.max_kernels} "
+                f"kernels ({nkernels} requested)"
+            )
         return JobSpec(
-            platform=platform,
-            bench=bench,
-            size=sizes[label],
-            nkernels=int(wire.get("nkernels", 0)) or platform.max_kernels,
-            unroll=int(wire.get("unroll", 1)),
-            max_threads=int(wire.get("max_threads", _JOB_DEFAULTS["max_threads"])),
-            verify=bool(wire.get("verify", False)),
-            mode=mode,
-            tsu_capacity=None if tsu_capacity is None else int(tsu_capacity),
-            exact_memory=bool(wire.get("exact_memory", False)),
-            allow_stealing=bool(wire.get("allow_stealing", False)),
-            collect_spans=bool(wire.get("collect_spans", False)),
-            capture_errors=bool(wire.get("capture_errors", False)),
-            check=check,
+            platform=platform, bench=bench, size=sizes[label],
+            nkernels=nkernels, **fields,
         )
     except (TypeError, ValueError) as exc:
-        raise WireError(f"malformed job field: {exc}") from None
+        raise WireError(str(exc)) from None
 
 
-def job_to_wire(
-    bench: str,
-    *,
-    platform: str = "hard",
-    size: str = "small",
-    nkernels: int = 0,
-    unroll: int = 1,
-    **extras: Any,
-) -> dict[str, Any]:
+def job_to_wire(bench: str, **fields: Any) -> dict[str, Any]:
     """Client-side helper: a wire job dict with defaults elided."""
     wire: dict[str, Any] = {"bench": bench}
-    for key, value in dict(
-        platform=platform, size=size, nkernels=nkernels, unroll=unroll, **extras
-    ).items():
+    for key, value in fields.items():
         if key not in _JOB_DEFAULTS:
             raise WireError(f"unknown job field {key!r}")
         if value != _JOB_DEFAULTS[key]:

@@ -56,7 +56,7 @@ from functools import partial
 from typing import Any, Optional
 
 from repro.exec.cache import ResultCache, cache_from_env, spec_digest
-from repro.exec.pool import JobSpec, pool_context, run_job
+from repro.exec.pool import JobSpec, error_pair, pool_context, run_job
 from repro.exec.singleflight import SingleFlightLRU
 from repro.obs import Counters
 from repro.serve.protocol import (
@@ -381,13 +381,12 @@ class TFluxServer:
         batch = job.batch
         error = flight.exception()
         if error is not None:
-            qualname = f"{type(error).__module__}.{type(error).__qualname__}"
             batch.conn.send(
                 {
                     "type": "job_error",
                     "batch_id": batch.batch_id,
                     "index": job.index,
-                    "error": [qualname, str(error)],
+                    "error": list(error_pair(error)),
                 }
             )
         else:

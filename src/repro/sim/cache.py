@@ -30,8 +30,8 @@ this simplification does not change any reported shape.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.sim.accesses import AccessSummary, RegionSpace, _RangeOp
 
@@ -145,9 +145,6 @@ class CacheLevel:
         s = self._set_for(line_addr)
         return s.pop(line_addr, None)
 
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
-
     def __contains__(self, line_addr: int) -> bool:
         return self.lookup(line_addr, touch=False) is not None
 
@@ -174,16 +171,6 @@ class CacheStats:
         self.writebacks += other.writebacks
         self.accesses += other.accesses
         self.cycles += other.cycles
-
-    @property
-    def l1_hit_rate(self) -> float:
-        return self.l1_hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return 1.0 - self.l1_hit_rate
 
 
 class CoherentMemorySystem:

@@ -20,7 +20,7 @@ instances of these configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.sim.accesses import RegionSpace

@@ -12,7 +12,8 @@ This interface is the sim backend's half of the Kernel step-machine
 contract: the driver's :class:`~repro.runtime.core.KernelBackend` steps
 map one-to-one onto adapter generators (``fetch`` → :meth:`fetch`,
 ``run_inlet``/``run_outlet`` → :meth:`complete_inlet`/:meth:`complete_outlet`,
-``notify_completion`` → :meth:`complete_thread`).  Adapters therefore
+``complete`` → :meth:`resolve_dynamic` for a dynamic outcome, then
+:meth:`complete_thread`).  Adapters therefore
 carry the wake side of the discipline documented in
 :mod:`repro.runtime.core`: any transition that can ready work must call
 :attr:`ProtocolAdapter.wake_kernels` at the simulated time it applies.

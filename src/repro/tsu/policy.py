@@ -15,7 +15,7 @@ one of its producers).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.block import DDMBlock
 

@@ -9,7 +9,7 @@ DThread instance assigned to its kernel, plus that kernel's ready queue.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.dthread import DThreadInstance
@@ -141,7 +141,3 @@ class SynchronizationMemory:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def ready_count_sum(self) -> int:
-        return sum(e.ready_count for e in self._entries.values())

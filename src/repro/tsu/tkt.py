@@ -79,9 +79,6 @@ class NodeThreadToKernelTable(ThreadToKernelTable):
         """Extend a freshly built per-block TKT with the node dimension."""
         return cls(tkt.assignment, tkt.nkernels, nnodes)
 
-    def node_of_kernel(self, kernel: int) -> int:
-        return self._node_of_kernel[kernel]
-
     def node_of(self, local_iid: int) -> int:
         """Node whose TSU shard holds this DThread's Ready Count."""
         return self._node_of_kernel[self._table[local_iid]]

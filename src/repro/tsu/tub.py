@@ -9,17 +9,16 @@ kernel writes into the TUB, it uses the first available segment using
 try/lock, a non-blocking technique which locks an entity only if it is
 available" (paper §4.2).
 
-This implementation is used directly (with real locks) by the native
-threaded backend, and as the functional store behind the DES timing
-adapter for TFluxSoft (which models segment contention with a capacity
-resource and charges the observed retry counts).
+This implementation is used (with real locks) by the native threaded
+backend only.  The DES adapter for TFluxSoft does not hold one: its
+:class:`~repro.tsu.software.EmulatorShard` keeps a plain ``deque`` and
+models segment contention with a capacity resource.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 __all__ = ["TUBFullError", "ThreadUpdateBuffer"]
 

@@ -105,3 +105,123 @@ def test_frontier_plateau_slides_left():
 def test_frontier_initial_probes_cover_ladder_extremes():
     assert _AUTO_PROBES[0] == UNROLL_LADDER[0]
     assert _AUTO_PROBES[-1] == UNROLL_LADDER[-1]
+
+
+# -- the §5 loop's call sequence -----------------------------------------------
+def _record_run_jobs(monkeypatch):
+    """Let ``evaluate_many`` run for real, keeping each ``run_jobs`` call's
+    spec list and outcomes."""
+    from repro.exec import pool
+
+    calls = []
+    real = pool.run_jobs
+
+    def recording(specs, jobs=None, cache=None):
+        specs = list(specs)
+        outcomes = real(specs, jobs=jobs, cache=cache)
+        calls.append((specs, outcomes))
+        return outcomes
+
+    monkeypatch.setattr(pool, "run_jobs", recording)
+    return calls
+
+
+def _cell(spec):
+    return (spec.platform.name, spec.nkernels, spec.unroll, spec.mode)
+
+
+def test_evaluate_many_call_sequence(monkeypatch):
+    """Round 0 is every cell's par specs in request order (explicit grid
+    or the auto probes) followed by one baseline per distinct (platform,
+    bench, size); every later round is exactly the frontier of each auto
+    cell, in request order; the loop stops when every frontier is empty."""
+    calls = _record_run_jobs(monkeypatch)
+    hard, soft, size = TFluxHard(), TFluxSoft(), SIZES["trapez"]
+    requests = [
+        EvalRequest(hard, "trapez", size, 4, unrolls=(2, 8)),
+        EvalRequest(hard, "trapez", size, 8, unrolls="auto"),
+        EvalRequest(hard, "trapez", size, 2, unrolls="auto"),
+        EvalRequest(soft, "trapez", size, 4, unrolls=(1,)),
+    ]
+    evaluations = evaluate_many(requests, jobs=1, cache=None)
+
+    first, outcomes = calls[0]
+    par = [
+        ("tfluxhard", 4, 2, "execute"), ("tfluxhard", 4, 8, "execute"),
+        *[("tfluxhard", 8, u, "execute") for u in _AUTO_PROBES],
+        *[("tfluxhard", 2, u, "execute") for u in _AUTO_PROBES],
+        ("tfluxsoft", 4, 1, "execute"),
+    ]
+    assert [_cell(s) for s in first] == par + [
+        ("tfluxhard", 1, 1, "sequential"), ("tfluxsoft", 1, 1, "sequential"),
+    ]
+    assert all(not s.verify for s in first[len(par):])
+
+    # Replay the refinement from the recorded outcomes: each later call
+    # is the concatenated frontiers, and the last leaves none.
+    seq = outcomes[len(par)].seq_cycles
+    evaluated = {
+        8: dict(zip(_AUTO_PROBES, outcomes[2:5])),
+        2: dict(zip(_AUTO_PROBES, outcomes[5:8])),
+    }
+    for specs, outcomes in calls[1:]:
+        want = [
+            ("tfluxhard", nk, u, "execute")
+            for nk in (8, 2)
+            for u in _auto_frontier(evaluated[nk], seq)
+        ]
+        assert want and [_cell(s) for s in specs] == want
+        for spec, outcome in zip(specs, outcomes):
+            evaluated[spec.nkernels][spec.unroll] = outcome
+    assert all(_auto_frontier(evaluated[nk], seq) == [] for nk in (8, 2))
+    assert len(calls) > 1  # at least one refinement round ran
+    assert set(evaluations[1].per_unroll) == set(evaluated[8])
+    assert set(evaluations[2].per_unroll) == set(evaluated[2])
+
+
+def test_empty_grid_fails_loudly_and_settles_its_baseline():
+    """A request with nothing to simulate is a caller bug: it raises
+    ``_assemble``'s assertion — after running and resolving the baseline
+    flight it led, so nobody coalesced on that flight is left hanging."""
+    from repro.exec import pool
+
+    request = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=())
+    with pytest.raises(AssertionError):
+        evaluate_many([request], jobs=1, cache=None)
+    assert pool._BASELINE_MEMO.inflight == 0
+    assert len(pool._BASELINE_MEMO) == 1
+
+
+def test_failed_round_zero_releases_the_baselines_it_led(monkeypatch):
+    """``run_jobs`` raising in round 0 rejects every baseline flight this
+    call led (failures are never memoised): the next call leads them
+    again instead of waiting on a flight nobody will settle."""
+    from repro.exec import pool
+
+    def boom(specs, jobs=None, cache=None):
+        raise RuntimeError("pool died")
+
+    request = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=(2,))
+    with monkeypatch.context() as patch:
+        patch.setattr(pool, "run_jobs", boom)
+        with pytest.raises(RuntimeError, match="pool died"):
+            evaluate_many([request], jobs=1, cache=None)
+    assert pool._BASELINE_MEMO.inflight == 0
+    assert len(pool._BASELINE_MEMO) == 0
+    launched = pool._BASELINE_MEMO.stats()["launched"]
+    assert evaluate_many([request], jobs=1, cache=None)[0].best_unroll == 2
+    assert pool._BASELINE_MEMO.stats()["launched"] == launched + 1
+
+
+@pytest.mark.parametrize("bad", [dict(nkernels=0), dict(unrolls=(2, 0))])
+def test_request_jobspec_refuses_strands_no_flight(bad):
+    """A cell ``JobSpec`` refuses raises out of ``evaluate_many`` with no
+    baseline flight left led and unsettled behind it."""
+    import dataclasses
+
+    from repro.exec import pool
+
+    good = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=(2,))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        evaluate_many([good, dataclasses.replace(good, **bad)], jobs=1, cache=None)
+    assert pool._BASELINE_MEMO.inflight == 0

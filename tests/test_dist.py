@@ -186,6 +186,14 @@ def test_dist_rejects_bad_execute_args():
         TFluxDist(nnodes=4).execute(_simple_program(), nkernels=2)  # < 1/node
     with pytest.raises(ValueError):
         TFluxDist(nnodes=2).execute(_simple_program(), nkernels=13)  # > max
+    # The adapter refuses before the program is claimed: it is still
+    # runnable afterwards (a single-run object that never ran).
+    for nnodes, kwargs in ((4, {}), (2, {"allow_stealing": True})):
+        prog = _simple_program()
+        with pytest.raises(ValueError):
+            TFluxDist(nnodes=nnodes).execute(prog, nkernels=2, **kwargs)
+        prog.run_sequential()
+        assert prog.env.get("total") == float(sum(range(1, 25)))
 
 
 def test_dist_platform_is_picklable():

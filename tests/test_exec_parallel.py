@@ -202,6 +202,36 @@ def test_capture_errors_round_trips_through_cache(tmp_path):
     assert warm.error == cold.error
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(nkernels=0),
+        dict(unroll=0),
+        dict(max_threads=0),
+        dict(tsu_capacity=0),
+        dict(tsu_capacity=-5),
+        dict(mode="evaluate"),
+        dict(check="deps"),
+    ],
+)
+def test_jobspec_refuses_what_can_never_run(bad):
+    """A job's legal values are checked once, where the job is described:
+    the harness gets the refusal at construction, the wire at admission."""
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        _spec(**bad)
+
+
+def test_job_count_accepts_the_env_spellings_as_an_argument():
+    """``tflux-serve --workers`` parses through ``job_count``."""
+    from repro.exec import job_count
+
+    assert job_count("3") == 3
+    assert job_count("0") == 1
+    assert job_count("auto") == job_count("MAX") >= 1
+    with pytest.raises(ValueError):
+        job_count("many")
+
+
 def _count_baseline_runs(monkeypatch):
     """Instrument the sequential timing entry point with a call counter."""
     import repro.platforms.base as base

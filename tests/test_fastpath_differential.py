@@ -22,7 +22,7 @@ from collections import Counter as Multiset
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 from repro.apps import get_benchmark, problem_sizes
 from repro.core import ProgramBuilder
@@ -315,6 +315,7 @@ def build_dag(widths, reduce_tail, spawn=False):
 
 
 @pytest.mark.parametrize("platform_key", PLATFORMS)
+@seed(19)
 @settings(
     max_examples=8,
     deadline=None,
@@ -356,3 +357,40 @@ def test_fastpath_bit_identical_random_dags(platform_key, params):
     fast = _with_fastpath(True, go)
     slow = _with_fastpath(False, go)
     assert_schedules_married(fast, slow)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known hier tie-break divergence (ROADMAP item 1): the eager run "
+    "takes 125 cycles longer than the coalesced one; delete this test and the "
+    "@seed(19) pin on test_fastpath_bit_identical_random_dags when it XPASSes",
+)
+def test_fastpath_hier_same_cycle_tie_known_divergence():
+    """The one known coalesced-vs-eager divergence, pinned until fixed.
+
+    The falsifier is deterministic — widths ``[2, 6, 3]``, no reduce, no
+    spawn, no capacity, on ``hier`` (8 kernels): coalesced 15,950 vs
+    eager 16,075 cycles, every non-``engine.*`` counter equal — and so is
+    its cause: two ``ready_update`` messages (1→4 sent at 8,095, 2→4 at
+    8,220) are both granted their NIC at 8,345, travel disjoint links in
+    lockstep and reach the one link they share, ``("down", 4)``, in the
+    same cycle 9,685; same-cycle events run in engine sequence order, and
+    the coalesced protocol spends a different number of zero-delay hops
+    per hold than the eager one (no grant event on a free slot, a
+    materialised release on a contended one), so the two messages —
+    already swapped when they leave their NICs at 8,470 — win the FIFO
+    tie in the opposite order (delivered 10,095/10,090 coalesced,
+    10,090/10,095 eager), a different cluster member is relayed first and
+    kernel 5 wakes one NIC hold (125 cycles) later.
+
+    Hypothesis finds it in roughly one unseeded tier-1 run in three, so
+    the random-DAG test above draws a fixed eight programs per platform
+    (``@seed(19)``) and the divergence is asserted here instead, loudly:
+    the day the engine breaks same-cycle ties the same way in both
+    protocols this test XPASSes, ``strict`` fails the run, and both this
+    test and the seed pin go.
+    """
+    test_fastpath_bit_identical_random_dags.hypothesis.inner_test(
+        "hier", ([2, 6, 3], False, False, None, 1)
+    )

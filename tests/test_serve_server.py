@@ -137,6 +137,33 @@ def test_malformed_batch_rejected_whole(spawn):
     assert stats["executed"] == 0  # admission is all-or-nothing
 
 
+@pytest.mark.parametrize(
+    "field, value, text",
+    [
+        ("unroll", 0, "unroll must be >= 1"),
+        ("nkernels", 99, "tfluxhard offers at most 27 kernels (99 requested)"),
+        ("nkernels", -2, "nkernels must be >= 1"),
+        ("max_threads", 0, "max_threads must be >= 1"),
+        ("tsu_capacity", 0, "tsu_capacity must be >= 1"),
+        ("tsu_capacity", -5, "tsu_capacity must be >= 1"),
+    ],
+)
+def test_job_that_can_never_run_is_refused_at_admission(spawn, field, value, text):
+    """An out-of-range count costs one ``error`` reply — not a scheduler
+    slot, an in-flight slot and a worker round trip ending in a
+    ``job_error`` from deep inside the build."""
+    handle = spawn()
+    with ServeClient(handle.address) as client:
+        batch = client.submit([GRID[0], {"bench": "trapez", field: value}])
+        assert batch.status == "error"
+        assert text in batch.message
+        assert all(o is None for o in batch.outcomes)
+        assert client.submit([GRID[0]]).ok  # the connection is still good
+        stats = client.stats()
+    assert stats["executed"] == 1  # only the good batch's job
+    assert stats["counters"]["serve.admitted"] == 1
+
+
 class _BrokenCache:
     """A disk layer that fails on read — drives the job_error path."""
 

@@ -11,7 +11,9 @@ verify end to end:
    duplicate;
 3. the streamed records must be bit-identical across the two clients;
 4. ``tflux-submit`` (the CLI path) runs against the same server and its
-   ``--json`` dump round-trips.
+   ``--json`` dump round-trips;
+5. a job that can never run (``--unroll 0``) is refused at admission:
+   ``tflux-submit`` exits 2 with ``rejected:`` and nothing is executed.
 
 Exits non-zero on any violation.  Usage::
 
@@ -135,6 +137,20 @@ def main() -> int:
                 print("serve-smoke: FAIL: tflux-submit --json dump malformed")
                 return 1
         print("serve-smoke: tflux-submit OK")
+
+        # -- admission refuses what can never run --------------------------
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve.cli", "submit", "trapez",
+             "--connect", f"{address[0]}:{address[1]}", "--unroll", "0"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        if proc.returncode != 2 or "rejected:" not in proc.stderr:
+            print(f"serve-smoke: FAIL: unroll=0 was not refused at admission "
+                  f"(rc={proc.returncode})\n{proc.stdout}\n{proc.stderr}")
+            return 1
+        print(f"serve-smoke: impossible job refused: {proc.stderr.strip()}")
         print("serve-smoke: PASS")
         return 0
     finally:
