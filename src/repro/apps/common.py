@@ -13,9 +13,10 @@ ablation sweeps that ratio explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Protocol
+from typing import Callable, Dict, Protocol
 
 from repro.core.program import DDMProgram
 
@@ -29,6 +30,8 @@ __all__ = [
     "problem_sizes",
     "chunk_bounds",
     "nthreads_for",
+    "MEMO_SIZE",
+    "memo_readonly",
 ]
 
 SIZE_LABELS = ("small", "medium", "large")
@@ -75,7 +78,13 @@ class Benchmark(Protocol):
 
     name: str
 
-    def build(self, size: ProblemSize, unroll: int = 1) -> DDMProgram: ...
+    def build(
+        self,
+        size: ProblemSize,
+        unroll: int = 1,
+        max_threads: int = 4096,
+        deps: str = "declared",
+    ) -> DDMProgram: ...
 
     def verify(self, env, size: ProblemSize) -> None: ...
 
@@ -144,6 +153,35 @@ def problem_sizes(bench: str, target: str = "S") -> Dict[str, ProblemSize]:
         label: ProblemSize(bench, target, label, dict(params))
         for label, params in table.items()
     }
+
+
+# -- inputs and oracles ----------------------------------------------------------
+#: Entries each memoised input/oracle function keeps: the sizes one sweep
+#: alternates between (a figure's S/N/C variants of one label), not a grid.
+MEMO_SIZE = 4
+
+
+def memo_readonly(fn: Callable) -> Callable:
+    """Memoise a deterministic input generator or oracle.
+
+    *fn* is a pure function of the size parameters returning one array or
+    a tuple of arrays — what every job of a ``(bench, size)`` cell would
+    otherwise regenerate.  The arrays come back frozen
+    (``setflags(write=False)``): ``build``/prologue bodies *copy from*
+    them into the fresh ``Environment``, ``verify`` *compares against*
+    them, and a write into one raises ``ValueError`` instead of
+    corrupting every later run.
+    """
+
+    @functools.lru_cache(maxsize=MEMO_SIZE)
+    @functools.wraps(fn)
+    def cached(*params):
+        out = fn(*params)
+        for array in out if isinstance(out, tuple) else (out,):
+            array.setflags(write=False)
+        return out
+
+    return cached
 
 
 # -- decomposition helpers -----------------------------------------------------

@@ -34,12 +34,19 @@ __all__ = ["FFT", "initial_matrix"]
 COMPLEX_BYTES = 16
 
 
+@common.memo_readonly
 def initial_matrix(n: int) -> np.ndarray:
     """Deterministic pseudo-random complex input (NAS FT-style)."""
     rng = np.random.default_rng(seed=1234 + n)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).astype(
         np.complex128
     )
+
+
+@common.memo_readonly
+def _spectrum(n: int) -> np.ndarray:
+    """The oracle: ``numpy.fft.fft2`` of the generated input."""
+    return np.fft.fft2(initial_matrix(n))
 
 
 class FFT:
@@ -173,8 +180,7 @@ class FFT:
         return b.build()
 
     def verify(self, env, size: ProblemSize) -> None:
-        n = env.get("n")
-        expected = np.fft.fft2(initial_matrix(n))
+        expected = _spectrum(env.get("n"))
         np.testing.assert_allclose(env.array("X"), expected, rtol=1e-9, atol=1e-6)
         assert env.get("checksum") is not None
         np.testing.assert_allclose(env.get("checksum"), expected.sum(), rtol=1e-9)

@@ -22,9 +22,17 @@ from repro.sim.accesses import AccessSummary
 __all__ = ["MMult"]
 
 
+@common.memo_readonly
 def _make_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed=n)
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+@common.memo_readonly
+def _product(n: int) -> np.ndarray:
+    """The oracle: ``A @ B`` of the generated inputs."""
+    a, bm = _make_inputs(n)
+    return a @ bm
 
 
 class MMult:
@@ -95,9 +103,7 @@ class MMult:
         return b.build()
 
     def verify(self, env, size: ProblemSize) -> None:
-        n = env.get("n")
-        a, bm = _make_inputs(n)
-        expected = a @ bm
+        expected = _product(env.get("n"))
         np.testing.assert_allclose(env.array("C"), expected, rtol=1e-9, atol=1e-9)
 
 

@@ -31,12 +31,18 @@ from repro.core.builder import ProgramBuilder
 from repro.core.program import DDMProgram
 from repro.sim.accesses import AccessSummary
 
-__all__ = ["QSort"]
+__all__ = ["QSort", "permutation"]
 
 #: Parts at unroll 1; the unroll factor divides this (two-level tree needs
 #: at least one part per level-1 merge group).
 BASE_PARTS = 256
 MERGE_GROUPS = 4
+
+
+@common.memo_readonly
+def permutation(n: int) -> np.ndarray:
+    """The unsorted input: a seeded permutation of ``0..n-1`` as doubles."""
+    return np.random.default_rng(seed=n).permutation(n).astype(np.float64)
 
 
 def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
@@ -49,14 +55,12 @@ def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
         for j in range(0, len(work) - 1, 2):
             a, b = work[j], work[j + 1]
             out = np.empty(len(a) + len(b), dtype=a.dtype)
-            ia = ib = io = 0
             # NumPy-vectorised two-way merge via searchsorted placement.
             pos = np.searchsorted(a, b, side="right")
             out[pos + np.arange(len(b))] = b
             mask = np.ones(len(out), dtype=bool)
             mask[pos + np.arange(len(b))] = False
             out[mask] = a
-            del ia, ib, io
             merged.append(out)
         if len(work) % 2:
             merged.append(work[-1])
@@ -87,8 +91,7 @@ class QSort:
         b.env.set("n", n)
 
         def init_body(env):
-            rng = np.random.default_rng(seed=n)
-            env.array("data")[...] = rng.permutation(n).astype(np.float64)
+            env.array("data")[...] = permutation(n)
 
         b.prologue(
             "init",

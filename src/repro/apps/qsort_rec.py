@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.apps import common
 from repro.apps.common import COSTS, ProblemSize
+from repro.apps.qsort import permutation
 from repro.core.builder import ProgramBuilder
 from repro.core.dynamic import Subflow
 from repro.core.program import DDMProgram
@@ -57,8 +58,7 @@ class QSortRec:
         b.env.set("n", n)
 
         def init_body(env):
-            rng = np.random.default_rng(seed=n)
-            env.array("data")[...] = rng.permutation(n).astype(np.float64)
+            env.array("data")[...] = permutation(n)
 
         b.prologue(
             "init",

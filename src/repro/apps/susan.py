@@ -33,6 +33,7 @@ __all__ = ["Susan", "synthetic_image", "smooth_oracle"]
 BRIGHTNESS_T = 20.0
 
 
+@common.memo_readonly
 def synthetic_image(w: int, h: int) -> np.ndarray:
     """Deterministic test frame: smooth gradients plus sharp structures."""
     y, x = np.mgrid[0:h, 0:w]
@@ -73,6 +74,17 @@ def smooth_oracle(img: np.ndarray) -> np.ndarray:
     return _smooth_rows(img, 0, img.shape[0])
 
 
+def _quantise(rows: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(rows), 0, 255).astype(np.uint8)
+
+
+@common.memo_readonly
+def _expected(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle: the smoothed test frame and its 8-bit quantisation."""
+    smoothed = smooth_oracle(synthetic_image(w, h))
+    return smoothed, _quantise(smoothed)
+
+
 class Susan:
     name = "susan"
 
@@ -98,7 +110,7 @@ class Susan:
             return chunk_bounds(h, nthreads, i)
 
         # -- phase 1: init -------------------------------------------------------
-        full = synthetic_image(w, h)  # closed over; rows copied per thread
+        full = synthetic_image(w, h)  # read-only memo; rows copied per thread
 
         def init_body(env, i):
             lo, hi = rows(i)
@@ -145,9 +157,7 @@ class Susan:
         # -- phase 3: write-out --------------------------------------------------------
         def out_body(env, i):
             lo, hi = rows(i)
-            env.array("out")[lo:hi] = np.clip(
-                np.rint(env.array("sm")[lo:hi]), 0, 255
-            ).astype(np.uint8)
+            env.array("out")[lo:hi] = _quantise(env.array("sm")[lo:hi])
 
         def out_cost(env, i):
             lo, hi = rows(i)
@@ -179,14 +189,10 @@ class Susan:
 
     def verify(self, env, size: ProblemSize) -> None:
         w, h = size.params["w"], size.params["h"]
-        img = synthetic_image(w, h)
-        np.testing.assert_allclose(env.array("img"), img, atol=1e-12)
-        expected = smooth_oracle(img)
-        np.testing.assert_allclose(env.array("sm"), expected, rtol=1e-9, atol=1e-9)
-        np.testing.assert_array_equal(
-            env.array("out"),
-            np.clip(np.rint(expected), 0, 255).astype(np.uint8),
-        )
+        np.testing.assert_allclose(env.array("img"), synthetic_image(w, h), atol=1e-12)
+        smoothed, quantised = _expected(w, h)
+        np.testing.assert_allclose(env.array("sm"), smoothed, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(env.array("out"), quantised)
 
 
 common.register(Susan())

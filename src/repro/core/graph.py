@@ -257,6 +257,15 @@ class SynchronizationGraph:
         for arc in self._arcs:
             prod = self._templates[arc.producer]
             cons = self._templates[arc.consumer]
+            if arc.mapping == "all" and arc.cond_key is None:
+                # A barrier: every producer instance gets the same consumer
+                # run, resolved once — n + m lookups, not n x m.
+                dsts = [index[(cons.tid, cctx)] for cctx in cons.contexts]
+                for pctx in prod.contexts:
+                    consumers[index[(prod.tid, pctx)]].extend(dsts)
+                for dst in dsts:
+                    ready[dst] += prod.ninstances
+                continue
             cons_ctx_set = set(cons.contexts)
             for pctx in prod.contexts:
                 src = index[(prod.tid, pctx)]

@@ -11,6 +11,11 @@ behaviour but processes each declared range with NumPy array operations:
   line is considered L1-resident when it was touched within the last
   ``L1 capacity`` line-touches (i.e. the cache is modelled as fully
   associative with LRU).  The same scheme models each (possibly shared) L2.
+  Timestamps are 1-based — clocks start at 1 and ``0`` means "never
+  filled" — so the ``(cores, lines)`` residency arrays are born as
+  untouched zero pages and a core that never issues costs nothing; every
+  residency threshold is therefore ``max(1, clock - capacity + 1)``, in
+  ``_sweep``, ``_sweep_line`` and ``_absorb_holes`` alike.
 * **Coherence** is exact at line granularity: a per-line ``owner`` array
   records the core holding the line Modified, and a **two-level (node,
   core) directory** records all cores with a valid copy.  Writes
@@ -65,8 +70,8 @@ _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 class _RegionState:
     """Per-region coherence/residency arrays (one entry per cache line)."""
 
-    l1_last: np.ndarray  # (ncores, nlines) int64, -1 = never
-    l2_last: np.ndarray  # (ngroups, nlines) int64, -1 = never
+    l1_last: np.ndarray  # (ncores, nlines) int64 fill time, 0 = never
+    l2_last: np.ndarray  # (ngroups, nlines) int64 fill time, 0 = never
     owner: np.ndarray  # (nlines,) int16, -1 = no modified owner
     sharers: np.ndarray  # (nwords, nlines) uint64 per-node core masks
     presence: np.ndarray  # (nlines,) uint64 node-presence word
@@ -126,8 +131,11 @@ class FastMemorySystem:
         self.l1_capacity = l1.num_lines
         self.l2_capacity = l2.size // self.line_size
 
-        self._clock = np.zeros(ncores, dtype=np.int64)
-        self._l2_clock = np.zeros(self.ngroups, dtype=np.int64)
+        # Logical LRU clocks start at 1: timestamp 0 means "never filled",
+        # so fresh residency arrays are plain zero pages (see
+        # _new_region_state) and only the rows of issuing cores get written.
+        self._clock = np.ones(ncores, dtype=np.int64)
+        self._l2_clock = np.ones(self.ngroups, dtype=np.int64)
         # Freed-by-invalidation L1 slots per core (see _sweep).
         self._holes = [0] * ncores
         # Per-core coherence masks, hoisted out of the per-sweep hot path
@@ -165,8 +173,8 @@ class FastMemorySystem:
     # -- helpers -----------------------------------------------------------
     def _new_region_state(self, n: int) -> _RegionState:
         return _RegionState(
-            l1_last=np.full((self.ncores, n), -1, dtype=np.int64),
-            l2_last=np.full((self.ngroups, n), -1, dtype=np.int64),
+            l1_last=np.zeros((self.ncores, n), dtype=np.int64),
+            l2_last=np.zeros((self.ngroups, n), dtype=np.int64),
             owner=np.full(n, -1, dtype=np.int16),
             sharers=np.zeros((self._nwords, n), dtype=np.uint64),
             presence=np.zeros(n, dtype=np.uint64),
@@ -240,7 +248,7 @@ class FastMemorySystem:
             other = base + union.bit_length() - 1
             held = (masked & self._corebit[other]) != 0
             olast = rs.l1_last[other, sel]
-            resident = held & (olast >= max(0, self._clock[other] - cap + 1))
+            resident = held & (olast >= max(1, self._clock[other] - cap + 1))
             self._holes[other] += int(np.count_nonzero(resident))
             return
         cores = []
@@ -250,7 +258,7 @@ class FastMemorySystem:
         carr = np.asarray(cores, dtype=np.int64)
         bits = self._corebit_arr[carr % CORES_PER_NODE]
         held = (masked[None, :] & bits[:, None]) != 0
-        thr = np.maximum(0, self._clock[carr] - cap + 1)
+        thr = np.maximum(1, self._clock[carr] - cap + 1)
         resident = held & (rs.l1_last[carr][:, sel] >= thr[:, None])
         for core, count in zip(cores, resident.sum(axis=1).tolist()):
             self._holes[core] += count
@@ -320,12 +328,12 @@ class FastMemorySystem:
         clock = self._clock[core]
         l2_clock = self._l2_clock[group]
 
-        # Residency is one comparison per level: ``last >= 0 and
-        # clock - last < capacity`` is, for integer clocks, exactly
-        # ``last >= max(0, clock - capacity + 1)``.
+        # Residency is one comparison per level: ``last >= 1`` (ever
+        # filled) ``and clock - last < capacity`` is, for integer clocks,
+        # exactly ``last >= max(1, clock - capacity + 1)``.
         last = rs.l1_last[core, sel]
-        thr1 = max(0, clock - self.l1_capacity + 1)
-        thr2 = max(0, l2_clock - self.l2_capacity + 1)
+        thr1 = max(1, clock - self.l1_capacity + 1)
+        thr2 = max(1, l2_clock - self.l2_capacity + 1)
         l2_last = rs.l2_last[group, sel]
 
         if single:
@@ -503,8 +511,8 @@ class FastMemorySystem:
         l2_clock = self._l2_clock.item(group)
         l1_last, l2_last = rs.l1_last, rs.l2_last
         cap = self.l1_capacity
-        in_l1 = l1_last.item(core, line) >= max(0, clock - cap + 1)
-        in_l2 = l2_last.item(group, line) >= max(0, l2_clock - self.l2_capacity + 1)
+        in_l1 = l1_last.item(core, line) >= max(1, clock - cap + 1)
+        in_l2 = l2_last.item(group, line) >= max(1, l2_clock - self.l2_capacity + 1)
         l1r = self.l1cfg.read_latency
         remote_owned = upgrade = False
 
@@ -535,7 +543,7 @@ class FastMemorySystem:
                         other = w2 * CORES_PER_NODE + (masked & -masked).bit_length() - 1
                         masked &= masked - 1
                         if l1_last.item(other, line) >= max(
-                            0, self._clock.item(other) - cap + 1
+                            1, self._clock.item(other) - cap + 1
                         ):
                             self._holes[other] += 1
                     if w2 != word:

@@ -205,6 +205,109 @@ def test_layered_graph_expansion_invariants(widths, seed):
     assert sorted(eg.entry) == [eg.iid_of(1, i) for i in range(widths[0])]
 
 
+# -- bulk "all" expansion vs the per-pair walk -----------------------------------
+def _naive_expand(graph):
+    """One append per (producer, consumer) instance pair of every arc —
+    what ``expand()`` did before unconditional ``"all"`` arcs were
+    extended in bulk.  Reference only."""
+    index = {}
+    for tmpl in graph.templates:
+        for ctx in tmpl.contexts:
+            index[(tmpl.tid, ctx)] = len(index)
+    ready = [0] * len(index)
+    consumers = [[] for _ in index]
+    cond_targets = {}
+    for arc in graph.arcs:
+        prod, cons = graph.template(arc.producer), graph.template(arc.consumer)
+        for pctx in prod.contexts:
+            src = index[(prod.tid, pctx)]
+            for cctx in arc.consumer_contexts(pctx, cons):
+                dst = index[(cons.tid, cctx)]
+                consumers[src].append(dst)
+                ready[dst] += 1
+                if arc.cond_key is not None:
+                    cond_targets.setdefault(src, {}).setdefault(arc.cond_key, []).append(dst)
+    entry = [iid for iid, count in enumerate(ready) if count == 0]
+    return ready, consumers, entry, cond_targets
+
+
+@st.composite
+def _mixed_arc_graphs(draw):
+    widths = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=5))
+    g = SynchronizationGraph()
+    for layer, w in enumerate(widths):
+        g.add_template(DThreadTemplate(tid=layer + 1, name=f"L{layer}", contexts=range(w)))
+    pairs = [(p, c) for p in range(len(widths)) for c in range(p + 1, len(widths))]
+    for p, c in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True)):
+        kinds = ["all", "fan"] + (["same"] if widths[p] == widths[c] else [])
+        mapping = draw(st.sampled_from(kinds))
+        if mapping == "fan":
+            shift, span = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+            wc = widths[c]
+
+            def mapping(ctx, shift=shift, span=span, wc=wc):
+                return sorted({(ctx + shift + k) % wc for k in range(span)})
+
+        # None: a plain arc; a key: conditional (an "all" one included).
+        key = draw(st.sampled_from([None, None, "taken"]))
+        for _ in range(draw(st.sampled_from([1, 1, 2]))):  # 2: a double token
+            g.add_arc(p + 1, c + 1, mapping, cond_key=key)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_mixed_arc_graphs())
+def test_expand_matches_per_pair_reference(graph):
+    """Ready Counts, consumer lists *in order*, entry fringe and the
+    conditional table are element-for-element what the per-pair walk
+    produces, whatever mix of arcs surrounds a bulk-extended one."""
+    eg = graph.expand()
+    eg.check_invariants()
+    assert (eg.ready_counts, eg.consumers, eg.entry, eg.cond_targets) == _naive_expand(graph)
+
+
+def test_conditional_all_arc_fills_cond_targets():
+    g = SynchronizationGraph()
+    g.add_template(DThreadTemplate(tid=1, name="p", contexts=range(2)))
+    g.add_template(DThreadTemplate(tid=2, name="c", contexts=range(3)))
+    g.add_arc(1, 2, "all")
+    g.add_arc(1, 2, "all", cond_key="k")
+    eg = g.expand()
+    assert eg.consumers == [[2, 3, 4, 2, 3, 4]] * 2 + [[]] * 3
+    assert eg.ready_counts == [0, 0, 4, 4, 4]
+    assert eg.cond_targets == {0: {"k": [2, 3, 4]}, 1: {"k": [2, 3, 4]}}
+
+
+def test_all_arc_expansion_is_linear_in_instances():
+    """SUSAN Large at unroll 1: two 576 -> 576 ``"all"`` arcs.  Every
+    ``index`` lookup hashes a ``(tid, ctx)`` key, so hashes of the tids
+    count them: a few per instance, not one per instance pair."""
+    hashes = 0
+
+    class CountedTid(int):
+        def __hash__(self):
+            nonlocal hashes
+            hashes += 1
+            return int.__hash__(self)
+
+    n = 576
+    g = SynchronizationGraph()
+    tids = [CountedTid(t) for t in (1, 2, 3)]
+    for tid in tids:
+        g.add_template(DThreadTemplate(tid=tid, name=f"phase{tid}", contexts=range(n)))
+    g.add_arc(tids[0], tids[1], "all")
+    g.add_arc(tids[1], tids[2], "all")
+
+    hashes = 0
+    eg = g.expand()
+    assert eg.ready_counts == [0] * n + [n] * (2 * n)
+    assert eg.consumers[0] == eg.consumers[n - 1] == list(range(n, 2 * n))
+    assert eg.consumers[n] == eg.consumers[2 * n - 1] == list(range(2 * n, 3 * n))
+    assert eg.entry == list(range(n))
+    # 3n to build the index + (n + n) per arc, and a handful per template:
+    assert 7 * n <= hashes <= 8 * n < 2 * n * n
+
+
 # -- one declaration surface: ProgramBuilder and Subflow ------------------------
 @pytest.mark.parametrize("make", [ProgramBuilder, Subflow], ids=["program", "subflow"])
 def test_program_and_subflow_declare_through_one_surface(make):

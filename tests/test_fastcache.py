@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps import get_benchmark, problem_sizes
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.cache import CacheConfig, CoherentMemorySystem, MemoryConfig
 from repro.sim.capability import MAX_CORES, DirectoryCapacityError
 from repro.sim.fastcache import FastMemorySystem
+from repro.sim.machine import BAGLE_27
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2 = CacheConfig(size=8192, line_size=64, assoc=4, read_latency=20, write_latency=20)
@@ -371,3 +374,131 @@ def test_single_issuer_guard_raises_before_any_write(count):
     with pytest.raises(RuntimeError, match="single_issuer but saw traffic"):
         fast.run_summary(1, second)
     _assert_same_state(fast, untouched)
+
+
+# -- 1-based timestamps: cold start, capacity edges, untouched rows ------------
+# Clocks start at 1 and timestamp 0 means "never filled"; every residency
+# threshold is max(1, clock - capacity + 1).  These are the streams where an
+# off-by-one in that shift would show: the very first fill, a line exactly
+# capacity - 1 / capacity fills old at each level, and invalidations that
+# meet rows nobody ever filled.  L1_TINY holds 4 lines, L2_TINY 16.
+def _reads(lines):
+    return [(0, False, line, 1) for line in lines]
+
+
+def _edge_op(region, write, line, nlines):
+    s = AccessSummary()
+    (s.write if write else s.read)(region, offset=line * 64, count=8 * nlines)
+    return s
+
+
+_EDGE_STREAMS = {
+    # (core, write?, first line, lines); expected per-core stat deltas below
+    "first_fill_at_origin": _reads([3, 3, 4]) + [(0, False, 3, 2)],
+    "first_fill_multi_line": [(0, False, 0, 3), (0, False, 0, 3), (0, False, 2, 2)],
+    "l1_capacity_minus_one": _reads([0, 1, 2, 3, 0]),
+    "l1_capacity_exactly": _reads([0, 1, 2, 3, 4, 0]),
+    "l1_capacity_exactly_multi_line": [(0, False, 0, 1), (0, False, 1, 4), (0, False, 0, 1)],
+    "l2_capacity_minus_one": _reads(range(16)) + _reads([0]),
+    "l2_capacity_exactly": _reads(range(17)) + _reads([0]),
+    "l2_capacity_exactly_multi_line": [(0, False, 0, 1), (0, False, 1, 16), (0, False, 0, 1)],
+    # core 1 holds line 5 only; cores 0 and 2 have never filled anything when
+    # their writes sweep over it (vector path, then the one-line path)
+    "hole_from_never_filled_row": [
+        (1, False, 5, 1), (0, True, 4, 4), (1, False, 9, 1),
+        (1, False, 12, 1), (2, True, 12, 1), (1, False, 13, 1),
+    ],
+    "holes_for_two_sharers": [
+        (1, False, 5, 1), (2, False, 5, 1), (0, True, 4, 4),
+        (1, False, 9, 1), (2, False, 9, 1),
+    ],
+}
+#: The last op of each stream, as (l1_hits, l2_hits, mem_misses) of its core.
+_EDGE_LAST_OP = {
+    "first_fill_at_origin": (2, 0, 0),
+    "first_fill_multi_line": (1, 0, 1),
+    "l1_capacity_minus_one": (1, 0, 0),
+    "l1_capacity_exactly": (0, 1, 0),
+    "l1_capacity_exactly_multi_line": (0, 1, 0),
+    "l2_capacity_minus_one": (0, 1, 0),
+    "l2_capacity_exactly": (0, 0, 1),
+    "l2_capacity_exactly_multi_line": (0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("single_issuer", [False, True])
+@pytest.mark.parametrize("stream", sorted(_EDGE_STREAMS))
+def test_time_origin_edges(stream, single_issuer):
+    """``_sweep_line`` ≡ ``_sweep`` state after every op and fast ≡ exact
+    cycles and stats, on the streams that sit on the time origin."""
+    ops = _EDGE_STREAMS[stream]
+    if single_issuer and any(core for core, *_ in ops):
+        pytest.skip("stream issues from several cores")
+    space = RegionSpace()
+    region = space.region("R", LINES * 64)
+    kw = dict(single_issuer=single_issuer)
+    shipped = FastMemorySystem(3, L1_TINY, L2_TINY, MEM, space, **kw)
+    reference = _VectorLine(3, L1_TINY, L2_TINY, MEM, space, **kw)
+    exact = CoherentMemorySystem(3, L1_TINY, L2_TINY, MEM, space)
+    for core, *op in ops:
+        s = _edge_op(region, *op)
+        before = replace(shipped.stats[core])
+        cycles = shipped.run_summary(core, s)
+        assert cycles == reference.run_summary(core, s) == exact.run_summary(core, s)
+        _assert_same_state(shipped, reference)
+    for c in range(3):
+        assert replace(exact.stats[c], writebacks=0) == shipped.stats[c], f"core {c}"
+    if stream in _EDGE_LAST_OP:
+        after = shipped.stats[core]
+        assert (
+            after.l1_hits - before.l1_hits,
+            after.l2_hits - before.l2_hits,
+            after.mem_misses - before.mem_misses,
+        ) == _EDGE_LAST_OP[stream]
+
+
+def test_holes_are_credited_to_resident_copies_only():
+    """The two hole streams, by their tallies: one hole per invalidated
+    resident copy, none from the never-filled lines around it, and the
+    victim's next fill reoccupies the slot without advancing its clock."""
+    space = RegionSpace()
+    region = space.region("R", LINES * 64)
+    fast = FastMemorySystem(3, L1_TINY, L2_TINY, MEM, space)
+
+    def run(core, *op):
+        fast.run_summary(core, _edge_op(region, *op))
+
+    ops = _EDGE_STREAMS["hole_from_never_filled_row"]
+    run(*ops[0])
+    assert fast._clock.tolist() == [1, 2, 1]
+    run(*ops[1])  # core 0, nothing ever filled, writes lines 4..7 over it
+    assert fast._holes == [0, 1, 0]
+    run(*ops[2])
+    assert fast._holes == [0, 0, 0] and fast._clock.tolist() == [5, 2, 1]
+    run(*ops[3])
+    run(*ops[4])  # core 2, nothing ever filled, writes line 12 (one-line path)
+    assert fast._holes == [0, 1, 0]
+    run(*ops[5])
+    assert fast._holes == [0, 0, 0] and fast._clock.tolist() == [5, 3, 2]
+
+
+@pytest.mark.parametrize("parallel", [True, False], ids=["4-kernels", "baseline"])
+def test_rows_of_cores_that_never_issue_stay_zero(parallel):
+    """A run writes residency rows for the cores that issued and for no
+    other: the (cores, lines) arrays are born zero and stay zero there."""
+    prog = get_benchmark("susan").build(problem_sizes("susan")["small"], unroll=8)
+    if parallel:
+        runtime = SimulatedRuntime(prog, BAGLE_27, nkernels=4)
+        runtime.run()
+        memsys = runtime.memsys
+    else:
+        memsys = BAGLE_27.memory_system(prog.env.regions, single_issuer=True)
+        for inst in prog.expanded().instances:
+            memsys.run_summary(0, inst.template.access_summary(prog.env, inst.ctx))
+    issued = np.array([st_.accesses > 0 for st_ in memsys.stats])
+    assert issued.sum() == (4 if parallel else 1)
+    for name in ("img", "sm", "out"):
+        rs = memsys._state[name]
+        assert not rs.l1_last[~issued].any() and not rs.l2_last[~issued].any()
+        assert rs.l1_last[issued].any(axis=1).all()
+        assert rs.l1_last.min() >= 0  # no other "never" sentinel survives

@@ -6,13 +6,16 @@ miss profiles must agree closely — the evidence that using the fast
 model for the figure sweeps does not change any reported shape.
 """
 
+import hashlib
+from dataclasses import astuple
+
 import pytest
 
-from repro.apps import get_benchmark
+from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.apps.common import ProblemSize
 from repro.platforms import TFluxHard
 from repro.runtime.simdriver import SimulatedRuntime
-from repro.sim.machine import BAGLE_27
+from repro.sim.machine import BAGLE_27, CELL_PS3, XEON_8
 from repro.tsu.hardware import HardwareTSUAdapter
 
 # Tiny inputs so the exact (line-by-line Python) model stays fast.
@@ -66,3 +69,31 @@ def test_coherence_profiles_close(name):
     f = res["fast"].memory.coherence_misses
     e = res["exact"].memory.coherence_misses
     assert f == pytest.approx(e, rel=0.2, abs=32), f"{name}: {f} vs {e}"
+
+
+# -- the fast model against its own recorded history ---------------------------
+#: sha256 over every op's (cycles, CacheStats of its core) when the seven
+#: apps' declared summaries at size small replay through the fast model of
+#: the three machines — instances dealt round-robin over the kernels, then
+#: all from core 0 as ``single_issuer`` (the sequential baseline's path).
+#: Recorded at the commit before timestamps became 1-based (PR 20's parent,
+#: -1 = never, np.full); a representation change must not move it.
+REPLAY_DIGEST = "5ce06a020923568143042b7ae37c79fcbb4118786f527ca160e005faf863580c"
+
+
+def test_fast_model_replay_digest_unchanged():
+    digest = hashlib.sha256()
+    for machine, target, nkernels in (
+        (BAGLE_27, "S", 27), (XEON_8, "N", 6), (CELL_PS3, "C", 6)
+    ):
+        for name in sorted(BENCHMARKS):
+            size = problem_sizes(name, target)["small"]
+            for single in (False, True):
+                prog = get_benchmark(name).build(size, unroll=4, max_threads=256)
+                memsys = machine.memory_system(prog.env.regions, single_issuer=single)
+                for i, inst in enumerate(prog.expanded().instances):
+                    core = 0 if single else i % nkernels
+                    for op in inst.template.access_summary(prog.env, inst.ctx):
+                        cycles = memsys.run_op(core, op)
+                        digest.update(repr((cycles, astuple(memsys.stats[core]))).encode())
+    assert digest.hexdigest() == REPLAY_DIGEST
