@@ -13,7 +13,7 @@ paper's Table 1 gives QSORT a separate, smaller Cell grid.
 import pytest
 
 from benchmarks.conftest import report
-from repro.exec import JobOutcome, JobSpec, run_job, run_jobs
+from repro.exec import JobOutcome, JobSpec, run_jobs
 from repro.platforms import TFluxCell
 
 
@@ -40,11 +40,6 @@ def _interpret(outcome: JobOutcome) -> tuple[bool, str]:
     qualname, message = outcome.error
     assert qualname.endswith("CellLocalStoreError"), outcome.error
     return False, message.split(";")[0]
-
-
-def try_size(n_elements: int) -> tuple[bool, str]:
-    """Attempt QSORT with *n_elements* on the Cell; returns (ran, note)."""
-    return _interpret(run_job(_spec(n_elements)))
 
 
 SIZES = (3_000, 6_000, 12_000, 20_000, 26_000, 50_000)
@@ -89,10 +84,3 @@ def test_wall_is_a_threshold(outcomes):
             seen_failure = True
         elif seen_failure:
             pytest.fail(f"size {n} ran after a smaller size failed")
-
-
-def test_ablation_benchmark(benchmark, outcomes):
-    result = benchmark.pedantic(
-        lambda: try_size(3_000)[0], rounds=1, iterations=1
-    )
-    assert result

@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.apps import get_benchmark, problem_sizes
-from repro.exec import JobSpec, run_job, run_jobs
+from repro.exec import JobSpec, run_jobs
 from repro.platforms import TFluxHard
 from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27
@@ -54,14 +54,9 @@ def _spec(n_groups: int) -> JobSpec:
     )
 
 
-def run_fine_grained(n_groups: int) -> tuple[int, int]:
-    """Returns (region cycles, inter-group transfers)."""
-    out = run_job(_spec(n_groups))
-    return out.region_cycles, out.result.counters["tsu.intergroup_transfers"]
-
-
 @pytest.fixture(scope="module")
 def sweep():
+    """groups -> (region cycles, inter-group transfers)."""
     outcomes = run_jobs([_spec(g) for g in GROUPS])
     return {
         g: (out.region_cycles, out.result.counters["tsu.intergroup_transfers"])
@@ -136,8 +131,3 @@ def test_bad_group_counts_rejected():
         MultiGroupHardwareAdapter(engine, tsu, n_groups=0)
     with pytest.raises(ValueError):
         MultiGroupHardwareAdapter(engine, tsu, n_groups=3)
-
-
-def test_ablation_benchmark(benchmark):
-    result = benchmark.pedantic(lambda: run_fine_grained(2)[0], rounds=1, iterations=1)
-    assert result > 0

@@ -8,11 +8,12 @@ the parallelization overhead is amortized."
 import pytest
 
 from benchmarks.conftest import report
+from repro.analysis import FIGURE5
 from repro.apps import problem_sizes
 from repro.exec import EvalRequest, evaluate_many
 from repro.platforms import TFluxHard, TFluxSoft
 
-BENCHES = ("trapez", "mmult", "qsort", "susan", "fft")
+BENCHES = FIGURE5.benches
 SIZES = ("small", "medium", "large")
 
 
@@ -82,13 +83,3 @@ def test_soft_platform_also_monotone():
     plat = TFluxSoft()
     row = size_series(plat, "trapez", nkernels=6)
     assert row["large"] >= row["small"] * 0.95
-
-
-def test_ablation_benchmark(benchmark):
-    plat = TFluxHard()
-    result = benchmark.pedantic(
-        lambda: size_series(plat, "fft", nkernels=8)["small"],
-        rounds=1,
-        iterations=1,
-    )
-    assert result > 1.0

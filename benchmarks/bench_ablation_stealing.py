@@ -15,30 +15,26 @@ while work is pending.
 import pytest
 
 from benchmarks.conftest import report
+from repro.analysis import FIGURE5
 from repro.apps import problem_sizes
-from repro.exec import JobSpec, run_job, run_jobs
+from repro.exec import JobSpec, run_jobs
 from repro.platforms import TFluxHard
 
-BENCHES = ("trapez", "mmult", "qsort", "susan", "fft")
+BENCHES = FIGURE5.benches
 
 
-def _spec(bench_name: str, allow_stealing: bool, nkernels=27, unroll=4) -> JobSpec:
+def _spec(bench_name: str, allow_stealing: bool) -> JobSpec:
     return JobSpec(
         platform=TFluxHard(),
         bench=bench_name,
         size=problem_sizes(bench_name, "S")["large"],
-        nkernels=nkernels,
-        unroll=unroll,
+        nkernels=27,
+        unroll=4,
         max_threads=1024,
         verify=True,
         mode="execute",
         allow_stealing=allow_stealing,
     )
-
-
-def run(bench_name: str, allow_stealing: bool, nkernels=27, unroll=4):
-    outcome = run_job(_spec(bench_name, allow_stealing, nkernels, unroll))
-    return outcome.region_cycles, outcome.result.counters["tsu.steals"]
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +88,3 @@ def test_balanced_codes_unaffected(sweep):
 def test_steals_happen_where_imbalance_exists(sweep):
     total_steals = sum(row[True][1] for row in sweep.values())
     assert total_steals > 0
-
-
-def test_ablation_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run("qsort", True, nkernels=8)[0], rounds=1, iterations=1
-    )
-    assert result > 0

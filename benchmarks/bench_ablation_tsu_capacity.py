@@ -42,12 +42,6 @@ def _block_count(capacity) -> int:
     return len(bench.build(size, unroll=4, max_threads=2048).blocks(capacity))
 
 
-def run_with_capacity(capacity):
-    from repro.exec import run_job
-
-    return run_job(_spec(capacity)).region_cycles, _block_count(capacity)
-
-
 @pytest.fixture(scope="module")
 def sweep():
     outcomes = run_jobs([_spec(cap) for cap in CAPACITIES])
@@ -96,8 +90,3 @@ def test_tiny_capacity_cost_is_bounded(sweep):
     """Even a 64-entry TSU (33 blocks) keeps overhead moderate."""
     base = sweep[None][0]
     assert (sweep[64][0] - base) / base < 0.60
-
-
-def test_ablation_benchmark(benchmark):
-    result = benchmark.pedantic(lambda: run_with_capacity(256)[0], rounds=1, iterations=1)
-    assert result > 0

@@ -8,28 +8,25 @@ workloads at 27 kernels and checks the claim.
 import pytest
 
 from benchmarks.conftest import report
+from repro.analysis import FIGURE5
 from repro.apps import problem_sizes
-from repro.exec import JobSpec, run_job, run_jobs
+from repro.exec import JobSpec, run_jobs
 from repro.platforms import TFluxHard
 
-BENCHES = ("trapez", "mmult", "qsort", "susan", "fft")
+BENCHES = FIGURE5.benches
 LATENCIES = (1, 4, 16, 64, 128)
 
 
-def _spec(bench_name: str, latency: int, unroll: int = 8) -> JobSpec:
+def _spec(bench_name: str, latency: int) -> JobSpec:
     return JobSpec(
         platform=TFluxHard(tsu_processing_cycles=latency),
         bench=bench_name,
         size=problem_sizes(bench_name, "S")["large"],
         nkernels=27,
-        unroll=unroll,
+        unroll=8,
         max_threads=1024,
         mode="execute",
     )
-
-
-def _cycles(bench_name: str, latency: int, unroll: int = 8) -> int:
-    return run_job(_spec(bench_name, latency, unroll)).region_cycles
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +81,3 @@ def test_latency_never_helps(sweep):
         series = [row[lat] for lat in LATENCIES]
         for a, b in zip(series, series[1:]):
             assert b >= a * 0.999, f"{bench}: non-monotone {series}"
-
-
-def test_ablation_benchmark(benchmark):
-    """pytest-benchmark: one latency evaluation cell."""
-    result = benchmark.pedantic(
-        lambda: _cycles("trapez", 128, unroll=16), rounds=1, iterations=1
-    )
-    assert result > 0

@@ -13,41 +13,18 @@ size instead of being masked by the sweep cap.
 import pytest
 
 from benchmarks.conftest import report
-from repro.apps import problem_sizes
-from repro.exec import UNROLL_LADDER, EvalRequest, evaluate_many
-from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
+from repro.analysis import granularity_curves, granularity_request, unroll_reaching
+from repro.exec import UNROLL_LADDER, evaluate_many
+from repro.platforms import TFluxSoft
 
 UNROLLS = UNROLL_LADDER
-MAX_THREADS = 8192
-
-
-def _request(platform, bench_name: str, nkernels: int) -> EvalRequest:
-    return EvalRequest(
-        platform=platform,
-        bench=bench_name,
-        size=problem_sizes(bench_name, platform.target)["small"],
-        nkernels=nkernels,
-        unrolls=UNROLLS,
-        verify=False,
-        max_threads=MAX_THREADS,
-    )
-
-
-def efficiency_curve(platform, nkernels: int) -> dict[int, float]:
-    """Speedup per unroll factor (TRAPEZ small, fine threads)."""
-    return evaluate_many([_request(platform, "trapez", nkernels)])[0].per_unroll
 
 
 @pytest.fixture(scope="module")
 def curves():
-    # One repro.exec batch: all three platforms' unroll grids run as
-    # independent jobs (21 simulations fan out under TFLUX_JOBS).
-    evs = evaluate_many([
-        _request(TFluxHard(), "trapez", 8),
-        _request(TFluxSoft(), "trapez", 6),
-        _request(TFluxCell(), "trapez", 6),
-    ])
-    return {ev.platform: ev.per_unroll for ev in evs}
+    # The grid EXPERIMENTS.md's "A2 in numbers" records: one repro.exec
+    # batch, 21 simulations that fan out under TFLUX_JOBS.
+    return granularity_curves()
 
 
 def test_unroll_table(curves):
@@ -62,31 +39,23 @@ def test_unroll_table(curves):
     report("\n".join(lines))
 
 
-def _unroll_reaching(curve: dict[int, float], fraction: float) -> int:
-    best = max(curve.values())
-    for u in UNROLLS:
-        if curve[u] >= fraction * best:
-            return u
-    return UNROLLS[-1]
-
-
 def test_hard_saturates_at_small_unroll(curves):
     """TFluxHard reaches ~best speedup by unroll 2-4."""
-    u = _unroll_reaching(curves["tfluxhard"], 0.95)
+    u = unroll_reaching(curves["tfluxhard"], 0.95)
     assert u <= 4, f"hardware TSU needed unroll {u}"
 
 
 def test_soft_needs_much_coarser_threads(curves):
     """TFluxSoft needs a much larger unroll factor than TFluxHard."""
-    u_hard = _unroll_reaching(curves["tfluxhard"], 0.95)
-    u_soft = _unroll_reaching(curves["tfluxsoft"], 0.95)
+    u_hard = unroll_reaching(curves["tfluxhard"], 0.95)
+    u_soft = unroll_reaching(curves["tfluxsoft"], 0.95)
     assert u_soft >= 4 * u_hard, f"soft {u_soft} vs hard {u_hard}"
     assert u_soft >= 16, f"paper: soft needs >16, got {u_soft}"
 
 
 def test_cell_needs_at_least_soft_granularity(curves):
-    u_soft = _unroll_reaching(curves["tfluxsoft"], 0.90)
-    u_cell = _unroll_reaching(curves["tfluxcell"], 0.90)
+    u_soft = unroll_reaching(curves["tfluxsoft"], 0.90)
+    u_cell = unroll_reaching(curves["tfluxcell"], 0.90)
     assert u_cell >= u_soft, f"cell {u_cell} vs soft {u_soft}"
 
 
@@ -97,16 +66,6 @@ def test_fine_threads_hurt_soft_more_than_hard(curves):
     assert soft_loss < hard_loss
 
 
-def test_ablation_benchmark(benchmark):
-    platform = TFluxHard()
-    result = benchmark.pedantic(
-        lambda: efficiency_curve(platform, nkernels=4)[8],
-        rounds=1,
-        iterations=1,
-    )
-    assert result > 1.0
-
-
 @pytest.fixture(scope="module")
 def per_bench_curves():
     """Unroll curves for every benchmark on TFluxSoft (small inputs,
@@ -115,7 +74,7 @@ def per_bench_curves():
 
     platform = TFluxSoft()
     names = sorted(BENCHMARKS)
-    evs = evaluate_many([_request(platform, name, 6) for name in names])
+    evs = evaluate_many([granularity_request(platform, name, 6) for name in names])
     return {name: ev.per_unroll for name, ev in zip(names, evs)}
 
 

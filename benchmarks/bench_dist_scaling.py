@@ -26,14 +26,19 @@ explodes and the curve flattens, the modelled bisection-bandwidth limit.
 
 import pytest
 
-from benchmarks.conftest import FULL, MAX_THREADS, UNROLLS_SOFT, report
-from repro.apps import get_benchmark, problem_sizes
+from benchmarks.conftest import report
+from repro.analysis import FIGURE6, full_grids, grid_max_threads
+from repro.apps import problem_sizes
 from repro.exec import EvalRequest, evaluate_many
 from repro.net import FatTree, NetParams, OversubscribedSpine
 from repro.platforms import TFluxDist
 
 BENCHES = ("trapez", "mmult", "fft")
 NODES = (1, 2, 4)
+#: Each node is a Figure-6 machine, swept on that figure's grids.
+FULL = full_grids()
+UNROLLS_SOFT = FIGURE6.unrolls(FULL)
+MAX_THREADS = grid_max_threads(FULL)
 SIZE = "large" if FULL else "small"
 #: FFT's small grid (128 rows) starves 24 kernels at coarse unrolls —
 #: the multi-node claims need the large grid's parallelism either way.
@@ -278,11 +283,9 @@ def test_thin_spine_saturates_bisection_bandwidth(wide):
 
 
 def test_dist_scaling_smoke_16_nodes():
-    """CI smoke: one 16-node clustered fat-tree cell, no grid fixture.
-
-    Selected by name in the workflow's ``dist-scaling-smoke`` step; keeps
-    the cluster-scale path (hier TSU + topology pricing + wide directory)
-    exercised in seconds."""
+    """One 16-node clustered fat-tree cell, no grid fixture: selectable
+    by name to exercise the cluster-scale path (hier TSU + topology
+    pricing + wide directory) in seconds."""
     ev = evaluate_many(
         [
             EvalRequest(

@@ -9,24 +9,16 @@ ideal (coherence misses), FFT below that (phase barriers), QSORT lowest
 
 import pytest
 
-from benchmarks.conftest import MAX_THREADS, SIZES, UNROLLS_HARD, report
-from repro.analysis import PAPER, render_grid, sweep_figure
-from repro.platforms import TFluxHard
+from benchmarks.conftest import report
+from repro.analysis import FIGURE5, render_grid
 
-BENCHES = ("trapez", "mmult", "qsort", "susan", "fft")
-KERNELS = (2, 4, 8, 16, 27)
+BENCHES = FIGURE5.benches
+KERNELS = FIGURE5.kernel_counts
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return sweep_figure(
-        TFluxHard(),
-        benches=BENCHES,
-        kernel_counts=KERNELS,
-        sizes=SIZES,
-        unrolls=UNROLLS_HARD,
-        max_threads=MAX_THREADS,
-    )
+    return FIGURE5.sweep()
 
 
 def test_figure5_table(grid):
@@ -36,7 +28,7 @@ def test_figure5_table(grid):
 def test_headline_average_near_21x(grid):
     avg = grid.average(27, "large")
     # Paper: "average speedup of 21x for the 27 nodes TFluxHard".
-    assert 15.0 < avg < 27.0, f"average {avg:.1f} far from the paper's 21x"
+    assert 16.0 < avg < 26.0, f"average {avg:.1f} far from the paper's 21x"
 
 
 def test_benchmark_ordering_matches_paper(grid):
@@ -77,7 +69,7 @@ def test_speedup_grows_with_problem_size(grid):
 def test_anchor_values_within_band(grid):
     """Each printed Figure-5 bar is reproduced within a 2x band (we match
     shape, not the authors' testbed)."""
-    for bench, paper_value in PAPER.fig5_large_27.items():
+    for bench, paper_value in FIGURE5.paper.items():
         got = grid.speedup(bench, 27, "large")
         assert 0.5 * paper_value < got < 2.0 * paper_value, (
             f"{bench}: measured {got:.1f} vs paper {paper_value}"
@@ -89,21 +81,3 @@ def test_mmult_coherence_misses_present(grid):
     ev = grid.get("mmult", 27, "large")
     mem = ev.result.memory
     assert mem.coherence_misses > 1000
-
-
-@pytest.mark.parametrize("bench", BENCHES)
-def test_fig5_cell_benchmark(benchmark, bench, grid):
-    """pytest-benchmark hook: time one evaluation cell per benchmark."""
-    from repro.apps import get_benchmark, problem_sizes
-
-    platform = TFluxHard()
-    size = problem_sizes(bench, "S")["small"]
-
-    def run():
-        return platform.evaluate(
-            get_benchmark(bench), size, nkernels=8, unrolls=(8,),
-            verify=False, max_threads=256,
-        )
-
-    ev = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert ev.speedup > 1.0

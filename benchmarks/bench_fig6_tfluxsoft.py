@@ -9,24 +9,16 @@ at low kernel counts (init-core cache hand-off).
 
 import pytest
 
-from benchmarks.conftest import MAX_THREADS, SIZES, UNROLLS_SOFT, report
-from repro.analysis import PAPER, render_grid, sweep_figure
-from repro.platforms import TFluxSoft
+from benchmarks.conftest import report
+from repro.analysis import FIGURE6, PAPER, render_grid
 
-BENCHES = ("trapez", "mmult", "qsort", "susan", "fft")
-KERNELS = (2, 4, 6)
+BENCHES = FIGURE6.benches
+KERNELS = FIGURE6.kernel_counts
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return sweep_figure(
-        TFluxSoft(),
-        benches=BENCHES,
-        kernel_counts=KERNELS,
-        sizes=SIZES,
-        unrolls=UNROLLS_SOFT,
-        max_threads=MAX_THREADS,
-    )
+    return FIGURE6.sweep()
 
 
 def test_figure6_table(grid):
@@ -34,7 +26,7 @@ def test_figure6_table(grid):
 
 
 def test_six_kernel_values_in_band(grid):
-    for bench, paper_value in PAPER.fig6_best_6.items():
+    for bench, paper_value in FIGURE6.paper.items():
         got = grid.speedup(bench, 6, "large")
         assert 0.5 * paper_value < got < 1.5 * paper_value, (
             f"{bench}: measured {got:.2f} vs paper {paper_value}"
@@ -78,20 +70,3 @@ def test_average_near_paper(grid):
     avg = grid.average(6, "large")
     # Paper headline: ~4.4x on 6 nodes (average of Soft and Cell).
     assert 3.0 < avg < 5.7, f"average {avg:.2f}"
-
-
-@pytest.mark.parametrize("bench", BENCHES)
-def test_fig6_cell_benchmark(benchmark, bench):
-    from repro.apps import get_benchmark, problem_sizes
-
-    platform = TFluxSoft()
-    size = problem_sizes(bench, "N")["small"]
-
-    def run():
-        return platform.evaluate(
-            get_benchmark(bench), size, nkernels=4, unrolls=(4,),
-            verify=False, max_threads=256,
-        )
-
-    ev = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert ev.speedup > 1.0

@@ -17,24 +17,17 @@ do not capture).
 
 import pytest
 
-from benchmarks.conftest import MAX_THREADS, SIZES, UNROLLS_CELL, report
-from repro.analysis import PAPER, render_grid, sweep_figure
+from benchmarks.conftest import report
+from repro.analysis import FIGURE7, render_grid
 from repro.platforms import TFluxCell
 
-BENCHES = ("trapez", "mmult", "qsort", "susan")
-KERNELS = (2, 4, 6)
+BENCHES = FIGURE7.benches
+KERNELS = FIGURE7.kernel_counts
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return sweep_figure(
-        TFluxCell(),
-        benches=BENCHES,
-        kernel_counts=KERNELS,
-        sizes=SIZES,
-        unrolls=UNROLLS_CELL,
-        max_threads=MAX_THREADS,
-    )
+    return FIGURE7.sweep()
 
 
 def test_figure7_table(grid):
@@ -42,7 +35,7 @@ def test_figure7_table(grid):
 
 
 def test_six_spe_values_in_band(grid):
-    for bench, paper_value in PAPER.fig7_best_6.items():
+    for bench, paper_value in FIGURE7.paper.items():
         if bench == "qsort":
             continue  # known deviation, see module docstring
         got = grid.speedup(bench, 6, "large")
@@ -88,20 +81,3 @@ def test_mmult_coarse_unroll_competitive(grid):
     scope): unroll 64 must at least stay within 10% of the best."""
     per_u = grid.get("mmult", 6, "large").per_unroll
     assert per_u[max(per_u)] >= 0.9 * max(per_u.values())
-
-
-@pytest.mark.parametrize("bench", BENCHES)
-def test_fig7_cell_benchmark(benchmark, bench):
-    from repro.apps import get_benchmark, problem_sizes
-
-    platform = TFluxCell()
-    size = problem_sizes(bench, "C")["small"]
-
-    def run():
-        return platform.evaluate(
-            get_benchmark(bench), size, nkernels=4, unrolls=(16,),
-            verify=False, max_threads=256,
-        )
-
-    ev = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert ev.speedup > 0.5

@@ -1,13 +1,6 @@
-"""T1 — Table 1: workload description and problem sizes.
-
-Regenerates the table and benchmarks the workload generators themselves
-(building each DDM program, which is what Table 1 parameterises).
-"""
-
-import pytest
+"""T1 — Table 1: workload description and problem sizes."""
 
 from benchmarks.conftest import report
-from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.analysis.tables import render_table1
 
 
@@ -20,16 +13,3 @@ def test_render_table1_matches_paper_grid():
     assert "10K" in table and "12K" in table
     assert "256x288" in table and "1024x576" in table
     assert "32x32" in table and "128x128" in table
-
-
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_workload_generation_benchmark(benchmark, name):
-    """pytest-benchmark: time building each workload's DDM program."""
-    bench = get_benchmark(name)
-    size = problem_sizes(name, "S")["small"]
-
-    def build():
-        return bench.build(size, unroll=8, max_threads=512)
-
-    program = benchmark(build)
-    assert program.ninstances >= 1

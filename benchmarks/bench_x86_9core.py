@@ -9,12 +9,13 @@ the numbers "due to lack of space" — we can.)
 import pytest
 
 from benchmarks.conftest import report
+from repro.analysis import FIGURE5
 from repro.apps import get_benchmark, problem_sizes
 from repro.exec import EvalRequest, evaluate_many
 from repro.platforms import TFluxHard
 from repro.sim.machine import X86_9_SIM
 
-BENCHES = ("trapez", "mmult", "qsort", "susan", "fft")
+BENCHES = FIGURE5.benches
 KERNELS = 8  # 9 cores - 1 OS core
 
 
@@ -31,11 +32,6 @@ def _requests(platform) -> list[EvalRequest]:
         )
         for name in BENCHES
     ]
-
-
-def speedups(platform) -> dict[str, float]:
-    evs = evaluate_many(_requests(platform))
-    return {name: ev.speedup for name, ev in zip(BENCHES, evs)}
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +75,16 @@ def test_conclusions_carry_over(results):
                 )
 
 
-def test_x86_benchmark(benchmark):
-    platform = TFluxHard(machine=X86_9_SIM)
-    bench = get_benchmark("trapez")
-    size = problem_sizes("trapez", "S")["small"]
-
-    def run():
-        return platform.evaluate(
-            bench, size, nkernels=8, unrolls=(16,), verify=False, max_threads=256
-        ).speedup
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result > 4.0
+def test_x86_scales_on_the_small_input_too():
+    """The similarity claim above is checked at the large input; the
+    9-core machine also gets more than half-linear speedup out of the
+    small TRAPEZ, which no Bagle ratio implies."""
+    speedup = TFluxHard(machine=X86_9_SIM).evaluate(
+        get_benchmark("trapez"),
+        problem_sizes("trapez", "S")["small"],
+        nkernels=KERNELS,
+        unrolls=(16,),
+        verify=False,
+        max_threads=256,
+    ).speedup
+    assert speedup > 4.0

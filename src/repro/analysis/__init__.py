@@ -3,24 +3,42 @@
 * :mod:`repro.analysis.calibration` — every reference value legible in the
   paper's Figures 5–7 and the headline averages, for paper-vs-measured
   comparison in ``EXPERIMENTS.md``;
-* :mod:`repro.analysis.speedup` — the sweep drivers that regenerate each
-  figure's grid (benchmark × kernels × problem size);
+* :mod:`repro.analysis.speedup` — the one definition of each paper
+  figure (platform, benchmarks, kernel counts, reduced/full grids) and
+  the sweep driver that regenerates its grid;
 * :mod:`repro.analysis.tables` — ASCII renderers producing the same rows
   and series the paper reports.
 """
 
 from repro.analysis.calibration import PAPER
-from repro.analysis.runstats import Measurement, measure_native, summarize
-from repro.analysis.speedup import FigureGrid, sweep_figure
+from repro.analysis.speedup import (
+    FIGURE5,
+    FIGURE6,
+    FIGURE7,
+    FIGURES,
+    FigureGrid,
+    full_grids,
+    granularity_curves,
+    granularity_request,
+    grid_max_threads,
+    sweep_figure,
+    unroll_reaching,
+)
 from repro.analysis.tables import render_grid, render_table1
 
 __all__ = [
     "PAPER",
+    "FIGURE5",
+    "FIGURE6",
+    "FIGURE7",
+    "FIGURES",
     "FigureGrid",
+    "full_grids",
+    "granularity_curves",
+    "granularity_request",
+    "grid_max_threads",
     "sweep_figure",
+    "unroll_reaching",
     "render_grid",
     "render_table1",
-    "Measurement",
-    "measure_native",
-    "summarize",
 ]

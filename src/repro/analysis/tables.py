@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.speedup import FigureGrid
 from repro.apps.common import _SIZES, SIZE_LABELS
 
-__all__ = ["render_table1", "render_grid", "render_comparison"]
+__all__ = ["render_table1", "render_grid", "render_bars"]
 
 _DESCRIPTIONS = {
     "trapez": ("kernel", "Trapezoidal rule for integration"),
@@ -100,23 +98,4 @@ def render_bars(grid: FigureGrid, size: str = "large", width: int = 50) -> str:
             filled = int(round(ev.speedup / top * width))
             bar = "█" * min(filled, width)
             lines.append(f"  {nk:>3} |{bar:<{width}}| {ev.speedup:5.2f}")
-    return "\n".join(lines)
-
-
-def render_comparison(
-    measured: dict[str, float], reference: dict[str, Optional[float]], title: str
-) -> str:
-    """Paper-vs-measured rows for EXPERIMENTS.md."""
-    lines = [title, f"{'benchmark':<10} {'paper':>8} {'measured':>10} {'ratio':>8}"]
-    for bench, paper_value in reference.items():
-        got = measured.get(bench)
-        if got is None:
-            continue
-        if paper_value:
-            lines.append(
-                f"{bench.upper():<10} {paper_value:>8.1f} {got:>10.2f} "
-                f"{got / paper_value:>8.2f}"
-            )
-        else:
-            lines.append(f"{bench.upper():<10} {'n/a':>8} {got:>10.2f} {'':>8}")
     return "\n".join(lines)

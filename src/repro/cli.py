@@ -102,13 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         "unroll (open in Perfetto / chrome://tracing)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="after evaluating, re-run the first cell at the best unroll "
-        "with the engine fast path on and off and print an events/instance "
-        "+ sec/run comparison table",
-    )
-    parser.add_argument(
         "--check-deps",
         action="store_true",
         help="instead of evaluating, diagnose the benchmark's declared "
@@ -226,8 +219,6 @@ def main(argv: list[str] | None = None) -> int:
                          evaluations[0])
         if args.check_native:
             _check_native(args.benchmark, size, evaluations[0])
-        if args.profile:
-            _profile(cells[0][1], args.benchmark, size, evaluations[0])
     except (ValueError, MemoryError) as exc:
         import sys
 
@@ -250,49 +241,6 @@ def _write_trace(path: str, platform, bench_name: str, size, evaluation) -> None
         f"trace: {len(tracer.spans)} spans -> {path} "
         "(load in Perfetto or chrome://tracing)"
     )
-
-
-def _profile(platform, bench_name: str, size, evaluation) -> None:
-    """Engine-cost profile of the first evaluated cell: the same run with
-    the DES fast path on and off, as an events/instance + sec/run table
-    (scheduled events ≈ heap churn: every push pays a heapq rebalance)."""
-    import time
-    from contextlib import nullcontext
-
-    from repro.apps import get_benchmark
-    from repro.sim.engine import eager_protocol
-
-    bench = get_benchmark(bench_name)
-    rows = []
-    for fast in (True, False):
-        prog = bench.build(size, unroll=evaluation.best_unroll)
-        with nullcontext() if fast else eager_protocol():
-            start = time.perf_counter()
-            result = platform.execute(prog, nkernels=evaluation.nkernels)
-            seconds = time.perf_counter() - start
-        instances = max(result.total_dthreads, 1)
-        rows.append(
-            (
-                "on" if fast else "off",
-                result.cycles,
-                result.counters["engine.events"],
-                result.counters["engine.scheduled"],
-                result.counters["engine.events"] / instances,
-                seconds,
-            )
-        )
-    print("profile (fast path on vs off, identical simulated schedule):")
-    print(
-        f"  {'fastpath':>8s} {'cycles':>12s} {'events':>10s} "
-        f"{'scheduled':>10s} {'ev/inst':>8s} {'sec/run':>8s}"
-    )
-    for name, cycles, events, scheduled, per_inst, seconds in rows:
-        print(
-            f"  {name:>8s} {cycles:>12d} {events:>10d} "
-            f"{scheduled:>10d} {per_inst:>8.1f} {seconds:>8.3f}"
-        )
-    if rows[0][1] != rows[1][1]:
-        print("  WARNING: cycle counts differ — fast path is NOT neutral")
 
 
 def _check_native(bench_name: str, size, evaluation) -> None:

@@ -2,7 +2,7 @@
 
 Static DDM programs fix their Synchronization Graph before execution;
 this module holds the two objects that relax that (the Taskflow-style
-extension of ROADMAP item 3):
+extension, see PAPERS.md):
 
 * :class:`Subflow` — a miniature graph builder (a
   :class:`~repro.core.graph.GraphBuilder`, like the program's own

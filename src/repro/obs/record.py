@@ -166,14 +166,6 @@ class RunRecord:
         """The §5 measured quantity: region cycles, else total cycles."""
         return self.region_cycles or self.cycles
 
-    def speedup_over(self, sequential_cycles: int) -> float:
-        """Paper-style speedup: sequential time / parallel time, over the
-        parallelised region."""
-        cyc = self.measured_cycles
-        if cyc <= 0:
-            raise ValueError("run has no cycle measurement")
-        return sequential_cycles / cyc
-
     @property
     def total_dthreads(self) -> int:
         return sum(k.dthreads for k in self.kernels)
@@ -183,13 +175,6 @@ class RunRecord:
         if not self.kernels:
             return 0.0
         return sum(k.core.utilisation() for k in self.kernels) / len(self.kernels)
-
-    def summary_line(self) -> str:
-        return (
-            f"{self.program:>8s} on {self.platform:<10s} "
-            f"kernels={self.nkernels:<3d} cycles={self.cycles:>14,d} "
-            f"util={self.utilisation():.2f}"
-        )
 
     # -- JSON round trip ---------------------------------------------------
     def to_json_dict(self) -> dict[str, Any]:

@@ -26,6 +26,7 @@ import argparse
 import asyncio
 import json
 import os
+import signal
 import sys
 from typing import Any, Optional
 
@@ -82,6 +83,11 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
     )
 
     async def _run() -> None:
+        # SIGTERM takes the Ctrl-C path: cancel this task so ``aclose``
+        # runs and the forked pool workers are released, not orphaned.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         server = TFluxServer(config=config)
         await server.start(host=args.host, port=args.port, unix=args.unix)
         where = args.unix if args.unix else "%s:%d" % server.address[:2]
@@ -95,7 +101,7 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("tflux-serve: bye")
     return 0
 

@@ -70,9 +70,10 @@ def eager_protocol() -> Iterator[None]:
     """Build engines in the reference mode (``coalesce=False``) inside the block.
 
     Platforms construct their engine internally, so the differential
-    suites and ``tflux-run --profile`` reach the eager protocol through
-    this process-wide default rather than a parameter threaded through
-    every layer.  Not thread-safe: a measurement tool, not an option.
+    suites reach the eager protocol through this process-wide default
+    rather than a parameter threaded through every layer.  Not
+    thread-safe: a test oracle with no caller under ``src/``, not an
+    option.
     """
     global _coalesce_default
     saved, _coalesce_default = _coalesce_default, False

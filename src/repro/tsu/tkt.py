@@ -46,14 +46,6 @@ class ThreadToKernelTable:
     def threads_of(self, kernel: int) -> list[int]:
         return [i for i, k in enumerate(self._table) if k == kernel]
 
-    def load_imbalance(self) -> float:
-        """Max/mean ratio of per-kernel instance counts (1.0 = perfect)."""
-        counts = [0] * self.nkernels
-        for k in self._table:
-            counts[k] += 1
-        mean = len(self._table) / self.nkernels if self.nkernels else 0
-        return max(counts) / mean if mean else 1.0
-
 
 class NodeThreadToKernelTable(ThreadToKernelTable):
     """TKT that also resolves the *node* owning each kernel's SM.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import PAPER, render_grid, render_table1, sweep_figure
-from repro.analysis.tables import render_comparison
 from repro.apps import get_benchmark, problem_sizes
 from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
 
@@ -88,15 +87,6 @@ def test_render_table1_structure():
     assert t.count("\n") > 6
     for bench in ("TRAPEZ", "MMULT", "QSORT", "SUSAN", "FFT"):
         assert bench in t
-
-
-def test_render_comparison():
-    text = render_comparison(
-        {"trapez": 25.0, "fft": 17.0},
-        {"trapez": 25.6, "fft": 18.8},
-        "cmp",
-    )
-    assert "TRAPEZ" in text and "0.98" in text
 
 
 def test_paper_reference_integrity():

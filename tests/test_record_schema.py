@@ -139,5 +139,3 @@ def test_record_derived_quantities():
     assert rec.total_dthreads == 4  # the four "work" contexts
     assert 0.0 < rec.utilisation() <= 1.0
     assert rec.measured_cycles > 0
-    assert rec.speedup_over(2 * rec.measured_cycles) == pytest.approx(2.0)
-    assert "tfluxhard" in rec.summary_line()

@@ -26,31 +26,15 @@ def make_result(cycles=1000, region=800, nkernels=2):
     )
 
 
-def test_speedup_over_uses_region():
-    res = make_result(cycles=1000, region=800)
-    assert res.speedup_over(1600) == 2.0
-
-
-def test_speedup_over_falls_back_to_total():
-    res = make_result(cycles=1000, region=0)
-    assert res.speedup_over(2000) == 2.0
-
-
-def test_speedup_over_rejects_empty_run():
-    res = make_result(cycles=0, region=0)
-    with pytest.raises(ValueError):
-        res.speedup_over(100)
+def test_measured_cycles_is_region_else_total():
+    assert make_result(cycles=1000, region=800).measured_cycles == 800
+    assert make_result(cycles=1000, region=0).measured_cycles == 1000
 
 
 def test_total_dthreads_and_utilisation():
     res = make_result()
     assert res.total_dthreads == 6
     assert res.utilisation() == pytest.approx(0.8)
-
-
-def test_summary_line_format():
-    line = make_result().summary_line()
-    assert "tfluxhard" in line and "kernels=2" in line
 
 
 def test_utilisation_empty():

@@ -103,11 +103,6 @@ def test_tkt_out_of_range_rejected():
         ThreadToKernelTable([0, 5], nkernels=2)
 
 
-def test_tkt_load_imbalance():
-    assert ThreadToKernelTable([0, 1], nkernels=2).load_imbalance() == 1.0
-    assert ThreadToKernelTable([0, 0, 0, 1], nkernels=2).load_imbalance() == 1.5
-
-
 # -- TUB --------------------------------------------------------------------
 def test_tub_push_drain_roundtrip():
     tub = ThreadUpdateBuffer(nsegments=2, segment_capacity=4)
