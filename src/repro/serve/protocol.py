@@ -53,6 +53,7 @@ __all__ = [
     "job_to_wire",
     "outcome_from_wire",
     "outcome_to_wire",
+    "result_line",
 ]
 
 #: Bump on incompatible message-shape changes (advertised in ``welcome``).
@@ -70,6 +71,21 @@ class WireError(ValueError):
 def encode(message: dict[str, Any]) -> bytes:
     """One protocol line: compact JSON + newline."""
     return json.dumps(message, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+
+
+def result_line(batch_id: str, index: int, outcome_line: bytes) -> bytes:
+    """The ``result`` line for an outcome that is already encoded.
+
+    *outcome_line* is ``encode(outcome_to_wire(outcome))``; the result is
+    byte-identical to ``encode({"type": "result", "batch_id": batch_id,
+    "index": index, "outcome": outcome_to_wire(outcome)})`` because
+    :func:`encode` sorts keys at every level and ``batch_id < index <
+    outcome < type`` — so a server encodes an outcome once and splices
+    the two per-delivery fields around it.
+    """
+    return b'{"batch_id":%s,"index":%d,"outcome":%s,"type":"result"}\n' % (
+        json.dumps(batch_id).encode(), index, outcome_line[:-1],
+    )
 
 
 def decode(line: bytes) -> dict[str, Any]:

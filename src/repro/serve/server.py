@@ -26,9 +26,18 @@ Architecture (one asyncio loop + one persistent process pool)::
 * **Results stream**: each finished cell is written to its tenant the
   moment it resolves (``result`` messages in completion order, then
   ``batch_done``) — no wait-for-whole-batch.
+* **A hit is a lookup and a send**: what is a function of the job alone
+  is computed once per job.  A wire job resolves to ``(JobSpec,
+  digest)`` once per distinct form (``TFluxServer._resolve``, a
+  bounded memo); an outcome is encoded once per digest, by the flight's
+  leader, and the flight's value *is* those bytes — a delivery splices
+  ``batch_id``/``index`` around them
+  (:func:`repro.serve.protocol.result_line`); a connection's writer
+  sends everything queued since it last woke in one write.
 * **Everything is counted** through :mod:`repro.obs`:
   ``serve.admitted/rejected/deduped/lru_hits/evictions/executed/completed``
-  globally, the same set per tenant under ``serve.tenant.<name>.*``, and
+  globally, the same set per tenant under ``serve.tenant.<name>.*``,
+  ``serve.encoded/admission_memo_hits/writes/client_aborts``, and
   the disk cache's ``exec.cache.hits/misses/stores`` merged into every
   stats reply so in-memory and on-disk effectiveness are comparable in
   one place.
@@ -47,12 +56,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import os
 import re
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Optional
 
 from repro.exec.cache import ResultCache, cache_from_env, spec_digest
@@ -67,6 +77,7 @@ from repro.serve.protocol import (
     encode,
     job_from_wire,
     outcome_to_wire,
+    result_line,
 )
 from repro.serve.scheduler import FairScheduler
 
@@ -101,13 +112,20 @@ def _counter_key(tenant: str) -> str:
     return key if key.isidentifier() else f"t_{key}"
 
 
+def _resolve(job_line: bytes) -> tuple[JobSpec, str]:
+    """The spec and digest an encoded wire job stands for."""
+    spec = job_from_wire(json.loads(job_line))
+    return spec, spec_digest(spec)
+
+
 class _Batch:
     """Bookkeeping for one admitted submit message."""
 
-    __slots__ = ("conn", "batch_id", "remaining")
+    __slots__ = ("conn", "tenant_key", "batch_id", "remaining")
 
     def __init__(self, conn: "_Connection", batch_id: str, njobs: int) -> None:
         self.conn = conn
+        self.tenant_key = conn.tenant_key  # as named when the batch came in
         self.batch_id = batch_id
         self.remaining = njobs
 
@@ -125,7 +143,7 @@ class _Job:
 
 
 class _Connection:
-    """Per-client state: identity plus an outgoing message queue.
+    """Per-client state: identity plus a queue of encoded outgoing lines.
 
     A dedicated writer task drains the queue so slow readers exert
     backpressure on their own stream without stalling the dispatcher.
@@ -134,13 +152,26 @@ class _Connection:
     _ids = itertools.count(1)
 
     def __init__(self) -> None:
-        self.tenant = f"anon{next(self._ids)}"
-        self.outq: "asyncio.Queue[Optional[dict[str, Any]]]" = asyncio.Queue()
+        self.set_tenant(f"anon{next(self._ids)}")
+        self.out: list[bytes] = []
+        self.wake = asyncio.Event()  # lines queued, or closed
         self.closed = False
 
+    def set_tenant(self, tenant: str) -> None:
+        self.tenant = tenant
+        self.tenant_key = _counter_key(tenant)
+
     def send(self, message: dict[str, Any]) -> None:
+        self.write(encode(message))
+
+    def write(self, line: bytes) -> None:
         if not self.closed:
-            self.outq.put_nowait(message)
+            self.out.append(line)
+            self.wake.set()
+
+    def close(self) -> None:
+        self.closed = True
+        self.wake.set()  # let the writer flush what is queued and end
 
 
 class TFluxServer:
@@ -159,7 +190,12 @@ class TFluxServer:
             max_queued_total=self.config.max_queued_total,
             aging_rounds=self.config.aging_rounds,
         )
+        #: digest -> the outcome's encoded wire form (``encode`` bytes).
         self.lru = SingleFlightLRU(self.config.lru_capacity)
+        #: The admission memo: one resolution per distinct encoded wire
+        #: job, as many as the result LRU holds.  ``lru_cache`` keeps no
+        #: call that raised, so a refused job is refused afresh each time.
+        self._resolve = lru_cache(maxsize=self.config.lru_capacity)(_resolve)
         #: Simulations actually handed to the pool (the single-flight
         #: acceptance number: equals unique specs under a dedup herd).
         self.executed = 0
@@ -169,6 +205,8 @@ class TFluxServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._tasks: set[asyncio.Task] = set()
+        #: Connection handler tasks and the stream each one owns.
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -------------------------------------------------------------
     async def start(
@@ -207,10 +245,15 @@ class TFluxServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, cancel in-flight work, release the pool."""
+        """Stop accepting, drop every client, cancel in-flight work,
+        release the pool."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        # abort, not close: close waits for a stalled reader to take what
+        # is buffered, and teardown must not wait on a client.  A handler
+        # reads EOF, ends its writer and returns.
+        for writer in self._clients.values():
+            writer.transport.abort()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
         for task in list(self._tasks):
@@ -218,8 +261,11 @@ class TFluxServer:
         await asyncio.gather(
             *([self._dispatcher] if self._dispatcher else []),
             *self._tasks,
+            *self._clients,
             return_exceptions=True,
         )
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
 
@@ -229,6 +275,8 @@ class TFluxServer:
     ) -> None:
         conn = _Connection()
         conn.send({"type": "welcome", "server": "tflux-serve", "wire": WIRE_VERSION})
+        handler = asyncio.current_task()
+        self._clients[handler] = writer
         writer_task = asyncio.create_task(self._write_loop(conn, writer))
         try:
             while True:
@@ -246,7 +294,7 @@ class TFluxServer:
                     continue
                 mtype = message["type"]
                 if mtype == "hello":
-                    conn.tenant = str(message.get("tenant") or conn.tenant)
+                    conn.set_tenant(str(message.get("tenant") or conn.tenant))
                 elif mtype == "submit":
                     self._admit(conn, message)
                 elif mtype == "stats":
@@ -258,24 +306,30 @@ class TFluxServer:
                         {"type": "error", "message": f"unknown message type {mtype!r}"}
                     )
         finally:
-            conn.closed = True
-            conn.outq.put_nowait(None)  # unblock the writer for shutdown
+            conn.close()
             try:
                 await writer_task
             except asyncio.CancelledError:  # pragma: no cover - teardown race
                 pass
             writer.close()
+            del self._clients[handler]
 
     async def _write_loop(
         self, conn: _Connection, writer: asyncio.StreamWriter
     ) -> None:
+        """One transport write per wake: everything queued since the last
+        one, then ``drain`` — the backpressure point of this stream."""
         try:
             while True:
-                message = await conn.outq.get()
-                if message is None:
+                await conn.wake.wait()
+                conn.wake.clear()
+                lines, conn.out = conn.out, []
+                if lines:
+                    writer.write(b"".join(lines))
+                    self.counters.inc("serve.writes")
+                    await writer.drain()
+                if conn.closed and not conn.out:
                     break
-                writer.write(encode(message))
-                await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             conn.closed = True
 
@@ -291,14 +345,14 @@ class TFluxServer:
             return
         try:
             priority = int(message.get("priority", 0))
-            specs = [job_from_wire(job) for job in jobs_wire]
+            resolved = [self._resolve(encode(job)) for job in jobs_wire]
         except (WireError, TypeError, ValueError) as exc:
             conn.send({"type": "error", "batch_id": batch_id, "message": str(exc)})
             return
-        tenant_key = _counter_key(conn.tenant)
-        if not self.scheduler.can_accept(conn.tenant, len(specs)):
-            self.counters.inc("serve.rejected", len(specs))
-            self.counters.inc(f"serve.tenant.{tenant_key}.rejected", len(specs))
+        tenant_key = conn.tenant_key
+        if not self.scheduler.can_accept(conn.tenant, len(resolved)):
+            self.counters.inc("serve.rejected", len(resolved))
+            self.counters.inc(f"serve.tenant.{tenant_key}.rejected", len(resolved))
             conn.send(
                 {
                     "type": "overloaded",
@@ -310,14 +364,14 @@ class TFluxServer:
                 }
             )
             return
-        batch = _Batch(conn, batch_id, len(specs))
-        for index, spec in enumerate(specs):
-            job = _Job(batch, index, spec, spec_digest(spec))
+        batch = _Batch(conn, batch_id, len(resolved))
+        for index, (spec, digest) in enumerate(resolved):
+            job = _Job(batch, index, spec, digest)
             admitted = self.scheduler.submit(conn.tenant, job, priority)
             assert admitted  # can_accept covered the whole batch
-        self.counters.inc("serve.admitted", len(specs))
-        self.counters.inc(f"serve.tenant.{tenant_key}.admitted", len(specs))
-        conn.send({"type": "accepted", "batch_id": batch_id, "jobs": len(specs)})
+        self.counters.inc("serve.admitted", len(resolved))
+        self.counters.inc(f"serve.tenant.{tenant_key}.admitted", len(resolved))
+        conn.send({"type": "accepted", "batch_id": batch_id, "jobs": len(resolved)})
         self._wake.set()
 
     # -- dispatch --------------------------------------------------------------
@@ -340,8 +394,10 @@ class TFluxServer:
             entry = self.scheduler.next()
             if entry is None:
                 return
-            tenant, job = entry
-            tenant_key = _counter_key(tenant)
+            _, job = entry
+            if job.batch.conn.closed:  # its client is gone: run nothing for it
+                self.counters.inc("serve.client_aborts")
+                continue
             fut, leader = self.lru.claim(job.digest)
             if leader:
                 task = asyncio.create_task(self._compute(job.digest, job.spec))
@@ -350,12 +406,13 @@ class TFluxServer:
             else:
                 kind = "lru_hits" if fut.done() else "deduped"
                 self.counters.inc(f"serve.{kind}")
-                self.counters.inc(f"serve.tenant.{tenant_key}.{kind}")
-            fut.add_done_callback(partial(self._deliver, tenant_key, job))
+                self.counters.inc(f"serve.tenant.{job.batch.tenant_key}.{kind}")
+            fut.add_done_callback(partial(self._deliver, job))
 
     async def _compute(self, digest: str, spec: JobSpec) -> None:
-        """Leader path: disk cache, else the persistent pool; resolve or
-        reject the flight (failures are never cached)."""
+        """Leader path: disk cache, else the persistent pool; resolve the
+        flight with the outcome's encoded wire form — the one encode of
+        this digest — or reject it (failures are never cached)."""
         try:
             outcome = self.cache.get(digest) if self.cache is not None else None
             if outcome is None:
@@ -365,18 +422,20 @@ class TFluxServer:
                 self.counters.inc("serve.executed")
                 if self.cache is not None:
                     self.cache.put(digest, outcome)
+            outcome_line = encode(outcome_to_wire(outcome))
+            self.counters.inc("serve.encoded")
         except asyncio.CancelledError:
             self.lru.reject(digest, ConnectionAbortedError("server shutting down"))
             raise
         except Exception as exc:
             self.lru.reject(digest, exc)
         else:
-            self.lru.resolve(digest, outcome)
+            self.lru.resolve(digest, outcome_line)
         finally:
             self._wake.set()
 
     # -- delivery --------------------------------------------------------------
-    def _deliver(self, tenant_key: str, job: _Job, flight: Future) -> None:
+    def _deliver(self, job: _Job, flight: Future) -> None:
         """Stream one job's settled *flight* (a result or a job_error)."""
         batch = job.batch
         error = flight.exception()
@@ -390,16 +449,11 @@ class TFluxServer:
                 }
             )
         else:
-            batch.conn.send(
-                {
-                    "type": "result",
-                    "batch_id": batch.batch_id,
-                    "index": job.index,
-                    "outcome": outcome_to_wire(flight.result()),
-                }
+            batch.conn.write(
+                result_line(batch.batch_id, job.index, flight.result())
             )
         self.counters.inc("serve.completed")
-        self.counters.inc(f"serve.tenant.{tenant_key}.completed")
+        self.counters.inc(f"serve.tenant.{batch.tenant_key}.completed")
         batch.remaining -= 1
         if batch.remaining == 0:
             batch.conn.send({"type": "batch_done", "batch_id": batch.batch_id})
@@ -419,6 +473,7 @@ class TFluxServer:
         snapshot.inc("serve.lru_size", lru["size"])
         snapshot.inc("serve.queue_depth", self.scheduler.pending_total)
         snapshot.inc("serve.inflight", lru["inflight"])
+        snapshot.inc("serve.admission_memo_hits", self._resolve.cache_info().hits)
         if self.cache is not None:
             self.cache.publish_counters(snapshot)
         return snapshot
@@ -448,6 +503,9 @@ class ServerHandle:
         self._thread = thread
 
     def stop(self, timeout: float = 10.0) -> None:
+        if not self._thread.is_alive():
+            return  # already stopped
+
         async def _shutdown() -> None:
             await self.server.aclose()
             asyncio.get_running_loop().stop()

@@ -7,14 +7,19 @@ bounds, and failures surface as ``job_error`` without poisoning any
 cache.
 """
 
+import gc
 import json
+import logging
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.exec import ResultCache, run_job
 from repro.serve import ServeClient, ServeConfig, job_to_wire, serve_in_thread
-from repro.serve.protocol import job_from_wire, outcome_to_wire
+from repro.serve.protocol import encode, job_from_wire, outcome_to_wire
 
 #: Two distinct cheap cells (trapez small) — the workhorse grid.
 GRID = [
@@ -233,3 +238,79 @@ def test_stats_message_shape(spawn):
     # Gauges ride in the counter registry for one-stop scraping.
     assert "serve.lru_size" in stats["counters"]
     assert "serve.queue_depth" in stats["counters"]
+
+
+def test_encoded_identity_over_a_server_life(spawn, tmp_path):
+    """Every flight that resolves is encoded exactly once, whether the
+    pool or the disk cache answered it: per server life
+    ``serve.encoded == serve.executed + exec.cache.hits``."""
+    for executed in (len(GRID), 0):  # a cold life, then one served from disk
+        handle = spawn(cache=ResultCache(tmp_path))
+        with ServeClient(handle.address) as client:
+            for _ in range(3):
+                assert client.submit(GRID).ok
+            counters = client.stats()["counters"]
+        assert counters.get("serve.executed", 0) == executed
+        assert counters["serve.encoded"] == len(GRID)
+        assert counters["serve.encoded"] == executed + counters["exec.cache.hits"]
+
+
+# -- teardown and abort --------------------------------------------------------------
+
+def test_stop_with_a_connected_client_is_clean(spawn, caplog, monkeypatch):
+    """``aclose`` owns the per-connection tasks too: an idle client reads
+    EOF at once, and nothing is left pending for the closed loop to
+    complain about ("Task was destroyed but it is pending!", "Event loop
+    is closed")."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    handle = spawn()
+    with socket.create_connection(handle.address) as sock:
+        sock.settimeout(1)
+        assert b'"welcome"' in sock.recv(4096)
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            handle.stop()
+            assert sock.recv(4096) == b""  # EOF within the 1 s timeout
+            gc.collect()  # destroy what the loop left behind, if anything
+    assert not handle._thread.is_alive()
+    assert not [r for r in caplog.records if "destroyed" in r.getMessage()]
+    assert not unraisable
+
+
+def test_vanished_client_costs_only_what_was_in_flight(spawn, tmp_path):
+    """A client that disconnects after ``accepted``: its queued jobs are
+    dropped at dispatch (``serve.client_aborts``), not simulated and
+    encoded for nobody; nothing of them is cached, and the next tenant is
+    served as if it had never been there."""
+    jobs = [
+        job_to_wire("trapez", nkernels=2, unroll=1, max_threads=64 + i)
+        for i in range(12)
+    ]
+    cache = ResultCache(tmp_path)
+    handle = spawn(cache=cache)  # one worker: at most two flights at once
+    with socket.create_connection(handle.address) as sock, sock.makefile("rwb") as stream:
+        sock.settimeout(60)
+        stream.write(encode({"type": "hello", "tenant": "ghost"}))
+        stream.write(encode({"type": "submit", "batch_id": "b", "jobs": jobs}))
+        stream.flush()
+        while json.loads(stream.readline())["type"] != "accepted":
+            pass
+    with ServeClient(handle.address, tenant="survivor") as client:
+        deadline = time.monotonic() + 60
+        while True:
+            stats = client.stats()
+            if stats["queue_depth"] == 0 and stats["lru"]["inflight"] == 0:
+                break
+            assert time.monotonic() < deadline, "scheduler did not drain"
+            time.sleep(0.02)
+        ran = stats["executed"]
+        assert ran <= 2  # the in-flight bound, not 12
+        assert stats["counters"]["serve.client_aborts"] == len(jobs) - ran
+        assert stats["lru"]["size"] == len(cache) == ran
+        # The last two dropped jobs and one new one: all three simulate.
+        batch = client.submit(jobs[-2:] + [GRID[1]])
+        stats = client.stats()
+    assert batch.ok
+    assert stats["executed"] == ran + 3
+    assert stats["lru"]["size"] == len(cache) == ran + 3
+    assert stats["counters"]["serve.tenant.survivor.completed"] == 3

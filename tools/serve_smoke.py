@@ -9,7 +9,9 @@ verify end to end:
 2. the dedup machinery must fire: ``serve.executed`` equals the unique
    spec count and ``serve.deduped + serve.lru_hits`` covers every
    duplicate;
-3. the streamed records must be bit-identical across the two clients;
+3. the streamed records must be bit-identical across the two clients,
+   and each was encoded once: ``serve.encoded == serve.executed +
+   exec.cache.hits``;
 4. ``tflux-submit`` (the CLI path) runs against the same server and its
    ``--json`` dump round-trips;
 5. a job that can never run (``--unroll 0``) is refused at admission:
@@ -122,6 +124,14 @@ def drive(server: subprocess.Popen) -> int:
         return 1
     print(f"serve-smoke: dedup fired: {stats['executed']} simulations, "
           f"{duplicates} duplicates coalesced/LRU-served")
+    encoded = counters.get("serve.encoded", 0)
+    resolved = counters.get("serve.executed", 0) + counters.get("exec.cache.hits", 0)
+    if encoded != resolved:
+        print(f"serve-smoke: FAIL: {encoded} outcomes encoded for {resolved} "
+              f"resolved flights (serve.executed + exec.cache.hits)")
+        return 1
+    print(f"serve-smoke: one encode per digest: serve.encoded={encoded}, "
+          f"{counters.get('serve.writes', 0)} writes for {total} results")
 
     # -- the CLI client path -------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
