@@ -36,13 +36,38 @@ word first, so sharer-set union, upgrade detection and invalidation
 sweeps stay vectorised numpy ops that only touch nodes that actually
 hold copies.
 
-Cost: vectorised NumPy per declared range (``_sweep``), scalar Python
-ints for ranges of exactly one cache line (``_sweep_line``) — 88 % of the
-sweeps of the ``perf`` ``fine_grain`` workload (every TRAPEZ instance
-writing its 8-byte partial sum), where three dozen NumPy calls on
-length-1 arrays were the whole bill; sweeps of 2–16 lines are too few to
-earn a third tier.  ``_sweep`` is the reference: the test suite requires
-``_sweep_line`` to leave identical state after every op.
+Cost: three routes, one protocol.  ``_sweep`` (vectorised NumPy per
+declared range) is the reference.  ``_sweep_line`` is its scalar twin on
+Python ints for ranges of exactly one cache line — 88 % of the sweeps of
+the ``perf`` ``fine_grain`` workload (every TRAPEZ instance writing its
+8-byte partial sum), where three dozen NumPy calls on length-1 arrays
+were the whole bill.  ``_resweep`` prices a *re-stream* — a core sweeping
+exactly the dense range it swept last, MMULT streaming all of B once per
+row chunk — in O(1): after a dense sweep whose fills form one leading
+run, a row's timestamps over ``[start, stop)`` are ``base + min(i + 1,
+k)``, a monotone ramp, so the next sweep's misses are a prefix whose
+length is integer arithmetic on ``(base, k)`` (``_ramp_below``) and the
+row it leaves is another ramp.  Such rows are kept as *pending ramps*
+beside the arrays (``_RegionState.ramp1``/``ramp2``) and written out
+(*settled*, through ``_write_ramp``, the one writer of that formula) only
+when something else needs the row.  That is 2,611 of the 22,817 sweeps of
+a ``paper_grid`` repetition and 96 % of its line visits; sweeps of 2–16
+lines that do not repeat stay on ``_sweep``.  The test suite requires
+``_sweep_line`` and ``_resweep`` to leave identical (settled) state after
+every op.
+
+Settle rules — a pending ramp exists only while nothing has looked at or
+changed what it stands for: ``_sweep`` settles the rows it reads (the
+core's L1 row, its group's L2 row) on entry, and the *whole region*
+before a write (it reads other cores' rows for holes and clears their
+sharer bits) and before an owner downgrade (it stamps the owner's L2
+row); ``_sweep_line`` settles the whole region.  A read by another core
+never settles your L1 ramp (six kernels re-streaming B would ping-pong
+forever), so on a multi-core system a ramp's existence is the proof that
+every line of its range still carries the core's sharer bit and has no
+remote owner — the only other input of the read path — and ``_resweep``
+serves reads with no invalidation holes pending; a single issuer has no
+coherence to track and takes it for reads and writes alike.
 
 Latency constants are identical to the exact model, and the test suite
 cross-validates the two models' hit/miss breakdowns on the workload access
@@ -51,7 +76,7 @@ patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -75,6 +100,21 @@ class _RegionState:
     owner: np.ndarray  # (nlines,) int16, -1 = no modified owner
     sharers: np.ndarray  # (nwords, nlines) uint64 per-node core masks
     presence: np.ndarray  # (nlines,) uint64 node-presence word
+    # Pending ramps, ``row -> (start, stop, base, k)``: the row's timestamps
+    # over [start, stop) are ``base + min(i + 1, k)``, whatever the array
+    # says, until settling writes them out.
+    ramp1: dict[int, tuple] = field(default_factory=dict)  # by L1 row (core)
+    ramp2: dict[int, tuple] = field(default_factory=dict)  # by L2 row (group)
+    # core -> (start, stop) of its last dense multi-line sweep here
+    last_span: dict[int, tuple] = field(default_factory=dict)
+
+
+def _ramp_below(base: int, k: int, n: int, thr: int) -> int:
+    """How many of the *n* timestamps ``base + min(i + 1, k)`` lie below
+    *thr* — a prefix, the ramp being monotone."""
+    if base + k < thr:
+        return n
+    return max(0, thr - base - 1)  # below k, so below n
 
 
 class FastMemorySystem:
@@ -209,26 +249,56 @@ class FastMemorySystem:
             return self._line_iota[sel]
         return sel
 
-    def _fill_single(self, dst: np.ndarray, miss: np.ndarray, k: int,
-                     base) -> None:
-        """Write post-sweep fill timestamps ``base + cumsum(miss)`` into the
-        contiguous view *dst*, shortcutting the cumulative sum when the
-        misses form a single leading run (then the counts are 1..k
-        followed by a flat k for the resident tail)."""
-        n = dst.size
-        if k == 0:
-            dst[:] = base
-            return
-        if k == n or bool(miss[:k].all()):
+    def _write_ramp(self, dst: np.ndarray, k: int, base) -> None:
+        """``dst[i] = base + min(i + 1, k)``: the fill timestamps a sweep
+        leaves when its misses are one leading run of *k* (counts 1..k,
+        then a flat k for the resident tail).  The one writer of that
+        formula — ``_sweep`` and settling a pending ramp both land here."""
+        if k:
             if self._iota.size < k:
                 self._iota = np.arange(
                     1, max(k, 2 * self._iota.size) + 1, dtype=np.int64
                 )
             np.add(self._iota[:k], base, out=dst[:k])
-            if k < n:
-                dst[k:] = base + k
-            return
-        np.add(np.cumsum(miss, dtype=np.int64), base, out=dst)
+        if k < dst.size:
+            dst[k:] = base + k
+
+    def _fill_single(self, dst: np.ndarray, miss: np.ndarray, k: int,
+                     base) -> None:
+        """Write post-sweep fill timestamps ``base + cumsum(miss)`` into the
+        contiguous view *dst*, shortcutting the cumulative sum when the
+        misses form a single leading run."""
+        if k == 0 or k == dst.size or bool(miss[:k].all()):
+            self._write_ramp(dst, k, base)
+        else:
+            np.add(np.cumsum(miss, dtype=np.int64), base, out=dst)
+
+    def _settle_row(self, arr: np.ndarray, ramps: dict, row: int) -> None:
+        """Write *row*'s pending ramp, if any, into *arr* and drop it."""
+        ramp = ramps.pop(row, None)
+        if ramp is not None:
+            start, stop, base, k = ramp
+            self._write_ramp(arr[row, start:stop], k, base)
+
+    def _write_ramps(self, rs: _RegionState, l1: np.ndarray, l2: np.ndarray) -> None:
+        for arr, ramps in ((l1, rs.ramp1), (l2, rs.ramp2)):
+            for row, (start, stop, base, k) in ramps.items():
+                self._write_ramp(arr[row, start:stop], k, base)
+
+    def _settle(self, rs: _RegionState) -> None:
+        """Settle every row of the region."""
+        self._write_ramps(rs, rs.l1_last, rs.l2_last)
+        rs.ramp1.clear()
+        rs.ramp2.clear()
+
+    def _settled(self, region: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(l1_last, l2_last)`` of *region* with every pending ramp
+        applied, on copies: looking does not settle, so a test may compare
+        state after every op without destroying the ramps it exercises."""
+        rs = self._region_state(region)
+        l1, l2 = rs.l1_last.copy(), rs.l2_last.copy()
+        self._write_ramps(rs, l1, l2)
+        return l1, l2
 
     def _absorb_holes(self, rs: _RegionState, sel, masked: np.ndarray,
                       word: int) -> None:
@@ -238,7 +308,8 @@ class FastMemorySystem:
         slot there.  One sharer (the overwhelmingly common case — a single
         producer) takes a scalar path; several sharers are handled as one
         vectorised (ncores_sharing, nlines) residency comparison instead
-        of a per-bit Python loop."""
+        of a per-bit Python loop.  Reads other cores' L1 rows straight from
+        the arrays: the writing ``_sweep`` has settled the region."""
         union = int(np.bitwise_or.reduce(masked)) if masked.size else 0
         if not union:
             return
@@ -259,7 +330,8 @@ class FastMemorySystem:
         bits = self._corebit_arr[carr % CORES_PER_NODE]
         held = (masked[None, :] & bits[:, None]) != 0
         thr = np.maximum(1, self._clock[carr] - cap + 1)
-        resident = held & (rs.l1_last[carr][:, sel] >= thr[:, None])
+        rows = carr if isinstance(sel, slice) else carr[:, None]
+        resident = held & (rs.l1_last[rows, sel] >= thr[:, None])
         for core, count in zip(cores, resident.sum(axis=1).tolist()):
             self._holes[core] += count
 
@@ -301,7 +373,7 @@ class FastMemorySystem:
             if nlines == 1:
                 total += self._sweep_line(core, op.region.name, line, op.is_write)
             else:
-                total += self._sweep(
+                total += self._sweep_range(
                     core, op.region.name, sel, nlines, op.is_write, dense
                 )
         return total
@@ -311,6 +383,95 @@ class FastMemorySystem:
         for op in summary:
             total += self.run_op(core, op)
         return total
+
+    # -- routing a multi-line sweep ---------------------------------------------
+    def _sweep_range(
+        self, core: int, region: str, sel: slice | np.ndarray, n: int,
+        is_write: bool, dense: bool,
+    ) -> int:
+        """A multi-line sweep: ``_resweep`` when this core re-streams the
+        range its pending ramps describe, else ``_sweep`` — after which, if
+        the range repeats the core's previous one here (a detected
+        re-stream) and both rows came out as ramps, they are noted so the
+        next repeat is O(1)."""
+        if not isinstance(sel, slice):
+            return self._sweep(core, region, sel, n, is_write, dense)
+        rs = self._region_state(region)
+        group = self.l2_groups[core]
+        span = (sel.start, sel.stop)
+        # Multi-core: reads only (a write changes other cores' state) and
+        # no invalidation holes pending (fills would consume them first).
+        routable = self._single_issuer or not (is_write or self._holes[core])
+        if routable:
+            r1, r2 = rs.ramp1.get(core), rs.ramp2.get(group)
+            if r1 and r2 and r1[:2] == span == r2[:2]:
+                return self._resweep(core, group, rs, r1, r2, is_write)
+        restream = routable and rs.last_span.get(core) == span
+        if restream:
+            clock = self._clock.item(core)
+            l2_clock = self._l2_clock.item(group)
+        cycles = self._sweep(core, region, sel, n, is_write, dense)
+        rs.last_span[core] = span
+        if restream:
+            # base + cumsum(fills) reaches base + k at index k - 1 exactly
+            # when the k fills are the first k lines: one leading run.
+            start = sel.start
+            k1 = self._clock.item(core) - clock
+            k2 = self._l2_clock.item(group) - l2_clock
+            if (
+                not k1 or rs.l1_last.item(core, start + k1 - 1) == clock + k1
+            ) and (
+                not k2 or rs.l2_last.item(group, start + k2 - 1) == l2_clock + k2
+            ):
+                rs.ramp1[core] = span + (clock, k1)
+                rs.ramp2[group] = span + (l2_clock, k2)
+        return cycles
+
+    def _resweep(
+        self, core: int, group: int, rs: _RegionState, r1: tuple, r2: tuple,
+        is_write: bool,
+    ) -> int:
+        """:meth:`_sweep` of the dense range whose L1 and L2 rows are the
+        pending ramps *r1* and *r2*, in O(1).
+
+        Both rows are monotone, so L1 misses are a prefix and so are the
+        lines absent from the L2: DRAM misses are the shorter prefix (one
+        streaming run), L2 hits the rest of the longer, and both rows come
+        out as ramps again.  Must return the same cycles and leave the same
+        settled state as ``_sweep`` — ``tests/test_fastcache_restream.py``
+        compares the two after every op; change them together.
+        """
+        start, stop, base1, k1 = r1
+        base2, k2 = r2[2:]
+        n = stop - start
+        clock = self._clock.item(core)
+        l2_clock = self._l2_clock.item(group)
+        n_miss = _ramp_below(
+            base1, k1, n, max(1, clock - self.l1_capacity + 1)
+        )
+        n_mem = min(n_miss, _ramp_below(
+            base2, k2, n, max(1, l2_clock - self.l2_capacity + 1)
+        ))
+        n_l1 = n - n_miss
+        n_l2 = n_miss - n_mem
+        l1r, l2r = self.l1cfg.read_latency, self.l2cfg.read_latency
+        cycles = n_l1 * (self.l1cfg.write_latency if is_write else l1r)
+        cycles += n_l2 * (l1r + l2r)
+        if n_mem:
+            cycles += l1r + l2r + self.mem.dram_latency
+            cycles += (n_mem - 1) * (l1r + self.mem.dram_burst_latency)
+        rs.ramp1[core] = (start, stop, clock, n_miss)
+        rs.ramp2[group] = (start, stop, l2_clock, n_mem)
+        self._clock[core] = clock + n_miss
+        self._l2_clock[group] = l2_clock + n_mem
+        st = self.stats[core]
+        st.accesses += n
+        st.l1_hits += n_l1
+        st.l2_hits += n_l2
+        st.mem_misses += n_mem
+        st.cycles += cycles
+        self.bus_transactions += n_miss
+        return cycles
 
     # -- the vectorised protocol ----------------------------------------------
     def _sweep(
@@ -324,6 +485,15 @@ class FastMemorySystem:
         nw = self._nwords
         if single and core != self._issuer:
             self._claim_issuer(core)
+        if rs.ramp1 or rs.ramp2:
+            # Settle what this sweep reads: its own two rows, and before a
+            # write every row (other cores' L1 rows are read for holes, and
+            # their sharer bits — what their ramps rely on — are cleared).
+            if is_write:
+                self._settle(rs)
+            else:
+                self._settle_row(rs.l1_last, rs.ramp1, core)
+                self._settle_row(rs.l2_last, rs.ramp2, group)
 
         clock = self._clock[core]
         l2_clock = self._l2_clock[group]
@@ -424,6 +594,8 @@ class FastMemorySystem:
             if not single:
                 # Reads: remote-owned lines downgrade (owner cleared, shared).
                 if n_coh:
+                    # The owners' L2 rows are stamped below: settle first.
+                    self._settle(rs)
                     downgrade = self._lines_of(sel)[remote_owned]
                     # The previous owner's copy stays valid (now SHARED);
                     # the line also lands in the owner's L2 via writeback.
@@ -506,6 +678,8 @@ class FastMemorySystem:
         single = self._single_issuer
         if single and core != self._issuer:
             self._claim_issuer(core)
+        if rs.ramp1 or rs.ramp2:
+            self._settle(rs)
 
         clock = self._clock.item(core)
         l2_clock = self._l2_clock.item(group)

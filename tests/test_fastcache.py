@@ -249,10 +249,17 @@ class _VectorLine(FastMemorySystem):
         return self._sweep(core, region, slice(line, line + 1), 1, is_write, True)
 
 
-def _assert_same_state(a, b):
-    ra, rb = a._state["R"], b._state["R"]
-    for name in ("l1_last", "l2_last", "owner", "sharers", "presence"):
-        assert np.array_equal(getattr(ra, name), getattr(rb, name)), name
+def _assert_same_state(a, b, regions=("R",)):
+    """Equal model state, residency through the non-destructive settled
+    view: comparing does not settle the pending ramps under test."""
+    for region in regions:
+        for level, la, lb in zip(
+            ("l1_last", "l2_last"), a._settled(region), b._settled(region)
+        ):
+            assert np.array_equal(la, lb), (region, level)
+        ra, rb = a._state[region], b._state[region]
+        for name in ("owner", "sharers", "presence"):
+            assert np.array_equal(getattr(ra, name), getattr(rb, name)), (region, name)
     assert np.array_equal(a._clock, b._clock)
     assert np.array_equal(a._l2_clock, b._l2_clock)
     assert a._holes == b._holes
@@ -498,7 +505,7 @@ def test_rows_of_cores_that_never_issue_stay_zero(parallel):
     issued = np.array([st_.accesses > 0 for st_ in memsys.stats])
     assert issued.sum() == (4 if parallel else 1)
     for name in ("img", "sm", "out"):
-        rs = memsys._state[name]
-        assert not rs.l1_last[~issued].any() and not rs.l2_last[~issued].any()
-        assert rs.l1_last[issued].any(axis=1).all()
-        assert rs.l1_last.min() >= 0  # no other "never" sentinel survives
+        l1_last, l2_last = memsys._settled(name)
+        assert not l1_last[~issued].any() and not l2_last[~issued].any()
+        assert l1_last[issued].any(axis=1).all()
+        assert l1_last.min() >= 0  # no other "never" sentinel survives
