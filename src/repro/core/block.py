@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.dthread import DThreadInstance, DThreadTemplate, ThreadKind
-from repro.core.graph import ExpandedGraph
+from repro.core.graph import ExpandedGraph, check_sync_counts
 
 __all__ = ["DDMBlock", "split_into_blocks", "INLET_BASE_TID"]
 
@@ -40,6 +40,9 @@ class DDMBlock:
     Instance ids are *local* to the block (dense, 0-based); ``instances``
     maps the local id to the original :class:`DThreadInstance`.  The inlet
     and outlet occupy the two ids past the application instances.
+
+    The one holder of its arcs while loaded: the TSU indexes ``consumers``
+    in place (``TSUGroup.consumers_of``) and loads only ``ready_counts``.
     """
 
     block_id: int
@@ -72,19 +75,13 @@ class DDMBlock:
         return len(self.instances)
 
     def check_invariants(self) -> None:
-        n = self.size
-        incoming = [0] * n
-        for outs in self.consumers:
-            for dst in outs:
-                assert 0 <= dst < n
-                incoming[dst] += 1
-        for i in range(n):
-            assert incoming[i] == self.ready_counts[i]
-        assert sorted(self.entry) == [i for i in range(n) if self.ready_counts[i] == 0]
+        check_sync_counts(self.ready_counts, self.consumers, self.entry)
 
 
 def _topological_order(graph: ExpandedGraph) -> list[int]:
-    """Kahn's algorithm over the instance graph (deterministic)."""
+    """Kahn's algorithm over the instance graph (deterministic).  Kept
+    apart from ``core/deps.py::_topo_order``: this FIFO order fixes block
+    membership (so every cycle), that LIFO one the checker's finding order."""
     n = graph.ninstances
     indeg = list(graph.ready_counts)
     queue = deque(iid for iid in range(n) if indeg[iid] == 0)
@@ -125,39 +122,35 @@ def split_into_blocks(
         boundaries = list(range(tsu_capacity, n, tsu_capacity)) + [n]
 
     order = _topological_order(graph)
-    block_of = [0] * n
-    start = 0
-    for b, end in enumerate(boundaries):
-        for pos in range(start, end):
-            block_of[order[pos]] = b
-        start = end
+    # Arcs run forward in `order`: for a member of [start, end), "dst is
+    # in this block" is pos[dst] < end, its local id pos[dst] - start;
+    # the rest cross forward and the Outlet -> Inlet barrier enforces them.
+    pos = [0] * n
+    for p, iid in enumerate(order):
+        pos[iid] = p
 
     blocks: list[DDMBlock] = []
     start = 0
     for b, end in enumerate(boundaries):
         members = order[start:end]
-        start = end
-        local = {iid: i for i, iid in enumerate(members)}
-        instances = [graph.instances[iid] for iid in members]
-        consumers: list[list[int]] = [[] for _ in members]
+        consumers = [
+            [pos[dst] - start for dst in graph.consumers[iid] if pos[dst] < end]
+            for iid in members
+        ]
         ready = [0] * len(members)
-        for iid in members:
-            for dst in graph.consumers[iid]:
-                if block_of[dst] == b:
-                    consumers[local[iid]].append(local[dst])
-                    ready[local[dst]] += 1
-                # Cross-block (always forward) arcs are enforced by the
-                # Outlet -> Inlet barrier between blocks.
-        entry = [i for i in range(len(members)) if ready[i] == 0]
+        for outs in consumers:
+            for dst in outs:
+                ready[dst] += 1
         blocks.append(
             DDMBlock(
                 block_id=first_block_id + b,
-                instances=instances,
+                instances=[graph.instances[iid] for iid in members],
                 ready_counts=ready,
                 consumers=consumers,
-                entry=entry,
+                entry=[i for i, rc in enumerate(ready) if rc == 0],
             )
         )
+        start = end
     if blocks and mark_last:
         blocks[-1].is_last = True
     return blocks

@@ -581,6 +581,9 @@ class Reachability:
 
 
 def _topo_order(consumers: Sequence[Sequence[int]]) -> List[int]:
+    # Kept apart from ``core/block.py::_topological_order``: this LIFO
+    # order fixes the order findings are reported in, that FIFO order
+    # fixes block membership (and so simulated cycles).
     n = len(consumers)
     indeg = [0] * n
     for outs in consumers:

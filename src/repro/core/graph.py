@@ -134,20 +134,25 @@ class ExpandedGraph:
 
     def check_invariants(self) -> None:
         """Structural sanity: counts match arcs, no dangling consumers."""
-        n = self.ninstances
-        incoming = [0] * n
-        for src, outs in enumerate(self.consumers):
-            for dst in outs:
-                assert 0 <= dst < n, f"dangling consumer {dst} from {src}"
-                incoming[dst] += 1
-        for iid in range(n):
-            assert incoming[iid] == self.ready_counts[iid], (
-                f"instance {iid} ready count {self.ready_counts[iid]} "
-                f"!= incoming arcs {incoming[iid]}"
-            )
-        assert sorted(self.entry) == [
-            iid for iid in range(n) if self.ready_counts[iid] == 0
-        ]
+        check_sync_counts(self.ready_counts, self.consumers, self.entry)
+
+
+def check_sync_counts(ready_counts, consumers, entry) -> None:
+    """Ready Counts equal incoming arcs, no arc leaves the node range,
+    *entry* is the zero-count fringe: what an :class:`ExpandedGraph` and
+    a :class:`~repro.core.block.DDMBlock` (over local ids) both keep."""
+    n = len(ready_counts)
+    incoming = [0] * n
+    for src, outs in enumerate(consumers):
+        for dst in outs:
+            assert 0 <= dst < n, f"dangling consumer {dst} from {src}"
+            incoming[dst] += 1
+    for iid in range(n):
+        assert incoming[iid] == ready_counts[iid], (
+            f"instance {iid} ready count {ready_counts[iid]} "
+            f"!= incoming arcs {incoming[iid]}"
+        )
+    assert sorted(entry) == [iid for iid in range(n) if ready_counts[iid] == 0]
 
 
 class SynchronizationGraph:

@@ -109,7 +109,9 @@ class DDMProgram:
         reference schedule used by both the functional oracle
         (:meth:`run_sequential`) and the timed sequential baseline
         (:func:`repro.runtime.simdriver.run_sequential_timed`).  Raises on
-        deadlock (an instance whose producers never fire).
+        deadlock (an instance whose producers never fire).  It shares no
+        loop with ``TSUGroup._post_process`` on purpose: every backend's
+        schedule is compared with it, so it must not fail the way they do.
 
         Dynamic graphs: the generator is outcome-driven — after running
         an instance's body the caller sends its outcome back

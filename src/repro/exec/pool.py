@@ -76,15 +76,18 @@ _ENV_CACHE = object()
 
 def job_count(jobs: Optional[int | str] = None) -> int:
     """Effective worker count: explicit *jobs*, else the ``TFLUX_JOBS``
-    knob — either spelt as digits or ``auto``/``max`` (every core)."""
+    knob — either spelt as digits or ``auto``/``max`` (every core).
+    0 means one worker; a negative count is refused whichever way it
+    arrives (as an argparse ``type`` that is a usage error)."""
     raw = os.environ.get(ENV_JOBS, "") if jobs is None else jobs
     if isinstance(raw, str):
         raw = raw.strip().lower()
         if raw in ("auto", "max"):
             return os.cpu_count() or 1
     n = int(raw or 0)
-    if n < 0 and jobs is None:
-        raise ValueError(f"{ENV_JOBS} must be >= 0, got {n}")
+    if n < 0:
+        what = ENV_JOBS if jobs is None else "job count"
+        raise ValueError(f"{what} must be >= 0, got {n}")
     return max(1, n)
 
 

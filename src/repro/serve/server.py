@@ -22,7 +22,10 @@ Architecture (one asyncio loop + one persistent process pool)::
   warmed) at :meth:`TFluxServer.start`, reused for every request —
   worker start-up is paid once per server, not once per batch
   (:func:`repro.exec.pool.run_jobs` spins a pool per call; the server
-  explicitly does not).
+  explicitly does not).  A dead worker breaks a ``ProcessPoolExecutor``
+  for good, so the first flight to come back ``BrokenProcessPool``
+  replaces it (``serve.worker_restarts``); the flights that were on it
+  are rejected — which one killed it is not knowable.
 * **Results stream**: each finished cell is written to its tenant the
   moment it resolves (``result`` messages in completion order, then
   ``batch_done``) — no wait-for-whole-batch.
@@ -37,7 +40,7 @@ Architecture (one asyncio loop + one persistent process pool)::
 * **Everything is counted** through :mod:`repro.obs`:
   ``serve.admitted/rejected/deduped/lru_hits/evictions/executed/completed``
   globally, the same set per tenant under ``serve.tenant.<name>.*``,
-  ``serve.encoded/admission_memo_hits/writes/client_aborts``, and
+  ``serve.encoded/admission_memo_hits/writes/client_aborts/worker_restarts``, and
   the disk cache's ``exec.cache.hits/misses/stores`` merged into every
   stats reply so in-memory and on-disk effectiveness are comparable in
   one place.
@@ -61,6 +64,7 @@ import os
 import re
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Any, Optional
@@ -110,6 +114,12 @@ def _counter_key(tenant: str) -> str:
     dotted identifiers; arbitrary tenant strings are sanitised)."""
     key = re.sub(r"\W", "_", tenant) or "anon"
     return key if key.isidentifier() else f"t_{key}"
+
+
+def _warm(executor: ProcessPoolExecutor) -> None:
+    """Fork a worker now, so the first request pays no start-up and
+    later forks don't race a busy loop thread."""
+    executor.submit(os.getpid).result()
 
 
 def _resolve(job_line: bytes) -> tuple[JobSpec, str]:
@@ -216,12 +226,8 @@ class TFluxServer:
         unix: Optional[str] = None,
     ) -> "TFluxServer":
         """Bind, warm the worker pool, and start dispatching."""
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.config.workers, mp_context=pool_context()
-        )
-        # Warm-up: fork every worker now, so the first request pays no
-        # start-up and later forks don't race a busy loop thread.
-        self._executor.submit(os.getpid).result()
+        self._executor = self._new_pool()
+        _warm(self._executor)
         if unix is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_client, path=unix, limit=MAX_LINE_BYTES
@@ -232,6 +238,21 @@ class TFluxServer:
             )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         return self
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.config.workers, mp_context=pool_context()
+        )
+
+    async def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap *broken* for a fresh warmed pool — once, however many of
+        its flights report it (the later ones find it already replaced)."""
+        if self._executor is broken:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._executor = fresh = self._new_pool()
+            self.counters.inc("serve.worker_restarts")
+            # Off the loop thread: warming blocks until the worker answers.
+            await asyncio.get_running_loop().run_in_executor(None, _warm, fresh)
 
     @property
     def address(self) -> Any:
@@ -417,7 +438,12 @@ class TFluxServer:
             outcome = self.cache.get(digest) if self.cache is not None else None
             if outcome is None:
                 loop = asyncio.get_running_loop()
-                outcome = await loop.run_in_executor(self._executor, run_job, spec)
+                executor = self._executor
+                try:
+                    outcome = await loop.run_in_executor(executor, run_job, spec)
+                except BrokenProcessPool:
+                    await self._replace_pool(executor)
+                    raise
                 self.executed += 1
                 self.counters.inc("serve.executed")
                 if self.cache is not None:

@@ -37,7 +37,7 @@ from repro.tsu.group import Fetch, FetchKind, TSUGroup
 from repro.tsu.dist import DistTSUAdapter
 from repro.tsu.multigroup import MultiGroupHardwareAdapter
 from repro.tsu.sm import SynchronizationMemory, ThreadEntry
-from repro.tsu.tkt import NodeThreadToKernelTable, ThreadToKernelTable
+from repro.tsu.tkt import ThreadToKernelTable
 from repro.tsu.tub import ThreadUpdateBuffer
 from repro.tsu.policy import contiguous_placement, round_robin_placement
 
@@ -49,7 +49,6 @@ __all__ = [
     "MultiGroupHardwareAdapter",
     "SynchronizationMemory",
     "ThreadEntry",
-    "NodeThreadToKernelTable",
     "ThreadToKernelTable",
     "ThreadUpdateBuffer",
     "contiguous_placement",

@@ -146,7 +146,7 @@ class ProtocolAdapter:
     ) -> None:
         """Run post-processing functionally and wake affected kernels."""
         newly_ready = self.tsu.complete_thread(kernel, local_iid, outcome)
-        if self.tsu.phase_name in ("OUTLET_PENDING", "EXITED"):
+        if self.tsu.block_drained:
             self.wake_kernels()
         elif newly_ready:
             if self.tsu.allow_stealing:

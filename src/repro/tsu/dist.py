@@ -51,7 +51,7 @@ from repro.sim.accesses import AccessSummary
 from repro.sim.engine import Engine
 from repro.tsu.group import TSUGroup
 from repro.tsu.software import EmulatorShard, SoftTSUCosts, SoftwareTSUAdapter
-from repro.tsu.tkt import NodeThreadToKernelTable
+from repro.tsu.tkt import contiguous_partition
 
 __all__ = ["DistTSUAdapter"]
 
@@ -69,11 +69,8 @@ class DistTSUAdapter(SoftwareTSUAdapter):
         topology: Optional[Topology] = None,
     ) -> None:
         super().__init__(engine, tsu, costs)
-        if not 1 <= nnodes <= tsu.nkernels:
-            raise ValueError(
-                f"need 1 <= nnodes <= nkernels, got nnodes={nnodes} "
-                f"nkernels={tsu.nkernels}"
-            )
+        # Refuses nnodes < 1 and nnodes > nkernels.
+        self._node_of_kernel = contiguous_partition(tsu.nkernels, nnodes)
         if nnodes > 1 and tsu.allow_stealing:
             raise ValueError(
                 "work stealing pops remote SMs synchronously and cannot be "
@@ -82,7 +79,6 @@ class DistTSUAdapter(SoftwareTSUAdapter):
         self.nnodes = nnodes
         self.net = Network(engine, nnodes, net_params or NetParams(), topology)
         self.topology = self.net.topology.describe()
-        self._node_of_kernel = [k * nnodes // tsu.nkernels for k in range(tsu.nkernels)]
         self._node_kernels: list[list[int]] = [[] for _ in range(nnodes)]
         for k, n in enumerate(self._node_of_kernel):
             self._node_kernels[n].append(k)
@@ -92,7 +88,6 @@ class DistTSUAdapter(SoftwareTSUAdapter):
             EmulatorShard(engine, tsu, costs, self._post_process, name=f":{n}")
             for n in range(nnodes)
         ]
-        self.node_tkt: Optional[NodeThreadToKernelTable] = None
         # Cross-node memory pricing needs the driver's memory system,
         # which is built after the adapter (see attach_memory).
         self._memsys = None
@@ -123,13 +118,14 @@ class DistTSUAdapter(SoftwareTSUAdapter):
             # bit-identical to SoftwareTSUAdapter.
             self._apply_thread_completion(kernel, local_iid, outcome)
             return
-        node = self._node_of_kernel[kernel]
-        tkt = self.node_tkt
-        assert tkt is not None
-        consumers = self.tsu.current_block.consumers[local_iid]
+        node_of_kernel = self._node_of_kernel
+        node = node_of_kernel[kernel]
+        assert self.tsu.tkt is not None
+        # The block's TKT says whose SM, the partition which node's shard.
+        kernel_of = self.tsu.tkt.kernel_of
         upd_by_node: dict[int, int] = {}
-        for c in consumers:
-            t = tkt.node_of(c)
+        for c in self.tsu.consumers_of(local_iid):
+            t = node_of_kernel[kernel_of(c)]
             upd_by_node[t] = upd_by_node.get(t, 0) + 1
         for t, n in upd_by_node.items():
             if t == node:
@@ -138,12 +134,12 @@ class DistTSUAdapter(SoftwareTSUAdapter):
                 self.remote_updates += n
 
         newly_ready = self.tsu.complete_thread(kernel, local_iid, outcome)
-        drained = self.tsu.phase_name in ("OUTLET_PENDING", "EXITED")
+        drained = self.tsu.block_drained
 
         ready_by_node: dict[int, set[int]] = {}
         for c in newly_ready:
-            t, k = tkt.placement_of(c)
-            ready_by_node.setdefault(t, set()).add(k)
+            k = kernel_of(c)
+            ready_by_node.setdefault(node_of_kernel[k], set()).add(k)
 
         # Local wake now; remote wakes ride READY_UPDATE messages.
         if drained:
@@ -213,8 +209,6 @@ class DistTSUAdapter(SoftwareTSUAdapter):
     def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.inlet_per_entry * max(block.size, 1)
         self.tsu.complete_inlet(kernel)
-        assert self.tsu.tkt is not None
-        self.node_tkt = NodeThreadToKernelTable.from_table(self.tsu.tkt, self.nnodes)
         if self.nnodes == 1:
             self.wake_kernels()
             return

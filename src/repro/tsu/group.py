@@ -22,7 +22,8 @@ Protocol (driven by the Kernels through the platform adapters):
 2. After an application DThread finishes, ``complete_thread(kernel, local_iid)``
    performs the Post-Processing Phase: every consumer's Ready Count is
    decremented through the TKT-indexed SM; threads reaching zero join
-   their kernel's ready queue.
+   their kernel's ready queue (``_post_process``, the one such walk
+   whichever way an instance retires).
 3. ``complete_inlet`` / ``complete_outlet`` drive block sequencing:
    the Outlet clears the SMs and (unless the block was the last) arms the
    next block's Inlet; the last Outlet flips the TSU into the exit state.
@@ -38,6 +39,11 @@ epoch (:class:`~repro.core.dynamic.GraphEpoch`): squashed instances in
 the current block are retired on the spot (counting toward block
 completion, phantom-decrementing their consumers), squashed instances in
 future blocks are retired at load time by their block's Inlet.
+
+A loaded block's arcs have one holder, the :class:`~repro.core.block.DDMBlock`:
+the Inlet loads Ready Counts and flags into the SMs and builds the TKT,
+it copies no consumer list.  This class and the adapters that price a
+completion by its fan-out read them through ``consumers_of`` only.
 """
 
 from __future__ import annotations
@@ -160,11 +166,18 @@ class TSUGroup:
         return self.blocks[self._block_idx]
 
     @property
-    def phase_name(self) -> str:
-        return self._phase.name
+    def block_drained(self) -> bool:
+        """Every application DThread of the current block has retired
+        (its Outlet is due, or the program is over): all kernels wake."""
+        return self._phase in (_Phase.OUTLET_PENDING, _Phase.EXITED)
 
     def is_exited(self) -> bool:
         return self._phase == _Phase.EXITED
+
+    def consumers_of(self, local_iid: int) -> list[int]:
+        """Block-local ids of the instances *local_iid* feeds in the
+        loaded block — the block's own list, not a copy."""
+        return self.current_block.consumers[local_iid]
 
     # -- the Inlet's work ---------------------------------------------------------
     def _load_block(self, block: DDMBlock) -> None:
@@ -180,29 +193,37 @@ class TSUGroup:
         epoch = self._epoch_of_block.get(block.block_id)
         need_index = epoch is not None and (epoch.has_cond or epoch.squashed)
         self._local_of_current = {}
-        presquashed: list[ThreadEntry] = []
+        presquashed: list[int] = []
         for local_iid, inst in enumerate(block.instances):
             entry = ThreadEntry(
                 local_iid=local_iid,
                 instance=inst,
                 ready_count=block.ready_counts[local_iid],
-                initial_ready_count=block.ready_counts[local_iid],
-                consumers=list(block.consumers[local_iid]),
             )
             if epoch is not None and inst.iid in epoch.squashed:
                 entry.squashed = True
                 entry.completed = True
-                presquashed.append(entry)
+                presquashed.append(local_iid)
             self.sms[assignment[local_iid]].load(entry)
             if need_index:
                 self._local_of_current[inst.iid] = local_iid
-        self._completed_in_block = 0
-        for entry in presquashed:
-            self.squashed_threads += 1
-            self._completed_in_block += 1
-            for consumer in entry.consumers:
-                self.sms[assignment[consumer]].decrement(consumer)
-                self.post_updates += 1
+        self.squashed_threads += len(presquashed)
+        self._completed_in_block = len(presquashed)
+        for local_iid in presquashed:
+            # Whoever this readies is already on its SM's queue; nobody
+            # is waiting for a wake before the Inlet completes.
+            self._post_process(local_iid, [])
+
+    def _post_process(self, local_iid: int, newly_ready: list[int]) -> None:
+        """Post-Processing of one retired instance: each consumer's Ready
+        Count is decremented in the SM the TKT names; the ones reaching
+        zero are appended to *newly_ready*."""
+        sms, kernel_of = self.sms, self.tkt.kernel_of
+        consumers = self.consumers_of(local_iid)
+        for consumer in consumers:
+            if sms[kernel_of(consumer)].decrement(consumer):
+                newly_ready.append(consumer)
+        self.post_updates += len(consumers)
 
     # -- kernel-facing protocol ---------------------------------------------------
     def fetch(self, kernel: int) -> Fetch:
@@ -220,13 +241,9 @@ class TSUGroup:
         if self._phase == _Phase.RUNNING:
             entry = self.sms[kernel].pop_ready()
             if entry is None and self.allow_stealing:
-                victim = max(
-                    (sm for sm in self.sms if sm.peek_ready()),
-                    key=lambda sm: len(sm._ready),
-                    default=None,
-                )
-                if victim is not None:
-                    entry = victim.pop_ready()
+                victim = max(self.sms, key=SynchronizationMemory.peek_ready)
+                entry = victim.pop_ready()
+                if entry is not None:
                     self.steals += 1
             if entry is not None:
                 self.threads_dispatched += 1
@@ -291,8 +308,7 @@ class TSUGroup:
         if self._phase != _Phase.RUNNING:
             raise RuntimeError(f"thread completion in phase {self._phase}")
         assert self.tkt is not None
-        sm = self.sms[self.tkt.kernel_of(local_iid)]
-        entry = sm.mark_completed(local_iid)
+        self.sms[self.tkt.kernel_of(local_iid)].mark_completed(local_iid)
         newly_ready: list[int] = []
         epoch = self._epoch_of_block.get(self.current_block.block_id)
         if epoch is not None and epoch.has_cond:
@@ -301,11 +317,7 @@ class TSUGroup:
             newly_squashed = epoch.resolve(giid, key)
             if newly_squashed:
                 self._retire_squashed(newly_squashed, newly_ready)
-        for consumer in entry.consumers:
-            consumer_sm = self.sms[self.tkt.kernel_of(consumer)]
-            if consumer_sm.decrement(consumer):
-                newly_ready.append(consumer)
-            self.post_updates += 1
+        self._post_process(local_iid, newly_ready)
         if isinstance(outcome, Subflow):
             self._spawn(outcome)
         self._completed_in_block += 1
@@ -326,21 +338,17 @@ class TSUGroup:
         set and retire at load time.
         """
         assert self.tkt is not None
-        retired: list[ThreadEntry] = []
+        retired: list[int] = []
         for giid in giids:
             local_iid = self._local_of_current.get(giid)
             if local_iid is None:
                 continue  # future block: squash-at-load
-            sm = self.sms[self.tkt.kernel_of(local_iid)]
-            retired.append(sm.squash(local_iid))
-        for entry in retired:
-            self.squashed_threads += 1
-            self._completed_in_block += 1
-            for consumer in entry.consumers:
-                consumer_sm = self.sms[self.tkt.kernel_of(consumer)]
-                if consumer_sm.decrement(consumer):
-                    newly_ready.append(consumer)
-                self.post_updates += 1
+            self.sms[self.tkt.kernel_of(local_iid)].squash(local_iid)
+            retired.append(local_iid)
+        self.squashed_threads += len(retired)
+        self._completed_in_block += len(retired)
+        for local_iid in retired:
+            self._post_process(local_iid, newly_ready)
 
     def _spawn(self, subflow: Subflow) -> None:
         """Expand a spawned subflow into queued dynamic blocks."""
@@ -386,7 +394,7 @@ class TSUGroup:
             assert total == self.current_block.size, (
                 f"loaded entries {total} != block size {self.current_block.size}"
             )
-            for sm in self.sms:
-                for local_iid in list(sm._entries):
-                    e = sm.entry(local_iid)
-                    assert 0 <= e.ready_count <= e.initial_ready_count
+            assert self.tkt is not None
+            for local_iid, initial in enumerate(self.current_block.ready_counts):
+                e = self.sms[self.tkt.kernel_of(local_iid)].entry(local_iid)
+                assert 0 <= e.ready_count <= initial

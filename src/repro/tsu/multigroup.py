@@ -44,6 +44,7 @@ from repro.sim.interconnect import SystemBus
 from repro.sim.mmi import InflightGate, MemoryMappedInterface
 from repro.tsu.group import TSUGroup
 from repro.tsu.hardware import HardwareTSUAdapter
+from repro.tsu.tkt import contiguous_partition
 
 __all__ = ["MultiGroupHardwareAdapter"]
 
@@ -61,10 +62,8 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
         intergroup_latency: int = 20,
     ) -> None:
         super().__init__(engine, tsu)
-        if n_groups < 1:
-            raise ValueError("need at least one TSU group")
-        if n_groups > tsu.nkernels:
-            raise ValueError("more TSU groups than kernels is pointless")
+        # Refuses fewer than one group, and more groups than kernels.
+        self._group_of_kernel = contiguous_partition(tsu.nkernels, n_groups)
         self.n_groups = n_groups
         self.intergroup_latency = intergroup_latency
         # One device per group in place of the parent's single one.  Each
@@ -96,7 +95,7 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
     # -- partitioning -----------------------------------------------------------
     def group_of_kernel(self, kernel: int) -> int:
         """Static kernel -> TSU group partition (contiguous blocks)."""
-        return kernel * self.n_groups // self.tsu.nkernels
+        return self._group_of_kernel[kernel]
 
     def _mmi(self, kernel: int) -> MemoryMappedInterface:
         return self.mmis[self.group_of_kernel(kernel)]
@@ -106,12 +105,12 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
         tkt = self.tsu.tkt
         if tkt is None:
             return 0
-        my_group = self.group_of_kernel(kernel)
-        count = 0
-        for consumer in self.tsu.current_block.consumers[local_iid]:
-            if self.group_of_kernel(tkt.kernel_of(consumer)) != my_group:
-                count += 1
-        return count
+        group_of = self._group_of_kernel
+        my_group = group_of[kernel]
+        return sum(
+            group_of[tkt.kernel_of(consumer)] != my_group
+            for consumer in self.tsu.consumers_of(local_iid)
+        )
 
     # -- protocol -----------------------------------------------------------------
     def complete_thread(

@@ -25,36 +25,30 @@ __all__ = ["contiguous_placement", "round_robin_placement", "PlacementPolicy"]
 PlacementPolicy = Callable[[DDMBlock, int], list[int]]
 
 
-def _template_groups(block: DDMBlock) -> list[tuple[int, list[int]]]:
-    """Block-local ids grouped by template, preserving context order."""
-    groups: dict[int, list[int]] = {}
+def _place(block: DDMBlock, nkernels: int, rule: Callable[[int, int], int]) -> list[int]:
+    """Place every instance by its template's ``affinity`` if it has one,
+    else by *rule* ``(pos, n)``: the kernel of the *pos*-th of the *n*
+    contexts its template has in the block."""
+    groups: dict[int, list[int]] = {}  # template -> its local ids, in context order
     for local_iid, inst in enumerate(block.instances):
         groups.setdefault(inst.template.tid, []).append(local_iid)
-    return sorted(groups.items())
-
-
-def contiguous_placement(block: DDMBlock, nkernels: int) -> list[int]:
-    """Each kernel gets a contiguous chunk of every template's contexts."""
     assignment = [0] * block.size
-    for _tid, locals_ in _template_groups(block):
+    for locals_ in groups.values():
         n = len(locals_)
         for pos, local_iid in enumerate(locals_):
             inst = block.instances[local_iid]
             if inst.template.affinity is not None:
                 assignment[local_iid] = inst.template.affinity(inst.ctx, nkernels) % nkernels
             else:
-                assignment[local_iid] = min(pos * nkernels // n, nkernels - 1)
+                assignment[local_iid] = rule(pos, n)
     return assignment
+
+
+def contiguous_placement(block: DDMBlock, nkernels: int) -> list[int]:
+    """Each kernel gets a contiguous chunk of every template's contexts."""
+    return _place(block, nkernels, lambda pos, n: pos * nkernels // n)
 
 
 def round_robin_placement(block: DDMBlock, nkernels: int) -> list[int]:
     """Instances dealt to kernels cyclically (no locality preservation)."""
-    assignment = [0] * block.size
-    for _tid, locals_ in _template_groups(block):
-        for pos, local_iid in enumerate(locals_):
-            inst = block.instances[local_iid]
-            if inst.template.affinity is not None:
-                assignment[local_iid] = inst.template.affinity(inst.ctx, nkernels) % nkernels
-            else:
-                assignment[local_iid] = pos % nkernels
-    return assignment
+    return _place(block, nkernels, lambda pos, n: pos % nkernels)

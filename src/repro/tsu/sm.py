@@ -2,8 +2,13 @@
 
 "The Ready Count values are stored in a data structure named
 Synchronization Memory (SM).  One such structure exists for each kernel"
-(paper §4.2).  An SM holds the :class:`ThreadEntry` metadata of every
-DThread instance assigned to its kernel, plus that kernel's ready queue.
+(paper §4.2).  An SM holds the :class:`ThreadEntry` of every DThread
+instance assigned to its kernel — the Ready Count and the retirement
+flags — plus that kernel's ready queue.  It does not hold the arcs: they
+stay on the loaded :class:`~repro.core.block.DDMBlock`, and the TKT says
+whose SM a consumer's Ready Count lives in.  Every ``raise`` below is a
+fault check (Ready Count underflow, duplicate load, double completion,
+completion with a pending count) and stays beside the state it guards.
 """
 
 from __future__ import annotations
@@ -19,14 +24,12 @@ __all__ = ["ThreadEntry", "SynchronizationMemory"]
 
 @dataclass
 class ThreadEntry:
-    """Per-instance TSU metadata (one Synchronization Graph node, loaded
-    by the block's Inlet DThread)."""
+    """Per-instance TSU state (one Synchronization Graph node's Ready
+    Count and flags, loaded by the block's Inlet DThread)."""
 
     local_iid: int
     instance: DThreadInstance
     ready_count: int
-    initial_ready_count: int
-    consumers: list[int]
     completed: bool = False
     #: Squashed: every input arc died (unchosen conditional branches /
     #: squashed producers).  The entry never fires; it is retired at
@@ -59,15 +62,12 @@ class SynchronizationMemory:
         self.kernel_id = kernel_id
         self._entries: dict[int, ThreadEntry] = {}
         self._ready: list[int] = []
-        self.loads = 0
-        self.updates = 0
 
     # -- loading (Inlet) ------------------------------------------------------
     def load(self, entry: ThreadEntry) -> None:
         if entry.local_iid in self._entries:
             raise KeyError(f"duplicate load of instance {entry.local_iid}")
         self._entries[entry.local_iid] = entry
-        self.loads += 1
         # A pre-squashed entry (squash-at-load: the branch resolved while
         # an earlier block ran) never joins the ready queue, even at
         # Ready Count zero (its dead arcs may all be cross-block).
@@ -85,8 +85,10 @@ class SynchronizationMemory:
             return None
         return self._entries[heapq.heappop(self._ready)]
 
-    def peek_ready(self) -> bool:
-        return bool(self._ready)
+    def peek_ready(self) -> int:
+        """Depth of the ready queue: truthy when a pop would succeed, and
+        what a stealing kernel compares victims by."""
+        return len(self._ready)
 
     # -- post-processing ---------------------------------------------------
     def decrement(self, local_iid: int) -> bool:
@@ -97,7 +99,6 @@ class SynchronizationMemory:
         retired when its last live input died.
         """
         entry = self._entries[local_iid]
-        self.updates += 1
         if entry.squashed:
             return False
         became_ready = entry.decrement()
@@ -105,7 +106,7 @@ class SynchronizationMemory:
             heapq.heappush(self._ready, local_iid)
         return became_ready
 
-    def mark_completed(self, local_iid: int) -> ThreadEntry:
+    def mark_completed(self, local_iid: int) -> None:
         entry = self._entries[local_iid]
         if entry.completed:
             raise RuntimeError(f"instance {local_iid} completed twice")
@@ -115,9 +116,8 @@ class SynchronizationMemory:
                 f"{entry.ready_count}"
             )
         entry.completed = True
-        return entry
 
-    def squash(self, local_iid: int) -> ThreadEntry:
+    def squash(self, local_iid: int) -> None:
         """Retire an entry whose every input arc died (never fires).
 
         Marks it squashed *and* completed in one step; the caller counts
@@ -130,7 +130,6 @@ class SynchronizationMemory:
             )
         entry.squashed = True
         entry.completed = True
-        return entry
 
     # -- introspection ----------------------------------------------------------
     def entry(self, local_iid: int) -> ThreadEntry:

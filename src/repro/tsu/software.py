@@ -123,7 +123,7 @@ class EmulatorShard:
         while True:
             if self._queue:
                 kernel, local_iid, outcome = self._queue.popleft()
-                nconsumers = len(self.tsu.current_block.consumers[local_iid])
+                nconsumers = len(self.tsu.consumers_of(local_iid))
                 busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
                 yield busy
                 self.busy_cycles += busy

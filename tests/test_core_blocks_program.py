@@ -13,6 +13,7 @@ from repro.core import (
 from repro.core.block import split_into_blocks
 from repro.core.dthread import DThreadTemplate
 from repro.core.graph import SynchronizationGraph
+from tests.test_core_graph import _mixed_arc_graphs
 
 
 # -- Environment ------------------------------------------------------------
@@ -138,6 +139,65 @@ def test_split_partition_property(n, cap):
     assert sorted(seen) == list(range(n))
     assert all(b.size <= cap for b in blocks)
     assert sum(1 for b in blocks if b.is_last) == 1
+    for b in blocks:
+        b.check_invariants()
+
+
+# -- the position-table re-basing vs the per-pair lookups ------------------------
+def _naive_split(eg, cap):
+    """Per block: ``(member iids, ready_counts, consumers, entry)`` the
+    way the splitter built them before it re-based through one position
+    table — a ``block_of`` list, then a ``local`` dict per block and one
+    lookup of each per arc.  Reference only."""
+    n = eg.ninstances
+    indeg = list(eg.ready_counts)
+    order = [iid for iid in range(n) if indeg[iid] == 0]
+    for u in order:  # FIFO Kahn: the list grows while it is walked
+        for v in eg.consumers[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    size = n if cap is None or cap >= n else cap
+    chunks = [order[i : i + size] for i in range(0, n, size)] or [[]]
+    block_of = {iid: b for b, members in enumerate(chunks) for iid in members}
+    out = []
+    for b, members in enumerate(chunks):
+        local = {iid: i for i, iid in enumerate(members)}
+        consumers = [[] for _ in members]
+        ready = [0] * len(members)
+        for iid in members:
+            for dst in eg.consumers[iid]:
+                if block_of[dst] == b:
+                    consumers[local[iid]].append(local[dst])
+                    ready[local[dst]] += 1
+        entry = [i for i in range(len(members)) if ready[i] == 0]
+        out.append((members, ready, consumers, entry))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=_mixed_arc_graphs(),  # layered: "same"/"all"/mapped, double tokens
+    cap=st.sampled_from([None, 1, 2, 7, 1000]),
+    spawned=st.booleans(),
+)
+def test_split_matches_per_pair_reference(graph, cap, spawned):
+    """Members, Ready Counts, consumer lists *in order* and entry fringe
+    of every block are element-for-element what the per-pair lookups
+    produce — for a static split and for a spawned one (offset block
+    ids, nobody marked last)."""
+    eg = graph.expand()
+    if spawned:
+        blocks = split_into_blocks(eg, cap, first_block_id=5, mark_last=False)
+    else:
+        blocks = split_into_blocks(eg, cap)
+    got = [
+        ([inst.iid for inst in b.instances], b.ready_counts, b.consumers, b.entry)
+        for b in blocks
+    ]
+    assert got == _naive_split(eg, cap)
+    assert [b.block_id for b in blocks] == [5 * spawned + i for i in range(len(blocks))]
+    assert [b.is_last for b in blocks] == [False] * (len(blocks) - 1) + [not spawned]
     for b in blocks:
         b.check_invariants()
 

@@ -230,6 +230,11 @@ def test_job_count_accepts_the_env_spellings_as_an_argument():
     assert job_count("auto") == job_count("MAX") >= 1
     with pytest.raises(ValueError):
         job_count("many")
+    # A negative count is refused as an argument exactly as in TFLUX_JOBS
+    # (``--workers -3`` used to run one worker without a word).
+    for negative in (-3, "-3", " -1 "):
+        with pytest.raises(ValueError, match=">= 0"):
+            job_count(negative)
 
 
 def _count_baseline_runs(monkeypatch):

@@ -1,12 +1,13 @@
-"""Property tests for placement policies and the (node-extended) TKT.
+"""Property tests for placement policies, the TKT and the partition rule.
 
 Satellite coverage for the TFluxDist tentpole: placement is what decides
 how much TSU traffic crosses the network, so its basic contracts —
 every block instance assigned to exactly one in-range kernel, template
 ``affinity`` overrides always honoured, contiguous chunks actually
-contiguous — get pinned here, together with the
-:class:`~repro.tsu.tkt.NodeThreadToKernelTable` round trip that the
-distributed post-processing relies on.
+contiguous — get pinned here, together with the one kernel → part rule
+(:func:`~repro.tsu.tkt.contiguous_partition`: nodes of TFluxDist, TSU
+Groups of the multi-group adapter) that the distributed post-processing
+composes with the TKT.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import ProgramBuilder
 from repro.tsu.policy import contiguous_placement, round_robin_placement
-from repro.tsu.tkt import NodeThreadToKernelTable, ThreadToKernelTable
+from repro.tsu.tkt import ThreadToKernelTable, contiguous_partition
 
 POLICIES = {
     "contiguous": contiguous_placement,
@@ -109,11 +110,11 @@ def test_affinity_override_wins(policy_name, case, pin):
             assert assignment[local_iid] == pin % nkernels
 
 
-# -- the node-extended TKT -----------------------------------------------------
+# -- the kernel → part rule behind the TKT -------------------------------------
 @st.composite
-def node_tables(draw):
+def partition_tables(draw):
     nkernels = draw(st.integers(min_value=1, max_value=12))
-    nnodes = draw(st.integers(min_value=1, max_value=nkernels))
+    parts = draw(st.integers(min_value=1, max_value=nkernels))
     assignment = draw(
         st.lists(
             st.integers(min_value=0, max_value=nkernels - 1),
@@ -121,42 +122,39 @@ def node_tables(draw):
             max_size=40,
         )
     )
-    return assignment, nkernels, nnodes
+    return assignment, nkernels, parts
 
 
-@given(table=node_tables())
-def test_node_tkt_round_trips(table):
-    """instance → (node, kernel) must agree with the base table and with
-    the contiguous kernel→node partition, and recover the base table."""
-    assignment, nkernels, nnodes = table
-    base = ThreadToKernelTable(assignment, nkernels)
-    node_tkt = NodeThreadToKernelTable.from_table(base, nnodes)
-    assert node_tkt.assignment == base.assignment
-    assert len(node_tkt) == len(base)
-    for local_iid in range(len(base)):
-        node, kernel = node_tkt.placement_of(local_iid)
-        assert kernel == base.kernel_of(local_iid)
-        assert node == node_tkt.node_of(local_iid)
-        assert node == kernel * nnodes // nkernels
-        assert kernel in node_tkt.kernels_of_node(node)
+@given(table=partition_tables())
+def test_partition_composes_with_tkt(table):
+    """instance → (part, kernel) through the TKT and the rule: the part
+    is the contiguous formula of the instance's kernel, for every
+    instance of the block."""
+    assignment, nkernels, parts = table
+    tkt = ThreadToKernelTable(assignment, nkernels)
+    part_of = contiguous_partition(nkernels, parts)
+    assert len(part_of) == nkernels
+    for local_iid, kernel in enumerate(assignment):
+        assert tkt.kernel_of(local_iid) == kernel
+        assert part_of[tkt.kernel_of(local_iid)] == kernel * parts // nkernels
 
 
-@given(table=node_tables())
-def test_node_tkt_kernel_partition_covers_all_nodes(table):
-    assignment, nkernels, nnodes = table
-    node_tkt = NodeThreadToKernelTable(assignment, nkernels, nnodes)
-    covered = [k for n in range(nnodes) for k in node_tkt.kernels_of_node(n)]
-    assert sorted(covered) == list(range(nkernels))
-    # Contiguity: each node owns one unbroken kernel range.
-    for n in range(nnodes):
-        ks = node_tkt.kernels_of_node(n)
+@given(table=partition_tables())
+def test_partition_covers_every_kernel_contiguously(table):
+    _assignment, nkernels, parts = table
+    part_of = contiguous_partition(nkernels, parts)
+    kernels_of = [[k for k in range(nkernels) if part_of[k] == p] for p in range(parts)]
+    assert sorted(k for ks in kernels_of for k in ks) == list(range(nkernels))
+    for ks in kernels_of:
+        assert ks  # parts <= nkernels: nobody is empty
+        # Contiguity: each part owns one unbroken kernel range.
         assert ks == list(range(ks[0], ks[-1] + 1))
-        assert ks  # nnodes <= nkernels: nobody is empty
+    sizes = [len(ks) for ks in kernels_of]
+    assert max(sizes) - min(sizes) <= 1
 
 
-def test_node_tkt_rejects_bad_node_counts():
-    base = ThreadToKernelTable([0, 1, 0], 2)
+def test_partition_rejects_bad_part_counts():
     with pytest.raises(ValueError):
-        NodeThreadToKernelTable.from_table(base, 0)
+        contiguous_partition(2, 0)
     with pytest.raises(ValueError):
-        NodeThreadToKernelTable.from_table(base, 3)
+        contiguous_partition(2, 3)

@@ -10,6 +10,8 @@ cache.
 import gc
 import json
 import logging
+import multiprocessing
+import os
 import socket
 import sys
 import threading
@@ -253,6 +255,60 @@ def test_encoded_identity_over_a_server_life(spawn, tmp_path):
         assert counters.get("serve.executed", 0) == executed
         assert counters["serve.encoded"] == len(GRID)
         assert counters["serve.encoded"] == executed + counters["exec.cache.hits"]
+
+
+# -- worker death ----------------------------------------------------------------------
+
+#: ``max_threads`` of the one spec that kills its worker.
+_CRASH_MARK = 4000
+
+
+def _crash_on_marked(spec):
+    """``run_job``, except that the marked spec takes its worker down the
+    way a segfault would.  Module-level, so the forked worker resolves it."""
+    if spec.max_threads == _CRASH_MARK:
+        os._exit(13)
+    return run_job(spec)
+
+
+def _child_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_crashed_worker_is_replaced_and_only_its_flights_fail(
+    spawn, monkeypatch, tmp_path
+):
+    """One dead worker breaks a ``ProcessPoolExecutor`` for good; the
+    server swaps the pool once, fails the job that was on it (uncached),
+    and serves the next tenant's never-seen jobs from the new one."""
+    monkeypatch.setattr("repro.serve.server.run_job", _crash_on_marked)
+    before = _child_pids()
+    cache = ResultCache(tmp_path)
+    handle = spawn(cache=cache)
+    with ServeClient(handle.address) as client:
+        guilty = client.submit(
+            [job_to_wire("trapez", nkernels=2, unroll=1, max_threads=_CRASH_MARK)]
+        )
+        assert guilty.status == "done" and not guilty.ok
+        assert guilty.errors[0][0] == "concurrent.futures.process.BrokenProcessPool"
+        survivors = client.submit(
+            [
+                job_to_wire("trapez", nkernels=2, unroll=1, max_threads=64 + i)
+                for i in range(3)
+            ]
+        )
+        assert survivors.ok, survivors.errors
+        stats = client.stats()
+    assert stats["counters"]["serve.worker_restarts"] == 1
+    assert stats["executed"] == stats["counters"]["serve.executed"] == 3
+    assert stats["lru"]["size"] == len(cache) == 3  # no failed digest anywhere
+    workers = _child_pids() - before
+    assert workers  # the replacement is a live child of this process ...
+    handle.stop()
+    deadline = time.monotonic() + 10
+    while _child_pids() & workers:  # ... and does not outlive the server
+        assert time.monotonic() < deadline, "pool worker outlived stop()"
+        time.sleep(0.02)
 
 
 # -- teardown and abort --------------------------------------------------------------

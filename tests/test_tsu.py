@@ -14,7 +14,7 @@ from repro.tsu.tub import ThreadUpdateBuffer, TUBFullError
 
 
 # -- SM --------------------------------------------------------------------
-def entry(local_iid, rc=0, consumers=()):
+def entry(local_iid, rc=0):
     tmpl = DThreadTemplate(tid=local_iid + 1, name=f"t{local_iid}")
     from repro.core.dthread import DThreadInstance
 
@@ -22,8 +22,6 @@ def entry(local_iid, rc=0, consumers=()):
         local_iid=local_iid,
         instance=DThreadInstance(local_iid, tmpl, 0),
         ready_count=rc,
-        initial_ready_count=rc,
-        consumers=list(consumers),
     )
 
 
@@ -316,3 +314,62 @@ def test_group_empty_block_falls_through_to_outlet():
     assert f.kind == FetchKind.OUTLET
     tsu.complete_outlet(0)
     assert tsu.is_exited()
+
+
+# -- one holder of a block's arcs, one Post-Processing loop ----------------------
+def test_inlet_loads_the_block_without_copying_its_arcs():
+    blocks = loop_blocks(width=4)
+    tsu = TSUGroup(2, blocks)
+    assert tsu.fetch(0).kind == FetchKind.INLET
+    tsu.complete_inlet(0)
+    for i in range(blocks[0].size):
+        assert tsu.consumers_of(i) is tsu.current_block.consumers[i]
+    tsu.check_invariants()
+
+
+def test_post_updates_is_one_per_arc_however_an_instance_retires():
+    """pick takes branch 1: ``right`` and ``chain`` are squashed in their
+    block, ``late`` is pre-squashed when the next block loads, the rest
+    complete.  Each retirement walks the instance's in-block consumers
+    once, so ``post_updates`` is the blocks' arc count."""
+    g = SynchronizationGraph()
+    for tid, name in enumerate(
+        ["pick", "left", "right", "chain", "join", "late", "tail"], start=1
+    ):
+        g.add_template(DThreadTemplate(tid=tid, name=name))
+    g.add_arc(1, 2, cond_key=1)
+    g.add_arc(1, 3, cond_key=2)
+    g.add_arc(3, 4)
+    g.add_arc(2, 5)
+    g.add_arc(3, 5)
+    g.add_arc(4, 6)
+    g.add_arc(1, 6, cond_key=2)
+    g.add_arc(6, 7)
+    g.add_arc(2, 7)
+    eg = g.expand()
+    blocks = split_into_blocks(eg, tsu_capacity=5)
+    assert [[i.name for i in b.instances] for b in blocks] == [
+        ["pick[0]", "left[0]", "right[0]", "chain[0]", "join[0]"],
+        ["late[0]", "tail[0]"],
+    ]
+    arcs = sum(len(outs) for b in blocks for outs in b.consumers)
+    assert arcs == 6
+
+    tsu = TSUGroup(2, blocks, root_graph=eg, tsu_capacity=5)
+    ran = []
+    while not tsu.is_exited():
+        for k in range(2):
+            f = tsu.fetch(k)
+            if f.kind == FetchKind.INLET:
+                tsu.complete_inlet(k)
+            elif f.kind == FetchKind.OUTLET:
+                tsu.complete_outlet(k)
+            elif f.kind == FetchKind.THREAD:
+                ran.append(f.instance.name)
+                tsu.complete_thread(
+                    k, f.local_iid, 1 if f.instance.name == "pick[0]" else None
+                )
+                tsu.check_invariants()
+    assert ran == ["pick[0]", "left[0]", "join[0]", "tail[0]"]
+    assert tsu.squashed_threads == 3
+    assert tsu.post_updates == arcs
