@@ -231,7 +231,8 @@ class SimulatedRuntime:
         self.tsu.publish_counters(counters)
         self.adapter.publish_counters(counters)
         # DES engine telemetry: heap churn of this run (events/instance
-        # is event coalescing's figure of merit).
+        # is the figure of merit for hold's one protocol and the MMI
+        # ladder, the one coalesced protocol).
         engine = counters.scope("engine")
         engine.inc("events", self.engine.events_executed)
         engine.inc("scheduled", self.engine.events_scheduled)

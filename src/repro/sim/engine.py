@@ -14,16 +14,17 @@ Processes are plain Python generators.  A process may ``yield``:
 * another :class:`Process` — suspend until that process terminates (the
   ``yield`` evaluates to its return value).
 
-Event coalescing is decided here and nowhere else.  Models say "hold
-this resource for N cycles" (``yield from resource.hold(n)``); with
-:attr:`Engine.coalesce` set (the default) an uncontended hold is a
-synchronous grant plus a lazy release — one timeout — and otherwise the
-queued eager protocol, grant event and all.  Both schedules are the
+Models say "hold this resource for N cycles" (``yield from
+resource.hold(n)``), and a hold has one protocol: a slot granted on the
+spot is not an event, so an uncontended hold is the caller's one
+timeout and only a request that has to queue waits on a grant event.
+The one coalesced protocol is the MMI ladder (:mod:`repro.sim.mmi`),
+which folds a bus slot and the TSU command port into one timeout when
+:attr:`Engine.coalesce` is set (the default).  Both settings are the
 same simulation: cycles, functional output, spans and every counter
 outside the ``engine.*`` namespace (events dispatched/scheduled and the
-coalescing tallies) are bit-identical, which the differential suites pin
-by running the eager protocol as the reference under
-:func:`eager_protocol`.
+ladder's tallies) are bit-identical, which the differential suites pin
+by running the ladder's eager reference under :func:`eager_protocol`.
 
 Example
 -------
@@ -260,30 +261,26 @@ _SEND_NONE = object()
 class Resource:
     """FIFO capacity resource (bus arbiter, TSU port, emulator core...).
 
-    Models occupy a slot with ``yield from resource.hold(cycles)``; the
-    engine decides how many heap events that costs (see the module
-    docstring).  Grant order is strictly FIFO either way, which models
-    the paper's bus arbiter behaviour and keeps simulations
-    deterministic.
+    Models occupy a slot with ``yield from resource.hold(cycles)``:
+    :meth:`acquire` (``request()`` — an :class:`Event` that triggers
+    when a slot is granted — waited on only if it had to queue), the
+    hold's cycles, then the holder's own ``release()``.  Grant order is
+    strictly FIFO, which models the paper's bus arbiter behaviour and
+    keeps simulations deterministic.
 
-    Underneath, the eager protocol is ``request()`` (an :class:`Event`
-    that triggers when a slot is granted) paired with exactly one
-    ``release()``.  The coalesced one pairs :meth:`try_acquire`
-    (synchronous grant when a slot is free — no grant event, no
-    zero-delay hop) with :meth:`release_at` (a *lazy* release: the slot
-    is free from the given time onward, but no callback is scheduled for
-    it).  Lazy holds expire passively inside the next
-    ``try_acquire``/``request`` after their deadline; the moment a
-    requester actually has to queue, every outstanding lazy hold is
-    materialised into a scheduled release so the waiter is granted at
-    exactly the time the eager protocol would have granted it.
+    The MMI ladder adds a second pairing: :meth:`try_acquire`
+    (synchronous grant when a slot is free) with :meth:`release_at` (a
+    *lazy* release: the slot is free from the given time onward, but no
+    callback is scheduled for it).  Lazy holds expire passively inside
+    the next ``try_acquire``/``request`` after their deadline; the
+    moment a requester actually has to queue, every outstanding lazy
+    hold is materialised into a scheduled release so the waiter is
+    granted at exactly the time an eager release would have granted it.
     Invariant: a non-empty wait queue implies no unmaterialised lazy
     holds.
     """
 
-    __slots__ = (
-        "engine", "capacity", "_in_use", "_queue", "_lazy", "name", "coalesced",
-    )
+    __slots__ = ("engine", "capacity", "_in_use", "_queue", "_lazy", "name")
 
     def __init__(self, engine: "Engine", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -298,9 +295,6 @@ class Resource:
         self._queue: deque[Event] = deque()
         #: Min-heap of lazy-release deadlines (times, not delays).
         self._lazy: list[float] = []
-        #: Holds granted synchronously and released lazily (one timeout
-        #: each); always 0 on a reference-mode engine.
-        self.coalesced = 0
 
     def _expire_lazy(self, now: float) -> None:
         # Strictly past deadlines only: a hold expiring exactly *now* is
@@ -362,27 +356,30 @@ class Resource:
         else:
             heapq.heappush(self._lazy, time)
 
+    def acquire(self) -> Generator[Event, Any, None]:
+        """Take a slot, suspending only if the request has to queue.
+
+        Process fragment (``yield from resource.acquire()``), paired with
+        one :meth:`release`.  A slot granted on the spot is not an event:
+        the caller goes on in the same callback, with no zero-delay hop.
+        """
+        if not self.try_acquire():
+            yield self.request()
+
     def hold(self, cycles: float) -> Generator[Any, Any, float]:
         """Occupy one slot for *cycles*; returns the cycles spent queued.
 
-        Process fragment (``queued = yield from resource.hold(n)``).
-        On a coalescing engine a free slot is taken synchronously and
-        released lazily, so the whole hold is the caller's one timeout;
-        otherwise — reference mode, at capacity, or waiters queued — it
-        is the eager request → grant → timeout → release protocol.
+        Process fragment (``queued = yield from resource.hold(n)``):
+        :meth:`acquire`, the caller's timeout, the caller's ``release()``.
+        An uncontended hold is that one timeout.
         """
         if cycles < 0:
             raise SimulationError(
                 f"negative hold {cycles!r} on resource {self.name!r}"
             )
         engine = self.engine
-        if engine.coalesce and self.try_acquire():
-            self.release_at(engine.now + cycles)
-            self.coalesced += 1
-            yield cycles
-            return 0.0
         queued_at = engine.now
-        yield self.request()
+        yield from self.acquire()
         queued = engine.now - queued_at
         try:
             yield cycles
@@ -435,10 +432,9 @@ class Engine:
 
     def __init__(self, coalesce: Optional[bool] = None) -> None:
         self.now: float = 0.0
-        #: Whether an uncontended :meth:`Resource.hold` collapses into one
-        #: timeout.  ``False`` is the reference mode: every hold runs the
-        #: eager protocol.  Models that coalesce more than one resource at
-        #: once (the MMI ladder) consult this too.
+        #: Whether the MMI ladder may fold a bus slot and the TSU command
+        #: port into one timeout.  ``False`` is the reference mode: every
+        #: TSU access runs the step-by-step protocol.
         self.coalesce = _coalesce_default if coalesce is None else coalesce
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0

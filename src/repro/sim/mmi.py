@@ -146,7 +146,7 @@ class MemoryMappedInterface:
                 self._port.release()
             else:
                 yield from self.bus.transfer()
-                yield self._port.request()
+                yield from self._port.acquire()
                 try:
                     yield self.access_cycles
                     result = action()

@@ -185,9 +185,6 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         emu.inc("items", self.emulator_items)
         emu.inc("updates", sum(s.updates for s in self.shards))
         counters.inc("tub.pushes", self.tub_pushes)
-        counters.inc(
-            "engine.coalesced_pushes", sum(s.tub.coalesced for s in self.shards)
-        )
 
     # -- emulator lifecycle ------------------------------------------------------
     def start(self) -> None:

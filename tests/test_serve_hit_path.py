@@ -175,16 +175,18 @@ def session_digest(lines):
 
 def test_raw_session_lines_are_canonical_and_unchanged(spawn):
     """Every line on the wire is ``encode`` of its own decoding, and the
-    session hashes to what PR 22's parent commit sent.  Like the 196-job
-    digest this covers simulated cycles: a PR that moves a cost model on
-    purpose re-pins it by printing ``session_digest(_session(address))``.
+    session hashes to the pinned value.  Like the 196-job digest this
+    covers simulated cycles and the records' ``engine.*`` counters: a
+    change that moves either on purpose re-pins it by printing
+    ``session_digest(_session(address))``, after decoding both sessions
+    to show which record fields moved.
     """
     lines = _session(spawn().address)
     assert len(lines) == 1 + (1 + 2 + 1) + (1 + 4 + 1)  # welcome, two batches
     for line in lines:
         assert line == encode(json.loads(line))
     assert session_digest(lines) == (
-        "b054e16d1ee4d3ece27235289d3275fa973702915a628d8f9828cec35ba8832d"
+        "e6621871b5c1751fee0599e55ba27fb773d091f7293586eda2697329141df83e"
     )
 
 

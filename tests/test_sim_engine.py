@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -325,10 +327,11 @@ def test_resource_try_acquire_respects_queue_fifo():
     assert order == [("waiter", 5.0)]
 
 
-def _hold_schedule(coalesce, capacity, arrivals):
+def _hold_schedule(capacity, arrivals):
     """Every holder's (grant time, finish time, hold's return value) for
-    *arrivals* = [(arrival time, hold cycles)] on one capacity-k resource."""
-    eng = Engine(coalesce=coalesce)
+    *arrivals* = [(arrival time, hold cycles)] on one capacity-k resource,
+    and the events the run dispatched."""
+    eng = Engine()
     res = Resource(eng, capacity=capacity)
     rows = [None] * len(arrivals)
 
@@ -340,7 +343,21 @@ def _hold_schedule(coalesce, capacity, arrivals):
     for i, (at, cycles) in enumerate(arrivals):
         eng.process(holder(i, at, cycles))
     eng.run()
-    return rows, res.coalesced, eng.events_executed
+    return rows, eng.events_executed
+
+
+def _fifo_oracle(capacity, arrivals):
+    """The same rows in closed form: holds are served in (arrival cycle,
+    creation) order, each granted at the later of its arrival and the
+    earliest-free slot."""
+    free = [0] * capacity
+    rows = [None] * len(arrivals)
+    for i in sorted(range(len(arrivals)), key=lambda i: (arrivals[i][0], i)):
+        at, cycles = arrivals[i]
+        granted = max(at, heapq.heappop(free))
+        heapq.heappush(free, granted + cycles)
+        rows[i] = (granted, granted + cycles, granted - at)
+    return rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,20 +372,19 @@ def _hold_schedule(coalesce, capacity, arrivals):
         max_size=12,
     ),
 )
-def test_hold_coalesced_schedule_equals_eager(capacity, arrivals):
-    """The one place coalescing is decided: whatever the arrival pattern,
-    a coalescing engine grants and finishes every hold at the cycle the
-    reference-mode engine does, and only the event count differs."""
-    fast, fast_coalesced, fast_events = _hold_schedule(True, capacity, arrivals)
-    slow, slow_coalesced, slow_events = _hold_schedule(False, capacity, arrivals)
-    assert fast == slow
-    for (at, _cycles), (granted, _finished, queued) in zip(arrivals, slow):
-        assert queued == granted - at
-    assert slow_coalesced == 0
-    assert 0 <= fast_coalesced <= len(arrivals)
-    # Each coalesced hold saves its grant hop; a waiter queueing behind
-    # it may cost one materialised release back.
-    assert slow_events - fast_coalesced <= fast_events <= slow_events
+def test_hold_matches_fifo_oracle(capacity, arrivals):
+    """Whatever the arrival pattern, every hold is granted, finished and
+    charged its queueing exactly as a FIFO multi-server queue says."""
+    rows, _events = _hold_schedule(capacity, arrivals)
+    assert rows == _fifo_oracle(capacity, arrivals)
+
+
+def test_uncontended_hold_is_one_event():
+    """A slot granted on the spot is not an event: one process's whole
+    schedule is its start, its arrival timeout and its hold timeout."""
+    rows, events = _hold_schedule(1, [(3, 5)])
+    assert rows == [(3, 8, 0)]
+    assert events == 3
 
 
 @pytest.mark.parametrize("coalesce", [True, False])
