@@ -147,12 +147,11 @@ class CellTSUAdapter(ProtocolAdapter):
             self.mailboxes[k].send(f)
 
     def _ppe_proc(self) -> Generator:
-        # Deliberately outside the engine's event coalescing: each poll
-        # must be its own timeout because a command written *mid-sweep*
-        # is observed (or missed) depending on whether its buffer's
-        # drain() has already run this sweep — collapsing the empty
-        # polls into one accumulated timeout would drain every buffer at
-        # the sweep's end and catch commands the eager schedule misses.
+        # Each poll is its own timeout: a command written *mid-sweep* is
+        # observed (or missed) depending on whether its buffer's drain()
+        # has already run this sweep, so collapsing the empty polls into
+        # one accumulated timeout would drain every buffer at the sweep's
+        # end and catch commands a real PPE misses.
         costs = self.costs
         n = self.tsu.nkernels
         while True:

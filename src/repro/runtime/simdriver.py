@@ -231,8 +231,7 @@ class SimulatedRuntime:
         self.tsu.publish_counters(counters)
         self.adapter.publish_counters(counters)
         # DES engine telemetry: heap churn of this run (events/instance
-        # is the figure of merit for hold's one protocol and the MMI
-        # ladder, the one coalesced protocol).
+        # is the simulator's own scheduling overhead per DThread).
         engine = counters.scope("engine")
         engine.inc("events", self.engine.events_executed)
         engine.inc("scheduled", self.engine.events_scheduled)

@@ -18,13 +18,8 @@ Models say "hold this resource for N cycles" (``yield from
 resource.hold(n)``), and a hold has one protocol: a slot granted on the
 spot is not an event, so an uncontended hold is the caller's one
 timeout and only a request that has to queue waits on a grant event.
-The one coalesced protocol is the MMI ladder (:mod:`repro.sim.mmi`),
-which folds a bus slot and the TSU command port into one timeout when
-:attr:`Engine.coalesce` is set (the default).  Both settings are the
-same simulation: cycles, functional output, spans and every counter
-outside the ``engine.*`` namespace (events dispatched/scheduled and the
-ladder's tallies) are bit-identical, which the differential suites pin
-by running the ladder's eager reference under :func:`eager_protocol`.
+There is no second mode: every model, the MMI included
+(:mod:`repro.sim.mmi`), runs its protocol step by step.
 
 Example
 -------
@@ -48,8 +43,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Engine",
@@ -58,30 +52,7 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
-    "eager_protocol",
 ]
-
-#: What ``Engine()`` sets :attr:`Engine.coalesce` to; only
-#: :func:`eager_protocol` ever changes it.
-_coalesce_default = True
-
-
-@contextmanager
-def eager_protocol() -> Iterator[None]:
-    """Build engines in the reference mode (``coalesce=False``) inside the block.
-
-    Platforms construct their engine internally, so the differential
-    suites reach the eager protocol through this process-wide default
-    rather than a parameter threaded through every layer.  Not
-    thread-safe: a test oracle with no caller under ``src/``, not an
-    option.
-    """
-    global _coalesce_default
-    saved, _coalesce_default = _coalesce_default, False
-    try:
-        yield
-    finally:
-        _coalesce_default = saved
 
 
 class SimulationError(RuntimeError):
@@ -267,20 +238,9 @@ class Resource:
     hold's cycles, then the holder's own ``release()``.  Grant order is
     strictly FIFO, which models the paper's bus arbiter behaviour and
     keeps simulations deterministic.
-
-    The MMI ladder adds a second pairing: :meth:`try_acquire`
-    (synchronous grant when a slot is free) with :meth:`release_at` (a
-    *lazy* release: the slot is free from the given time onward, but no
-    callback is scheduled for it).  Lazy holds expire passively inside
-    the next ``try_acquire``/``request`` after their deadline; the
-    moment a requester actually has to queue, every outstanding lazy
-    hold is materialised into a scheduled release so the waiter is
-    granted at exactly the time an eager release would have granted it.
-    Invariant: a non-empty wait queue implies no unmaterialised lazy
-    holds.
     """
 
-    __slots__ = ("engine", "capacity", "_in_use", "_queue", "_lazy", "name")
+    __slots__ = ("engine", "capacity", "_in_use", "_queue", "name")
 
     def __init__(self, engine: "Engine", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -293,68 +253,6 @@ class Resource:
         # arbiter queue grows to O(kernels) under contention — list.pop(0)
         # made release O(n) on exactly the hottest simulations.
         self._queue: deque[Event] = deque()
-        #: Min-heap of lazy-release deadlines (times, not delays).
-        self._lazy: list[float] = []
-
-    def _expire_lazy(self, now: float) -> None:
-        # Strictly past deadlines only: a hold expiring exactly *now* is
-        # still an in-flight release on the eager path (an event later in
-        # this cycle's sequence order), so a same-cycle requester must
-        # queue behind it — passively freeing the slot here would let the
-        # requester jump same-cycle FIFO arbitration and win a grant the
-        # eager protocol gives to somebody else.
-        lazy = self._lazy
-        while lazy and lazy[0] < now:
-            heapq.heappop(lazy)
-            self._in_use -= 1
-
-    def _materialize_lazy(self) -> None:
-        """Turn every lazy hold into a scheduled real release.
-
-        Called when a requester queues: from that point on, frees must
-        arrive as events so the FIFO grant happens at the exact time the
-        eager protocol would have produced it.
-        """
-        engine = self.engine
-        lazy = self._lazy
-        while lazy:
-            t = heapq.heappop(lazy)
-            engine._schedule(t - engine.now, self._lazy_release, None)
-
-    def _lazy_release(self, _arg: Any) -> None:
-        self.release()
-
-    def try_acquire(self) -> bool:
-        """Grant a slot synchronously if one is free *right now*.
-
-        Returns ``True`` and takes the slot without creating any event,
-        or ``False`` when the caller must queue through ``request()``
-        (at capacity, or waiters are queued).
-        """
-        if self._lazy:
-            self._expire_lazy(self.engine.now)
-        if self._queue or self._in_use >= self.capacity:
-            return False
-        self._in_use += 1
-        return True
-
-    def release_at(self, time: float) -> None:
-        """Lazily free a slot at *time* (>= now).
-
-        Only valid for slots taken with :meth:`try_acquire`; slots
-        granted through :meth:`request` must use :meth:`release`.
-        """
-        engine = self.engine
-        if time < engine.now:
-            raise SimulationError(
-                f"resource {self.name!r} released at {time!r}, before now={engine.now!r}"
-            )
-        if self._queue:
-            # A waiter queued after our try_acquire: deliver eagerly so
-            # the FIFO grant fires at the exact eager-protocol time.
-            engine._schedule(time - engine.now, self._lazy_release, None)
-        else:
-            heapq.heappush(self._lazy, time)
 
     def acquire(self) -> Generator[Event, Any, None]:
         """Take a slot, suspending only if the request has to queue.
@@ -362,9 +260,13 @@ class Resource:
         Process fragment (``yield from resource.acquire()``), paired with
         one :meth:`release`.  A slot granted on the spot is not an event:
         the caller goes on in the same callback, with no zero-delay hop.
+        A free slot never jumps the queue: with waiters queued, the
+        caller queues behind them.
         """
-        if not self.try_acquire():
+        if self._queue or self._in_use >= self.capacity:
             yield self.request()
+        else:
+            self._in_use += 1
 
     def hold(self, cycles: float) -> Generator[Any, Any, float]:
         """Occupy one slot for *cycles*; returns the cycles spent queued.
@@ -389,16 +291,12 @@ class Resource:
 
     def request(self) -> Event:
         """Ask for a slot; the returned event triggers when granted."""
-        if self._lazy:
-            self._expire_lazy(self.engine.now)
         ev = Event(self.engine, name=f"grant:{self.name}")
         if not self._queue and self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(self)
         else:
             self._queue.append(ev)
-            if self._lazy:
-                self._materialize_lazy()
         return ev
 
     def release(self) -> None:
@@ -428,14 +326,10 @@ class Engine:
     order, making every simulation deterministic.
     """
 
-    __slots__ = ("now", "coalesce", "_heap", "_seq", "_nevents")
+    __slots__ = ("now", "_heap", "_seq", "_nevents")
 
-    def __init__(self, coalesce: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        #: Whether the MMI ladder may fold a bus slot and the TSU command
-        #: port into one timeout.  ``False`` is the reference mode: every
-        #: TSU access runs the step-by-step protocol.
-        self.coalesce = _coalesce_default if coalesce is None else coalesce
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0
         self._nevents = 0

@@ -75,9 +75,6 @@ class HardwareTSUAdapter(ProtocolAdapter):
         scope = counters.scope("mmi")
         scope.inc("commands", sum(m.commands for m in self.mmis))
         scope.inc("queries", sum(m.queries for m in self.mmis))
-        engine = counters.scope("engine")
-        engine.inc("coalesced_commands", sum(m.fast_commands for m in self.mmis))
-        engine.inc("coalesced_queries", sum(m.fast_queries for m in self.mmis))
 
     def _posted_stores(self, kernel: int, entries: int) -> Generator:
         """A stream of *posted* stores into the TSU's address window:
@@ -91,8 +88,6 @@ class HardwareTSUAdapter(ProtocolAdapter):
         yield (mmi.l1_access_cycles + 2) * max(entries - 1, 0)
 
     def fetch(self, kernel: int) -> Generator:
-        # An uncontended fetch is one accumulated timeout for the whole
-        # bus → port → processing ladder (see repro.sim.mmi).
         result = yield from self._mmi(kernel).query(lambda: self.tsu.fetch(kernel))
         return result
 

@@ -24,8 +24,7 @@ own network segment, serving a static partition of the kernels:
 "More of the same device", in code: the adapter subclasses
 :class:`~repro.tsu.hardware.HardwareTSUAdapter`, which prices all five
 protocol steps through "the device this kernel talks to".  This module
-adds the device list behind one shared in-flight gate, the kernel →
-group partition and the inter-group latency tail after a completion —
+adds the device list, the kernel → group partition and the inter-group latency tail after a completion —
 nothing else; with one group it is the plain adapter, which
 ``tests/test_multigroup.py`` holds bit-identical as a guard.
 
@@ -41,7 +40,7 @@ from typing import Generator
 from repro.core.dthread import DThreadInstance
 from repro.sim.engine import Engine
 from repro.sim.interconnect import SystemBus
-from repro.sim.mmi import InflightGate, MemoryMappedInterface
+from repro.sim.mmi import MemoryMappedInterface
 from repro.tsu.group import TSUGroup
 from repro.tsu.hardware import HardwareTSUAdapter
 from repro.tsu.tkt import contiguous_partition
@@ -66,23 +65,16 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
         self._group_of_kernel = contiguous_partition(tsu.nkernels, n_groups)
         self.n_groups = n_groups
         self.intergroup_latency = intergroup_latency
-        # One device per group in place of the parent's single one.  Each
-        # sits on its own network segment with its own command port — but
-        # all devices front the *same* functional TSU, so they share one
-        # in-flight gate: the DES fast path may only coalesce an op that
-        # is alone in front of the TSU, not merely alone on its own device
-        # (a sibling device's mutation landing in the window would
-        # otherwise be observed at a different logical instant than on
-        # the eager path).
+        # One device per group in place of the parent's single one, each
+        # on its own network segment with its own command port; all of
+        # them front the same functional TSU.
         self.buses = [SystemBus(engine) for _ in range(n_groups)]
-        gate = InflightGate()
         self.mmis = [
             MemoryMappedInterface(
                 engine,
                 bus,
                 tsu_processing_cycles=tsu_processing_cycles,
                 l1_access_cycles=l1_access_cycles,
-                inflight=gate,
             )
             for bus in self.buses
         ]

@@ -13,9 +13,9 @@ the two platforms must produce **bit-identical** simulations:
 * byte-identical functional output, identical span multisets, identical
   per-kernel schedules.
 
-Fixed paper programs run first; the same hypothesis fork/join DAG
-strategy as ``test_fastpath_differential.py`` then feeds random
-interleavings through the check.  A second group pins the multi-node
+Fixed paper programs run first; a hypothesis fork/join DAG strategy
+(the shape ``test_random_dags.py`` runs on every platform) then feeds
+random interleavings through the check.  A second group pins the multi-node
 *functional* contract: whatever the node count and network cost, results
 and scheduling counters never change — only time does.
 """

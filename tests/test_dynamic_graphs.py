@@ -19,7 +19,6 @@ from repro.platforms.hard import TFluxHard
 from repro.platforms.soft import TFluxSoft
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
-from repro.sim.engine import eager_protocol
 from repro.sim.machine import BAGLE_27
 
 # -- builders (fresh per run: programs are single-use) -------------------------
@@ -257,24 +256,6 @@ def test_qsort_rec_platforms_agree():
         bench.verify(env, _TINY_QSORT)
         outs.append(env.array("data").tobytes())
     assert len(set(outs)) == 1
-
-
-def test_qsort_rec_dist_fastpath_agrees():
-    """The acceptance gate: recursive QSORT on TFluxDist with the DES
-    fast path on and off — cycles and non-engine counters identical."""
-    def go():
-        return TFluxDist(nnodes=2).execute(_qsort_prog(), nkernels=4)
-
-    fast = go()
-    with eager_protocol():
-        slow = go()
-    assert fast.cycles == slow.cycles
-    assert fast.region_cycles == slow.region_cycles
-    fast_c = {k: v for k, v in fast.counters.as_dict().items()
-              if not k.startswith("engine.")}
-    slow_c = {k: v for k, v in slow.counters.as_dict().items()
-              if not k.startswith("engine.")}
-    assert fast_c == slow_c
 
 
 def test_quad_adaptive_refinement():

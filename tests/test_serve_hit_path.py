@@ -186,7 +186,7 @@ def test_raw_session_lines_are_canonical_and_unchanged(spawn):
     for line in lines:
         assert line == encode(json.loads(line))
     assert session_digest(lines) == (
-        "e6621871b5c1751fee0599e55ba27fb773d091f7293586eda2697329141df83e"
+        "892dfcfa28a4f9633042aadcd0e2785a049a33599d016699649042659baac8a9"
     )
 
 

@@ -1,6 +1,7 @@
 """Tests for bus, MMI, machine configs, main memory, and core stats."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.cpu import CoreStats
 from repro.sim.engine import Engine
@@ -88,6 +89,62 @@ def test_mmi_port_contention():
     eng.process(proc())
     eng.run()
     assert times[1] - times[0] >= 50
+
+
+def test_mmi_uncontended_ops_closed_form():
+    """Alone in the device, a command's action runs at bus + l1 + tsu
+    after three events (start, bus slot, processing); a query adds the
+    reply transaction and one event."""
+    for op, done_at, events in (("command", 8, 3), ("query", 10, 4)):
+        eng = Engine()
+        mmi = MemoryMappedInterface(eng, SystemBus(eng, cycles_per_transaction=2),
+                                    tsu_processing_cycles=4, l1_access_cycles=2)
+        acted = []
+
+        def proc():
+            yield from getattr(mmi, op)(lambda: acted.append(eng.now))
+            return eng.now
+
+        p = eng.process(proc())
+        eng.run()
+        assert (acted, p.value, eng.events_executed) == ([8], done_at, events)
+
+
+def _mmi_command_oracle(arrivals, bus_cycles, access_cycles):
+    """Action cycle of each command in closed form: served in (arrival,
+    creation) order, each waits for the bus, then for the port."""
+    acted = [None] * len(arrivals)
+    bus = port = float("-inf")
+    for i in sorted(range(len(arrivals)), key=lambda i: (arrivals[i], i)):
+        bus = max(arrivals[i], bus + bus_cycles)
+        port = max(bus + bus_cycles, port + access_cycles)
+        acted[i] = port + access_cycles
+    return acted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrivals=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=10),
+    bus_cycles=st.integers(min_value=1, max_value=4),
+    tsu_cycles=st.integers(min_value=0, max_value=8),
+)
+def test_mmi_commands_match_fifo_oracle(arrivals, bus_cycles, tsu_cycles):
+    """Commands issued at random cycles queue FIFO at the bus and then
+    at the TSU port, exactly as two tandem single-server queues say."""
+    eng = Engine()
+    mmi = MemoryMappedInterface(eng, SystemBus(eng, bus_cycles),
+                                tsu_processing_cycles=tsu_cycles, l1_access_cycles=2)
+    acted = [None] * len(arrivals)
+
+    def issuer(i, at):
+        yield at
+        yield from mmi.command(lambda: acted.__setitem__(i, eng.now))
+
+    for i, at in enumerate(arrivals):
+        eng.process(issuer(i, at))
+    eng.run()
+    assert acted == _mmi_command_oracle(arrivals, bus_cycles, 2 + tsu_cycles)
+    assert mmi.commands == len(arrivals)
 
 
 # -- machine configs -------------------------------------------------------------

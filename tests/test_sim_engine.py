@@ -208,123 +208,35 @@ def test_resource_fifo_grant_order():
     assert grants == list(range(6))
 
 
-def test_resource_try_acquire_and_lazy_release():
-    """The fast-path primitives: a synchronous grant costs no events and
-    a lazy release frees the slot strictly *after* its deadline.  At the
-    deadline itself the release is still in flight (on the eager path it
-    is an event later in the same cycle's sequence order), so the
-    synchronous grant must refuse and send the requester through the
-    queued protocol — granting at the deadline cycle, but with the FIFO
-    sequence numbering the slow path produces."""
-    eng = Engine()
-    res = Resource(eng, capacity=1, name="bus")
-    before = eng.events_scheduled
-    assert res.try_acquire()
-    assert eng.events_scheduled == before  # no grant event materialised
-    assert not res.try_acquire()  # busy until the lazy deadline
-    res.release_at(10.0)
-    timeline = []
-
-    def late_user(eng, res):
-        yield 10
-        # At the deadline the hold has not passively expired ...
-        assert not res.try_acquire()
-        # ... but a queued request is granted at this exact cycle via a
-        # materialised release event.
-        grant = res.request()
-        yield grant
-        timeline.append(eng.now)
-        res.release()
-
-    eng.process(late_user(eng, res))
-    eng.run()
-    assert timeline == [10.0]
-
-
-def test_resource_lazy_release_materialises_for_waiters():
-    """A requester that queues behind a lazy hold is granted at the exact
-    deadline, through the normal FIFO grant event."""
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    assert res.try_acquire()
-    res.release_at(7.0)
-    grants = []
-
-    def waiter(eng, res, tag):
-        grant = res.request()
-        yield grant
-        grants.append((eng.now, tag))
-        yield 2
-        res.release()
-
-    def early(eng, res):
-        yield 3
-        eng.process(waiter(eng, res, "a"))
-        eng.process(waiter(eng, res, "b"))
-
-    eng.process(early(eng, res))
-    eng.run()
-    assert grants == [(7.0, "a"), (9.0, "b")]
-
-
-def test_resource_release_at_with_queue_delivers_eagerly():
-    """release_at while a waiter is queued must hand over at the deadline
-    (the queue-implies-no-unmaterialised-lazy-holds invariant)."""
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    grants = []
-
-    def holder(eng, res):
-        grant = res.request()
-        yield grant
-        yield 4
-        res.release_at(eng.now + 3)  # frees at t=7
-
-    def waiter(eng, res):
-        yield 1
-        grant = res.request()
-        yield grant
-        grants.append(eng.now)
-        res.release()
-
-    eng.process(holder(eng, res))
-    eng.process(waiter(eng, res))
-    eng.run()
-    assert grants == [7.0]
-
-
 def test_resource_try_acquire_respects_queue_fifo():
-    """try_acquire never jumps a queued waiter, even with capacity free
-    at the lazy deadline."""
+    """An on-the-spot grant never jumps a queued waiter: a requester
+    arriving in the very callback that frees the slot (and hands it to
+    the waiter) queues behind it."""
     eng = Engine()
     res = Resource(eng, capacity=1)
     order = []
 
     def holder(eng, res):
-        assert res.try_acquire()
-        res.release_at(5.0)
-        yield 0
+        yield res.request()
+        yield 5
+        res.release()
+        # The slot went to the queued waiter, whose grant event has not
+        # run yet; asking again must not take it.
+        yield from res.acquire()
+        order.append(("holder", eng.now))
+        res.release()
 
     def waiter(eng, res):
         yield 2
-        grant = res.request()
-        yield grant
+        yield res.request()
         order.append(("waiter", eng.now))
         yield 1
         res.release()
 
-    def sniper(eng, res):
-        yield 5
-        # Arrives exactly at the lazy deadline, but behind the queue.
-        if res.try_acquire():
-            order.append(("sniper", eng.now))
-            res.release()
-
     eng.process(holder(eng, res))
     eng.process(waiter(eng, res))
-    eng.process(sniper(eng, res))
     eng.run()
-    assert order == [("waiter", 5.0)]
+    assert order == [("waiter", 5.0), ("holder", 6.0)]
 
 
 def _hold_schedule(capacity, arrivals):
@@ -387,39 +299,17 @@ def test_uncontended_hold_is_one_event():
     assert events == 3
 
 
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_hold_rejects_negative_duration_before_taking_a_slot(coalesce):
-    eng = Engine(coalesce=coalesce)
+@pytest.mark.parametrize("busy", [False, True])
+def test_hold_rejects_negative_duration_before_taking_a_slot(busy):
+    """Same error on an idle or a busy resource: no slot taken, no queueing."""
+    eng = Engine()
     res = Resource(eng, capacity=1)
+    if busy:
+        eng.process(res.hold(10))
     eng.process(res.hold(-1))
     with pytest.raises(SimulationError, match="negative hold"):
         eng.run()
-    assert res.in_use == 0 and res.try_acquire()
-
-
-@pytest.mark.parametrize("queued", [False, True])
-def test_release_at_rejects_past_deadline(queued):
-    """Same error whether or not somebody is queued, and nothing parked."""
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-
-    def holder():
-        assert res.try_acquire()
-        yield 5
-        if queued:
-            res.request()
-        with pytest.raises(SimulationError, match="before now"):
-            res.release_at(eng.now - 1)
-        res.release_at(eng.now)
-
-    done = eng.process(holder())
-    eng.run()
-    assert not done.is_alive
-    # Nothing was parked by the rejected call: the one valid release_at
-    # freed the slot, handing it to the waiter when one queued.
-    eng.run(until=6)
-    assert res.queue_length == 0
-    assert res.try_acquire() is not queued
+    assert res.in_use == int(busy) and res.queue_length == 0
 
 
 def test_all_of_combines_events():
