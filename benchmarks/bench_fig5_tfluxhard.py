@@ -26,7 +26,7 @@ def test_figure5_table(grid):
 
 
 def test_headline_average_near_21x(grid):
-    avg = grid.average(27, "large")
+    avg = grid.average(27)
     # Paper: "average speedup of 21x for the 27 nodes TFluxHard".
     assert 16.0 < avg < 26.0, f"average {avg:.1f} far from the paper's 21x"
 

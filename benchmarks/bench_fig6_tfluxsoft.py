@@ -67,6 +67,6 @@ def test_scaling_with_kernels(grid):
 
 
 def test_average_near_paper(grid):
-    avg = grid.average(6, "large")
+    avg = grid.average(6)
     # Paper headline: ~4.4x on 6 nodes (average of Soft and Cell).
     assert 3.0 < avg < 5.7, f"average {avg:.2f}"

@@ -38,15 +38,15 @@ def test_headline_table(hard, soft, cell):
     lines = [
         "N1 — headline averages (large inputs)",
         f"{'platform':<11} {'nodes':>5} {'measured':>9} {'paper':>7}",
-        f"{'tfluxhard':<11} {27:>5} {hard.average(27, 'large'):>9.2f} {21.0:>7}",
-        f"{'tfluxsoft':<11} {6:>5} {soft.average(6, 'large'):>9.2f} {'~4.4':>7}",
-        f"{'tfluxcell':<11} {6:>5} {cell.average(6, 'large'):>9.2f} {'~4.4':>7}",
+        f"{'tfluxhard':<11} {27:>5} {hard.average(27):>9.2f} {21.0:>7}",
+        f"{'tfluxsoft':<11} {6:>5} {soft.average(6):>9.2f} {'~4.4':>7}",
+        f"{'tfluxcell':<11} {6:>5} {cell.average(6):>9.2f} {'~4.4':>7}",
     ]
     report("\n".join(lines))
 
 
 def test_software_platforms_average_near_4_4(soft, cell):
-    combined = (soft.average(6, "large") + cell.average(6, "large")) / 2
+    combined = (soft.average(6) + cell.average(6)) / 2
     assert 3.5 < combined < 6.0, f"{combined:.2f}"
 
 

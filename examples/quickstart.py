@@ -20,6 +20,7 @@ from repro.frontend import DDM
 from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
 from repro.preprocessor import compile_to_program
 from repro.runtime import NativeRuntime
+from repro.sim.accesses import AccessSummary
 
 N_CHUNKS = 16
 CHUNK = 1024
@@ -32,8 +33,18 @@ def build_with_decorators():
     ddm.env.adopt("x", rng.standard_normal(N_CHUNKS * CHUNK))
     ddm.env.adopt("y", rng.standard_normal(N_CHUNKS * CHUNK))
     ddm.env.alloc("parts", N_CHUNKS)
+    x, y, parts = (ddm.env.region(name) for name in ("x", "y", "parts"))
 
-    @ddm.thread(contexts=N_CHUNKS, cost=lambda env, i: CHUNK * 4)
+    # A cost model and an access summary make the timing meaningful
+    # (docs/porting.md): each chunk streams its slices of x and y.
+    @ddm.thread(
+        contexts=N_CHUNKS,
+        cost=lambda env, i: CHUNK * 4,
+        accesses=lambda env, i: AccessSummary()
+        .read(x, offset=i * CHUNK * 8, count=CHUNK)
+        .read(y, offset=i * CHUNK * 8, count=CHUNK)
+        .write(parts, offset=i * 8, count=1),
+    )
     def partial_dot(env, i):
         lo, hi = i * CHUNK, (i + 1) * CHUNK
         env.array("parts")[i] = env.array("x")[lo:hi] @ env.array("y")[lo:hi]

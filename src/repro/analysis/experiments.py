@@ -45,9 +45,10 @@ def _cmp_rows(measured: dict[str, float], paper: dict[str, float]) -> list[str]:
     return rows
 
 
-def generate(full: bool = False) -> str:
+def generate() -> str:
     """Run the three figure sweeps and return the EXPERIMENTS.md text."""
-    hard, soft, cell = (fig.sweep(full) for fig in (FIGURE5, FIGURE6, FIGURE7))
+    full = full_grids()
+    hard, soft, cell = (fig.sweep() for fig in (FIGURE5, FIGURE6, FIGURE7))
     hard27 = {b: hard.speedup(b, 27, "large") for b in hard.benches}
     soft6 = {b: soft.speedup(b, 6, "large") for b in soft.benches}
     cell6 = {b: cell.speedup(b, 6, "large") for b in cell.benches}
@@ -92,7 +93,7 @@ def generate(full: bool = False) -> str:
     w("")
     out.extend(_cmp_rows(hard27, FIGURE5.paper))
     w("")
-    w(f"Average at 27 kernels (large): **{hard.average(27, 'large'):.2f}x** "
+    w(f"Average at 27 kernels (large): **{hard.average(27):.2f}x** "
       f"vs the paper's **{PAPER.fig5_average_27}x** headline.")
     w("")
     w("The paper's per-benchmark story reproduces: TRAPEZ near-ideal "
@@ -185,8 +186,8 @@ def generate(full: bool = False) -> str:
       "(§6.1.2) | reproduced: per-benchmark ratios within "
       "0.80–1.25, same ordering | `bench_x86_9core.py` |")
     w("| N1 | 21x average @27 (Hard); 4.4x @6 (Soft+Cell) | "
-      f"{hard.average(27, 'large'):.1f}x; "
-      f"{(soft.average(6, 'large') + cell.average(6, 'large')) / 2:.1f}x | "
+      f"{hard.average(27):.1f}x; "
+      f"{(soft.average(6) + cell.average(6)) / 2:.1f}x | "
       "`bench_headline.py` |")
     w("")
     w("### A2 in numbers — DThread granularity per platform")
@@ -218,10 +219,10 @@ def generate(full: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
+def main() -> int:
+    args = sys.argv[1:]
     out_path = Path(args[0]) if args else Path("EXPERIMENTS.md")
-    out_path.write_text(generate(full=full_grids()))
+    out_path.write_text(generate())
     print(f"wrote {out_path}")
     return 0
 

@@ -76,11 +76,13 @@ class FigureGrid:
     def get(self, bench: str, nkernels: int, size: str) -> Optional[Evaluation]:
         return self.cells.get((bench, nkernels, size))
 
-    def average(self, nkernels: int, size: str = "large") -> float:
+    def average(self, nkernels: int) -> float:
+        """Mean speedup over the benchmarks at *nkernels*, large input
+        (the average the paper prints)."""
         values = [
-            self.cells[(b, nkernels, size)].speedup
+            self.cells[(b, nkernels, "large")].speedup
             for b in self.benches
-            if (b, nkernels, size) in self.cells
+            if (b, nkernels, "large") in self.cells
         ]
         return sum(values) / len(values) if values else 0.0
 
@@ -91,7 +93,6 @@ def sweep_figure(
     kernel_counts: Sequence[int],
     sizes: Sequence[str] = ("small", "medium", "large"),
     unrolls: Sequence[int] = UNROLL_LADDER,
-    verify: bool = False,
     max_threads: int = 2048,
 ) -> FigureGrid:
     """Run the full grid of one figure on *platform*.
@@ -122,7 +123,7 @@ def sweep_figure(
                         size=size,
                         nkernels=nk,
                         unrolls=tuple(unrolls),
-                        verify=verify,
+                        verify=False,
                         max_threads=max_threads,
                     )
                 )
@@ -186,14 +187,12 @@ class PaperFigure:
 
     def sweep(
         self,
-        full: Optional[bool] = None,
         kernel_counts: Optional[Sequence[int]] = None,
         sizes: Optional[Sequence[str]] = None,
     ) -> FigureGrid:
-        """Run the figure's grid, or the sub-grid *kernel_counts* ×
-        *sizes* of it (*full* defaults to :func:`full_grids`)."""
-        if full is None:
-            full = full_grids()
+        """Run the figure's grid (full or reduced, per :func:`full_grids`),
+        or the sub-grid *kernel_counts* × *sizes* of it."""
+        full = full_grids()
         return sweep_figure(
             self.platform(),
             self.benches,

@@ -79,20 +79,22 @@ def render_grid(grid: FigureGrid, title: str) -> str:
     top = grid.kernel_counts[-1]
     lines.append(
         f"average speedup at {top} kernels (large): "
-        f"{grid.average(top, 'large'):.2f}"
+        f"{grid.average(top):.2f}"
     )
     return "\n".join(lines)
 
 
-def render_bars(grid: FigureGrid, size: str = "large", width: int = 50) -> str:
-    """Paper-figure-style horizontal bars: one group per benchmark, one
-    bar per kernel count, scaled to the ideal (max kernel count)."""
+def render_bars(grid: FigureGrid) -> str:
+    """Paper-figure-style horizontal bars for the large input: one group
+    per benchmark, one bar per kernel count, scaled to the ideal (max
+    kernel count)."""
     top = max(grid.kernel_counts)
-    lines = [f"speedup bars ({size} size; full width = {top}x ideal)"]
+    width = 50
+    lines = [f"speedup bars (large size; full width = {top}x ideal)"]
     for bench in grid.benches:
         lines.append(bench.upper())
         for nk in grid.kernel_counts:
-            ev = grid.get(bench, nk, size)
+            ev = grid.get(bench, nk, "large")
             if ev is None:
                 continue
             filled = int(round(ev.speedup / top * width))

@@ -20,7 +20,7 @@ from repro.core.builder import ProgramBuilder
 from repro.core.program import DDMProgram
 from repro.sim.accesses import AccessSummary
 
-__all__ = ["Trapez", "f", "reference"]
+__all__ = ["Trapez", "f"]
 
 #: Base granularity: intervals per DThread at unroll factor 1.
 BASE_INTERVALS = 64
@@ -31,15 +31,6 @@ A, B = 0.0, 1.0
 def f(x: np.ndarray) -> np.ndarray:
     """The integrand; integral over [0,1] is pi."""
     return 4.0 / (1.0 + x * x)
-
-
-def reference(k: int) -> float:
-    """Sequential trapezoidal rule with 2^k intervals."""
-    n = 1 << k
-    x = np.linspace(A, B, n + 1)
-    y = f(x)
-    h = (B - A) / n
-    return float(h * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
 class Trapez:

@@ -236,7 +236,7 @@ class CellTSUAdapter(ProtocolAdapter):
         kernel: int,
         local_iid: int,
         instance: DThreadInstance,
-        outcome: object = None,
+        outcome: object,
     ) -> Generator:
         yield from self._write_command(
             Command("complete", kernel, local_iid, outcome=outcome)

@@ -40,7 +40,7 @@ class CommandBuffer:
     PPE has not drained it — visible back-pressure, as on the real chip.
     """
 
-    def __init__(self, size_bytes: int = 128) -> None:
+    def __init__(self, size_bytes: int) -> None:
         self.capacity = max(1, size_bytes // COMMAND_BYTES)
         self._cmds: deque[Command] = deque()
         self.writes = 0

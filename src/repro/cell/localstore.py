@@ -46,6 +46,3 @@ class LocalStore:
                 f"({self.reserved} reserved for code/runtime); the "
                 "application must be restructured to stage its data (§6.3)"
             )
-
-    def fits(self, nbytes: int) -> bool:
-        return nbytes <= self.data_budget

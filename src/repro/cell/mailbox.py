@@ -15,15 +15,15 @@ from repro.sim.engine import Engine, Event
 
 __all__ = ["Mailbox"]
 
+#: Messages an SPE inbound mailbox holds.
+MAILBOX_DEPTH = 4
+
 
 class Mailbox:
     """Bounded FIFO with delivery latency (one per SPE)."""
 
-    def __init__(self, engine: Engine, capacity: int = 4, latency: int = 100) -> None:
-        if capacity < 1:
-            raise ValueError("mailbox capacity must be >= 1")
+    def __init__(self, engine: Engine, latency: int = 100) -> None:
         self.engine = engine
-        self.capacity = capacity
         self.latency = latency
         self._items: deque[Any] = deque()
         self._reader: Optional[Event] = None
@@ -38,7 +38,7 @@ class Mailbox:
         """
 
         def deliver(_):
-            if len(self._items) >= self.capacity:
+            if len(self._items) >= MAILBOX_DEPTH:
                 raise OverflowError("SPE mailbox overflow")
             self._items.append(value)
             self.messages += 1
@@ -55,6 +55,3 @@ class Mailbox:
             self._reader = Event(self.engine, name="mbox-read")
             yield self._reader
         return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)

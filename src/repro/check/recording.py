@@ -343,11 +343,11 @@ class CheckedEnvironment:
         self._env.set(name, _unwrap(value))
         self._record_scalar(name, is_write=True)
 
-    def get(self, name: str, default: Any = None) -> Any:
+    def get(self, name: str) -> Any:
         if name in self._env._arrays:
             return self._wrap(name)
         self._record_scalar(name, is_write=False)
-        return self._env.get(name, default)
+        return self._env.get(name)
 
     # -- mapping conveniences -------------------------------------------------
     def __getitem__(self, name: str) -> Any:

@@ -28,7 +28,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.environment import Environment
 from repro.core.graph import GraphBuilder
@@ -46,13 +46,13 @@ class ProgramBuilder(GraphBuilder):
     derivation and :meth:`build`.
     """
 
-    def __init__(self, name: str, env: Optional[Environment] = None) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.env = env if env is not None else Environment()
+        self.env = Environment()
         self._prologue: list[SequentialSection] = []
         self._epilogue: list[SequentialSection] = []
 
-    def auto_depends(self, templates: Optional[Iterable[int]] = None):
+    def auto_depends(self):
         """Derive arcs from the threads' declared access summaries.
 
         Computes the write→read / write→write / read→write ordering arcs
@@ -66,7 +66,7 @@ class ProgramBuilder(GraphBuilder):
         """
         from repro.core.deps import derive
 
-        derivation = derive(self.graph, self.env, templates=templates)
+        derivation = derive(self.graph, self.env)
         declared = {(a.producer, a.consumer) for a in self.graph.arcs}
         added = []
         for spec in derivation.template_arcs():
@@ -94,9 +94,8 @@ class ProgramBuilder(GraphBuilder):
         name: str,
         body: Optional[Callable[[Environment], None]] = None,
         cost: Optional[Callable[[Environment], int]] = None,
-        accesses: Optional[Callable[[Environment], Any]] = None,
     ) -> SequentialSection:
-        section = SequentialSection(name, body, cost, accesses)
+        section = SequentialSection(name, body, cost)
         self._epilogue.append(section)
         return section
 

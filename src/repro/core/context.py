@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Tuple, Union
 
-__all__ = ["Context", "CTX_ALL", "normalize_context", "context_range"]
+__all__ = ["Context", "CTX_ALL", "normalize_context"]
 
 #: One dynamic instance identifier component: an int or tuple of ints.
 Context = Union[int, Tuple[int, ...]]
@@ -42,28 +42,3 @@ def normalize_context(ctx: Context) -> Context:
             return ctx[0]
         return tuple(int(c) for c in ctx)
     return int(ctx)
-
-
-def context_range(*bounds: int) -> list[Context]:
-    """All contexts of an n-deep loop nest with the given trip counts.
-
-    >>> context_range(3)
-    [0, 1, 2]
-    >>> context_range(2, 2)
-    [(0, 0), (0, 1), (1, 0), (1, 1)]
-    """
-    if not bounds:
-        return [0]
-    if len(bounds) == 1:
-        return list(range(bounds[0]))
-    result: list[Context] = []
-
-    def rec(prefix: tuple[int, ...], rest: tuple[int, ...]) -> None:
-        if not rest:
-            result.append(normalize_context(prefix))
-            return
-        for i in range(rest[0]):
-            rec(prefix + (i,), rest[1:])
-
-    rec((), tuple(bounds))
-    return result

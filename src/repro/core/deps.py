@@ -40,7 +40,7 @@ before/after the parallel region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -180,18 +180,12 @@ class Derivation:
         return arcs
 
 
-def derive(
-    graph: SynchronizationGraph,
-    env,
-    templates: Optional[Sequence[int]] = None,
-) -> Derivation:
+def derive(graph: SynchronizationGraph, env) -> Derivation:
     """Replay every instance's access summary and coalesce conflicts.
 
-    *templates* restricts which template ids contribute accesses (others
-    are treated as opaque); by default every template with a declared
-    ``accesses`` callable participates.
+    Every template with a declared ``accesses`` callable participates;
+    the others are opaque.
     """
-    wanted = None if templates is None else set(templates)
     instances: List[Tuple[int, Context]] = []
     index: Dict[Tuple[int, Context], int] = {}
     #: region name -> [(instance idx, is_write, intervals)] in program order.
@@ -200,9 +194,7 @@ def derive(
     opaque: List[int] = []
 
     for tmpl in graph.templates:
-        participates = tmpl.accesses is not None and (
-            wanted is None or tmpl.tid in wanted
-        )
+        participates = tmpl.accesses is not None
         if not participates:
             opaque.append(tmpl.tid)
         for ctx in tmpl.contexts:

@@ -122,9 +122,5 @@ class DThreadInstance:
     def name(self) -> str:
         return f"{self.template.name}[{self.ctx}]"
 
-    @property
-    def kind(self) -> ThreadKind:
-        return self.template.kind
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DThreadInstance {self.iid}: {self.name}>"

@@ -91,10 +91,11 @@ class Environment:
             raise KeyError(f"{name!r} is an array; assign into it instead")
         self._scalars[name] = value
 
-    def get(self, name: str, default: Any = None) -> Any:
+    def get(self, name: str) -> Any:
+        """An array or scalar by name; ``None`` for an unset scalar."""
         if name in self._arrays:
             return self._arrays[name]
-        return self._scalars.get(name, default)
+        return self._scalars.get(name)
 
     # -- mapping conveniences ---------------------------------------------------
     def __getitem__(self, name: str) -> Any:

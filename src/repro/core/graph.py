@@ -129,9 +129,6 @@ class ExpandedGraph:
     def ninstances(self) -> int:
         return len(self.instances)
 
-    def iid_of(self, tid: int, ctx: Context = 0) -> int:
-        return self.index[(tid, normalize_context(ctx))]
-
     def check_invariants(self) -> None:
         """Structural sanity: counts match arcs, no dangling consumers."""
         check_sync_counts(self.ready_counts, self.consumers, self.entry)

@@ -88,9 +88,9 @@ class DDMProgram:
         self._executed = True
 
     # -- structure ----------------------------------------------------------
-    def expanded(self, refresh: bool = False) -> ExpandedGraph:
+    def expanded(self) -> ExpandedGraph:
         """The (cached) instance-level graph."""
-        if self._expanded is None or refresh:
+        if self._expanded is None:
             self._expanded = self.graph.expand()
         return self._expanded
 

@@ -281,9 +281,9 @@ class ResultCache:
             "remaining_bytes": sum(size for size, _ in entries.values()),
         }
 
-    def publish_counters(self, counters: Any, prefix: str = "exec.cache") -> None:
+    def publish_counters(self, counters: Any) -> None:
         """Add this handle's hits/misses/stores to a Counters registry."""
-        scope = counters.scope(prefix)
+        scope = counters.scope("exec.cache")
         scope.inc("hits", self.hits)
         scope.inc("misses", self.misses)
         scope.inc("stores", self.stores)

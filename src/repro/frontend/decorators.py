@@ -21,19 +21,10 @@ DependSpec = Union[ProducerRef, tuple[ProducerRef, Union[str, Callable]]]
 class DDM:
     """A DDM program under construction via decorators."""
 
-    def __init__(
-        self,
-        name: str,
-        env: Optional[Environment] = None,
-        auto_depends: bool = False,
-    ) -> None:
-        self._builder = ProgramBuilder(name, env=env)
+    def __init__(self, name: str) -> None:
+        self._builder = ProgramBuilder(name)
         self._templates: dict[Callable, DThreadTemplate] = {}
         self._built: Optional[DDMProgram] = None
-        #: Derive arcs from the threads' ``accesses`` declarations at
-        #: build time (:meth:`ProgramBuilder.auto_depends`) — explicit
-        #: ``depends=[...]`` specs keep precedence per template pair.
-        self._auto_depends = auto_depends
 
     @property
     def env(self) -> Environment:
@@ -60,7 +51,6 @@ class DDM:
         cost: Optional[Callable[[Any, Context], int]] = None,
         accesses: Optional[Callable[[Any, Context], Any]] = None,
         affinity: Optional[Callable[[Context, int], int]] = None,
-        name: Optional[str] = None,
     ) -> Callable[[Callable], Callable]:
         """Register the decorated ``f(env, ctx)`` as a DThread template.
 
@@ -73,7 +63,7 @@ class DDM:
             if self._built is not None:
                 raise RuntimeError("program already built")
             tmpl = self._builder.thread(
-                name or fn.__name__,
+                fn.__name__,
                 body=fn,
                 contexts=contexts,
                 cost=cost,
@@ -92,21 +82,9 @@ class DDM:
 
         return decorate
 
-    def prologue(self, fn: Callable) -> Callable:
-        """Register a sequential prologue section ``f(env)``."""
-        self._builder.prologue(fn.__name__, body=fn)
-        return fn
-
-    def epilogue(self, fn: Callable) -> Callable:
-        """Register a sequential epilogue section ``f(env)``."""
-        self._builder.epilogue(fn.__name__, body=fn)
-        return fn
-
     # -- finish ------------------------------------------------------------------
     def build(self) -> DDMProgram:
         """Validate and return the program (idempotent)."""
         if self._built is None:
-            if self._auto_depends:
-                self._builder.auto_depends()
             self._built = self._builder.build()
         return self._built

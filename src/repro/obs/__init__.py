@@ -28,8 +28,6 @@ from repro.obs.probe import (
     Tracer,
     check_no_overlap,
     render_gantt,
-    spans_from_jsonl,
-    spans_to_jsonl,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "Tracer",
     "check_no_overlap",
     "render_gantt",
-    "spans_from_jsonl",
-    "spans_to_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
     "SCHEMA_VERSION",

@@ -80,8 +80,9 @@ class Counters:
     def __getitem__(self, name: str) -> int:
         return self._values[name]
 
-    def get(self, name: str, default: int = 0) -> int:
-        return self._values.get(name, default)
+    def get(self, name: str) -> int:
+        """The counter's value; 0 for a name nothing incremented."""
+        return self._values.get(name, 0)
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
@@ -94,16 +95,6 @@ class Counters:
 
     def items(self) -> list[tuple[str, int]]:
         return sorted(self._values.items())
-
-    def namespace(self, prefix: str) -> dict[str, int]:
-        """All counters under ``prefix.``, with the prefix stripped."""
-        _check_name(prefix)
-        cut = len(prefix) + 1
-        return {
-            name[cut:]: value
-            for name, value in sorted(self._values.items())
-            if name.startswith(prefix + ".")
-        }
 
     def as_dict(self) -> dict[str, int]:
         """A plain sorted ``{name: value}`` dict (JSON-ready)."""

@@ -13,16 +13,14 @@ the native backend records **microseconds** of wall time.  Both are
 integers on one monotonically increasing axis per run, which is all the
 invariants (no per-kernel overlap) and the exporters need.
 
-Exporters: :func:`to_chrome_trace` / :func:`write_chrome_trace` produce
-the Chrome ``chrome://tracing`` / Perfetto JSON format;
-:func:`spans_to_jsonl` / :func:`spans_from_jsonl` give a line-oriented
-round-trippable form for archiving spans next to run records.
+Exporter: :func:`to_chrome_trace` / :func:`write_chrome_trace` produce
+the Chrome ``chrome://tracing`` / Perfetto JSON format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "render_gantt",
     "to_chrome_trace",
     "write_chrome_trace",
-    "spans_to_jsonl",
-    "spans_from_jsonl",
 ]
 
 
@@ -79,8 +75,8 @@ NULL_PROBE = Probe()
 class Tracer(Probe):
     """A collecting probe: records every span and answers timeline queries."""
 
-    def __init__(self, spans: Optional[list[Span]] = None) -> None:
-        self._spans: list[Span] = list(spans) if spans else []
+    def __init__(self) -> None:
+        self._spans: list[Span] = []
 
     def record(
         self, kernel: int, name: str, kind: str, start: float, end: float
@@ -169,17 +165,6 @@ def write_chrome_trace(path, source: SpanSource) -> None:
     """Write the Chrome-trace JSON for *source* to *path*."""
     with open(path, "w") as fh:
         json.dump(to_chrome_trace(source), fh)
-
-
-# -- JSONL round trip ---------------------------------------------------------
-def spans_to_jsonl(source: SpanSource) -> str:
-    """One JSON object per line, one line per span (order preserved)."""
-    return "\n".join(json.dumps(asdict(s), sort_keys=True) for s in _spans_of(source))
-
-
-def spans_from_jsonl(text: str) -> list[Span]:
-    """Inverse of :func:`spans_to_jsonl`."""
-    return [Span(**json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 # -- ASCII rendering ----------------------------------------------------------

@@ -170,12 +170,6 @@ class RunRecord:
     def total_dthreads(self) -> int:
         return sum(k.dthreads for k in self.kernels)
 
-    def utilisation(self) -> float:
-        """Mean fraction of kernel time spent busy (not waiting on TSU)."""
-        if not self.kernels:
-            return 0.0
-        return sum(k.core.utilisation() for k in self.kernels) / len(self.kernels)
-
     # -- JSON round trip ---------------------------------------------------
     def to_json_dict(self) -> dict[str, Any]:
         """A plain-JSON form of the record (inverse: :meth:`from_json_dict`)."""

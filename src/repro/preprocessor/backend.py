@@ -313,7 +313,7 @@ def _gen_arcs(receiver: str, threads, shared: set[str]) -> list[str]:
     return lines
 
 
-def emit_module(source: str, module_name: Optional[str] = None) -> str:
+def emit_module(source: str) -> str:
     """Preprocess DDM source text into a standalone Python module."""
     prog = split_directives(source)
     shared = {v.name for v in prog.variables}

@@ -282,9 +282,9 @@ def parse_block(source: str, first_line: int = 1) -> list[A.Stmt]:
     return Parser(tokenize(source, first_line)).parse_statements()
 
 
-def parse_expression(source: str, first_line: int = 1) -> A.Expr:
+def parse_expression(source: str) -> A.Expr:
     """Parse a standalone expression (used for map(...) specs)."""
-    parser = Parser(tokenize(source, first_line))
+    parser = Parser(tokenize(source))
     expr = parser.expression()
     if parser.cur.kind != "eof":
         raise DDMSyntaxError(

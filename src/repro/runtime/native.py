@@ -53,6 +53,11 @@ from repro.tsu.tub import ThreadUpdateBuffer
 
 __all__ = ["NativeRuntime"]
 
+#: The Thread Update Buffer's geometry: segments kernels try-lock in
+#: turn (paper §4.2), and the completions each one holds.
+TUB_SEGMENTS = 8
+TUB_SEGMENT_CAPACITY = 256
+
 
 class NativeRuntime:
     """Execute a DDM program on host threads with a software TSU.
@@ -68,9 +73,6 @@ class NativeRuntime:
         nkernels: int,
         tsu_capacity: Optional[int] = None,
         placement: PlacementPolicy = contiguous_placement,
-        tub_segments: int = 8,
-        tub_segment_capacity: int = 256,
-        allow_stealing: bool = False,
         tracer: Optional[Probe] = None,
     ) -> None:
         if nkernels < 1:
@@ -80,10 +82,9 @@ class NativeRuntime:
         self.blocks = program.blocks(tsu_capacity)
         self.tsu = TSUGroup(
             nkernels, self.blocks, placement=placement,
-            allow_stealing=allow_stealing,
             root_graph=program.expanded(), tsu_capacity=tsu_capacity,
         )
-        self.tub = ThreadUpdateBuffer(tub_segments, tub_segment_capacity)
+        self.tub = ThreadUpdateBuffer(TUB_SEGMENTS, TUB_SEGMENT_CAPACITY)
         # One mutex guards TSU state transitions (fetch / inlet / outlet /
         # post-processing application); DThread bodies run outside it.
         self._cond = threading.Condition()
@@ -96,7 +97,6 @@ class NativeRuntime:
         self.emulator_batches = 0
         self.emulator_items = 0
         self.emulator_busy_us = 0.0
-        self._ran = False
 
     def _now_us(self) -> float:
         """Microseconds since the run started (span/CoreStats axis)."""
@@ -205,9 +205,6 @@ class NativeRuntime:
 
     # -- entry point --------------------------------------------------------------------
     def run(self) -> RunResult:
-        if self._ran:
-            raise RuntimeError("NativeRuntime objects are single-use")
-        self._ran = True
         self.program.mark_executed()
         env = self.program.env
 

@@ -108,7 +108,6 @@ class SimulatedRuntime:
         #: :class:`repro.obs.Tracer`) to keep them.
         self.probe: Probe = tracer if tracer is not None else NULL_PROBE
         self._wait_events: dict[int, Event] = {}
-        self._ran = False
 
     # -- wake management ------------------------------------------------------
     def _wake(self, kernels: Optional[Iterable[int]] = None) -> None:
@@ -213,9 +212,6 @@ class SimulatedRuntime:
 
     # -- entry point -------------------------------------------------------------------
     def run(self) -> RunResult:
-        if self._ran:
-            raise RuntimeError("SimulatedRuntime objects are single-use")
-        self._ran = True
         self.program.mark_executed()
         self._region_start = 0.0
         self._region_end = 0.0

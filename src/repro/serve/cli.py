@@ -201,9 +201,9 @@ def main_submit(argv: Optional[list[str]] = None) -> int:
         return 1 if batch.errors else 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main() -> int:
     """``python -m repro.serve.cli {serve,submit} ...`` dispatcher."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:]
     if not argv or argv[0] not in ("serve", "submit"):
         print("usage: python -m repro.serve.cli {serve,submit} [options]",
               file=sys.stderr)

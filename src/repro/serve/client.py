@@ -23,6 +23,9 @@ from repro.serve.protocol import decode, encode, outcome_from_wire
 
 __all__ = ["BatchResult", "ServeClient"]
 
+#: Seconds a client waits on the socket for the server's next line.
+SOCKET_TIMEOUT = 300.0
+
 
 @dataclass
 class BatchResult:
@@ -56,14 +59,13 @@ class ServeClient:
         self,
         address: "tuple[str, int] | str",
         tenant: str = "",
-        timeout: Optional[float] = 300.0,
     ) -> None:
         if isinstance(address, str):
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._sock.connect(address)
         else:
             self._sock = socket.create_connection(address)
-        self._sock.settimeout(timeout)
+        self._sock.settimeout(SOCKET_TIMEOUT)
         self._file = self._sock.makefile("rwb")
         self.welcome = self._read()
         if self.welcome.get("type") != "welcome":
@@ -87,7 +89,6 @@ class ServeClient:
     def submit(
         self,
         jobs: list[dict[str, Any]],
-        batch_id: Optional[str] = None,
         priority: int = 0,
         on_result: Optional[Callable[[int, JobOutcome], None]] = None,
     ) -> BatchResult:
@@ -98,7 +99,7 @@ class ServeClient:
         intermediate ``result`` fires ``on_result(index, outcome)`` as
         it arrives, which is how callers observe the incremental stream.
         """
-        batch_id = batch_id or uuid.uuid4().hex[:12]
+        batch_id = uuid.uuid4().hex[:12]
         self._write(
             {"type": "submit", "batch_id": batch_id, "jobs": jobs,
              "priority": priority}

@@ -39,9 +39,9 @@ class FairScheduler:
 
     def __init__(
         self,
-        max_queued_per_tenant: int = 256,
-        max_queued_total: int = 1024,
-        aging_rounds: int = 4,
+        max_queued_per_tenant: int,
+        max_queued_total: int,
+        aging_rounds: int,
     ) -> None:
         if max_queued_per_tenant < 1 or max_queued_total < 1:
             raise ValueError("queue bounds must be >= 1")

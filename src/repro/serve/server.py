@@ -528,7 +528,7 @@ class ServerHandle:
         self._loop = loop
         self._thread = thread
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         if not self._thread.is_alive():
             return  # already stopped
 
@@ -537,7 +537,7 @@ class ServerHandle:
             asyncio.get_running_loop().stop()
 
         self._loop.call_soon_threadsafe(asyncio.ensure_future, _shutdown())
-        self._thread.join(timeout)
+        self._thread.join(10.0)
 
 
 def serve_in_thread(

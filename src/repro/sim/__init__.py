@@ -21,7 +21,7 @@ Cell/BE machines used by TFluxSoft/TFluxCell).  It provides:
   hardware TSU is attached to the system network.
 """
 
-from repro.sim.engine import Engine, Event, Process, Resource, Timeout
+from repro.sim.engine import Engine, Event, Process, Resource
 from repro.sim.accesses import AccessSummary, Read, Write, Region
 from repro.sim.cache import CacheConfig, CoherentMemorySystem
 from repro.sim.fastcache import FastMemorySystem
@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "Process",
     "Resource",
-    "Timeout",
     "AccessSummary",
     "Read",
     "Write",

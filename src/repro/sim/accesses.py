@@ -23,7 +23,7 @@ paper's MMULT coherency misses, QSORT array hand-off) visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["Region", "RegionSpace", "Read", "Write", "AccessSummary"]
 
@@ -86,10 +86,6 @@ class RegionSpace:
 
     def __len__(self) -> int:
         return len(self._regions)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.size for r in self._regions.values())
 
 
 @dataclass(frozen=True)
@@ -218,10 +214,6 @@ class AccessSummary:
         )
         return self
 
-    def extend(self, other: "AccessSummary") -> "AccessSummary":
-        self.ops.extend(other.ops)
-        return self
-
     def __iter__(self) -> Iterator[_RangeOp]:
         return iter(self.ops)
 
@@ -235,13 +227,3 @@ class AccessSummary:
     @property
     def bytes_written(self) -> int:
         return sum(op.bytes_touched * op.reps for op in self.ops if op.is_write)
-
-    def regions(self) -> set[str]:
-        return {op.region.name for op in self.ops}
-
-    @staticmethod
-    def merge(summaries: Iterable["AccessSummary"]) -> "AccessSummary":
-        merged = AccessSummary()
-        for s in summaries:
-            merged.ops.extend(s.ops)
-        return merged

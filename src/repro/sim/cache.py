@@ -231,9 +231,6 @@ class CoherentMemorySystem:
             cursor += -(-reg.size // self.line_size) * self.line_size
 
     # -- address helpers --------------------------------------------------
-    def region_base(self, name: str) -> int:
-        return self._bases[name]
-
     def _line_of(self, region_name: str, offset: int) -> int:
         addr = self._bases[region_name] + offset
         return addr - addr % self.line_size
@@ -242,7 +239,7 @@ class CoherentMemorySystem:
     def access(self, core: int, region_name: str, offset: int, is_write: bool) -> int:
         """Perform one access; returns its latency in cycles."""
         line = self._line_of(region_name, offset)
-        latency, _dram = self._access_line(core, line, is_write)
+        latency, _dram = self._access_line(core, line, is_write, burst=False)
         return latency
 
     def _drop_from_l1(self, core: int, line: int) -> None:
@@ -282,7 +279,7 @@ class CoherentMemorySystem:
         return False
 
     def _access_line(
-        self, core: int, line: int, is_write: bool, burst: bool = False
+        self, core: int, line: int, is_write: bool, burst: bool
     ) -> tuple[int, bool]:
         """One line access; returns ``(latency, hit_dram)``.  *burst* marks
         the access as part of a dense sequential miss run (pipelined DRAM

@@ -31,12 +31,12 @@ Example
 ...     value = yield ev
 ...     return (eng.now, value)
 >>> ev = eng.event()
->>> eng.process(pinger(eng, ev))        # doctest: +ELLIPSIS
-<repro.sim.engine.Process object at ...>
+>>> eng.process(pinger(eng, ev))
+<Process 'pinger' alive>
 >>> p = eng.process(ponger(eng, ev))
 >>> eng.run()
->>> p.value
-(10, 'pong')
+>>> p.done.value
+(10.0, 'pong')
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "Engine",
     "Event",
-    "Timeout",
     "Process",
     "Resource",
     "SimulationError",
@@ -66,20 +65,19 @@ class SimulationError(RuntimeError):
 class Event:
     """A one-shot event that processes can wait on.
 
-    An event starts *pending*; calling :meth:`succeed` (or :meth:`fail`)
-    triggers it exactly once, resuming every waiting process at the current
+    An event starts *pending*; calling :meth:`succeed` triggers it
+    exactly once, resuming every waiting process at the current
     simulation time.  Late waiters (processes that yield an event that has
     already been triggered) resume immediately.
     """
 
-    __slots__ = ("engine", "_value", "_exc", "triggered", "_waiters", "name")
+    __slots__ = ("engine", "_value", "triggered", "_waiters", "name")
 
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         self.name = name
         self.triggered = False
         self._value: Any = None
-        self._exc: Optional[BaseException] = None
         # Allocated lazily on the first waiter: most events (resource
         # grants, process-done markers) trigger with zero or one waiter,
         # and this is the hottest allocation site in the kernel.
@@ -92,15 +90,6 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
         self._value = value
-        self._flush()
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event so that waiters observe *exc* raised."""
-        if self.triggered:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        self.triggered = True
-        self._exc = exc
         self._flush()
         return self
 
@@ -127,8 +116,6 @@ class Event:
     def value(self) -> Any:
         if not self.triggered:
             raise SimulationError(f"event {self.name!r} not yet triggered")
-        if self._exc is not None:
-            raise self._exc
         return self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -136,27 +123,11 @@ class Event:
         return f"<Event {self.name!r} {state}>"
 
 
-class Timeout(Event):
-    """An event that triggers automatically after a fixed delay."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(engine, name=f"timeout({delay})")
-        engine._schedule(delay, self._fire, value)
-
-    def _fire(self, value: Any) -> None:
-        self.succeed(value)
-
-
 class Process:
     """A running simulation process wrapping a generator.
 
     The process's :attr:`done` event triggers when the generator returns;
-    the generator's return value becomes the event value (and is exposed as
-    :attr:`value`).  Yielding inside the generator follows the protocol
+    the generator's return value becomes the event value.  Yielding inside the generator follows the protocol
     documented in the module docstring.
     """
 
@@ -170,11 +141,6 @@ class Process:
         engine._schedule(0.0, self._resume, _SEND_NONE)
 
     @property
-    def value(self) -> Any:
-        """Return value of the finished process (raises if still running)."""
-        return self.done.value
-
-    @property
     def is_alive(self) -> bool:
         return not self.done.triggered
 
@@ -183,12 +149,7 @@ class Process:
             if item is _SEND_NONE:  # timer expiry: the hot case
                 target = self.gen.send(None)
             elif isinstance(item, Event):
-                try:
-                    send_value = item.value
-                except BaseException as exc:  # failed event propagates
-                    target = self.gen.throw(exc)
-                else:
-                    target = self.gen.send(send_value)
+                target = self.gen.send(item._value)
             else:
                 target = self.gen.send(item)
         except StopIteration as stop:
@@ -309,14 +270,6 @@ class Resource:
         else:
             self._in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
 
 class Engine:
     """The simulation kernel: virtual clock plus an event heap.
@@ -343,14 +296,8 @@ class Engine:
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
-
-    def resource(self, capacity: int = 1, name: str = "") -> Resource:
-        return Resource(self, capacity, name=name)
 
     def all_of(self, events: Iterable[Event], name: str = "all_of") -> Event:
         """Event that triggers once every event in *events* has triggered."""
@@ -383,35 +330,19 @@ class Engine:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, cb, arg))
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or the clock passes *until*."""
+    def run(self) -> None:
+        """Run until the heap drains."""
         heap = self._heap
         pop = heapq.heappop
         dispatched = 0
         try:
-            if until is None:
-                # Dispatch loop with no deadline checks: the whole-program
-                # case every figure simulation takes.
-                while heap:
-                    t, _seq, cb, arg = pop(heap)
-                    if t < self.now:
-                        raise SimulationError("event scheduled in the past")
-                    self.now = t
-                    dispatched += 1
-                    cb(arg)
-                return
             while heap:
-                if heap[0][0] > until:
-                    self.now = until
-                    return
                 t, _seq, cb, arg = pop(heap)
                 if t < self.now:
                     raise SimulationError("event scheduled in the past")
                 self.now = t
                 dispatched += 1
                 cb(arg)
-            if until > self.now:
-                self.now = until
         finally:
             self._nevents += dispatched
 

@@ -7,7 +7,8 @@ shared medium: one transaction at a time, each occupying the bus for a
 fixed number of cycles.  Cores' ordinary cache traffic is accounted
 analytically inside the memory models (per-line latencies already include
 the bus hop); the DES-level bus is used for the *control* traffic whose
-queueing genuinely matters — TSU commands and replies.
+queueing genuinely matters — TSU commands and replies, each one
+transaction of :data:`CYCLES_PER_TRANSACTION` cycles.
 """
 
 from __future__ import annotations
@@ -18,18 +19,20 @@ from repro.sim.engine import Engine, Resource
 
 __all__ = ["SystemBus"]
 
+#: Bus occupancy of one control transaction (arbitration + one word).
+CYCLES_PER_TRANSACTION = 2
+
 
 class SystemBus:
     """FIFO-arbitrated shared bus for control transactions."""
 
-    def __init__(self, engine: Engine, cycles_per_transaction: int = 2) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.cycles_per_transaction = cycles_per_transaction
         self._arbiter = Resource(engine, capacity=1, name="system-bus")
         self.transactions = 0
         self.busy_cycles = 0
 
-    def transfer(self, payload_cycles: int = 0) -> Generator:
+    def transfer(self) -> Generator:
         """DES process fragment: occupy the bus for one transaction.
 
         Usage inside a process generator::
@@ -37,14 +40,8 @@ class SystemBus:
             yield from bus.transfer()
 
         The caller resumes once the transaction (arbitration + occupancy)
-        has completed.  *payload_cycles* extends the occupancy for larger
-        payloads (e.g. a multi-word TSU load).
+        has completed.
         """
-        hold = self.cycles_per_transaction + payload_cycles
-        yield from self._arbiter.hold(hold)
+        yield from self._arbiter.hold(CYCLES_PER_TRANSACTION)
         self.transactions += 1
-        self.busy_cycles += hold
-
-    @property
-    def queue_length(self) -> int:
-        return self._arbiter.queue_length
+        self.busy_cycles += CYCLES_PER_TRANSACTION

@@ -108,7 +108,7 @@ class ProtocolAdapter:
         kernel: int,
         local_iid: int,
         instance: DThreadInstance,
-        outcome: object = None,
+        outcome: object,
     ) -> Generator:
         yield 0
         self._apply_thread_completion(kernel, local_iid, outcome)

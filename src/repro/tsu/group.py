@@ -390,11 +390,11 @@ class TSUGroup:
     # -- invariants (property tests) -------------------------------------------------
     def check_invariants(self) -> None:
         if self._phase == _Phase.RUNNING:
-            total = sum(len(sm) for sm in self.sms)
+            total = sum(len(sm._entries) for sm in self.sms)
             assert total == self.current_block.size, (
                 f"loaded entries {total} != block size {self.current_block.size}"
             )
             assert self.tkt is not None
             for local_iid, initial in enumerate(self.current_block.ready_counts):
-                e = self.sms[self.tkt.kernel_of(local_iid)].entry(local_iid)
+                e = self.sms[self.tkt.kernel_of(local_iid)]._entries[local_iid]
                 assert 0 <= e.ready_count <= initial

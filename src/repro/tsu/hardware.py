@@ -47,24 +47,29 @@ __all__ = ["HardwareTSUAdapter"]
 class HardwareTSUAdapter(ProtocolAdapter):
     """Timed wrapper of the TSU Group behind the MMI."""
 
+    #: TSU Group devices on the chip (one here; a subclass sets its own
+    #: before this constructor builds them).
+    n_groups = 1
+
     def __init__(
         self,
         engine: Engine,
         tsu: TSUGroup,
-        bus: SystemBus | None = None,
         tsu_processing_cycles: int = 4,
         l1_access_cycles: int = 2,
     ) -> None:
         super().__init__(engine, tsu)
-        #: The TSU Group devices and their network segments (one here).
-        self.buses = [bus if bus is not None else SystemBus(engine)]
+        #: The TSU Group devices, each on its own network segment with its
+        #: own command port; all of them front the same functional TSU.
+        self.buses = [SystemBus(engine) for _ in range(self.n_groups)]
         self.mmis = [
             MemoryMappedInterface(
                 engine,
-                self.buses[0],
+                bus,
                 tsu_processing_cycles=tsu_processing_cycles,
                 l1_access_cycles=l1_access_cycles,
             )
+            for bus in self.buses
         ]
 
     def _mmi(self, kernel: int) -> MemoryMappedInterface:
@@ -111,7 +116,7 @@ class HardwareTSUAdapter(ProtocolAdapter):
         kernel: int,
         local_iid: int,
         instance: DThreadInstance,
-        outcome: object = None,
+        outcome: object,
     ) -> Generator:
         # The completion flag is one posted store.  The TSU's internal
         # consumer updates occupy its pipeline but not the CPU: nothing

@@ -23,8 +23,9 @@ own network segment, serving a static partition of the kernels:
 
 "More of the same device", in code: the adapter subclasses
 :class:`~repro.tsu.hardware.HardwareTSUAdapter`, which prices all five
-protocol steps through "the device this kernel talks to".  This module
-adds the device list, the kernel → group partition and the inter-group latency tail after a completion —
+protocol steps through "the device this kernel talks to" and builds
+one device per group.  This module adds the group count, the kernel →
+group partition and the inter-group latency tail after a completion —
 nothing else; with one group it is the plain adapter, which
 ``tests/test_multigroup.py`` holds bit-identical as a guard.
 
@@ -39,13 +40,15 @@ from typing import Generator
 
 from repro.core.dthread import DThreadInstance
 from repro.sim.engine import Engine
-from repro.sim.interconnect import SystemBus
 from repro.sim.mmi import MemoryMappedInterface
 from repro.tsu.group import TSUGroup
 from repro.tsu.hardware import HardwareTSUAdapter
 from repro.tsu.tkt import contiguous_partition
 
 __all__ = ["MultiGroupHardwareAdapter"]
+
+#: Cycles a kernel waits for the kick-off of an inter-group transfer.
+INTERGROUP_LATENCY = 20
 
 
 class MultiGroupHardwareAdapter(HardwareTSUAdapter):
@@ -57,27 +60,12 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
         tsu: TSUGroup,
         n_groups: int = 2,
         tsu_processing_cycles: int = 4,
-        l1_access_cycles: int = 2,
-        intergroup_latency: int = 20,
     ) -> None:
-        super().__init__(engine, tsu)
         # Refuses fewer than one group, and more groups than kernels.
         self._group_of_kernel = contiguous_partition(tsu.nkernels, n_groups)
+        # The parent builds one device per group.
         self.n_groups = n_groups
-        self.intergroup_latency = intergroup_latency
-        # One device per group in place of the parent's single one, each
-        # on its own network segment with its own command port; all of
-        # them front the same functional TSU.
-        self.buses = [SystemBus(engine) for _ in range(n_groups)]
-        self.mmis = [
-            MemoryMappedInterface(
-                engine,
-                bus,
-                tsu_processing_cycles=tsu_processing_cycles,
-                l1_access_cycles=l1_access_cycles,
-            )
-            for bus in self.buses
-        ]
+        super().__init__(engine, tsu, tsu_processing_cycles)
         self.intergroup_transfers = 0
 
     def publish_counters(self, counters) -> None:
@@ -110,7 +98,7 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
         kernel: int,
         local_iid: int,
         instance: DThreadInstance,
-        outcome: object = None,
+        outcome: object,
     ) -> Generator:
         cross = self._cross_group_updates(kernel, local_iid)
         yield from super().complete_thread(kernel, local_iid, instance, outcome)
@@ -120,7 +108,7 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
             # so the kernel only observes the transfer kick-off latency.
             # Modelling note: the functional update is applied eagerly
             # (inside the command above), so remote consumers may wake up
-            # to ~intergroup_latency cycles early — a deliberate
-            # simplification, second-order at the 20-cycle default.
+            # to ~INTERGROUP_LATENCY cycles early — a deliberate
+            # simplification, second-order at 20 cycles.
             self.intergroup_transfers += cross
-            yield self.intergroup_latency
+            yield INTERGROUP_LATENCY

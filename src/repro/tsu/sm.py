@@ -130,13 +130,3 @@ class SynchronizationMemory:
             )
         entry.squashed = True
         entry.completed = True
-
-    # -- introspection ----------------------------------------------------------
-    def entry(self, local_iid: int) -> ThreadEntry:
-        return self._entries[local_iid]
-
-    def __contains__(self, local_iid: int) -> bool:
-        return local_iid in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -219,7 +219,7 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         kernel: int,
         local_iid: int,
         instance: DThreadInstance,
-        outcome: object = None,
+        outcome: object,
     ) -> Generator:
         return self._shard(kernel).push(kernel, local_iid, outcome)
 

@@ -34,12 +34,6 @@ class ThreadToKernelTable:
         """Direct index — O(1), the point of Thread Indexing."""
         return self._table[local_iid]
 
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def threads_of(self, kernel: int) -> list[int]:
-        return [i for i, k in enumerate(self._table) if k == kernel]
-
 
 def contiguous_partition(nkernels: int, parts: int) -> list[int]:
     """Kernel → part, the one rule for nodes and TSU Groups: kernels of

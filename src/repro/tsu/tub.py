@@ -22,6 +22,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["TUBFullError", "ThreadUpdateBuffer"]
 
+#: Try-lock passes one :meth:`ThreadUpdateBuffer.push` makes before it
+#: gives up: a stalled emulator is diagnosed, not waited on forever.
+MAX_SPINS = 1_000_000
+
 
 class TUBFullError(RuntimeError):
     """All segments are locked or full — the producer must retry."""
@@ -51,7 +55,6 @@ class ThreadUpdateBuffer:
             raise ValueError("TUB needs >=1 segment of capacity >=1")
         self._segments = [_Segment(segment_capacity) for _ in range(nsegments)]
         self.nsegments = nsegments
-        self.segment_capacity = segment_capacity
         # Statistics (racy increments are acceptable: diagnostics only).
         self.pushes = 0
         self.push_retries = 0
@@ -90,10 +93,10 @@ class ThreadUpdateBuffer:
                 seg.lock.release()
         return False, probes
 
-    def push(self, item, preferred_segment: int = 0, max_spins: int = 1_000_000) -> int:
+    def push(self, item, preferred_segment: int = 0) -> int:
         """Insert, spinning over try-lock passes; returns retry count."""
         retries = 0
-        for _ in range(max_spins):
+        for _ in range(MAX_SPINS):
             ok, _probes = self.try_push(item, preferred_segment)
             if ok:
                 self.push_retries += retries
@@ -117,10 +120,3 @@ class ThreadUpdateBuffer:
     # -- introspection ------------------------------------------------------------
     def __len__(self) -> int:
         return sum(len(s.items) for s in self._segments)
-
-    @property
-    def capacity(self) -> int:
-        return self.nsegments * self.segment_capacity
-
-    def occupancy(self) -> float:
-        return len(self) / self.capacity

@@ -12,7 +12,6 @@ from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.apps.common import chunk_bounds, nthreads_for
 from repro.apps.qsort import _merge_runs
 from repro.apps.susan import smooth_oracle, synthetic_image
-from repro.apps.trapez import reference as trapez_reference
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
 from repro.sim.machine import BAGLE_27
@@ -95,10 +94,6 @@ def test_unroll_preserves_results(name, unroll):
 
 
 # -- app-specific details ----------------------------------------------------------
-def test_trapez_reference_converges_to_pi():
-    assert abs(trapez_reference(16) - np.pi) < 1e-8
-
-
 def test_trapez_partials_sum_to_integral():
     bench = get_benchmark("trapez")
     size = problem_sizes("trapez", "S")["small"]

@@ -209,8 +209,8 @@ def test_region_layout_no_overlap():
     b = space.region("B", 100)
     sys_ = CoherentMemorySystem(1, L1, L2, MEM, space)
     # Region B starts at a line boundary beyond A.
-    assert sys_.region_base("B") >= a.size
-    assert sys_.region_base("B") % 64 == 0
+    assert sys_._bases["B"] >= a.size
+    assert sys_._bases["B"] % 64 == 0
 
 
 @settings(max_examples=30, deadline=None)

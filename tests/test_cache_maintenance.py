@@ -116,8 +116,6 @@ def test_publish_counters(tmp_path):
     assert counters["exec.cache.hits"] == 1
     assert counters["exec.cache.misses"] == 1
     assert counters["exec.cache.stores"] == 1
-    cache.publish_counters(counters, prefix="other.scope")
-    assert counters["other.scope.hits"] == 1
 
 
 # -- CLI -----------------------------------------------------------------------

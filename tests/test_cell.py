@@ -7,7 +7,7 @@ from repro.apps import get_benchmark, problem_sizes
 from repro.cell.commandbuffer import Command, CommandBuffer
 from repro.cell.dma import DMAEngine
 from repro.cell.localstore import CellLocalStoreError, LocalStore
-from repro.cell.mailbox import Mailbox
+from repro.cell.mailbox import MAILBOX_DEPTH, Mailbox
 from repro.core import ProgramBuilder
 from repro.platforms import TFluxCell, TFluxHard
 from repro.sim.accesses import AccessSummary, RegionSpace
@@ -83,9 +83,9 @@ def test_mailbox_latency_and_fifo():
 
 def test_mailbox_overflow():
     eng = Engine()
-    mbox = Mailbox(eng, capacity=1, latency=1)
-    mbox.send("a")
-    mbox.send("b")
+    mbox = Mailbox(eng, latency=1)
+    for i in range(MAILBOX_DEPTH + 1):
+        mbox.send(i)
     with pytest.raises(OverflowError):
         eng.run()
 

@@ -95,8 +95,8 @@ def test_split_respects_capacity():
 def test_split_blocks_have_inlet_outlet():
     blocks = split_into_blocks(chain_graph(5), tsu_capacity=2)
     for b in blocks:
-        assert b.inlet.kind == ThreadKind.INLET
-        assert b.outlet.kind == ThreadKind.OUTLET
+        assert b.inlet.template.kind == ThreadKind.INLET
+        assert b.outlet.template.kind == ThreadKind.OUTLET
         assert b.inlet.iid == b.size
         assert b.outlet.iid == b.size + 1
         b.check_invariants()
@@ -251,7 +251,7 @@ def test_program_deadlock_detection():
     g.add_arc(1, 2)
     prog = DDMProgram("dead", g, Environment())
     eg = prog.expanded()
-    eg.ready_counts[eg.iid_of(2, 0)] += 1  # one phantom producer
+    eg.ready_counts[eg.index[(2, 0)]] += 1  # one phantom producer
     with pytest.raises(RuntimeError, match="deadlock"):
         prog.run_sequential()
 
@@ -270,7 +270,7 @@ def test_builder_dependency_by_template_or_tid():
     tb = b.thread("b")
     b.depends(ta, tb.tid)
     eg = b.build().expanded()
-    assert eg.ready_counts[eg.iid_of(tb.tid, 0)] == 1
+    assert eg.ready_counts[eg.index[(tb.tid, 0)]] == 1
 
 
 def test_program_blocks_delegates():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.context import CTX_ALL, context_range, normalize_context
+from repro.core.context import CTX_ALL, normalize_context
 from repro.core.dthread import DThreadTemplate, ThreadKind
 from repro.core.builder import ProgramBuilder
 from repro.core.dynamic import Subflow
@@ -21,18 +21,6 @@ def test_normalize_singleton_tuple_collapses():
 
 def test_normalize_tuple():
     assert normalize_context((1, 2)) == (1, 2)
-
-
-def test_context_range_1d():
-    assert context_range(3) == [0, 1, 2]
-
-
-def test_context_range_2d():
-    assert context_range(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_context_range_empty():
-    assert context_range() == [0]
 
 
 def test_ctx_all_singleton():
@@ -127,8 +115,8 @@ def test_expand_same_mapping():
     eg.check_invariants()
     # a[i] feeds b[i]
     for i in range(4):
-        src = eg.iid_of(1, i)
-        dst = eg.iid_of(2, i)
+        src = eg.index[(1, i)]
+        dst = eg.index[(2, i)]
         assert eg.consumers[src] == [dst]
         assert eg.ready_counts[dst] == 1
 
@@ -136,15 +124,15 @@ def test_expand_same_mapping():
 def test_expand_all_mapping_reduction():
     g = simple_graph()
     eg = g.expand()
-    red = eg.iid_of(3, 0)
+    red = eg.index[(3, 0)]
     assert eg.ready_counts[red] == 4
     for i in range(4):
-        assert red in eg.consumers[eg.iid_of(2, i)]
+        assert red in eg.consumers[eg.index[(2, i)]]
 
 
 def test_expand_entry_instances():
     eg = simple_graph().expand()
-    assert sorted(eg.entry) == [eg.iid_of(1, i) for i in range(4)]
+    assert sorted(eg.entry) == [eg.index[(1, i)] for i in range(4)]
 
 
 def test_expand_callable_mapping_tree():
@@ -158,8 +146,8 @@ def test_expand_callable_mapping_tree():
     eg = g.expand()
     eg.check_invariants()
     for i in range(2):
-        assert eg.ready_counts[eg.iid_of(2, i)] == 2
-    assert eg.ready_counts[eg.iid_of(3, 0)] == 2
+        assert eg.ready_counts[eg.index[(2, i)]] == 2
+    assert eg.ready_counts[eg.index[(3, 0)]] == 2
 
 
 def test_expand_bad_mapping_target_rejected():
@@ -202,7 +190,7 @@ def test_layered_graph_expansion_invariants(widths, seed):
     eg.check_invariants()
     assert eg.ninstances == sum(widths)
     # Entry fringe is exactly the first layer.
-    assert sorted(eg.entry) == [eg.iid_of(1, i) for i in range(widths[0])]
+    assert sorted(eg.entry) == [eg.index[(1, i)] for i in range(widths[0])]
 
 
 # -- bulk "all" expansion vs the per-pair walk -----------------------------------

@@ -110,7 +110,7 @@ def test_cross_block_squash_at_load():
     # Capacity 4 puts pick+fill in block 0, live+dead in block 1.
     res = SimulatedRuntime(prog, BAGLE_27, nkernels=2, tsu_capacity=4).run()
     assert res.env.get("live") is True
-    assert res.env.get("dead", None) is None
+    assert res.env.get("dead") is None
     assert res.counters["tsu.squashed"] == 1
 
 
@@ -224,7 +224,10 @@ def test_program_reuse_rejected_sequential():
 
 def test_program_reuse_rejected_across_runtimes():
     prog = build_spawn_tree()
-    SimulatedRuntime(prog, BAGLE_27, nkernels=2).run()
+    runtime = SimulatedRuntime(prog, BAGLE_27, nkernels=2)
+    runtime.run()
+    with pytest.raises(ProgramReusedError):
+        runtime.run()  # the same runtime object a second time
     with pytest.raises(ProgramReusedError):
         SimulatedRuntime(prog, BAGLE_27, nkernels=2).run()
     with pytest.raises(ProgramReusedError):

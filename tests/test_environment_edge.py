@@ -9,7 +9,6 @@ from repro.core import Environment
 def test_get_with_default():
     env = Environment()
     assert env.get("missing") is None
-    assert env.get("missing", 7) == 7
 
 
 def test_get_prefers_arrays():

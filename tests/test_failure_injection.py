@@ -17,6 +17,7 @@ from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27
 from repro.tsu.group import FetchKind, TSUGroup
 from repro.tsu.software import SoftTSUCosts, SoftwareTSUAdapter
+from repro.tsu import tub as tub_module
 from repro.tsu.tub import ThreadUpdateBuffer, TUBFullError
 
 
@@ -73,11 +74,12 @@ def test_double_completion_rejected():
 
 
 # -- TUB exhaustion -----------------------------------------------------------------
-def test_tub_spinout_is_diagnosed():
+def test_tub_spinout_is_diagnosed(monkeypatch):
+    monkeypatch.setattr(tub_module, "MAX_SPINS", 5)
     tub = ThreadUpdateBuffer(nsegments=1, segment_capacity=1)
     tub.push("a")
     with pytest.raises(TUBFullError, match="spun out"):
-        tub.push("b", max_spins=5)
+        tub.push("b")
 
 
 def test_tub_contention_under_threads():

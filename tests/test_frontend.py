@@ -57,26 +57,6 @@ def test_callable_mapping():
     np.testing.assert_array_equal(env.array("pair"), [2.0, 2.0])
 
 
-def test_prologue_epilogue_decorators():
-    ddm = DDM("pe")
-    order = []
-
-    @ddm.prologue
-    def setup(env):
-        order.append("pro")
-
-    @ddm.thread()
-    def mid(env, _):
-        order.append("mid")
-
-    @ddm.epilogue
-    def teardown(env):
-        order.append("epi")
-
-    ddm.build().run_sequential()
-    assert order == ["pro", "mid", "epi"]
-
-
 def test_unknown_producer_rejected():
     ddm = DDM("bad")
 

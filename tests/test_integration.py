@@ -46,7 +46,7 @@ def stencil_ddm():
             return [x for x in (c - 1, c, c + 1) if 0 <= x < chunks]
 
         deps = [] if prev_t is None else [(prev_t, halo)]
-        prev_t = ddm.thread(contexts=chunks, depends=deps, name=f"step{s}")(body)
+        prev_t = ddm.thread(contexts=chunks, depends=deps)(body)
     return ddm.build()
 
 

@@ -20,8 +20,6 @@ from repro.obs import (
     Span,
     Tracer,
     check_no_overlap,
-    spans_from_jsonl,
-    spans_to_jsonl,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -88,10 +86,6 @@ class TestCounters:
         assert a == {"tsu.fetches": 5, "tub.pushes": 1, "mmi.queries": 7}
         a.merge({"tub.pushes": 9})
         assert a["tub.pushes"] == 10
-
-    def test_namespace_strips_prefix(self):
-        c = Counters({"tsu.fetches": 1, "tsu.waits": 2, "tub.pushes": 3})
-        assert c.namespace("tsu") == {"fetches": 1, "waits": 2}
 
     def test_items_sorted_and_as_dict(self):
         c = Counters({"b.y": 2, "a.x": 1})
@@ -171,7 +165,7 @@ def test_spans_reconcile_with_core_stats():
         core = k.core
         spanned = tracer.busy_cycles(k.kernel_id)
         assert core.compute_cycles + core.memory_cycles <= spanned
-        assert spanned <= core.busy_cycles
+        assert spanned <= core.compute_cycles + core.memory_cycles + core.runtime_cycles
 
 
 def test_execute_accepts_placement_policy():
@@ -225,14 +219,6 @@ def test_chrome_trace_structure(tmp_path):
     assert json.loads(out.read_text())["traceEvents"]
 
 
-def test_jsonl_round_trip():
-    tracer = Tracer()
-    TFluxSoft().execute(_sum_program(8), nkernels=2, tracer=tracer)
-    text = spans_to_jsonl(tracer)
-    assert spans_from_jsonl(text) == tracer.spans
-    assert spans_from_jsonl("") == []
-
-
 # -- telemetry across the exec pool/cache boundary ------------------------------
 def _job_spec(**overrides):
     from repro.exec import JobSpec
@@ -264,7 +250,7 @@ def test_collect_spans_crosses_the_cache_boundary(tmp_path):
     assert warm.result.counters == cold.result.counters
     check_no_overlap(warm.result.spans)
     # The cached record still exports cleanly.
-    assert spans_from_jsonl(spans_to_jsonl(warm.result.spans)) == cold.result.spans
+    assert to_chrome_trace(warm.result.spans) == to_chrome_trace(cold.result.spans)
 
 
 def test_spans_off_by_default():

@@ -57,11 +57,10 @@ def test_placement_partitions_block_exactly(policy_name, case):
     assignment = POLICIES[policy_name](block, nkernels)
     assert len(assignment) == block.size
     assert all(0 <= k < nkernels for k in assignment)
-    # Partition property through the TKT: threads_of(k) over all kernels
-    # is a disjoint cover of the block's local ids.
+    # Partition property through the TKT: every local id of the block
+    # indexes exactly the kernel the policy placed it on.
     tkt = ThreadToKernelTable(assignment, nkernels)
-    covered = [i for k in range(nkernels) for i in tkt.threads_of(k)]
-    assert sorted(covered) == list(range(block.size))
+    assert [tkt.kernel_of(i) for i in range(block.size)] == list(assignment)
 
 
 @given(case=placement_cases())

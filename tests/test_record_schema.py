@@ -137,5 +137,4 @@ def test_nnodes_rides_the_record():
 def test_record_derived_quantities():
     rec = _record()
     assert rec.total_dthreads == 4  # the four "work" contexts
-    assert 0.0 < rec.utilisation() <= 1.0
     assert rec.measured_cycles > 0

@@ -7,7 +7,13 @@ sleeps anywhere in this file.
 
 import pytest
 
-from repro.serve import FairScheduler
+from repro.serve import FairScheduler, ServeConfig
+
+
+def scheduler(**bounds):
+    """A scheduler with ``tflux-serve``'s default bounds, *bounds* overriding."""
+    cfg = ServeConfig(**bounds)
+    return FairScheduler(cfg.max_queued_per_tenant, cfg.max_queued_total, cfg.aging_rounds)
 
 
 def drain(sched):
@@ -21,7 +27,7 @@ def drain(sched):
 
 # -- round-robin ---------------------------------------------------------------
 def test_round_robin_interleaves_tenants():
-    s = FairScheduler()
+    s = scheduler()
     for i in range(3):
         s.submit("alice", f"a{i}")
     for i in range(3):
@@ -30,14 +36,14 @@ def test_round_robin_interleaves_tenants():
 
 
 def test_fifo_within_tenant():
-    s = FairScheduler()
+    s = scheduler()
     for i in range(4):
         s.submit("alice", i)
     assert [item for _, item in drain(s)] == [0, 1, 2, 3]
 
 
 def test_late_tenant_joins_rotation():
-    s = FairScheduler()
+    s = scheduler()
     s.submit("alice", "a0")
     s.submit("alice", "a1")
     assert s.next() == ("alice", "a0")
@@ -47,7 +53,7 @@ def test_late_tenant_joins_rotation():
 
 
 def test_idle_returns_none():
-    s = FairScheduler()
+    s = scheduler()
     assert s.next() is None
     s.submit("alice", 1)
     s.next()
@@ -56,7 +62,7 @@ def test_idle_returns_none():
 
 # -- priority ------------------------------------------------------------------
 def test_higher_priority_dispatches_first():
-    s = FairScheduler()
+    s = scheduler()
     s.submit("bulk", "low", priority=0)
     s.submit("urgent", "high", priority=5)
     assert s.next()[0] == "urgent"
@@ -64,7 +70,7 @@ def test_higher_priority_dispatches_first():
 
 
 def test_priority_is_per_job_not_per_tenant():
-    s = FairScheduler()
+    s = scheduler()
     s.submit("alice", "interactive", priority=3)
     s.submit("alice", "batch", priority=0)
     s.submit("bob", "batch", priority=0)
@@ -76,7 +82,7 @@ def test_priority_is_per_job_not_per_tenant():
 def test_aging_prevents_starvation():
     """A priority-0 tenant under an endless priority-5 stream dispatches
     after exactly aging_rounds skips — delayed, never starved."""
-    s = FairScheduler(aging_rounds=3)
+    s = scheduler(aging_rounds=3)
     s.submit("low", "the-job", priority=0)
     for i in range(20):
         s.submit("high", f"h{i}", priority=5)
@@ -90,7 +96,7 @@ def test_aging_prevents_starvation():
 
 
 def test_aging_resets_after_dispatch():
-    s = FairScheduler(aging_rounds=2)
+    s = scheduler(aging_rounds=2)
     s.submit("low", "j1", priority=0)
     s.submit("low", "j2", priority=0)
     for i in range(12):
@@ -105,7 +111,7 @@ def test_aging_resets_after_dispatch():
 
 # -- bounds / backpressure -----------------------------------------------------
 def test_per_tenant_bound():
-    s = FairScheduler(max_queued_per_tenant=2, max_queued_total=100)
+    s = scheduler(max_queued_per_tenant=2, max_queued_total=100)
     assert s.can_accept("alice", 2)
     assert not s.can_accept("alice", 3)
     assert s.submit("alice", 1) and s.submit("alice", 2)
@@ -116,7 +122,7 @@ def test_per_tenant_bound():
 
 
 def test_global_bound():
-    s = FairScheduler(max_queued_per_tenant=100, max_queued_total=3)
+    s = scheduler(max_queued_per_tenant=100, max_queued_total=3)
     s.submit("alice", 1)
     s.submit("bob", 2)
     s.submit("carol", 3)
@@ -128,9 +134,9 @@ def test_global_bound():
 
 def test_bounds_validated():
     with pytest.raises(ValueError):
-        FairScheduler(max_queued_per_tenant=0)
+        scheduler(max_queued_per_tenant=0)
     with pytest.raises(ValueError):
-        FairScheduler(aging_rounds=0)
+        scheduler(aging_rounds=0)
 
 
 # -- determinism ---------------------------------------------------------------
@@ -138,7 +144,7 @@ def test_replay_is_deterministic():
     """Identical submit sequences produce identical dispatch sequences."""
 
     def run():
-        s = FairScheduler(aging_rounds=2)
+        s = scheduler(aging_rounds=2)
         for i in range(5):
             s.submit("a", ("a", i), priority=i % 3)
             s.submit("b", ("b", i), priority=(i + 1) % 2)
@@ -150,7 +156,7 @@ def test_replay_is_deterministic():
 
 
 def test_introspection():
-    s = FairScheduler()
+    s = scheduler()
     s.submit("alice", 1)
     s.submit("alice", 2)
     s.submit("bob", 3)

@@ -183,7 +183,7 @@ class _BrokenCache:
     def put(self, digest, value):  # pragma: no cover - never reached
         pass
 
-    def publish_counters(self, counters, prefix="exec.cache"):
+    def publish_counters(self, counters):
         pass
 
 

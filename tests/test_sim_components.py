@@ -1,11 +1,10 @@
-"""Tests for bus, MMI, machine configs, main memory, and core stats."""
+"""Tests for bus, MMI, machine configs and main memory."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cpu import CoreStats
 from repro.sim.engine import Engine
-from repro.sim.interconnect import SystemBus
+from repro.sim.interconnect import CYCLES_PER_TRANSACTION, SystemBus
 from repro.sim.machine import BAGLE_27, CELL_PS3, X86_9_SIM, XEON_8
 from repro.sim.memory import MainMemory
 from repro.sim.mmi import MemoryMappedInterface
@@ -15,7 +14,7 @@ from repro.sim.accesses import RegionSpace
 # -- SystemBus ------------------------------------------------------------
 def test_bus_serialises_transactions():
     eng = Engine()
-    bus = SystemBus(eng, cycles_per_transaction=10)
+    bus = SystemBus(eng)
     done = []
 
     def user(tag):
@@ -25,27 +24,16 @@ def test_bus_serialises_transactions():
     eng.process(user("a"))
     eng.process(user("b"))
     eng.run()
-    assert done == [(10, "a"), (20, "b")]
+    assert CYCLES_PER_TRANSACTION == 2
+    assert done == [(2, "a"), (4, "b")]
     assert bus.transactions == 2
-    assert bus.busy_cycles == 20
-
-
-def test_bus_payload_extends_occupancy():
-    eng = Engine()
-    bus = SystemBus(eng, cycles_per_transaction=2)
-
-    def user():
-        yield from bus.transfer(payload_cycles=8)
-
-    eng.process(user())
-    eng.run()
-    assert eng.now == 10
+    assert bus.busy_cycles == 4
 
 
 # -- MMI --------------------------------------------------------------------
 def test_mmi_query_roundtrip_cost():
     eng = Engine()
-    bus = SystemBus(eng, cycles_per_transaction=2)
+    bus = SystemBus(eng)
     mmi = MemoryMappedInterface(eng, bus, tsu_processing_cycles=4, l1_access_cycles=2)
 
     def proc():
@@ -55,7 +43,7 @@ def test_mmi_query_roundtrip_cost():
     p = eng.process(proc())
     eng.run()
     # bus (2) + access (2+4) + reply bus (2) = 10.
-    assert p.value == (10, "reply")
+    assert p.done.value == (10, "reply")
     assert mmi.queries == 1
 
 
@@ -77,7 +65,7 @@ def test_mmi_command_is_posted():
 def test_mmi_port_contention():
     """Two simultaneous queries serialise at the single TSU port."""
     eng = Engine()
-    bus = SystemBus(eng, cycles_per_transaction=1)
+    bus = SystemBus(eng)
     mmi = MemoryMappedInterface(eng, bus, tsu_processing_cycles=50)
     times = []
 
@@ -97,7 +85,7 @@ def test_mmi_uncontended_ops_closed_form():
     reply transaction and one event."""
     for op, done_at, events in (("command", 8, 3), ("query", 10, 4)):
         eng = Engine()
-        mmi = MemoryMappedInterface(eng, SystemBus(eng, cycles_per_transaction=2),
+        mmi = MemoryMappedInterface(eng, SystemBus(eng),
                                     tsu_processing_cycles=4, l1_access_cycles=2)
         acted = []
 
@@ -107,7 +95,7 @@ def test_mmi_uncontended_ops_closed_form():
 
         p = eng.process(proc())
         eng.run()
-        assert (acted, p.value, eng.events_executed) == ([8], done_at, events)
+        assert (acted, p.done.value, eng.events_executed) == ([8], done_at, events)
 
 
 def _mmi_command_oracle(arrivals, bus_cycles, access_cycles):
@@ -125,14 +113,13 @@ def _mmi_command_oracle(arrivals, bus_cycles, access_cycles):
 @settings(max_examples=200, deadline=None)
 @given(
     arrivals=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=10),
-    bus_cycles=st.integers(min_value=1, max_value=4),
     tsu_cycles=st.integers(min_value=0, max_value=8),
 )
-def test_mmi_commands_match_fifo_oracle(arrivals, bus_cycles, tsu_cycles):
+def test_mmi_commands_match_fifo_oracle(arrivals, tsu_cycles):
     """Commands issued at random cycles queue FIFO at the bus and then
     at the TSU port, exactly as two tandem single-server queues say."""
     eng = Engine()
-    mmi = MemoryMappedInterface(eng, SystemBus(eng, bus_cycles),
+    mmi = MemoryMappedInterface(eng, SystemBus(eng),
                                 tsu_processing_cycles=tsu_cycles, l1_access_cycles=2)
     acted = [None] * len(arrivals)
 
@@ -143,7 +130,7 @@ def test_mmi_commands_match_fifo_oracle(arrivals, bus_cycles, tsu_cycles):
     for i, at in enumerate(arrivals):
         eng.process(issuer(i, at))
     eng.run()
-    assert acted == _mmi_command_oracle(arrivals, bus_cycles, 2 + tsu_cycles)
+    assert acted == _mmi_command_oracle(arrivals, CYCLES_PER_TRANSACTION, 2 + tsu_cycles)
     assert mmi.commands == len(arrivals)
 
 
@@ -206,20 +193,6 @@ def test_main_memory_allocation():
     assert (a, b) == (0, 400)
     with pytest.raises(MemoryError):
         mem.allocate(200)
-
-
-# -- Core stats --------------------------------------------------------------------
-def test_core_stats_accounting():
-    s = CoreStats(
-        compute_cycles=100, memory_cycles=50, runtime_cycles=25, idle_cycles=25
-    )
-    assert s.busy_cycles == 175
-    assert s.total_cycles == 200
-    assert s.utilisation() == 0.875
-
-
-def test_core_stats_empty():
-    assert CoreStats().utilisation() == 0.0
 
 
 def test_runtime_enforces_physical_memory():

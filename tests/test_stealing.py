@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import ProgramBuilder
-from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27
 from repro.tsu.group import FetchKind, TSUGroup
@@ -93,12 +92,6 @@ def test_stealing_respects_dependencies():
         b.build(), BAGLE_27, nkernels=3, allow_stealing=True
     ).run()
     np.testing.assert_array_equal(res.env.array("c"), (np.arange(8) + 1) * 2)
-
-
-def test_stealing_native_runtime():
-    prog = skewed_program()
-    res = NativeRuntime(prog, nkernels=3, allow_stealing=True).run()
-    np.testing.assert_array_equal(res.env.array("parts"), np.arange(1, 17))
 
 
 def test_has_work_sees_stealable_threads():

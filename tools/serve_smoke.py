@@ -140,7 +140,7 @@ def drive(server: subprocess.Popen) -> int:
             [sys.executable, "-m", "repro.serve.cli", "submit", "trapez",
              "--connect", f"{address[0]}:{address[1]}",
              "--kernels", "2", "--unroll", "1,2", "--tenant", "cli",
-             "--stats", "--json", str(dump)],
+             "--priority", "1", "--stats", "--json", str(dump)],
             capture_output=True,
             text=True,
             timeout=300,
