@@ -38,6 +38,71 @@ __all__ = ["QSortRec"]
 BASE_LEAVES = 64
 
 
+def _leaf_cost(m: int) -> int:
+    m = max(m, 2)
+    return int(m * math.log2(m) * COSTS.sort_cmp)
+
+
+def _partition_cost(m: int, cutoff: int) -> int:
+    # One partition pass for an internal node, n log n for a leaf; the
+    # cost model cannot see the pivot, so it prices the pessimistic
+    # (leaf) case — cycle-dominant either way.
+    return _leaf_cost(min(m, cutoff)) if m <= cutoff else m * COSTS.sort_cmp
+
+
+def _range_accesses(reg_data, lo: int, hi: int) -> AccessSummary:
+    m = max(hi - lo, 1)
+    reps = max(1, int(math.log2(max(m, 2))))
+    s = AccessSummary()
+    s.read(reg_data, offset=lo * 8, count=m, reps=reps)
+    s.write(reg_data, offset=lo * 8, count=m, reps=reps)
+    return s
+
+
+def _declare_sort(b, name: str, lo: int, hi: int, cutoff: int, reg_data) -> None:
+    """Declare the sort DThread for [lo, hi) on *b* (program or subflow).
+
+    Module-level, like :func:`_sorter`: a maker nested in ``build`` that
+    names itself is a closure cycle, which keeps every run's graph alive
+    until the cycle collector runs.
+    """
+    b.thread(
+        name,
+        body=_sorter(lo, hi, cutoff, reg_data),
+        cost=lambda env, _c: _partition_cost(hi - lo, cutoff),
+        accesses=lambda env, _c: _range_accesses(reg_data, lo, hi),
+    )
+
+
+def _sorter(lo: int, hi: int, cutoff: int, reg_data):
+    """Body of the sort DThread for [lo, hi): partition or leaf."""
+
+    def body(env, ctx):
+        d = env.array("data")
+        m = hi - lo
+        if m <= cutoff:
+            d[lo:hi] = np.sort(d[lo:hi], kind="quicksort")
+            return None
+        seg = d[lo:hi]
+        # Deterministic median-of-three pivot: recursion shape depends
+        # only on the data, never on the schedule.
+        pivot = float(np.median([seg[0], seg[m // 2], seg[m - 1]]))
+        left = seg[seg < pivot]
+        mid = seg[seg == pivot]
+        right = seg[seg > pivot]
+        d[lo:hi] = np.concatenate([left, mid, right])
+        p0 = lo + len(left)
+        p1 = p0 + len(mid)
+        sf = Subflow(f"split[{lo}:{hi}]")
+        if p0 > lo:
+            _declare_sort(sf, f"sort[{lo}:{p0}]", lo, p0, cutoff, reg_data)
+        if hi > p1:
+            _declare_sort(sf, f"sort[{p1}:{hi}]", p1, hi, cutoff, reg_data)
+        return sf if sf.ninstances else None
+
+    return body
+
+
 class QSortRec:
     name = "qsort_rec"
 
@@ -67,68 +132,7 @@ class QSortRec:
             accesses=lambda env: AccessSummary().write(reg_data),
         )
 
-        def leaf_cost(m: int) -> int:
-            m = max(m, 2)
-            return int(m * math.log2(m) * COSTS.sort_cmp)
-
-        def range_accesses(lo: int, hi: int) -> AccessSummary:
-            m = max(hi - lo, 1)
-            reps = max(1, int(math.log2(max(m, 2))))
-            s = AccessSummary()
-            s.read(reg_data, offset=lo * 8, count=m, reps=reps)
-            s.write(reg_data, offset=lo * 8, count=m, reps=reps)
-            return s
-
-        def make_sorter(lo: int, hi: int):
-            """Body of the sort DThread for [lo, hi): partition or leaf."""
-
-            def body(env, ctx):
-                d = env.array("data")
-                m = hi - lo
-                if m <= cutoff:
-                    d[lo:hi] = np.sort(d[lo:hi], kind="quicksort")
-                    return None
-                seg = d[lo:hi]
-                # Deterministic median-of-three pivot: recursion shape
-                # depends only on the data, never on the schedule.
-                pivot = float(np.median([seg[0], seg[m // 2], seg[m - 1]]))
-                left = seg[seg < pivot]
-                mid = seg[seg == pivot]
-                right = seg[seg > pivot]
-                d[lo:hi] = np.concatenate([left, mid, right])
-                p0 = lo + len(left)
-                p1 = p0 + len(mid)
-                sf = Subflow(f"split[{lo}:{hi}]")
-                if p0 > lo:
-                    sf.thread(
-                        f"sort[{lo}:{p0}]",
-                        body=make_sorter(lo, p0),
-                        cost=lambda env, _c, m=p0 - lo: partition_cost(m),
-                        accesses=lambda env, _c, a=lo, z=p0: range_accesses(a, z),
-                    )
-                if hi > p1:
-                    sf.thread(
-                        f"sort[{p1}:{hi}]",
-                        body=make_sorter(p1, hi),
-                        cost=lambda env, _c, m=hi - p1: partition_cost(m),
-                        accesses=lambda env, _c, a=p1, z=hi: range_accesses(a, z),
-                    )
-                return sf if sf.ninstances else None
-
-            return body
-
-        def partition_cost(m: int) -> int:
-            # One partition pass for an internal node, n log n for a leaf;
-            # the cost model cannot see the pivot, so it prices the
-            # pessimistic (leaf) case — cycle-dominant either way.
-            return leaf_cost(min(m, cutoff)) if m <= cutoff else m * COSTS.sort_cmp
-
-        b.thread(
-            "sort[root]",
-            body=make_sorter(0, n),
-            cost=lambda env, _c: partition_cost(n),
-            accesses=lambda env, _c: range_accesses(0, n),
-        )
+        _declare_sort(b, "sort[root]", 0, n, cutoff, reg_data)
         b.thread("done", body=lambda env, _c: env.set("sorted", True))
         # Control arc: "done" is opaque (no access summary), so the
         # deriver cannot see this ordering — it stays declared in both

@@ -51,6 +51,46 @@ def _simpson(a: float, b: float) -> float:
     return (b - a) / 6.0 * (_f(a) + 4.0 * _f(0.5 * (a + b)) + _f(b))
 
 
+def _interval_cost(env, _c) -> int:
+    return 6 * EVAL_CYCLES
+
+
+def _quad(a: float, fb: float, depth: int, eps: float):
+    """Body of the quad DThread for [a, fb]: accept or refine.
+
+    Module-level, not nested in ``build``: a nested maker that names
+    itself is a closure cycle, which keeps every run's graph alive until
+    the cycle collector runs.
+    """
+
+    def body(env, ctx):
+        whole = _simpson(a, fb)
+        m = 0.5 * (a + fb)
+        halves = _simpson(a, m) + _simpson(m, fb)
+        err = abs(halves - whole) / 15.0
+        if err <= eps * (fb - a) or depth >= MAX_DEPTH:
+            env.get("contribs").append((a, halves))
+            if depth == 0:
+                env.set("root_mode", "direct")
+            return None
+        if depth == 0:
+            env.set("root_mode", "refined")
+        sf = Subflow(f"refine[{a:.6g}:{fb:.6g}]")
+        sf.thread(
+            f"quad[{a:.6g}:{m:.6g}]",
+            body=_quad(a, m, depth + 1, eps),
+            cost=_interval_cost,
+        )
+        sf.thread(
+            f"quad[{m:.6g}:{fb:.6g}]",
+            body=_quad(m, fb, depth + 1, eps),
+            cost=_interval_cost,
+        )
+        return sf
+
+    return body
+
+
 class Quad:
     name = "quad"
 
@@ -69,38 +109,8 @@ class Quad:
         b.env.set("contribs", [])
         b.env.set("eps", eps)
 
-        def make_quad(a: float, fb: float, depth: int):
-            def body(env, ctx):
-                whole = _simpson(a, fb)
-                m = 0.5 * (a + fb)
-                halves = _simpson(a, m) + _simpson(m, fb)
-                err = abs(halves - whole) / 15.0
-                if err <= eps * (fb - a) or depth >= MAX_DEPTH:
-                    env.get("contribs").append((a, halves))
-                    if depth == 0:
-                        env.set("root_mode", "direct")
-                    return None
-                if depth == 0:
-                    env.set("root_mode", "refined")
-                sf = Subflow(f"refine[{a:.6g}:{fb:.6g}]")
-                sf.thread(
-                    f"quad[{a:.6g}:{m:.6g}]",
-                    body=make_quad(a, m, depth + 1),
-                    cost=lambda env, _c: 6 * EVAL_CYCLES,
-                )
-                sf.thread(
-                    f"quad[{m:.6g}:{fb:.6g}]",
-                    body=make_quad(m, fb, depth + 1),
-                    cost=lambda env, _c: 6 * EVAL_CYCLES,
-                )
-                return sf
-
-            return body
-
         t_root = b.thread(
-            "quad[0:1]",
-            body=make_quad(0.0, 1.0, 0),
-            cost=lambda env, _c: 6 * EVAL_CYCLES,
+            "quad[0:1]", body=_quad(0.0, 1.0, 0, eps), cost=_interval_cost
         )
 
         # Conditional tail: check steers exactly one of its successors by

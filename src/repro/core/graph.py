@@ -218,28 +218,36 @@ class SynchronizationGraph:
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
         """Check the template-level graph is a DAG (DDM programs must be:
-        dataflow firing cannot resolve cyclic dependences)."""
+        dataflow firing cannot resolve cyclic dependences).
+
+        Depth-first with an explicit stack of successor iterators, so a
+        long chain of templates cannot overflow Python's call stack.
+        """
         adj: dict[int, set[int]] = {tid: set() for tid in self._templates}
         for arc in self._arcs:
             adj[arc.producer].add(arc.consumer)
-        state: dict[int, int] = {}  # 0=unvisited 1=in-stack 2=done
-
-        def dfs(u: int, stack: list[int]) -> None:
-            state[u] = 1
-            stack.append(u)
-            for v in adj[u]:
-                if state.get(v, 0) == 1:
-                    cycle = stack[stack.index(v):] + [v]
-                    names = " -> ".join(self._templates[t].name for t in cycle)
-                    raise GraphError(f"dependency cycle: {names}")
-                if state.get(v, 0) == 0:
-                    dfs(v, stack)
-            stack.pop()
-            state[u] = 2
-
-        for tid in self._templates:
-            if state.get(tid, 0) == 0:
-                dfs(tid, [])
+        state: dict[int, int] = {}  # 0=unvisited 1=on the path 2=done
+        for root in self._templates:
+            if state.get(root, 0):
+                continue
+            state[root] = 1
+            path = [root]
+            successors = [iter(adj[root])]
+            while successors:
+                for v in successors[-1]:
+                    seen = state.get(v, 0)
+                    if seen == 1:
+                        cycle = path[path.index(v):] + [v]
+                        names = " -> ".join(self._templates[t].name for t in cycle)
+                        raise GraphError(f"dependency cycle: {names}")
+                    if seen == 0:
+                        state[v] = 1
+                        path.append(v)
+                        successors.append(iter(adj[v]))
+                        break
+                else:
+                    state[path.pop()] = 2
+                    successors.pop()
 
     # -- expansion ------------------------------------------------------------
     def expand(self) -> ExpandedGraph:

@@ -178,11 +178,13 @@ class ResultCache:
     def put(self, digest: str, value: Any) -> None:
         path = self._path(digest)
         while True:
-            path.parent.mkdir(parents=True, exist_ok=True)
             try:
+                # mkdir(exist_ok=True) still raises FileExistsError when
+                # the shard it found is swept before it checks is_dir().
+                path.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
                 break
-            except FileNotFoundError:
+            except (FileNotFoundError, FileExistsError):
                 continue  # raced a concurrent prune's empty-shard sweep
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -90,7 +90,6 @@ class SimulatedRuntime:
         )
         factory = adapter_factory or (lambda eng, tsu: ZeroOverheadAdapter(eng, tsu))
         self.adapter = factory(self.engine, self.tsu)
-        self.adapter.wake_kernels = self._wake
         self.memsys = machine.memory_system(program.env.regions, exact=exact_memory)
         self.adapter.attach_memory(
             self.memsys, machine.l1.line_size, program.env.regions
@@ -216,7 +215,20 @@ class SimulatedRuntime:
         self._region_start = 0.0
         self._region_end = 0.0
         main = self.engine.process(self._main_proc(), name="main")
-        self.engine.run()
+        # The adapter wakes this runtime's kernels for the length of the
+        # run only: left wired, runtime -> adapter -> bound method ->
+        # runtime is a cycle that keeps the whole simulation (engine,
+        # TSU Group, memory system, program) alive until the cycle
+        # collector runs.  A run that raised or stalled also leaves
+        # processes suspended, each in a cycle of its own: the engine
+        # closes them.
+        unwired = self.adapter.wake_kernels
+        self.adapter.wake_kernels = self._wake
+        try:
+            self.engine.run()
+        finally:
+            self.adapter.wake_kernels = unwired
+            self.engine.clear()
         if main.is_alive:
             raise RuntimeError("simulation stalled (deadlocked kernels?)")
         # One registry for all accounting: the TSU Group's scheduling

@@ -138,6 +138,7 @@ class Process:
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done = Event(engine, name=f"done:{self.name}")
+        engine._live.add(self)
         engine._schedule(0.0, self._resume, _SEND_NONE)
 
     @property
@@ -153,9 +154,13 @@ class Process:
             else:
                 target = self.gen.send(item)
         except StopIteration as stop:
-            self.done.succeed(stop.value)
+            self._finish(stop.value)
             return
         self._dispatch(target)
+
+    def _finish(self, value: Any) -> None:
+        self.engine._live.discard(self)
+        self.done.succeed(value)
 
     def _dispatch(self, target: Any) -> None:
         """Suspend on the yielded target (delay, event, or process)."""
@@ -174,7 +179,7 @@ class Process:
             try:
                 recovered = self.gen.throw(exc)
             except StopIteration as stop:
-                self.done.succeed(stop.value)
+                self._finish(stop.value)
                 return
             # The generator handled the error and yielded a new target:
             # keep it running.  If it re-raised, the error escapes to the
@@ -279,13 +284,15 @@ class Engine:
     order, making every simulation deterministic.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_nevents")
+    __slots__ = ("now", "_heap", "_seq", "_nevents", "_live")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0
         self._nevents = 0
+        #: Processes started and not yet returned (see :meth:`clear`).
+        self._live: set[Process] = set()
 
     @property
     def events_scheduled(self) -> int:
@@ -345,6 +352,23 @@ class Engine:
                 cb(arg)
         finally:
             self._nevents += dispatched
+
+    def clear(self) -> None:
+        """End the run: close every unfinished process, drop the heap.
+
+        After a run in which every process returned there is nothing to
+        clear.  After one that raised or stalled, processes are still
+        suspended, on the heap (which holds them while each holds this
+        engine) or on events that will never fire (whose owners the
+        waiting generators hold).  Either is a cycle that keeps the
+        whole simulation alive until the cycle collector runs.  Closing
+        a generator runs its ``finally`` (a :meth:`Resource.hold`
+        releasing its slot may schedule a grant), so the heap goes last.
+        """
+        live = self._live
+        while live:
+            live.pop().gen.close()
+        self._heap.clear()
 
     @property
     def events_executed(self) -> int:

@@ -66,7 +66,8 @@ class ProtocolAdapter:
     def __init__(self, engine: Engine, tsu: TSUGroup) -> None:
         self.engine = engine
         self.tsu = tsu
-        #: Set by the driver: wake_kernels(kernel_ids or None for all).
+        #: wake_kernels(kernel_ids or None for all): the driver wires its
+        #: own for the length of a run and restores this no-op after.
         self.wake_kernels = lambda kernels=None: None
 
     # -- lifecycle -------------------------------------------------------------

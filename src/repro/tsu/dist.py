@@ -85,7 +85,7 @@ class DistTSUAdapter(SoftwareTSUAdapter):
         # One emulator shard per node, in place of TFluxSoft's single one;
         # a shard only ever drains completions of its own node's kernels.
         self.shards = [
-            EmulatorShard(engine, tsu, costs, self._post_process, name=f":{n}")
+            EmulatorShard(engine, tsu, costs, name=f":{n}")
             for n in range(nnodes)
         ]
         # Cross-node memory pricing needs the driver's memory system,

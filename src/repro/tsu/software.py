@@ -72,8 +72,10 @@ class EmulatorShard:
 
     The single home of the emulator mechanism: TFluxSoft owns one shard,
     TFluxDist one per node.  *post_process* ``(kernel, local_iid,
-    outcome)`` is what the owner does when a drained completion's
-    emulator time has elapsed — where the two platforms differ.
+    outcome)``, handed to :meth:`start`, is what the owner does when a
+    drained completion's emulator time has elapsed — where the two
+    platforms differ.  Only the drain process holds it, so the shard
+    keeps no reference back to its owner once the drain has returned.
     """
 
     def __init__(
@@ -81,14 +83,12 @@ class EmulatorShard:
         engine: Engine,
         tsu: TSUGroup,
         costs: SoftTSUCosts,
-        post_process: Callable[[int, int, object], None],
         name: str = "",
     ) -> None:
         self.engine = engine
         self.tsu = tsu
         self.costs = costs
         self.name = name
-        self._post_process = post_process
         self.tub = Resource(engine, capacity=costs.tub_segments, name=f"tub{name}")
         # (kernel, local_iid, outcome): the TUB entry carries the dynamic
         # outcome (branch key / spawned Subflow) to the emulator, which
@@ -103,11 +103,13 @@ class EmulatorShard:
         self.updates = 0
         self.pushes = 0
 
-    def start(self) -> None:
+    def start(self, post_process: Callable[[int, int, object], None]) -> None:
         """Launch the TSU Emulator process (idempotent)."""
         if not self._started:
             self._started = True
-            self.engine.process(self._drain(), name=f"tsu-emulator{self.name}")
+            self.engine.process(
+                self._drain(post_process), name=f"tsu-emulator{self.name}"
+            )
 
     def shutdown(self) -> None:
         self._shutdown = True
@@ -117,7 +119,7 @@ class EmulatorShard:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
-    def _drain(self) -> Generator:
+    def _drain(self, post_process: Callable[[int, int, object], None]) -> Generator:
         """The dedicated-core loop: drain the TUB, apply post-processing."""
         costs = self.costs
         while True:
@@ -129,7 +131,7 @@ class EmulatorShard:
                 self.busy_cycles += busy
                 self.items += 1
                 self.updates += nconsumers
-                self._post_process(kernel, local_iid, outcome)
+                post_process(kernel, local_iid, outcome)
             elif self._shutdown:
                 return
             else:
@@ -158,9 +160,11 @@ class SoftwareTSUAdapter(ProtocolAdapter):
     ) -> None:
         super().__init__(engine, tsu)
         self.costs = costs
-        self.shards = [
-            EmulatorShard(engine, tsu, costs, self._apply_thread_completion)
-        ]
+        self.shards = [EmulatorShard(engine, tsu, costs)]
+
+    #: What an emulator does with one drained completion (TFluxDist
+    #: fans it out over the network instead).
+    _post_process = ProtocolAdapter._apply_thread_completion
 
     def _shard(self, kernel: int) -> EmulatorShard:
         """The emulator *kernel* pushes completions to (the only one)."""
@@ -189,7 +193,7 @@ class SoftwareTSUAdapter(ProtocolAdapter):
     # -- emulator lifecycle ------------------------------------------------------
     def start(self) -> None:
         for shard in self.shards:
-            shard.start()
+            shard.start(self._post_process)
 
     def shutdown(self) -> None:
         for shard in self.shards:

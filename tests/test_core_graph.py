@@ -107,6 +107,40 @@ def test_dag_validates():
     simple_graph().validate()
 
 
+@pytest.mark.parametrize(
+    "arcs, message",
+    [
+        ([("a", "b"), ("b", "a")], "dependency cycle: a -> b -> a"),
+        ([("a", "b"), ("b", "c"), ("c", "b")], "dependency cycle: b -> c -> b"),
+    ],
+)
+def test_cycle_message_names_the_cycle_only(arcs, message):
+    b = GraphBuilder("g")
+    t = {name: b.thread(name) for name in "abc"}
+    for producer, consumer in arcs:
+        b.depends(t[producer], t[consumer])
+    with pytest.raises(GraphError) as err:
+        b.graph.validate()
+    assert str(err.value) == message
+
+
+def test_long_chain_builds_and_runs():
+    """validate walks an explicit stack: a chain of 3,000 templates (a
+    recursive walk overflowed Python's stack at about 1,000) builds and
+    runs in order."""
+    b = ProgramBuilder("chain")
+    b.env.set("order", [])
+    t = [
+        b.thread(f"t{i}", body=lambda env, _c, i=i: env.get("order").append(i))
+        for i in range(3000)
+    ]
+    for producer, consumer in zip(t, t[1:]):
+        b.depends(producer, consumer)
+    prog = b.build()
+    prog.run_sequential()
+    assert prog.env.get("order") == list(range(3000))
+
+
 # -- expansion ------------------------------------------------------------
 def test_expand_same_mapping():
     g = simple_graph()

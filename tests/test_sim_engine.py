@@ -298,6 +298,40 @@ def test_hold_rejects_negative_duration_before_taking_a_slot(busy):
     assert res._in_use == int(busy) and not res._queue
 
 
+def test_clear_closes_what_a_raising_run_left_suspended():
+    """A run that raised leaves one process on the heap and one on an
+    event that never fires; clear() closes both (their ``finally`` runs,
+    the held slot is released) and leaves nothing scheduled."""
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    closed = []
+
+    def holder():
+        try:
+            yield from res.hold(10)
+        finally:
+            closed.append("holder")
+
+    def waiter():
+        try:
+            yield eng.event()
+        finally:
+            closed.append("waiter")
+
+    def boom():
+        yield 1
+        raise ValueError("boom")
+
+    for gen in (holder(), waiter(), boom()):
+        eng.process(gen)
+    with pytest.raises(ValueError, match="boom"):
+        eng.run()
+    assert closed == [] and res._in_use == 1
+    eng.clear()
+    assert sorted(closed) == ["holder", "waiter"]
+    assert res._in_use == 0 and not eng._heap and not eng._live
+
+
 def test_all_of_combines_events():
     eng = Engine()
     evs = [eng.event() for _ in range(3)]
