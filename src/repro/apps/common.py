@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Protocol
 
+import numpy as np
+
 from repro.core.program import DDMProgram
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "nthreads_for",
     "MEMO_SIZE",
     "memo_readonly",
+    "assert_allclose",
 ]
 
 SIZE_LABELS = ("small", "medium", "large")
@@ -182,6 +185,20 @@ def memo_readonly(fn: Callable) -> Callable:
         return out
 
     return cached
+
+
+def assert_allclose(actual, desired, rtol: float = 1e-7, atol: float = 0.0) -> None:
+    """``np.testing.assert_allclose`` for ``verify``, quick when it passes.
+
+    Equal shapes and ``np.isclose`` everywhere is a pass there too (a NaN
+    is never close, an infinity only to itself), so that case returns at
+    once.  Anything else — a value out of tolerance, a NaN, a shape
+    mismatch — goes to NumPy, which accepts it or raises its own message.
+    """
+    a, d = np.asarray(actual), np.asarray(desired)
+    if a.shape == d.shape and np.isclose(a, d, rtol=rtol, atol=atol).all():
+        return
+    np.testing.assert_allclose(actual, desired, rtol=rtol, atol=atol)
 
 
 # -- decomposition helpers -----------------------------------------------------

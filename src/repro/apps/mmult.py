@@ -104,7 +104,7 @@ class MMult:
 
     def verify(self, env, size: ProblemSize) -> None:
         expected = _product(env.get("n"))
-        np.testing.assert_allclose(env.array("C"), expected, rtol=1e-9, atol=1e-9)
+        common.assert_allclose(env.array("C"), expected, rtol=1e-9, atol=1e-9)
 
 
 common.register(MMult())

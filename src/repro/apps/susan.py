@@ -189,9 +189,9 @@ class Susan:
 
     def verify(self, env, size: ProblemSize) -> None:
         w, h = size.params["w"], size.params["h"]
-        np.testing.assert_allclose(env.array("img"), synthetic_image(w, h), atol=1e-12)
+        common.assert_allclose(env.array("img"), synthetic_image(w, h), atol=1e-12)
         smoothed, quantised = _expected(w, h)
-        np.testing.assert_allclose(env.array("sm"), smoothed, rtol=1e-9, atol=1e-9)
+        common.assert_allclose(env.array("sm"), smoothed, rtol=1e-9, atol=1e-9)
         np.testing.assert_array_equal(env.array("out"), quantised)
 
 

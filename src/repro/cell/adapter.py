@@ -163,7 +163,7 @@ class CellTSUAdapter(ProtocolAdapter):
                 for cmd in self.command_buffers[k].drain():
                     progressed = True
                     if cmd.opcode == "complete":
-                        nconsumers = len(self.tsu.consumers_of(cmd.arg))
+                        nconsumers = self.tsu.fanout(cmd.arg)
                         busy = costs.ppe_per_command + costs.ppe_per_update * nconsumers
                         yield busy
                         self.ppe_busy_cycles += busy

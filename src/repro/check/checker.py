@@ -43,7 +43,7 @@ from repro.core.context import Context
 from repro.core.deps import Reachability
 from repro.core.dthread import DThreadTemplate
 from repro.core.environment import Environment
-from repro.core.graph import ExpandedGraph
+from repro.core.graph import ConsumerRuns, ExpandedGraph
 from repro.core.regions import (
     EMPTY_INTERVALS,
     SegmentSpace,
@@ -243,25 +243,29 @@ def analyze(
 
     # -- global instance ids + happens-before edges --------------------------
     gids: Dict[Tuple[int, Context], int] = {}
-    consumers: List[List[int]] = []
-    names: List[str] = []
+    consumers = ConsumerRuns(sum(expanded.ninstances for expanded, _ in epochs))
     spawn_edges: List[Tuple[InstanceRecord, int]] = []  # resolved below
+    offset = 0
     for expanded, spawner in epochs:
-        offset = len(consumers)
         for inst in expanded.instances:
             gids[(id(inst.template), inst.ctx)] = offset + inst.iid
-            names.append(inst.name)
-        for outs in expanded.consumers:
-            consumers.append([offset + v for v in outs])
+        # The epoch's runs, shifted past the epochs before it.
+        first_run = len(consumers.runs)
+        for members in expanded.consumers.runs:
+            consumers.add_run(range(members.start + offset, members.stop + offset))
+        for u, outs in enumerate(expanded.consumers.out):
+            for r in outs:
+                consumers.feed(offset + u, first_run + r)
         if spawner is not None:
             for iid in expanded.entry:
                 spawn_edges.append((spawner, offset + iid))
+        offset += expanded.ninstances
 
     for spawner, dst in spawn_edges:
         src = gids.get((id(spawner.template), spawner.ctx))
         if src is None:  # pragma: no cover - internal invariant
             raise RuntimeError(f"spawner {spawner.name} not in any epoch")
-        consumers[src].append(dst)
+        consumers.feed(src, consumers.add_run(range(dst, dst + 1)))
 
     rec_gid: Dict[int, InstanceRecord] = {}
     for rec in records:

@@ -6,7 +6,7 @@ requiring equally large TSU, DDM programs can be split into DDM Blocks"
 plus two special DThreads:
 
 * the **Inlet**, which loads the block's metadata (Ready Counts and
-  consumer lists) into the TSU, and
+  consumer runs) into the TSU, and
 * the **Outlet**, which runs once every application DThread of the block
   has completed; it deallocates the TSU resources and chains to the next
   block's Inlet — or, for the last block, tells the Kernels to exit.
@@ -15,6 +15,9 @@ Blocks are cut along a topological order of the instance graph, so every
 arc either stays inside one block or crosses *forward*; forward arcs are
 subsumed by the Outlet→Inlet barrier (block *k+1* starts only after block
 *k* completed), which over-synchronises but preserves dataflow semantics.
+A block re-bases the graph's consumer runs onto its local ids: a run
+keeps its in-block members, is cut where they stop being consecutive in
+the topological order, and counts its in-block producers only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.dthread import DThreadInstance, DThreadTemplate, ThreadKind
-from repro.core.graph import ExpandedGraph, check_sync_counts
+from repro.core.graph import ConsumerRuns, ExpandedGraph, check_sync_counts
 
 __all__ = ["DDMBlock", "split_into_blocks", "INLET_BASE_TID"]
 
@@ -41,14 +44,14 @@ class DDMBlock:
     maps the local id to the original :class:`DThreadInstance`.  The inlet
     and outlet occupy the two ids past the application instances.
 
-    The one holder of its arcs while loaded: the TSU indexes ``consumers``
+    The one holder of its arcs while loaded: the TSU reads ``consumers``
     in place (``TSUGroup.consumers_of``) and loads only ``ready_counts``.
     """
 
     block_id: int
     instances: list[DThreadInstance]
     ready_counts: list[int]
-    consumers: list[list[int]]
+    consumers: ConsumerRuns
     entry: list[int]
     inlet: DThreadInstance = field(init=False)
     outlet: DThreadInstance = field(init=False)
@@ -86,16 +89,42 @@ def _topological_order(graph: ExpandedGraph) -> list[int]:
     indeg = list(graph.ready_counts)
     queue = deque(iid for iid in range(n) if indeg[iid] == 0)
     order: list[int] = []
+    consumers = graph.consumers
+    out, runs, producers = consumers.out, consumers.runs, consumers.producers
+    hits = [0] * len(runs)
     while queue:
         u = queue.popleft()
         order.append(u)
-        for v in graph.consumers[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
+        for r in out[u]:
+            hits[r] += 1
+            if hits[r] == producers[r]:
+                tokens = producers[r]
+                for v in runs[r]:
+                    indeg[v] -= tokens
+                    if indeg[v] == 0:
+                        queue.append(v)
     if len(order) != n:
         raise ValueError("instance graph contains a cycle")
     return order
+
+
+def _rebase(run: range, pos: list[int], start: int, end: int) -> list[range]:
+    """Local ids of *run*'s members in the block ``[start, end)`` of the
+    order, member order kept, cut wherever they stop being consecutive."""
+    pieces: list[range] = []
+    first = last = None
+    for m in run:
+        p = pos[m]
+        if p >= end:
+            continue  # crosses forward into a later block
+        if last is None or p != last + 1:
+            if last is not None:
+                pieces.append(range(first - start, last + 1 - start))
+            first = p
+        last = p
+    if last is not None:
+        pieces.append(range(first - start, last + 1 - start))
+    return pieces
 
 
 def split_into_blocks(
@@ -129,18 +158,24 @@ def split_into_blocks(
     for p, iid in enumerate(order):
         pos[iid] = p
 
+    graph_out, graph_runs = graph.consumers.out, graph.consumers.runs
     blocks: list[DDMBlock] = []
     start = 0
     for b, end in enumerate(boundaries):
         members = order[start:end]
-        consumers = [
-            [pos[dst] - start for dst in graph.consumers[iid] if pos[dst] < end]
-            for iid in members
-        ]
-        ready = [0] * len(members)
-        for outs in consumers:
-            for dst in outs:
-                ready[dst] += 1
+        consumers = ConsumerRuns(len(members))
+        pieces: dict[int, list[int]] = {}  # graph run -> its block runs
+        for local, iid in enumerate(members):
+            for r in graph_out[iid]:
+                ids = pieces.get(r)
+                if ids is None:
+                    ids = pieces[r] = [
+                        consumers.add_run(piece)
+                        for piece in _rebase(graph_runs[r], pos, start, end)
+                    ]
+                for run in ids:
+                    consumers.feed(local, run)
+        ready = consumers.indegrees()
         blocks.append(
             DDMBlock(
                 block_id=first_block_id + b,

@@ -40,12 +40,12 @@ before/after the parallel region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.core.context import Context
-from repro.core.graph import GraphError, SynchronizationGraph
+from repro.core.graph import ConsumerRuns, GraphError, SynchronizationGraph
 from repro.core.regions import (
     SegmentSpace,
     distinct,
@@ -546,23 +546,38 @@ class Reachability:
     checkers ask (static: "is this derived conflict ordered by the
     declared arcs?"; dynamic: "is there a happens-before path?").
 
-    *consumers[u]* lists the successors of node *u*.  ``reach[u]`` is a
-    packed uint64 bitset of every node a token from *u* can precede,
+    *consumers* holds the successors of every node as runs.  ``reach[u]``
+    is a packed uint64 bitset of every node a token from *u* can precede,
     filled in reverse topological order (:attr:`order` is the forward
-    one); the closure costs n²/64 words, a query is one word test.
+    one); the closure costs n²/64 words, a query is one word test.  A
+    run's row — its members' rows and bits, ORed in one NumPy reduce —
+    is built once, however many producers share it.
     """
 
-    def __init__(self, consumers: Sequence[Sequence[int]]) -> None:
+    def __init__(self, consumers: ConsumerRuns) -> None:
         n = len(consumers)
         order = _topo_order(consumers)
         word = np.arange(n) >> 6
         mask = np.uint64(1) << (np.arange(n, dtype=np.uint64) & np.uint64(63))
         reach = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+        runs, out = consumers.runs, consumers.out
+        run_rows: Dict[int, np.ndarray] = {}
         for u in reversed(order):
             row = reach[u]
-            for v in consumers[u]:
-                row |= reach[v]
-                row[word[v]] |= mask[v]
+            for r in out[u]:
+                members = runs[r]
+                if len(members) == 1:
+                    v = members.start
+                    row |= reach[v]
+                    row[word[v]] |= mask[v]
+                    continue
+                run_row = run_rows.get(r)
+                if run_row is None:
+                    lo, hi = members.start, members.stop
+                    run_row = np.bitwise_or.reduce(reach[lo:hi], axis=0)
+                    np.bitwise_or.at(run_row, word[lo:hi], mask[lo:hi])
+                    run_rows[r] = run_row
+                row |= run_row
         #: A topological linearisation of the DAG (producers first).
         self.order = order
         self._word, self._mask, self._reach = word, mask, reach
@@ -572,22 +587,24 @@ class Reachability:
         return bool(self._reach[a, self._word[b]] & self._mask[b])
 
 
-def _topo_order(consumers: Sequence[Sequence[int]]) -> List[int]:
+def _topo_order(consumers: ConsumerRuns) -> List[int]:
     # Kept apart from ``core/block.py::_topological_order``: this LIFO
     # order fixes the order findings are reported in, that FIFO order
     # fixes block membership (and so simulated cycles).
-    n = len(consumers)
-    indeg = [0] * n
-    for outs in consumers:
-        for v in outs:
-            indeg[v] += 1
-    frontier = [u for u in range(n) if indeg[u] == 0]
+    out, runs, producers = consumers.out, consumers.runs, consumers.producers
+    indeg = consumers.indegrees()
+    hits = [0] * len(runs)
+    frontier = [u for u in range(len(indeg)) if indeg[u] == 0]
     order: List[int] = []
     while frontier:
         u = frontier.pop()
         order.append(u)
-        for v in consumers[u]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                frontier.append(v)
+        for r in out[u]:
+            hits[r] += 1
+            if hits[r] == producers[r]:
+                tokens = producers[r]
+                for v in runs[r]:
+                    indeg[v] -= tokens
+                    if not indeg[v]:
+                        frontier.append(v)
     return order

@@ -111,7 +111,7 @@ class DThreadInstance:
     """One dynamic DThread: ``(template, context)`` plus its dense id.
 
     ``iid`` is assigned during graph expansion and is the identifier the
-    TSU tracks (Ready Counts, consumer lists, the TKT).
+    TSU tracks (Ready Counts, consumer runs, the TKT).
     """
 
     iid: int

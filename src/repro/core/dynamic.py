@@ -99,15 +99,17 @@ class GraphEpoch:
     their block's Inlet fires (squash-at-load).
     """
 
-    __slots__ = ("graph", "cond_out", "has_cond", "live_in", "squashed")
+    __slots__ = ("graph", "cond_out", "has_cond", "live_in", "dead", "squashed")
 
     def __init__(self, graph: ExpandedGraph) -> None:
         self.graph = graph
         self.cond_out = graph.cond_targets
         self.has_cond = bool(self.cond_out)
-        # live_in only matters when conditional arcs exist; static epochs
-        # skip the allocation (and resolve() is never consulted).
+        # live_in and the per-run dead-arc counts only matter when
+        # conditional arcs exist; static epochs skip the allocation (and
+        # resolve() is never consulted).
         self.live_in = list(graph.ready_counts) if self.has_cond else None
+        self.dead = [0] * len(graph.consumers.runs) if self.has_cond else None
         self.squashed: set[int] = set()
 
     def resolve(self, iid: int, key: Any) -> list[int]:
@@ -123,26 +125,38 @@ class GraphEpoch:
         if not arcs:
             return []
         newly: list[int] = []
-        for arc_key, targets in arcs.items():
+        for arc_key, runs in arcs.items():
             if arc_key == key:
                 continue
-            for target in targets:
-                self._kill_arc(target, newly)
+            for run in runs:
+                self._kill_run(run, newly)
         return newly
 
-    def _kill_arc(self, target: int, newly: list[int]) -> None:
-        """One incoming arc of *target* can no longer deliver."""
-        self.live_in[target] -= 1
-        if (
-            self.live_in[target] == 0
-            and target not in self.squashed
-            and self.graph.ready_counts[target] > 0
-        ):
-            # No live inputs left (entry instances, in-degree 0, are
-            # exempt): squash, and kill every out-arc — conditional arcs
-            # of a squashed producer die for all keys, since it will
-            # never complete and choose one.
-            self.squashed.add(target)
-            newly.append(target)
-            for consumer in self.graph.consumers[target]:
-                self._kill_arc(consumer, newly)
+    def _kill_run(self, run: int, newly: list[int]) -> None:
+        """One listing of *run* can no longer deliver.
+
+        Counted per run, like a retirement: the members lose the run's
+        live inputs at once, when its last listing dies — the only
+        moment a per-pair count could have reached zero through it.
+        """
+        consumers = self.graph.consumers
+        self.dead[run] += 1
+        tokens = consumers.producers[run]
+        if self.dead[run] != tokens:
+            return
+        live_in, squashed = self.live_in, self.squashed
+        for target in consumers.runs[run]:
+            live_in[target] -= tokens
+            if (
+                live_in[target] == 0
+                and target not in squashed
+                and self.graph.ready_counts[target] > 0
+            ):
+                # No live inputs left (entry instances, in-degree 0, are
+                # exempt): squash, and kill every out-arc — conditional
+                # arcs of a squashed producer die for all keys, since it
+                # will never complete and choose one.
+                squashed.add(target)
+                newly.append(target)
+                for out in consumers.out[target]:
+                    self._kill_run(out, newly)

@@ -19,7 +19,13 @@ callable
 :meth:`SynchronizationGraph.expand` flattens templates×contexts into dense
 :class:`~repro.core.dthread.DThreadInstance` ids and produces, for each
 instance, its *Ready Count* (number of producer instances) and its
-consumer list — exactly the metadata the Inlet DThread loads into the TSU.
+consumers — exactly the metadata the Inlet DThread loads into the TSU.
+
+Consumers are :class:`ConsumerRuns`: runs of consecutive instance ids.
+An unconditional ``"all"`` arc is *one* run that every producer instance
+lists; any other arc gives each instance pair a run of 1.
+Every reader counts a shared run's retirements and updates its members
+once, when the last producer retires, instead of once per instance pair.
 
 :class:`GraphBuilder` is the one surface on which threads and arcs are
 *declared* (``thread`` / ``depends`` / ``cond``); a whole program
@@ -39,6 +45,7 @@ from repro.core.dthread import DThreadInstance, DThreadTemplate, ThreadKind
 
 __all__ = [
     "Arc",
+    "ConsumerRuns",
     "SynchronizationGraph",
     "ExpandedGraph",
     "GraphBuilder",
@@ -110,19 +117,77 @@ class Arc:
         raise GraphError(f"unknown arc mapping {self.mapping!r}")
 
 
+class ConsumerRuns:
+    """Every node's consumers, as runs of consecutive node ids.
+
+    ``out[u]`` lists the ids of the runs node *u* feeds, in arc order;
+    ``runs[r]`` is run *r*'s members (a ``range``), ``producers[r]``
+    how many times nodes list it, and ``fanouts[u]`` the tokens one
+    retirement of *u* delivers (its instance pairs).
+
+    Every walk counts runs, not pairs: it keeps a hit count per run,
+    bumps it for each run a retiring node lists, and when a run's hits
+    reach its producer count, takes ``producers[r]`` off each member at
+    once, in member order.  A member can only become ready once every
+    run that feeds it has completed, so it becomes ready on the same
+    retirement, at the same position, as under a walk over every
+    instance pair — the fire order, the block cut, the TSU's
+    ``newly_ready`` and the squash order do not move.  The walks inline
+    the count (it is their inner loop); ``tests/test_arc_runs.py`` holds
+    each to the per-pair walk.
+    """
+
+    __slots__ = ("out", "runs", "producers", "fanouts")
+
+    def __init__(self, nnodes: int) -> None:
+        self.out: list[list[int]] = [[] for _ in range(nnodes)]
+        self.runs: list[range] = []
+        self.producers: list[int] = []
+        self.fanouts: list[int] = [0] * nnodes
+
+    def __len__(self) -> int:
+        return len(self.out)
+
+    def add_run(self, members: range) -> int:
+        """A new run nobody lists yet; returns its id."""
+        self.runs.append(members)
+        self.producers.append(0)
+        return len(self.runs) - 1
+
+    def feed(self, u: int, run: int) -> None:
+        """Node *u* lists *run* (once more: a double token lists it twice)."""
+        self.out[u].append(run)
+        self.producers[run] += 1
+        self.fanouts[u] += len(self.runs[run])
+
+    def runs_of(self, u: int) -> list[range]:
+        """The members of every run *u* feeds, in arc order."""
+        runs = self.runs
+        return [runs[r] for r in self.out[u]]
+
+    def indegrees(self) -> list[int]:
+        """Tokens each node is owed by all runs: its Ready Count."""
+        indeg = [0] * len(self.out)
+        for members, p in zip(self.runs, self.producers):
+            for v in members:
+                indeg[v] += p
+        return indeg
+
+
 @dataclass
 class ExpandedGraph:
     """Instance-level graph: the TSU-loadable metadata."""
 
     instances: list[DThreadInstance]
     ready_counts: list[int]
-    consumers: list[list[int]]
+    consumers: ConsumerRuns
     #: iid of every instance with Ready Count zero (the entry fringe).
     entry: list[int]
     #: (template tid, ctx) -> iid
     index: dict[tuple[int, Context], int]
-    #: Conditional-arc table: producer iid -> {branch key: consumer iids}.
-    #: Empty for purely static graphs (the common case).
+    #: Conditional-arc table: producer iid -> {branch key: ids of its runs
+    #: of 1 in ``consumers``}.  Empty for purely static graphs (the
+    #: common case).
     cond_targets: dict[int, dict[Any, list[int]]] = field(default_factory=dict)
 
     @property
@@ -134,16 +199,27 @@ class ExpandedGraph:
         check_sync_counts(self.ready_counts, self.consumers, self.entry)
 
 
-def check_sync_counts(ready_counts, consumers, entry) -> None:
-    """Ready Counts equal incoming arcs, no arc leaves the node range,
-    *entry* is the zero-count fringe: what an :class:`ExpandedGraph` and
-    a :class:`~repro.core.block.DDMBlock` (over local ids) both keep."""
+def check_sync_counts(ready_counts, consumers: ConsumerRuns, entry) -> None:
+    """Ready Counts equal incoming tokens, no run leaves the node range,
+    each run's producer count is its listings, *entry* is the zero-count
+    fringe: what an :class:`ExpandedGraph` and a
+    :class:`~repro.core.block.DDMBlock` (over local ids) both keep."""
     n = len(ready_counts)
-    incoming = [0] * n
-    for src, outs in enumerate(consumers):
-        for dst in outs:
-            assert 0 <= dst < n, f"dangling consumer {dst} from {src}"
-            incoming[dst] += 1
+    assert len(consumers) == n, f"consumers of {len(consumers)} nodes, not {n}"
+    for r, members in enumerate(consumers.runs):
+        assert members.step == 1 and 0 <= members.start <= members.stop <= n, (
+            f"dangling run {r}: {members}"
+        )
+    listed = [0] * len(consumers.runs)
+    for outs in consumers.out:
+        for r in outs:
+            listed[r] += 1
+    assert listed == consumers.producers, "run producer counts != listings"
+    runs = consumers.runs
+    assert consumers.fanouts == [
+        sum(len(runs[r]) for r in outs) for outs in consumers.out
+    ], "fanouts != listed run lengths"
+    incoming = consumers.indegrees()
     for iid in range(n):
         assert incoming[iid] == ready_counts[iid], (
             f"instance {iid} ready count {ready_counts[iid]} "
@@ -251,30 +327,32 @@ class SynchronizationGraph:
 
     # -- expansion ------------------------------------------------------------
     def expand(self) -> ExpandedGraph:
-        """Flatten to the instance level (Ready Counts + consumer lists)."""
+        """Flatten to the instance level (Ready Counts + consumer runs)."""
         self.validate()
         instances: list[DThreadInstance] = []
         index: dict[tuple[int, Context], int] = {}
+        #: tid -> its instances, consecutive in context order.
+        iids: dict[int, range] = {}
         for tmpl in self.templates:
+            first = len(instances)
             for ctx in tmpl.contexts:
                 iid = len(instances)
                 instances.append(DThreadInstance(iid, tmpl, ctx))
                 index[(tmpl.tid, ctx)] = iid
+            iids[tmpl.tid] = range(first, len(instances))
 
-        ready = [0] * len(instances)
-        consumers: list[list[int]] = [[] for _ in instances]
+        consumers = ConsumerRuns(len(instances))
         cond_targets: dict[int, dict[Any, list[int]]] = {}
         for arc in self._arcs:
             prod = self._templates[arc.producer]
             cons = self._templates[arc.consumer]
-            if arc.mapping == "all" and arc.cond_key is None:
-                # A barrier: every producer instance gets the same consumer
-                # run, resolved once — n + m lookups, not n x m.
-                dsts = [index[(cons.tid, cctx)] for cctx in cons.contexts]
-                for pctx in prod.contexts:
-                    consumers[index[(prod.tid, pctx)]].extend(dsts)
-                for dst in dsts:
-                    ready[dst] += prod.ninstances
+            key = arc.cond_key
+            if arc.mapping == "all" and key is None:
+                # A barrier: the consumer template is one run, shared by
+                # every producer instance.
+                shared = consumers.add_run(iids[cons.tid])
+                for src in iids[prod.tid]:
+                    consumers.feed(src, shared)
                 continue
             cons_ctx_set = set(cons.contexts)
             for pctx in prod.contexts:
@@ -286,12 +364,12 @@ class SynchronizationGraph:
                             f"{pctx!r} to nonexistent consumer context {cctx!r}"
                         )
                     dst = index[(cons.tid, cctx)]
-                    consumers[src].append(dst)
-                    ready[dst] += 1
-                    if arc.cond_key is not None:
-                        by_key = cond_targets.setdefault(src, {})
-                        by_key.setdefault(arc.cond_key, []).append(dst)
+                    run = consumers.add_run(range(dst, dst + 1))
+                    consumers.feed(src, run)
+                    if key is not None:
+                        cond_targets.setdefault(src, {}).setdefault(key, []).append(run)
 
+        ready = consumers.indegrees()
         entry = [iid for iid in range(len(instances)) if ready[iid] == 0]
         if not entry and instances:
             raise GraphError("no entry instances (every instance has producers)")

@@ -122,6 +122,9 @@ class DDMProgram:
         skipped and their dead arcs give phantom decrements.  Plain
         iteration (``for inst in prog.fire_order()``) still works for
         static programs — ``next()`` sends ``None``.
+
+        Consumers are counted per run (see ``ConsumerRuns``): a barrier's
+        members drop once, when its last producer retires.
         """
         pending: list[GraphEpoch] = [GraphEpoch(self.expanded())]
         epoch_idx = 0
@@ -129,6 +132,10 @@ class DDMProgram:
             epoch = pending[epoch_idx]
             epoch_idx += 1
             g = epoch.graph
+            squashed = epoch.squashed
+            consumers = g.consumers
+            out, runs, producers = consumers.out, consumers.runs, consumers.producers
+            hits = [0] * len(runs)
             ready = list(g.ready_counts)
             heap = list(g.entry)
             heapq.heapify(heap)
@@ -148,25 +155,24 @@ class DDMProgram:
                 )
                 # Retire squashed instances: they count as done and their
                 # dead out-arcs phantom-decrement surviving consumers.
-                for siid in newly_squashed:
-                    retired += 1
-                    for dst in g.consumers[siid]:
-                        if dst in epoch.squashed:
-                            continue
-                        ready[dst] -= 1
-                        if ready[dst] == 0:
-                            heapq.heappush(heap, dst)
-                for dst in g.consumers[iid]:
-                    if dst in epoch.squashed:
-                        continue
-                    ready[dst] -= 1
-                    if ready[dst] == 0:
-                        heapq.heappush(heap, dst)
+                retired += len(newly_squashed)
+                for src in (*newly_squashed, iid):
+                    for r in out[src]:
+                        hits[r] += 1
+                        if hits[r] != producers[r]:
+                            continue  # a shared run waits for its last producer
+                        tokens = producers[r]
+                        for dst in runs[r]:
+                            if dst in squashed:
+                                continue
+                            ready[dst] -= tokens
+                            if ready[dst] == 0:
+                                heapq.heappush(heap, dst)
             if executed + retired != g.ninstances:
                 stuck = [
                     g.instances[i].name
                     for i in range(g.ninstances)
-                    if ready[i] > 0 and i not in epoch.squashed
+                    if ready[i] > 0 and i not in squashed
                 ]
                 raise RuntimeError(
                     f"deadlock: {len(stuck)} instances never fired, "

@@ -1,7 +1,7 @@
 """The Thread Synchronization Unit (TSU).
 
 The TSU is the component that makes DDM work: it holds, per DThread
-instance, the *Ready Count* and the consumer list, decrements consumers'
+instance, the *Ready Count* and the consumers, decrements consumers'
 counts when a producer completes (the Post-Processing Phase), and hands
 ready DThreads to querying Kernels (paper §2, §3.3).
 

@@ -124,9 +124,10 @@ class DistTSUAdapter(SoftwareTSUAdapter):
         # The block's TKT says whose SM, the partition which node's shard.
         kernel_of = self.tsu.tkt.kernel_of
         upd_by_node: dict[int, int] = {}
-        for c in self.tsu.consumers_of(local_iid):
-            t = node_of_kernel[kernel_of(c)]
-            upd_by_node[t] = upd_by_node.get(t, 0) + 1
+        for members in self.tsu.consumers_of(local_iid):
+            for c in members:
+                t = node_of_kernel[kernel_of(c)]
+                upd_by_node[t] = upd_by_node.get(t, 0) + 1
         for t, n in upd_by_node.items():
             if t == node:
                 self.local_updates += n

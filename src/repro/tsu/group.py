@@ -20,10 +20,12 @@ Protocol (driven by the Kernels through the platform adapters):
    do next: run the current block's Inlet, run an application DThread,
    run the Outlet, wait, or exit.
 2. After an application DThread finishes, ``complete_thread(kernel, local_iid)``
-   performs the Post-Processing Phase: every consumer's Ready Count is
-   decremented through the TKT-indexed SM; threads reaching zero join
-   their kernel's ready queue (``_post_process``, the one such walk
-   whichever way an instance retires).
+   performs the Post-Processing Phase: each consumer run the thread
+   feeds counts the retirement, and a run whose last producer retired
+   decrements its members' Ready Counts, by its producer count, through
+   the TKT-indexed SM; threads reaching zero join their kernel's ready
+   queue (``_post_process``, the one such walk whichever way an instance
+   retires).
 3. ``complete_inlet`` / ``complete_outlet`` drive block sequencing:
    the Outlet clears the SMs and (unless the block was the last) arms the
    next block's Inlet; the last Outlet flips the TSU into the exit state.
@@ -42,8 +44,9 @@ future blocks are retired at load time by their block's Inlet.
 
 A loaded block's arcs have one holder, the :class:`~repro.core.block.DDMBlock`:
 the Inlet loads Ready Counts and flags into the SMs and builds the TKT,
-it copies no consumer list.  This class and the adapters that price a
-completion by its fan-out read them through ``consumers_of`` only.
+it copies no consumer run.  This class and the adapters that price a
+completion by its fan-out read them through ``consumers_of`` and
+``fanout`` only.
 """
 
 from __future__ import annotations
@@ -137,6 +140,8 @@ class TSUGroup:
         self._next_block_id = max(b.block_id for b in blocks) + 1
         self._pending_dynamic: deque[DDMBlock] = deque()
         self._local_of_current: dict[int, int] = {}
+        #: Retirements each of the loaded block's consumer runs has seen.
+        self._run_hits: list[int] = []
         # Statistics: plain ints on the hot path, published into the
         # repro.obs counter registry at end of run (publish_counters).
         self.fetches = 0
@@ -174,10 +179,16 @@ class TSUGroup:
     def is_exited(self) -> bool:
         return self._phase == _Phase.EXITED
 
-    def consumers_of(self, local_iid: int) -> list[int]:
+    def consumers_of(self, local_iid: int) -> list[range]:
         """Block-local ids of the instances *local_iid* feeds in the
-        loaded block — the block's own list, not a copy."""
-        return self.current_block.consumers[local_iid]
+        loaded block, as the block's own runs (a barrier's run is one
+        ``range`` shared by every producer, not a copy)."""
+        return self.current_block.consumers.runs_of(local_iid)
+
+    def fanout(self, local_iid: int) -> int:
+        """Ready Counts one retirement of *local_iid* updates in the
+        loaded block: its instance pairs, whatever runs carry them."""
+        return self.current_block.consumers.fanouts[local_iid]
 
     # -- the Inlet's work ---------------------------------------------------------
     def _load_block(self, block: DDMBlock) -> None:
@@ -193,6 +204,7 @@ class TSUGroup:
         epoch = self._epoch_of_block.get(block.block_id)
         need_index = epoch is not None and (epoch.has_cond or epoch.squashed)
         self._local_of_current = {}
+        self._run_hits = [0] * len(block.consumers.runs)
         presquashed: list[int] = []
         for local_iid, inst in enumerate(block.instances):
             entry = ThreadEntry(
@@ -215,15 +227,28 @@ class TSUGroup:
             self._post_process(local_iid, [])
 
     def _post_process(self, local_iid: int, newly_ready: list[int]) -> None:
-        """Post-Processing of one retired instance: each consumer's Ready
-        Count is decremented in the SM the TKT names; the ones reaching
-        zero are appended to *newly_ready*."""
+        """Post-Processing of one retired instance: each run it completes
+        decrements its members' Ready Counts, by the run's producer
+        count, in the SM the TKT names; the ones reaching zero are
+        appended to *newly_ready*.  ``post_updates`` counts one update
+        per instance pair, as the hardware performs them."""
         sms, kernel_of = self.sms, self.tkt.kernel_of
-        consumers = self.consumers_of(local_iid)
-        for consumer in consumers:
-            if sms[kernel_of(consumer)].decrement(consumer):
-                newly_ready.append(consumer)
-        self.post_updates += len(consumers)
+        consumers, hits = self.current_block.consumers, self._run_hits
+        runs, producers = consumers.runs, consumers.producers
+        for r in consumers.out[local_iid]:
+            hits[r] += 1
+            tokens = producers[r]
+            if hits[r] < tokens:
+                continue  # a shared run waits for its last producer
+            if hits[r] > tokens:
+                # Retired more often than it has producers: deliver what
+                # a per-pair walk would, and let the SM's underflow check
+                # see it.
+                tokens = 1
+            for consumer in runs[r]:
+                if sms[kernel_of(consumer)].decrement(consumer, tokens):
+                    newly_ready.append(consumer)
+        self.post_updates += consumers.fanouts[local_iid]
 
     # -- kernel-facing protocol ---------------------------------------------------
     def fetch(self, kernel: int) -> Fetch:

@@ -89,7 +89,8 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
         my_group = group_of[kernel]
         return sum(
             group_of[tkt.kernel_of(consumer)] != my_group
-            for consumer in self.tsu.consumers_of(local_iid)
+            for members in self.tsu.consumers_of(local_iid)
+            for consumer in members
         )
 
     # -- protocol -----------------------------------------------------------------

@@ -37,14 +37,15 @@ class ThreadEntry:
     #: is frozen — decrements from producers that still complete no-op.
     squashed: bool = False
 
-    def decrement(self) -> bool:
-        """Post-processing step: one producer completed.  True if now ready."""
-        if self.ready_count <= 0:
+    def decrement(self, tokens: int) -> bool:
+        """Post-processing step: *tokens* producer completions (a shared
+        run's producers arrive together).  True if now ready."""
+        if self.ready_count < tokens:
             raise RuntimeError(
                 f"ready count underflow for {self.instance.name} "
                 "(duplicate completion notification?)"
             )
-        self.ready_count -= 1
+        self.ready_count -= tokens
         return self.ready_count == 0
 
 
@@ -91,8 +92,9 @@ class SynchronizationMemory:
         return len(self._ready)
 
     # -- post-processing ---------------------------------------------------
-    def decrement(self, local_iid: int) -> bool:
-        """Decrement one entry's Ready Count; enqueue if it became ready.
+    def decrement(self, local_iid: int, tokens: int = 1) -> bool:
+        """Decrement one entry's Ready Count by *tokens*; enqueue if it
+        became ready.
 
         Squashed entries absorb the update without state change: the
         producer's data has nowhere to go, and the entry was already
@@ -101,7 +103,7 @@ class SynchronizationMemory:
         entry = self._entries[local_iid]
         if entry.squashed:
             return False
-        became_ready = entry.decrement()
+        became_ready = entry.decrement(tokens)
         if became_ready:
             heapq.heappush(self._ready, local_iid)
         return became_ready

@@ -125,7 +125,7 @@ class EmulatorShard:
         while True:
             if self._queue:
                 kernel, local_iid, outcome = self._queue.popleft()
-                nconsumers = len(self.tsu.consumers_of(local_iid))
+                nconsumers = self.tsu.fanout(local_iid)
                 busy = costs.emulator_per_item + costs.emulator_per_update * nconsumers
                 yield busy
                 self.busy_cycles += busy

@@ -128,3 +128,47 @@ def test_memo_is_bounded_after_the_whole_large_grid():
     # ... and those calls were all hits: what they returned is what is retained.
     assert all(fn.cache_info().misses == before[fn].misses for fn in ALL_MEMOS)
     assert 0 < retained <= LARGE_GRID_MEMO_BYTES, f"{retained / 2**20:.1f} MiB retained"
+
+
+# -- verify's comparison: a fast pass, NumPy's verdict otherwise -----------------
+def _verdict(check, actual, desired, **tol):
+    try:
+        check(actual, desired, **tol)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+_TOL = {"rtol": 1e-9, "atol": 1e-9}
+_BASE = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+
+
+def _with(index, value, base=_BASE):
+    out = base.copy()
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "actual,desired,passes",
+    [
+        (_BASE.copy(), _BASE, True),
+        (_with((1, 2), _BASE[1, 2] * (1 + 1e-9)), _BASE, True),  # just inside
+        (_with((1, 2), _BASE[1, 2] * (1 + 1e-9) + 1e-9 * 1.01), _BASE, False),  # just outside
+        (_with((0, 0), np.nan), _BASE, False),
+        (_with((0, 0), np.nan), _with((0, 0), np.nan), True),  # NaN in both: NumPy passes it
+        (_with((2, 3), np.inf), _with((2, 3), np.inf), True),
+        (_with((2, 3), np.inf), _with((2, 3), -np.inf), False),
+        (_BASE[:, :3].copy(), _BASE, False),  # shape mismatch
+        (complex(1.0, 2.0), complex(1.0, 2.0 + 1e-6), False),  # a scalar out of tolerance
+    ],
+    ids=["equal", "inside", "outside", "nan", "nan-both", "inf", "inf-sign", "shape", "scalar"],
+)
+def test_verify_comparison_passes_and_fails_exactly_as_numpy(actual, desired, passes):
+    """``common.assert_allclose`` accepts exactly what
+    ``np.testing.assert_allclose`` accepts, and fails with its text."""
+    from repro.apps.common import assert_allclose
+
+    expected = _verdict(np.testing.assert_allclose, actual, desired, **_TOL)
+    assert (expected is None) == passes
+    assert _verdict(assert_allclose, actual, desired, **_TOL) == expected

@@ -13,7 +13,7 @@ from repro.core import (
 from repro.core.block import split_into_blocks
 from repro.core.dthread import DThreadTemplate
 from repro.core.graph import SynchronizationGraph
-from tests.test_core_graph import _mixed_arc_graphs
+from tests.test_core_graph import _mixed_arc_graphs, _pair_lists
 
 
 # -- Environment ------------------------------------------------------------
@@ -150,10 +150,11 @@ def _naive_split(eg, cap):
     table — a ``block_of`` list, then a ``local`` dict per block and one
     lookup of each per arc.  Reference only."""
     n = eg.ninstances
+    pairs = _pair_lists(eg.consumers)
     indeg = list(eg.ready_counts)
     order = [iid for iid in range(n) if indeg[iid] == 0]
     for u in order:  # FIFO Kahn: the list grows while it is walked
-        for v in eg.consumers[u]:
+        for v in pairs[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
@@ -166,7 +167,7 @@ def _naive_split(eg, cap):
         consumers = [[] for _ in members]
         ready = [0] * len(members)
         for iid in members:
-            for dst in eg.consumers[iid]:
+            for dst in pairs[iid]:
                 if block_of[dst] == b:
                     consumers[local[iid]].append(local[dst])
                     ready[local[dst]] += 1
@@ -182,17 +183,17 @@ def _naive_split(eg, cap):
     spawned=st.booleans(),
 )
 def test_split_matches_per_pair_reference(graph, cap, spawned):
-    """Members, Ready Counts, consumer lists *in order* and entry fringe
-    of every block are element-for-element what the per-pair lookups
-    produce — for a static split and for a spawned one (offset block
-    ids, nobody marked last)."""
+    """Members, Ready Counts, consumer runs expanded to pairs *in order*
+    and entry fringe of every block are element-for-element what the
+    per-pair lookups produce — for a static split and for a spawned one
+    (offset block ids, nobody marked last)."""
     eg = graph.expand()
     if spawned:
         blocks = split_into_blocks(eg, cap, first_block_id=5, mark_last=False)
     else:
         blocks = split_into_blocks(eg, cap)
     got = [
-        ([inst.iid for inst in b.instances], b.ready_counts, b.consumers, b.entry)
+        ([inst.iid for inst in b.instances], b.ready_counts, _pair_lists(b.consumers), b.entry)
         for b in blocks
     ]
     assert got == _naive_split(eg, cap)

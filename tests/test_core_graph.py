@@ -142,6 +142,24 @@ def test_long_chain_builds_and_runs():
 
 
 # -- expansion ------------------------------------------------------------
+def _pair_lists(consumers):
+    """Every node's consumers one per instance pair, in arc order: the
+    runs of a :class:`ConsumerRuns` expanded (test reference only)."""
+    return [
+        [v for members in consumers.runs_of(u) for v in members]
+        for u in range(len(consumers))
+    ]
+
+
+def _cond_pairs(eg):
+    """``cond_targets`` with each run id expanded to its members."""
+    runs = eg.consumers.runs
+    return {
+        src: {key: [v for r in ids for v in runs[r]] for key, ids in by_key.items()}
+        for src, by_key in eg.cond_targets.items()
+    }
+
+
 def test_expand_same_mapping():
     g = simple_graph()
     eg = g.expand()
@@ -151,7 +169,7 @@ def test_expand_same_mapping():
     for i in range(4):
         src = eg.index[(1, i)]
         dst = eg.index[(2, i)]
-        assert eg.consumers[src] == [dst]
+        assert _pair_lists(eg.consumers)[src] == [dst]
         assert eg.ready_counts[dst] == 1
 
 
@@ -161,7 +179,7 @@ def test_expand_all_mapping_reduction():
     red = eg.index[(3, 0)]
     assert eg.ready_counts[red] == 4
     for i in range(4):
-        assert red in eg.consumers[eg.index[(2, i)]]
+        assert red in _pair_lists(eg.consumers)[eg.index[(2, i)]]
 
 
 def test_expand_entry_instances():
@@ -280,12 +298,13 @@ def _mixed_arc_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(graph=_mixed_arc_graphs())
 def test_expand_matches_per_pair_reference(graph):
-    """Ready Counts, consumer lists *in order*, entry fringe and the
-    conditional table are element-for-element what the per-pair walk
-    produces, whatever mix of arcs surrounds a bulk-extended one."""
+    """Ready Counts, consumer runs expanded to pairs *in order*, entry
+    fringe and the conditional table are element-for-element what the
+    per-pair walk produces, whatever mix of arcs surrounds a barrier."""
     eg = graph.expand()
     eg.check_invariants()
-    assert (eg.ready_counts, eg.consumers, eg.entry, eg.cond_targets) == _naive_expand(graph)
+    got = (eg.ready_counts, _pair_lists(eg.consumers), eg.entry, _cond_pairs(eg))
+    assert got == _naive_expand(graph)
 
 
 def test_conditional_all_arc_fills_cond_targets():
@@ -295,15 +314,21 @@ def test_conditional_all_arc_fills_cond_targets():
     g.add_arc(1, 2, "all")
     g.add_arc(1, 2, "all", cond_key="k")
     eg = g.expand()
-    assert eg.consumers == [[2, 3, 4, 2, 3, 4]] * 2 + [[]] * 3
+    assert _pair_lists(eg.consumers) == [[2, 3, 4, 2, 3, 4]] * 2 + [[]] * 3
     assert eg.ready_counts == [0, 0, 4, 4, 4]
-    assert eg.cond_targets == {0: {"k": [2, 3, 4]}, 1: {"k": [2, 3, 4]}}
+    assert _cond_pairs(eg) == {0: {"k": [2, 3, 4]}, 1: {"k": [2, 3, 4]}}
+    # The plain barrier is one run both producers list; the conditional
+    # one resolves per producer, in runs of 1.
+    shared = eg.consumers.out[0][0]
+    assert eg.consumers.out[1][0] == shared and eg.consumers.producers[shared] == 2
+    assert [len(eg.consumers.runs[r]) for r in eg.consumers.out[0]] == [3, 1, 1, 1]
 
 
 def test_all_arc_expansion_is_linear_in_instances():
     """SUSAN Large at unroll 1: two 576 -> 576 ``"all"`` arcs.  Every
     ``index`` lookup hashes a ``(tid, ctx)`` key, so hashes of the tids
-    count them: a few per instance, not one per instance pair."""
+    count them: the index build, and none per ``"all"`` arc — each is
+    one run of its consumer template, listed by every producer."""
     hashes = 0
 
     class CountedTid(int):
@@ -323,11 +348,13 @@ def test_all_arc_expansion_is_linear_in_instances():
     hashes = 0
     eg = g.expand()
     assert eg.ready_counts == [0] * n + [n] * (2 * n)
-    assert eg.consumers[0] == eg.consumers[n - 1] == list(range(n, 2 * n))
-    assert eg.consumers[n] == eg.consumers[2 * n - 1] == list(range(2 * n, 3 * n))
+    runs = eg.consumers
+    assert runs.out[0] == runs.out[n - 1] and runs.runs_of(0) == [range(n, 2 * n)]
+    assert runs.out[n] == runs.out[2 * n - 1] and runs.runs_of(n) == [range(2 * n, 3 * n)]
+    assert runs.producers == [n, n]
     assert eg.entry == list(range(n))
-    # 3n to build the index + (n + n) per arc, and a handful per template:
-    assert 7 * n <= hashes <= 8 * n < 2 * n * n
+    # 3n to build the index, and a handful per template:
+    assert 3 * n <= hashes <= 3 * n + 64
 
 
 # -- one declaration surface: ProgramBuilder and Subflow ------------------------
@@ -351,8 +378,8 @@ def test_program_and_subflow_declare_through_one_surface(make):
     eg = b.graph.expand()
     eg.check_invariants()
     assert eg.ready_counts == [0, 0, 1, 1, 4]
-    assert eg.consumers == [[2, 4], [3, 4], [4], [4], []]
-    assert eg.cond_targets == {0: {1: [4]}, 1: {1: [4]}}
+    assert _pair_lists(eg.consumers) == [[2, 4], [3, 4], [4], [4], []]
+    assert _cond_pairs(eg) == {0: {1: [4]}, 1: {1: [4]}}
 
     with pytest.raises(ValueError, match="cond key must not be None"):
         b.cond(src, mid, key=None)

@@ -27,6 +27,7 @@ from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.apps.common import ProblemSize
 from repro.core import GraphError, ProgramBuilder, check_deps, derive
 from repro.core.deps import ContextMap, DerivationError, Reachability
+from repro.core.graph import ConsumerRuns
 from repro.platforms import TFluxHard, TFluxSoft
 from repro.sim.accesses import AccessSummary
 
@@ -285,6 +286,18 @@ def _naive_closure(consumers):
     return closure
 
 
+def _as_runs(consumers):
+    """Each node's successor list as runs: consecutive ids share one."""
+    runs = ConsumerRuns(len(consumers))
+    for u, outs in enumerate(consumers):
+        first = 0
+        for i in range(1, len(outs) + 1):
+            if i == len(outs) or outs[i] != outs[i - 1] + 1:
+                runs.feed(u, runs.add_run(range(outs[first], outs[i - 1] + 1)))
+                first = i
+    return runs
+
+
 @st.composite
 def _random_dags(draw):
     """Consumer lists of a random DAG under a hidden node relabelling
@@ -313,7 +326,7 @@ def _random_dags(draw):
 @example(consumers=[[u + 1] if u < 129 else [] for u in range(130)])
 def test_reachability_matches_naive_dfs(consumers):
     n = len(consumers)
-    reach = Reachability(consumers)
+    reach = Reachability(_as_runs(consumers))
     closure = _naive_closure(consumers)
     assert sorted(reach.order) == list(range(n))
     position = {u: i for i, u in enumerate(reach.order)}

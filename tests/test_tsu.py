@@ -296,9 +296,10 @@ def test_group_empty_block_falls_through_to_outlet():
     """Defensive: a hand-built block with zero application DThreads must
     chain Inlet -> Outlet instead of stalling in RUNNING."""
     from repro.core.block import DDMBlock
+    from repro.core.graph import ConsumerRuns
 
     empty = DDMBlock(
-        block_id=0, instances=[], ready_counts=[], consumers=[], entry=[]
+        block_id=0, instances=[], ready_counts=[], consumers=ConsumerRuns(0), entry=[]
     )
     empty.is_last = True
     tsu = TSUGroup(1, [empty])
@@ -317,8 +318,12 @@ def test_inlet_loads_the_block_without_copying_its_arcs():
     tsu = TSUGroup(2, blocks)
     assert tsu.fetch(0).kind == FetchKind.INLET
     tsu.complete_inlet(0)
+    arcs = tsu.current_block.consumers
     for i in range(blocks[0].size):
-        assert tsu.consumers_of(i) is tsu.current_block.consumers[i]
+        runs = tsu.consumers_of(i)
+        assert runs == [arcs.runs[r] for r in arcs.out[i]]
+        assert all(a is arcs.runs[r] for a, r in zip(runs, arcs.out[i]))
+        assert tsu.fanout(i) == sum(len(r) for r in runs)
     tsu.check_invariants()
 
 
@@ -347,7 +352,7 @@ def test_post_updates_is_one_per_arc_however_an_instance_retires():
         ["pick[0]", "left[0]", "right[0]", "chain[0]", "join[0]"],
         ["late[0]", "tail[0]"],
     ]
-    arcs = sum(len(outs) for b in blocks for outs in b.consumers)
+    arcs = sum(sum(b.consumers.fanouts) for b in blocks)
     assert arcs == 6
 
     tsu = TSUGroup(2, blocks, root_graph=eg, tsu_capacity=5)
