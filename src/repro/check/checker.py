@@ -23,13 +23,17 @@ is causally ordered.  Reachability over this DAG is the per-instance
 vector clock: the packed-bitset :class:`~repro.core.deps.Reachability`
 kernel the static deriver's path check also uses.
 
-Candidate conflict pairs come from a last-writer/reader-set sweep over
-coordinate-compressed segments in a topological linearisation of the
-happens-before DAG, indexed through the window of segments each
-footprint covers (:meth:`~repro.core.regions.SegmentSpace.window`, the
-primitive the static deriver's sweep shares); coalescing is sound by
-chain transitivity (if W1 → W2 → W3 on one segment and both adjacent
-pairs are ordered, so is (W1, W3)).
+Every recorded interval is one row of a
+:class:`~repro.core.regions.FootprintTable`, and both judgements are
+passes over it: undeclared bytes are one grouped difference (observed
+minus declared, per instance, region and side), and candidate conflict
+pairs come from :func:`~repro.core.regions.conflict_sweep` — the static
+deriver's last-writer/reader-set kernel — run per region in a
+topological linearisation of the happens-before DAG, each instance's
+reads before its writes; coalescing is sound by chain transitivity (if
+W1 → W2 → W3 on one segment and both adjacent pairs are ordered, so is
+(W1, W3)).  The candidates' happens-before queries are one batched
+gather.
 """
 
 from __future__ import annotations
@@ -45,14 +49,13 @@ from repro.core.dthread import DThreadTemplate
 from repro.core.environment import Environment
 from repro.core.graph import ConsumerRuns, ExpandedGraph
 from repro.core.regions import (
-    EMPTY_INTERVALS,
-    SegmentSpace,
-    distinct,
-    intervals_difference,
+    FootprintTable,
+    conflict_sweep,
+    grouped_difference,
     intervals_intersection,
     merge_intervals,
-    merged_footprints,
-    op_intervals,
+    sweep_intervals,
+    unique_rows,
 )
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
 ]
 
 SCALARS_REGION = "__scalars__"
+_NONE = np.empty(0, dtype=np.int64)
 
 
 class RaceCheckError(RuntimeError):
@@ -74,27 +78,29 @@ class RaceCheckError(RuntimeError):
         self.report = report
 
 
-@dataclass
 class InstanceRecord:
-    """Observed footprint of one DThread instance."""
+    """One DThread instance that ran under the checker.
 
-    template: DThreadTemplate
-    ctx: Context
-    #: Recorded ops in program order: (region, is_write, byte intervals).
-    touched: List[Tuple[str, bool, np.ndarray]] = field(default_factory=list)
-    #: Declared summary, evaluated right after the body (None = opaque).
-    declared: Optional[object] = None
+    Its observed footprint is not kept here: the session appends every
+    recorded interval, tagged with the record's ``rid``, to one row list
+    the analysis turns into a :class:`~repro.core.regions.FootprintTable`.
+    """
+
+    __slots__ = ("template", "ctx", "rid", "declared", "ops")
+
+    def __init__(self, template: DThreadTemplate, ctx: Context, rid: int) -> None:
+        self.template = template
+        self.ctx = ctx
+        #: Position in the session's record list (the footprint rows' tag).
+        self.rid = rid
+        #: Declared summary, evaluated right after the body (None = opaque).
+        self.declared: Optional[object] = None
+        #: Recorded ops (one per recorded access, however many intervals).
+        self.ops = 0
 
     @property
     def name(self) -> str:
         return f"{self.template.name}[{self.ctx}]"
-
-    @property
-    def ops(self) -> int:
-        return len(self.touched)
-
-    def add(self, region: str, intervals: np.ndarray, is_write: bool) -> None:
-        self.touched.append((region, is_write, intervals))
 
 
 @dataclass(frozen=True)
@@ -229,12 +235,15 @@ def analyze(
     env: Environment,
     epochs: Sequence[Tuple[ExpandedGraph, Optional[InstanceRecord]]],
     records: Sequence[InstanceRecord],
+    rows: Sequence[Tuple[int, str, bool, int, int]],
 ) -> CheckReport:
     """Judge recorded footprints against declarations and happens-before.
 
     *epochs* lists every expanded graph the run executed, each paired
     with the record of the instance that spawned it (``None`` for the
-    root).  *records* is every instance that actually ran.
+    root).  *records* is every instance that actually ran, numbered by
+    ``rid``; *rows* every interval they touched, ``(rid, region,
+    is_write, lo, hi)``, each record's in the order it touched them.
     """
     report = CheckReport(
         instances_recorded=len(records),
@@ -267,109 +276,135 @@ def analyze(
             raise RuntimeError(f"spawner {spawner.name} not in any epoch")
         consumers.feed(src, consumers.add_run(range(dst, dst + 1)))
 
-    rec_gid: Dict[int, InstanceRecord] = {}
+    gid_of = np.empty(len(records), dtype=np.int64)
     for rec in records:
         gid = gids.get((id(rec.template), rec.ctx))
         if gid is None:  # pragma: no cover - internal invariant
             raise RuntimeError(
                 f"recorded instance {rec.name} not in any expanded epoch"
             )
-        rec_gid[gid] = rec
+        gid_of[rec.rid] = gid
 
     # -- reachability: the per-instance vector clocks ------------------------
     reach = Reachability(consumers)
-    order = reach.order
+    position = np.empty(len(consumers), dtype=np.int64)
+    position[reach.order] = np.arange(len(consumers))
 
-    # -- undeclared/out-of-bounds accesses -----------------------------------
+    rid, names, write, lo, hi = zip(*rows) if rows else ((),) * 5
+    codes: Dict[str, int] = {}
+    region = [codes.setdefault(name, len(codes)) for name in names]
+    observed = FootprintTable(list(codes), rid, region, write, lo, hi)
+    touched = observed.canonical()
+
+    _undeclared(report, env, records, observed, touched)
+    _races(report, env, records, touched, reach, gid_of, position)
+    return report
+
+
+def _undeclared(
+    report: CheckReport,
+    env: Environment,
+    records: Sequence[InstanceRecord],
+    observed: FootprintTable,
+    touched: FootprintTable,
+) -> None:
+    """Observed minus declared, per instance, region and side, in one
+    :func:`~repro.core.regions.grouped_difference`: a write must be
+    declared written, a read may be either.  *observed* is the raw
+    table (rows in recording order), *touched* its canonical form."""
+    codes = {name: code for code, name in enumerate(touched.names)}
     opaque: set = set()
-    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]] = {}
-    for gid, rec in rec_gid.items():
-        fp = footprints[gid] = merged_footprints(rec.touched)
+    judged = np.zeros(len(records), dtype=bool)
+    #: (rid, region code, side, offset, count, stride, elem_size) per
+    #: declared op on a region the run touched and side it allows: a read
+    #: may be declared either way, a write must be declared written.
+    allows: List[Tuple[int, ...]] = []
+    for rec in records:
         if rec.declared is None:
             if rec.template.accesses is None:
                 opaque.add(rec.template.name)
             continue
-        decl = merged_footprints(
-            (op.region.name, op.is_write, op_intervals(op)) for op in rec.declared
-        )
-        for region, (obs_r, obs_w) in fp.items():
-            if region == SCALARS_REGION:
-                continue  # scalars are priced whole-region; not judged
-            decl_r, decl_w = decl.get(region, (EMPTY_INTERVALS, EMPTY_INTERVALS))
-            # A write must be declared written; a read may be either.
-            for access, obs, allowed in (
-                ("write", obs_w, [decl_w]),
-                ("read", obs_r, [decl_r, decl_w]),
-            ):
-                if not len(obs):
-                    continue
-                extra = intervals_difference(
-                    obs, merge_intervals(np.concatenate(allowed))
-                )
-                if len(extra):
-                    report.findings.append(
-                        Finding(
-                            kind="undeclared",
-                            region=region,
-                            intervals=_as_tuples(extra),
-                            instances=(rec.name,),
-                            access=access,
-                            suggestion=_clause(access + "s", region, extra, env),
-                        )
-                    )
+        judged[rec.rid] = True
+        for op in rec.declared:
+            code = codes.get(op.region.name)
+            if code is None:
+                continue
+            geometry = (op.offset, op.count, op.stride, op.elem_size)
+            allows.append((rec.rid, code, 0, *geometry))
+            if op.is_write:
+                allows.append((rec.rid, code, 1, *geometry))
     report.opaque_templates = sorted(opaque)
 
-    # -- races ----------------------------------------------------------------
-    position = {gid: i for i, gid in enumerate(order)}
-    by_region: Dict[str, List[int]] = {}
-    for gid, fp in footprints.items():
-        for region in fp:
-            by_region.setdefault(region, []).append(gid)
+    inst, region, write, *geometry = np.array(allows, dtype=np.int64).reshape(-1, 7).T
+    op, lo, hi = sweep_intervals(*geometry)
+    allowed = FootprintTable(
+        touched.names, inst[op], region[op], write[op], lo, hi
+    ).canonical()
+    # Scalars are priced whole-region, so their footprint is not judged.
+    judge = judged[touched.inst] & (touched.region != codes.get(SCALARS_REGION, -1))
+    extra = grouped_difference(touched.take(judge), allowed)
+    if not len(extra):
+        return
 
-    candidates: set = set()
-    for region, touching in by_region.items():
-        if len(touching) < 2:
-            continue
-        touching.sort(key=position.__getitem__)
-        space = SegmentSpace.from_intervals(
-            iv
-            for gid in touching
-            for iv in footprints[gid][region]
+    # Findings in record order; a record's regions in the order it first
+    # touched them, its writes before its reads.
+    key, start, stop = extra.groups()
+    rest, side = np.divmod(key, 2)
+    inst, region = np.divmod(rest, len(extra.names))
+    touch = observed.key(observed.inst, observed.region, 0)
+    order = np.argsort(touch, kind="stable")
+    first = order[np.searchsorted(touch[order], extra.key(inst, region, 0))]
+    for g in np.lexsort((-side, first, inst)).tolist():
+        access = "write" if side[g] else "read"
+        name = extra.names[region[g]]
+        iv = np.stack([extra.lo[start[g] : stop[g]], extra.hi[start[g] : stop[g]]], axis=1)
+        report.findings.append(
+            Finding(
+                kind="undeclared",
+                region=name,
+                intervals=_as_tuples(iv),
+                instances=(records[inst[g]].name,),
+                access=access,
+                suggestion=_clause(access + "s", name, iv, env),
+            )
         )
-        nseg = space.nsegments
-        if nseg == 0:
-            continue
-        last_writer = np.full(nseg, -1, dtype=np.int64)
-        reader_id = np.zeros(nseg, dtype=np.int64)
-        reader_sets: List[frozenset] = [frozenset()]
-        for gid in touching:
-            obs_r, obs_w = footprints[gid][region]
-            rsel = space.window(obs_r)
-            wsel = space.window(obs_w)
-            for prior in distinct(last_writer[rsel]) + distinct(last_writer[wsel]):
-                if prior >= 0 and prior != gid:
-                    candidates.add((prior, gid, region))
-            # Read before write: a segment the instance also writes ends
-            # up with no readers, as after any other write.
-            current = reader_id[rsel]
-            for rid in distinct(current):
-                current[current == rid] = len(reader_sets)
-                reader_sets.append(reader_sets[rid] | {gid})
-            reader_id[rsel] = current
-            for rid in distinct(reader_id[wsel]):
-                for reader in reader_sets[rid]:
-                    if reader != gid:
-                        candidates.add((reader, gid, region))
-            last_writer[wsel] = gid
-            reader_id[wsel] = 0
 
-    for a, b, region in sorted(
-        candidates, key=lambda c: (position[c[0]], position[c[1]], c[2])
-    ):
-        if reach.ordered(a, b):
-            continue
-        ar, aw = footprints[a][region]
-        br, bw = footprints[b][region]
+
+def _races(
+    report: CheckReport,
+    env: Environment,
+    records: Sequence[InstanceRecord],
+    touched: FootprintTable,
+    reach: Reachability,
+    gid_of: np.ndarray,
+    position: np.ndarray,
+) -> None:
+    """Candidate pairs from one :func:`~repro.core.regions.conflict_sweep`
+    per region in happens-before order (each instance's reads before its
+    writes), then one batched :meth:`Reachability.ordered` query."""
+    seq = position[gid_of[touched.inst]] * 2 + touched.write
+    found = [(_NONE, _NONE, 0)]
+    for r, rows in enumerate(touched.by_region()):
+        c = conflict_sweep(
+            seq[rows], touched.inst[rows], touched.write[rows],
+            touched.lo[rows], touched.hi[rows],
+        )
+        found += [(c.writer, c.accessor, r), (c.reader, c.next_writer, r)]
+    a, b, region = zip(*found)
+    region = np.repeat(region, [len(x) for x in a])
+    a, b = np.concatenate(a), np.concatenate(b)
+    apart = a != b
+    a, b, region = unique_rows(a[apart], b[apart], region[apart])
+    racing = ~reach.ordered(gid_of[a], gid_of[b])
+    a, b, region = a[racing], b[racing], region[racing]
+
+    names = touched.names
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort((rank[region], position[gid_of[b]], position[gid_of[a]]))
+    for a, b, r in zip(a[order].tolist(), b[order].tolist(), region[order].tolist()):
+        ar, aw = touched.intervals(a, r, 0), touched.intervals(a, r, 1)
+        br, bw = touched.intervals(b, r, 0), touched.intervals(b, r, 1)
         a_all = merge_intervals(np.concatenate([ar, aw]))
         b_all = merge_intervals(np.concatenate([br, bw]))
         conflict = merge_intervals(
@@ -380,27 +415,24 @@ def analyze(
                 ]
             )
         )
-        if not len(conflict):  # pragma: no cover - sweep only yields conflicts
-            continue
         ww = len(intervals_intersection(aw, bw)) > 0
         wr = len(intervals_intersection(aw, br)) > 0
         rw = len(intervals_intersection(ar, bw)) > 0
         kinds = [k for k, hit in (("write/write", ww), ("write/read", wr), ("read/write", rw)) if hit]
+        name = names[r]
         report.findings.append(
             Finding(
                 kind="race",
-                region=_region_label(region, conflict, env),
+                region=_region_label(name, conflict, env),
                 intervals=_as_tuples(conflict),
-                instances=(rec_gid[a].name, rec_gid[b].name),
+                instances=(records[a].name, records[b].name),
                 access=", ".join(kinds),
                 suggestion=(
                     ""
-                    if region == SCALARS_REGION
+                    if name == SCALARS_REGION
                     else _clause(
-                        "writes" if ww or wr else "reads", region, conflict, env
+                        "writes" if ww or wr else "reads", name, conflict, env
                     )
                 ),
             )
         )
-
-    return report

@@ -50,6 +50,10 @@ class CheckSession(AccessSink):
     def __init__(self, program: DDMProgram) -> None:
         self.program = program
         self._records: List[InstanceRecord] = []
+        #: Every recorded interval, ``(rid, region, is_write, lo, hi)``:
+        #: plain ints appended as the bodies run (one append is atomic,
+        #: so concurrent bodies interleave rows, never tear them).
+        self._rows: List[Tuple[int, str, bool, int, int]] = []
         self._spawns: List[Tuple[Subflow, InstanceRecord]] = []
         self._tls = threading.local()
         self._lock = threading.Lock()
@@ -57,10 +61,20 @@ class CheckSession(AccessSink):
         self._instrument_graph(program.graph)
 
     # -- AccessSink -----------------------------------------------------------
+    def record_span(self, region: str, lo: int, hi: int, is_write: bool) -> None:
+        rec = getattr(self._tls, "rec", None)
+        if rec is not None:
+            rec.ops += 1
+            self._rows.append((rec.rid, region, is_write, lo, hi))
+
     def record(self, region: str, intervals: np.ndarray, is_write: bool) -> None:
         rec = getattr(self._tls, "rec", None)
         if rec is not None:
-            rec.add(region, intervals, is_write)
+            rec.ops += 1
+            rid = rec.rid
+            self._rows.extend(
+                (rid, region, is_write, lo, hi) for lo, hi in intervals.tolist()
+            )
 
     # -- instrumentation ------------------------------------------------------
     def _instrument_graph(self, graph: SynchronizationGraph) -> None:
@@ -74,8 +88,8 @@ class CheckSession(AccessSink):
         session = self
 
         def body(env, ctx, _orig=orig, _tmpl=tmpl):
-            rec = InstanceRecord(_tmpl, ctx)
             with session._lock:
+                rec = InstanceRecord(_tmpl, ctx, len(session._records))
                 session._records.append(rec)
             prev = getattr(session._tls, "rec", None)
             session._tls.rec = rec
@@ -107,7 +121,7 @@ class CheckSession(AccessSink):
             records = list(self._records)
         for sf, rec in spawns:
             epochs.append((sf.expand(), rec))
-        return analyze(self.program.env, epochs, records)
+        return analyze(self.program.env, epochs, records, list(self._rows))
 
 
 def instrument(program: DDMProgram) -> CheckSession:

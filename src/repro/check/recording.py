@@ -4,15 +4,16 @@ The functional side of every backend runs DThread bodies against the
 shared :class:`~repro.core.environment.Environment`.  For dynamic race
 checking the body must instead see a :class:`CheckedEnvironment`, which
 hands out :class:`RecordingArray` wrappers: every read and write through
-them is logged as canonical byte intervals (the PR 8 region algebra,
-:mod:`repro.core.regions`) attributed to the DThread instance currently
-executing on the calling OS thread.
+them is logged as canonical byte intervals (:mod:`repro.core.regions`)
+attributed to the DThread instance currently executing on the calling
+OS thread.  The common single-interval access reaches the sink as two
+plain ints (:meth:`AccessSink.record_span`), never as an array.
 
 Two properties matter:
 
 * **Exactness** — footprints are computed from the actual NumPy view
-  geometry (pointer delta + shape/strides; an all-integer index is
-  retaken as a 0-d view of its element; only fancy/boolean indices fall
+  geometry (pointer delta + shape/strides; an all-integer index is the
+  strides' dot product with its indices; only fancy/boolean indices fall
   back to an index grid), never over-approximated, so the checker can
   hold observed footprints to the *declared* ``AccessSummary`` without
   false positives on the shipped apps.
@@ -35,7 +36,7 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from repro.core.environment import _SCALAR_SLOT_BYTES, Environment
-from repro.core.regions import EMPTY_INTERVALS, merge_intervals
+from repro.core.regions import merge_intervals
 
 __all__ = ["AccessSink", "RecordingArray", "CheckedEnvironment"]
 
@@ -76,23 +77,31 @@ class AccessSink:
     """
 
     def record(self, region: str, intervals: np.ndarray, is_write: bool) -> None:
+        """One op touching canonical ``(k, 2)`` byte *intervals*."""
         raise NotImplementedError
 
+    def record_span(self, region: str, lo: int, hi: int, is_write: bool) -> None:
+        """One op touching the single byte interval ``[lo, hi)`` — the
+        common case, handed over as plain ints."""
+        self.record(region, np.array([[lo, hi]], dtype=np.int64), is_write)
 
-def _strided_intervals(
-    offset: int, shape: tuple, strides: tuple, itemsize: int
-) -> np.ndarray:
-    """Canonical byte intervals of a strided view at *offset* bytes.
+
+def _record_strided(
+    sink: AccessSink, region: str, offset: int, shape: tuple, strides: tuple,
+    itemsize: int, is_write: bool,
+) -> None:
+    """Record the bytes of a strided view at *offset* bytes.
 
     Contiguous (and overlapping) dimensions are absorbed into a single
-    run; the remaining outer dimensions are enumerated and merged.
+    run; a view that is one run is recorded as a span, otherwise the
+    remaining outer dimensions are enumerated and merged.
     """
     start = int(offset)
     dims: list[tuple[int, int]] = []
     for n, st in zip(shape, strides):
         n, st = int(n), int(st)
         if n == 0:
-            return EMPTY_INTERVALS
+            return
         if n == 1 or st == 0:
             continue  # length-1 and broadcast dims revisit the same bytes
         if st < 0:
@@ -108,19 +117,15 @@ def _strided_intervals(
         else:
             outer.append((n, st))
     if not outer:
-        return np.array([[start, start + run]], dtype=np.int64)
+        sink.record_span(region, start, start + run, is_write)
+        return
     starts = np.zeros(1, dtype=np.int64)
     for n, st in outer:
         starts = (
             starts[:, None] + np.arange(n, dtype=np.int64)[None, :] * st
         ).ravel()
     iv = np.stack([start + starts, start + starts + run], axis=1)
-    return merge_intervals(iv)
-
-
-def _whole_intervals(arr: np.ndarray) -> np.ndarray:
-    nbytes = max(int(arr.nbytes), 1)
-    return np.array([[0, nbytes]], dtype=np.int64)
+    sink.record(region, merge_intervals(iv), is_write)
 
 
 class RecordingArray:
@@ -144,53 +149,68 @@ class RecordingArray:
         # for fancy/boolean indexing only (it is as large as the array).
         self._posgrid: Optional[np.ndarray] = None
 
-    # -- footprint computation ------------------------------------------------
-    def _index_intervals(self, index: Any) -> np.ndarray:
-        """Byte intervals selected by *index*, exact for any index kind."""
+    # -- footprint recording --------------------------------------------------
+    def _record_selection(self, index: Any, out: Any, is_write: bool) -> None:
+        """Record the bytes ``base[index]`` (already taken: *out*) selects,
+        exactly, for any index kind."""
         base = self._base
-        try:
-            out = base[index]
-        except Exception:
-            # Let the failing access re-raise from the real operation.
-            return EMPTY_INTERVALS
         if not isinstance(out, np.ndarray):
-            # An all-integer index picked one element: retake it as a
-            # 0-d view so it goes down the geometry path too.
-            out = base[(*index, ...) if isinstance(index, tuple) else (index, ...)]
+            # An all-integer index picked one element: its byte offset is
+            # the strides' dot product with the (wrapped) indices.
+            off = 0
+            for i, n, st in zip(
+                index if isinstance(index, tuple) else (index,),
+                base.shape,
+                base.strides,
+            ):
+                i = int(i)
+                off += (i + n if i < 0 else i) * st
+            self._sink.record_span(self._region, off, off + base.itemsize, is_write)
+            return
         if out.base is self._owner:
             # Basic indexing: a strided view straight into the backing
             # array — the footprint is its exact geometry.
             off = out.__array_interface__["data"][0] - self._addr
-            return _strided_intervals(off, out.shape, out.strides, out.itemsize)
+            _record_strided(
+                self._sink, self._region, off, out.shape, out.strides,
+                out.itemsize, is_write,
+            )
+            return
         # Fancy-index copy: recover element positions through an index
         # grid, then map positions to byte offsets.
         if self._posgrid is None:
             self._posgrid = np.arange(base.size, dtype=np.int64).reshape(base.shape)
         pos = np.asarray(self._posgrid[index]).ravel()
         if pos.size == 0:
-            return EMPTY_INTERVALS
+            return
         idx = np.unravel_index(pos, base.shape)
         byte = np.zeros(pos.size, dtype=np.int64)
         for comp, st in zip(idx, base.strides):
             byte += comp.astype(np.int64) * int(st)
-        return merge_intervals(
-            np.stack([byte, byte + base.itemsize], axis=1)
+        self._sink.record(
+            self._region,
+            merge_intervals(np.stack([byte, byte + base.itemsize], axis=1)),
+            is_write,
         )
 
-    def _record(self, intervals: np.ndarray, is_write: bool) -> None:
-        if len(intervals):
-            self._sink.record(self._region, intervals, is_write)
-
     def _record_whole(self, is_write: bool) -> None:
-        self._record(_whole_intervals(self._base), is_write)
+        self._sink.record_span(
+            self._region, 0, max(int(self._base.nbytes), 1), is_write
+        )
 
     # -- element access -------------------------------------------------------
     def __getitem__(self, index: Any) -> Any:
-        self._record(self._index_intervals(index), is_write=False)
-        return self._base[index]
+        out = self._base[index]
+        self._record_selection(index, out, is_write=False)
+        return out
 
     def __setitem__(self, index: Any, value: Any) -> None:
-        self._record(self._index_intervals(index), is_write=True)
+        try:
+            selected = self._base[index]
+        except Exception:
+            pass  # let the failing assignment raise from the real operation
+        else:
+            self._record_selection(index, selected, is_write=True)
         self._base[index] = _unwrap(value)
 
     def __len__(self) -> int:
@@ -314,12 +334,11 @@ class CheckedEnvironment:
             self._wrapped[name] = wrapped
         return wrapped
 
-    def _scalar_intervals(self, name: str) -> np.ndarray:
-        off = self._env.scalar_offset(name)
-        return np.array([[off, off + _SCALAR_SLOT_BYTES]], dtype=np.int64)
-
     def _record_scalar(self, name: str, is_write: bool) -> None:
-        self._sink.record(SCALARS_REGION, self._scalar_intervals(name), is_write)
+        off = self._env.scalar_offset(name)
+        self._sink.record_span(
+            SCALARS_REGION, off, off + _SCALAR_SLOT_BYTES, is_write
+        )
 
     # -- arrays ---------------------------------------------------------------
     def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -361,8 +380,8 @@ class CheckedEnvironment:
         value = _unwrap(value)
         if isinstance(value, np.ndarray) and name in self._env._arrays:
             # Whole-array assignment into an existing shared array.
-            self._sink.record(
-                name, _whole_intervals(self._env._arrays[name]), is_write=True
+            self._sink.record_span(
+                name, 0, max(int(self._env._arrays[name].nbytes), 1), is_write=True
             )
             self._env[name] = value
             return

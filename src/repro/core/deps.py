@@ -12,14 +12,15 @@ it computes the write→read, write→write and read→write ordering arcs at
 Ready Counts.
 
 Last-writer coalescing keeps derived graphs linear rather than
-quadratic: instances are replayed in program order (template id, then
-context order) over a coordinate-compressed segment space per region
-(:class:`~repro.core.regions.SegmentSpace`, indexed through the window
-of segments each op covers); a read draws arcs only from
-the current *last writer* of each overlapped segment, and a write draws
-arcs from the readers-since-last-write (plus the last writer of any
-segment nobody read) — every other ordering pair is implied
-transitively, exactly the pairs a hand-written graph also omits.
+quadratic: every op of every instance is one row of a
+:class:`~repro.core.regions.FootprintTable`, and per region one
+:func:`~repro.core.regions.conflict_sweep` replays the rows in program
+order (template id, then context order, then op order) over a
+coordinate-compressed segment space; a read draws arcs only from the
+*last writer* of each overlapped segment, and a write draws arcs from
+the readers-since-last-write (plus the last writer of any segment nobody
+read) — every other ordering pair is implied transitively, exactly the
+pairs a hand-written graph also omits.
 Because arcs always point from an earlier instance to a later one, the
 derived graph is acyclic by construction *between* instances; a conflict
 between two instances of the **same** template has no legal arc
@@ -30,9 +31,10 @@ Templates without an ``accesses`` declaration are *opaque*: they
 contribute no derived arcs and are reported so a diagnosis never
 silently blesses a graph it could not see
 (:func:`check_deps` — the ``ddmcpp --check-deps`` /
-``tflux-run --check-deps`` pass; it judges each declared arc's instance
-pairs in one batch over per-instance footprint hulls, with the exact
-interval test kept for multi-interval footprints).  Sequential sections
+``tflux-run --check-deps`` pass; it expands every declared arc's runs
+into instance-pair arrays and judges them in one batch over the footprint
+table's hulls, with an exact table overlap for multi-interval
+footprints).  Sequential sections
 (prologue/epilogue) are excluded by construction: they run strictly
 before/after the parallel region.
 """
@@ -40,6 +42,8 @@ before/after the parallel region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -47,11 +51,11 @@ import numpy as np
 from repro.core.context import Context
 from repro.core.graph import ConsumerRuns, GraphError, SynchronizationGraph
 from repro.core.regions import (
-    SegmentSpace,
-    distinct,
-    intervals_overlap,
-    merged_footprints,
-    op_intervals,
+    FootprintTable,
+    concat_ranges,
+    conflict_sweep,
+    sweep_intervals,
+    unique_rows,
 )
 
 __all__ = [
@@ -69,6 +73,11 @@ __all__ = [
 
 #: Conflict kinds, in the order they are reported.
 _KIND_LABEL = {"WR": "write→read", "WW": "write→write", "RW": "read→write"}
+_INT64 = np.iinfo(np.int64)
+_NONE = np.empty(0, dtype=np.int64)
+#: The (producer side, consumer side) pairs that conflict: write/read,
+#: write/write, read/write (side 0 reads, 1 writes).
+_CONFLICT_SIDES = ((1, 0), (1, 1), (0, 1))
 
 
 class DerivationError(GraphError):
@@ -109,6 +118,11 @@ class DerivedArc:
     regions: frozenset = frozenset()
 
 
+#: Conflict kind codes of :attr:`Derivation.conflicts`.
+_KINDS = ("WR", "WW", "RW")
+_WR, _WW, _RW = range(3)
+
+
 @dataclass
 class Derivation:
     """Everything the deriver learned about one graph + environment."""
@@ -117,16 +131,40 @@ class Derivation:
     instances: List[Tuple[int, Context]]
     #: (tid, ctx) -> dense instance index.
     index: Dict[Tuple[int, Context], int]
-    #: Coalesced conflict pairs: (src idx, dst idx) -> set of kinds.
-    pairs: Dict[Tuple[int, int], Set[str]]
-    #: Region names supporting each pair.
-    pair_regions: Dict[Tuple[int, int], Set[str]]
-    #: Per-instance footprints: idx -> region -> (read_iv, write_iv),
-    #: canonical interval arrays (raw, not coalesced — used to judge
-    #: whether a *declared* arc is supported by any overlap at all).
-    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]]
+    #: Coalesced conflicts, one row per (src idx, dst idx, kind, region):
+    #: distinct, sorted int64 columns; a kind indexes ``_KINDS``, a region
+    #: ``ops.names``.
+    conflicts: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    #: Every declared op's intervals, one row each, in program order.
+    ops: FootprintTable
     #: Template ids that declared no accesses (opaque to the deriver).
     opaque: List[int]
+
+    @property
+    def footprints(self) -> FootprintTable:
+        """Every instance's footprint in canonical form (raw, not
+        coalesced — what judges whether a *declared* arc is supported by
+        any overlap)."""
+        return self.ops.canonical()
+
+    @property
+    def pairs(self) -> Dict[Tuple[int, int], Set[str]]:
+        """(src idx, dst idx) -> the conflict kinds between them."""
+        pairs: Dict[Tuple[int, int], Set[str]] = {}
+        src, dst, kind, _ = (col.tolist() for col in self.conflicts)
+        for key, k in zip(zip(src, dst), kind):
+            pairs.setdefault(key, set()).add(_KINDS[k])
+        return pairs
+
+    @property
+    def pair_regions(self) -> Dict[Tuple[int, int], Set[str]]:
+        """(src idx, dst idx) -> the names of the regions they conflict on."""
+        names = self.ops.names
+        regions: Dict[Tuple[int, int], Set[str]] = {}
+        src, dst, _, region = (col.tolist() for col in self.conflicts)
+        for key, r in zip(zip(src, dst), region):
+            regions.setdefault(key, set()).add(names[r])
+        return regions
 
     def template_arcs(self) -> List[DerivedArc]:
         """Fold instance pairs into template-level arcs.
@@ -144,13 +182,14 @@ class Derivation:
         by_tid_ctxs: Dict[int, List[Context]] = {}
         for tid, ctx in self.instances:
             by_tid_ctxs.setdefault(tid, []).append(ctx)
+        pair_regions = self.pair_regions
         for (src, dst), pair_kinds in self.pairs.items():
             ptid, pctx = self.instances[src]
             ctid, cctx = self.instances[dst]
             key = (ptid, ctid)
             grouped.setdefault(key, {}).setdefault(pctx, []).append(cctx)
             kinds.setdefault(key, set()).update(pair_kinds)
-            regions.setdefault(key, set()).update(self.pair_regions[(src, dst)])
+            regions.setdefault(key, set()).update(pair_regions[(src, dst)])
         arcs: List[DerivedArc] = []
         for key in sorted(grouped, key=lambda k: (k[0], k[1])):
             ptid, ctid = key
@@ -184,13 +223,16 @@ def derive(graph: SynchronizationGraph, env) -> Derivation:
     """Replay every instance's access summary and coalesce conflicts.
 
     Every template with a declared ``accesses`` callable participates;
-    the others are opaque.
+    the others are opaque.  Each op becomes a row of plain ints; the
+    rows become one :class:`FootprintTable` and, region by region, one
+    :func:`conflict_sweep` in op order.
     """
     instances: List[Tuple[int, Context]] = []
     index: Dict[Tuple[int, Context], int] = {}
-    #: region name -> [(instance idx, is_write, intervals)] in program order.
-    region_ops: Dict[str, List[Tuple[int, bool, np.ndarray]]] = {}
-    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]] = {}
+    codes: Dict[str, int] = {}
+    #: (instance idx, region code, is_write, offset, count, stride,
+    #: elem_size) per declared op, in program order.
+    ops: List[Tuple[int, ...]] = []
     opaque: List[int] = []
 
     for tmpl in graph.templates:
@@ -203,89 +245,55 @@ def derive(graph: SynchronizationGraph, env) -> Derivation:
             index[(tmpl.tid, ctx)] = idx
             if not participates:
                 continue
-            touched = [
-                (op.region.name, op.is_write, iv)
-                for op in tmpl.accesses(env, ctx)
-                if len(iv := op_intervals(op))
-            ]
-            for name, is_write, iv in touched:
-                region_ops.setdefault(name, []).append((idx, is_write, iv))
-            footprints[idx] = merged_footprints(touched)
+            for op in tmpl.accesses(env, ctx):
+                ops.append((
+                    idx, codes.setdefault(op.region.name, len(codes)), op.is_write,
+                    op.offset, op.count, op.stride, op.elem_size,
+                ))
 
-    pairs: Dict[Tuple[int, int], Set[str]] = {}
-    pair_regions: Dict[Tuple[int, int], Set[str]] = {}
+    inst, region, write, *geometry = np.array(ops, dtype=np.int64).reshape(-1, 7).T
+    op, lo, hi = sweep_intervals(*geometry)
+    raw = FootprintTable(list(codes), inst[op], region[op], write[op], lo, hi)
 
-    def record(src: int, dst: int, kind: str, region: str) -> None:
-        if src == dst:
-            return
-        key = (src, dst)
-        pairs.setdefault(key, set()).add(kind)
-        pair_regions.setdefault(key, set()).add(region)
+    found = [(_NONE, _NONE, _WR, 0)]
+    for r, rows in enumerate(raw.by_region()):
+        c = conflict_sweep(op[rows], raw.inst[rows], raw.write[rows], raw.lo[rows], raw.hi[rows])
+        # A read draws from the segment's last writer; a write from the
+        # readers since it, or — when nobody read in between — from the
+        # writer itself (otherwise writer -> reader -> write orders it).
+        wr, ww = ~c.writes, c.writes & c.adjacent
+        found += [
+            (c.writer[wr], c.accessor[wr], _WR, r),
+            (c.writer[ww], c.accessor[ww], _WW, r),
+            (c.reader, c.next_writer, _RW, r),
+        ]
+    src, dst, kind, region = zip(*found)
+    size = [len(s) for s in src]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    kind, region = np.repeat(kind, size), np.repeat(region, size)
+    apart = src != dst
+    derivation = Derivation(
+        instances,
+        index,
+        unique_rows(src[apart], dst[apart], kind[apart], region[apart]),
+        raw,
+        opaque,
+    )
 
-    for name, ops in region_ops.items():
-        space = SegmentSpace.from_intervals(iv for _, _, iv in ops)
-        nseg = space.nsegments
-        last_writer = np.full(nseg, -1, dtype=np.int64)
-        #: Per-segment id of the reader set accumulated since the last
-        #: write; id 0 is the empty set.  Sets are copy-on-write tuples
-        #: shared across segments, so registering a reader costs one
-        #: union per *distinct* set id, not per segment.
-        reader_sid = np.zeros(nseg, dtype=np.int64)
-        reader_sets: List[Tuple[int, ...]] = [()]
-        union_memo: Dict[Tuple[int, int], int] = {}
-        for idx, is_write, iv in ops:
-            sel = space.window(iv)
-            if is_write:
-                # Readers since the last write must precede this write.
-                for sid in distinct(reader_sid[sel]):
-                    for reader in reader_sets[sid]:
-                        record(reader, idx, "RW", name)
-                # Segments nobody read since their last write: order
-                # against that writer directly (otherwise the chain
-                # writer -> reader -> this write already orders it).
-                unread = reader_sid[sel] == 0
-                for src in distinct(last_writer[sel][unread]):
-                    if src >= 0:
-                        record(src, idx, "WW", name)
-                last_writer[sel] = idx
-                reader_sid[sel] = 0
-            else:
-                for src in distinct(last_writer[sel]):
-                    if src >= 0:
-                        record(src, idx, "WR", name)
-                current = reader_sid[sel]
-                for sid in distinct(current):
-                    key = (sid, idx)
-                    new_sid = union_memo.get(key)
-                    if new_sid is None:
-                        members = reader_sets[sid]
-                        if idx in members:
-                            new_sid = sid
-                        else:
-                            new_sid = len(reader_sets)
-                            reader_sets.append(members + (idx,))
-                        union_memo[key] = new_sid
-                    if new_sid != sid:
-                        current[current == sid] = new_sid
-                reader_sid[sel] = current
-
-    for (src, dst), pair_kinds in pairs.items():
-        ptid = instances[src][0]
-        ctid = instances[dst][0]
-        if ptid == ctid:
-            tmpl = graph.template(ptid)
-            kinds = ", ".join(
-                _KIND_LABEL[k] for k in sorted(pair_kinds)
-            )
-            raise DerivationError(
-                f"instances {instances[src][1]!r} and {instances[dst][1]!r} of "
-                f"template {tmpl.name!r} conflict ({kinds} on "
-                f"{', '.join(sorted(pair_regions[(src, dst)]))}); "
-                "self-dependences are illegal — split the template by "
-                "context before deriving"
-            )
-
-    return Derivation(instances, index, pairs, pair_regions, footprints, opaque)
+    tids = np.array([tid for tid, _ in instances], dtype=np.int64)
+    src, dst = derivation.conflicts[:2]
+    within = np.flatnonzero(tids[src] == tids[dst])
+    if len(within):
+        key = s, d = int(src[within[0]]), int(dst[within[0]])
+        kinds = ", ".join(_KIND_LABEL[k] for k in sorted(derivation.pairs[key]))
+        raise DerivationError(
+            f"instances {instances[s][1]!r} and {instances[d][1]!r} of "
+            f"template {graph.template(instances[s][0]).name!r} conflict "
+            f"({kinds} on {', '.join(sorted(derivation.pair_regions[key]))}); "
+            "self-dependences are illegal — split the template by "
+            "context before deriving"
+        )
+    return derivation
 
 
 # -- diagnosis (the --check-deps pass) -----------------------------------------
@@ -383,89 +391,69 @@ class DepsReport:
         return "\n".join(lines)
 
 
-def _instance_overlap(
-    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]],
-    src: int,
-    dst: int,
-) -> bool:
-    """Raw (uncoalesced) conflict test between two instances: any
-    write/read, write/write or read/write byte overlap on any region.
-    The exact test behind :func:`_supported_pairs`' hull prefilter."""
-    a = footprints.get(src)
-    b = footprints.get(dst)
-    if a is None or b is None:
-        return False
-    for name in a.keys() & b.keys():
-        a_read, a_write = a[name]
-        b_read, b_write = b[name]
-        if (
-            intervals_overlap(a_write, b_read)
-            or intervals_overlap(a_write, b_write)
-            or intervals_overlap(a_read, b_write)
-        ):
-            return True
-    return False
+def _arc_pairs(
+    expanded, arcs: List[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, arc)`` of every instance pair the given arcs (numbers
+    in the graph's arc order) declare, built from the expansion's runs:
+    each run one of those arcs added is listed by its producers and
+    expands to its members."""
+    consumers = expanded.consumers
+    arc_of_run = np.full(len(consumers.runs), -1, dtype=np.int64)
+    for j, a in enumerate(arcs):
+        span = expanded.arc_runs[a]
+        arc_of_run[span.start : span.stop] = j
+    listed = np.fromiter(map(len, consumers.out), np.int64, len(consumers))
+    run = np.fromiter(chain.from_iterable(consumers.out), np.int64, int(listed.sum()))
+    src = np.repeat(np.arange(len(consumers)), listed)
+    judged = arc_of_run[run] >= 0
+    src, run = src[judged], run[judged]
+    first = np.fromiter(map(attrgetter("start"), consumers.runs), np.int64, len(consumers.runs))[run]
+    stop = np.fromiter(map(attrgetter("stop"), consumers.runs), np.int64, len(consumers.runs))[run]
+    size = stop - first
+    return np.repeat(src, size), concat_ranges(first, stop), np.repeat(arc_of_run[run], size)
 
 
-#: One instance's column of :func:`_footprint_hulls` before it touches
-#: the region: empty read and write hulls (``lo`` above every ``hi``, so
-#: they overlap nothing), single-interval.
-_INT64 = np.iinfo(np.int64)
-_NO_FOOTPRINT = np.array(
-    [[_INT64.max], [_INT64.min], [_INT64.max], [_INT64.min], [0]], dtype=np.int64
-)
+def _conflicting(
+    footprints: FootprintTable, n: int, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Whether each ``(src[i], dst[i])`` instance pair has a write/read,
+    write/write or read/write byte overlap on some region.
 
-
-def _footprint_hulls(
-    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]], n: int
-) -> Dict[str, np.ndarray]:
-    """Per region, a ``(5, n)`` int64 table over instance indices: read
-    hull ``lo, hi``, write hull ``lo, hi`` and whether either side is
-    more than one interval (so its hull over-approximates it)."""
-    hulls: Dict[str, np.ndarray] = {}
-    for idx, by_region in footprints.items():
-        for name, (reads, writes) in by_region.items():
-            table = hulls.get(name)
-            if table is None:
-                table = hulls[name] = np.tile(_NO_FOOTPRINT, n)
-            for row, iv in ((0, reads), (2, writes)):
-                if len(iv):
-                    table[row, idx], table[row + 1, idx] = iv[0, 0], iv[-1, 1]
-            table[4, idx] = len(reads) > 1 or len(writes) > 1
-    return hulls
-
-
-def _supported_pairs(
-    footprints: Dict[int, Dict[str, Tuple[np.ndarray, np.ndarray]]],
-    hulls: Dict[str, np.ndarray],
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> int:
-    """How many ``(src[i], dst[i])`` instance pairs conflict on some region.
-
-    Hull overlap decides every pair at once per region and is exact when
-    neither footprint is multi-interval (every dense sweep); only pairs
-    whose sole hull overlaps involve a multi-interval footprint (strided
-    columns) go to the exact :func:`_instance_overlap`.
+    Per region and side, an instance's footprint hull (first ``lo``,
+    last ``hi``) decides every pair at once, exactly when neither side
+    is more than one interval (every dense sweep); the pairs whose only
+    hull overlaps involve a multi-interval footprint (strided columns)
+    are settled by :meth:`FootprintTable.overlap` on those regions.
     """
-    sure = np.zeros(len(src), dtype=bool)
-    maybe = sure.copy()
-    for table in hulls.values():
-        a_rlo, a_rhi, a_wlo, a_whi, a_multi = table[:, src]
-        b_rlo, b_rhi, b_wlo, b_whi, b_multi = table[:, dst]
-        hit = (
-            ((a_wlo < b_rhi) & (b_rlo < a_whi))
-            | ((a_wlo < b_whi) & (b_wlo < a_whi))
-            | ((a_rlo < b_whi) & (b_wlo < a_rhi))
+    nregions = len(footprints.names)
+    key, start, stop = footprints.groups()
+    rest, side = np.divmod(key, 2)
+    inst, region = np.divmod(rest, nregions)
+    lo = np.full((nregions, 2, n), _INT64.max, dtype=np.int64)
+    hi = np.full((nregions, 2, n), _INT64.min, dtype=np.int64)
+    lo[region, side, inst] = footprints.lo[start]
+    hi[region, side, inst] = footprints.hi[stop - 1]
+    multi = np.zeros((nregions, 2, n), dtype=bool)
+    multi[region, side, inst] = stop - start > 1
+    multi = multi.any(axis=1)
+
+    a_lo, a_hi, b_lo, b_hi = lo[:, :, src], hi[:, :, src], lo[:, :, dst], hi[:, :, dst]
+    hit = np.zeros((nregions, len(src)), dtype=bool)
+    for a, b in _CONFLICT_SIDES:
+        hit |= (a_lo[:, a] < b_hi[:, b]) & (b_lo[:, b] < a_hi[:, a])
+    inexact = multi[:, src] | multi[:, dst]
+    sure = (hit & ~inexact).any(axis=0)
+    r, p = np.nonzero(hit & ~sure)
+    s, d = src[p], dst[p]
+    exact = np.zeros(len(src), dtype=bool)
+    for a, b in _CONFLICT_SIDES:
+        both = footprints.overlap(
+            footprints.find(footprints.key(s, r, a)),
+            footprints.find(footprints.key(d, r, b)),
         )
-        multi = (a_multi | b_multi) != 0
-        sure |= hit & ~multi
-        maybe |= hit & multi
-    unsure = np.flatnonzero(maybe & ~sure)
-    return int(np.count_nonzero(sure)) + sum(
-        _instance_overlap(footprints, s, d)
-        for s, d in zip(src[unsure].tolist(), dst[unsure].tolist())
-    )
+        exact[p[both]] = True
+    return sure | exact
 
 
 def check_deps(program) -> DepsReport:
@@ -490,54 +478,53 @@ def check_deps(program) -> DepsReport:
     )
 
     opaque = set(derivation.opaque)
-    hulls = _footprint_hulls(derivation.footprints, len(derivation.instances))
-    for arc in graph.arcs:
-        prod = graph.template(arc.producer)
-        cons = graph.template(arc.consumer)
+    judged = [
+        number
+        for number, arc in enumerate(graph.arcs)
+        if arc.cond_key is None and not {arc.producer, arc.consumer} & opaque
+    ]
+    src, dst, which = _arc_pairs(expanded, judged)
+    hit = _conflicting(derivation.footprints, len(derivation.instances), src, dst)
+    totals = np.bincount(which, minlength=len(judged)).tolist()
+    supports = np.bincount(which[hit], minlength=len(judged)).tolist()
+    verdicts = dict(zip(judged, zip(supports, totals)))
+    for number, arc in enumerate(graph.arcs):
+        prod = graph.template(arc.producer).name
+        cons = graph.template(arc.consumer).name
         if arc.cond_key is not None:
-            report.arcs.append(
-                ArcDiagnosis(prod.name, cons.name, "conditional")
-            )
+            report.arcs.append(ArcDiagnosis(prod, cons, "conditional"))
             continue
-        if arc.producer in opaque or arc.consumer in opaque:
-            report.arcs.append(ArcDiagnosis(prod.name, cons.name, "opaque"))
+        if number not in verdicts:
+            report.arcs.append(ArcDiagnosis(prod, cons, "opaque"))
             continue
-        src: List[int] = []
-        dst: List[int] = []
-        for pctx in prod.contexts:
-            outs = arc.consumer_contexts(pctx, cons)
-            src += [derivation.index[(arc.producer, pctx)]] * len(outs)
-            dst += [derivation.index[(arc.consumer, cctx)] for cctx in outs]
-        total = len(src)
-        supported = _supported_pairs(
-            derivation.footprints, hulls, np.array(src, np.intp), np.array(dst, np.intp)
-        )
+        supported, total = verdicts[number]
         if total == 0 or supported == total:
             status = "supported"
         elif supported == 0:
             status = "redundant"
         else:
             status = "partial"
-        report.arcs.append(
-            ArcDiagnosis(prod.name, cons.name, status, supported, total)
-        )
+        report.arcs.append(ArcDiagnosis(prod, cons, status, supported, total))
 
-    if derivation.pairs:
-        reach = Reachability(expanded.consumers)
-        for (src, dst) in sorted(derivation.pairs):
-            ptid, pctx = derivation.instances[src]
-            ctid, cctx = derivation.instances[dst]
-            if not reach.ordered(src, dst):
-                report.missing.append(
-                    MissingDep(
-                        graph.template(ptid).name,
-                        pctx,
-                        graph.template(ctid).name,
-                        cctx,
-                        tuple(sorted(derivation.pairs[(src, dst)])),
-                        tuple(sorted(derivation.pair_regions[(src, dst)])),
-                    )
+    src, dst = unique_rows(*derivation.conflicts[:2])
+    if len(src):
+        unordered = ~Reachability(expanded.consumers).ordered(src, dst)
+        src, dst = src[unordered], dst[unordered]
+    if len(src):
+        pairs, pair_regions = derivation.pairs, derivation.pair_regions
+        for s, d in zip(src.tolist(), dst.tolist()):
+            ptid, pctx = derivation.instances[s]
+            ctid, cctx = derivation.instances[d]
+            report.missing.append(
+                MissingDep(
+                    graph.template(ptid).name,
+                    pctx,
+                    graph.template(ctid).name,
+                    cctx,
+                    tuple(sorted(pairs[(s, d)])),
+                    tuple(sorted(pair_regions[(s, d)])),
                 )
+            )
     return report
 
 
@@ -582,9 +569,10 @@ class Reachability:
         self.order = order
         self._word, self._mask, self._reach = word, mask, reach
 
-    def ordered(self, a: int, b: int) -> bool:
-        """Whether a directed path leads from node *a* to node *b*."""
-        return bool(self._reach[a, self._word[b]] & self._mask[b])
+    def ordered(self, a, b):
+        """Whether a directed path leads from node *a* to node *b* — for
+        two index arrays, elementwise, in one gather."""
+        return (self._reach[a, self._word[b]] & self._mask[b]) != 0
 
 
 def _topo_order(consumers: ConsumerRuns) -> List[int]:

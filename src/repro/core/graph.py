@@ -189,6 +189,8 @@ class ExpandedGraph:
     #: of 1 in ``consumers``}.  Empty for purely static graphs (the
     #: common case).
     cond_targets: dict[int, dict[Any, list[int]]] = field(default_factory=dict)
+    #: The ids of the runs each arc of the graph added, in arc order.
+    arc_runs: list[range] = field(default_factory=list)
 
     @property
     def ninstances(self) -> int:
@@ -343,7 +345,9 @@ class SynchronizationGraph:
 
         consumers = ConsumerRuns(len(instances))
         cond_targets: dict[int, dict[Any, list[int]]] = {}
+        arc_runs: list[range] = []
         for arc in self._arcs:
+            first_run = len(consumers.runs)
             prod = self._templates[arc.producer]
             cons = self._templates[arc.consumer]
             key = arc.cond_key
@@ -353,6 +357,7 @@ class SynchronizationGraph:
                 shared = consumers.add_run(iids[cons.tid])
                 for src in iids[prod.tid]:
                     consumers.feed(src, shared)
+                arc_runs.append(range(first_run, len(consumers.runs)))
                 continue
             cons_ctx_set = set(cons.contexts)
             for pctx in prod.contexts:
@@ -368,13 +373,14 @@ class SynchronizationGraph:
                     consumers.feed(src, run)
                     if key is not None:
                         cond_targets.setdefault(src, {}).setdefault(key, []).append(run)
+            arc_runs.append(range(first_run, len(consumers.runs)))
 
         ready = consumers.indegrees()
         entry = [iid for iid in range(len(instances)) if ready[iid] == 0]
         if not entry and instances:
             raise GraphError("no entry instances (every instance has producers)")
         graph = ExpandedGraph(
-            instances, ready, consumers, entry, index, cond_targets
+            instances, ready, consumers, entry, index, cond_targets, arc_runs
         )
         return graph
 

@@ -1,6 +1,6 @@
 """repro.serve — simulation-as-a-service on top of :mod:`repro.exec`.
 
-The ROADMAP's "serve heavy traffic" direction made concrete: a
+The serving tier ``docs/serving.md`` describes: a
 long-running stdlib-``asyncio`` server that accepts batches of job
 specs from many tenants over a line-delimited-JSON socket protocol and
 streams schema-versioned results back as each cell finishes.  The

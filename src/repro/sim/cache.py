@@ -107,18 +107,20 @@ class CacheLevel:
     def __init__(self, config: CacheConfig, name: str = "") -> None:
         self.config = config
         self.name = name
-        # One OrderedDict per set: line_addr -> state; LRU order = insertion
-        # order with move_to_end on touch.
-        self._sets: list[OrderedDict[int, str]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # Set index -> OrderedDict (line_addr -> state; LRU order =
+        # insertion order with move_to_end on touch), created on the first
+        # insert into the set: a set never filled holds nothing, so a
+        # lookup there is a miss.
+        self._sets: dict[int, OrderedDict[int, str]] = {}
 
-    def _set_for(self, line_addr: int) -> OrderedDict[int, str]:
-        return self._sets[(line_addr // self.config.line_size) % self.config.num_sets]
+    def _set_index(self, line_addr: int) -> int:
+        return (line_addr // self.config.line_size) % self.config.num_sets
 
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[str]:
         """Return the MESI state if present (refreshing LRU), else None."""
-        s = self._set_for(line_addr)
+        s = self._sets.get(self._set_index(line_addr))
+        if s is None:
+            return None
         state = s.get(line_addr)
         if state is not None and touch:
             s.move_to_end(line_addr)
@@ -126,7 +128,10 @@ class CacheLevel:
 
     def insert(self, line_addr: int, state: str) -> Optional[tuple[int, str]]:
         """Install a line; returns ``(evicted_line, evicted_state)`` or None."""
-        s = self._set_for(line_addr)
+        index = self._set_index(line_addr)
+        s = self._sets.get(index)
+        if s is None:
+            s = self._sets[index] = OrderedDict()
         victim: Optional[tuple[int, str]] = None
         if line_addr not in s and len(s) >= self.config.assoc:
             victim = s.popitem(last=False)  # least recently used
@@ -135,15 +140,15 @@ class CacheLevel:
         return victim
 
     def set_state(self, line_addr: int, state: str) -> None:
-        s = self._set_for(line_addr)
-        if line_addr not in s:
+        s = self._sets.get(self._set_index(line_addr))
+        if s is None or line_addr not in s:
             raise KeyError(f"line {line_addr:#x} not in cache {self.name!r}")
         s[line_addr] = state
 
     def invalidate(self, line_addr: int) -> Optional[str]:
         """Drop the line; returns its prior state (None if absent)."""
-        s = self._set_for(line_addr)
-        return s.pop(line_addr, None)
+        s = self._sets.get(self._set_index(line_addr))
+        return None if s is None else s.pop(line_addr, None)
 
     def __contains__(self, line_addr: int) -> bool:
         return self.lookup(line_addr, touch=False) is not None
@@ -434,7 +439,7 @@ class CoherentMemorySystem:
         """Assert MESI single-writer/multi-reader invariants."""
         seen: dict[int, list[tuple[int, str]]] = {}
         for core, l1 in enumerate(self.l1s):
-            for s in l1._sets:
+            for s in l1._sets.values():
                 for line, state in s.items():
                     seen.setdefault(line, []).append((core, state))
         for line, holders in seen.items():

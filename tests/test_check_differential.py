@@ -11,6 +11,8 @@ backend-differential suite, and on the native (OS-thread) backend where
 attribution is per-thread.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core import ProgramBuilder
 from repro.core.dynamic import Subflow
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime
+from repro.sim.accesses import AccessSummary
 from repro.sim.machine import BAGLE_27
 
 NKERNELS = 4
@@ -128,3 +131,41 @@ def test_native_backend_records_clean(name):
     report = session.report()
     assert report.ok, report.format()
     assert report.instances_recorded == result.total_dthreads
+
+
+def test_concurrent_recording_loses_no_row():
+    """Bodies on more OS threads than cores, switching every microsecond,
+    append to the session's one row list: every op and every interval
+    must arrive, attributed to its own instance (a torn or misattributed
+    row would show as an undeclared write on another instance's slot)."""
+    n, writes = 64, 40
+    b = ProgramBuilder("stress")
+    b.env.alloc("slots", n * writes)
+    region = b.env.region("slots")
+
+    def body(env, i):
+        slots = env.array("slots")
+        for k in range(writes):
+            slots[i * writes + k] = float(k)
+        slots[i * writes : (i + 1) * writes : 2]  # one strided read: many intervals
+
+    b.thread(
+        "w",
+        body=body,
+        contexts=n,
+        accesses=lambda env, i: AccessSummary().write(
+            region, offset=i * writes * 8, count=writes
+        ),
+    )
+    prog = b.build()
+    session = instrument(prog)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        NativeRuntime(prog, nkernels=8).run()
+    finally:
+        sys.setswitchinterval(interval)
+    report = session.report()
+    assert report.ok, report.format()
+    assert report.ops_recorded == n * (writes + 1)
+    assert len(session._rows) == n * (writes + writes // 2)

@@ -12,8 +12,9 @@ Two properties pinned here:
   raw Environment would.
 
 Plus the satellite pieces: per-name scalar offsets inside the
-``__scalars__`` region, and the ``intervals_difference`` primitive the
-checker judges declared-vs-observed footprints with.
+``__scalars__`` region, and ``intervals_difference``, the per-record
+reference the checker's grouped declared-vs-observed difference is held
+to (``tests/test_conflict_sweep.py``).
 """
 
 import numpy as np
@@ -27,7 +28,8 @@ from repro.check.recording import (
 )
 from repro.core import ProgramBuilder
 from repro.core.environment import _SCALAR_SLOT_BYTES
-from repro.core.regions import EMPTY_INTERVALS, intervals_difference
+from repro.core.regions import EMPTY_INTERVALS
+from tests.test_checker_sweeps import intervals_difference
 
 
 class CaptureSink(AccessSink):
@@ -53,7 +55,7 @@ def wrapped(base):
     return RecordingArray(base, "a", sink), sink
 
 
-# -- intervals_difference (the checker's coverage primitive) -------------------
+# -- intervals_difference (the per-record coverage reference) ------------------
 def test_intervals_difference_punches_holes():
     a = np.array([[0, 10]], dtype=np.int64)
     b = np.array([[3, 5]], dtype=np.int64)

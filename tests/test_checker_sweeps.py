@@ -1,23 +1,27 @@
 """The checkers' fast paths against slow references that live only here.
 
-``derive`` and ``analyze`` sweep their last-writer/reader-set state
-through :meth:`SegmentSpace.window` (cost: segments covered),
-``check_deps`` judges an arc's instance pairs in one batch over footprint
-hulls, and the interval algebra answers the common one-interval cases on
-Python ints.  Each is pinned differentially:
+``derive`` and ``analyze`` run one whole-table kernel,
+``core/regions.py::conflict_sweep``, over each region's rows of a
+``FootprintTable`` (cost: segments covered); ``check_deps`` judges every
+declared arc's instance pairs in one batch over the table's hulls; the
+interval algebra answers one-set queries.  Each is pinned differentially
+(``tests/test_conflict_sweep.py`` holds the kernel and the table passes
+to the same references directly):
 
-* batched arc support == a per-pair loop over the exact
-  ``_instance_overlap``, on random template graphs mixing dense, strided
-  and empty footprints under ``"same"``/``"all"``/``ContextMap`` arcs;
-* the windowed sweeps == the dense-mask sweeps they replaced (one boolean
-  mask over every segment of the region per op — kept below as the test
-  reference), on random op streams whose footprints share endpoints,
-  touch, are empty or span the region; race findings are additionally
-  held to a byte-set model of each conflict;
-* ``intervals_difference``/``intervals_intersection`` == byte sets;
+* batched arc support == a per-pair loop over the exact per-instance
+  overlap (``_instance_overlap`` below), on random template graphs mixing
+  dense, strided and empty footprints under ``"same"``/``"all"``/
+  ``ContextMap`` arcs;
+* the swept conflicts == the dense-mask sweeps the checkers once ran (one
+  boolean mask over every segment of the region per op — kept below as
+  the test reference), on random op streams whose footprints share
+  endpoints, touch, are empty or span the region; race findings are
+  additionally held to a byte-set model of each conflict;
+* ``intervals_difference`` (the per-record reference the grouped
+  difference is held to) and ``intervals_intersection`` == byte sets;
 * a scale guard on *work done*: on 8,000 disjoint writers and one reader
-  the summed window widths stay linear in the op count (the dense masks
-  were instances x segments).
+  the segments the kernel's rows cover stay linear in the op count (the
+  dense masks were instances x segments).
 """
 
 import numpy as np
@@ -26,13 +30,12 @@ from hypothesis import strategies as st
 
 from repro.check import run_checked
 from repro.core import ProgramBuilder, check_deps
-from repro.core.deps import ContextMap, Reachability, _instance_overlap, derive
+from repro.core.deps import ContextMap, Reachability, derive
 from repro.core.regions import (
+    EMPTY_INTERVALS,
     SegmentSpace,
-    intervals_difference,
     intervals_intersection,
     merge_intervals,
-    op_intervals,
 )
 from repro.sim.accesses import AccessSummary
 
@@ -43,7 +46,7 @@ def _noop(env, _ctx):
     return None
 
 
-# -- references: byte sets and the dense-mask sweeps ---------------------------
+# -- references: byte sets, per-op and per-record intervals, dense masks -------
 def _bytes(intervals) -> set:
     return {b for lo, hi in np.asarray(intervals).reshape(-1, 2) for b in range(lo, hi)}
 
@@ -58,6 +61,68 @@ def _as_intervals(byte_set) -> tuple:
             run = [b, b + 1]
             out.append(run)
     return tuple((lo, hi) for lo, hi in out)
+
+
+def op_intervals(op) -> np.ndarray:
+    """Canonical byte intervals of one sweep: dense sweeps collapse to one
+    interval, strided ones yield one per element (``reps`` ignored)."""
+    if op.count == 0:
+        return EMPTY_INTERVALS
+    if op.stride <= op.elem_size:
+        end = op.offset + (op.count - 1) * op.stride + op.elem_size
+        return np.array([[op.offset, end]], dtype=np.int64)
+    starts = op.offset + np.arange(op.count, dtype=np.int64) * op.stride
+    return np.stack([starts, starts + op.elem_size], axis=1)
+
+
+def intervals_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parts of canonical *a* not covered by canonical *b*: *a* intersected
+    with the gaps of *b* — one record's undeclared bytes."""
+    a = np.asarray(a, dtype=np.int64).reshape(-1, 2)
+    b = np.asarray(b, dtype=np.int64).reshape(-1, 2)
+    if len(a) == 0 or len(b) == 0:
+        return a.copy()
+    gaps = np.empty((len(b) + 1, 2), dtype=np.int64)
+    gaps[0, 0], gaps[-1, 1] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    gaps[1:, 0] = b[:, 1]
+    gaps[:-1, 1] = b[:, 0]
+    return intervals_intersection(a, gaps)
+
+
+def _footprints(graph, env, instances) -> dict:
+    """idx -> region -> canonical (read, write) intervals of every instance
+    whose template declares accesses, one instance at a time."""
+    footprints = {}
+    for idx, (tid, ctx) in enumerate(instances):
+        accesses = graph.template(tid).accesses
+        if accesses is None:
+            continue
+        sides = {}
+        for op in accesses(env, ctx):
+            if op.count:
+                sides.setdefault(op.region.name, ([], []))[op.is_write].append(
+                    op_intervals(op)
+                )
+        footprints[idx] = {
+            name: tuple(
+                merge_intervals(np.concatenate(p)) if p else EMPTY_INTERVALS
+                for p in rw
+            )
+            for name, rw in sides.items()
+        }
+    return footprints
+
+
+def _instance_overlap(footprints, src, dst) -> bool:
+    """Any write/read, write/write or read/write byte overlap between two
+    instances on any region — the exact per-pair test."""
+    a, b = footprints.get(src, {}), footprints.get(dst, {})
+    for name in a.keys() & b.keys():
+        (a_read, a_write), (b_read, b_write) = a[name], b[name]
+        for x, y in ((a_write, b_read), (a_write, b_write), (a_read, b_write)):
+            if len(intervals_intersection(x, y)):
+                return True
+    return False
 
 
 def _dense_mask(bounds: np.ndarray, intervals: np.ndarray) -> np.ndarray:
@@ -243,6 +308,7 @@ def test_batched_arc_support_matches_per_pair_loop(spec):
     prog = b.build()
 
     derivation = derive(prog.graph, prog.env)
+    footprints = _footprints(prog.graph, prog.env, derivation.instances)
     expected = []
     for arc in prog.graph.arcs:
         cons = prog.graph.template(arc.consumer)
@@ -253,7 +319,7 @@ def test_batched_arc_support_matches_per_pair_loop(spec):
             for cctx in arc.consumer_contexts(pctx, cons)
         ]
         supported = sum(
-            _instance_overlap(derivation.footprints, s, d) for s, d in pairs
+            _instance_overlap(footprints, s, d) for s, d in pairs
         )
         if not pairs or supported == len(pairs):
             status = "supported"
@@ -267,7 +333,7 @@ def test_batched_arc_support_matches_per_pair_loop(spec):
     assert got == expected
 
 
-# -- (b) windowed sweeps == dense-mask sweeps ----------------------------------
+# -- (b) swept conflicts == dense-mask sweeps ----------------------------------
 #: One op of a stream: (region, is_write, sweep).
 _stream_ops = st.lists(
     st.tuples(st.sampled_from(["a", "b"]), st.booleans(), _sweeps()), max_size=4
@@ -439,18 +505,19 @@ def test_interval_algebra_matches_byte_sets(a, b):
 # -- (d) scale guard: work done, not seconds -----------------------------------
 def test_sweep_work_is_linear_in_ops(monkeypatch):
     """8,000 writers of one element each and one reader of everything:
-    both checkers come out clean having indexed a number of segments
-    proportional to the ops, not instances x segments."""
+    both checkers come out clean, their kernels having cut the table's
+    rows into a number of segments proportional to the ops, not
+    instances x segments."""
     n = 8000
     widths = []
-    window = SegmentSpace.window
+    segments = SegmentSpace.segments
 
-    def spy(self, intervals):
-        sel = window(self, intervals)
-        widths.append(sel.stop - sel.start if isinstance(sel, slice) else len(sel))
-        return sel
+    def spy(self, lo, hi):
+        first, stop = segments(self, lo, hi)
+        widths.extend((stop - first).tolist())
+        return first, stop
 
-    monkeypatch.setattr(SegmentSpace, "window", spy)
+    monkeypatch.setattr(SegmentSpace, "segments", spy)
 
     b = ProgramBuilder("scale")
     b.env.alloc("a", n)
