@@ -26,7 +26,10 @@ run, one verification.  Two job modes exist:
   cell and additionally memoises the outcome in-process
   (:data:`_BASELINE_MEMO`), so a sweep only pays for its parallel side;
   the disk cache gives the baseline its own dedicated key because
-  ``mode`` participates in :func:`repro.exec.cache.spec_digest`.
+  ``mode`` participates in :func:`repro.exec.cache.spec_digest`.  The
+  functional half of a baseline does not depend on the platform: it is
+  recorded and verified once per program (:data:`_TRACE_MEMO`) and each
+  sequential job only prices that recording on its machine.
 
 Results are transparently memoised through the content-addressed disk
 cache (:mod:`repro.exec.cache`) when ``TFLUX_CACHE_DIR`` is set.
@@ -106,6 +109,9 @@ class JobSpec:
     nkernels: int
     unroll: int
     max_threads: int = 4096
+    #: Check an "execute" job's functional output against the benchmark
+    #: oracle.  A "sequential" job ignores it: its program is verified
+    #: whenever it is recorded, once per memoised trace (:data:`_TRACE_MEMO`).
     verify: bool = False
     #: "execute" is one parallel run, "sequential" the §5 baseline alone.
     mode: str = "execute"
@@ -180,8 +186,11 @@ def run_job(spec: JobSpec) -> JobOutcome:
     their own), the run is the parallel simulation or, in
     ``"sequential"`` mode, the §5 baseline, and the functional results
     are verified against the benchmark oracle while the live
-    ``Environment`` is still at hand.  The outcome carries only timing:
-    the baseline's cycles, or the parallel run's RunRecord.
+    ``Environment`` is still at hand.  A baseline's program is built,
+    recorded and verified once per process and program
+    (:func:`_sequential_trace`), then priced on the job's machine.  The
+    outcome carries only timing: the baseline's cycles, or the parallel
+    run's RunRecord.
     """
     import repro.apps  # ensures the benchmark registry is populated
 
@@ -201,31 +210,33 @@ def run_job(spec: JobSpec) -> JobOutcome:
             check_report = run_checked(build())
             if not check_report.ok:
                 raise RaceCheckError(check_report)
-        sequential = spec.mode == "sequential"
-        if sequential:
-            run = platform.sequential_baseline(
-                build(), exact_memory=spec.exact_memory
-            )
-        else:
-            tracer = None
-            if spec.collect_spans:
-                from repro.obs import Tracer
+        if spec.mode == "sequential":
+            from repro.runtime.simdriver import price_sequential
 
-                tracer = Tracer()
-            run = platform.execute(
-                build(),
-                nkernels=spec.nkernels,
-                tsu_capacity=spec.tsu_capacity,
-                exact_memory=spec.exact_memory,
-                allow_stealing=spec.allow_stealing,
-                tracer=tracer,
+            run = price_sequential(
+                _sequential_trace(spec, bench, build),
+                platform.machine,
+                spec.exact_memory,
+                None,
             )
-        if spec.verify:
-            bench.verify(run.env, spec.size)
-        if sequential:
             return JobOutcome(
                 run.cycles, run.region_cycles, seq_cycles=run.measured_cycles
             )
+        tracer = None
+        if spec.collect_spans:
+            from repro.obs import Tracer
+
+            tracer = Tracer()
+        run = platform.execute(
+            build(),
+            nkernels=spec.nkernels,
+            tsu_capacity=spec.tsu_capacity,
+            exact_memory=spec.exact_memory,
+            allow_stealing=spec.allow_stealing,
+            tracer=tracer,
+        )
+        if spec.verify:
+            bench.verify(run.env, spec.size)
         if check_report is not None:
             check_report.publish(run.counters)
         return JobOutcome(run.cycles, run.region_cycles, result=run.to_record())
@@ -341,9 +352,51 @@ class EvalRequest:
 _BASELINE_MEMO = SingleFlightLRU(256)
 
 
+#: In-process single-flight memo of recorded baselines
+#: (:class:`~repro.runtime.simdriver.SequentialTrace`), keyed by the
+#: program alone — ``(bench, size label, size params, unroll,
+#: max_threads)``: the platform is what prices a trace, and no app's
+#: ``build`` reads ``size.target``.  A figure's S/N/C cells that share a
+#: program record it once and price it per machine.  A trace of a
+#: size-large program holds 0.2–1.2 MB, so 16 of them stay under 20 MB.
+_TRACE_MEMO = SingleFlightLRU(16)
+
+
 def clear_baseline_memo() -> None:
-    """Forget memoised sequential baselines (tests / cost-model sweeps)."""
+    """Forget memoised sequential baselines and their recorded traces
+    (tests / cost-model sweeps)."""
     _BASELINE_MEMO.clear()
+    _TRACE_MEMO.clear()
+
+
+def _sequential_trace(spec: JobSpec, bench, build):
+    """The recorded §5 baseline of *spec*'s program, from :data:`_TRACE_MEMO`.
+
+    The leader of a flight builds the program, records it and verifies
+    its functional output against the benchmark oracle before resolving;
+    a raise anywhere rejects the flight (every waiter sees the error,
+    nothing is cached).
+    """
+    from repro.runtime.simdriver import record_sequential
+
+    key = (
+        spec.bench,
+        spec.size.label,
+        tuple(sorted(spec.size.params.items())),
+        spec.unroll,
+        spec.max_threads,
+    )
+    fut, leader = _TRACE_MEMO.claim(key)
+    if leader:
+        try:
+            program = build()
+            trace = record_sequential(program)
+            bench.verify(program.env, spec.size)
+        except BaseException as exc:
+            _TRACE_MEMO.reject(key, exc)
+            raise
+        _TRACE_MEMO.resolve(key, trace)
+    return fut.result()
 
 
 def _par_spec(req: EvalRequest, unroll: int) -> JobSpec:

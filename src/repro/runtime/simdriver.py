@@ -16,21 +16,29 @@ dataflow region opens and the epilogue after every Kernel exited.
 
 :func:`run_sequential_timed` produces the baseline measurement: the whole
 program on one core of the same machine with no TFlux overheads, exactly
-the paper's §5 baseline definition.  It dispatches through the same step
+the paper's §5 baseline definition.  It is two halves.  The functional
+half, :func:`record_sequential`, dispatches through the same step
 machine — its backend feeds the Kernel the program's instances in fire
 order with every protocol step free, so "no TFlux overheads" is a
-backend property, not a separate loop.  Both backends price sequential
-sections (prologue/epilogue) with the one :func:`_section_cost`.
+backend property, not a separate loop — and records each section's and
+instance's cost and access callbacks as a :class:`SequentialTrace`.
+The timing half, :func:`price_sequential`, runs those summaries through
+a fresh memory system of one machine; nothing else in the trace depends
+on the machine, so a trace recorded once prices on every platform.
+Both backends evaluate section callbacks with the one
+:func:`_section_callbacks`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Optional
 
 from repro.core.program import DDMProgram
-from repro.obs import NULL_PROBE, Counters, KernelAccount, Probe
+from repro.obs import NULL_PROBE, Counters, KernelAccount, Probe, RunRecord
 from repro.runtime.core import Fetch, FetchKind, blocking_step, kernel_loop
 from repro.runtime.stats import RunResult
+from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.memory import MainMemory
 from repro.sim.engine import Engine, Event
 from repro.sim.machine import MachineConfig
@@ -38,7 +46,13 @@ from repro.tsu.base import ProtocolAdapter, ZeroOverheadAdapter
 from repro.tsu.group import TSUGroup
 from repro.tsu.policy import PlacementPolicy, contiguous_placement
 
-__all__ = ["SimulatedRuntime", "run_sequential_timed"]
+__all__ = [
+    "SequentialTrace",
+    "SimulatedRuntime",
+    "price_sequential",
+    "record_sequential",
+    "run_sequential_timed",
+]
 
 #: Builds the platform's adapter: (engine, tsu) -> ProtocolAdapter.
 AdapterFactory = Callable[[Engine, TSUGroup], ProtocolAdapter]
@@ -185,7 +199,10 @@ class SimulatedRuntime:
         env = self.program.env
         for section in sections:
             section.run(env)
-            compute, memory = _section_cost(section, env, self.memsys)
+            compute, summary = _section_callbacks(section, env)
+            memory = 0
+            if summary is not None:
+                memory = int(self.memsys.run_summary(0, summary))
             if compute + memory:
                 yield compute + memory
             self.accounts[0].charge_compute(compute)
@@ -259,23 +276,49 @@ class SimulatedRuntime:
         )
 
 
+@dataclass(frozen=True)
+class SequentialTrace:
+    """The functional half of the §5 baseline, recorded once per program.
+
+    What the original sequential program did, in the order it did it:
+    one ``(name, compute, summary)`` step per prologue section, DThread
+    instance (fire order) and epilogue section, with the cost and access
+    callbacks already evaluated against the live Environment right after
+    each body ran.  Nothing in it depends on the machine, so one trace
+    is priced on any number of them (:func:`price_sequential`).  It
+    keeps the program's region space (what a memory system is built
+    over) and no Environment.
+    """
+
+    program: str
+    regions: RegionSpace
+    #: ``(name, compute cycles, AccessSummary or None)`` per step.
+    steps: list[tuple[str, int, Optional[AccessSummary]]]
+    #: ``steps[lo:hi]`` are the DThread instances (the dataflow region);
+    #: the steps before and after are the prologue and epilogue sections.
+    region: tuple[int, int]
+    #: The step machine's TSU fetches (the final EXIT included) and
+    #: completed DThreads.
+    fetches: int
+    dthreads: int
+
+
 class _SequentialBackend:
-    """Backend for the §5 baseline: fire order in, zero overheads out.
+    """Backend for the §5 baseline: fire order in, callbacks recorded.
 
     The step machine still does the dispatching, but the "TSU" is the
-    program's topological fire order, every protocol step is free, and
-    the clock is a manual cycle accumulator advanced only by DThread
-    compute/memory costs — the definition of "the original sequential
-    one, i.e. without any TFlux overheads".
+    program's topological fire order and every protocol step is free —
+    the definition of "the original sequential one, i.e. without any
+    TFlux overheads".  It prices nothing: ``charge_thread`` appends the
+    instance's cost and access callbacks to the trace, and
+    :func:`price_sequential` turns the trace into cycles.
     """
 
     stop_requested = False
 
-    def __init__(self, program: DDMProgram, memsys, probe: Probe) -> None:
+    def __init__(self, program: DDMProgram) -> None:
         self.program = program
-        self.memsys = memsys
-        self.probe = probe
-        self.cycles = 0
+        self.steps: list[tuple[str, int, Optional[AccessSummary]]] = []
         self.account = KernelAccount(0)
         self._fire_order = program.fire_order()
         #: Outcome of the last completed body, sent back into the
@@ -285,15 +328,15 @@ class _SequentialBackend:
 
     # -- KernelBackend ---------------------------------------------------------
     def now(self, kernel: int) -> float:
-        return self.cycles
+        return 0  # time is the pricing's business
 
     def charge_runtime(self, kernel: int, since: float) -> None:
-        pass  # protocol steps are free: the clock never moved
+        pass  # protocol steps are free
 
     def emit_span(
         self, kernel: int, name: str, kind: str, start: float, end: float
     ) -> None:
-        self.probe.record(kernel, name, kind, start, end)
+        pass  # the pricing emits every span, on the machine's cycles
 
     @blocking_step
     def fetch(self, kernel: int) -> Fetch:
@@ -315,10 +358,8 @@ class _SequentialBackend:
         inst = fetch.instance
         env = self.program.env
         compute = int(inst.template.compute_cost(env, inst.ctx))
-        memory = int(
-            self.memsys.run_summary(0, inst.template.access_summary(env, inst.ctx))
-        )
-        self._charge(compute, memory)
+        summary = inst.template.access_summary(env, inst.ctx)
+        self.steps.append((inst.name, compute, summary))
 
     @blocking_step
     def complete(self, kernel: int, fetch: Fetch, outcome: object) -> None:
@@ -326,27 +367,96 @@ class _SequentialBackend:
         # takes the outcome at the next fetch.
         self._last_outcome = outcome
 
-    def _charge(self, compute: int, memory: int) -> None:
-        self.cycles += compute + memory
-        self.account.charge_compute(compute)
-        self.account.charge_memory(memory)
-
     # -- sequential sections ---------------------------------------------------
     def run_section(self, section) -> None:
         env = self.program.env
         section.run(env)
-        t0 = self.cycles
-        self._charge(*_section_cost(section, env, self.memsys))
-        self.probe.record(0, section.name, "section", t0, self.cycles)
+        self.steps.append((section.name, *_section_callbacks(section, env)))
 
 
-def _section_cost(section, env, memsys) -> tuple[int, int]:
-    """(compute, memory) cycles of a sequential section on core 0."""
+def _section_callbacks(section, env) -> tuple[int, Optional[AccessSummary]]:
+    """A sequential section's compute cycles and access summary (``None``
+    when it declares no accesses), evaluated right after it ran."""
     compute = int(section.compute_cost(env))
-    memory = 0
-    if section.accesses is not None:
-        memory = int(memsys.run_summary(0, section.accesses(env)))
-    return compute, memory
+    summary = None if section.accesses is None else section.accesses(env)
+    return compute, summary
+
+
+def record_sequential(program: DDMProgram) -> SequentialTrace:
+    """Run the original sequential program once and record its callbacks.
+
+    Executes prologue, every DThread instance in fire order (dispatched
+    through the shared Kernel step machine over :class:`_SequentialBackend`)
+    and the epilogue, all against the program's Environment, which holds
+    the functional output afterwards.
+    """
+    from repro.runtime.core import run_kernel_blocking
+
+    program.mark_executed()
+    backend = _SequentialBackend(program)
+    for section in program.prologue:
+        backend.run_section(section)
+    lo = len(backend.steps)
+    run_kernel_blocking(backend, 0, backend.account)
+    hi = len(backend.steps)
+    for section in program.epilogue:
+        backend.run_section(section)
+    return SequentialTrace(
+        program=program.name,
+        regions=program.env.regions,
+        steps=backend.steps,
+        region=(lo, hi),
+        fetches=backend.account.fetches,
+        dthreads=backend.account.dthreads,
+    )
+
+
+def price_sequential(
+    trace: SequentialTrace,
+    machine: MachineConfig,
+    exact_memory: bool,
+    tracer: Optional[Probe],
+) -> RunRecord:
+    """Time a recorded baseline on one core of *machine*.
+
+    A fresh single-issuer memory system prices every step's access
+    summary in recorded order; a step takes its compute plus memory
+    cycles, and nothing else moves the clock.  Spans (sections and
+    DThreads, all on kernel 0) go to *tracer* when one is given.
+    """
+    probe: Probe = tracer if tracer is not None else NULL_PROBE
+    memsys = machine.memory_system(
+        trace.regions, exact=exact_memory, single_issuer=True
+    )
+    run_summary = memsys.run_summary
+    account = KernelAccount(0)
+    account.fetches = trace.fetches
+    account.dthreads = trace.dthreads
+    lo, hi = trace.region
+    steps = trace.steps
+    cycles = 0
+    starts = []
+    for kind, part in (
+        ("section", steps[:lo]), ("thread", steps[lo:hi]), ("section", steps[hi:])
+    ):
+        starts.append(cycles)
+        for name, compute, summary in part:
+            memory = 0 if summary is None else int(run_summary(0, summary))
+            account.charge_compute(compute)
+            account.charge_memory(memory)
+            start = cycles
+            cycles += compute + memory
+            probe.record(0, name, kind, start, cycles)
+    return RunRecord(
+        program=trace.program,
+        platform=f"{machine.name}-sequential",
+        nkernels=1,
+        cycles=cycles,
+        region_cycles=starts[2] - starts[1],
+        kernels=[account.snapshot()],
+        memory=memsys.total_stats(),
+        spans=list(probe.spans),
+    )
 
 
 def run_sequential_timed(
@@ -357,40 +467,14 @@ def run_sequential_timed(
 ) -> RunResult:
     """The paper's baseline: the original sequential program on one core.
 
-    Executes prologue, every DThread instance in topological order, and
-    the epilogue on core 0 with no TSU interaction and no runtime cost —
-    dispatched through the shared Kernel step machine with the
-    zero-overhead :class:`_SequentialBackend`.  Spans are emitted through
-    the shared :mod:`repro.obs` probe interface (all on kernel 0): pass a
-    collecting probe to keep the timeline.
+    :func:`record_sequential` runs the program (prologue, every DThread
+    instance in fire order, epilogue) and :func:`price_sequential` times
+    the recording on *machine* — no TSU interaction and no runtime cost.
+    Spans are emitted through the shared :mod:`repro.obs` probe
+    interface (all on kernel 0): pass a collecting probe to keep the
+    timeline.
     """
-    from repro.runtime.core import run_kernel_blocking
-
-    program.mark_executed()
-    probe: Probe = tracer if tracer is not None else NULL_PROBE
-    memsys = machine.memory_system(
-        program.env.regions, exact=exact_memory, single_issuer=True
+    record = price_sequential(
+        record_sequential(program), machine, exact_memory, tracer
     )
-    backend = _SequentialBackend(program, memsys, probe)
-
-    for section in program.prologue:
-        backend.run_section(section)
-
-    region_start = backend.cycles
-    run_kernel_blocking(backend, 0, backend.account)
-    region_cycles = backend.cycles - region_start
-
-    for section in program.epilogue:
-        backend.run_section(section)
-
-    return RunResult(
-        program=program.name,
-        platform=f"{machine.name}-sequential",
-        nkernels=1,
-        cycles=int(backend.cycles),
-        region_cycles=int(region_cycles),
-        env=program.env,
-        kernels=[backend.account.snapshot()],
-        memory=memsys.total_stats(),
-        spans=list(probe.spans),
-    )
+    return RunResult(**vars(record), env=program.env)

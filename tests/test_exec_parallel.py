@@ -238,17 +238,17 @@ def test_job_count_accepts_the_env_spellings_as_an_argument():
 
 
 def _count_baseline_runs(monkeypatch):
-    """Instrument the sequential timing entry point with a call counter."""
-    import repro.platforms.base as base
+    """Instrument the sequential pricing entry point with a call counter."""
+    import repro.runtime.simdriver as simdriver
 
     calls = []
-    real = base.run_sequential_timed
+    real = simdriver.price_sequential
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(base, "run_sequential_timed", counting)
+    monkeypatch.setattr(simdriver, "price_sequential", counting)
     return calls
 
 

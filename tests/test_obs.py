@@ -264,16 +264,16 @@ def test_spans_off_by_default():
 def test_baseline_receives_exact_memory(monkeypatch):
     """``sequential_baseline`` must forward *exact_memory* — the seed bug
     priced every baseline with the fast cache model regardless."""
-    import repro.platforms.base as base_mod
+    import repro.runtime.simdriver as simdriver
 
     seen = {}
-    real = base_mod.run_sequential_timed
+    real = simdriver.price_sequential
 
-    def spy(program, machine, exact_memory=False, tracer=None):
+    def spy(trace, machine, exact_memory, tracer):
         seen["exact_memory"] = exact_memory
-        return real(program, machine, exact_memory=exact_memory, tracer=tracer)
+        return real(trace, machine, exact_memory, tracer)
 
-    monkeypatch.setattr(base_mod, "run_sequential_timed", spy)
+    monkeypatch.setattr(simdriver, "price_sequential", spy)
     from repro.apps import get_benchmark
 
     size = problem_sizes("trapez", "S")["small"]
@@ -283,17 +283,17 @@ def test_baseline_receives_exact_memory(monkeypatch):
 
 
 def test_run_job_forwards_exact_memory_to_baseline(monkeypatch):
-    import repro.platforms.base as base_mod
+    import repro.runtime.simdriver as simdriver
     from repro.exec import run_job
 
     calls = []
-    real = base_mod.run_sequential_timed
+    real = simdriver.price_sequential
 
-    def spy(program, machine, exact_memory=False, tracer=None):
+    def spy(trace, machine, exact_memory, tracer):
         calls.append(exact_memory)
-        return real(program, machine, exact_memory=exact_memory, tracer=tracer)
+        return real(trace, machine, exact_memory, tracer)
 
-    monkeypatch.setattr(base_mod, "run_sequential_timed", spy)
+    monkeypatch.setattr(simdriver, "price_sequential", spy)
     run_job(_job_spec(mode="sequential", exact_memory=True, collect_spans=False))
     assert calls == [True]
 
