@@ -145,9 +145,10 @@ class SimulatedRuntime:
         self.probe.record(kernel, name, kind, start, end)
 
     # -- KernelBackend: protocol steps (DES process fragments) ----------------
+    # A step that only delegates returns the adapter's generator instead of
+    # wrapping it in one more: kernel_loop resumes one frame fewer deep.
     def fetch(self, kernel: int) -> Generator:
-        fetch = yield from self.adapter.fetch(kernel)
-        return fetch
+        return self.adapter.fetch(kernel)
 
     def wait(self, kernel: int) -> Generator:
         # Close the lost-wakeup window: the adapter's fetch may have
@@ -166,10 +167,10 @@ class SimulatedRuntime:
         self.accounts[kernel].charge_idle(int(self.engine.now - t0))
 
     def run_inlet(self, kernel: int, fetch: Fetch) -> Generator:
-        yield from self.adapter.complete_inlet(kernel, fetch.block)
+        return self.adapter.complete_inlet(kernel, fetch.block)
 
     def run_outlet(self, kernel: int, fetch: Fetch) -> Generator:
-        yield from self.adapter.complete_outlet(kernel, fetch.block)
+        return self.adapter.complete_outlet(kernel, fetch.block)
 
     def charge_thread(self, kernel: int, fetch: Fetch, since: float) -> Generator:
         # The cost models' verdict on the instance kernel_loop just ran.
@@ -188,8 +189,14 @@ class SimulatedRuntime:
 
     def complete(self, kernel: int, fetch: Fetch, outcome: object) -> Generator:
         assert fetch.local_iid is not None
-        if outcome is not None:  # static threads: zero extra DES events
-            yield from self.adapter.resolve_dynamic(kernel, fetch.local_iid, outcome)
+        if outcome is None:  # static threads: zero extra DES events
+            return self.adapter.complete_thread(
+                kernel, fetch.local_iid, fetch.instance, None
+            )
+        return self._complete_dynamic(kernel, fetch, outcome)
+
+    def _complete_dynamic(self, kernel: int, fetch: Fetch, outcome: object) -> Generator:
+        yield from self.adapter.resolve_dynamic(kernel, fetch.local_iid, outcome)
         yield from self.adapter.complete_thread(
             kernel, fetch.local_iid, fetch.instance, outcome
         )

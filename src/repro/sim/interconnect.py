@@ -40,8 +40,9 @@ class SystemBus:
             yield from bus.transfer()
 
         The caller resumes once the transaction (arbitration + occupancy)
-        has completed.
+        has completed.  It is counted when issued, and the arbiter's hold
+        is handed back as the fragment itself: one frame, not two.
         """
-        yield from self._arbiter.hold(CYCLES_PER_TRANSACTION)
         self.transactions += 1
         self.busy_cycles += CYCLES_PER_TRANSACTION
+        return self._arbiter.hold(CYCLES_PER_TRANSACTION)

@@ -93,8 +93,7 @@ class HardwareTSUAdapter(ProtocolAdapter):
         yield (mmi.l1_access_cycles + 2) * max(entries - 1, 0)
 
     def fetch(self, kernel: int) -> Generator:
-        result = yield from self._mmi(kernel).query(lambda: self.tsu.fetch(kernel))
-        return result
+        return self._mmi(kernel).query(lambda: self.tsu.fetch(kernel))
 
     def complete_inlet(self, kernel: int, block: DDMBlock) -> Generator:
         # Metadata loading: one posted store per DThread entry.

@@ -31,13 +31,10 @@ def _space(nlines=64):
     return space
 
 
-def _chunk_op(space, write, chunk, one_line=False):
-    """An 8-line chunk, or only its first line (the scalar ``_sweep_line``
-    path of the fast model)."""
+def _chunk_op(space, write, chunk, nlines=8):
+    """*nlines* lines from the start of an 8-line chunk."""
     s = AccessSummary()
-    kw = dict(
-        offset=chunk * 8 * 64, count=8 if one_line else 64, elem_size=8, stride=8
-    )
+    kw = dict(offset=chunk * 8 * 64, count=8 * nlines, elem_size=8, stride=8)
     (s.write if write else s.read)(space.get("C"), **kw)
     return s
 
@@ -59,7 +56,9 @@ def _stats_tuple(model, core):
             st.integers(min_value=0, max_value=2),  # active-core index
             st.booleans(),  # write?
             st.integers(min_value=0, max_value=7),  # chunk index
-            st.booleans(),  # first line of the chunk only?
+            # lines from the chunk's start: the scalar route up to
+            # SHORT_SWEEP (8), the vector one past it
+            st.sampled_from([1, 3, 8, 8, 12]),
         ),
         min_size=1,
         max_size=30,
@@ -67,16 +66,16 @@ def _stats_tuple(model, core):
 )
 def test_two_level_bit_identical_to_flat_below_old_ceiling(ncores, words, pattern):
     """Any ≤63-core config: forcing the multi-word directory paths must
-    reproduce the flat single-word mask's cycles bit for bit — on whole
-    chunks (``_sweep``) and on one-line ops (``_sweep_line``) alike."""
-    space = _space()
+    reproduce the flat single-word mask's cycles bit for bit — on short
+    sweeps (``_sweep_lines``) and longer ones (``_sweep``) alike."""
+    space = _space(72)
     flat = FastMemorySystem(ncores, L1, L2, MEM, space)
     wide = FastMemorySystem(ncores, L1, L2, MEM, space, directory_words=words)
     assert flat._nwords == 1 and wide._nwords == words
     cores = sorted({0, ncores // 2, ncores - 1})
-    for ci, write, chunk, one_line in pattern:
+    for ci, write, chunk, nlines in pattern:
         core = cores[ci % len(cores)]
-        s = _chunk_op(space, write, chunk, one_line)
+        s = _chunk_op(space, write, chunk, nlines)
         assert flat.run_summary(core, s) == wide.run_summary(core, s)
     for c in cores:
         assert _stats_tuple(flat, c) == _stats_tuple(wide, c)

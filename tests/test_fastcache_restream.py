@@ -11,6 +11,7 @@ settle/eligibility rule (drop the rule and that stream fails).
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,8 +45,12 @@ class _Counted(FastMemorySystem):
 class _ArrayOnly(FastMemorySystem):
     """The reference: no pending ramp is ever created or used."""
 
-    def _sweep_range(self, core, region, sel, n, is_write, dense):
-        return self._sweep(core, region, sel, n, is_write, dense)
+    def _sweep_range(self, core, region, lines, is_write, dense):
+        if isinstance(lines, range):
+            sel = slice(lines.start, lines.stop)
+        else:
+            sel = np.asarray(lines, dtype=np.int64)
+        return self._sweep(core, region, sel, len(lines), is_write, dense)
 
 
 def _pair(ncores=4, shared_l2=True, single_issuer=False, extra_words=0):
