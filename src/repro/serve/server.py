@@ -58,6 +58,7 @@ Sizing is a :class:`ServeConfig` (one ``tflux-serve`` flag per field);
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import json
 import os
@@ -118,7 +119,16 @@ def _counter_key(tenant: str) -> str:
 
 def _warm(executor: ProcessPoolExecutor) -> None:
     """Fork a worker now, so the first request pays no start-up and
-    later forks don't race a busy loop thread."""
+    later forks don't race a busy loop thread.
+
+    The parent's garbage is collected first.  An earlier pool left for
+    the cycle collector (a stopped server's) would otherwise be copied
+    into the worker, whose first collection runs that pool's weakref
+    callback: it takes the pool's shutdown lock, which the copy holds
+    for ever if a parent thread — that pool's manager — held it at the
+    fork.
+    """
+    gc.collect()
     executor.submit(os.getpid).result()
 
 

@@ -370,3 +370,38 @@ def test_vanished_client_costs_only_what_was_in_flight(spawn, tmp_path):
     assert stats["executed"] == ran + 3
     assert stats["lru"]["size"] == len(cache) == ran + 3
     assert stats["counters"]["serve.tenant.survivor.completed"] == 3
+
+
+def test_warmed_worker_inherits_no_collectable_pool():
+    """A forked worker must not inherit an earlier pool as uncollected
+    garbage: its first collection would run that pool's weakref callback,
+    which takes the pool's shutdown lock — held, in the copy, by whichever
+    parent thread had it at the fork — and wait forever (a stopped
+    server's pool, and its still-running manager thread, are exactly
+    that when the next server starts)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.exec.pool import pool_context
+    from repro.serve.server import _warm
+
+    gc.disable()  # only an explicit collection may free the old pool
+    try:
+        old = ProcessPoolExecutor(max_workers=1, mp_context=pool_context())
+        old.submit(os.getpid).result()
+        old.shutdown(wait=False)
+        lock = old._shutdown_lock
+        cycle = [old]
+        cycle.append(cycle)
+        del old, cycle
+        lock.acquire()  # a parent thread holds it across the fork ...
+        threading.Timer(0.5, lock.release).start()  # ... and lets go
+        fresh = ProcessPoolExecutor(max_workers=1, mp_context=pool_context())
+        try:
+            _warm(fresh)
+            assert fresh.submit(gc.collect).result(timeout=20) >= 0
+        finally:
+            for process in list(fresh._processes.values()):
+                process.kill()
+            fresh.shutdown(wait=False, cancel_futures=True)
+    finally:
+        gc.enable()
