@@ -47,8 +47,6 @@ def permutation(n: int) -> np.ndarray:
 
 def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
     """Iterative pairwise merge of sorted runs (real k-way merge work)."""
-    if not runs:
-        return np.empty(0)
     work = list(runs)
     while len(work) > 1:
         merged = []

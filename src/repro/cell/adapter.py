@@ -180,7 +180,7 @@ class CellTSUAdapter(ProtocolAdapter):
                             self._parked_fetch.add(cmd.kernel)
                         else:
                             self.mailboxes[cmd.kernel].send(f)
-                    else:  # pragma: no cover - defensive
+                    else:
                         raise ValueError(f"unknown command {cmd.opcode!r}")
                     self._retry_parked()
             if not progressed:

@@ -11,16 +11,13 @@ and the ordering of what bodies *actually* touch:
 * :mod:`repro.check.instrument` — in-place program instrumentation that
   works on every backend without perturbing cycle counts.
 
-Frontends: ``tflux-run --check-races``, ``ddmcpp --check-races``, and
-``JobSpec(check="races")`` for gated :func:`repro.exec.run_job` /
-``tflux-serve`` admission.
+Frontends: ``tflux-run --check-races`` and ``ddmcpp --check-races``.
 """
 
 from repro.check.checker import (
     CheckReport,
     Finding,
     InstanceRecord,
-    RaceCheckError,
     analyze,
 )
 from repro.check.instrument import CheckSession, audit, instrument, run_checked
@@ -30,7 +27,6 @@ __all__ = [
     "CheckReport",
     "Finding",
     "InstanceRecord",
-    "RaceCheckError",
     "analyze",
     "CheckSession",
     "audit",

@@ -62,20 +62,11 @@ __all__ = [
     "InstanceRecord",
     "Finding",
     "CheckReport",
-    "RaceCheckError",
     "analyze",
 ]
 
 SCALARS_REGION = "__scalars__"
 _NONE = np.empty(0, dtype=np.int64)
-
-
-class RaceCheckError(RuntimeError):
-    """Raised when a gated run (``JobSpec.check``) has findings."""
-
-    def __init__(self, report: "CheckReport") -> None:
-        super().__init__(report.format())
-        self.report = report
 
 
 class InstanceRecord:
@@ -187,14 +178,6 @@ class CheckReport:
             )
         return "\n".join(lines)
 
-    def publish(self, counters) -> None:
-        """Merge ``check.*`` metrics into a :class:`repro.obs` Counters."""
-        counters.inc("check.runs")
-        counters.inc("check.instances_recorded", self.instances_recorded)
-        counters.inc("check.ops_recorded", self.ops_recorded)
-        counters.inc("check.findings_undeclared", len(self.undeclared))
-        counters.inc("check.findings_race", len(self.races))
-
 
 # -- helpers --------------------------------------------------------------------
 def _as_tuples(iv: np.ndarray) -> Tuple[Tuple[int, int], ...]:
@@ -272,14 +255,14 @@ def analyze(
 
     for spawner, dst in spawn_edges:
         src = gids.get((id(spawner.template), spawner.ctx))
-        if src is None:  # pragma: no cover - internal invariant
+        if src is None:  # internal invariant
             raise RuntimeError(f"spawner {spawner.name} not in any epoch")
         consumers.feed(src, consumers.add_run(range(dst, dst + 1)))
 
     gid_of = np.empty(len(records), dtype=np.int64)
     for rec in records:
         gid = gids.get((id(rec.template), rec.ctx))
-        if gid is None:  # pragma: no cover - internal invariant
+        if gid is None:  # internal invariant
             raise RuntimeError(
                 f"recorded instance {rec.name} not in any expanded epoch"
             )

@@ -297,7 +297,7 @@ class RecordingArray:
         self._record_whole(is_write=False)
         return getattr(base, name)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"<RecordingArray {self._region!r} {self._base.shape}>"
 
 
@@ -396,5 +396,5 @@ class CheckedEnvironment:
     def names(self):
         return self._env.names()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"<CheckedEnvironment {self._env!r}>"

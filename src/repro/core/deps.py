@@ -101,7 +101,7 @@ class ContextMap:
     def __call__(self, producer_ctx: Context) -> Tuple[Context, ...]:
         return self.table.get(producer_ctx, ())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"ContextMap({self.table!r})"
 
 

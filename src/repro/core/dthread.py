@@ -99,7 +99,7 @@ class DThreadTemplate:
             return AccessSummary()
         return self.accesses(env, ctx)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (
             f"<DThreadTemplate #{self.tid} {self.name!r} "
             f"x{self.ninstances} {self.kind.value}>"
@@ -122,5 +122,5 @@ class DThreadInstance:
     def name(self) -> str:
         return f"{self.template.name}[{self.ctx}]"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"<DThreadInstance {self.iid}: {self.name}>"

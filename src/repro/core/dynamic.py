@@ -80,7 +80,7 @@ class Subflow(GraphBuilder):
         """Validate and expand (called by the scheduler at spawn time)."""
         return self.graph.expand()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"<Subflow {self.name!r} x{self.ninstances}>"
 
 

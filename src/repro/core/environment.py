@@ -126,7 +126,7 @@ class Environment:
         yield from self._arrays
         yield from self._scalars
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (
             f"<Environment arrays={list(self._arrays)} "
             f"scalars={list(self._scalars)}>"

@@ -12,7 +12,7 @@ process boundary.
 
 What a job *is* is written once, on :class:`JobSpec`: its fields, their
 defaults and their legal values (``__post_init__`` refuses an unknown
-``mode``/``check`` and an out-of-range count at construction, for the
+``mode`` and an out-of-range count at construction, for the
 harness and the ``tflux-serve`` wire alike — :mod:`repro.serve.protocol`
 derives its field table from ``dataclasses.fields(JobSpec)``).  What a
 job *does* is written once, in :func:`run_job`: one ``build()``, one
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from repro.exec.cache import ResultCache, cache_from_env, spec_digest
 from repro.exec.singleflight import SingleFlightLRU
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:  # import cycle guard (typing only)
     from repro.apps.common import ProblemSize
     from repro.obs import RunRecord
     from repro.platforms.base import Evaluation, Platform
@@ -118,30 +118,16 @@ class JobSpec:
     tsu_capacity: Optional[int] = None
     exact_memory: bool = False
     allow_stealing: bool = False
-    #: Attach a collecting probe to the parallel run and carry its spans
-    #: in the outcome's RunRecord (off by default: span lists can be
-    #: large and most sweeps only need counters and cycles).
-    collect_spans: bool = False
     #: Capture exceptions from the run as part of the outcome instead of
     #: raising (used by grids whose interesting result *is* the failure,
     #: e.g. the Cell Local-Store capacity wall).
     capture_errors: bool = False
-    #: "" = no checking; "races" = gate the job on a clean dynamic race
-    #: check (one extra functional run under :mod:`repro.check`; a
-    #: finding raises :class:`repro.check.RaceCheckError`, captured like
-    #: any job error when ``capture_errors`` is set).  Participates in
-    #: the cache digest like every other field.
-    check: str = ""
 
     def __post_init__(self) -> None:
         # The one admission test: the harness gets it at construction,
         # the wire through ``job_from_wire`` (which prints these texts).
         if self.mode not in ("execute", "sequential"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.check not in ("", "races"):
-            raise ValueError(
-                f"unknown check {self.check!r} (expected '' or 'races')"
-            )
         for name in ("nkernels", "unroll", "max_threads", "tsu_capacity"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -182,8 +168,7 @@ def run_job(spec: JobSpec) -> JobOutcome:
 
     The one place a spec becomes a program and a run: ``build()`` makes
     the program fresh each time it is called (never reuses a program
-    object — the optional race-check gate and the timed run each get
-    their own), the run is the parallel simulation or, in
+    object), the run is the parallel simulation or, in
     ``"sequential"`` mode, the §5 baseline, and the functional results
     are verified against the benchmark oracle while the live
     ``Environment`` is still at hand.  A baseline's program is built,
@@ -203,13 +188,6 @@ def run_job(spec: JobSpec) -> JobOutcome:
         )
 
     try:
-        check_report = None
-        if spec.check:
-            from repro.check import RaceCheckError, run_checked
-
-            check_report = run_checked(build())
-            if not check_report.ok:
-                raise RaceCheckError(check_report)
         if spec.mode == "sequential":
             from repro.runtime.simdriver import price_sequential
 
@@ -222,23 +200,15 @@ def run_job(spec: JobSpec) -> JobOutcome:
             return JobOutcome(
                 run.cycles, run.region_cycles, seq_cycles=run.measured_cycles
             )
-        tracer = None
-        if spec.collect_spans:
-            from repro.obs import Tracer
-
-            tracer = Tracer()
         run = platform.execute(
             build(),
             nkernels=spec.nkernels,
             tsu_capacity=spec.tsu_capacity,
             exact_memory=spec.exact_memory,
             allow_stealing=spec.allow_stealing,
-            tracer=tracer,
         )
         if spec.verify:
             bench.verify(run.env, spec.size)
-        if check_report is not None:
-            check_report.publish(run.counters)
         return JobOutcome(run.cycles, run.region_cycles, result=run.to_record())
     except Exception as exc:
         if not spec.capture_errors:

@@ -125,7 +125,7 @@ class KernelAccount:
             ),
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (
             f"KernelAccount(k{self.kernel_id}: dthreads={self.dthreads}, "
             f"fetches={self.fetches}, waits={self.waits})"

@@ -211,7 +211,7 @@ def _map_lambda(expr_src: str, shared: set[str]) -> str:
         code = gen.expr(expr)
     except DDMSyntaxError as exc:
         raise DDMSyntaxError(f"in map({expr_src}): {exc}") from exc
-    if "_S." in code:  # pragma: no cover - defensive (gen has no shared)
+    if "_S." in code:  # defensive: gen has no shared variables
         raise DDMSyntaxError("shared variables are not allowed in map(...)")
     return f"lambda CTX: [int({code})]"
 

@@ -41,7 +41,7 @@ class Token:
     value: str
     line: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"Token({self.kind}, {self.value!r}, L{self.line})"
 
 

@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Protocol
 
 from repro.tsu.group import Fetch, FetchKind
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # typing only
     from repro.core.program import DDMProgram
     from repro.obs import KernelAccount
 
@@ -163,7 +163,7 @@ def blocking_step(fn: Callable) -> Callable:
     @functools.wraps(fn)
     def step(*args: Any, **kwargs: Any) -> StepGenerator:
         return fn(*args, **kwargs)
-        yield  # pragma: no cover — unreachable; marks this as a generator
+        yield
 
     return step
 

@@ -355,7 +355,7 @@ class _SequentialBackend:
         return Fetch(FetchKind.THREAD, instance=inst)
 
     @blocking_step
-    def wait(self, kernel: int) -> None:  # pragma: no cover - unreachable
+    def wait(self, kernel: int) -> None:
         raise AssertionError("the sequential baseline never waits")
 
     run_inlet = run_outlet = wait  # fire order has no Inlet/Outlet fetches

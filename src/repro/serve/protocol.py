@@ -135,8 +135,8 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
     """Turn a declarative wire job into a picklable :class:`JobSpec`.
 
     Raises :class:`WireError` for an unknown benchmark/platform/size, a
-    malformed field, a value :class:`JobSpec` refuses (unknown mode or
-    check, a count below 1) or more kernels than the platform has —
+    malformed field, a value :class:`JobSpec` refuses (unknown mode,
+    a count below 1) or more kernels than the platform has —
     admission rejects the batch before anything runs.
     """
     import repro.apps  # benchmark registry

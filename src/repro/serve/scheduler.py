@@ -129,6 +129,6 @@ class FairScheduler:
         """Every tenant ever admitted, in rotation order."""
         return list(self._rotation)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         depths = {t: len(q) for t, q in self._queues.items() if q}
         return f"FairScheduler(pending={self._total}, queues={depths})"

@@ -340,7 +340,7 @@ class TFluxServer:
             conn.close()
             try:
                 await writer_task
-            except asyncio.CancelledError:  # pragma: no cover - teardown race
+            except asyncio.CancelledError:  # teardown race
                 pass
             writer.close()
             del self._clients[handler]

@@ -8,7 +8,7 @@ emulator core, Cell mailboxes and the DMA engine).
 
 Processes are plain Python generators.  A process may ``yield``:
 
-* a number — advance this process by that many cycles;
+* an ``int`` — advance this process by that many cycles;
 * an :class:`Event` — suspend until the event is triggered (the ``yield``
   expression evaluates to the event's value);
 * another :class:`Process` — suspend until that process terminates (the
@@ -118,7 +118,7 @@ class Event:
             raise SimulationError(f"event {self.name!r} not yet triggered")
         return self._value
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state}>"
 
@@ -149,10 +149,8 @@ class Process:
         try:
             if item is _SEND_NONE:  # timer expiry: the hot case
                 target = self.gen.send(None)
-            elif isinstance(item, Event):
+            else:  # an Event delivering its value
                 target = self.gen.send(item._value)
-            else:
-                target = self.gen.send(item)
         except StopIteration as stop:
             self._finish(stop.value)
             return
@@ -166,8 +164,6 @@ class Process:
         """Suspend on the yielded target (delay, event, or process)."""
         if type(target) is int:  # plain cycle delay: the hot case
             self.engine._schedule(target, self._resume, _SEND_NONE)
-        elif isinstance(target, (int, float)):  # float, or an int subclass
-            self.engine._schedule(float(target), self._resume, _SEND_NONE)
         elif isinstance(target, Process):
             target.done.add_callback(self._resume)
         elif isinstance(target, Event):
@@ -186,7 +182,7 @@ class Process:
             # engine run loop — a process that cannot handle it is a bug.
             self._dispatch(recovered)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "alive" if self.is_alive else "done"
         return f"<Process {self.name!r} {state}>"
 
@@ -199,11 +195,10 @@ class Resource:
     """FIFO capacity resource (bus arbiter, TSU port, emulator core...).
 
     Models occupy a slot with ``yield from resource.hold(cycles)``:
-    :meth:`acquire` (``request()`` — an :class:`Event` that triggers
-    when a slot is granted — waited on only if it had to queue), the
-    hold's cycles, then the holder's own ``release()``.  Grant order is
-    strictly FIFO, which models the paper's bus arbiter behaviour and
-    keeps simulations deterministic.
+    :meth:`acquire` (a grant :class:`Event`, waited on only if the
+    request had to queue), the hold's cycles, then the holder's own
+    ``release()``.  Grant order is strictly FIFO, which models the
+    paper's bus arbiter behaviour and keeps simulations deterministic.
     """
 
     __slots__ = ("engine", "capacity", "_in_use", "_queue", "name")
@@ -230,7 +225,9 @@ class Resource:
         caller queues behind them.
         """
         if self._queue or self._in_use >= self.capacity:
-            yield self.request()
+            grant = Event(self.engine, name=f"grant:{self.name}")
+            self._queue.append(grant)
+            yield grant
         else:
             self._in_use += 1
 
@@ -254,16 +251,6 @@ class Resource:
         finally:
             self.release()
         return queued
-
-    def request(self) -> Event:
-        """Ask for a slot; the returned event triggers when granted."""
-        ev = Event(self.engine, name=f"grant:{self.name}")
-        if not self._queue and self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._queue.append(ev)
-        return ev
 
     def release(self) -> None:
         """Free a slot, granting it to the longest-waiting requester."""

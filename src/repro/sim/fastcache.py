@@ -383,9 +383,9 @@ class FastMemorySystem:
                 st.cycles += lat * nlines * remaining
                 total += lat * nlines * remaining
                 break
-            if nlines == 1:
-                # One line (a dense range inside a line, or the one-element
-                # list of a strided op) cannot be a re-stream.
+            if nlines == 1 or nlines <= SHORT_SWEEP and type(lines) is list:
+                # One line, or a short strided list, cannot be a re-stream
+                # (only a dense range can).
                 total += self._sweep_lines(
                     core, op.region.name, lines, op.is_write, dense
                 )
@@ -406,16 +406,15 @@ class FastMemorySystem:
         self, core: int, region: str, lines: range | list[int],
         is_write: bool, dense: bool,
     ) -> int:
-        """A multi-line sweep: ``_resweep`` when this core re-streams the
-        range its pending ramps describe, else ``_sweep_lines`` (at most
-        :data:`SHORT_SWEEP` lines) or ``_sweep`` — after which, if the
-        range repeats the core's previous one here (a detected re-stream)
-        and both rows came out as ramps, they are noted so the next repeat
-        is O(1)."""
+        """A multi-line sweep (a strided list longer than
+        :data:`SHORT_SWEEP`, or a dense range): ``_resweep`` when this core
+        re-streams the range its pending ramps describe, else
+        ``_sweep_lines`` (at most :data:`SHORT_SWEEP` lines) or ``_sweep``
+        — after which, if the range repeats the core's previous one here (a
+        detected re-stream) and both rows came out as ramps, they are noted
+        so the next repeat is O(1)."""
         n = len(lines)
         if not isinstance(lines, range):
-            if n <= SHORT_SWEEP:
-                return self._sweep_lines(core, region, lines, is_write, dense)
             sel = np.asarray(lines, dtype=np.int64)
             return self._sweep(core, region, sel, n, is_write, dense)
         rs = self._region_state(region)

@@ -83,8 +83,6 @@ class MultiGroupHardwareAdapter(HardwareTSUAdapter):
     def _cross_group_updates(self, kernel: int, local_iid: int) -> int:
         """Consumers of *local_iid* living in other groups' SMs."""
         tkt = self.tsu.tkt
-        if tkt is None:
-            return 0
         group_of = self._group_of_kernel
         my_group = group_of[kernel]
         return sum(

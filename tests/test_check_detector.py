@@ -1,6 +1,6 @@
 """The dynamic race detector end to end (repro.check).
 
-Four layers of evidence:
+Three layers of evidence:
 
 * **cleanliness** — every shipped app (all seven builders, static and
   dynamic) and every ``examples/ddm`` program comes out of ``run_checked``
@@ -13,10 +13,7 @@ Four layers of evidence:
   shape as the deps-derivation suite): an injected out-of-footprint
   write is always reported as exactly one undeclared access, and on
   arc-free programs the dynamic race verdict agrees with the static
-  ``check_deps`` missing-dependence verdict;
-* **gating** — ``JobSpec.check`` runs the detector before simulation,
-  publishes ``check.*`` counters, participates in the cache digest, and
-  round-trips the serve wire protocol.
+  ``check_deps`` missing-dependence verdict.
 """
 
 from pathlib import Path
@@ -28,13 +25,11 @@ from hypothesis import strategies as st
 
 from repro.apps import get_benchmark
 from repro.apps.common import ProblemSize
-from repro.check import RaceCheckError, instrument, run_checked
+from repro.check import instrument, run_checked
 from repro.core import ProgramBuilder, check_deps
 from repro.core.dynamic import Subflow
-from repro.exec.pool import run_job, spec_digest
 from repro.preprocessor.backend import compile_to_program
 from repro.preprocessor.cli import main as ddmcpp_main
-from repro.serve.protocol import WireError, job_from_wire, job_to_wire
 from repro.sim.accesses import AccessSummary
 
 DATA = Path(__file__).parent / "data"
@@ -340,39 +335,3 @@ def test_derived_programs_always_record_clean(data):
     specs = _draw_specs(data)
     report = run_checked(_build_random(specs, auto=True))
     assert report.ok, report.format()
-
-
-# -- gating: JobSpec.check, counters, wire protocol ----------------------------
-def test_checked_job_publishes_counters_and_keeps_cycles():
-    plain = job_from_wire({"bench": "trapez", "nkernels": 4})
-    checked = job_from_wire({"bench": "trapez", "nkernels": 4, "check": "races"})
-    assert spec_digest(plain) != spec_digest(checked)  # distinct cache keys
-    out_plain = run_job(plain)
-    out_checked = run_job(checked)
-    assert out_checked.cycles == out_plain.cycles  # gate never touches timing
-    counters = out_checked.result.counters
-    assert counters["check.runs"] == 1
-    assert counters["check.instances_recorded"] > 0
-    assert counters["check.findings_undeclared"] == 0
-    assert counters["check.findings_race"] == 0
-    assert "check.runs" not in out_plain.result.counters
-
-
-def test_wire_round_trips_check_and_rejects_unknown():
-    wire = job_to_wire("trapez", check="races")
-    assert wire == {"bench": "trapez", "check": "races"}
-    assert job_from_wire(wire).check == "races"
-    assert job_from_wire({"bench": "trapez"}).check == ""
-    with pytest.raises(WireError, match="unknown check"):
-        job_from_wire({"bench": "trapez", "check": "deps"})
-
-
-def test_race_check_error_carries_the_report():
-    b = ProgramBuilder("racy")
-    b.env.alloc("a", 2)
-    b.thread("w1", body=_setitem("a", 0, 1.0))
-    b.thread("w2", body=_setitem("a", 0, 2.0))
-    report = run_checked(b.build())
-    err = RaceCheckError(report)
-    assert err.report is report
-    assert "race:" in str(err)

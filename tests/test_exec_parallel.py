@@ -165,7 +165,6 @@ def test_spec_parameters_all_reach_the_digest():
         dict(tsu_capacity=64),
         dict(allow_stealing=True),
         dict(exact_memory=True),
-        dict(collect_spans=True),
         dict(mode="sequential"),
         dict(size=problem_sizes("trapez", "S")["large"]),
     ):
@@ -211,7 +210,7 @@ def test_capture_errors_round_trips_through_cache(tmp_path):
         dict(tsu_capacity=0),
         dict(tsu_capacity=-5),
         dict(mode="evaluate"),
-        dict(check="deps"),
+        dict(nkernels=-1),
     ],
 )
 def test_jobspec_refuses_what_can_never_run(bad):

@@ -231,32 +231,15 @@ def _job_spec(**overrides):
         unroll=8,
         max_threads=256,
         mode="execute",
-        collect_spans=True,
     )
     base.update(overrides)
     return JobSpec(**base)
 
 
-def test_collect_spans_crosses_the_cache_boundary(tmp_path):
-    from repro.exec import ResultCache, run_jobs
-
-    cache = ResultCache(tmp_path)
-    spec = _job_spec()
-    cold = run_jobs([spec], jobs=1, cache=cache)[0]
-    warm = run_jobs([spec], jobs=1, cache=cache)[0]
-    assert cache.hits == 1
-    assert cold.result.spans, "collect_spans=True must carry spans"
-    assert warm.result.spans == cold.result.spans
-    assert warm.result.counters == cold.result.counters
-    check_no_overlap(warm.result.spans)
-    # The cached record still exports cleanly.
-    assert to_chrome_trace(warm.result.spans) == to_chrome_trace(cold.result.spans)
-
-
 def test_spans_off_by_default():
     from repro.exec import run_job
 
-    outcome = run_job(_job_spec(collect_spans=False))
+    outcome = run_job(_job_spec())
     assert outcome.result.spans == []
     assert outcome.result.counters["tsu.fetches"] > 0
 
@@ -294,7 +277,7 @@ def test_run_job_forwards_exact_memory_to_baseline(monkeypatch):
         return real(trace, machine, exact_memory, tracer)
 
     monkeypatch.setattr(simdriver, "price_sequential", spy)
-    run_job(_job_spec(mode="sequential", exact_memory=True, collect_spans=False))
+    run_job(_job_spec(mode="sequential", exact_memory=True))
     assert calls == [True]
 
 

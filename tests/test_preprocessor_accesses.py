@@ -8,11 +8,15 @@ hand-declared.  ``ddmcpp --check-deps`` diagnoses declared graphs
 against the derived one.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.preprocessor import DDMSyntaxError, compile_to_program, emit_module
 from repro.preprocessor.cli import main as ddmcpp_main
+
+DATA = Path(__file__).parent / "data"
 
 DERIVED = """
 #pragma ddm startprogram name(derived_reduction)
@@ -167,27 +171,12 @@ b[CTX] = b[CTX] + 1.0;
     assert "redundant arc thread_1 -> thread_2" in out
 
 
-def test_check_deps_flags_missing_dependence(tmp_path, capsys):
-    src = """
-#pragma ddm startprogram name(missing)
-#pragma ddm var double a[4]
-#pragma ddm var double b[4]
-#pragma ddm thread 1 context(4) writes(a[CTX])
-a[CTX] = CTX;
-#pragma ddm endthread
-#pragma ddm thread 2 context(4) depends(1 same) reads(a[CTX]) writes(b[CTX])
-b[CTX] = a[CTX] * 2.0;
-#pragma ddm endthread
-#pragma ddm thread 3 reads(b)
-int i;
-for (i = 0; i < 4; i = i + 1) { }
-#pragma ddm endthread
-#pragma ddm endprogram
-"""
+def test_check_deps_flags_missing_dependence(capsys):
     # Thread 3 reads what thread 2 writes but declares no arc (and the
     # program declares other arcs, so no auto-derivation kicked in):
-    # that conflict has no ordering path — an error, exit 1.
-    assert ddmcpp_main([_write(tmp_path, src), "--check-deps"]) == 1
+    # that conflict has no ordering path — an error, exit 1.  CI's
+    # deps-check runs the same fixture.
+    assert ddmcpp_main([str(DATA / "missing_arc.ddm"), "--check-deps"]) == 1
     out = capsys.readouterr().out
     assert "missing dependence" in out
     assert "thread_2" in out and "thread_3" in out

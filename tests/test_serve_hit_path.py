@@ -43,9 +43,9 @@ SIX = [
 def grid_outcomes():
     """Wire outcomes of the QSORT slice of the 196-job grid at size small
     (the whole grid is minutes of simulation): every platform, records
-    with span lists, a ``None`` record (sequential mode), dist topology
-    strings, floats — and the two compositions ``dist`` refuses, captured
-    as error outcomes."""
+    with per-kernel lists, a ``None`` record (sequential mode), dist
+    topology strings, floats — and the two compositions ``dist`` refuses,
+    captured as error outcomes."""
     outcomes = []
     for job in wire_identity_jobs():
         if job["bench"] == "qsort" and job.get("size", "small") == "small":
@@ -54,7 +54,7 @@ def grid_outcomes():
     assert len(outcomes) == 20
     assert any(o["error"] for o in outcomes)
     assert any(o["record"] is None for o in outcomes)
-    assert any(o["record"] and o["record"]["spans"] for o in outcomes)
+    assert any(o["record"] and o["record"]["kernels"] for o in outcomes)
     return outcomes
 
 

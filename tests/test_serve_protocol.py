@@ -77,10 +77,7 @@ def test_job_to_wire_refuses_a_field_the_table_does_not_have():
             "unknown size 'huge' (have ['large', 'medium', 'small'])",
         ),
         ({"bench": "trapez", "mode": "evaluate"}, "unknown mode 'evaluate'"),
-        (
-            {"bench": "trapez", "check": "deps"},
-            "unknown check 'deps' (expected '' or 'races')",
-        ),
+        ({"bench": "trapez", "unroll": 0}, "unroll must be >= 1, got 0"),
         ({"bench": "trapez", "bogus": 1}, "unknown job fields: ['bogus']"),
         (
             {"bench": "trapez", "platform": "dist", "topology": "ring"},
@@ -116,9 +113,9 @@ _MIXES = (
     {"size": "large", "max_threads": 512, "verify": True},
     {"mode": "sequential", "exact_memory": True},
     {"tsu_capacity": 64, "allow_stealing": True, "unroll": 16},
-    {"collect_spans": True, "capture_errors": True, "check": "races"},
+    {"capture_errors": True},
     {"size": "medium", "nkernels": 1, "unroll": 1, "max_threads": 4096,
-     "verify": False, "mode": "execute", "tsu_capacity": None, "check": ""},
+     "verify": False, "mode": "execute", "tsu_capacity": None},
 )
 #: The dist shape that rides along with each mix on ``platform="dist"``.
 _DIST = (
@@ -162,5 +159,5 @@ def test_wire_identity_golden():
     jobs = wire_identity_jobs()
     assert len({encode(job) for job in jobs}) == 196  # the mixes are distinct
     assert wire_identity_digest() == (
-        "ab1210ae30540bb1ad3f539743e3619380288868772d9f4c23fd916da961b203"
+        "169133baf43e0d59606bf284f96e02fca87fc064b534600f017961e0c2ef2dee"
     )

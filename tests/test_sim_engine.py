@@ -119,8 +119,7 @@ def test_resource_mutual_exclusion():
     timeline = []
 
     def user(eng, res, tag, hold):
-        grant = res.request()
-        yield grant
+        yield from res.acquire()
         timeline.append((eng.now, tag, "acquire"))
         yield hold
         res.release()
@@ -147,8 +146,7 @@ def test_resource_capacity_two():
 
         def user(eng, res):
             for _ in range(rounds):
-                grant = res.request()
-                yield grant
+                yield from res.acquire()
                 active["n"] += 1
                 active["max"] = max(active["max"], active["n"])
                 yield 5
@@ -182,8 +180,7 @@ def test_resource_fifo_grant_order():
     grants = []
 
     def user(eng, res, tag):
-        grant = res.request()
-        yield grant
+        yield from res.acquire()
         grants.append(tag)
         yield 1
         res.release()
@@ -203,7 +200,7 @@ def test_resource_try_acquire_respects_queue_fifo():
     order = []
 
     def holder(eng, res):
-        yield res.request()
+        yield from res.acquire()
         yield 5
         res.release()
         # The slot went to the queued waiter, whose grant event has not
@@ -214,7 +211,7 @@ def test_resource_try_acquire_respects_queue_fifo():
 
     def waiter(eng, res):
         yield 2
-        yield res.request()
+        yield from res.acquire()
         order.append(("waiter", eng.now))
         yield 1
         res.release()

@@ -1,35 +1,48 @@
 #!/usr/bin/env python
-"""Which ``src/repro`` functions and parameter values does CI's traffic use?
+"""Which ``src/repro`` functions, parameter values and branches does CI's traffic use?
 
 Runs every command CI runs outside tier-1 (the paper claims, the
 regenerated record, full-size traced ``perf/run.py`` on the four
 workloads, the serve smoke, the deps/race checks, the examples and one
-``tflux-run`` smoke per flag group) with a call profiler installed in
+``tflux-run`` smoke per flag group) with a line tracer installed in
 each process, and prints per package:
 
 * ``dead``: a function no entry calls whose name no ``Name``/``Attribute``
   in ``src/`` mentions outside its own definition (a dunder counts as
   named: ``len``, ``in`` and ``+=`` call it without naming it);
 * ``unexercised``: a function no entry calls that ``src/`` does name (an
-  error path, a Protocol stub, a rare branch) — printed, never fatal;
+  error path, a Protocol stub), or a never-executed block of a called
+  function that is an ``except`` body or ends in ``raise``/``assert``
+  (with the ``if`` guarding it, when that ``if`` has no ``else``) —
+  printed, never fatal;
 * ``knob``: a literal-default parameter of a called function that no
-  entry passes off its default.
+  entry passes off its default;
+* ``branch``: any other never-executed block of a called function — a
+  maximal run of statements in its body, not counting the docstring,
+  ``global``/``nonlocal`` and nested ``def``s (judged as functions).
 
-Exits 1 on a dead function or a knob not on ``ALLOW``, on a stale
-``ALLOW`` entry, or when an entry command exits with the wrong code.
-A new ``src/`` function or parameter needs a caller here or an ``ALLOW``
-entry with its reason.  No options::
+Exits 1 on a dead function, a knob or a branch not on ``ALLOW``, on a
+stale ``ALLOW`` entry, or when an entry command exits with the wrong
+code.  A new ``src/`` function, parameter or branch needs a caller here
+or an ``ALLOW`` entry with its reason.  No options::
 
     python tools/reach.py
 
+``ALLOW`` keys are ``path::Qualname`` (a function, and every branch in
+it: oracles and parsers of outside input only), ``path::Qualname(param=)``
+(a knob) and ``path::Qualname:<first line of the block, stripped>`` (one
+branch; survives line shifts).
+
 The hook is a generated ``sitecustomize.py`` on ``PYTHONPATH``:
-``sys.setprofile``/``threading.setprofile`` record the ``(file,
-co_firstlineno, co_name)`` of each ``call`` event under ``src/repro``
-and read ``f_locals`` at a function's first ``RESUME`` (not a
-generator's later ones) for its literal defaults.
-Each process dumps at ``atexit``; a forked ``multiprocessing`` child
-leaves through ``os._exit``, so it re-arms with
-``multiprocessing.util.register_after_fork`` and dumps from a
+``sys.settrace``/``threading.settrace`` see each ``call`` of a code
+object under ``src/repro``, record its ``(file, co_firstlineno,
+co_name)``, read ``f_locals`` at a function's first ``RESUME`` (not a
+generator's later ones) for its literal defaults, and return a local
+tracer that records each ``line``.  Once every line of a code object's
+``co_lines()`` (bar its ``RESUME`` line) has been seen, its frames stop
+tracing lines.  Each process dumps at ``atexit``; a forked
+``multiprocessing`` child leaves through ``os._exit``, so it re-arms
+with ``multiprocessing.util.register_after_fork`` and dumps from a
 ``Finalize``.
 """
 
@@ -75,23 +88,26 @@ ENTRIES: list[tuple[list[str], int]] = [
     # deps-check
     *((DDMCPP + [f, "--check-deps"], 0) for f in DDM_EXAMPLES),
     (DDMCPP + ["tests/data/redundant_arc.ddm", "--check-deps"], 0),
+    (DDMCPP + ["tests/data/missing_arc.ddm", "--check-deps"], 1),
     *((RUN + [b, "--check-deps"], 0) for b in BENCHES),
     # race-check: clean examples, caught fixtures, clean benchmarks
     *((DDMCPP + [f, "--check-races"], 0) for f in DDM_EXAMPLES),
     (DDMCPP + ["tests/data/undeclared_write.ddm", "--check-races"], 1),
     (DDMCPP + ["tests/data/racy_writers.ddm", "--check-races"], 1),
     *((RUN + [b, "--check-races", "--unroll", "2"], 0) for b in BENCHES),
-    # examples-smoke: every example, the loop example on 4 kernels, and
-    # the recursive QSORT on soft and dist
+    # examples-smoke: every example, the loop example on 4 kernels and
+    # sequentially, and the recursive QSORT on soft and dist
     *((["python", f], 0) for f in PY_EXAMPLES),
     (DDMCPP + ["examples/unrolled_loop.ddm", "--run", "--kernels", "4"], 0),
+    (DDMCPP + ["examples/unrolled_loop.ddm", "--run"], 0),
     (RUN + ["qsort_rec", "--platform", "soft", "--kernels", "4", "--size", "small", "--unroll", "8"], 0),
     (RUN + ["qsort_rec", "--platform", "dist", "--nodes", "2", "--size", "small", "--unroll", "8"], 0),
-    # one tflux-run smoke per flag group
+    # one tflux-run smoke per flag group (`trapez --kernels 4` sweeps the default unrolls)
     *(
         (RUN + ["mmult", "--platform", p, "--kernels", "4", "--size", "small", "--unroll", "4"], 0)
         for p in ("hard", "soft", "cell", "dist")
     ),
+    (RUN + ["trapez", "--size", "small", "--kernels", "4"], 0),
     (RUN + ["trapez", "--platform", "hard", "--sweep", "--jobs", "2", "--size", "small", "--unroll", "2"], 0),
     (RUN + ["trapez", "--platform", "dist", "--sweep", "--size", "small", "--unroll", "2"], 0),
     (RUN + ["fft", "--platform", "soft", "--size", "small", "--unroll", "auto", "--cache-dir", "{tmp}/cache"], 0),
@@ -101,14 +117,19 @@ ENTRIES: list[tuple[list[str], int]] = [
             "--cluster", "2", "--size", "small", "--unroll", "4"], 0),
     # tflux-cache over what the auto-unroll run stored, and ddmcpp's own run
     (CACHE + ["stats"], 0),
+    (CACHE + ["stats", "--json"], 0),
+    (CACHE + ["prune", "--max-mb", "64", "--json"], 0),
     (CACHE + ["prune", "--max-bytes", "1", "--max-age-days", "30"], 0),
     (DDMCPP + ["examples/ddm/derived_pipeline.ddm", "-o", "{tmp}/gen.py", "--run", "--kernels", "3"], 0),
 ]
 
-#: What tests compare against and no CI command needs, keyed
-#: ``path::Qualname`` (a function) or ``path::Qualname(param=)`` (a
-#: knob), with the reason it stays.  The one list of kept oracles; the
-#: only other entries are the CLI ``argv`` seam and server addresses.
+#: What no CI command reaches and still stays, keyed ``path::Qualname``
+#: (a function, and every branch in it), ``path::Qualname(param=)`` (a
+#: knob) or ``path::Qualname:<first line of the block, stripped>`` (one
+#: branch), with the reason.  The one list of kept oracles; the other
+#: entries are the CLI ``argv`` seam, server addresses, and branches
+#: that handle outside input (user programs and ``.ddm`` source, CLI and
+#: wire arguments, misbehaving clients), faults and synchronisation.
 ALLOW: dict[str, str] = {
     # structural oracles the property suites assert after every step
     "core/block.py::DDMBlock.check_invariants":
@@ -149,6 +170,199 @@ ALLOW: dict[str, str] = {
     "serve/server.py::TFluxServer.start(unix=)": "tflux-serve --unix",
     "serve/server.py::serve_in_thread(unix=)":
         "test_serve_server drives the unix-socket transport in-process",
+    # the exact cache model: the fast model's oracle (every branch)
+    "sim/cache.py::CacheLevel.insert": "exact model, the fast model's oracle",
+    "sim/cache.py::CoherentMemorySystem.__init__": "exact model, the fast model's oracle",
+    "sim/cache.py::CoherentMemorySystem._install": "exact model, the fast model's oracle",
+    "sim/cache.py::CoherentMemorySystem._l2_fill": "exact model, the fast model's oracle",
+    "sim/cache.py::CoherentMemorySystem._access_line": "exact model, the fast model's oracle",
+    "sim/cache.py::CoherentMemorySystem._invalidate_others": "exact model, the fast model's oracle",
+    # the fast model's multi-word sharer directory: directory_words and
+    # machines past 64 cores (test_fastcache, test_directory_width)
+    "sim/fastcache.py::FastMemorySystem.__init__:if directory_words < nwords:":
+        "an explicit directory_words (test_directory_width pins the width)",
+    "sim/fastcache.py::FastMemorySystem._sweep:pres = rs.presence[sel]":
+        "two-level directory read path, machines past 64 cores",
+    "sim/fastcache.py::FastMemorySystem._sweep:pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))":
+        "two-level directory write path, machines past 64 cores",
+    "sim/fastcache.py::FastMemorySystem._sweep_lines:presence[line] = presence.item(line) | 1 << word":
+        "two-level directory presence bit, machines past 64 cores",
+    # DDMCPP: the C subset and pragmas of user .ddm input (every branch)
+    "preprocessor/lexer.py::tokenize": "C subset of user .ddm input",
+    "preprocessor/parser.py::Parser.statement": "C subset of user .ddm input",
+    "preprocessor/parser.py::Parser.for_statement": "C subset of user .ddm input",
+    "preprocessor/parser.py::Parser.ternary": "C subset of user .ddm input",
+    "preprocessor/parser.py::Parser.postfix": "C subset of user .ddm input",
+    "preprocessor/cgen.py::CodeGenerator.gen_block": "C subset of user .ddm input",
+    "preprocessor/cgen.py::CodeGenerator.gen_stmt": "C subset of user .ddm input",
+    "preprocessor/cgen.py::CodeGenerator._canonical_range": "C subset of user .ddm input",
+    "preprocessor/cgen.py::CodeGenerator.gen_for": "C subset of user .ddm input",
+    "preprocessor/cgen.py::CodeGenerator.expr": "C subset of user .ddm input",
+    "preprocessor/shim.py::cdiv": "C integer division for user .ddm bodies",
+    "preprocessor/shim.py::cmod": "C remainder for user .ddm bodies",
+    "preprocessor/directives.py::_scan_clauses:pos = start + len(needle)  # part of a longer identifier":
+        "a clause name inside a longer identifier in user .ddm input",
+    r'preprocessor/directives.py::split_directives:bm = re.match(r"block\s+(\d+)", rest)':
+        "#pragma ddm block in user .ddm input",
+    "preprocessor/directives.py::split_directives:current_block = None":
+        "#pragma ddm endblock in user .ddm input",
+    "preprocessor/directives.py::split_directives:p.epilogue, p.epilogue_line = text, body_start":
+        "#pragma ddm epilogue in user .ddm input",
+    "preprocessor/backend.py::_gen_body_function:lines.append(\"    pass\")":
+        "an empty thread body in user .ddm input",
+    "preprocessor/backend.py::_gen_loop_thread_function:lo = _const_int(loop.init.names[0][1], \"loop start\")":
+        "a declaring for-init in a user loop thread",
+    "preprocessor/backend.py::_gen_loop_thread_function:hi += 1":
+        "an inclusive bound in a user loop thread",
+    "preprocessor/backend.py::_gen_loop_thread_function:step = _const_int(loop.update.value, \"loop step\")":
+        "a += step in a user loop thread",
+    "preprocessor/backend.py::_outcome_plumbing:returns = \"DDMSPAWN() if DDMSPAWN is not None else None\"":
+        "DDMSPAWN in a user thread body",
+    "preprocessor/backend.py::_outcome_plumbing:returns = \"DDMCHOICE\"":
+        "DDMCHOICE (conditional arcs) in a user thread body",
+    "preprocessor/backend.py::emit_module:parts.append(\"\")":
+        "shared scalars declared in user .ddm input",
+    "preprocessor/backend.py::emit_module:parts.append('    b.epilogue(\"epilogue\", body=_epilogue)')":
+        "#pragma ddm epilogue in user .ddm input",
+    "preprocessor/cli.py::main:print(\"shared scalars:\", scalars)":
+        "ddmcpp --run on a program with shared scalars",
+    # CLI usage errors and options
+    "cli.py::main:import sys": "tflux-run usage error: a bad --unroll",
+    "cli.py::main:parser.error(\"--nodes is only meaningful with --platform dist\")": "tflux-run usage error",
+    "cli.py::main:parser.error(\"--cluster is only meaningful with --platform dist\")": "tflux-run usage error",
+    "cli.py::main:parser.error(\"--topology is only meaningful with --platform dist\")": "tflux-run usage error",
+    "exec/cachecli.py::_cache:print(": "tflux-cache usage error: no cache directory",
+    "exec/cachecli.py::main:return 2": "tflux-cache usage error: no cache directory",
+    "exec/cachecli.py::main:print(\"tflux-cache: error: prune needs --max-bytes/--max-mb and/or \"":
+        "tflux-cache usage error: prune with no bound",
+    "serve/cli.py::main:print(\"usage: python -m repro.serve.cli {serve,submit} [options]\",":
+        "tflux-serve usage error",
+    "serve/cli.py::main_serve:os.environ[ENV_CACHE_DIR] = os.path.expanduser(args.cache_dir)":
+        "tflux-serve --cache-dir",
+    "serve/cli.py::_address:return args.unix": "tflux-serve/tflux-submit --unix",
+    "serve/client.py::ServeClient.__init__:self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)":
+        "tflux-submit --unix",
+    "serve/server.py::TFluxServer.start:self._server = await asyncio.start_unix_server(":
+        "tflux-serve --unix",
+    "exec/pool.py::job_count:return os.cpu_count() or 1": "TFLUX_JOBS=auto",
+    # the server's replies to clients that misbehave, overload it or go away
+    "serve/server.py::TFluxServer._admit:conn.send(": "error reply: a submit without a jobs list",
+    "serve/server.py::TFluxServer._admit:self.counters.inc(\"serve.rejected\", len(resolved))":
+        "overloaded reply: the queue bounds refuse a batch",
+    "serve/server.py::TFluxServer._handle_client:conn.send(": "error reply: an unknown message type",
+    "serve/server.py::TFluxServer._pump:self.counters.inc(\"serve.client_aborts\")":
+        "a client that disconnects mid-batch",
+    "serve/server.py::TFluxServer._deliver:batch.conn.send(": "job_error reply: a job that raised",
+    "serve/server.py::TFluxServer.aclose:task.cancel()": "shutdown with clients connected",
+    "serve/server.py::ServerHandle.stop:return  # already stopped": "a second stop() is a no-op",
+    "serve/scheduler.py::FairScheduler.submit:return False": "the queue bounds refuse a job",
+    "serve/client.py::ServeClient.submit:continue  # stale stream from a previous batch":
+        "a stream left over from an abandoned batch",
+    "serve/client.py::ServeClient.submit:result.status = \"overloaded\"": "the server's overloaded reply",
+    "serve/client.py::ServeClient.submit:result.errors[message[\"index\"]] = tuple(message[\"error\"])":
+        "the server's job_error reply",
+    "serve/cli.py::main_submit:print(f\"tflux-submit: server overloaded ({batch.message}); retry later\",":
+        "the server's overloaded reply",
+    "serve/cli.py::main_submit:print(f\"tflux-submit: job {index} failed: {error[0]}: {error[1]}\",":
+        "the server's job_error reply",
+    "serve/protocol.py::_coerce:return None if value is None else int(value)":
+        "a wire tsu_capacity (None-default field)",
+    "exec/cache.py::ResultCache.get:self.misses += 1": "a cache entry from another schema version",
+    "exec/cache.py::describe:return repr(obj)": "a platform attribute with no __dict__",
+    # the engine protocol the sim/engine.py docstring documents (SimPy's)
+    "sim/engine.py::Event.add_callback:self.engine._schedule(0.0, cb, self)":
+        "a late waiter: yielding an event that has already triggered",
+    "sim/engine.py::Event.add_callback:self._waiters.append(cb)": "a second waiter on one event",
+    "sim/engine.py::Process._dispatch:target.done.add_callback(self._resume)":
+        "yielding a Process waits for its return value",
+    "sim/engine.py::Process._dispatch:exc = SimulationError(":
+        "an unsupported yield is thrown into the process, which may recover",
+    "sim/engine.py::Engine.all_of:combined.succeed([])": "all_of over no events triggers at once",
+    # cost and memory models on inputs CI's sizes never produce
+    "sim/accesses.py::_RangeOp.line_indices:return range(0)": "a zero-count access op",
+    "sim/fastcache.py::FastMemorySystem.run_op:return 0": "a zero-count access op",
+    "sim/accesses.py::RegionSpace.region:if existing.size != size:":
+        "declaring a region twice (a whole-array reassignment)",
+    "sim/fastcache.py::FastMemorySystem._region_state:reg = self.regions.get(name)":
+        "a region a DThread body declares mid-run (a new env array)",
+    "core/regions.py::LineTable.row:row = self.add(region)":
+        "a region a DThread body declares mid-run (a new env array)",
+    "sim/fastcache.py::FastMemorySystem.__init__:l2_groups = list(range(ncores))":
+        "private L2s, the exact model's default too (CoherentMemorySystem)",
+    "sim/fastcache.py::FastMemorySystem._sweep:full, burst = n_mem, 0":
+        "a strided sweep of more than eight lines missing to DRAM",
+    "sim/fastcache.py::FastMemorySystem._sweep_lines:self._settle(rs)":
+        "a short write after a re-streamed range left pending ramps",
+    "cell/dma.py::DMAEngine.transfer_cycles:return 0": "a zero-byte DMA transfer",
+    "cell/commandbuffer.py::CommandBuffer.try_write:self.stalls += 1": "a full SPE command buffer",
+    "cell/adapter.py::CellTSUAdapter._write_command:yield self.costs.command_retry_cycles":
+        "a full SPE command buffer",
+    "cell/adapter.py::CellTSUAdapter._retry_parked:continue": "a parked fetch that still has to wait",
+    "cell/adapter.py::CellTSUAdapter._ppe_proc:self._retry_parked()": "parked fetches at shutdown",
+    "net/fabric.py::Network.pull:continue": "a zero-byte pull from one source",
+    "net/fabric.py::Network.pull:return 0": "a pull with nothing to forward",
+    "net/fabric.py::Network.pull:end = link_done": "a shared link slower than the RX port",
+    "net/message.py::NetParams.serialize_cycles:return 0":
+        "NetParams.zero_cost, test_dist_differential's free network",
+    "net/topology.py::FatTree.control_path:return ()": "a control message a node sends itself",
+    "tsu/group.py::TSUGroup._post_process:tokens = 1":
+        "fault path: an over-retired run reaches the SM's underflow check",
+    # synchronisation in the native (OS-thread) runtime
+    "tsu/tub.py::ThreadUpdateBuffer.try_push:continue": "a TUB segment lock held by another thread",
+    "tsu/tub.py::ThreadUpdateBuffer.try_push:return False, probes": "every TUB segment busy",
+    "tsu/tub.py::ThreadUpdateBuffer.push:retries += 1": "every TUB segment busy",
+    "runtime/native.py::NativeRuntime.wait:return": "work arriving between the check and the park",
+    "runtime/core.py::kernel_loop:return": "a backend stopping its kernels (native error shutdown)",
+    "runtime/native.py::NativeRuntime.run:section.run(env)": "a program with an epilogue, run natively",
+    "runtime/core.py::blocking_step.step:yield": "never runs: it makes step a generator",
+    # user programs, bodies and front-end calls (legal API, outside input)
+    "core/context.py::normalize_context:if len(ctx) == 1:": "a user context given as a tuple",
+    "core/dthread.py::DThreadTemplate.run:return None": "a DThread declared without a body",
+    "core/environment.py::Environment.__setitem__:if name in self._arrays:":
+        "a body reassigning a whole shared array",
+    "core/block.py::_rebase:pieces.append(range(first - start, last + 1 - start))":
+        "a run whose members are not contiguous within a block",
+    "core/builder.py::ProgramBuilder.auto_depends:continue": "auto_depends over an already declared arc",
+    "core/deps.py::ArcDiagnosis.describe:if self.status == \"opaque\":":
+        "check_deps on an arc with an undeclared endpoint",
+    "frontend/decorators.py::DDM._resolve:return ref.tid": "depends= given a template object",
+    "frontend/decorators.py::DDM._resolve:return ref": "depends= given a template id",
+    "frontend/decorators.py::DDM.thread.decorate:producer, mapping = spec, \"same\"":
+        "depends= given a bare producer",
+    "apps/qsort.py::_merge_runs:merged.append(work[-1])": "an odd run count (an unroll not a power of two)",
+    "apps/quad.py::_quad.body:env.set(\"root_mode\", \"direct\")":
+        "QUAD's root interval accepted outright (a coarse tolerance)",
+    "apps/common.py::assert_allclose:np.testing.assert_allclose(actual, desired, rtol=rtol, atol=atol)":
+        "verification failure: numpy's assertion raises with the diff",
+    "analysis/experiments.py::_cmp_rows:continue": "a paper benchmark the measured grid lacks",
+    "analysis/tables.py::render_bars:continue": "a grid cell that was not run (FigureGrid.get)",
+    # the race checker on legal user bodies: the NumPy protocol arms
+    "check/recording.py::_record_strided:return": "an empty array view",
+    "check/recording.py::_record_strided:continue  # length-1 and broadcast dims revisit the same bytes":
+        "a length-1 or broadcast view dimension",
+    "check/recording.py::_record_strided:start += st * (n - 1)": "a reversed (negative-stride) view",
+    "check/recording.py::RecordingArray._record_selection:if self._posgrid is None:":
+        "fancy-index selection in a user body",
+    "check/recording.py::RecordingArray.__array_ufunc__:raw_out = []": "a ufunc with out= in a user body",
+    "check/recording.py::RecordingArray.__getattr__:self._record_whole(is_write=False)":
+        "an in-place array method (sort, fill) in a user body",
+    "check/recording.py::CheckedEnvironment.get:return self._wrap(name)": "env.get of an array in a user body",
+    "check/recording.py::CheckedEnvironment.__setitem__:self._sink.record_span(":
+        "a body reassigning a whole shared array",
+    "check/recording.py::CheckedEnvironment.__setitem__:return  # adopted a brand-new array: allocation, not traffic":
+        "a body creating a new array",
+    "check/checker.py::_clause:return f\"{verb}({region})\"": "a suggested clause for a whole array",
+    "check/checker.py::_region_label:names = _scalar_names_by_offset(env)": "a race on a shared scalar",
+    "check/checker.py::_undeclared:continue": "a declared op on a region the run never touched",
+    "check/instrument.py::CheckSession._wrap_template:return": "a bodyless DThread or one already wrapped",
+    # observability on empty or drifted input
+    "obs/probe.py::Tracer.makespan:return 0": "an empty tracer",
+    "obs/probe.py::Tracer.critical_kernel:return None": "an empty tracer",
+    "obs/probe.py::render_gantt:return \"(no spans recorded)\"": "an empty tracer",
+    "obs/record.py::verify_schema_fixture:for name in sorted(set(golden_fields) | set(current)):":
+        "check_record_schema's report of a drifted RunRecord schema",
+    "obs/record.py::verify_schema_fixture:problems.append(":
+        "check_record_schema's report of a stale golden fixture",
 }
 
 
@@ -160,6 +374,7 @@ class Function:
     first: int  # co_firstlineno: the first decorator's line, else the def's
     last: int
     defaults: tuple[tuple[str, object], ...]  # literal-default parameters
+    node: ast.FunctionDef | ast.AsyncFunctionDef
 
     @property
     def key(self) -> str:
@@ -189,14 +404,18 @@ def _literal_defaults(args: ast.arguments) -> tuple[tuple[str, object], ...]:
     return tuple(out)
 
 
-def universe() -> tuple[list[Function], dict[str, list[tuple[str, int]]]]:
-    """Every ``def`` under ``src/repro`` (nested ones included), and where
-    each identifier appears as a ``Name`` or ``Attribute``."""
+def universe() -> tuple[list[Function], dict[str, list[tuple[str, int]]], dict[str, list[str]]]:
+    """Every ``def`` under ``src/repro`` (nested ones included), where
+    each identifier appears as a ``Name`` or ``Attribute``, and each
+    file's source lines."""
     functions: list[Function] = []
     mentions: dict[str, list[tuple[str, int]]] = defaultdict(list)
+    sources: dict[str, list[str]] = {}
     for file in sorted(SRC.rglob("*.py")):
         path = str(file.relative_to(SRC))
-        tree = ast.parse(file.read_text(), filename=str(file))
+        text = file.read_text()
+        sources[path] = text.splitlines()
+        tree = ast.parse(text, filename=str(file))
 
         def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
             for child in ast.iter_child_nodes(node):
@@ -204,7 +423,7 @@ def universe() -> tuple[list[Function], dict[str, list[tuple[str, int]]]]:
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     functions.append(Function(
                         path, ".".join(scope + (child.name,)), child.name,
-                        first, child.end_lineno, _literal_defaults(child.args),
+                        first, child.end_lineno, _literal_defaults(child.args), child,
                     ))
                     visit(child, scope + (child.name,))
                 elif isinstance(child, ast.ClassDef):
@@ -217,7 +436,75 @@ def universe() -> tuple[list[Function], dict[str, list[tuple[str, int]]]]:
                     visit(child, scope)
 
         visit(tree, ())
-    return functions, mentions
+    return functions, mentions, sources
+
+
+@dataclass(frozen=True)
+class Block:
+    """A maximal run of never-executed statements in a function body."""
+
+    first: int
+    last: int
+    text: str  # the first line, stripped: the ALLOW key's last part
+    verdict: str  # "branch" (fatal) or "unexercised"
+    lines: int  # non-blank, non-comment source lines
+
+
+_UNJUDGED = (ast.Global, ast.Nonlocal, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _ends_in_error(stmt: ast.stmt) -> bool:
+    """``raise``/``assert``, or an ``if`` with no ``else`` guarding a list that ends in one."""
+    if isinstance(stmt, (ast.Raise, ast.Assert)):
+        return True
+    return isinstance(stmt, ast.If) and not stmt.orelse and _ends_in_error(stmt.body[-1])
+
+
+def blocks(fn: ast.FunctionDef | ast.AsyncFunctionDef, executed: set[int],
+           source: list[str]) -> list[Block]:
+    """The never-executed blocks of a called function, given the line
+    numbers its file executed.  A statement ran when any line it spans
+    did; one on the ``def`` line itself ran with the call."""
+
+    def ran(stmt: ast.stmt) -> bool:
+        return stmt.lineno == fn.lineno or any(
+            line in executed for line in range(stmt.lineno, stmt.end_lineno + 1)
+        )
+
+    def block(run: list[ast.stmt], handler: bool) -> Block:
+        span = source[run[0].lineno - 1:run[-1].end_lineno]
+        counted = sum(1 for line in span if line.strip() and not line.strip().startswith("#"))
+        verdict = "unexercised" if handler or _ends_in_error(run[-1]) else "branch"
+        return Block(run[0].lineno, run[-1].end_lineno, span[0].strip(), verdict, counted)
+
+    found: list[Block] = []
+
+    def walk(stmts: list[ast.stmt], handler: bool) -> None:
+        run: list[ast.stmt] = []
+        for stmt in stmts:
+            if isinstance(stmt, _UNJUDGED):
+                continue
+            if not ran(stmt):
+                run.append(stmt)
+                continue
+            if run:
+                found.append(block(run, handler))
+                run = []
+            for field in ("body", "orelse", "finalbody"):
+                walk(getattr(stmt, field, []), False)
+            for inner in getattr(stmt, "handlers", []):
+                walk(inner.body, True)
+            for case in getattr(stmt, "cases", []):
+                walk(case.body, False)
+        if run:
+            found.append(block(run, handler))
+
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]  # the docstring
+    walk(body, False)
+    return found
 
 
 HOOK = '''\
@@ -231,19 +518,27 @@ with open(os.path.join(_OUT, "defaults.pickle"), "rb") as _f:
 _RESUME = dis.opmap.get("RESUME")
 _reached = set()
 _off = set()
-_state = {{}}  # code -> None (not ours, or every default seen off) or [key, pending]
+_lines = {{}}  # path -> line numbers executed
+_state = {{}}  # code -> None (not ours, or nothing left to see) or [key, pending, want, local]
 
 
-def _profile(frame, event, arg):
-    if event != "call":
-        return
+def _trace(frame, event, arg):
     code = frame.f_code
     try:
         state = _state[code]
     except KeyError:
         state = _state[code] = _first(code)
     if state is None:
-        return
+        return None
+    key, pending, want, local = state
+    if pending:
+        _defaults(frame, code, key, pending)
+        if not pending and not want:
+            _state[code] = None
+    return local if want else None
+
+
+def _defaults(frame, code, key, pending):
     if _RESUME is not None:
         at = frame.f_lasti
         raw = code.co_code
@@ -252,7 +547,6 @@ def _profile(frame, event, arg):
     local = frame.f_locals
     if local is None:
         return
-    key, pending = state
     for item in list(pending):
         name, default = item
         if name in local:
@@ -260,27 +554,39 @@ def _profile(frame, event, arg):
             if type(value) is not type(default) or value != default:
                 _off.add(key + (name,))
                 pending.remove(item)
-    if not pending:
-        _state[code] = None
 
 
 def _first(code):
     if not code.co_filename.startswith(_ROOT):
         return None
-    key = (code.co_filename[len(_ROOT):], code.co_firstlineno, code.co_name)
+    path = code.co_filename[len(_ROOT):]
+    key = (path, code.co_firstlineno, code.co_name)
     _reached.add(key)
-    defaults = _DEFAULTS.get(key)
-    return [key, list(defaults)] if defaults else None
+    seen = _lines.setdefault(path, set())
+    # the RESUME line (the def's, or its first decorator's) fires no event
+    want = {{line for _, _, line in code.co_lines()}} - seen - {{None, code.co_firstlineno}}
+
+    def local(frame, event, arg):
+        if event == "line":
+            line = frame.f_lineno
+            if line in want:
+                want.discard(line)
+                seen.add(line)
+                if not want:
+                    frame.f_trace_lines = False
+        return local
+
+    return [key, list(_DEFAULTS.get(key, ())), want, local]
 
 
 def _dump():
     fd, path = tempfile.mkstemp(prefix="hits-", dir=_OUT)
     with os.fdopen(fd, "wb") as f:
-        pickle.dump((_reached, _off), f)
+        pickle.dump((_reached, _off, _lines), f)
 
 
 def _after_fork(_):
-    sys.setprofile(_profile)
+    sys.settrace(_trace)
     _mp_util.Finalize(None, _dump, exitpriority=-100)
 
 
@@ -291,14 +597,15 @@ class _Anchor:
 _ANCHOR = _Anchor()
 _mp_util.register_after_fork(_ANCHOR, _after_fork)
 atexit.register(_dump)
-threading.setprofile(_profile)
-sys.setprofile(_profile)
+threading.settrace(_trace)
+sys.settrace(_trace)
 '''
 
 
-def trace(functions: list[Function]) -> tuple[set, set, list[str]]:
+def trace(functions: list[Function]) -> tuple[set, set, dict[str, set[int]], list[str]]:
     """Run every entry hooked; the function sites reached, the ``site +
-    (param,)`` keys seen off their default, and the failed entries."""
+    (param,)`` keys seen off their default, the lines each file
+    executed, and the failed entries."""
     failures = []
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         out = Path(tmp) / "hits"
@@ -318,24 +625,28 @@ def trace(functions: list[Function]) -> tuple[set, set, list[str]]:
             if run.returncode != expect:
                 tail = "\n".join((run.stdout + run.stderr).splitlines()[-20:])
                 failures.append(f"{shown}: exit {run.returncode}, expected {expect}\n{tail}")
-        reached, off = set(), set()
+        reached, off, lines = set(), set(), defaultdict(set)
         for dump in out.glob("hits-*"):
             with open(dump, "rb") as f:
-                r, o = pickle.load(f)
+                r, o, executed = pickle.load(f)
             reached |= r
             off |= o
-    return reached, off, failures
+            for path, seen in executed.items():
+                lines[path] |= seen
+    return reached, off, lines, failures
 
 
-def main() -> int:
-    start = time.perf_counter()
-    functions, mentions = universe()
-    reached, off, failures = trace(functions)
-    for failure in failures:
-        print(f"reach: ENTRY FAILED: {failure}")
-
-    # package -> [(verdict, where, allow-list key)]
-    findings: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
+def judge(
+    functions: list[Function],
+    mentions: dict[str, list[tuple[str, int]]],
+    sources: dict[str, list[str]],
+    reached: set,
+    off: set,
+    lines: dict[str, set[int]],
+) -> dict[str, list[tuple[str, str, tuple[str, ...]]]]:
+    """Per package, ``(verdict, where, keys)``: any one of ``keys`` on
+    ``ALLOW`` allows a fatal finding."""
+    findings: dict[str, list[tuple[str, str, tuple[str, ...]]]] = defaultdict(list)
     for fn in functions:
         where = f"{fn.path}:{fn.first} {fn.qualname}"
         package = fn.path.split(os.sep)[0] if os.sep in fn.path else "repro"
@@ -345,34 +656,57 @@ def main() -> int:
                 p != fn.path or not fn.first <= line <= fn.last
                 for p, line in mentions.get(fn.name, ())
             )
-            findings[package].append(("unexercised" if named else "dead", where, fn.key))
+            findings[package].append(("unexercised" if named else "dead", where, (fn.key,)))
             continue
         for param, default in fn.defaults:
             if fn.site + (param,) not in off:
                 findings[package].append(
-                    ("knob", f"{where}({param}={default!r})", f"{fn.key}({param}=)")
+                    ("knob", f"{where}({param}={default!r})", (f"{fn.key}({param}=)",))
                 )
+        for found in blocks(fn.node, lines.get(fn.path, set()), sources[fn.path]):
+            findings[package].append((
+                found.verdict,
+                f"{fn.path}:{found.first} {fn.qualname}: {found.text} ({found.lines} lines)",
+                (fn.key, f"{fn.key}:{found.text}"),
+            ))
+    return findings
 
-    counts = defaultdict(int)
+
+def report(findings: dict[str, list[tuple[str, str, tuple[str, ...]]]],
+           allow: dict[str, str]) -> tuple[dict[str, int], int, list[str]]:
+    """Print every finding; the count per verdict, the fatal findings
+    ``allow`` does not cover, and its stale keys."""
+    counts: dict[str, int] = defaultdict(int)
     flagged, failing = set(), 0
     for package in sorted(findings):
-        for verdict, where, key in sorted(findings[package]):
+        for verdict, where, keys in sorted(findings[package]):
             counts[verdict] += 1
             fatal = verdict != "unexercised"
             if fatal:
-                flagged.add(key)
-            allowed = fatal and key in ALLOW
+                flagged.update(keys)
+            allowed = fatal and any(key in allow for key in keys)
             print(f"{package}: {verdict} {where}{' (allowed)' if allowed else ''}")
             failing += fatal and not allowed
-    stale = sorted(set(ALLOW) - flagged)
+    stale = sorted(set(allow) - flagged)
     for key in stale:
         print(f"reach: stale ALLOW entry {key}: nothing flags it")
+    return counts, failing, stale
+
+
+def main() -> int:
+    start = time.perf_counter()
+    functions, mentions, sources = universe()
+    reached, off, lines, failures = trace(functions)
+    for failure in failures:
+        print(f"reach: ENTRY FAILED: {failure}")
+    findings = judge(functions, mentions, sources, reached, off, lines)
+    counts, failing, stale = report(findings, ALLOW)
     print(
         f"reach: {len(ENTRIES)} entries, {len(functions)} functions, "
         f"{len({fn.site for fn in functions} & reached)} reached; "
         f"{counts['dead']} dead, {counts['unexercised']} unexercised, "
-        f"{counts['knob']} test-only knobs; {failing} not allowed; "
-        f"{time.perf_counter() - start:.0f} s"
+        f"{counts['knob']} test-only knobs, {counts['branch']} test-only branches; "
+        f"{failing} not allowed; {time.perf_counter() - start:.0f} s"
     )
     return 1 if failing or stale or failures else 0
 

@@ -16,8 +16,8 @@ verify end to end:
    ``--json`` dump round-trips;
 5. a job that can never run (``--unroll 0``) is refused at admission:
    ``tflux-submit`` exits 2 with ``rejected:`` and nothing is executed;
-6. SIGTERM shuts the server down cleanly: exit 0 and no forked pool
-   worker outlives it.
+6. SIGTERM shuts the server down cleanly, with a client still
+   connected: exit 0 and no forked pool worker outlives it.
 
 Exits non-zero on any violation.  Usage::
 
@@ -62,14 +62,18 @@ def _alive(pid: int) -> bool:
     return True
 
 
-def drive(server: subprocess.Popen) -> int:
+def listening(server: subprocess.Popen) -> "tuple[str, int] | None":
     line = server.stdout.readline()
     match = re.search(r"listening on ([\d.]+):(\d+)", line)
     if not match:
         print(f"serve-smoke: FAIL: no listen line, got {line!r}")
-        return 1
+        return None
     address = (match.group(1), int(match.group(2)))
     print(f"serve-smoke: server up at {address[0]}:{address[1]}")
+    return address
+
+
+def drive(address: tuple[str, int]) -> int:
 
     # -- overlapping batches from two tenants --------------------------
     batches: dict[str, object] = {}
@@ -173,15 +177,18 @@ def drive(server: subprocess.Popen) -> int:
     return 0
 
 
-def stop(server: subprocess.Popen) -> int:
-    """SIGTERM must take the Ctrl-C path: exit 0, no pool worker left."""
+def stop(server: subprocess.Popen, address: tuple[str, int]) -> int:
+    """SIGTERM must take the Ctrl-C path: exit 0, no pool worker left,
+    and no wait on a client that is still connected."""
     children = _children(server.pid)
-    server.terminate()
-    try:
-        rc = server.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        print("serve-smoke: FAIL: server ignored SIGTERM for 10 s")
-        return 1
+    with ServeClient(address, tenant="idle") as idle:
+        idle.stats()  # the server has registered the connection
+        server.terminate()
+        try:
+            rc = server.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            print("serve-smoke: FAIL: server ignored SIGTERM for 10 s")
+            return 1
     if rc != 0:
         print(f"serve-smoke: FAIL: server exited {rc} on SIGTERM")
         return 1
@@ -207,7 +214,8 @@ def main() -> int:
         env=env,
     )
     try:
-        rc = drive(server) or stop(server)
+        address = listening(server)
+        rc = 1 if address is None else drive(address) or stop(server, address)
     finally:
         if server.poll() is None:
             server.kill()
