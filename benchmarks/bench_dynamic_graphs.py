@@ -46,7 +46,7 @@ GRID = ((4, 3), (8, 2), (6, 5))
 ADAPTERS = {
     "zero-overhead": None,
     "tfluxhard": lambda e, t: HardwareTSUAdapter(e, t),
-    "tfluxsoft": lambda e, t: SoftwareTSUAdapter(e, t),
+    "tfluxsoft": lambda e, t: SoftwareTSUAdapter(e, t, SoftTSUCosts()),
 }
 
 

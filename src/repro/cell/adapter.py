@@ -66,11 +66,10 @@ class CellTSUAdapter(ProtocolAdapter):
         self,
         engine: Engine,
         tsu: TSUGroup,
-        params: Optional[CellParams] = None,
-        costs: CellCosts = CellCosts(),
+        params: CellParams,
+        costs: CellCosts,
     ) -> None:
         super().__init__(engine, tsu)
-        params = params or CellParams()
         self.params = params
         self.costs = costs
         n = tsu.nkernels

@@ -23,9 +23,9 @@ class DMAEngine:
     """Per-SPE DMA channel (costs only; bandwidth shared via the EIB is
     second-order for ≤6 SPEs and not modelled)."""
 
-    setup_cycles: int = 300
-    cycles_per_line: int = 4
-    line_size: int = 128
+    setup_cycles: int
+    cycles_per_line: int
+    line_size: int
     #: Tile size for streamed (non-resident) ranges; double-buffered.
     stream_tile_bytes: int = 16 * 1024
     transfers: int = field(default=0, init=False)

@@ -28,7 +28,7 @@ class CellLocalStoreError(MemoryError):
 class LocalStore:
     """Capacity tracker for one SPE's Local Store."""
 
-    capacity: int = 256 * 1024
+    capacity: int
     reserved: int = DEFAULT_RESERVED_BYTES
     high_watermark: int = 0
 

@@ -22,7 +22,7 @@ MAILBOX_DEPTH = 4
 class Mailbox:
     """Bounded FIFO with delivery latency (one per SPE)."""
 
-    def __init__(self, engine: Engine, latency: int = 100) -> None:
+    def __init__(self, engine: Engine, latency: int) -> None:
         self.engine = engine
         self.latency = latency
         self._items: deque[Any] = deque()

@@ -185,7 +185,6 @@ def main(argv: list[str] | None = None) -> int:
         platforms = [
             TFluxDist(
                 nnodes=n,
-                costs=platform.costs,
                 net=platform.net,
                 topology=platform.topology,
                 cluster_size=platform.cluster_size,

@@ -80,8 +80,8 @@ class LineTable:
 
     The owner map keeps two of these (last-writer id and copy-set mask);
     rows are created eagerly for the regions known at construction and
-    lazily for regions declared later (which never happens for built
-    programs, whose environment is frozen at build time).
+    lazily for regions declared later (a new array a DThread body adds to
+    the environment mid-run).
     """
 
     __slots__ = ("line_size", "dtype", "fill", "_rows")

@@ -73,8 +73,7 @@ class RegionOwnerMap:
         mybit = np.uint64(1 << node)
         for op in summary:
             # Rows materialise lazily for regions declared after map
-            # construction (never happens for built programs, whose env
-            # is frozen at build time).
+            # construction (a new array a DThread body adds mid-run).
             owner = self._owner.row(op.region)
             copies = self._copies.row(op.region)
             idx = op_line_index(op, self.line_size)

@@ -16,11 +16,11 @@ Three wirings are provided:
   Exactly the historical fabric: with this topology (the default) every
   cycle count is bit-identical to the pre-topology ``Network``.
 * :class:`FatTree` — nodes grouped into pods of ``pod_size`` behind an
-  edge switch; ``uplinks`` parallel links per pod reach the spine.
+  edge switch; ``pod_size`` parallel links per pod reach the spine.
   Intra-pod traffic crosses 2 hops (up, down) on dedicated node links;
   inter-pod traffic crosses 4 (up, pod uplink, peer pod downlink, down)
-  and *shares* the pod's uplinks — a full fat-tree (``uplinks ==
-  pod_size``) keeps full bisection bandwidth.
+  and *shares* the pod's uplinks — as many as pod members, so the
+  fat-tree keeps full bisection bandwidth.
 * :class:`OversubscribedSpine` — a :class:`FatTree` whose uplink count is
   divided by an oversubscription factor (the classic 4:1 datacenter
   spine).  Inter-pod pulls queue on the few uplinks, so D1's wide sweeps
@@ -93,21 +93,18 @@ class FullMesh(Topology):
 
 @dataclass(frozen=True)
 class FatTree(Topology):
-    """Two-level Clos: pods of *pod_size* nodes, *uplinks* links to the
-    spine per pod (``None`` → ``pod_size``: full bisection bandwidth)."""
+    """Two-level Clos: pods of *pod_size* nodes, as many links to the
+    spine per pod (full bisection bandwidth)."""
 
-    pod_size: int = 8
-    uplinks: int | None = None
+    pod_size: int
 
     def __post_init__(self) -> None:
         if self.pod_size < 1:
             raise ValueError(f"pod_size must be >= 1, got {self.pod_size}")
-        if self.uplinks is not None and self.uplinks < 1:
-            raise ValueError(f"uplinks must be >= 1, got {self.uplinks}")
 
     @property
     def _uplinks(self) -> int:
-        return self.pod_size if self.uplinks is None else self.uplinks
+        return self.pod_size
 
     def _pod(self, node: int) -> int:
         return node // self.pod_size
@@ -149,8 +146,6 @@ class OversubscribedSpine(FatTree):
             raise ValueError(
                 f"oversubscription must be >= 1, got {self.oversubscription}"
             )
-        if self.uplinks is not None:
-            raise ValueError("OversubscribedSpine derives uplinks; do not set it")
         super().__post_init__()
 
     @property

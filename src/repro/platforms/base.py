@@ -28,7 +28,6 @@ from repro.sim.engine import Engine
 from repro.sim.machine import MachineConfig
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
-from repro.tsu.policy import PlacementPolicy, contiguous_placement
 
 __all__ = ["Platform", "Evaluation"]
 
@@ -86,14 +85,12 @@ class Platform:
         tsu_capacity: Optional[int] = None,
         exact_memory: bool = False,
         allow_stealing: bool = False,
-        placement: PlacementPolicy = contiguous_placement,
         tracer: Optional[Probe] = None,
     ) -> RunResult:
         """Run *program* with *nkernels* Kernels; returns the result.
 
         Pass a collecting *tracer* (e.g. :class:`repro.obs.Tracer`) to
-        keep per-DThread spans, and a *placement* policy to override the
-        default contiguous DThread→kernel assignment.
+        keep per-DThread spans.
         """
         if nkernels > self.max_kernels:
             raise ValueError(
@@ -106,7 +103,6 @@ class Platform:
             nkernels=nkernels,
             adapter_factory=self.adapter_factory(),
             tsu_capacity=tsu_capacity,
-            placement=placement,
             exact_memory=exact_memory,
             allow_stealing=allow_stealing,
             platform_name=self.name,

@@ -7,7 +7,7 @@ from typing import Callable
 from repro.cell.adapter import CellCosts, CellTSUAdapter
 from repro.platforms.base import Platform
 from repro.sim.engine import Engine
-from repro.sim.machine import CELL_PS3, MachineConfig
+from repro.sim.machine import CELL_PS3
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
 
@@ -25,15 +25,9 @@ class TFluxCell(Platform):
 
     target = "C"
 
-    def __init__(
-        self,
-        machine: MachineConfig = CELL_PS3,
-        costs: CellCosts = CellCosts(),
-    ) -> None:
-        if machine.cell is None:
-            raise ValueError("TFluxCell requires a machine with Cell parameters")
-        super().__init__(machine, name="tfluxcell")
-        self.costs = costs
+    def __init__(self) -> None:
+        super().__init__(CELL_PS3, name="tfluxcell")
+        self.costs = CellCosts()
 
     @property
     def max_kernels(self) -> int:
@@ -42,6 +36,4 @@ class TFluxCell(Platform):
     def adapter_factory(self) -> Callable[[Engine, TSUGroup], ProtocolAdapter]:
         params = self.machine.cell
         costs = self.costs
-        return lambda engine, tsu: CellTSUAdapter(
-            engine, tsu, params=params, costs=costs
-        )
+        return lambda engine, tsu: CellTSUAdapter(engine, tsu, params, costs)

@@ -29,7 +29,7 @@ from repro.net.topology import Topology
 from repro.platforms.base import Platform
 from repro.sim.capability import check_nodes
 from repro.sim.engine import Engine
-from repro.sim.machine import MachineConfig, XEON_8
+from repro.sim.machine import XEON_8
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.dist import DistTSUAdapter
 from repro.tsu.group import TSUGroup
@@ -59,21 +59,19 @@ class TFluxDist(Platform):
     def __init__(
         self,
         nnodes: int = 2,
-        machine: MachineConfig = XEON_8,
-        costs: SoftTSUCosts = SoftTSUCosts(),
         net: NetParams = NetParams(),
         topology: Optional[Topology] = None,
         cluster_size: Optional[int] = None,
     ) -> None:
         # The fused machine must fit the two-level sharer directory
         # (64 nodes x 64 cores); one check covers both axes.
-        check_nodes(nnodes, cores_per_node=machine.ncores, what="TFluxDist")
+        check_nodes(nnodes, cores_per_node=XEON_8.ncores, what="TFluxDist")
         if cluster_size is not None and cluster_size < 1:
             raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
-        super().__init__(machine.with_cores(machine.ncores * nnodes), name="tfluxdist")
+        super().__init__(XEON_8.with_cores(XEON_8.ncores * nnodes), name="tfluxdist")
         self.nnodes = nnodes
-        self.node_machine = machine
-        self.costs = costs
+        self.node_machine = XEON_8
+        self.costs = SoftTSUCosts()
         self.net = net
         self.topology = topology
         self.cluster_size = cluster_size

@@ -6,7 +6,7 @@ from typing import Callable
 
 from repro.platforms.base import Platform
 from repro.sim.engine import Engine
-from repro.sim.machine import MachineConfig, XEON_8
+from repro.sim.machine import XEON_8
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
 from repro.tsu.software import SoftTSUCosts, SoftwareTSUAdapter
@@ -21,13 +21,9 @@ class TFluxSoft(Platform):
 
     target = "N"
 
-    def __init__(
-        self,
-        machine: MachineConfig = XEON_8,
-        costs: SoftTSUCosts = SoftTSUCosts(),
-    ) -> None:
-        super().__init__(machine, name="tfluxsoft")
-        self.costs = costs
+    def __init__(self) -> None:
+        super().__init__(XEON_8, name="tfluxsoft")
+        self.costs = SoftTSUCosts()
 
     @property
     def max_kernels(self) -> int:
@@ -36,4 +32,4 @@ class TFluxSoft(Platform):
 
     def adapter_factory(self) -> Callable[[Engine, TSUGroup], ProtocolAdapter]:
         costs = self.costs
-        return lambda engine, tsu: SoftwareTSUAdapter(engine, tsu, costs=costs)
+        return lambda engine, tsu: SoftwareTSUAdapter(engine, tsu, costs)

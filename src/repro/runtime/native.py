@@ -48,7 +48,6 @@ from repro.obs import NULL_PROBE, Counters, KernelAccount, Probe
 from repro.runtime.core import Fetch, blocking_step, run_kernel_blocking
 from repro.runtime.stats import RunResult
 from repro.tsu.group import TSUGroup
-from repro.tsu.policy import PlacementPolicy, contiguous_placement
 from repro.tsu.tub import ThreadUpdateBuffer
 
 __all__ = ["NativeRuntime"]
@@ -72,7 +71,6 @@ class NativeRuntime:
         program: DDMProgram,
         nkernels: int,
         tsu_capacity: Optional[int] = None,
-        placement: PlacementPolicy = contiguous_placement,
         tracer: Optional[Probe] = None,
     ) -> None:
         if nkernels < 1:
@@ -81,7 +79,7 @@ class NativeRuntime:
         self.nkernels = nkernels
         self.blocks = program.blocks(tsu_capacity)
         self.tsu = TSUGroup(
-            nkernels, self.blocks, placement=placement,
+            nkernels, self.blocks,
             root_graph=program.expanded(), tsu_capacity=tsu_capacity,
         )
         self.tub = ThreadUpdateBuffer(TUB_SEGMENTS, TUB_SEGMENT_CAPACITY)

@@ -87,11 +87,10 @@ class MemoryConfig:
     bursts.  Strided and isolated misses always pay ``dram_latency``.
     """
 
-    dram_latency: int = 100
-    dram_burst_latency: int = 16
-    cache_to_cache_latency: int = 30
-    upgrade_latency: int = 6
-    writeback_latency: int = 0  # off the critical path (posted writes)
+    dram_latency: int
+    dram_burst_latency: int
+    cache_to_cache_latency: int
+    upgrade_latency: int
 
 
 class CacheLevel:

@@ -10,9 +10,11 @@ Processes are plain Python generators.  A process may ``yield``:
 
 * an ``int`` — advance this process by that many cycles;
 * an :class:`Event` — suspend until the event is triggered (the ``yield``
-  expression evaluates to the event's value);
-* another :class:`Process` — suspend until that process terminates (the
-  ``yield`` evaluates to its return value).
+  expression evaluates to the event's value).
+
+An event has at most one waiter, which must arrive before the event
+triggers.  Yielding anything else, a second waiter and a late one each
+raise :class:`SimulationError` out of :meth:`Engine.run`.
 
 Models say "hold this resource for N cycles" (``yield from
 resource.hold(n)``), and a hold has one protocol: a slot granted on the
@@ -66,22 +68,18 @@ class Event:
     """A one-shot event that processes can wait on.
 
     An event starts *pending*; calling :meth:`succeed` triggers it
-    exactly once, resuming every waiting process at the current
-    simulation time.  Late waiters (processes that yield an event that has
-    already been triggered) resume immediately.
+    exactly once, resuming its waiter (if any) at the current simulation
+    time.
     """
 
-    __slots__ = ("engine", "_value", "triggered", "_waiters", "name")
+    __slots__ = ("engine", "_value", "triggered", "_waiter", "name")
 
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         self.name = name
         self.triggered = False
         self._value: Any = None
-        # Allocated lazily on the first waiter: most events (resource
-        # grants, process-done markers) trigger with zero or one waiter,
-        # and this is the hottest allocation site in the kernel.
-        self._waiters: Optional[list[Callable[["Event"], None]]] = None
+        self._waiter: Optional[Callable[["Event"], None]] = None
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
@@ -90,27 +88,21 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
         self._value = value
-        self._flush()
-        return self
-
-    def _flush(self) -> None:
-        waiters, self._waiters = self._waiters, None
-        if waiters:
+        cb, self._waiter = self._waiter, None
+        if cb is not None:
             # Deliver on the engine queue so resumption order is
             # deterministic and never re-entrant.
-            schedule = self.engine._schedule
-            for cb in waiters:
-                schedule(0.0, cb, self)
+            self.engine._schedule(0.0, cb, self)
+        return self
 
     # -- waiting ---------------------------------------------------------
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Register *cb* to run (with this event) once triggered."""
+        """Register *cb*, the event's one waiter, to run once triggered."""
         if self.triggered:
-            self.engine._schedule(0.0, cb, self)
-        elif self._waiters is None:
-            self._waiters = [cb]
-        else:
-            self._waiters.append(cb)
+            raise SimulationError(f"late waiter: event {self.name!r} already triggered")
+        if self._waiter is not None:
+            raise SimulationError(f"second waiter: event {self.name!r} already has one")
+        self._waiter = cb
 
     @property
     def value(self) -> Any:
@@ -161,26 +153,15 @@ class Process:
         self.done.succeed(value)
 
     def _dispatch(self, target: Any) -> None:
-        """Suspend on the yielded target (delay, event, or process)."""
+        """Suspend on the yielded target (a delay or an event)."""
         if type(target) is int:  # plain cycle delay: the hot case
             self.engine._schedule(target, self._resume, _SEND_NONE)
-        elif isinstance(target, Process):
-            target.done.add_callback(self._resume)
         elif isinstance(target, Event):
             target.add_callback(self._resume)
         else:
-            exc = SimulationError(
+            raise SimulationError(
                 f"process {self.name!r} yielded unsupported {target!r}"
             )
-            try:
-                recovered = self.gen.throw(exc)
-            except StopIteration as stop:
-                self._finish(stop.value)
-                return
-            # The generator handled the error and yielded a new target:
-            # keep it running.  If it re-raised, the error escapes to the
-            # engine run loop — a process that cannot handle it is a bug.
-            self._dispatch(recovered)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "done"
@@ -294,27 +275,20 @@ class Engine:
         return Process(self, gen, name=name)
 
     def all_of(self, events: Iterable[Event], name: str = "all_of") -> Event:
-        """Event that triggers once every event in *events* has triggered."""
+        """Event that triggers once every one of *events* (at least one,
+        each pending and unwaited) has triggered."""
         events = list(events)
         combined = Event(self, name=name)
-        remaining = len(events)
-        if remaining == 0:
-            combined.succeed([])
-            return combined
-        values: list[Any] = [None] * remaining
-        state = {"left": remaining}
+        left = len(events)
 
-        def make_cb(i: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                values[i] = ev.value
-                state["left"] -= 1
-                if state["left"] == 0:
-                    combined.succeed(list(values))
+        def cb(_: Event) -> None:
+            nonlocal left
+            left -= 1
+            if left == 0:
+                combined.succeed()
 
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
+        for ev in events:
+            ev.add_callback(cb)
         return combined
 
     # -- scheduling --------------------------------------------------------

@@ -39,7 +39,6 @@ class CellParams:
     dma_setup_cycles: int = 300
     dma_cycles_per_line: int = 4  # sustained EIB bandwidth per 128B line
     dma_line_size: int = 128
-    mailbox_latency: int = 100
     command_buffer_bytes: int = 128
 
 
@@ -124,7 +123,9 @@ BAGLE_27 = MachineConfig(
     ncores=28,
     l1=CacheConfig(size=32 * 1024, line_size=64, assoc=4, read_latency=2, write_latency=0),
     l2=CacheConfig(size=2 * 1024 * 1024, line_size=64, assoc=8, read_latency=20, write_latency=20),
-    mem=MemoryConfig(dram_latency=100, cache_to_cache_latency=40, upgrade_latency=8),
+    mem=MemoryConfig(
+        dram_latency=100, dram_burst_latency=16, cache_to_cache_latency=40, upgrade_latency=8
+    ),
     dram_bytes=4 << 30,
     os_reserved_cores=1,
     description="Simics-simulated 28-core Sparc CMP (Suse 7.3, kernel 2.4.14 SMP)",
@@ -136,7 +137,9 @@ XEON_8 = MachineConfig(
     ncores=8,
     l1=CacheConfig(size=32 * 1024, line_size=64, assoc=8, read_latency=3, write_latency=1),
     l2=CacheConfig(size=4 * 1024 * 1024, line_size=64, assoc=16, read_latency=14, write_latency=14),
-    mem=MemoryConfig(dram_latency=200, cache_to_cache_latency=60, upgrade_latency=12),
+    mem=MemoryConfig(
+        dram_latency=200, dram_burst_latency=16, cache_to_cache_latency=60, upgrade_latency=12
+    ),
     dram_bytes=18 << 30,
     # E5320: each QuadCore is two pairs, each pair shares one 4MB L2.
     l2_group_of=tuple(i // 2 for i in range(8)),
@@ -154,7 +157,9 @@ X86_9_SIM = MachineConfig(
     ncores=9,
     l1=CacheConfig(size=32 * 1024, line_size=64, assoc=8, read_latency=3, write_latency=1),
     l2=CacheConfig(size=2 * 1024 * 1024, line_size=64, assoc=8, read_latency=18, write_latency=18),
-    mem=MemoryConfig(dram_latency=150, cache_to_cache_latency=50, upgrade_latency=10),
+    mem=MemoryConfig(
+        dram_latency=150, dram_burst_latency=16, cache_to_cache_latency=50, upgrade_latency=10
+    ),
     dram_bytes=4 << 30,
     os_reserved_cores=1,
     description="Simics-style 9-core x86 CMP similar to Bagle (§6.1.2)",
@@ -167,7 +172,9 @@ CELL_PS3 = MachineConfig(
     # The PPE's caches (SPEs have Local Stores instead, see CellParams).
     l1=CacheConfig(size=32 * 1024, line_size=128, assoc=4, read_latency=2, write_latency=1),
     l2=CacheConfig(size=512 * 1024, line_size=128, assoc=8, read_latency=25, write_latency=25),
-    mem=MemoryConfig(dram_latency=250, cache_to_cache_latency=80, upgrade_latency=16),
+    mem=MemoryConfig(
+        dram_latency=250, dram_burst_latency=16, cache_to_cache_latency=80, upgrade_latency=16
+    ),
     dram_bytes=256 << 20,
     os_reserved_cores=0,
     cell=CellParams(),

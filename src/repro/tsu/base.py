@@ -26,10 +26,10 @@ every adapter and reads its ``nnodes`` / ``topology`` for the run record
 overridden by the platforms that run emulator processes or span nodes.
 The driver never probes an adapter for optional methods.
 
-:class:`ZeroOverheadAdapter` makes every operation free; it is used for
-the sequential-baseline runs ("the baseline program is the original
-sequential one, i.e. without any TFlux overheads", §5) and in tests that
-check pure scheduling behaviour.
+:class:`ZeroOverheadAdapter` makes every operation free: it is the
+driver's adapter when none is given, for runs that check pure
+scheduling behaviour.  The §5 sequential baseline builds no adapter at
+all (:func:`~repro.runtime.simdriver.price_sequential`).
 """
 
 from __future__ import annotations

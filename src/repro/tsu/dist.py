@@ -64,7 +64,7 @@ class DistTSUAdapter(SoftwareTSUAdapter):
         engine: Engine,
         tsu: TSUGroup,
         nnodes: int,
-        costs: SoftTSUCosts = SoftTSUCosts(),
+        costs: SoftTSUCosts,
         net_params: Optional[NetParams] = None,
         topology: Optional[Topology] = None,
     ) -> None:

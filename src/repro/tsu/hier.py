@@ -53,7 +53,7 @@ class HierDistTSUAdapter(DistTSUAdapter):
         engine: Engine,
         tsu: TSUGroup,
         nnodes: int,
-        costs: SoftTSUCosts = SoftTSUCosts(),
+        costs: SoftTSUCosts,
         net_params: Optional[NetParams] = None,
         topology: Optional[Topology] = None,
         cluster_size: int = 8,

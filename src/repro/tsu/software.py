@@ -156,7 +156,7 @@ class SoftwareTSUAdapter(ProtocolAdapter):
         self,
         engine: Engine,
         tsu: TSUGroup,
-        costs: SoftTSUCosts = SoftTSUCosts(),
+        costs: SoftTSUCosts,
     ) -> None:
         super().__init__(engine, tsu)
         self.costs = costs

@@ -16,7 +16,9 @@ from repro.sim.cache import (
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2 = CacheConfig(size=8192, line_size=64, assoc=4, read_latency=20, write_latency=20)
-MEM = MemoryConfig(dram_latency=100, cache_to_cache_latency=40, upgrade_latency=8)
+MEM = MemoryConfig(
+    dram_latency=100, dram_burst_latency=16, cache_to_cache_latency=40, upgrade_latency=8
+)
 
 
 def make_system(ncores=2, region_bytes=65536, l2_groups=None):

@@ -23,7 +23,7 @@ def test_localstore_budget():
 
 
 def test_localstore_overflow_raises():
-    ls = LocalStore()
+    ls = LocalStore(capacity=256 * 1024)
     with pytest.raises(CellLocalStoreError, match="Local Store"):
         ls.require(300_000, what="huge DThread")
 
@@ -47,7 +47,7 @@ def test_dma_streamed_transfer_pays_per_tile_setup():
 def test_dma_import_export_split():
     space = RegionSpace()
     r = space.region("r", 4096)
-    dma = DMAEngine()
+    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128)
     s = AccessSummary().read(r, count=256).write(r, count=128)
     imp, exp = dma.import_cycles(s), dma.export_cycles(s)
     assert imp > exp > 0
@@ -56,7 +56,8 @@ def test_dma_import_export_split():
 def test_dma_working_set_streamed_vs_resident():
     space = RegionSpace()
     big = space.region("big", 1 << 20)
-    dma = DMAEngine(stream_tile_bytes=16 * 1024)
+    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128,
+                    stream_tile_bytes=16 * 1024)
     resident = AccessSummary().read(big)
     streamed = AccessSummary().read(big, resident=False)
     assert dma.working_set_bytes(resident) == 1 << 20

@@ -22,7 +22,9 @@ from repro.sim.fastcache import FastMemorySystem
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2 = CacheConfig(size=8192, line_size=64, assoc=4, read_latency=20, write_latency=20)
-MEM = MemoryConfig(dram_latency=100, cache_to_cache_latency=40, upgrade_latency=8)
+MEM = MemoryConfig(
+    dram_latency=100, dram_burst_latency=16, cache_to_cache_latency=40, upgrade_latency=8
+)
 
 
 def _space(nlines=64):

@@ -22,6 +22,7 @@ from repro.core import ProgramBuilder
 from repro.net import Message, MsgKind, NetParams, Network, RegionOwnerMap
 from repro.net.message import UPDATE_BYTES
 from repro.platforms.dist import TFluxDist
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.capability import DirectoryCapacityError
 from repro.sim.engine import Engine
@@ -289,6 +290,17 @@ def _skewed_program(w=48):
     return b.build()
 
 
+def _placed(placement, program, nnodes=2, nkernels=12):
+    """Run *program* on TFluxDist under *placement*: ``execute`` always
+    places contiguously, so this builds its driver with a policy."""
+    platform = TFluxDist(nnodes=nnodes)
+    return SimulatedRuntime(
+        program, platform.machine, nkernels=nkernels,
+        adapter_factory=platform.adapter_factory(), placement=placement,
+        platform_name=platform.name,
+    ).run()
+
+
 def _remote_fraction(result):
     c = result.counters
     total = c["net.remote_updates"] + c["net.local_updates"]
@@ -296,12 +308,8 @@ def _remote_fraction(result):
 
 
 def test_contiguous_minimises_remote_update_fraction():
-    contig = TFluxDist(nnodes=2).execute(
-        _neighbour_program(), nkernels=12, placement=contiguous_placement
-    )
-    rr = TFluxDist(nnodes=2).execute(
-        _neighbour_program(), nkernels=12, placement=round_robin_placement
-    )
+    contig = _placed(contiguous_placement, _neighbour_program())
+    rr = _placed(round_robin_placement, _neighbour_program())
     assert contig.env.get("b") is not None
     # Neighbour deps: contiguity keeps almost all updates on-node;
     # round-robin scatters a large fraction across the wire.
@@ -315,12 +323,8 @@ def test_round_robin_balances_skewed_load():
         busy = [k.core.compute_cycles for k in result.kernels]
         return max(busy) / (sum(busy) / len(busy))
 
-    contig = TFluxDist(nnodes=2).execute(
-        _skewed_program(), nkernels=12, placement=contiguous_placement
-    )
-    rr = TFluxDist(nnodes=2).execute(
-        _skewed_program(), nkernels=12, placement=round_robin_placement
-    )
+    contig = _placed(contiguous_placement, _skewed_program())
+    rr = _placed(round_robin_placement, _skewed_program())
     # Round-robin deals the expensive tail contexts across all kernels.
     assert spread(rr) < spread(contig)
     # ... and that balance buys real time on the skewed program.

@@ -32,6 +32,7 @@ from repro.net import NetParams
 from repro.obs import Tracer
 from repro.platforms.dist import TFluxDist
 from repro.platforms.soft import TFluxSoft
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.tsu.policy import round_robin_placement
 
 NKERNELS = 4
@@ -113,15 +114,13 @@ def assert_bit_identical(dist, soft):
     assert dist.counters["net.remote_updates"] == 0
 
 
-def run_pair(program_key, nkernels=NKERNELS, **execute_kw):
+def run_pair(program_key, nkernels=NKERNELS):
     prog, cap = PROGRAMS[program_key]()
     dist = TFluxDist(nnodes=1, net=NetParams.zero_cost()).execute(
-        prog, nkernels=nkernels, tsu_capacity=cap, tracer=Tracer(), **execute_kw
+        prog, nkernels=nkernels, tsu_capacity=cap, tracer=Tracer()
     )
     prog, cap = PROGRAMS[program_key]()
-    soft = TFluxSoft().execute(
-        prog, nkernels=nkernels, tsu_capacity=cap, tracer=Tracer(), **execute_kw
-    )
+    soft = TFluxSoft().execute(prog, nkernels=nkernels, tsu_capacity=cap, tracer=Tracer())
     return dist, soft
 
 
@@ -134,8 +133,18 @@ def test_one_node_bit_identical(program_key, nkernels):
 
 
 def test_one_node_bit_identical_round_robin():
-    dist, soft = run_pair("blocked", placement=round_robin_placement)
-    assert_bit_identical(dist, soft)
+    # execute always places contiguously: build each platform's driver
+    # with the round-robin policy instead.
+    def run(platform):
+        prog, cap = PROGRAMS["blocked"]()
+        return SimulatedRuntime(
+            prog, platform.machine, nkernels=NKERNELS,
+            adapter_factory=platform.adapter_factory(), tsu_capacity=cap,
+            placement=round_robin_placement, platform_name=platform.name,
+            tracer=Tracer(),
+        ).run()
+
+    assert_bit_identical(run(TFluxDist(nnodes=1, net=NetParams.zero_cost())), run(TFluxSoft()))
 
 
 def test_one_node_nonzero_network_is_still_identical():

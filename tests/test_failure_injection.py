@@ -53,7 +53,7 @@ def test_lost_completion_detected_as_stall():
         simple_program(),
         BAGLE_27,
         nkernels=2,
-        adapter_factory=lambda e, t: DroppyAdapter(e, t),
+        adapter_factory=lambda e, t: DroppyAdapter(e, t, SoftTSUCosts()),
     )
     with pytest.raises(RuntimeError, match="stalled"):
         rt.run()

@@ -25,6 +25,7 @@ from repro.obs import (
 )
 from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
 from repro.runtime.native import NativeRuntime
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.tsu.policy import round_robin_placement
 
 
@@ -169,13 +170,15 @@ def test_spans_reconcile_with_core_stats():
 
 
 def test_execute_accepts_placement_policy():
+    """A placement policy is the simulated driver's option (``execute``
+    always places contiguously); the spans show where instances ran."""
+    platform = TFluxHard()
     tracer = Tracer()
-    result = TFluxHard().execute(
-        _sum_program(12),
-        nkernels=4,
-        placement=round_robin_placement,
-        tracer=tracer,
-    )
+    result = SimulatedRuntime(
+        _sum_program(12), platform.machine, nkernels=4,
+        adapter_factory=platform.adapter_factory(),
+        placement=round_robin_placement, tracer=tracer,
+    ).run()
     assert result.env.get("total") == sum((i + 1) ** 2 for i in range(12))
     # Round-robin spreads the 12 workers over all four kernels.
     assert {s.kernel for s in tracer.spans if s.kind == "thread"} == {0, 1, 2, 3}

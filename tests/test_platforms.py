@@ -95,13 +95,6 @@ def test_paper_reference_integrity():
     assert PAPER.tsu_latency_max_impact == 0.01
 
 
-def test_cell_platform_requires_cell_machine():
-    from repro.sim.machine import BAGLE_27
-
-    with pytest.raises(ValueError):
-        TFluxCell(machine=BAGLE_27)
-
-
 # -- CLI -------------------------------------------------------------------------
 def test_cli_runs_single_cell(capsys):
     from repro.cli import main

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import ProgramBuilder
 from repro.runtime.native import NativeRuntime
-from repro.tsu.policy import round_robin_placement
 
 
 def parallel_sum_program(nchunks=16):
@@ -38,13 +37,6 @@ def test_native_single_kernel():
 
 def test_native_multi_block():
     res = NativeRuntime(parallel_sum_program(12), nkernels=4, tsu_capacity=5).run()
-    assert res.env.get("total") == sum((i + 1) ** 2 for i in range(12))
-
-
-def test_native_round_robin_placement():
-    res = NativeRuntime(
-        parallel_sum_program(12), nkernels=4, placement=round_robin_placement
-    ).run()
     assert res.env.get("total") == sum((i + 1) ** 2 for i in range(12))
 
 

@@ -285,7 +285,7 @@ def test_software_adapter_correct():
         prog,
         XEON_8,
         nkernels=6,
-        adapter_factory=lambda e, t: SoftwareTSUAdapter(e, t),
+        adapter_factory=lambda e, t: SoftwareTSUAdapter(e, t, SoftTSUCosts()),
         platform_name="tfluxsoft",
     ).run()
     assert res.env.get("total") == 136.0
@@ -301,7 +301,7 @@ def test_software_overhead_exceeds_hardware():
         ).run().cycles
 
     hard = run_with(lambda e, t: HardwareTSUAdapter(e, t), BAGLE_27, 4)
-    soft = run_with(lambda e, t: SoftwareTSUAdapter(e, t), XEON_8, 4)
+    soft = run_with(lambda e, t: SoftwareTSUAdapter(e, t, SoftTSUCosts()), XEON_8, 4)
     assert soft > hard
 
 
@@ -310,7 +310,7 @@ def test_software_emulator_stats_populated():
     adapters = []
 
     def factory(e, t):
-        a = SoftwareTSUAdapter(e, t)
+        a = SoftwareTSUAdapter(e, t, SoftTSUCosts())
         adapters.append(a)
         return a
 
@@ -330,7 +330,7 @@ def test_software_coarse_threads_amortise_overhead():
             prog,
             XEON_8,
             nkernels=4,
-            adapter_factory=lambda e, t: SoftwareTSUAdapter(e, t),
+            adapter_factory=lambda e, t: SoftwareTSUAdapter(e, t, SoftTSUCosts()),
         ).run()
         seq = run_sequential_timed(
             parallel_sum_program(nchunks, chunk_cost=chunk_cost), XEON_8

@@ -159,5 +159,5 @@ def test_wire_identity_golden():
     jobs = wire_identity_jobs()
     assert len({encode(job) for job in jobs}) == 196  # the mixes are distinct
     assert wire_identity_digest() == (
-        "169133baf43e0d59606bf284f96e02fca87fc064b534600f017961e0c2ef2dee"
+        "3450d11f35309a6e59f7c132293b5534a5420c7baeef0af3ec6a86643c6c50bd"
     )

