@@ -13,7 +13,8 @@ into the registry once, when the run's :class:`~repro.obs.record.RunRecord`
 is assembled.  That keeps the paper-critical timing loops untouched while
 giving every platform the same reporting contract.
 
-Counters are *typed* (integer-only, validated on the way in), *namespaced*
+Counters are *typed* (integer-only, validated on the way in; a name's
+dotted-identifier check runs once per distinct name), *namespaced*
 (dotted names; :meth:`Counters.scope` binds a prefix), and *mergeable*
 (:meth:`Counters.merge` sums by name — the natural reduction for
 aggregating repeated runs or multi-device adapters).
@@ -21,6 +22,7 @@ aggregating repeated runs or multi-device adapters).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 __all__ = ["Counters", "CounterScope"]
@@ -30,9 +32,21 @@ _NAME_ERROR = (
 )
 
 
+#: Distinct valid names whose check is remembered (a run publishes a few
+#: hundred; a server adds a handful per tenant).
+_NAME_MEMO_SIZE = 4096
+
+
 def _check_name(name: str) -> None:
     if not isinstance(name, str) or not name:
         raise TypeError(_NAME_ERROR)
+    _check_parts(name)
+
+
+@lru_cache(maxsize=_NAME_MEMO_SIZE)
+def _check_parts(name: str) -> None:
+    """Every dotted part is an identifier.  ``lru_cache`` keeps no call
+    that raised, so a bad name is refused afresh every time."""
     for part in name.split("."):
         if not part.isidentifier():
             raise ValueError(f"bad counter name {name!r}: {_NAME_ERROR}")

@@ -13,13 +13,19 @@ reassembled in submission order.
 
 from __future__ import annotations
 
+import itertools
 import socket
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.exec.pool import JobOutcome
-from repro.serve.protocol import decode, encode, outcome_from_wire
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    WireError,
+    decode,
+    encode,
+    outcome_from_wire,
+)
 
 __all__ = ["BatchResult", "ServeClient"]
 
@@ -67,6 +73,9 @@ class ServeClient:
             self._sock = socket.create_connection(address)
         self._sock.settimeout(SOCKET_TIMEOUT)
         self._file = self._sock.makefile("rwb")
+        #: Batch ids need only be unique on this connection: the server
+        #: echoes them and ``submit`` skips a stale one.
+        self._batches = itertools.count(1)
         self.welcome = self._read()
         if self.welcome.get("type") != "welcome":
             raise ConnectionError(f"unexpected greeting: {self.welcome!r}")
@@ -80,9 +89,12 @@ class ServeClient:
         self._file.flush()
 
     def _read(self) -> dict[str, Any]:
-        line = self._file.readline()
+        """The next message; a line is bounded as the server bounds one."""
+        line = self._file.readline(MAX_LINE_BYTES + 1)
         if not line:
             raise ConnectionError("server closed the connection")
+        if not line.endswith(b"\n"):
+            raise WireError(f"line cut short or longer than {MAX_LINE_BYTES} bytes")
         return decode(line)
 
     # -- API ------------------------------------------------------------------
@@ -99,7 +111,7 @@ class ServeClient:
         intermediate ``result`` fires ``on_result(index, outcome)`` as
         it arrives, which is how callers observe the incremental stream.
         """
-        batch_id = uuid.uuid4().hex[:12]
+        batch_id = f"{next(self._batches):012x}"
         self._write(
             {"type": "submit", "batch_id": batch_id, "jobs": jobs,
              "priority": priority}

@@ -36,7 +36,8 @@ Architecture (one asyncio loop + one persistent process pool)::
   leader, and the flight's value *is* those bytes — a delivery splices
   ``batch_id``/``index`` around them
   (:func:`repro.serve.protocol.result_line`); a connection's writer
-  sends everything queued since it last woke in one write.
+  sends everything queued since it last woke in one write, and
+  admission wakes the dispatcher first, so an all-hit batch is one.
 * **Everything is counted** through :mod:`repro.obs`:
   ``serve.admitted/rejected/deduped/lru_hits/evictions/executed/completed``
   globally, the same set per tenant under ``serve.tenant.<name>.*``,
@@ -402,8 +403,10 @@ class TFluxServer:
             assert admitted  # can_accept covered the whole batch
         self.counters.inc("serve.admitted", len(resolved))
         self.counters.inc(f"serve.tenant.{tenant_key}.admitted", len(resolved))
-        conn.send({"type": "accepted", "batch_id": batch_id, "jobs": len(resolved)})
+        # Wake the dispatcher before the writer: it runs first, so the hits
+        # it delivers leave with ``accepted`` in one write.
         self._wake.set()
+        conn.send({"type": "accepted", "batch_id": batch_id, "jobs": len(resolved)})
 
     # -- dispatch --------------------------------------------------------------
     async def _dispatch_loop(self) -> None:

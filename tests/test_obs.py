@@ -11,6 +11,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import problem_sizes
 from repro.core import ProgramBuilder
@@ -23,6 +25,7 @@ from repro.obs import (
     to_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.counters import _NAME_MEMO_SIZE, _check_name, _check_parts
 from repro.platforms import TFluxCell, TFluxHard, TFluxSoft
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simdriver import SimulatedRuntime
@@ -102,6 +105,70 @@ class TestCounters:
     def test_pickle_round_trip(self):
         c = Counters({"tsu.fetches": 42, "dma.bytes_imported": 1 << 40})
         assert pickle.loads(pickle.dumps(c)) == c
+
+
+# -- the name check: remembered, never weakened --------------------------------
+
+_REFERENCE_NAME_ERROR = (
+    "counter names are non-empty dotted identifiers, e.g. 'tsu.fetches'"
+)
+
+
+def _reference_check_name(name):
+    """The name check as it stood before it was memoised."""
+    if not isinstance(name, str) or not name:
+        raise TypeError(_REFERENCE_NAME_ERROR)
+    for part in name.split("."):
+        if not part.isidentifier():
+            raise ValueError(f"bad counter name {name!r}: {_REFERENCE_NAME_ERROR}")
+
+
+def _verdict(check, name):
+    try:
+        check(name)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+#: Dotted text: identifiers, empty parts, Unicode (identifiers or not).
+_PARTS = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    st.sampled_from(["", "1x", "a b", "a-b", "é", "ω_1", "℘", "x\u0301", "٣", "\x00"]),
+    st.text(max_size=4),
+)
+_NAMES = st.one_of(
+    st.lists(_PARTS, min_size=1, max_size=4).map(".".join),
+    st.sampled_from([None, 1, b"x", ["a"], 1.5, ("a",)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(_NAMES, min_size=1, max_size=12), order=st.randoms())
+def test_memoised_name_check_matches_the_reference(names, order):
+    _check_parts.cache_clear()
+    calls = names + names  # every name's first and a repeated call,
+    order.shuffle(calls)  # in any order
+    passed = set()
+    for name in calls:
+        before = _check_parts.cache_info()
+        verdict = _verdict(_check_name, name)
+        assert verdict == _verdict(_reference_check_name, name)
+        after = _check_parts.cache_info()
+        assert after.currsize <= after.maxsize == _NAME_MEMO_SIZE
+        if verdict is not None:  # a failure is never kept
+            assert (after.hits, after.currsize) == (before.hits, before.currsize)
+        elif name in passed:  # a valid name is checked once
+            assert after.hits == before.hits + 1
+        else:
+            passed.add(name)
+
+
+def test_name_memo_is_bounded():
+    _check_parts.cache_clear()
+    for i in range(_NAME_MEMO_SIZE + 10):
+        _check_name(f"memo.c{i}")
+    assert _check_parts.cache_info().currsize == _NAME_MEMO_SIZE
 
 
 # -- the probe protocol --------------------------------------------------------

@@ -2,8 +2,8 @@
 
 What is a function of the job alone is computed once per job — an
 outcome is encoded once per digest (the flight's value is the encoded
-bytes), a wire job is resolved and digested once per distinct form, a
-connection writes once per wake — and none of it may move a byte on the
+bytes), a wire job is resolved and digested once per distinct form, an
+all-hit batch leaves in one write — and none of it may move a byte on the
 wire: a ``result`` line is ``protocol.result_line``'s splice and must
 equal ``encode(dict)``.
 """
@@ -190,9 +190,9 @@ def test_raw_session_lines_are_canonical_and_unchanged(spawn):
     )
 
 
-# -- (d) one write per wake ---------------------------------------------------------
+# -- (d) one write per hit batch ---------------------------------------------------
 
-def test_hit_batch_leaves_in_at_most_two_writes(spawn, monkeypatch):
+def test_hit_batch_leaves_in_one_write(spawn, monkeypatch):
     writes = []
     real_write = asyncio.StreamWriter.write
 
@@ -208,10 +208,13 @@ def test_hit_batch_leaves_in_at_most_two_writes(spawn, monkeypatch):
         del writes[:]
         assert client.submit(SIX).ok  # six LRU hits
         counted = client.stats()["counters"]["serve.writes"] - before
-    # accepted, then six results and batch_done together; the last write
-    # is the second stats reply, and the first one's was counted after it
+    # accepted, six results and batch_done together; the last write is
+    # the second stats reply, and the first one's was counted after it
     # read `before`.
-    batch_writes = writes[:-1]
-    assert 1 <= len(batch_writes) <= 2
-    assert b"".join(batch_writes).count(b"\n") == 1 + len(SIX) + 1
-    assert counted == 1 + len(batch_writes)
+    batch_write, stats_reply = writes
+    lines = [json.loads(line) for line in batch_write.splitlines()]
+    assert [m["type"] for m in lines] == (
+        ["accepted"] + ["result"] * len(SIX) + ["batch_done"]
+    )
+    assert json.loads(stats_reply)["type"] == "stats"
+    assert counted == 2

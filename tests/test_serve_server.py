@@ -7,11 +7,15 @@ bounds, and failures surface as ``job_error`` without poisoning any
 cache.
 """
 
+import ast
+import contextlib
 import gc
+import inspect
 import json
 import logging
 import multiprocessing
 import os
+import re
 import socket
 import sys
 import threading
@@ -20,8 +24,9 @@ import time
 import pytest
 
 from repro.exec import ResultCache, run_job
+import repro.serve.client as client_module
 from repro.serve import ServeClient, ServeConfig, job_to_wire, serve_in_thread
-from repro.serve.protocol import encode, job_from_wire, outcome_to_wire
+from repro.serve.protocol import WireError, encode, job_from_wire, outcome_to_wire
 
 #: Two distinct cheap cells (trapez small) — the workhorse grid.
 GRID = [
@@ -405,3 +410,104 @@ def test_warmed_worker_inherits_no_collectable_pool():
             fresh.shutdown(wait=False, cancel_futures=True)
     finally:
         gc.enable()
+
+
+# -- the client ------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _peer(reply):
+    """A raw-socket stand-in for the server: it sends the welcome line,
+    then ``reply(line)`` for each line the client sends, and holds the
+    connection open until the block ends."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def run():
+        conn, _ = listener.accept()
+        # a client that refuses a line closes with it unread: a reset
+        with conn, conn.makefile("rwb") as stream, contextlib.suppress(
+            ConnectionResetError
+        ):
+            stream.write(encode({"type": "welcome", "server": "peer", "wire": 1}))
+            stream.flush()
+            for line in iter(stream.readline, b""):
+                stream.write(reply(line))
+                stream.flush()
+            done.wait(30)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        done.set()
+        listener.close()
+        thread.join(30)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [b'"pad":"' + b"x" * 1024 + b'","type":"stats"}\n', b"x" * 1024],
+    ids=["complete", "unterminated"],
+)
+def test_client_refuses_an_over_long_line_promptly(monkeypatch, tail):
+    monkeypatch.setattr(client_module, "MAX_LINE_BYTES", 256)
+    monkeypatch.setattr(client_module, "SOCKET_TIMEOUT", 10.0)
+    with _peer(lambda line: b"{" + tail) as address:
+        client = ServeClient(address)
+        start = time.monotonic()
+        with pytest.raises(WireError, match="longer than 256 bytes"):
+            client.stats()
+        assert time.monotonic() - start < 5
+        client.close()
+
+
+def test_batch_ids_are_per_connection_hex_counters(spawn):
+    handle = spawn()
+    with ServeClient(handle.address) as client:
+        ids = [client.submit(GRID).batch_id for _ in range(3)]
+    assert all(re.fullmatch(r"[0-9a-f]{12}", batch_id) for batch_id in ids)
+    assert len(set(ids)) == len(ids)
+    imports = {
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(client_module)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "uuid" not in imports  # a batch id costs no syscall
+
+
+def test_client_skips_a_result_of_an_earlier_batch(spawn):
+    with ServeClient(spawn().address) as client:
+        real = client.submit(GRID[:1]).wire[0]
+    stale = dict(real, cycles=real["cycles"] + 1)
+
+    ids = []
+
+    def reply(line):
+        message = json.loads(line)
+        if message["type"] != "submit":
+            return b""
+        ids.append(message["batch_id"])
+        # a late result of every earlier batch, then this batch's own
+        lines = [
+            {"type": "result", "batch_id": earlier, "index": 0, "outcome": stale}
+            for earlier in ids[:-1]
+        ]
+        lines += [
+            {"type": "result", "batch_id": ids[-1], "index": 0, "outcome": real},
+            {"type": "batch_done", "batch_id": ids[-1]},
+        ]
+        return b"".join(map(encode, lines))
+
+    seen = []
+    with _peer(reply) as address, ServeClient(address) as client:
+        batches = [
+            client.submit(GRID[:1], on_result=lambda i, o: seen.append(i))
+            for _ in range(3)
+        ]
+    assert len(set(ids)) == 3 and seen == [0, 0, 0]
+    for batch in batches:
+        assert batch.ok
+        assert batch.wire[0] == real

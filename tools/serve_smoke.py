@@ -11,7 +11,8 @@ verify end to end:
    duplicate;
 3. the streamed records must be bit-identical across the two clients,
    and each was encoded once: ``serve.encoded == serve.executed +
-   exec.cache.hits``;
+   exec.cache.hits``; a third client's all-hit batch of the same grid
+   must leave in one write (``serve.writes`` rises by one for it);
 4. ``tflux-submit`` (the CLI path) runs against the same server and its
    ``--json`` dump round-trips;
 5. a job that can never run (``--unroll 0``) is refused at admission:
@@ -113,6 +114,16 @@ def drive(address: tuple[str, int]) -> int:
 
     with ServeClient(address) as client:
         stats = client.stats()
+        # every GRID job is a hit now; the first stats reply's own write is
+        # counted after it read `before`
+        before = stats["counters"].get("serve.writes", 0)
+        hits = client.submit(GRID)
+        counted = client.stats()["counters"].get("serve.writes", 0) - before
+    if not hits.ok or counted != 2:
+        print(f"serve-smoke: FAIL: an all-hit batch ended {hits.status!r} "
+              f"after {counted - 1} writes, expected 'done' after 1")
+        return 1
+    print(f"serve-smoke: an all-hit batch of {len(GRID)} left in one write")
     counters = stats["counters"]
     total, unique = 2 * len(GRID), len(GRID)
     duplicates = (
