@@ -81,6 +81,14 @@ class Benchmark(Protocol):
 
     name: str
 
+    def decomposition(
+        self, size: ProblemSize, unroll: int, max_threads: int
+    ) -> "int | float":
+        """What ``build`` derives from *unroll* and *max_threads* — its
+        DThread counts, or QUAD's tolerance — and reads from here alone:
+        two pairs with equal decompositions build the same program."""
+        ...
+
     def build(
         self,
         size: ProblemSize,

@@ -52,6 +52,12 @@ def _spectrum(n: int) -> np.ndarray:
 class FFT:
     name = "fft"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> int:
+        """DThreads per phase: *unroll* rows (then columns) each, at most
+        *max_threads*."""
+        n = size.params["n"]
+        return min(common.nthreads_for(n, unroll), max_threads, n)
+
     def build(
         self,
         size: ProblemSize,
@@ -60,7 +66,7 @@ class FFT:
         deps: str = "declared",
     ) -> DDMProgram:
         n = size.params["n"]
-        nthreads = min(common.nthreads_for(n, unroll), max_threads, n)
+        nthreads = self.decomposition(size, unroll, max_threads)
         butterflies_per_line = (n // 2) * max(1, int(math.log2(n)))
 
         b = ProgramBuilder(f"fft[{size.label}]")

@@ -38,6 +38,11 @@ def _product(n: int) -> np.ndarray:
 class MMult:
     name = "mmult"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> int:
+        """Row-block DThreads: *unroll* rows of C each, at most *max_threads*."""
+        n = size.params["n"]
+        return min(common.nthreads_for(n, unroll), max_threads, n)
+
     def build(
         self,
         size: ProblemSize,
@@ -46,7 +51,7 @@ class MMult:
         deps: str = "declared",
     ) -> DDMProgram:
         n = size.params["n"]
-        nthreads = min(common.nthreads_for(n, unroll), max_threads, n)
+        nthreads = self.decomposition(size, unroll, max_threads)
 
         b = ProgramBuilder(f"mmult[{size.label}]")
         b.env.alloc("A", (n, n))

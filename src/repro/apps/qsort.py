@@ -69,6 +69,14 @@ def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
 class QSort:
     name = "qsort"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> int:
+        """Sort DThreads: ``BASE_PARTS`` over *unroll*, at most
+        *max_threads*, rounded down to a multiple of the merge groups
+        (one part per group at least) for a regular tree."""
+        n = size.params["n"]
+        nparts = max(MERGE_GROUPS, min(common.nthreads_for(BASE_PARTS, unroll), max_threads, n))
+        return nparts - nparts % MERGE_GROUPS
+
     def build(
         self,
         size: ProblemSize,
@@ -77,9 +85,7 @@ class QSort:
         deps: str = "declared",
     ) -> DDMProgram:
         n = size.params["n"]
-        nparts = max(MERGE_GROUPS, min(common.nthreads_for(BASE_PARTS, unroll), max_threads, n))
-        # Keep parts a multiple of the merge groups for a regular tree.
-        nparts -= nparts % MERGE_GROUPS
+        nparts = self.decomposition(size, unroll, max_threads)
 
         b = ProgramBuilder(f"qsort[{size.label}]")
         b.env.alloc("data", n)

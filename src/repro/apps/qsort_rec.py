@@ -106,6 +106,12 @@ def _sorter(lo: int, hi: int, cutoff: int, reg_data):
 class QSortRec:
     name = "qsort_rec"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> int:
+        """Leaves the cutoff is sized for: ``BASE_LEAVES`` over *unroll*,
+        at most *max_threads*."""
+        n = size.params["n"]
+        return max(1, min(common.nthreads_for(BASE_LEAVES, unroll), max_threads, n))
+
     def build(
         self,
         size: ProblemSize,
@@ -114,7 +120,7 @@ class QSortRec:
         deps: str = "declared",
     ) -> DDMProgram:
         n = size.params["n"]
-        nleaves = max(1, min(common.nthreads_for(BASE_LEAVES, unroll), max_threads, n))
+        nleaves = self.decomposition(size, unroll, max_threads)
         cutoff = max(32, -(-n // nleaves))
 
         b = ProgramBuilder(f"qsort_rec[{size.label}]")

@@ -94,6 +94,13 @@ def _quad(a: float, fb: float, depth: int, eps: float):
 class Quad:
     name = "quad"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> float:
+        """The refinement tolerance.  The unroll factor keeps its
+        coarsening meaning: it relaxes the tolerance, producing fewer,
+        coarser leaf intervals; the tree grows at run time, so
+        *max_threads* bounds nothing."""
+        return size.params["eps"] * unroll
+
     def build(
         self,
         size: ProblemSize,
@@ -101,9 +108,7 @@ class Quad:
         max_threads: int = 4096,
         deps: str = "declared",
     ) -> DDMProgram:
-        # The unroll factor keeps its coarsening meaning: it relaxes the
-        # tolerance, producing fewer, coarser leaf intervals.
-        eps = size.params["eps"] * unroll
+        eps = self.decomposition(size, unroll, max_threads)
 
         b = ProgramBuilder(f"quad[{size.label}]")
         b.env.set("contribs", [])

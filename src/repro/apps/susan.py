@@ -88,6 +88,12 @@ def _expected(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
 class Susan:
     name = "susan"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> int:
+        """Row-chunk DThreads per phase: *unroll* rows each, at most
+        *max_threads*."""
+        h = size.params["h"]
+        return min(common.nthreads_for(h, unroll), max_threads, h)
+
     def build(
         self,
         size: ProblemSize,
@@ -96,7 +102,7 @@ class Susan:
         deps: str = "declared",
     ) -> DDMProgram:
         w, h = size.params["w"], size.params["h"]
-        nthreads = min(common.nthreads_for(h, unroll), max_threads, h)
+        nthreads = self.decomposition(size, unroll, max_threads)
 
         b = ProgramBuilder(f"susan[{size.label}]")
         b.env.alloc("img", (h, w))

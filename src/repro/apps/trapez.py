@@ -36,6 +36,13 @@ def f(x: np.ndarray) -> np.ndarray:
 class Trapez:
     name = "trapez"
 
+    def decomposition(self, size: ProblemSize, unroll: int, max_threads: int) -> int:
+        """Chunk DThreads: one per ``BASE_INTERVALS`` intervals, *unroll*
+        times coarser, at most *max_threads*."""
+        n = 1 << size.params["k"]
+        base_chunks = max(1, n // BASE_INTERVALS)
+        return min(common.nthreads_for(base_chunks, unroll), max_threads, n)
+
     def build(
         self,
         size: ProblemSize,
@@ -43,10 +50,8 @@ class Trapez:
         max_threads: int = 4096,
         deps: str = "declared",
     ) -> DDMProgram:
-        k = size.params["k"]
-        n = 1 << k
-        base_chunks = max(1, n // BASE_INTERVALS)
-        nthreads = min(common.nthreads_for(base_chunks, unroll), max_threads, n)
+        n = 1 << size.params["k"]
+        nthreads = self.decomposition(size, unroll, max_threads)
         h = (B - A) / n
 
         b = ProgramBuilder(f"trapez[{size.label}]")

@@ -31,6 +31,12 @@ run, one verification.  Two job modes exist:
   recorded and verified once per program (:data:`_TRACE_MEMO`) and each
   sequential job only prices that recording on its machine.
 
+Past the thread cap a coarser unroll builds the same program, so a job
+is identified by what it runs (:func:`_program_key`: the app's
+decomposition in place of ``unroll``/``max_threads``): :func:`run_jobs`
+simulates each distinct program once and :data:`_TRACE_MEMO` records
+each once.
+
 Results are transparently memoised through the content-addressed disk
 cache (:mod:`repro.exec.cache`) when ``TFLUX_CACHE_DIR`` is set.
 
@@ -228,6 +234,29 @@ def pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+def _decomposition(job: "JobSpec | EvalRequest", unroll: int) -> "int | float":
+    """The decomposition *job*'s app derives at *unroll* and the job's
+    ``max_threads`` (:meth:`repro.apps.common.Benchmark.decomposition`)."""
+    import repro.apps
+
+    bench = repro.apps.get_benchmark(job.bench)
+    return bench.decomposition(job.size, unroll, job.max_threads)
+
+
+def _program_key(spec: JobSpec) -> str:
+    """What *spec* runs, as a digest: every field but ``unroll`` and
+    ``max_threads``, which count only through the decomposition they
+    give.  Past the thread cap a coarser unroll builds the same program,
+    so specs with equal keys have equal outcomes."""
+    identity = {
+        f.name: getattr(spec, f.name)
+        for f in dataclasses.fields(spec)
+        if f.name not in ("unroll", "max_threads")
+    }
+    identity["decomposition"] = _decomposition(spec, spec.unroll)
+    return spec_digest(identity)
+
+
 def run_jobs(
     specs: Iterable[JobSpec],
     jobs: Optional[int] = None,
@@ -235,10 +264,12 @@ def run_jobs(
 ) -> list[JobOutcome]:
     """Run *specs*, returning outcomes in the order the specs were given.
 
-    Cache hits short-circuit; the remaining jobs run in a process pool
-    of :func:`job_count` workers (serially in-process when that is 1).
-    The returned list order never depends on completion order, so
-    parallel and serial sweeps are interchangeable.
+    Cache hits short-circuit; of the remaining jobs, each distinct
+    program (:func:`_program_key`) runs once, in a process pool of
+    :func:`job_count` workers (serially in-process when that is 1), and
+    its outcome answers — and is stored under the digest of — every spec
+    that asked for it.  The returned list order never depends on
+    completion order, so parallel and serial sweeps are interchangeable.
     """
     specs = list(specs)
     if cache is _ENV_CACHE:
@@ -258,18 +289,23 @@ def run_jobs(
         pending.append(i)
 
     if pending:
-        if njobs > 1 and len(pending) > 1:
-            workers = min(njobs, len(pending))
+        first: dict[str, int] = {}
+        leads = [first.setdefault(_program_key(specs[i]), i) for i in pending]
+        unique = list(first.values())
+        if njobs > 1 and len(unique) > 1:
+            workers = min(njobs, len(unique))
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=pool_context()
             ) as pool:
                 for i, outcome in zip(
-                    pending, pool.map(run_job, [specs[i] for i in pending])
+                    unique, pool.map(run_job, [specs[i] for i in unique])
                 ):
                     results[i] = outcome
         else:
-            for i in pending:
+            for i in unique:
                 results[i] = run_job(specs[i])
+        for i, lead in zip(pending, leads):
+            results[i] = results[lead]
         if cache is not None:
             for i in pending:
                 cache.put(digests[i], results[i])
@@ -324,9 +360,10 @@ _BASELINE_MEMO = SingleFlightLRU(256)
 
 #: In-process single-flight memo of recorded baselines
 #: (:class:`~repro.runtime.simdriver.SequentialTrace`), keyed by the
-#: program alone — ``(bench, size label, size params, unroll,
-#: max_threads)``: the platform is what prices a trace, and no app's
-#: ``build`` reads ``size.target``.  A figure's S/N/C cells that share a
+#: program alone — ``(bench, size label, size params, decomposition)``:
+#: the platform is what prices a trace, no app's ``build`` reads
+#: ``size.target``, and unroll and max_threads reach it only through
+#: the decomposition.  A figure's S/N/C cells that share a
 #: program record it once and price it per machine.  A trace of a
 #: size-large program holds 0.2–1.2 MB, so 16 of them stay under 20 MB.
 _TRACE_MEMO = SingleFlightLRU(16)
@@ -353,8 +390,7 @@ def _sequential_trace(spec: JobSpec, bench, build):
         spec.bench,
         spec.size.label,
         tuple(sorted(spec.size.params.items())),
-        spec.unroll,
-        spec.max_threads,
+        _decomposition(spec, spec.unroll),
     )
     fut, leader = _TRACE_MEMO.claim(key)
     if leader:
@@ -440,7 +476,9 @@ def evaluate_many(
     ``unrolls="auto"`` cell and the baselines no one has memoised yet,
     in one pool invocation and one cache pass; each later round is, for
     every auto cell not yet bracketed, the unevaluated ladder neighbours
-    of its current best.
+    of its current best.  A rung simulates only if its decomposition is
+    new to its cell: one an earlier round ran takes that outcome, so the
+    search visits the rungs it always did and runs each program once.
     """
     requests = list(requests)
     if cache is _ENV_CACHE:
@@ -470,12 +508,21 @@ def evaluate_many(
             owned[digest] = spec
 
     evaluated: list[dict[int, JobOutcome]] = [{} for _ in requests]
+    # Each cell's outcomes by decomposition (every other spec field is
+    # the cell's): a refinement rung whose program an earlier round ran
+    # takes that outcome, and ``run_jobs`` merges a round's own repeats.
+    programs: list[dict] = [{} for _ in requests]
     # ``or owned``: a call with nothing to simulate still runs and
     # settles the flights it leads, or their other waiters would hang.
     while todo or owned:
         try:
+            fresh = [
+                (cell, unroll)
+                for cell, unroll in todo
+                if _decomposition(requests[cell], unroll) not in programs[cell]
+            ]
             outcomes = run_jobs(
-                [_par_spec(requests[cell], unroll) for cell, unroll in todo]
+                [_par_spec(requests[cell], unroll) for cell, unroll in fresh]
                 + list(owned.values()),
                 jobs=jobs,
                 cache=cache,
@@ -484,10 +531,14 @@ def evaluate_many(
             for digest in owned:
                 _BASELINE_MEMO.reject(digest, exc)
             raise
-        for digest, outcome in zip(owned, outcomes[len(todo):]):
+        for digest, outcome in zip(owned, outcomes[len(fresh):]):
             _BASELINE_MEMO.resolve(digest, outcome)
-        for (cell, unroll), outcome in zip(todo, outcomes):
-            evaluated[cell][unroll] = outcome
+        for (cell, unroll), outcome in zip(fresh, outcomes):
+            programs[cell][_decomposition(requests[cell], unroll)] = outcome
+        for cell, unroll in todo:
+            evaluated[cell][unroll] = programs[cell][
+                _decomposition(requests[cell], unroll)
+            ]
         owned = {}
         todo = [
             (cell, unroll)

@@ -319,6 +319,9 @@ class TFluxServer:
                     break
                 if not line:
                     break
+                if not line.endswith(b"\n"):  # end of stream mid-line
+                    conn.send({"type": "error", "message": "message line cut short"})
+                    break
                 try:
                     message = decode(line)
                 except WireError as exc:

@@ -136,7 +136,8 @@ class _RangeOp:
         """Distinct line numbers (region-relative) touched by one sweep.
 
         Returns a ``range`` when the sweep is dense (stride <= line size),
-        otherwise an explicit sorted list.
+        otherwise an explicit sorted list: in closed form when the stride
+        is whole lines, element by element otherwise.
         """
         if self.count == 0:
             return range(0)
@@ -144,6 +145,18 @@ class _RangeOp:
         last = (self.offset + (self.count - 1) * self.stride + self.elem_size - 1) // line_size
         if self.stride <= line_size:
             return range(first, last + 1)
+        if self.stride % line_size == 0:
+            # Every element starts at the same place in its line, so each
+            # spans the same lines, one stride of lines after the last.
+            step = self.stride // line_size
+            span = (self.offset % line_size + self.elem_size - 1) // line_size + 1
+            if span >= step:  # each element reaches the next one's line
+                return list(range(first, last + 1))
+            return [
+                line
+                for base in range(first, last + 1, step)
+                for line in range(base, base + span)
+            ]
         seen: set[int] = set()
         for i in range(self.count):
             start = (self.offset + i * self.stride) // line_size

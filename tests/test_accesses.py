@@ -1,7 +1,7 @@
 """Unit and property tests for the declarative access-summary language."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.accesses import AccessSummary, Read, Region, RegionSpace, Write
 
@@ -152,3 +152,45 @@ def test_default_count_with_stride(space):
     assert s.ops[0].count == 8  # elements at 0,128,...,896 (+8B each)
     s2 = AccessSummary().read(a, offset=512, stride=128)
     assert s2.ops[0].count == 4
+
+
+def _walked_lines(op, line_size):
+    """The reference: every line of every element, walked one by one."""
+    seen = set()
+    for i in range(op.count):
+        start = op.offset + i * op.stride
+        seen.update(range(start // line_size, (start + op.elem_size - 1) // line_size + 1))
+    return sorted(seen)
+
+
+@given(
+    offset=st.integers(min_value=0, max_value=300),
+    count=st.integers(min_value=0, max_value=60),
+    elem_size=st.integers(min_value=1, max_value=600),
+    stride_lines=st.integers(min_value=0, max_value=5),
+    stride_extra=st.sampled_from([0, 0, 0, 8, 24, 40, 63]),
+    line=st.sampled_from([64, 128]),
+)
+# one of each route: dense, whole-line elements apart, whole-line
+# elements reaching each other, off the line grid
+@example(offset=8, count=20, elem_size=8, stride_lines=0, stride_extra=40, line=64)
+@example(offset=48, count=4, elem_size=32, stride_lines=4, stride_extra=0, line=64)
+@example(offset=0, count=3, elem_size=128, stride_lines=2, stride_extra=0, line=64)
+@example(offset=8, count=5, elem_size=8, stride_lines=1, stride_extra=24, line=64)
+def test_line_indices_match_the_element_walk(
+    offset, count, elem_size, stride_lines, stride_extra, line
+):
+    """Every route of ``line_indices`` — dense range, whole-line closed
+    form (elements apart or reaching each other), element walk — lists
+    exactly the lines the reference walk touches, sorted, as a list
+    whenever the sweep is strided.  Offsets, elements straddling a line,
+    elements longer than a line or than the stride and strides off the
+    line grid are all drawn."""
+    stride = max(1, stride_lines * line + stride_extra)
+    space = RegionSpace()
+    region = space.region("R", offset + max(0, count - 1) * stride + elem_size)
+    op = Read(region, offset=offset, count=count, elem_size=elem_size, stride=stride)
+    got = op.line_indices(line)
+    assert list(got) == _walked_lines(op, line)
+    if stride > line and count:
+        assert type(got) is list and all(type(i) is int for i in got)

@@ -463,6 +463,29 @@ def test_client_refuses_an_over_long_line_promptly(monkeypatch, tail):
         client.close()
 
 
+@pytest.mark.parametrize("shape", ["unterminated", "oversized"])
+def test_server_refuses_a_bad_line_and_admits_nothing(spawn, monkeypatch, shape):
+    """A final line the stream ends before its newline, and a line past
+    ``MAX_LINE_BYTES``, each get one ``error`` reply and the connection
+    closes; the submit the line carries is never admitted."""
+    monkeypatch.setattr("repro.serve.server.MAX_LINE_BYTES", 256)
+    handle = spawn()
+    submit = {"type": "submit", "batch_id": "b", "jobs": GRID[:1]}
+    if shape == "unterminated":
+        payload = encode(submit)[:-1]
+    else:
+        payload = encode(dict(submit, pad="x" * 300))
+    with socket.create_connection(handle.address, timeout=10) as sock:
+        sock.sendall(payload)
+        if shape == "unterminated":
+            sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as stream:
+            replies = [json.loads(line) for line in stream]  # until it closes
+    assert [r["type"] for r in replies] == ["welcome", "error"]
+    with ServeClient(handle.address) as client:
+        assert client.stats()["counters"].get("serve.admitted", 0) == 0
+
+
 def test_batch_ids_are_per_connection_hex_counters(spawn):
     handle = spawn()
     with ServeClient(handle.address) as client:

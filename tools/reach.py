@@ -272,6 +272,8 @@ ALLOW: dict[str, str] = {
     "serve/server.py::TFluxServer._admit:self.counters.inc(\"serve.rejected\", len(resolved))":
         "overloaded reply: the queue bounds refuse a batch",
     "serve/server.py::TFluxServer._handle_client:conn.send(": "error reply: an unknown message type",
+    "serve/server.py::TFluxServer._handle_client:conn.send({\"type\": \"error\", \"message\": \"message line cut short\"})":
+        "error reply: a final line with no newline",
     "serve/server.py::TFluxServer._pump:self.counters.inc(\"serve.client_aborts\")":
         "a client that disconnects mid-batch",
     "serve/server.py::TFluxServer._deliver:batch.conn.send(": "job_error reply: a job that raised",
@@ -293,6 +295,8 @@ ALLOW: dict[str, str] = {
     "exec/cache.py::describe:return repr(obj)": "a platform attribute with no __dict__",
     # cost and memory models on inputs CI's sizes never produce
     "sim/accesses.py::_RangeOp.line_indices:return range(0)": "a zero-count access op",
+    "sim/accesses.py::_RangeOp.line_indices:seen: set[int] = set()":
+        "a stride off the line grid: no shipped app declares one, a program's access summary may",
     "sim/fastcache.py::FastMemorySystem.run_op:return 0": "a zero-count access op",
     "sim/accesses.py::RegionSpace.region:if existing.size != size:":
         "declaring a region twice (a whole-array reassignment)",
