@@ -8,9 +8,9 @@ discusses as a source of cache hand-off cost in §6.2.2).
 
 Programs are machine-independent; any TFlux platform can execute one — the
 virtualization the paper claims.  ``blocks()`` produces the TSU-capacity
-partition; ``run_sequential()`` executes the whole program in dependency
-order on the calling thread, which is both the correctness oracle for the
-tests and the functional part of the speedup baseline.
+partition; ``steps()`` executes the whole program in dependency order on
+the calling thread, which is both the correctness oracle for the tests
+(``run_sequential()``) and the functional part of the speedup baseline.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class DDMProgram:
         """Yield instances in deterministic dataflow order.
 
         Dataflow firing with a priority queue keyed on instance id — the
-        reference schedule used by both the functional oracle
-        (:meth:`run_sequential`) and the timed sequential baseline
-        (:func:`repro.runtime.simdriver.run_sequential_timed`).  Raises on
+        reference schedule of the sequential loop (:meth:`steps`), which
+        is both the functional oracle and the timed §5 baseline's
+        functional half.  Raises on
         deadlock (an instance whose producers never fire).  It shares no
         loop with ``TSUGroup._post_process`` on purpose: every backend's
         schedule is compared with it, so it must not fail the way they do.
@@ -179,26 +179,38 @@ class DDMProgram:
                     f"e.g. {stuck[:5]}"
                 )
 
-    def run_sequential(self) -> Environment:
-        """Execute everything on the calling thread, in dependency order.
+    def steps(self):
+        """Run the original sequential program, one step at a time.
 
-        This is the reference semantics: prologue sections, then every
-        DThread instance in the :meth:`fire_order` schedule (outcomes fed
-        back so subflows spawn and conditional arcs resolve), then
-        epilogue sections.  Tests compare platform runs against this
-        oracle.
+        This is the reference semantics, and the only sequential loop:
+        prologue sections, then every DThread instance in the
+        :meth:`fire_order` schedule (outcomes fed back so subflows spawn
+        and conditional arcs resolve), then epilogue sections, all on
+        the calling thread.  Each executed section or instance is
+        yielded right after its body ran, so a caller can read its cost
+        and access callbacks against the live Environment.  The program
+        is claimed (:meth:`mark_executed`) before any body runs.
         """
         self.mark_executed()
         for section in self.prologue:
             section.run(self.env)
+            yield section
         order = self.fire_order()
         outcome = None
         try:
             while True:
                 inst = order.send(outcome)
                 outcome = inst.template.run(self.env, inst.ctx)
+                yield inst
         except StopIteration:
             pass
         for section in self.epilogue:
             section.run(self.env)
+            yield section
+
+    def run_sequential(self) -> Environment:
+        """Execute the whole program by draining :meth:`steps`; tests
+        compare platform runs against this oracle."""
+        for _ in self.steps():
+            pass
         return self.env

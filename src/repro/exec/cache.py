@@ -184,8 +184,13 @@ class ResultCache:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
                 break
-            except (FileNotFoundError, FileExistsError):
+            except FileNotFoundError:
                 continue  # raced a concurrent prune's empty-shard sweep
+            except FileExistsError:
+                # A shard swept (or re-made) mid-mkdir is a race; a
+                # non-directory squatting its name would fail every pass.
+                if os.path.lexists(path.parent) and not path.parent.is_dir():
+                    raise
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)

@@ -48,13 +48,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     stats.add_argument("--json", action="store_true")
 
     prune = sub.add_parser("prune", help="evict by size and/or age")
-    prune.add_argument("--max-bytes", type=int, default=None)
     prune.add_argument("--max-mb", type=float, default=None,
-                       help="size bound in MiB (alias for --max-bytes)")
-    prune.add_argument("--max-age", type=float, default=None,
-                       help="maximum entry age in seconds")
+                       help="size bound in MiB")
     prune.add_argument("--max-age-days", type=float, default=None,
-                       help="maximum entry age in days (alias for --max-age)")
+                       help="maximum entry age in days")
     prune.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
@@ -72,17 +69,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                   f"{info['bytes'] / 1e6:.1f} MB")
         return 0
 
-    max_bytes = args.max_bytes
-    if args.max_mb is not None:
-        max_bytes = int(args.max_mb * 1024 * 1024)
-    max_age = args.max_age
-    if args.max_age_days is not None:
-        max_age = args.max_age_days * 86400.0
-    if max_bytes is None and max_age is None:
-        print("tflux-cache: error: prune needs --max-bytes/--max-mb and/or "
-              "--max-age/--max-age-days", file=sys.stderr)
+    if args.max_mb is None and args.max_age_days is None:
+        print("tflux-cache: error: prune needs --max-mb and/or "
+              "--max-age-days", file=sys.stderr)
         return 2
-    report = cache.prune(max_bytes=max_bytes, max_age=max_age)
+    report = cache.prune(
+        max_bytes=None if args.max_mb is None else int(args.max_mb * 1024 * 1024),
+        max_age=None if args.max_age_days is None else args.max_age_days * 86400.0,
+    )
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:

@@ -490,6 +490,8 @@ def evaluate_many(
                 f"unrolls must be a tuple of factors or 'auto', "
                 f"got {req.unrolls!r}"
             )
+        if not req.unrolls:
+            raise ValueError("unrolls must name at least one factor, got ()")
         grid = _AUTO_PROBES if req.unrolls == "auto" else req.unrolls
         todo += [(cell, unroll) for unroll in grid]
 

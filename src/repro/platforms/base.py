@@ -22,7 +22,7 @@ from repro.apps.common import Benchmark, ProblemSize
 from repro.core.program import DDMProgram
 from repro.exec import UNROLL_LADDER, EvalRequest, evaluate_many
 from repro.obs import Probe, RunRecord
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.runtime import simdriver
 from repro.runtime.stats import RunResult
 from repro.sim.engine import Engine
 from repro.sim.machine import MachineConfig
@@ -97,7 +97,7 @@ class Platform:
                 f"{self.name} offers at most {self.max_kernels} kernels "
                 f"({nkernels} requested)"
             )
-        runtime = SimulatedRuntime(
+        runtime = simdriver.SimulatedRuntime(
             program,
             self.machine,
             nkernels=nkernels,
@@ -118,12 +118,18 @@ class Platform:
     ) -> RunResult:
         """The §5 baseline: same machine, one core, no TFlux overheads.
 
+        Records the original sequential program
+        (:func:`~repro.runtime.simdriver.record_sequential`) and prices
+        the recording on this machine
+        (:func:`~repro.runtime.simdriver.price_sequential`).
         *exact_memory* selects the exact cache model so the baseline is
         priced by the same memory system as a matching parallel run.
+        Spans (all on kernel 0) go to *tracer* when one is given.
         """
-        return run_sequential_timed(
-            program, self.machine, exact_memory=exact_memory, tracer=tracer
+        record = simdriver.price_sequential(
+            simdriver.record_sequential(program), self.machine, exact_memory, tracer
         )
+        return RunResult(**vars(record), env=program.env)
 
     # -- the paper's measurement protocol ------------------------------------------------
     def evaluate(

@@ -12,7 +12,8 @@ implemented exactly once:
 * :mod:`repro.runtime.simdriver` — the timed execution on the simulated
   machines (the step machine hosted as DES processes, with a
   platform-specific protocol adapter pricing every TSU interaction) and
-  the sequential baseline;
+  the pricing of the sequential baseline, whose functional half is the
+  program's own sequential loop (``DDMProgram.steps``);
 * :mod:`repro.runtime.native` — a real ``threading``-based runtime that
   executes DThreads on host OS threads with the software-TSU structures
   (TUB, SM, TKT) and real locks, demonstrating the user-level runtime on
@@ -29,7 +30,7 @@ from repro.runtime.core import (
     run_kernel_blocking,
 )
 from repro.runtime.stats import KernelStats, RunResult
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.runtime.native import NativeRuntime
 
 __all__ = [
@@ -41,5 +42,4 @@ __all__ = [
     "blocking_step",
     "kernel_loop",
     "run_kernel_blocking",
-    "run_sequential_timed",
 ]

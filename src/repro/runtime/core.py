@@ -5,23 +5,25 @@ re-hosted on TFluxHard, TFluxSoft and TFluxCell (§3.1, Figure 2).  This
 module is that claim at the runtime layer: :func:`kernel_loop` is the
 single implementation of the Kernel protocol — dispatch on
 :class:`~repro.tsu.group.FetchKind`, body execution, completion
-notification, span and counter emission — and every backend (the DES
-driver in :mod:`repro.runtime.simdriver`, the OS-thread backend in
-:mod:`repro.runtime.native`, the sequential baseline) supplies only the
-three things that genuinely differ, through the :class:`KernelBackend`
-protocol.  The *functional* half of a DThread — calling its body
-against the program's Environment — is the loop's own business: a
-backend never calls ``template.run``, it only prices the instance that
-just ran (`charge_thread`) and ships the body's outcome to its TSU
-(`complete`).  What a backend supplies:
+notification, span and counter emission — and both backends (the DES
+driver in :mod:`repro.runtime.simdriver` and the OS-thread backend in
+:mod:`repro.runtime.native`) supply only the three things that
+genuinely differ, through the :class:`KernelBackend` protocol.  The
+*functional* half of a DThread — calling its body against the
+program's Environment — is the loop's own business: a backend never
+calls ``template.run``, it only prices the instance that just ran
+(`charge_thread`) and ships the body's outcome to its TSU
+(`complete`).  A DThread body runs here and in the program's
+sequential loop (:meth:`~repro.core.program.DDMProgram.steps`, the
+oracle and the §5 baseline, which has no TSU), and nowhere else.
+What a backend supplies:
 
-* a **time source** (`now`) — simulated cycles, ``perf_counter``
-  microseconds, or a manual cycle accumulator;
+* a **time source** (`now`) — simulated cycles or ``perf_counter``
+  microseconds;
 * a **blocking/wake strategy** (`wait`) — a DES event with the
-  lost-wakeup guard, a condition-variable wait, or nothing at all;
+  lost-wakeup guard, or a condition-variable wait;
 * **cost charging** (`charge_runtime`, `charge_thread`) —
-  adapter/memory-system cycles, wall-clock deltas, or section cost
-  models.
+  adapter/memory-system cycles or wall-clock deltas.
 
 The loop is a generator so the DES engine can drive it directly: every
 `yield` a backend step performs propagates to the engine (`yield from`).

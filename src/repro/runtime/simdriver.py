@@ -14,19 +14,18 @@ the one producer of that number — and hands the body's outcome to
 additionally executes the program's sequential prologue before the
 dataflow region opens and the epilogue after every Kernel exited.
 
-:func:`run_sequential_timed` produces the baseline measurement: the whole
-program on one core of the same machine with no TFlux overheads, exactly
-the paper's §5 baseline definition.  It is two halves.  The functional
-half, :func:`record_sequential`, dispatches through the same step
-machine — its backend feeds the Kernel the program's instances in fire
-order with every protocol step free, so "no TFlux overheads" is a
-backend property, not a separate loop — and records each section's and
-instance's cost and access callbacks as a :class:`SequentialTrace`.
-The timing half, :func:`price_sequential`, runs those summaries through
-a fresh memory system of one machine; nothing else in the trace depends
-on the machine, so a trace recorded once prices on every platform.
-Both backends evaluate section callbacks with the one
-:func:`_section_callbacks`.
+The §5 baseline — the whole program on one core of the same machine
+with no TFlux overheads — is two halves.  The functional half,
+:func:`record_sequential`, iterates the program's own sequential loop
+(:meth:`~repro.core.program.DDMProgram.steps`) and records each
+section's and instance's cost and access callbacks as a
+:class:`SequentialTrace`.  The timing half, :func:`price_sequential`,
+runs those summaries through a fresh memory system of one machine;
+nothing else in the trace depends on the machine, so a trace recorded
+once prices on every platform
+(:meth:`~repro.platforms.base.Platform.sequential_baseline`).  Both the
+recording and :class:`SimulatedRuntime` evaluate section callbacks with
+the one :func:`_section_callbacks`.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Optional
 
-from repro.core.program import DDMProgram
+from repro.core.program import DDMProgram, SequentialSection
 from repro.obs import NULL_PROBE, Counters, KernelAccount, Probe, RunRecord
-from repro.runtime.core import Fetch, FetchKind, blocking_step, kernel_loop
+from repro.runtime.core import Fetch, kernel_loop
 from repro.runtime.stats import RunResult
 from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.memory import MainMemory
@@ -51,7 +50,6 @@ __all__ = [
     "SimulatedRuntime",
     "price_sequential",
     "record_sequential",
-    "run_sequential_timed",
 ]
 
 #: Builds the platform's adapter: (engine, tsu) -> ProtocolAdapter.
@@ -304,81 +302,6 @@ class SequentialTrace:
     #: ``steps[lo:hi]`` are the DThread instances (the dataflow region);
     #: the steps before and after are the prologue and epilogue sections.
     region: tuple[int, int]
-    #: The step machine's TSU fetches (the final EXIT included) and
-    #: completed DThreads.
-    fetches: int
-    dthreads: int
-
-
-class _SequentialBackend:
-    """Backend for the §5 baseline: fire order in, callbacks recorded.
-
-    The step machine still does the dispatching, but the "TSU" is the
-    program's topological fire order and every protocol step is free —
-    the definition of "the original sequential one, i.e. without any
-    TFlux overheads".  It prices nothing: ``charge_thread`` appends the
-    instance's cost and access callbacks to the trace, and
-    :func:`price_sequential` turns the trace into cycles.
-    """
-
-    stop_requested = False
-
-    def __init__(self, program: DDMProgram) -> None:
-        self.program = program
-        self.steps: list[tuple[str, int, Optional[AccessSummary]]] = []
-        self.account = KernelAccount(0)
-        self._fire_order = program.fire_order()
-        #: Outcome of the last completed body, sent back into the
-        #: fire-order coroutine at the next fetch (spawns/branches in
-        #: the oracle).
-        self._last_outcome: object = None
-
-    # -- KernelBackend ---------------------------------------------------------
-    def now(self, kernel: int) -> float:
-        return 0  # time is the pricing's business
-
-    def charge_runtime(self, kernel: int, since: float) -> None:
-        pass  # protocol steps are free
-
-    def emit_span(
-        self, kernel: int, name: str, kind: str, start: float, end: float
-    ) -> None:
-        pass  # the pricing emits every span, on the machine's cycles
-
-    @blocking_step
-    def fetch(self, kernel: int) -> Fetch:
-        try:
-            inst = self._fire_order.send(self._last_outcome)
-        except StopIteration:
-            return Fetch(FetchKind.EXIT)
-        self._last_outcome = None
-        return Fetch(FetchKind.THREAD, instance=inst)
-
-    @blocking_step
-    def wait(self, kernel: int) -> None:
-        raise AssertionError("the sequential baseline never waits")
-
-    run_inlet = run_outlet = wait  # fire order has no Inlet/Outlet fetches
-
-    @blocking_step
-    def charge_thread(self, kernel: int, fetch: Fetch, since: float) -> None:
-        inst = fetch.instance
-        env = self.program.env
-        compute = int(inst.template.compute_cost(env, inst.ctx))
-        summary = inst.template.access_summary(env, inst.ctx)
-        self.steps.append((inst.name, compute, summary))
-
-    @blocking_step
-    def complete(self, kernel: int, fetch: Fetch, outcome: object) -> None:
-        # No TSU: dependencies are satisfied by the fire order, which
-        # takes the outcome at the next fetch.
-        self._last_outcome = outcome
-
-    # -- sequential sections ---------------------------------------------------
-    def run_section(self, section) -> None:
-        env = self.program.env
-        section.run(env)
-        self.steps.append((section.name, *_section_callbacks(section, env)))
 
 
 def _section_callbacks(section, env) -> tuple[int, Optional[AccessSummary]]:
@@ -392,29 +315,28 @@ def _section_callbacks(section, env) -> tuple[int, Optional[AccessSummary]]:
 def record_sequential(program: DDMProgram) -> SequentialTrace:
     """Run the original sequential program once and record its callbacks.
 
-    Executes prologue, every DThread instance in fire order (dispatched
-    through the shared Kernel step machine over :class:`_SequentialBackend`)
-    and the epilogue, all against the program's Environment, which holds
-    the functional output afterwards.
+    Iterates :meth:`DDMProgram.steps` — prologue, every DThread instance
+    in fire order, epilogue, all against the program's Environment,
+    which holds the functional output afterwards — and evaluates each
+    step's cost and access callbacks right after its body ran.
     """
-    from repro.runtime.core import run_kernel_blocking
-
-    program.mark_executed()
-    backend = _SequentialBackend(program)
-    for section in program.prologue:
-        backend.run_section(section)
-    lo = len(backend.steps)
-    run_kernel_blocking(backend, 0, backend.account)
-    hi = len(backend.steps)
-    for section in program.epilogue:
-        backend.run_section(section)
+    env = program.env
+    steps: list[tuple[str, int, Optional[AccessSummary]]] = []
+    for done in program.steps():
+        if isinstance(done, SequentialSection):
+            steps.append((done.name, *_section_callbacks(done, env)))
+        else:
+            template = done.template
+            steps.append((
+                done.name,
+                int(template.compute_cost(env, done.ctx)),
+                template.access_summary(env, done.ctx),
+            ))
     return SequentialTrace(
         program=program.name,
-        regions=program.env.regions,
-        steps=backend.steps,
-        region=(lo, hi),
-        fetches=backend.account.fetches,
-        dthreads=backend.account.dthreads,
+        regions=env.regions,
+        steps=steps,
+        region=(len(program.prologue), len(steps) - len(program.epilogue)),
     )
 
 
@@ -436,10 +358,11 @@ def price_sequential(
         trace.regions, exact=exact_memory, single_issuer=True
     )
     run_summary = memsys.run_summary
-    account = KernelAccount(0)
-    account.fetches = trace.fetches
-    account.dthreads = trace.dthreads
     lo, hi = trace.region
+    # One fetch per DThread plus the EXIT reply, as the Kernel loop counts.
+    account = KernelAccount(0)
+    account.dthreads = hi - lo
+    account.fetches = hi - lo + 1
     steps = trace.steps
     cycles = 0
     starts = []
@@ -464,24 +387,3 @@ def price_sequential(
         memory=memsys.total_stats(),
         spans=list(probe.spans),
     )
-
-
-def run_sequential_timed(
-    program: DDMProgram,
-    machine: MachineConfig,
-    exact_memory: bool = False,
-    tracer: Optional[Probe] = None,
-) -> RunResult:
-    """The paper's baseline: the original sequential program on one core.
-
-    :func:`record_sequential` runs the program (prologue, every DThread
-    instance in fire order, epilogue) and :func:`price_sequential` times
-    the recording on *machine* — no TSU interaction and no runtime cost.
-    Spans are emitted through the shared :mod:`repro.obs` probe
-    interface (all on kernel 0): pass a collecting probe to keep the
-    timeline.
-    """
-    record = price_sequential(
-        record_sequential(program), machine, exact_memory, tracer
-    )
-    return RunResult(**vars(record), env=program.env)

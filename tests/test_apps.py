@@ -13,7 +13,8 @@ from repro.apps.common import chunk_bounds, nthreads_for
 from repro.apps.qsort import _merge_runs
 from repro.apps.susan import smooth_oracle, synthetic_image
 from repro.runtime.native import NativeRuntime
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.platforms import TFluxHard
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27
 
 ALL_BENCH = sorted(BENCHMARKS)
@@ -201,7 +202,7 @@ def test_quad_dynamic_work_scales_with_precision():
 
     def executed(size):
         prog = bench.build(size, unroll=8)
-        res = run_sequential_timed(prog, BAGLE_27)
+        res = TFluxHard().sequential_baseline(prog)
         bench.verify(res.env, size)
         return res.total_dthreads
 

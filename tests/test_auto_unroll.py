@@ -179,17 +179,20 @@ def test_evaluate_many_call_sequence(monkeypatch):
     assert set(evaluations[2].per_unroll) == set(evaluated[2])
 
 
-def test_empty_grid_fails_loudly_and_settles_its_baseline():
-    """A request with nothing to simulate is a caller bug: it raises
-    ``_assemble``'s assertion — after running and resolving the baseline
-    flight it led, so nobody coalesced on that flight is left hanging."""
+def test_empty_grid_is_refused_before_any_baseline_is_claimed():
+    """A request with nothing to simulate is a caller bug: it raises a
+    ``ValueError`` (an assertion would vanish under ``python -O``) before
+    the batch claims any baseline flight, its neighbours' included."""
     from repro.exec import pool
 
-    request = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=())
-    with pytest.raises(AssertionError):
-        evaluate_many([request], jobs=1, cache=None)
+    good = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=(2,))
+    empty = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=())
+    launched = pool._BASELINE_MEMO.stats()["launched"]
+    with pytest.raises(ValueError, match="at least one factor"):
+        evaluate_many([good, empty], jobs=1, cache=None)
     assert pool._BASELINE_MEMO.inflight == 0
-    assert len(pool._BASELINE_MEMO) == 1
+    assert len(pool._BASELINE_MEMO) == 0
+    assert pool._BASELINE_MEMO.stats()["launched"] == launched
 
 
 def test_failed_round_zero_releases_the_baselines_it_led(monkeypatch):

@@ -1,9 +1,10 @@
 """Cross-backend differential suite: one Kernel core, three backends.
 
-The same programs run through the simulated runtime, the native
-(OS-thread) runtime, and the sequential baseline — all three dispatch
-through :func:`repro.runtime.core.kernel_loop`.  These tests pin the
-properties that make them *one* runtime:
+The same programs run through the simulated runtime and the native
+(OS-thread) runtime — both dispatch through
+:func:`repro.runtime.core.kernel_loop` — and the sequential baseline,
+the program's own sequential loop.  These tests pin the properties that
+make them *one* runtime:
 
 * byte-identical functional output (the functional/timing split means
   the backend can never change what a program computes);
@@ -29,7 +30,8 @@ from repro.runtime.core import (
     run_kernel_blocking,
 )
 from repro.runtime.native import NativeRuntime
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.platforms import TFluxHard
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27
 
 NKERNELS = 4
@@ -145,7 +147,7 @@ def run_native(builder):
 
 def run_sequential(builder):
     prog, _ = builder()
-    return run_sequential_timed(prog, BAGLE_27, tracer=Tracer())
+    return TFluxHard(BAGLE_27).sequential_baseline(prog, tracer=Tracer())
 
 
 BACKENDS = {"sim": run_sim, "native": run_native, "sequential": run_sequential}

@@ -9,6 +9,7 @@ two processes racing put/get on a single tree.
 import json
 import os
 import random
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -105,6 +106,26 @@ def test_prune_on_missing_root(tmp_path):
     assert cache.prune(max_bytes=0)["removed"] == 0
 
 
+def test_put_refuses_a_file_squatting_its_shard(tmp_path):
+    """A regular file where the shard directory belongs is no prune race:
+    ``put`` raises instead of retrying for ever (bounded by SIGALRM)."""
+    cache = ResultCache(tmp_path)
+    (tmp_path / _digest(0)[:2]).write_bytes(b"squatter")
+
+    def hung(signum, frame):
+        raise TimeoutError("put spun on a squatted shard")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(FileExistsError):
+            cache.put(_digest(0), "value")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert cache.stores == 0 and cache.get(_digest(0)) is None
+
+
 # -- counters ------------------------------------------------------------------
 def test_publish_counters(tmp_path):
     cache = ResultCache(tmp_path)
@@ -126,7 +147,7 @@ def test_cli_stats_and_prune(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["entries"] == 3 and info["bytes"] > 0
 
-    assert cache_cli(["--dir", str(tmp_path), "prune", "--max-bytes", "0",
+    assert cache_cli(["--dir", str(tmp_path), "prune", "--max-mb", "0",
                       "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["removed"] == 3 and report["remaining"] == 0

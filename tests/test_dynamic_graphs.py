@@ -18,7 +18,7 @@ from repro.platforms.dist import TFluxDist
 from repro.platforms.hard import TFluxHard
 from repro.platforms.soft import TFluxSoft
 from repro.runtime.native import NativeRuntime
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.runtime.simdriver import SimulatedRuntime, record_sequential
 from repro.sim.machine import BAGLE_27
 
 # -- builders (fresh per run: programs are single-use) -------------------------
@@ -155,7 +155,7 @@ def test_static_programs_report_zero_dynamic_counters():
 
 
 def test_sequential_accounting_holds_for_dynamic_programs():
-    res = run_sequential_timed(build_spawn_tree(), BAGLE_27)
+    res = TFluxHard().sequential_baseline(build_spawn_tree())
     (k,) = res.kernels
     assert k.dthreads == res.total_dthreads
     assert k.fetches == k.dthreads + 1
@@ -233,7 +233,7 @@ def test_program_reuse_rejected_across_runtimes():
     with pytest.raises(ProgramReusedError):
         NativeRuntime(prog, nkernels=2).run()
     with pytest.raises(ProgramReusedError):
-        run_sequential_timed(prog, BAGLE_27)
+        record_sequential(prog)
 
 
 # -- the recursive apps --------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.platforms.cellbe import TFluxCell
 from repro.platforms.dist import TFluxDist
 from repro.platforms.hard import TFluxHard
 from repro.platforms.soft import TFluxSoft
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.tsu.multigroup import MultiGroupHardwareAdapter
 
 #: key -> (platform, fewest kernels it runs on: one per TSU group / node).
@@ -83,7 +83,7 @@ def test_random_dag_matches_sequential(platform_key, params):
         build_dag(widths, reduce_tail, spawn), platform.machine, nkernels=max(nkernels, min_kernels),
         adapter_factory=factory, tsu_capacity=cap, tracer=Tracer(),
     ).run()
-    seq = run_sequential_timed(build_dag(widths, reduce_tail, spawn), platform.machine, tracer=Tracer())
+    seq = platform.sequential_baseline(build_dag(widths, reduce_tail, spawn), tracer=Tracer())
     env, names = _outcome(run)
     assert (env, names) == _outcome(seq)
     assert len(names) == len(set(names)) == sum(widths) + reduce_tail + spawn * widths[-1]

@@ -32,7 +32,6 @@ from repro.core.program import DDMProgram
 from repro.exec import JobSpec, clear_baseline_memo, run_job
 from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
 from repro.runtime import NativeRuntime, SimulatedRuntime
-from repro.runtime.simdriver import run_sequential_timed
 from repro.sim.machine import BAGLE_27, XEON_8, MachineConfig
 from repro.tsu.multigroup import MultiGroupHardwareAdapter
 
@@ -139,7 +138,7 @@ def test_simulated_run_is_freed_by_refcount(case, tracked):
 
 
 def test_sequential_baseline_is_freed_by_refcount(tracked):
-    assert_freed(lambda: run_sequential_timed(_build(), XEON_8), tracked)
+    assert_freed(lambda: TFluxSoft().sequential_baseline(_build()), tracked)
 
 
 def test_native_run_is_freed_by_refcount(tracked):

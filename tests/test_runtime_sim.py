@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import ProgramBuilder
-from repro.runtime.simdriver import SimulatedRuntime, run_sequential_timed
+from repro.platforms import TFluxHard, TFluxSoft
+from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27, XEON_8
 from repro.tsu.hardware import HardwareTSUAdapter
 from repro.tsu.policy import round_robin_placement
@@ -210,7 +211,7 @@ def test_exact_memory_mode_runs():
 # -- sequential baseline ---------------------------------------------------------
 def test_sequential_baseline_no_tsu_overhead():
     prog = parallel_sum_program(8, chunk_cost=1000)
-    res = run_sequential_timed(prog, BAGLE_27)
+    res = TFluxHard().sequential_baseline(prog)
     assert res.env.get("total") == 36.0
     assert res.nkernels == 1
     # compute cycles + memory; strictly no TSU cost included.
@@ -218,7 +219,7 @@ def test_sequential_baseline_no_tsu_overhead():
 
 
 def test_sequential_baseline_leq_1kernel_hardware_run():
-    seq = run_sequential_timed(parallel_sum_program(8, 1000), BAGLE_27)
+    seq = TFluxHard().sequential_baseline(parallel_sum_program(8, 1000))
     hard = SimulatedRuntime(
         parallel_sum_program(8, 1000),
         BAGLE_27,
@@ -239,7 +240,7 @@ def test_hardware_adapter_correct_and_overheads_small():
         adapter_factory=lambda e, t: HardwareTSUAdapter(e, t),
     ).run()
     assert res.env.get("total") == 136.0
-    seq = run_sequential_timed(parallel_sum_program(16, 20_000), BAGLE_27)
+    seq = TFluxHard().sequential_baseline(parallel_sum_program(16, 20_000))
     assert seq.cycles / res.cycles > 6.0
 
 
@@ -332,8 +333,8 @@ def test_software_coarse_threads_amortise_overhead():
             nkernels=4,
             adapter_factory=lambda e, t: SoftwareTSUAdapter(e, t, SoftTSUCosts()),
         ).run()
-        seq = run_sequential_timed(
-            parallel_sum_program(nchunks, chunk_cost=chunk_cost), XEON_8
+        seq = TFluxSoft().sequential_baseline(
+            parallel_sum_program(nchunks, chunk_cost=chunk_cost)
         )
         return seq.cycles / par.cycles
 

@@ -1,4 +1,4 @@
-"""Golden §5 baselines: what ``run_sequential_timed`` measures, held byte for byte.
+"""Golden §5 baselines: what ``Platform.sequential_baseline`` measures, held byte for byte.
 
 Every app at size small x unroll {1, 4} is timed on TFluxHard, TFluxSoft,
 TFluxCell and TFluxDist(2) with the fast memory model, and ``trapez``,
@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.obs import Tracer
 from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
-from repro.runtime.simdriver import run_sequential_timed
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "sequential_baselines.txt"
@@ -40,8 +39,8 @@ def _case(label, platform, name, unroll, exact_memory=False):
     size = problem_sizes(name, platform.target)["small"]
     prog = get_benchmark(name).build(size, unroll=unroll)
     tracer = Tracer()
-    run = run_sequential_timed(
-        prog, platform.machine, exact_memory=exact_memory, tracer=tracer
+    run = platform.sequential_baseline(
+        prog, exact_memory=exact_memory, tracer=tracer
     )
     spans = hashlib.sha256(
         "\n".join(

@@ -2,8 +2,8 @@
 
 ``record_sequential`` runs a program once and keeps its cost and access
 callbacks; ``price_sequential`` times that recording on one machine.
-These tests hold a trace priced anywhere to a fresh ``run_sequential_timed``
-there, and the exec tier's trace memo to one recording per distinct
+These tests hold a trace priced anywhere to a fresh
+``Platform.sequential_baseline`` there, and the exec tier's trace memo to one recording per distinct
 program, forgotten by ``clear_baseline_memo`` and never cached when the
 recording fails its oracle.
 """
@@ -23,16 +23,9 @@ from repro.exec import (
 )
 from repro.obs import Tracer
 from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
-from repro.runtime.simdriver import (
-    price_sequential,
-    record_sequential,
-    run_sequential_timed,
-)
+from repro.runtime.simdriver import price_sequential, record_sequential
 
-MACHINES = [
-    p.machine
-    for p in (TFluxHard(), TFluxSoft(), TFluxCell(), TFluxDist(nnodes=2))
-]
+PLATFORMS = [TFluxHard(), TFluxSoft(), TFluxCell(), TFluxDist(nnodes=2)]
 
 
 def _build(name, unroll=1):
@@ -66,20 +59,20 @@ def test_one_trace_prices_like_a_fresh_baseline_on_every_machine(name, order):
     both were evaluated on the live env when recorded, so a recording
     priced on any machine, in any order, is that machine's baseline."""
     trace = record_sequential(_build(name))
-    machines = MACHINES if order == "forward" else MACHINES[::-1]
-    for machine in machines:
+    platforms = PLATFORMS if order == "forward" else PLATFORMS[::-1]
+    for platform in platforms:
         tracer = Tracer()
-        priced = price_sequential(trace, machine, False, tracer)
-        fresh = run_sequential_timed(_build(name), machine, tracer=Tracer())
+        priced = price_sequential(trace, platform.machine, False, tracer)
+        fresh = platform.sequential_baseline(_build(name), tracer=Tracer())
         assert priced == fresh.to_record()
         assert priced.spans == tracer.spans and priced.spans
 
 
 def test_exact_memory_prices_like_a_fresh_baseline():
     trace = record_sequential(_build("qsort"))
-    machine = TFluxHard().machine
-    fresh = run_sequential_timed(_build("qsort"), machine, exact_memory=True)
-    assert price_sequential(trace, machine, True, None) == fresh.to_record()
+    platform = TFluxHard()
+    fresh = platform.sequential_baseline(_build("qsort"), exact_memory=True)
+    assert price_sequential(trace, platform.machine, True, None) == fresh.to_record()
 
 
 def test_trace_keeps_no_environment():
@@ -89,7 +82,8 @@ def test_trace_keeps_no_environment():
         isinstance(value, Environment) for value in vars(trace).values()
     )
     lo, hi = trace.region
-    assert hi - lo == trace.dthreads == trace.fetches - 1
+    assert (lo, hi) == (len(prog.prologue), len(trace.steps) - len(prog.epilogue))
+    assert hi - lo == prog.ninstances
 
 
 def _paper_grid_requests():

@@ -132,7 +132,7 @@ ENTRIES: list[tuple[list[str], int]] = [
     (CACHE + ["stats"], 0),
     (CACHE + ["stats", "--json"], 0),
     (CACHE + ["prune", "--max-mb", "64", "--json"], 0),
-    (CACHE + ["prune", "--max-bytes", "1", "--max-age-days", "30"], 0),
+    (CACHE + ["prune", "--max-mb", "0", "--max-age-days", "30"], 0),
     (DDMCPP + ["examples/ddm/derived_pipeline.ddm", "-o", "{tmp}/gen.py", "--run", "--kernels", "3"], 0),
 ]
 
@@ -160,19 +160,15 @@ ALLOW: dict[str, str] = {
         "test_fastcache/test_directory_width pin the sharer directory width",
     "platforms/base.py::Platform.sequential_baseline(exact_memory=)":
         "the exact cache model, the fast model's oracle (JobSpec.exact_memory)",
-    "runtime/simdriver.py::run_sequential_timed(exact_memory=)":
-        "the exact cache model, the fast model's oracle (JobSpec.exact_memory)",
     # degenerate twins and cross-backend differentials
     "net/message.py::NetParams.zero_cost":
         "test_dist_differential holds one-node TFluxDist on a free network to TFluxSoft",
     "net/message.py::NetParams.message_header_bytes": "set to 0 only by NetParams.zero_cost",
     "net/message.py::NetParams.nic_overhead_cycles": "set to 0 only by NetParams.zero_cost",
     "runtime/native.py::NativeRuntime.__init__(tsu_capacity=)":
-        "test_backend_differential runs all three backends on the same block split",
+        "test_backend_differential runs sim and native on the same block split",
     "runtime/native.py::NativeRuntime.__init__(tracer=)":
         "test_backend_differential compares the native span stream with the others",
-    "runtime/simdriver.py::run_sequential_timed(tracer=)":
-        "test_backend_differential compares the sequential span stream with the others",
     "platforms/base.py::Platform.sequential_baseline(tracer=)":
         "test_obs holds the baseline's gap-free span timeline to its cycles",
     # tables of model constants: each changes only by editing the source
@@ -255,7 +251,7 @@ ALLOW: dict[str, str] = {
     "cli.py::main:parser.error(\"--topology is only meaningful with --platform dist\")": "tflux-run usage error",
     "exec/cachecli.py::_cache:print(": "tflux-cache usage error: no cache directory",
     "exec/cachecli.py::main:return 2": "tflux-cache usage error: no cache directory",
-    "exec/cachecli.py::main:print(\"tflux-cache: error: prune needs --max-bytes/--max-mb and/or \"":
+    "exec/cachecli.py::main:print(\"tflux-cache: error: prune needs --max-mb and/or \"":
         "tflux-cache usage error: prune with no bound",
     "serve/cli.py::main:print(\"usage: python -m repro.serve.cli {serve,submit} [options]\",":
         "tflux-serve usage error",
