@@ -198,13 +198,17 @@ def memo_readonly(fn: Callable) -> Callable:
 def assert_allclose(actual, desired, rtol: float = 1e-7, atol: float = 0.0) -> None:
     """``np.testing.assert_allclose`` for ``verify``, quick when it passes.
 
-    Equal shapes and ``np.isclose`` everywhere is a pass there too (a NaN
-    is never close, an infinity only to itself), so that case returns at
-    once.  Anything else — a value out of tolerance, a NaN, a shape
-    mismatch — goes to NumPy, which accepts it or raises its own message.
+    Equal shapes and exact equality (most of ``verify``'s comparisons are
+    bit-identical), else ``np.isclose`` everywhere, is a pass there too
+    (a NaN is never equal or close, an infinity only to itself), so that
+    case returns at once.  Anything else — a value out of tolerance, a
+    NaN, a shape mismatch — goes to NumPy, which accepts it or raises its
+    own message.
     """
     a, d = np.asarray(actual), np.asarray(desired)
-    if a.shape == d.shape and np.isclose(a, d, rtol=rtol, atol=atol).all():
+    if a.shape == d.shape and (
+        np.array_equal(a, d) or np.isclose(a, d, rtol=rtol, atol=atol).all()
+    ):
         return
     np.testing.assert_allclose(actual, desired, rtol=rtol, atol=atol)
 

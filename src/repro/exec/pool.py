@@ -140,14 +140,16 @@ class JobSpec:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class JobOutcome:
     """What one job returns (and what the disk cache stores).
 
     ``result`` is the parallel run's telemetry as the env-free,
     schema-versioned :class:`~repro.obs.RunRecord` — functional output is
     verified inside the job, then only timing artefacts cross the
-    process/cache boundary (never program state).
+    process/cache boundary (never program state).  An outcome is a
+    shared value: ``run_jobs`` hands one to every spec of a program and
+    a serve client one to every delivery of the same bytes.
     """
 
     cycles: int

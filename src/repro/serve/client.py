@@ -9,13 +9,24 @@ and the CI smoke use it.
 Results stream: ``submit`` invokes ``on_result`` the moment each cell's
 ``result`` message arrives (completion order), then returns the batch
 reassembled in submission order.
+
+A hit costs the client what it costs the server: an outcome is decoded
+once per connection.  A ``result`` line in the layout the server prints
+is split around its outcome's bytes
+(:func:`repro.serve.protocol.split_result_line`) and those bytes are
+looked up in the connection's bounded memo (:attr:`ServeClient.decode_outcome`),
+which parses them and builds the :class:`JobOutcome` the first time only
+— so batches share their wire dicts and outcomes, which are read-only
+values.  Any other line is decoded in full, as every line once was.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import socket
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Optional
 
 from repro.exec.pool import JobOutcome
@@ -25,12 +36,26 @@ from repro.serve.protocol import (
     decode,
     encode,
     outcome_from_wire,
+    split_result_line,
 )
 
 __all__ = ["BatchResult", "ServeClient"]
 
 #: Seconds a client waits on the socket for the server's next line.
 SOCKET_TIMEOUT = 300.0
+
+#: Distinct outcomes a connection keeps decoded: as many as the result
+#: LRU of a default server holds.
+OUTCOME_MEMO = 512
+
+
+def _decode_outcome(outcome_line: bytes) -> tuple[dict[str, Any], JobOutcome]:
+    """The wire dict and :class:`JobOutcome` an outcome's bytes stand for."""
+    try:
+        wire = json.loads(outcome_line)
+    except ValueError as exc:
+        raise WireError(f"bad JSON: {exc}") from None
+    return wire, outcome_from_wire(wire)
 
 
 @dataclass
@@ -43,7 +68,8 @@ class BatchResult:
     a job that failed server-side leaves ``None`` there and a
     ``(fully-qualified exception, message)`` tuple in ``errors``.
     ``wire`` keeps the raw outcome JSON by index for bit-identical
-    comparisons across clients.
+    comparisons across clients.  Both hold values the connection shares
+    between batches: read them, never change them.
     """
 
     batch_id: str
@@ -68,34 +94,48 @@ class ServeClient:
     ) -> None:
         if isinstance(address, str):
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.connect(address)
         else:
             self._sock = socket.create_connection(address)
-        self._sock.settimeout(SOCKET_TIMEOUT)
         self._file = self._sock.makefile("rwb")
+        try:
+            if isinstance(address, str):
+                self._sock.connect(address)
+            self._sock.settimeout(SOCKET_TIMEOUT)
+            self.welcome = self._read()
+            if self.welcome.get("type") != "welcome":
+                raise ConnectionError(f"unexpected greeting: {self.welcome!r}")
+            self.tenant = tenant
+            if tenant:
+                self._write({"type": "hello", "tenant": tenant})
+        except BaseException:
+            self._file.close()
+            self._sock.close()
+            raise
         #: Batch ids need only be unique on this connection: the server
         #: echoes them and ``submit`` skips a stale one.
         self._batches = itertools.count(1)
-        self.welcome = self._read()
-        if self.welcome.get("type") != "welcome":
-            raise ConnectionError(f"unexpected greeting: {self.welcome!r}")
-        self.tenant = tenant
-        if tenant:
-            self._write({"type": "hello", "tenant": tenant})
+        #: outcome bytes -> ``(wire dict, JobOutcome)``, one decode per
+        #: distinct outcome on this connection; ``cache_info().misses``
+        #: counts the decodes.
+        self.decode_outcome = lru_cache(maxsize=OUTCOME_MEMO)(_decode_outcome)
 
     # -- protocol I/O ---------------------------------------------------------
     def _write(self, message: dict[str, Any]) -> None:
         self._file.write(encode(message))
         self._file.flush()
 
-    def _read(self) -> dict[str, Any]:
-        """The next message; a line is bounded as the server bounds one."""
+    def _readline(self) -> bytes:
+        """The next line, bounded as the server bounds one."""
         line = self._file.readline(MAX_LINE_BYTES + 1)
         if not line:
             raise ConnectionError("server closed the connection")
         if not line.endswith(b"\n"):
             raise WireError(f"line cut short or longer than {MAX_LINE_BYTES} bytes")
-        return decode(line)
+        return line
+
+    def _read(self) -> dict[str, Any]:
+        """The next message."""
+        return decode(self._readline())
 
     # -- API ------------------------------------------------------------------
     def submit(
@@ -119,34 +159,43 @@ class ServeClient:
         result = BatchResult(batch_id=batch_id, status="pending")
         result.outcomes = [None] * len(jobs)
         while True:
-            message = self._read()
-            if message.get("batch_id") not in (None, batch_id):
-                continue  # stale stream from a previous batch
-            mtype = message["type"]
-            if mtype == "accepted":
-                continue
-            if mtype == "overloaded":
-                result.status = "overloaded"
-                result.message = (
-                    f"queued {message.get('queued')}/{message.get('limit')}"
-                )
-                return result
-            if mtype == "error":
-                result.status = "error"
-                result.message = message.get("message", "")
-                return result
-            if mtype == "result":
+            line = self._readline()
+            split = split_result_line(line)
+            if split is not None:
+                line_batch, index, outcome_line = split
+                if line_batch != batch_id:
+                    continue  # stale stream from a previous batch
+                wire, outcome = self.decode_outcome(outcome_line)
+            else:
+                message = decode(line)
+                if message.get("batch_id") not in (None, batch_id):
+                    continue  # stale stream from a previous batch
+                mtype = message["type"]
+                if mtype == "overloaded":
+                    result.status = "overloaded"
+                    result.message = (
+                        f"queued {message.get('queued')}/{message.get('limit')}"
+                    )
+                    return result
+                if mtype == "error":
+                    result.status = "error"
+                    result.message = message.get("message", "")
+                    return result
+                if mtype == "batch_done":
+                    result.status = "done"
+                    return result
+                if mtype == "job_error":
+                    result.errors[message["index"]] = tuple(message["error"])
+                if mtype != "result":
+                    continue  # accepted, or a job_error
+                # a result line laid out otherwise than encode prints it
                 index = message["index"]
-                outcome = outcome_from_wire(message["outcome"])
-                result.wire[index] = message["outcome"]
-                result.outcomes[index] = outcome
-                if on_result is not None:
-                    on_result(index, outcome)
-            elif mtype == "job_error":
-                result.errors[message["index"]] = tuple(message["error"])
-            elif mtype == "batch_done":
-                result.status = "done"
-                return result
+                wire = message["outcome"]
+                outcome = outcome_from_wire(wire)
+            result.wire[index] = wire
+            result.outcomes[index] = outcome
+            if on_result is not None:
+                on_result(index, outcome)
 
     def stats(self) -> dict[str, Any]:
         """The server's counter/LRU/queue snapshot."""

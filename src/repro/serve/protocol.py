@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any
+import re
+from json.decoder import scanstring
+from typing import Any, Optional
 
 from repro.exec.pool import JobOutcome, JobSpec
 
@@ -54,6 +56,7 @@ __all__ = [
     "outcome_from_wire",
     "outcome_to_wire",
     "result_line",
+    "split_result_line",
 ]
 
 #: Bump on incompatible message-shape changes (advertised in ``welcome``).
@@ -86,6 +89,39 @@ def result_line(batch_id: str, index: int, outcome_line: bytes) -> bytes:
     return b'{"batch_id":%s,"index":%d,"outcome":%s,"type":"result"}\n' % (
         json.dumps(batch_id).encode(), index, outcome_line[:-1],
     )
+
+
+#: A ``result`` line as :func:`result_line` prints it: the ``batch_id``
+#: string literal (printable ASCII and escapes, as ``json.dumps`` writes
+#: one), a decimal ``index`` and the outcome's bytes.
+_RESULT_LINE = re.compile(
+    rb'\{"batch_id":("(?:[ !#-\[\]-~]|\\.)*"),"index":(0|[1-9][0-9]*),'
+    rb'"outcome":(.+),"type":"result"\}\n',
+    re.DOTALL,
+)
+
+
+def split_result_line(line: bytes) -> Optional[tuple[str, int, bytes]]:
+    """Inverse of :func:`result_line`: ``(batch_id, index, outcome_line)``.
+
+    Only a line in the layout :func:`encode` prints — sorted keys,
+    compact, newline-terminated, at most :data:`MAX_LINE_BYTES` — is
+    split; for anything else (another message type, other key order or
+    spacing, a non-decimal index) this returns ``None`` and the line is
+    for :func:`decode`.  *outcome_line* is the outcome's bytes plus the
+    newline, as :func:`result_line` takes them; they are not parsed here.
+    """
+    if len(line) > MAX_LINE_BYTES:
+        return None
+    match = _RESULT_LINE.fullmatch(line)
+    if match is None:
+        return None
+    literal, index, outcome = match.groups()
+    try:  # the string scanner of ``json.loads``, without its set-up
+        batch_id, _ = scanstring(literal.decode("ascii"), 1)
+    except ValueError:  # a bad escape
+        return None
+    return batch_id, int(index), outcome + b"\n"
 
 
 def decode(line: bytes) -> dict[str, Any]:
@@ -174,7 +210,7 @@ def job_from_wire(wire: dict[str, Any]) -> JobSpec:
             platform=platform, bench=bench, size=sizes[label],
             nkernels=nkernels, **fields,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity)
         raise WireError(str(exc)) from None
 
 

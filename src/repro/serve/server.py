@@ -32,8 +32,9 @@ Architecture (one asyncio loop + one persistent process pool)::
 * **A hit is a lookup and a send**: what is a function of the job alone
   is computed once per job.  A wire job resolves to ``(JobSpec,
   digest)`` once per distinct form (``TFluxServer._resolve``, a
-  bounded memo); an outcome is encoded once per digest, by the flight's
-  leader, and the flight's value *is* those bytes — a delivery splices
+  bounded memo keyed on the job's sorted items); an outcome is encoded
+  once per digest, by the flight's leader, and the flight's value *is*
+  those bytes — a delivery splices
   ``batch_id``/``index`` around them
   (:func:`repro.serve.protocol.result_line`); a connection's writer
   sends everything queued since it last woke in one write, and
@@ -61,7 +62,6 @@ from __future__ import annotations
 import asyncio
 import gc
 import itertools
-import json
 import os
 import re
 import threading
@@ -133,9 +133,23 @@ def _warm(executor: ProcessPoolExecutor) -> None:
     executor.submit(os.getpid).result()
 
 
-def _resolve(job_line: bytes) -> tuple[JobSpec, str]:
-    """The spec and digest an encoded wire job stands for."""
-    spec = job_from_wire(json.loads(job_line))
+def _job_key(job: Any) -> tuple[tuple[str, Any], ...]:
+    """A wire job as the admission memo's key: its items, sorted.
+
+    Values that compare equal share a key (``1``, ``1.0``, ``true``); the
+    coercion of every field maps them to one value or refuses them all,
+    which ``tests/test_serve_hit_path.py`` holds over every field.  A
+    list or object value makes the key unhashable: the lookup raises
+    ``TypeError`` and the batch is refused.
+    """
+    if not isinstance(job, dict):
+        raise WireError("job must be an object")
+    return tuple(sorted(job.items()))
+
+
+def _resolve(job_key: tuple[tuple[str, Any], ...]) -> tuple[JobSpec, str]:
+    """The spec and digest a wire job (as :func:`_job_key`) stands for."""
+    spec = job_from_wire(dict(job_key))
     return spec, spec_digest(spec)
 
 
@@ -213,9 +227,10 @@ class TFluxServer:
         )
         #: digest -> the outcome's encoded wire form (``encode`` bytes).
         self.lru = SingleFlightLRU(self.config.lru_capacity)
-        #: The admission memo: one resolution per distinct encoded wire
-        #: job, as many as the result LRU holds.  ``lru_cache`` keeps no
-        #: call that raised, so a refused job is refused afresh each time.
+        #: The admission memo: one resolution per distinct wire job (its
+        #: sorted items), as many as the result LRU holds.  ``lru_cache``
+        #: keeps no call that raised, so a refused job is refused afresh
+        #: each time.
         self._resolve = lru_cache(maxsize=self.config.lru_capacity)(_resolve)
         #: Simulations actually handed to the pool (the single-flight
         #: acceptance number: equals unique specs under a dedup herd).
@@ -380,8 +395,8 @@ class TFluxServer:
             return
         try:
             priority = int(message.get("priority", 0))
-            resolved = [self._resolve(encode(job)) for job in jobs_wire]
-        except (WireError, TypeError, ValueError) as exc:
+            resolved = [self._resolve(_job_key(job)) for job in jobs_wire]
+        except (WireError, TypeError, ValueError, OverflowError) as exc:
             conn.send({"type": "error", "batch_id": batch_id, "message": str(exc)})
             return
         tenant_key = conn.tenant_key

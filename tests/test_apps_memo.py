@@ -172,3 +172,36 @@ def test_verify_comparison_passes_and_fails_exactly_as_numpy(actual, desired, pa
     expected = _verdict(np.testing.assert_allclose, actual, desired, **_TOL)
     assert (expected is None) == passes
     assert _verdict(assert_allclose, actual, desired, **_TOL) == expected
+
+
+@pytest.mark.parametrize(
+    "actual,desired,closes",
+    [
+        (_BASE.copy(), _BASE, 0),
+        (_with((2, 3), np.inf), _with((2, 3), np.inf), 0),
+        (np.arange(6).reshape(2, 3), np.arange(6.0).reshape(2, 3), 0),
+        (_with((1, 2), _BASE[1, 2] * (1 + 1e-9)), _BASE, 1),  # close, not equal
+        (_with((0, 0), np.nan), _with((0, 0), np.nan), 1),  # NaN is never equal
+        (_BASE[:, :3].copy(), _BASE, 0),  # shapes differ: straight to NumPy
+    ],
+    ids=["equal", "inf", "int-float", "close", "nan-both", "shape"],
+)
+def test_verify_comparison_settles_exact_equality_without_isclose(
+    monkeypatch, actual, desired, closes
+):
+    """Most of ``verify``'s comparisons are bit-identical: those pass on
+    ``np.array_equal`` and never reach ``np.isclose``; the rest compare
+    as before (``np.testing`` calls its own ``isclose``, not this name)."""
+    from repro.apps.common import assert_allclose
+
+    calls = []
+    real = np.isclose
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    expected = _verdict(np.testing.assert_allclose, actual, desired, **_TOL)
+    monkeypatch.setattr(np, "isclose", spy)
+    assert _verdict(assert_allclose, actual, desired, **_TOL) == expected
+    assert len(calls) == closes

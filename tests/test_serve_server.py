@@ -20,6 +20,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -145,6 +146,10 @@ def test_malformed_batch_rejected_whole(spawn):
         )
         assert batch.status == "error"
         assert "cluster_size" in batch.message
+        # JSON's Infinity is a float no int() takes: refused, not a crash
+        batch = client.submit(GRID, priority=float("inf"))
+        assert batch.status == "error"
+        assert "cannot convert float infinity to integer" in batch.message
         stats = client.stats()
     assert stats["executed"] == 0  # admission is all-or-nothing
 
@@ -158,6 +163,7 @@ def test_malformed_batch_rejected_whole(spawn):
         ("max_threads", 0, "max_threads must be >= 1"),
         ("tsu_capacity", 0, "tsu_capacity must be >= 1"),
         ("tsu_capacity", -5, "tsu_capacity must be >= 1"),
+        ("unroll", float("inf"), "cannot convert float infinity to integer"),
     ],
 )
 def test_job_that_can_never_run_is_refused_at_admission(spawn, field, value, text):
@@ -444,6 +450,36 @@ def _peer(reply):
         listener.close()
         thread.join(30)
         assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "greeting",
+    [encode({"type": "error", "message": "busy"}), b""],
+    ids=["not-welcome", "closed"],
+)
+def test_failed_greeting_closes_the_client_socket(greeting):
+    """A client whose greeting fails leaves no socket open: nothing is
+    left for the collector to find and warn about."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(greeting)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ConnectionError):
+                ServeClient(listener.getsockname())
+            gc.collect()
+    finally:
+        listener.close()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 @pytest.mark.parametrize(

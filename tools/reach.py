@@ -260,6 +260,7 @@ ALLOW: dict[str, str] = {
     "serve/cli.py::_address:return args.unix": "tflux-serve/tflux-submit --unix",
     "serve/client.py::ServeClient.__init__:self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)":
         "tflux-submit --unix",
+    "serve/client.py::ServeClient.__init__:self._sock.connect(address)": "tflux-submit --unix",
     "serve/server.py::TFluxServer.start:self._server = await asyncio.start_unix_server(":
         "tflux-serve --unix",
     "exec/pool.py::job_count:return os.cpu_count() or 1": "TFLUX_JOBS=auto",
@@ -281,6 +282,10 @@ ALLOW: dict[str, str] = {
     "serve/client.py::ServeClient.submit:result.status = \"overloaded\"": "the server's overloaded reply",
     "serve/client.py::ServeClient.submit:result.errors[message[\"index\"]] = tuple(message[\"error\"])":
         "the server's job_error reply",
+    "serve/client.py::ServeClient.submit:index = message[\"index\"]":
+        "a result line not in encode's layout: a peer other than tflux-serve",
+    "serve/protocol.py::split_result_line:return None":
+        "a line longer than MAX_LINE_BYTES from a peer",
     "serve/cli.py::main_submit:print(f\"tflux-submit: server overloaded ({batch.message}); retry later\",":
         "the server's overloaded reply",
     "serve/cli.py::main_submit:print(f\"tflux-submit: job {index} failed: {error[0]}: {error[1]}\",":

@@ -12,7 +12,8 @@ verify end to end:
 3. the streamed records must be bit-identical across the two clients,
    and each was encoded once: ``serve.encoded == serve.executed +
    exec.cache.hits``; a third client's all-hit batch of the same grid
-   must leave in one write (``serve.writes`` rises by one for it);
+   must leave in one write (``serve.writes`` rises by one for it), and
+   when that client submits the grid again it decodes no outcome;
 4. ``tflux-submit`` (the CLI path) runs against the same server and its
    ``--json`` dump round-trips;
 5. a job that can never run (``--unroll 0``) is refused at admission:
@@ -119,11 +120,21 @@ def drive(address: tuple[str, int]) -> int:
         before = stats["counters"].get("serve.writes", 0)
         hits = client.submit(GRID)
         counted = client.stats()["counters"].get("serve.writes", 0) - before
+        decoded = client.decode_outcome.cache_info().misses
+        again = client.submit(GRID)
+        redecoded = client.decode_outcome.cache_info().misses - decoded
     if not hits.ok or counted != 2:
         print(f"serve-smoke: FAIL: an all-hit batch ended {hits.status!r} "
               f"after {counted - 1} writes, expected 'done' after 1")
         return 1
     print(f"serve-smoke: an all-hit batch of {len(GRID)} left in one write")
+    if not again.ok or again.wire != hits.wire or redecoded:
+        print(f"serve-smoke: FAIL: the grid submitted again ended "
+              f"{again.status!r} after {redecoded} outcome decodes, expected "
+              f"'done', the same records and none")
+        return 1
+    print(f"serve-smoke: the grid again: {len(GRID)} results, "
+          f"{decoded} outcome decodes on the connection, none new")
     counters = stats["counters"]
     total, unique = 2 * len(GRID), len(GRID)
     duplicates = (
