@@ -17,6 +17,9 @@ from repro.sim.accesses import AccessSummary
 
 __all__ = ["DMAEngine"]
 
+#: Tile size for streamed (non-resident) ranges; double-buffered.
+STREAM_TILE_BYTES = 16 * 1024
+
 
 @dataclass
 class DMAEngine:
@@ -26,8 +29,6 @@ class DMAEngine:
     setup_cycles: int
     cycles_per_line: int
     line_size: int
-    #: Tile size for streamed (non-resident) ranges; double-buffered.
-    stream_tile_bytes: int = 16 * 1024
     transfers: int = field(default=0, init=False)
     bytes_moved: int = field(default=0, init=False)
 
@@ -36,9 +37,7 @@ class DMAEngine:
         if nbytes <= 0:
             return 0
         lines = -(-nbytes // self.line_size)
-        ntransfers = (
-            -(-nbytes // self.stream_tile_bytes) if streamed else 1
-        )
+        ntransfers = -(-nbytes // STREAM_TILE_BYTES) if streamed else 1
         self.transfers += ntransfers
         self.bytes_moved += nbytes
         return self.setup_cycles * ntransfers + lines * self.cycles_per_line
@@ -70,5 +69,5 @@ class DMAEngine:
             if op.resident:
                 total += op.bytes_touched
             else:
-                total += min(op.bytes_touched, 2 * self.stream_tile_bytes)
+                total += min(op.bytes_touched, 2 * STREAM_TILE_BYTES)
         return total

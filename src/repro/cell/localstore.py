@@ -11,7 +11,7 @@ with QSORT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["CellLocalStoreError", "LocalStore"]
 
@@ -29,12 +29,11 @@ class LocalStore:
     """Capacity tracker for one SPE's Local Store."""
 
     capacity: int
-    reserved: int = DEFAULT_RESERVED_BYTES
-    high_watermark: int = 0
+    high_watermark: int = field(default=0, init=False)
 
     @property
     def data_budget(self) -> int:
-        return self.capacity - self.reserved
+        return self.capacity - DEFAULT_RESERVED_BYTES
 
     def require(self, nbytes: int, what: str = "DThread working set") -> None:
         """Record a working-set demand; raise if it cannot fit."""
@@ -43,6 +42,6 @@ class LocalStore:
             raise CellLocalStoreError(
                 f"{what} needs {nbytes} bytes but only {self.data_budget} of "
                 f"the {self.capacity}-byte Local Store are available "
-                f"({self.reserved} reserved for code/runtime); the "
+                f"({DEFAULT_RESERVED_BYTES} reserved for code/runtime); the "
                 "application must be restructured to stage its data (§6.3)"
             )

@@ -3,7 +3,7 @@
 Examples::
 
     tflux-serve --port 7077 --workers auto --cache-dir ~/.cache/tflux
-    tflux-serve --unix /tmp/tflux.sock --workers 4 --lru 1024
+    tflux-serve --unix /tmp/tflux.sock --workers 4
 
     tflux-submit trapez --connect 127.0.0.1:7077 --kernels 2,4,8 --unroll 2,8
     tflux-submit mmult --unix /tmp/tflux.sock --tenant alice --size small \
@@ -42,7 +42,7 @@ def _address(args: argparse.Namespace) -> "tuple[str, int] | str":
 
 def main_serve(argv: Optional[list[str]] = None) -> int:
     from repro.exec import ENV_CACHE_DIR, job_count
-    from repro.serve.server import ServeConfig, TFluxServer
+    from repro.serve.server import LRU_CAPACITY, ServeConfig, TFluxServer
 
     parser = argparse.ArgumentParser(
         prog="tflux-serve",
@@ -52,35 +52,15 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=7077, help="0 = any free port")
     parser.add_argument("--unix", default=None, metavar="PATH",
                         help="listen on a Unix socket instead of TCP")
-    defaults = ServeConfig()
-    parser.add_argument("--workers", type=job_count, default=defaults.workers,
+    parser.add_argument("--workers", type=job_count, default=ServeConfig().workers,
                         help="worker processes ('auto' = all cores)")
-    parser.add_argument("--lru", type=int, default=defaults.lru_capacity,
-                        help="in-memory LRU capacity (outcomes)")
-    parser.add_argument("--max-inflight", type=int, default=defaults.max_inflight,
-                        help="unique simulations in flight (0 = 2x workers)")
-    parser.add_argument("--max-queued", type=int,
-                        default=defaults.max_queued_per_tenant,
-                        help="queued jobs per tenant before 'overloaded'")
-    parser.add_argument("--queue-total", type=int,
-                        default=defaults.max_queued_total,
-                        help="queued jobs across all tenants")
-    parser.add_argument("--aging", type=int, default=defaults.aging_rounds,
-                        help="dispatch skips per +1 effective priority")
     parser.add_argument("--cache-dir", default=None,
                         help=f"on-disk result cache (overrides {ENV_CACHE_DIR})")
     args = parser.parse_args(argv)
 
     if args.cache_dir is not None:
         os.environ[ENV_CACHE_DIR] = os.path.expanduser(args.cache_dir)
-    config = ServeConfig(
-        workers=args.workers,
-        lru_capacity=args.lru,
-        max_inflight=args.max_inflight,
-        max_queued_per_tenant=args.max_queued,
-        max_queued_total=args.queue_total,
-        aging_rounds=args.aging,
-    )
+    config = ServeConfig(workers=args.workers)
 
     async def _run() -> None:
         # SIGTERM takes the Ctrl-C path: cancel this task so ``aclose``
@@ -92,8 +72,8 @@ def main_serve(argv: Optional[list[str]] = None) -> int:
         await server.start(host=args.host, port=args.port, unix=args.unix)
         where = args.unix if args.unix else "%s:%d" % server.address[:2]
         print(f"tflux-serve: listening on {where} "
-              f"(workers={config.workers}, lru={config.lru_capacity}, "
-              f"inflight={config.effective_inflight})", flush=True)
+              f"(workers={config.workers}, lru={LRU_CAPACITY}, "
+              f"inflight={2 * config.workers})", flush=True)
         try:
             await server.serve_forever()
         finally:

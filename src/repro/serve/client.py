@@ -23,7 +23,6 @@ values.  Any other line is decoded in full, as every line once was.
 from __future__ import annotations
 
 import itertools
-import json
 import socket
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,6 +34,7 @@ from repro.serve.protocol import (
     WireError,
     decode,
     encode,
+    loads,
     outcome_from_wire,
     split_result_line,
 )
@@ -51,10 +51,7 @@ OUTCOME_MEMO = 512
 
 def _decode_outcome(outcome_line: bytes) -> tuple[dict[str, Any], JobOutcome]:
     """The wire dict and :class:`JobOutcome` an outcome's bytes stand for."""
-    try:
-        wire = json.loads(outcome_line)
-    except ValueError as exc:
-        raise WireError(f"bad JSON: {exc}") from None
+    wire = loads(outcome_line)
     return wire, outcome_from_wire(wire)
 
 

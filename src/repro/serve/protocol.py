@@ -50,6 +50,7 @@ __all__ = [
     "WIRE_VERSION",
     "WireError",
     "encode",
+    "loads",
     "decode",
     "job_from_wire",
     "job_to_wire",
@@ -124,12 +125,19 @@ def split_result_line(line: bytes) -> Optional[tuple[str, int, bytes]]:
     return batch_id, int(index), outcome + b"\n"
 
 
+def loads(line: bytes) -> Any:
+    """``json.loads``, with every way a line can fail to parse — bad
+    syntax, bytes that are not UTF-8, nesting deeper than the parser
+    recurses — raised as :class:`WireError`."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise WireError(f"bad JSON: {exc}") from None
+
+
 def decode(line: bytes) -> dict[str, Any]:
     """Parse one protocol line into a message dict."""
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"bad JSON: {exc}") from None
+    message = loads(line)
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise WireError("message must be an object with a string 'type'")
     return message

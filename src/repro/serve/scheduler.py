@@ -13,14 +13,14 @@ is a unit-testable property:
   order, one job each — an interleaved drain, never batch-at-a-time.
 * **Priority with aging.**  A tenant's head job carries the batch's
   base priority (higher dispatches sooner).  Every dispatch that passes
-  a waiting tenant over ages it: after ``aging_rounds`` skips its
+  a waiting tenant over ages it: after :data:`AGING_ROUNDS` skips its
   effective priority rises by one, so a low-priority tenant under a
   stream of high-priority traffic is delayed proportionally, never
   starved.
 * **Bounded queues.**  Admission is all-or-nothing per batch against a
-  per-tenant and a global depth bound (:meth:`FairScheduler.can_accept`)
-  — the server replies ``overloaded`` instead of buffering without
-  limit.
+  per-tenant and a global depth bound (:data:`MAX_QUEUED_PER_TENANT`,
+  :data:`MAX_QUEUED_TOTAL`; :meth:`FairScheduler.can_accept`) — the
+  server replies ``overloaded`` instead of buffering without limit.
 
 Aging is counted in *dispatch decisions*, not seconds: the scheduler is
 a pure state machine, so the fairness tests replay exact sequences.
@@ -33,23 +33,18 @@ from typing import Any, Optional
 
 __all__ = ["FairScheduler"]
 
+#: Queued jobs one tenant may have before its batches are refused.
+MAX_QUEUED_PER_TENANT = 256
+#: Queued jobs across every tenant.
+MAX_QUEUED_TOTAL = 1024
+#: Dispatch skips per +1 effective priority.
+AGING_ROUNDS = 4
+
 
 class FairScheduler:
     """Deterministic per-tenant fair queue with priority aging."""
 
-    def __init__(
-        self,
-        max_queued_per_tenant: int,
-        max_queued_total: int,
-        aging_rounds: int,
-    ) -> None:
-        if max_queued_per_tenant < 1 or max_queued_total < 1:
-            raise ValueError("queue bounds must be >= 1")
-        if aging_rounds < 1:
-            raise ValueError("aging_rounds must be >= 1")
-        self.max_queued_per_tenant = max_queued_per_tenant
-        self.max_queued_total = max_queued_total
-        self.aging_rounds = aging_rounds
+    def __init__(self) -> None:
         self._queues: dict[str, deque[tuple[int, Any]]] = {}
         self._rotation: list[str] = []  # tenants in first-seen order
         self._skipped: dict[str, int] = {}  # dispatches that passed us over
@@ -61,8 +56,8 @@ class FairScheduler:
         """Would a batch of *njobs* from *tenant* fit the bounds?"""
         queued = len(self._queues.get(tenant, ()))
         return (
-            queued + njobs <= self.max_queued_per_tenant
-            and self._total + njobs <= self.max_queued_total
+            queued + njobs <= MAX_QUEUED_PER_TENANT
+            and self._total + njobs <= MAX_QUEUED_TOTAL
         )
 
     def submit(self, tenant: str, item: Any, priority: int = 0) -> bool:
@@ -87,7 +82,7 @@ class FairScheduler:
         """The next ``(tenant, item)`` to run, or ``None`` when idle.
 
         Picks the pending tenant whose head job has the highest
-        effective priority ``base + skipped // aging_rounds``; ties go
+        effective priority ``base + skipped // AGING_ROUNDS``; ties go
         to the first candidate in rotation order starting *after* the
         last dispatched tenant (that scan origin is what realises
         round-robin).  Every other pending tenant ages by one skip.
@@ -103,7 +98,7 @@ class FairScheduler:
             q = self._queues[names[i]]
             if not q:
                 continue
-            eff = q[0][0] + self._skipped[names[i]] // self.aging_rounds
+            eff = q[0][0] + self._skipped[names[i]] // AGING_ROUNDS
             if best_eff is None or eff > best_eff:
                 best_i, best_eff = i, eff
         assert best_i >= 0

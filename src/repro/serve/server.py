@@ -14,7 +14,7 @@ Architecture (one asyncio loop + one persistent process pool)::
   bounds; a refused batch gets an explicit ``overloaded`` reply instead
   of unbounded buffering.
 * **Dispatch** pulls from the scheduler only while fewer than
-  ``max_inflight`` *unique* simulations are running — LRU hits and
+  ``2 * workers`` *unique* simulations are running — LRU hits and
   coalesced duplicates consume no slot.  Classification (LRU → in-flight
   → disk → pool) is synchronous on the loop, so the in-flight bound is
   exact.
@@ -52,9 +52,10 @@ they are: an outcome is computed by the same :func:`repro.exec.pool.run_job`
 a direct sweep uses, and the differential tests pin the streamed records
 bit-identical to a pool run.
 
-Sizing is a :class:`ServeConfig` (one ``tflux-serve`` flag per field);
-``TFLUX_CACHE_DIR`` selects the on-disk layer, exactly as in
-:mod:`repro.exec`.
+Sizing is a :class:`ServeConfig` (``workers``, set by ``tflux-serve
+--workers``) and :data:`LRU_CAPACITY`; the queue bounds live in
+:mod:`repro.serve.scheduler`.  ``TFLUX_CACHE_DIR`` selects the on-disk
+layer, exactly as in :mod:`repro.exec`.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from repro.exec.cache import ResultCache, cache_from_env, spec_digest
 from repro.exec.pool import JobSpec, error_pair, pool_context, run_job
 from repro.exec.singleflight import SingleFlightLRU
 from repro.obs import Counters
+from repro.serve import scheduler as bounds
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     WIRE_VERSION,
@@ -92,23 +94,20 @@ __all__ = ["ServeConfig", "TFluxServer", "ServerHandle", "serve_in_thread"]
 #: Sentinel: "resolve the disk cache from the environment".
 _ENV_CACHE = object()
 
+#: Encoded outcomes the in-memory LRU holds; the admission memo keeps as
+#: many resolved wire jobs.
+LRU_CAPACITY = 512
 
-@dataclass
+
+@dataclass(frozen=True)
 class ServeConfig:
-    """Server sizing; every field has a ``tflux-serve`` flag."""
+    """Server sizing: the worker processes (``tflux-serve --workers``).
+
+    At most ``2 * workers`` unique simulations run at once, which keeps
+    the pool fed while results stream out.
+    """
 
     workers: int = 1
-    lru_capacity: int = 512
-    #: Unique simulations allowed to run at once; 0 = ``2 * workers``
-    #: (keeps the pool fed while results stream out).
-    max_inflight: int = 0
-    max_queued_per_tenant: int = 256
-    max_queued_total: int = 1024
-    aging_rounds: int = 4
-
-    @property
-    def effective_inflight(self) -> int:
-        return self.max_inflight or 2 * self.workers
 
 
 def _counter_key(tenant: str) -> str:
@@ -220,18 +219,14 @@ class TFluxServer:
         self.config = config or ServeConfig()
         self.cache = cache_from_env() if cache is _ENV_CACHE else cache
         self.counters = Counters()
-        self.scheduler = FairScheduler(
-            max_queued_per_tenant=self.config.max_queued_per_tenant,
-            max_queued_total=self.config.max_queued_total,
-            aging_rounds=self.config.aging_rounds,
-        )
+        self.scheduler = FairScheduler()
         #: digest -> the outcome's encoded wire form (``encode`` bytes).
-        self.lru = SingleFlightLRU(self.config.lru_capacity)
+        self.lru = SingleFlightLRU(LRU_CAPACITY)
         #: The admission memo: one resolution per distinct wire job (its
         #: sorted items), as many as the result LRU holds.  ``lru_cache``
         #: keeps no call that raised, so a refused job is refused afresh
         #: each time.
-        self._resolve = lru_cache(maxsize=self.config.lru_capacity)(_resolve)
+        self._resolve = lru_cache(maxsize=LRU_CAPACITY)(_resolve)
         #: Simulations actually handed to the pool (the single-flight
         #: acceptance number: equals unique specs under a dedup herd).
         self.executed = 0
@@ -408,9 +403,9 @@ class TFluxServer:
                     "type": "overloaded",
                     "batch_id": batch_id,
                     "queued": self.scheduler.pending_total,
-                    "limit": self.scheduler.max_queued_total,
+                    "limit": bounds.MAX_QUEUED_TOTAL,
                     "tenant_queued": self.scheduler.pending(conn.tenant),
-                    "tenant_limit": self.scheduler.max_queued_per_tenant,
+                    "tenant_limit": bounds.MAX_QUEUED_PER_TENANT,
                 }
             )
             return
@@ -442,7 +437,7 @@ class TFluxServer:
         hit (delivered on the spot) and one still pending is a
         coalesced duplicate.
         """
-        while self.lru.inflight < self.config.effective_inflight:
+        while self.lru.inflight < 2 * self.config.workers:
             entry = self.scheduler.next()
             if entry is None:
                 return

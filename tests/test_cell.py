@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import get_benchmark, problem_sizes
 from repro.cell.commandbuffer import Command, CommandBuffer
-from repro.cell.dma import DMAEngine
+from repro.cell.dma import STREAM_TILE_BYTES, DMAEngine
 from repro.cell.localstore import CellLocalStoreError, LocalStore
 from repro.cell.mailbox import MAILBOX_DEPTH, Mailbox
 from repro.core import ProgramBuilder
@@ -16,8 +16,8 @@ from repro.sim.engine import Engine
 
 # -- LocalStore ------------------------------------------------------------
 def test_localstore_budget():
-    ls = LocalStore(capacity=256 * 1024, reserved=48 * 1024)
-    assert ls.data_budget == 208 * 1024
+    ls = LocalStore(capacity=256 * 1024)
+    assert ls.data_budget == 208 * 1024  # 48 KB for the kernel and runtime
     ls.require(100_000)
     assert ls.high_watermark == 100_000
 
@@ -38,10 +38,12 @@ def test_dma_transfer_cost_scales():
 
 
 def test_dma_streamed_transfer_pays_per_tile_setup():
-    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128,
-                    stream_tile_bytes=1024)
-    streamed = dma.transfer_cycles(4096, streamed=True)
-    assert streamed == 300 * 4 + 32 * 4
+    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128)
+    lines = 4 * STREAM_TILE_BYTES // 128
+    streamed = dma.transfer_cycles(4 * STREAM_TILE_BYTES, streamed=True)
+    assert streamed == 300 * 4 + lines * 4
+    assert dma.transfers == 4
+    assert dma.transfer_cycles(4 * STREAM_TILE_BYTES) == 300 + lines * 4
 
 
 def test_dma_import_export_split():
@@ -56,8 +58,7 @@ def test_dma_import_export_split():
 def test_dma_working_set_streamed_vs_resident():
     space = RegionSpace()
     big = space.region("big", 1 << 20)
-    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128,
-                    stream_tile_bytes=16 * 1024)
+    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128)
     resident = AccessSummary().read(big)
     streamed = AccessSummary().read(big, resident=False)
     assert dma.working_set_bytes(resident) == 1 << 20

@@ -20,6 +20,7 @@ from repro.platforms import PLATFORMS
 from repro.serve.protocol import (
     _JOB_DEFAULTS,
     WireError,
+    decode,
     encode,
     job_from_wire,
     job_to_wire,
@@ -35,6 +36,24 @@ SPEC_DEFAULTS = {
     for f in dataclasses.fields(JobSpec)
     if f.default is not dataclasses.MISSING
 }
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"{not json}\n",
+        b'{"type":"\xff"}\n',
+        b"[" * 100_000 + b"\n",
+        b"[" * 5000 + b"]" * 5000 + b"\n",
+    ],
+    ids=["syntax", "not-utf8", "nested-unclosed", "nested-well-formed"],
+)
+def test_decode_refuses_a_bad_line_as_a_wire_error(line):
+    """Bytes that are not UTF-8 and nesting deeper than the parser
+    recurses are bad lines like any other, not a ``UnicodeDecodeError``
+    or ``RecursionError`` past the caller's ``except``."""
+    with pytest.raises(WireError, match="bad JSON"):
+        decode(line)
 
 
 def test_wire_table_is_the_named_fields_plus_every_defaulted_spec_field():

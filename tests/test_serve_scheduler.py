@@ -2,18 +2,12 @@
 
 Every property is pinned by replaying an exact submit/dispatch sequence —
 the scheduler is a pure state machine (no wall clock), so there are no
-sleeps anywhere in this file.
+sleeps anywhere in this file.  A case that needs other bounds or another
+aging rate patches the module constant for its own length.
 """
 
-import pytest
-
-from repro.serve import FairScheduler, ServeConfig
-
-
-def scheduler(**bounds):
-    """A scheduler with ``tflux-serve``'s default bounds, *bounds* overriding."""
-    cfg = ServeConfig(**bounds)
-    return FairScheduler(cfg.max_queued_per_tenant, cfg.max_queued_total, cfg.aging_rounds)
+import repro.serve.scheduler as scheduler_module
+from repro.serve import FairScheduler
 
 
 def drain(sched):
@@ -27,7 +21,7 @@ def drain(sched):
 
 # -- round-robin ---------------------------------------------------------------
 def test_round_robin_interleaves_tenants():
-    s = scheduler()
+    s = FairScheduler()
     for i in range(3):
         s.submit("alice", f"a{i}")
     for i in range(3):
@@ -36,14 +30,14 @@ def test_round_robin_interleaves_tenants():
 
 
 def test_fifo_within_tenant():
-    s = scheduler()
+    s = FairScheduler()
     for i in range(4):
         s.submit("alice", i)
     assert [item for _, item in drain(s)] == [0, 1, 2, 3]
 
 
 def test_late_tenant_joins_rotation():
-    s = scheduler()
+    s = FairScheduler()
     s.submit("alice", "a0")
     s.submit("alice", "a1")
     assert s.next() == ("alice", "a0")
@@ -53,7 +47,7 @@ def test_late_tenant_joins_rotation():
 
 
 def test_idle_returns_none():
-    s = scheduler()
+    s = FairScheduler()
     assert s.next() is None
     s.submit("alice", 1)
     s.next()
@@ -62,7 +56,7 @@ def test_idle_returns_none():
 
 # -- priority ------------------------------------------------------------------
 def test_higher_priority_dispatches_first():
-    s = scheduler()
+    s = FairScheduler()
     s.submit("bulk", "low", priority=0)
     s.submit("urgent", "high", priority=5)
     assert s.next()[0] == "urgent"
@@ -70,7 +64,7 @@ def test_higher_priority_dispatches_first():
 
 
 def test_priority_is_per_job_not_per_tenant():
-    s = scheduler()
+    s = FairScheduler()
     s.submit("alice", "interactive", priority=3)
     s.submit("alice", "batch", priority=0)
     s.submit("bob", "batch", priority=0)
@@ -79,10 +73,11 @@ def test_priority_is_per_job_not_per_tenant():
     assert s.next()[0] == "bob"
 
 
-def test_aging_prevents_starvation():
+def test_aging_prevents_starvation(monkeypatch):
     """A priority-0 tenant under an endless priority-5 stream dispatches
-    after exactly aging_rounds skips — delayed, never starved."""
-    s = scheduler(aging_rounds=3)
+    after exactly AGING_ROUNDS skips per level — delayed, never starved."""
+    monkeypatch.setattr(scheduler_module, "AGING_ROUNDS", 3)
+    s = FairScheduler()
     s.submit("low", "the-job", priority=0)
     for i in range(20):
         s.submit("high", f"h{i}", priority=5)
@@ -95,8 +90,9 @@ def test_aging_prevents_starvation():
     assert order == ["high"] * 15 + ["low", "high"]
 
 
-def test_aging_resets_after_dispatch():
-    s = scheduler(aging_rounds=2)
+def test_aging_resets_after_dispatch(monkeypatch):
+    monkeypatch.setattr(scheduler_module, "AGING_ROUNDS", 2)
+    s = FairScheduler()
     s.submit("low", "j1", priority=0)
     s.submit("low", "j2", priority=0)
     for i in range(12):
@@ -110,8 +106,10 @@ def test_aging_resets_after_dispatch():
 
 
 # -- bounds / backpressure -----------------------------------------------------
-def test_per_tenant_bound():
-    s = scheduler(max_queued_per_tenant=2, max_queued_total=100)
+def test_per_tenant_bound(monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_QUEUED_PER_TENANT", 2)
+    monkeypatch.setattr(scheduler_module, "MAX_QUEUED_TOTAL", 100)
+    s = FairScheduler()
     assert s.can_accept("alice", 2)
     assert not s.can_accept("alice", 3)
     assert s.submit("alice", 1) and s.submit("alice", 2)
@@ -121,8 +119,10 @@ def test_per_tenant_bound():
     assert s.can_accept("alice", 1)  # dispatch frees depth
 
 
-def test_global_bound():
-    s = scheduler(max_queued_per_tenant=100, max_queued_total=3)
+def test_global_bound(monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_QUEUED_PER_TENANT", 100)
+    monkeypatch.setattr(scheduler_module, "MAX_QUEUED_TOTAL", 3)
+    s = FairScheduler()
     s.submit("alice", 1)
     s.submit("bob", 2)
     s.submit("carol", 3)
@@ -132,19 +132,13 @@ def test_global_bound():
     assert s.submit("dave", 4)
 
 
-def test_bounds_validated():
-    with pytest.raises(ValueError):
-        scheduler(max_queued_per_tenant=0)
-    with pytest.raises(ValueError):
-        scheduler(aging_rounds=0)
-
-
 # -- determinism ---------------------------------------------------------------
-def test_replay_is_deterministic():
+def test_replay_is_deterministic(monkeypatch):
     """Identical submit sequences produce identical dispatch sequences."""
+    monkeypatch.setattr(scheduler_module, "AGING_ROUNDS", 2)
 
     def run():
-        s = scheduler(aging_rounds=2)
+        s = FairScheduler()
         for i in range(5):
             s.submit("a", ("a", i), priority=i % 3)
             s.submit("b", ("b", i), priority=(i + 1) % 2)
@@ -156,7 +150,7 @@ def test_replay_is_deterministic():
 
 
 def test_introspection():
-    s = scheduler()
+    s = FairScheduler()
     s.submit("alice", 1)
     s.submit("alice", 2)
     s.submit("bob", 3)

@@ -26,7 +26,14 @@ import pytest
 
 from repro.exec import ResultCache, run_job
 import repro.serve.client as client_module
-from repro.serve import ServeClient, ServeConfig, job_to_wire, serve_in_thread
+import repro.serve.scheduler as scheduler_module
+from repro.serve import (
+    ServeClient,
+    ServeConfig,
+    TFluxServer,
+    job_to_wire,
+    serve_in_thread,
+)
 from repro.serve.protocol import WireError, encode, job_from_wire, outcome_to_wire
 
 #: Two distinct cheap cells (trapez small) — the workhorse grid.
@@ -40,11 +47,9 @@ GRID = [
 def spawn():
     handles = []
 
-    def _spawn(cache=None, unix=None, **kw):
-        config_kw = dict(workers=1, lru_capacity=32)
-        config_kw.update(kw)
+    def _spawn(cache=None, unix=None, workers=1):
         handle = serve_in_thread(
-            config=ServeConfig(**config_kw), cache=cache, unix=unix
+            config=ServeConfig(workers=workers), cache=cache, unix=unix
         )
         handles.append(handle)
         return handle
@@ -118,11 +123,14 @@ def test_dedup_two_tenants_one_simulation_per_unique_spec(spawn):
             assert counters[f"serve.tenant.{n}.completed"] == len(GRID)
 
 
-def test_overloaded_reply_instead_of_buffering(spawn):
-    handle = spawn(max_queued_total=2, max_queued_per_tenant=2)
+def test_overloaded_reply_instead_of_buffering(spawn, monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_QUEUED_TOTAL", 2)
+    monkeypatch.setattr(scheduler_module, "MAX_QUEUED_PER_TENANT", 2)
+    handle = spawn()
     with ServeClient(handle.address, tenant="greedy") as client:
         batch = client.submit([GRID[0]] * 3)  # 3 > global bound of 2
         assert batch.status == "overloaded"
+        assert batch.message == "queued 0/2"  # the limit the reply reports
         assert all(o is None for o in batch.outcomes)  # nothing ran
         # A batch that fits is accepted on the same connection.
         assert client.submit([GRID[0]]).ok
@@ -247,7 +255,7 @@ def test_stats_message_shape(spawn):
     assert stats["queue_depth"] == 0
     assert "observer" in stats["tenants"]
     lru = stats["lru"]
-    assert lru["capacity"] == 32 and lru["size"] == 1 and lru["inflight"] == 0
+    assert lru["capacity"] == 512 and lru["size"] == 1 and lru["inflight"] == 0
     # Gauges ride in the counter registry for one-stop scraping.
     assert "serve.lru_size" in stats["counters"]
     assert "serve.queue_depth" in stats["counters"]
@@ -499,27 +507,86 @@ def test_client_refuses_an_over_long_line_promptly(monkeypatch, tail):
         client.close()
 
 
-@pytest.mark.parametrize("shape", ["unterminated", "oversized"])
+@pytest.mark.parametrize("reply", ["message", "result"])
+def test_client_refuses_a_line_nested_too_deep(reply):
+    """A peer's line nested deeper than the JSON parser recurses is a
+    ``WireError``, whether it is a reply the client decodes whole or the
+    outcome of a result line in ``encode``'s layout."""
+    deep = b"[" * 100_000 + b"]" * 100_000
+    if reply == "message":
+        line = b'{"pad":' + deep + b',"type":"stats"}\n'
+    else:
+        line = b'{"batch_id":"000000000001","index":0,"outcome":' + deep
+        line += b',"type":"result"}\n'
+
+    def answer(request):
+        return line if json.loads(request)["type"] != "bye" else b""
+
+    with _peer(answer) as address, ServeClient(address) as client:
+        with pytest.raises(WireError, match="bad JSON"):
+            if reply == "message":
+                client.stats()
+            else:
+                client.submit(GRID[:1])
+
+
+@pytest.mark.parametrize("shape", ["unterminated", "oversized", "nested", "not-utf8"])
 def test_server_refuses_a_bad_line_and_admits_nothing(spawn, monkeypatch, shape):
-    """A final line the stream ends before its newline, and a line past
-    ``MAX_LINE_BYTES``, each get one ``error`` reply and the connection
-    closes; the submit the line carries is never admitted."""
-    monkeypatch.setattr("repro.serve.server.MAX_LINE_BYTES", 256)
+    """A final line the stream ends before its newline, a line past
+    ``MAX_LINE_BYTES``, a line nested deeper than the JSON parser
+    recurses and a line that is not UTF-8 each get one ``error`` reply
+    and the connection closes; the submit the line carries is never
+    admitted."""
+    if shape != "nested":  # the nested line is longer than this
+        monkeypatch.setattr("repro.serve.server.MAX_LINE_BYTES", 256)
     handle = spawn()
     submit = {"type": "submit", "batch_id": "b", "jobs": GRID[:1]}
     if shape == "unterminated":
         payload = encode(submit)[:-1]
-    else:
+    elif shape == "oversized":
         payload = encode(dict(submit, pad="x" * 300))
+    elif shape == "nested":
+        deep = b"[" * 100_000 + b"]" * 100_000  # well-formed, too deep
+        payload = encode(submit)[:-2] + b',"pad":' + deep + b"}\n"
+    else:
+        payload = encode(submit)[:-2] + b',"pad":"\xff"}\n'
     with socket.create_connection(handle.address, timeout=10) as sock:
         sock.sendall(payload)
-        if shape == "unterminated":
+        if shape != "oversized":
             sock.shutdown(socket.SHUT_WR)
         with sock.makefile("rb") as stream:
             replies = [json.loads(line) for line in stream]  # until it closes
     assert [r["type"] for r in replies] == ["welcome", "error"]
     with ServeClient(handle.address) as client:
         assert client.stats()["counters"].get("serve.admitted", 0) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unique_simulations_in_flight_never_exceed_twice_the_workers(
+    spawn, monkeypatch, workers
+):
+    """Dispatch claims a flight only while fewer than ``2 * workers`` are
+    pending, so a batch of 3x that many distinct jobs starts each
+    simulation with at most ``2 * workers`` in flight — and the first
+    ``2 * workers`` start together."""
+    pending = []
+    compute = TFluxServer._compute
+
+    async def counted(self, digest, spec):
+        pending.append(self.lru.inflight)
+        await compute(self, digest, spec)
+
+    monkeypatch.setattr(TFluxServer, "_compute", counted)
+    handle = spawn(workers=workers)
+    jobs = [
+        job_to_wire("trapez", nkernels=2, unroll=1, max_threads=64 + i)
+        for i in range(6 * workers)
+    ]
+    with ServeClient(handle.address) as client:
+        assert client.submit(jobs).ok
+        assert client.stats()["executed"] == len(jobs)
+    assert len(pending) == len(jobs)
+    assert max(pending) == 2 * workers == pending[0]
 
 
 def test_batch_ids_are_per_connection_hex_counters(spawn):

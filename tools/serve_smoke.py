@@ -19,7 +19,8 @@ verify end to end:
 5. a job that can never run (``--unroll 0``) is refused at admission:
    ``tflux-submit`` exits 2 with ``rejected:`` and nothing is executed;
 6. SIGTERM shuts the server down cleanly, with a client still
-   connected: exit 0 and no forked pool worker outlives it.
+   connected: exit 0 and none of its two forked pool workers outlives
+   it.
 
 Exits non-zero on any violation.  Usage::
 
@@ -229,7 +230,7 @@ def main() -> int:
     env = dict(os.environ, TFLUX_CACHE_DIR="")  # disk cache off: exact counts
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.serve.cli", "serve", "--port", "0",
-         "--workers", "1"],
+         "--workers", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
