@@ -9,7 +9,7 @@ makes the harness's own wall-clock scale with the host machine:
   (``TFLUX_CACHE_DIR``) keyed on job spec + cost-model parameters +
   a fingerprint of the simulator sources;
 * :mod:`repro.exec.singleflight` — the one single-flight + bounded-LRU
-  primitive, shared by ``evaluate_many``'s baseline memo and the
+  primitive, shared by ``run_job``'s recorded-baseline memo and the
   :mod:`repro.serve` job frontier.
 
 See ``docs/simulation.md`` ("Running the harness fast") for usage.

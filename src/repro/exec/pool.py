@@ -21,11 +21,9 @@ run, one verification.  Two job modes exist:
 * ``"execute"`` — a single parallel run (the ablation grids that sweep
   runtime parameters, and the parallel side of every speedup cell).
 * ``"sequential"`` — the §5 baseline alone: the *original* sequential
-  program (unroll=1) timed on one core.  :func:`evaluate_many` issues at
-  most one of these per distinct (platform configuration, bench, size)
-  cell and additionally memoises the outcome in-process
-  (:data:`_BASELINE_MEMO`), so a sweep only pays for its parallel side;
-  the disk cache gives the baseline its own dedicated key because
+  program (unroll=1) timed on one core.  :func:`evaluate_many` adds one
+  per request to its first :func:`run_jobs` call, which runs equal ones
+  once; the disk cache gives the baseline its own dedicated key because
   ``mode`` participates in :func:`repro.exec.cache.spec_digest`.  The
   functional half of a baseline does not depend on the platform: it is
   recorded and verified once per program (:data:`_TRACE_MEMO`) and each
@@ -52,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -266,12 +264,13 @@ def run_jobs(
 ) -> list[JobOutcome]:
     """Run *specs*, returning outcomes in the order the specs were given.
 
-    Cache hits short-circuit; of the remaining jobs, each distinct
-    program (:func:`_program_key`) runs once, in a process pool of
-    :func:`job_count` workers (serially in-process when that is 1), and
-    its outcome answers — and is stored under the digest of — every spec
-    that asked for it.  The returned list order never depends on
-    completion order, so parallel and serial sweeps are interchangeable.
+    Each distinct digest is looked up once and cache hits short-circuit;
+    of the remaining jobs, each distinct program (:func:`_program_key`)
+    runs once, in a process pool of :func:`job_count` workers (serially
+    in-process when that is 1), and its outcome answers — and is stored
+    once under each digest of — every spec that asked for it.  The
+    returned list order never depends on completion order, so parallel
+    and serial sweeps are interchangeable.
     """
     specs = list(specs)
     if cache is _ENV_CACHE:
@@ -280,13 +279,15 @@ def run_jobs(
 
     results: list[Optional[JobOutcome]] = [None] * len(specs)
     digests: list[Optional[str]] = [None] * len(specs)
+    looked_up: dict[str, Optional[JobOutcome]] = {}
     pending: list[int] = []
     for i, spec in enumerate(specs):
         if cache is not None:
-            digests[i] = spec_digest(spec)
-            hit = cache.get(digests[i])
-            if hit is not None:
-                results[i] = hit
+            digest = digests[i] = spec_digest(spec)
+            if digest not in looked_up:
+                looked_up[digest] = cache.get(digest)
+            results[i] = looked_up[digest]
+            if results[i] is not None:
                 continue
         pending.append(i)
 
@@ -309,8 +310,8 @@ def run_jobs(
         for i, lead in zip(pending, leads):
             results[i] = results[lead]
         if cache is not None:
-            for i in pending:
-                cache.put(digests[i], results[i])
+            for digest, i in {digests[i]: i for i in pending}.items():
+                cache.put(digest, results[i])
     return results  # type: ignore[return-value]
 
 
@@ -348,18 +349,6 @@ class EvalRequest:
     max_threads: int = 4096
 
 
-#: In-process single-flight memo of baseline outcomes, keyed by the
-#: baseline JobSpec's cache digest.  The baseline depends only on
-#: (platform configuration, bench, size, exact memory model) — never on
-#: the sweep's kernel counts or unroll grid — so consecutive
-#: ``evaluate_many`` batches (e.g. a speedup curve over nkernels) reuse
-#: it without re-simulating, and *concurrent* calls agree on one owner
-#: per digest.  Bounded, so a long-running server sweeping many platform
-#: configurations cannot grow it without limit; real sweeps hold a
-#: handful of cells.
-_BASELINE_MEMO = SingleFlightLRU(256)
-
-
 #: In-process single-flight memo of recorded baselines
 #: (:class:`~repro.runtime.simdriver.SequentialTrace`), keyed by the
 #: program alone — ``(bench, size label, size params, decomposition)``:
@@ -372,9 +361,9 @@ _TRACE_MEMO = SingleFlightLRU(16)
 
 
 def clear_baseline_memo() -> None:
-    """Forget memoised sequential baselines and their recorded traces
+    """Forget the recorded sequential baselines (:data:`_TRACE_MEMO`), so
+    the next baseline job builds, records and verifies its program afresh
     (tests / cost-model sweeps)."""
-    _BASELINE_MEMO.clear()
     _TRACE_MEMO.clear()
 
 
@@ -424,8 +413,8 @@ def _baseline_spec(req: EvalRequest) -> JobSpec:
 
     "We compare the parallel execution against the *original* sequential
     program" — unroll=1, one core, no TFlux overheads.  The spec is
-    independent of the request's kernel count and unroll grid, which is
-    what makes it shareable across a whole sweep.
+    independent of the request's kernel count and unroll grid, so
+    :func:`run_jobs` runs a batch's equal baselines once.
     """
     return dataclasses.replace(
         _par_spec(req, 1), nkernels=1, verify=False, mode="sequential"
@@ -464,21 +453,20 @@ def evaluate_many(
 
     Flattening the whole batch before pooling maximises parallelism (a
     figure grid becomes cells × unrolls independent parallel jobs).  The
-    sequential baseline is the canonical unroll=1 program, simulated at
-    most once per distinct (platform configuration, bench, size) cell:
-    duplicates within the batch collapse to one job, and outcomes are
-    memoised in-process so later batches of the same sweep pay nothing.
-    Each unroll's speedup is measured against that baseline; ties keep
-    the earliest unroll.
+    sequential baseline is the canonical unroll=1 program, one job per
+    request; :func:`run_jobs` runs the equal ones of a batch once, and
+    :data:`_TRACE_MEMO` keeps each program's recording across calls, so
+    a later call on the same cell only prices it again.  Each unroll's
+    speedup is measured against that baseline; ties keep the earliest
+    unroll.
 
     Every round is the same loop body — simulate what the cells still
-    want, settle the baselines this call leads, scatter the outcomes,
-    ask the auto cells what they want next.  Round 0 is every
-    explicit grid, the :data:`_AUTO_PROBES` rungs of every
-    ``unrolls="auto"`` cell and the baselines no one has memoised yet,
-    in one pool invocation and one cache pass; each later round is, for
-    every auto cell not yet bracketed, the unevaluated ladder neighbours
-    of its current best.  A rung simulates only if its decomposition is
+    want, scatter the outcomes, ask the auto cells what they want next.
+    Round 0 is every explicit grid, the :data:`_AUTO_PROBES` rungs of
+    every ``unrolls="auto"`` cell and every request's baseline, in one
+    pool invocation and one cache pass; each later round is, for every
+    auto cell not yet bracketed, the unevaluated ladder neighbours of
+    its current best.  A rung simulates only if its decomposition is
     new to its cell: one an earlier round ran takes that outcome, so the
     search visits the rungs it always did and runs each program once.
     """
@@ -497,64 +485,43 @@ def evaluate_many(
         grid = _AUTO_PROBES if req.unrolls == "auto" else req.unrolls
         todo += [(cell, unroll) for unroll in grid]
 
-    # One claim per request: the memo answers with a finished baseline,
-    # another caller's flight, or makes this call the leader — and a
-    # second claim of a digest this call already leads just coalesces.
-    # Every spec is built before the first claim, so a request JobSpec
-    # refuses cannot strand a flight an earlier request already leads.
-    baselines: list[Future] = []
-    owned: dict[str, JobSpec] = {}
-    for spec in [_baseline_spec(req) for req in requests]:
-        digest = spec_digest(spec)
-        fut, leader = _BASELINE_MEMO.claim(digest)
-        baselines.append(fut)
-        if leader:
-            owned[digest] = spec
-
+    baselines: list[JobOutcome] = []
     evaluated: list[dict[int, JobOutcome]] = [{} for _ in requests]
     # Each cell's outcomes by decomposition (every other spec field is
     # the cell's): a refinement rung whose program an earlier round ran
     # takes that outcome, and ``run_jobs`` merges a round's own repeats.
     programs: list[dict] = [{} for _ in requests]
-    # ``or owned``: a call with nothing to simulate still runs and
-    # settles the flights it leads, or their other waiters would hang.
-    while todo or owned:
-        try:
-            fresh = [
-                (cell, unroll)
-                for cell, unroll in todo
-                if _decomposition(requests[cell], unroll) not in programs[cell]
-            ]
-            outcomes = run_jobs(
-                [_par_spec(requests[cell], unroll) for cell, unroll in fresh]
-                + list(owned.values()),
-                jobs=jobs,
-                cache=cache,
-            )
-        except BaseException as exc:
-            for digest in owned:
-                _BASELINE_MEMO.reject(digest, exc)
-            raise
-        for digest, outcome in zip(owned, outcomes[len(fresh):]):
-            _BASELINE_MEMO.resolve(digest, outcome)
+    while todo:
+        fresh = [
+            (cell, unroll)
+            for cell, unroll in todo
+            if _decomposition(requests[cell], unroll) not in programs[cell]
+        ]
+        # Round 0 also runs every request's baseline, after its par specs.
+        seq = [] if baselines else [_baseline_spec(req) for req in requests]
+        outcomes = run_jobs(
+            [_par_spec(requests[cell], unroll) for cell, unroll in fresh] + seq,
+            jobs=jobs,
+            cache=cache,
+        )
+        baselines = baselines or outcomes[len(fresh):]
         for (cell, unroll), outcome in zip(fresh, outcomes):
             programs[cell][_decomposition(requests[cell], unroll)] = outcome
         for cell, unroll in todo:
             evaluated[cell][unroll] = programs[cell][
                 _decomposition(requests[cell], unroll)
             ]
-        owned = {}
         todo = [
             (cell, unroll)
             for cell, req in enumerate(requests)
             if req.unrolls == "auto"
             for unroll in _auto_frontier(
-                evaluated[cell], baselines[cell].result().seq_cycles
+                evaluated[cell], baselines[cell].seq_cycles
             )
         ]
 
     return [
-        _assemble(req, evaluated[cell], baselines[cell].result())
+        _assemble(req, evaluated[cell], baselines[cell])
         for cell, req in enumerate(requests)
     ]
 

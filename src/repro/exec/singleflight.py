@@ -1,10 +1,11 @@
 """Single-flight coalescing over a bounded LRU — the one copy.
 
-Two tiers need the same primitive: :func:`repro.exec.pool.evaluate_many`
-memoises §5 sequential baselines across concurrent callers, and
+Two tiers need the same primitive: :func:`repro.exec.pool.run_job`
+records each §5 sequential baseline's program once per process
+(``_TRACE_MEMO``, keyed by the program), and
 :class:`repro.serve.server.TFluxServer` answers a thundering herd of
-identical job specs with one simulation.  Both key by
-:func:`~repro.exec.cache.spec_digest` and both need the same three
+identical job specs with one simulation (keyed by
+:func:`~repro.exec.cache.spec_digest`).  Both need the same three
 guarantees, so both hold an instance of :class:`SingleFlightLRU`:
 
 * **one flight per key** — the first :meth:`~SingleFlightLRU.claim` of a

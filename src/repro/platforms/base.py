@@ -146,9 +146,8 @@ class Platform:
 
         The measured quantity is the parallelised region (gettimeofday
         around the parallel section); the baseline is the *original*
-        sequential program (unroll=1) on the same machine, simulated at
-        most once per (platform configuration, bench, size) cell and
-        memoised across calls — see
+        sequential program (unroll=1) on the same machine, recorded once
+        per program and process and priced on each call — see
         :mod:`repro.exec.pool`.  The unroll search runs through
         :mod:`repro.exec` — set ``TFLUX_JOBS`` to parallelise it and
         ``TFLUX_CACHE_DIR`` to memoise results on disk.  Pass

@@ -6,8 +6,8 @@ specs from many tenants over a line-delimited-JSON socket protocol and
 streams schema-versioned results back as each cell finishes.  The
 performance core is three layers above the process pool:
 
-* **single-flight dedup** (:mod:`repro.exec.singleflight`, the class the
-  baseline memo of :func:`~repro.exec.evaluate_many` also uses) —
+* **single-flight dedup** (:mod:`repro.exec.singleflight`, the class
+  :func:`~repro.exec.run_job`'s recorded-baseline memo also uses) —
   identical in-flight jobs coalesce onto one running simulation, with a
   bounded in-memory LRU of recent outcomes above the on-disk
   :class:`~repro.exec.cache.ResultCache`;

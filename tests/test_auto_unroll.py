@@ -132,10 +132,21 @@ def _cell(spec):
 
 def test_evaluate_many_call_sequence(monkeypatch):
     """Round 0 is every cell's par specs in request order (explicit grid
-    or the auto probes) followed by one baseline per distinct (platform,
-    bench, size); every later round is exactly the frontier of each auto
-    cell, in request order; the loop stops when every frontier is empty."""
+    or the auto probes) followed by one baseline per request, of which
+    ``run_jobs`` runs each distinct (platform, bench, size) once; every
+    later round is exactly the frontier of each auto cell, in request
+    order; the loop stops when every frontier is empty."""
+    from repro.exec import pool
+
     calls = _record_run_jobs(monkeypatch)
+    ran = []
+    real_run_job = pool.run_job
+
+    def recording_run_job(spec):
+        ran.append(spec)
+        return real_run_job(spec)
+
+    monkeypatch.setattr(pool, "run_job", recording_run_job)
     hard, soft, size = TFluxHard(), TFluxSoft(), SIZES["trapez"]
     requests = [
         EvalRequest(hard, "trapez", size, 4, unrolls=(2, 8)),
@@ -153,9 +164,13 @@ def test_evaluate_many_call_sequence(monkeypatch):
         ("tfluxsoft", 4, 1, "execute"),
     ]
     assert [_cell(s) for s in first] == par + [
-        ("tfluxhard", 1, 1, "sequential"), ("tfluxsoft", 1, 1, "sequential"),
+        *[("tfluxhard", 1, 1, "sequential")] * 3,
+        ("tfluxsoft", 1, 1, "sequential"),
     ]
     assert all(not s.verify for s in first[len(par):])
+    assert [_cell(s) for s in ran if s.mode == "sequential"] == [
+        ("tfluxhard", 1, 1, "sequential"), ("tfluxsoft", 1, 1, "sequential"),
+    ]
 
     # Replay the refinement from the recorded outcomes: each later call
     # is the concatenated frontiers, and the last leaves none.
@@ -179,26 +194,22 @@ def test_evaluate_many_call_sequence(monkeypatch):
     assert set(evaluations[2].per_unroll) == set(evaluated[2])
 
 
-def test_empty_grid_is_refused_before_any_baseline_is_claimed():
+def test_empty_grid_is_refused_before_anything_runs(monkeypatch):
     """A request with nothing to simulate is a caller bug: it raises a
     ``ValueError`` (an assertion would vanish under ``python -O``) before
-    the batch claims any baseline flight, its neighbours' included."""
-    from repro.exec import pool
-
+    the batch runs anything, its neighbours' jobs included."""
+    calls = _record_run_jobs(monkeypatch)
     good = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=(2,))
     empty = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=())
-    launched = pool._BASELINE_MEMO.stats()["launched"]
     with pytest.raises(ValueError, match="at least one factor"):
         evaluate_many([good, empty], jobs=1, cache=None)
-    assert pool._BASELINE_MEMO.inflight == 0
-    assert len(pool._BASELINE_MEMO) == 0
-    assert pool._BASELINE_MEMO.stats()["launched"] == launched
+    assert calls == []
+    assert evaluate_many([good], jobs=1, cache=None)[0].best_unroll == 2
 
 
-def test_failed_round_zero_releases_the_baselines_it_led(monkeypatch):
-    """``run_jobs`` raising in round 0 rejects every baseline flight this
-    call led (failures are never memoised): the next call leads them
-    again instead of waiting on a flight nobody will settle."""
+def test_failed_round_zero_leaves_the_next_call_working(monkeypatch):
+    """``run_jobs`` raising in round 0 propagates out of ``evaluate_many``
+    and leaves nothing behind: the next call evaluates the cell."""
     from repro.exec import pool
 
     def boom(specs, jobs=None, cache=None):
@@ -209,22 +220,18 @@ def test_failed_round_zero_releases_the_baselines_it_led(monkeypatch):
         patch.setattr(pool, "run_jobs", boom)
         with pytest.raises(RuntimeError, match="pool died"):
             evaluate_many([request], jobs=1, cache=None)
-    assert pool._BASELINE_MEMO.inflight == 0
-    assert len(pool._BASELINE_MEMO) == 0
-    launched = pool._BASELINE_MEMO.stats()["launched"]
     assert evaluate_many([request], jobs=1, cache=None)[0].best_unroll == 2
-    assert pool._BASELINE_MEMO.stats()["launched"] == launched + 1
 
 
 @pytest.mark.parametrize("bad", [dict(nkernels=0), dict(unrolls=(2, 0))])
-def test_request_jobspec_refuses_strands_no_flight(bad):
-    """A cell ``JobSpec`` refuses raises out of ``evaluate_many`` with no
-    baseline flight left led and unsettled behind it."""
+def test_request_jobspec_refuses_before_anything_runs(bad, monkeypatch):
+    """A cell ``JobSpec`` refuses raises out of ``evaluate_many`` before
+    the batch runs anything, and the good cell evaluates on its own."""
     import dataclasses
 
-    from repro.exec import pool
-
+    calls = _record_run_jobs(monkeypatch)
     good = EvalRequest(TFluxHard(), "trapez", SIZES["trapez"], 4, unrolls=(2,))
     with pytest.raises(ValueError, match="must be >= 1"):
         evaluate_many([good, dataclasses.replace(good, **bad)], jobs=1, cache=None)
-    assert pool._BASELINE_MEMO.inflight == 0
+    assert calls == []
+    assert evaluate_many([good], jobs=1, cache=None)[0].best_unroll == 2

@@ -117,6 +117,19 @@ def test_cache_round_trip_is_bit_identical(tmp_path):
     assert warm.result.counters == cold.result.counters
 
 
+def test_each_distinct_digest_is_looked_up_and_stored_once(tmp_path):
+    """Equal specs in one batch share one outcome, one cache miss and one
+    store; a warm batch shares one hit."""
+    cache = ResultCache(tmp_path)
+    a, b = _spec(unroll=2), _spec(unroll=8)
+    outcomes = run_jobs([a, a, b], jobs=1, cache=cache)
+    assert outcomes[0] is outcomes[1]
+    assert (cache.misses, cache.stores) == (2, 2)
+    warm = run_jobs([a, a, b], jobs=1, cache=cache)
+    assert warm[0] is warm[1] and warm[0] == outcomes[0]
+    assert (cache.hits, cache.misses, cache.stores) == (2, 2, 2)
+
+
 def test_cached_results_never_carry_program_state(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _spec(verify=True)
@@ -236,35 +249,36 @@ def test_job_count_accepts_the_env_spellings_as_an_argument():
             job_count(negative)
 
 
-def _count_baseline_runs(monkeypatch):
-    """Instrument the sequential pricing entry point with a call counter."""
+def _count_calls(monkeypatch, name):
+    """Instrument a simdriver entry point with a call counter."""
     import repro.runtime.simdriver as simdriver
 
     calls = []
-    real = simdriver.price_sequential
+    real = getattr(simdriver, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(simdriver, "price_sequential", counting)
+    monkeypatch.setattr(simdriver, name, counting)
     return calls
 
 
 def test_baseline_simulated_once_per_cell(monkeypatch):
-    """The §5 baseline is the canonical unroll=1 program: one sweep cell
-    simulates it exactly once regardless of the unroll grid, and repeat
-    batches for the same cell (e.g. a kernel-count curve) hit the
-    in-process memo instead of re-simulating."""
+    """The §5 baseline is the canonical unroll=1 program: one batch
+    prices it exactly once per (platform, bench, size) regardless of the
+    unroll grid and kernel counts; a repeat batch for the same cell (e.g.
+    a kernel-count curve) prices it again but records it once."""
     clear_baseline_memo()
-    calls = _count_baseline_runs(monkeypatch)
+    recorded = _count_calls(monkeypatch, "record_sequential")
+    priced = _count_calls(monkeypatch, "price_sequential")
     evaluate_many([_request(nkernels=2), _request(nkernels=4)], jobs=1, cache=None)
-    assert len(calls) == 1  # both cells share one (platform, bench, size)
+    assert len(priced) == 1  # both cells share one (platform, bench, size)
     evaluate_many([_request(nkernels=8)], jobs=1, cache=None)
-    assert len(calls) == 1  # memo hit across batches
+    assert (len(recorded), len(priced)) == (1, 2)  # the recording is kept
     clear_baseline_memo()
     evaluate_many([_request(nkernels=8)], jobs=1, cache=None)
-    assert len(calls) == 2
+    assert (len(recorded), len(priced)) == (2, 3)
 
 
 def test_baseline_is_the_unroll1_program(monkeypatch):
@@ -290,72 +304,3 @@ def test_job_count_parsing(monkeypatch):
     with pytest.raises(ValueError):
         job_count()
     assert job_count(jobs=3) == 3  # explicit argument wins
-
-
-def test_baseline_memo_is_single_flight_across_threads(monkeypatch):
-    """Concurrent evaluate_many calls for one cell (the serve layer's
-    request handlers race exactly like this) agree on a single baseline
-    simulation: one owner computes, the others block on its future."""
-    import threading
-
-    clear_baseline_memo()
-    calls = _count_baseline_runs(monkeypatch)
-    req = dataclasses.replace(_request(nkernels=2), unrolls=(1,))
-    barrier = threading.Barrier(4)
-    results, errors = [], []
-
-    def worker():
-        barrier.wait()
-        try:
-            results.append(evaluate_many([req], jobs=1, cache=None)[0])
-        except Exception as exc:  # pragma: no cover - diagnostic
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert len(calls) == 1  # exactly one baseline despite the 4-way race
-    assert len({ev.sequential_cycles for ev in results}) == 1
-    clear_baseline_memo()
-
-
-def test_baseline_memo_capacity_bound(monkeypatch):
-    """The memo is LRU-bounded: a long-running server sweeping many
-    platform configurations cannot grow it without limit."""
-    from repro.exec import pool
-
-    clear_baseline_memo()
-    monkeypatch.setattr(pool._BASELINE_MEMO, "capacity", 2)
-    for i in range(5):
-        fut, owner = pool._BASELINE_MEMO.claim(f"digest{i}")
-        assert owner
-        pool._BASELINE_MEMO.resolve(f"digest{i}", f"outcome{i}")
-        assert fut.result() == f"outcome{i}"
-    assert len(pool._BASELINE_MEMO) == 2
-    assert "digest4" in pool._BASELINE_MEMO
-    assert "digest0" not in pool._BASELINE_MEMO
-    clear_baseline_memo()
-    assert len(pool._BASELINE_MEMO) == 0
-
-
-def test_baseline_memo_failure_not_cached():
-    """A failed baseline propagates to coalesced waiters but is never
-    retained — the next claim recomputes."""
-    from repro.exec import pool
-
-    clear_baseline_memo()
-    fut, owner = pool._BASELINE_MEMO.claim("d")
-    assert owner
-    fut2, owner2 = pool._BASELINE_MEMO.claim("d")
-    assert not owner2 and fut2 is fut
-    pool._BASELINE_MEMO.reject("d", RuntimeError("sim died"))
-    with pytest.raises(RuntimeError):
-        fut2.result()
-    assert "d" not in pool._BASELINE_MEMO
-    fut3, owner3 = pool._BASELINE_MEMO.claim("d")
-    assert owner3 and fut3 is not fut
-    pool._BASELINE_MEMO.resolve("d", "ok")
-    clear_baseline_memo()

@@ -1,8 +1,8 @@
 """The serve tier's LRU + single-flight behaviours, on the shared class.
 
 ``repro/serve/lru.py`` is gone: the server's job frontier is an instance
-of :class:`repro.exec.SingleFlightLRU`, the class ``evaluate_many``'s
-baseline memo also uses.  These are the tests that pinned the serve
+of :class:`repro.exec.SingleFlightLRU`, the class ``run_job``'s
+recorded-baseline memo also uses.  These are the tests that pinned the serve
 tier's copy, ported onto ``claim``/``resolve``/``reject`` under their
 original names (``put`` is a led flight, ``get`` a claim of a cached
 key, asyncio tasks are real threads); what the merge newly promises is

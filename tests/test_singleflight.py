@@ -1,6 +1,6 @@
 """Property, unit and stress tests for the shared single-flight LRU
 (:mod:`repro.exec.singleflight`) — the one class behind both
-``evaluate_many``'s baseline memo and the server's job frontier.
+``run_job``'s recorded-baseline memo and the server's job frontier.
 
 What merging the two copies newly promises: one lock over LRU and flight
 table (no second flight for a key resolved mid-claim, under threads),
