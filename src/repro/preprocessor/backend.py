@@ -204,20 +204,8 @@ def _gen_loop_thread_function(
     return lines, ncontexts
 
 
-def _map_lambda(expr_src: str, shared: set[str]) -> str:
-    expr = parse_expression(expr_src)
-    gen = CodeGenerator(set())  # shared vars are not allowed in map(...)
-    try:
-        code = gen.expr(expr)
-    except DDMSyntaxError as exc:
-        raise DDMSyntaxError(f"in map({expr_src}): {exc}") from exc
-    if "_S." in code:  # defensive: gen has no shared variables
-        raise DDMSyntaxError("shared variables are not allowed in map(...)")
-    return f"lambda CTX: [int({code})]"
-
-
 def _ctx_expr(expr_src: str, where: str) -> str:
-    """Compile a CTX-only index expression from an access clause."""
+    """Compile a CTX-only expression of a map(...) or access clause."""
     expr = parse_expression(expr_src)
     gen = CodeGenerator(set())  # shared vars are not allowed in clauses
     try:
@@ -273,7 +261,7 @@ def _gen_access_function(
     return lines
 
 
-def _gen_subflow_builder(sf, shared: set[str]) -> list[str]:
+def _gen_subflow_builder(sf) -> list[str]:
     """``def _subflow_<name>():`` — builds a fresh spawnable Subflow.
 
     Called at spawn time from a body's outcome tail, so every spawn of
@@ -285,12 +273,12 @@ def _gen_subflow_builder(sf, shared: set[str]) -> list[str]:
             f'    t{t.tid} = sf.thread("{sf.name}_{t.tid}", '
             f"body=_sf_{sf.name}_thread_{t.tid}, contexts={t.context})"
         )
-    lines.extend(_gen_arcs("sf", sf.threads, shared))
+    lines.extend(_gen_arcs("sf", sf.threads))
     lines.append("    return sf")
     return lines
 
 
-def _gen_arcs(receiver: str, threads, shared: set[str]) -> list[str]:
+def _gen_arcs(receiver: str, threads) -> list[str]:
     """The ``.depends(...)``/``.cond(...)`` registrations of one scope
     (the program's ``b`` or a subflow's ``sf``), in consumer order.  A
     thread's handle is ``t<tid>``; directives.py has already checked
@@ -299,7 +287,8 @@ def _gen_arcs(receiver: str, threads, shared: set[str]) -> list[str]:
     for t in threads:
         for dep in t.depends:
             if dep.mapping == "map":
-                mapping = _map_lambda(dep.map_expr or "CTX", shared)
+                src = dep.map_expr or "CTX"
+                mapping = f"lambda CTX: [int({_ctx_expr(src, f'map({src})')})]"
             else:
                 mapping = repr(dep.mapping)
             lines.append(
@@ -376,7 +365,7 @@ def emit_module(source: str) -> str:
                 )
             )
         parts.append("")
-        parts.extend(_gen_subflow_builder(sf, shared))
+        parts.extend(_gen_subflow_builder(sf))
     if prog.prologue.strip():
         parts.append("")
         parts.extend(
@@ -413,7 +402,7 @@ def emit_module(source: str) -> str:
             f'    t{t.tid} = b.thread("thread_{t.tid}", body=_thread_{t.tid}, '
             f"contexts={contexts}, tid={t.tid}{acc})"
         )
-    parts.extend(_gen_arcs("b", prog.threads, shared))
+    parts.extend(_gen_arcs("b", prog.threads))
     # Couillard mode: when the program declares access clauses and no
     # explicit arcs at all, the graph is derived from the footprints.
     has_arcs = any(t.depends or t.conds for t in prog.threads)

@@ -7,7 +7,13 @@ import pytest
 from repro.preprocessor import DDMSyntaxError, compile_to_program, emit_module
 from repro.preprocessor.directives import split_directives
 from repro.preprocessor.lexer import Token, tokenize
-from repro.preprocessor.parser import parse_block, parse_expression
+from repro.preprocessor.parser import (
+    MAX_BODY_DEPTH,
+    MAX_EXPR_DEPTH,
+    MAX_LOOP_DEPTH,
+    parse_block,
+    parse_expression,
+)
 from repro.preprocessor import ast_nodes as A
 
 
@@ -424,3 +430,147 @@ def test_printf_percent_escape(capsys):
 """
     compile_to_program(src).run_sequential()
     assert capsys.readouterr().out == "100% done"
+
+
+# -- nesting and malformed input: always a DDMSyntaxError at its line -------------
+
+BODY_LINE = 4  # the line of a one-thread program's body
+
+
+def _one_thread(body: str) -> str:
+    return f"""#pragma ddm startprogram name(nest)
+#pragma ddm var int r
+#pragma ddm thread 1
+{body}
+#pragma ddm endthread
+#pragma ddm endprogram
+"""
+
+
+def _chain(height: int) -> str:
+    """``1 + 1 + ...``: a left-leaning tree *height* levels deep."""
+    return " + ".join(["1"] * height)
+
+
+#: construct -> (body nesting it n deep, the value it leaves in r)
+NESTED = {
+    "parentheses": (lambda n: "r = " + "(" * n + "1" + ")" * n + ";", lambda n: 1),
+    "blocks": (lambda n: "{" * n + "r = 1;" + "}" * n, lambda n: 1),
+    "unary minus": (lambda n: "r = " + "- " * n + "1;", lambda n: (-1) ** n),
+    "parenthesised sums": (
+        lambda n: "r = " + "(1 + " * n + "1" + ")" * n + ";", lambda n: n + 1,
+    ),
+    "ifs": (lambda n: "if (1) " * n + "r = 1;", lambda n: 1),
+}
+
+
+@pytest.mark.parametrize("construct", sorted(NESTED))
+def test_c99_minimum_nesting_compiles_and_runs(construct):
+    """C99 §5.2.4.1: 63 levels of parenthesised expressions."""
+    body, value = NESTED[construct]
+    env = compile_to_program(_one_thread(body(63))).run_sequential()
+    assert env.get("r") == value(63)
+
+
+@pytest.mark.parametrize("construct", sorted(NESTED))
+def test_deep_nesting_is_a_syntax_error_at_its_line(construct):
+    body, _ = NESTED[construct]
+    with pytest.raises(DDMSyntaxError) as info:
+        compile_to_program(_one_thread(body(10_000)))
+    assert info.value.line == BODY_LINE
+
+
+def test_parse_expression_nesting():
+    assert parse_expression("(" * 120 + "CTX" + ")" * 120) == A.Name("CTX")
+    with pytest.raises(DDMSyntaxError, match="line 1: nesting too deep"):
+        parse_expression("(" * 10_000 + "CTX" + ")" * 10_000)
+
+
+#: where the back-end wraps an expression in brackets of its own ->
+#: (statement, levels the statement's expression adds above {e})
+EXPR_CONTEXTS = {
+    "assignment": ("r = {e};", 0),
+    "divide-assign": ("r = 1; r /= {e};", 0),
+    "declaration": ("int x = {e}; r = x;", 0),
+    "loop bound": ("int i; for (i = 0; i <= {e}; i++) r = i;", 1),
+}
+
+
+@pytest.mark.parametrize("where", sorted(EXPR_CONTEXTS))
+def test_expression_depth_limit_is_exact(where):
+    """The deepest accepted tree compiles and runs; one level more is
+    refused at its line, never left to Python's bracket limit."""
+    body, above = EXPR_CONTEXTS[where]
+    deepest = _chain(MAX_EXPR_DEPTH - above)
+    compile_to_program(_one_thread(body.format(e=deepest))).run_sequential()
+    with pytest.raises(DDMSyntaxError, match=f"line {BODY_LINE}: expression nested"):
+        compile_to_program(_one_thread(body.format(e=deepest + " + 1")))
+
+
+def test_expression_depth_limit_in_map_and_access_clauses():
+    def program(height):
+        zeros = " + ".join(["0"] * height)
+        return f"""#pragma ddm startprogram name(clauses)
+#pragma ddm var int a[2]
+#pragma ddm thread 1 context(2) writes(a[{zeros}])
+  a[0] = 1;
+#pragma ddm endthread
+#pragma ddm thread 2 context(2) depends(1 map({zeros}))
+  a[1] = a[0];
+#pragma ddm endthread
+#pragma ddm endprogram
+"""
+    env = compile_to_program(program(MAX_EXPR_DEPTH)).run_sequential()
+    assert list(env.array("a")) == [1, 1]
+    with pytest.raises(DDMSyntaxError, match="expression nested"):
+        compile_to_program(program(MAX_EXPR_DEPTH + 1))
+
+
+def test_body_depth_limit_is_exact():
+    """The deepest accepted nest of bodies compiles and runs, in a plain
+    thread and inside a loop-thread's loop; one more is refused."""
+    ifs = "if (1) " * MAX_BODY_DEPTH
+    assert compile_to_program(_one_thread(ifs + "r = 1;")).run_sequential().get("r") == 1
+    with pytest.raises(DDMSyntaxError, match=f"line {BODY_LINE}: statements nested"):
+        compile_to_program(_one_thread("if (1) " + ifs + "r = 1;"))
+    loop = f"""#pragma ddm startprogram name(nestloop)
+#pragma ddm var int a[4]
+#pragma ddm for thread 1 unroll(2)
+  int i;
+  for (i = 0; i < 4; i++) {"if (1) " * (MAX_BODY_DEPTH - 1)} a[i] = i;
+#pragma ddm endfor
+#pragma ddm endprogram
+"""
+    assert list(compile_to_program(loop).run_sequential().array("a")) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("loop", ["while (r < 1) ", "for (;r < 1;) ", "for (int i = 0; i < 1; i++) "])
+def test_loop_depth_limit_is_exact(loop):
+    """Python nests at most 20 loops in a function; the parser says so
+    first, at the line, for canonical and while-transformed loops alike."""
+    src = _one_thread(loop * MAX_LOOP_DEPTH + "r = 1;")
+    assert compile_to_program(src).run_sequential().get("r") == 1
+    for depth in (MAX_LOOP_DEPTH + 1, 10_000):
+        with pytest.raises(DDMSyntaxError, match=f"line {BODY_LINE}: statements nested"):
+            compile_to_program(_one_thread(loop * depth + "r = 1;"))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("r = 2 * 1e+;", "exponent without digits in '1e+'"),
+        ("r = .5e-;", "exponent without digits in '.5e-'"),
+        ("r = 1.E-x;", "exponent without digits in '1.E-'"),
+        ("r = 2²;", "unexpected character '²'"),
+        ("r = ١;", "unexpected character '١'"),
+        ("ré = 1;", "unexpected character 'é'"),
+        ("r = '\\x';", "bad char literal '\\\\x'"),
+        ('printf("a\nb");', "bad string literal"),
+        ('printf("\\x4");', "bad string literal"),
+    ],
+)
+def test_malformed_literal_is_a_syntax_error_at_its_line(body, message):
+    """A literal Python cannot read never reaches ``compile``."""
+    with pytest.raises(DDMSyntaxError) as info:
+        compile_to_program(_one_thread(body))
+    assert str(info.value).startswith(f"line {BODY_LINE}: {message}")
