@@ -1,7 +1,8 @@
 """Program instrumentation: swap DThread bodies for recording wrappers.
 
-:func:`instrument` rewrites every template body of a program in place so
-that, on any backend, the body executes against a
+:func:`instrument` rewrites every template body of a program in place
+(until :meth:`CheckSession.close` puts them back) so that, on any
+backend, the body executes against a
 :class:`~repro.check.recording.CheckedEnvironment` while the rest of the
 machinery (cost models, access summaries, schedulers) sees the program
 unchanged.  The wrapper:
@@ -57,6 +58,8 @@ class CheckSession(AccessSink):
         self._spawns: List[Tuple[Subflow, InstanceRecord]] = []
         self._tls = threading.local()
         self._lock = threading.Lock()
+        #: Every wrapped template with the body it had, for :meth:`close`.
+        self._originals: List[Tuple[DThreadTemplate, Callable]] = []
         self._checked_env = CheckedEnvironment(program.env, self)
         self._instrument_graph(program.graph)
 
@@ -109,6 +112,18 @@ class CheckSession(AccessSink):
 
         body._check_wrapped = True
         tmpl.body = body
+        self._originals.append((tmpl, orig))
+
+    def close(self) -> None:
+        """Give every wrapped template its own body back and drop the
+        checked environment.  Each wrapper and the checked environment
+        point back at the session, so until then the program and the
+        session hold each other in reference cycles.  What was recorded
+        stays: :meth:`report` still works."""
+        for tmpl, orig in self._originals:
+            tmpl.body = orig
+        self._originals.clear()
+        self._checked_env = None
 
     # -- analysis -------------------------------------------------------------
     def report(self) -> CheckReport:
@@ -137,10 +152,14 @@ def run_checked(program: DDMProgram) -> CheckReport:
     """Instrument, run the functional oracle, and analyse.
 
     The standard frontend path (``tflux-run --check-races``): one
-    sequential functional execution, no timing simulation.
+    sequential functional execution, no timing simulation.  The program
+    leaves with its own bodies back (:meth:`CheckSession.close`).
     """
     session = instrument(program)
-    program.run_sequential()
+    try:
+        program.run_sequential()
+    finally:
+        session.close()
     return session.report()
 
 

@@ -3,7 +3,7 @@
 One compiled master pattern, scanned by ``re.finditer``, matches each
 token with the blanks before it; the alternative that matched names its
 kind.  The lexical grammar (D is ``[0-9]``, blanks are `` \\t\\r``, and
-``\\n`` counts a line)::
+``\\n`` counts a line, inside a literal too)::
 
     comment  // to end of line  |  /* ... */
     kw       a KEYWORDS member not followed by [A-Za-z0-9_]
@@ -81,8 +81,10 @@ def tokenize(source: str, first_line: int = 1) -> list[Token]:
             line += value.count("\n")
         elif kind == "str":
             append(new(Token, ("str", _string(value, line), line)))
+            line += value.count("\n")  # a backslash-newline continues it
         elif kind == "char":
             append(new(Token, ("num", str(_char_code(value[1:-1], line)), line)))
+            line += value.count("\n")
         elif kind == "end":
             break
         elif kind == "open":

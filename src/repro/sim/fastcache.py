@@ -38,12 +38,15 @@ hold copies.
 
 Cost: three routes, one protocol.  ``_sweep`` (vectorised NumPy per
 declared range) is the reference.  ``_sweep_lines`` is its scalar twin on
-Python ints for every sweep of at most :data:`SHORT_SWEEP` lines, dense
-or strided: some forty NumPy calls cost about the same whatever the
-length, and on the short, coherence-heavy sweeps fine-grained DThreads
-make — 88 % of ``fine_grain``'s sweeps touch one line, and QSORT and FFT
-hand their arrays from kernel to kernel a few lines at a time — those
-calls were the whole bill.  The cut sits at the measured crossover (see
+Python ints for every sweep of at most :data:`SHORT_SWEEP` lines
+(:data:`SHORT_SWEEP_SINGLE` on a single issuer), dense or strided: some
+forty NumPy calls cost about the same whatever the length, and on the
+short, coherence-heavy sweeps fine-grained DThreads make — 88 % of
+``fine_grain``'s sweeps touch one line, and QSORT and FFT hand their
+arrays from kernel to kernel a few lines at a time — those calls were
+the whole bill.  A multi-line write there invalidates remote copies in
+one batch, ``_sweep``'s own (``_invalidate``), so its cost does not grow
+with the sharer count; the cuts sit at the measured crossovers (see
 ``SHORT_SWEEP``).  ``_resweep`` prices a *re-stream* — a core sweeping
 exactly the dense range it swept last, MMULT streaming all of B once per
 row chunk — in O(1): after a dense sweep whose fills form one leading
@@ -89,14 +92,19 @@ from repro.sim.capability import CORES_PER_NODE, check_cores
 
 __all__ = ["FastMemorySystem"]
 
-#: The longest sweep priced line by line on Python ints (``_sweep_lines``);
-#: longer ones go to NumPy (``_sweep``), whose ~40 calls cost about the
-#: same whatever the length.  Measured on 2 vCPUs: on ordinary traffic the
-#: routes break even near 16 lines single-issuer and 28 multi-core, while a
-#: write over lines every core holds (one hole check per sharer per line)
-#: breaks even near 5.  At 8 the scalar route is 1.9-3.2x faster on the
-#: former and 1.5x slower on the latter (table in docs/simulation.md).
-SHORT_SWEEP = 8
+#: The longest sweep priced line by line on Python ints (``_sweep_lines``):
+#: ``SHORT_SWEEP`` lines on a multi-core system, ``SHORT_SWEEP_SINGLE`` on
+#: a single issuer (no directory to keep).  Longer ones go to NumPy
+#: (``_sweep``), whose ~40 calls cost about the same whatever the length.
+#: A multi-line write's invalidations run as ``_sweep``'s own batch, so a
+#: write over lines every core holds costs both routes the same extra and
+#: breaks even where ordinary traffic does.  Measured on 2 vCPUs with
+#: ``tools/sweep_routes.py`` (table in docs/simulation.md): multi-core
+#: near 40 lines, single-issuer near 20 on ordinary traffic and 16 on
+#: writes over resident lines; up to each cut the route taken cost at
+#: most 1.21x the other on every traffic the tool runs.
+SHORT_SWEEP = 32
+SHORT_SWEEP_SINGLE = 16
 
 #: All 64 bits of one directory word.
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -169,6 +177,7 @@ class FastMemorySystem:
         # mis-modelling.
         self._single_issuer = single_issuer or ncores == 1
         self._issuer: int | None = None
+        self._short = SHORT_SWEEP_SINGLE if self._single_issuer else SHORT_SWEEP
         self.l1cfg = l1
         self.l2cfg = l2
         self.mem = mem
@@ -359,6 +368,38 @@ class FastMemorySystem:
         for core, count in zip(cores, resident.sum(axis=1).tolist()):
             self._holes[core] += count
 
+    def _invalidate(self, rs: _RegionState, sel, core: int,
+                    sh: np.ndarray) -> None:
+        """A write by *core* over *sel*, whose sharer words in *core*'s
+        directory node are *sh*: invalidate every remote copy and make
+        *core* the lines' one sharer and owner.
+
+        Invalidating a *resident* remote copy frees an L1 slot there:
+        ``_absorb_holes`` records it as a hole so the victim's next fills
+        do not advance its LRU clock (matching set-associative behaviour,
+        where a refill reoccupies the invalidated way instead of
+        evicting).  Private data (no remote copies, the common case for
+        each kernel's own output ranges) costs one reduction; otherwise
+        only directory nodes named by the presence union are visited.
+        Reads other cores' L1 rows and clocks, which no sweep by *core*
+        changes, so it may follow the sweep's own residency updates."""
+        word = self._word_of[core]
+        if self._nwords == 1:
+            self._absorb_holes(rs, sel, sh & self._othermask[core], 0)
+        else:
+            pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))
+            while pres_union:
+                w2 = (pres_union & -pres_union).bit_length() - 1
+                pres_union &= pres_union - 1
+                if w2 == word:
+                    self._absorb_holes(rs, sel, sh & self._othermask[core], w2)
+                else:
+                    self._absorb_holes(rs, sel, rs.sharers[w2, sel], w2)
+                    rs.sharers[w2, sel] = 0
+            rs.presence[sel] = self._nodebit[word]
+        rs.sharers[word, sel] = self._corebit[core]
+        rs.owner[sel] = core
+
     # -- main entry points ---------------------------------------------------
     def run_op(self, core: int, op: _RangeOp) -> int:
         total = 0
@@ -383,7 +424,7 @@ class FastMemorySystem:
                 st.cycles += lat * nlines * remaining
                 total += lat * nlines * remaining
                 break
-            if nlines == 1 or nlines <= SHORT_SWEEP and type(lines) is list:
+            if nlines == 1 or nlines <= self._short and type(lines) is list:
                 # One line, or a short strided list, cannot be a re-stream
                 # (only a dense range can).
                 total += self._sweep_lines(
@@ -406,10 +447,10 @@ class FastMemorySystem:
         self, core: int, region: str, lines: range | list[int],
         is_write: bool, dense: bool,
     ) -> int:
-        """A multi-line sweep (a strided list longer than
-        :data:`SHORT_SWEEP`, or a dense range): ``_resweep`` when this core
-        re-streams the range its pending ramps describe, else
-        ``_sweep_lines`` (at most :data:`SHORT_SWEEP` lines) or ``_sweep``
+        """A multi-line sweep (a strided list past the short-sweep cut,
+        or a dense range): ``_resweep`` when this core re-streams the
+        range its pending ramps describe, else ``_sweep_lines`` (up to the
+        cut) or ``_sweep``
         — after which, if the range repeats the core's previous one here (a
         detected re-stream) and both rows came out as ramps, they are noted
         so the next repeat is O(1)."""
@@ -431,7 +472,7 @@ class FastMemorySystem:
         if restream:
             clock = self._clock.item(core)
             l2_clock = self._l2_clock.item(group)
-        if n <= SHORT_SWEEP:
+        if n <= self._short:
             cycles = self._sweep_lines(core, region, lines, is_write, dense)
         else:
             # Dense sweeps index the per-line arrays with a slice: gathers
@@ -588,33 +629,7 @@ class FastMemorySystem:
                 cycles += n_upg * (l1w + self.mem.upgrade_latency)
                 cycles += (n_l1 - n_upg) * l1w
                 # All written lines: invalidate remote copies, become owner.
-                # Invalidating a *resident* remote copy frees an L1 slot
-                # there: record it as a hole so the victim's next fills do
-                # not advance its LRU clock (matching set-associative
-                # behaviour, where a refill reoccupies the invalidated way
-                # instead of evicting).  Fast path: private data (no remote
-                # copies) skips the scan — the common case for each
-                # kernel's own output ranges.  When remote copies exist,
-                # only directory nodes named by the presence union are
-                # visited, and within each only the set bits of the union
-                # core mask: the sharer set of a swept range is typically
-                # one or two producers.
-                if nw == 1:
-                    self._absorb_holes(rs, sel, sh & otherbits, 0)
-                    rs.sharers[0, sel] = mybit
-                else:
-                    pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))
-                    while pres_union:
-                        w2 = (pres_union & -pres_union).bit_length() - 1
-                        pres_union &= pres_union - 1
-                        wordsh = rs.sharers[w2, sel]
-                        masked = wordsh & otherbits if w2 == word else wordsh
-                        self._absorb_holes(rs, sel, masked, w2)
-                        if w2 != word:
-                            rs.sharers[w2, sel] = 0
-                    rs.sharers[word, sel] = mybit
-                    rs.presence[sel] = self._nodebit[word]
-                rs.owner[sel] = core
+                self._invalidate(rs, sel, core, sh)
         else:
             cycles += n_l1 * l1r
             if not single:
@@ -696,16 +711,21 @@ class FastMemorySystem:
         is_write: bool, dense: bool,
     ) -> int:
         """:meth:`_sweep` for a sweep of at most :data:`SHORT_SWEEP` lines
-        (a dense ``range`` or a strided sorted list), one line at a time.
+        (:data:`SHORT_SWEEP_SINGLE` on a single issuer; a dense ``range``
+        or a strided sorted list), one line at a time.
 
         The sweep-level semantics are ``_sweep``'s: residency thresholds
         are fixed at entry; the i-th line's L1 stamp is ``clock + max(fills
         so far - holes, 0)`` and its L2 stamp ``l2_clock + L2 fills so
         far``; clocks, holes, stats and ``bus_transactions`` are written
-        once at the end.  Must leave the same state and return the same
-        cycles as ``_sweep`` on the same lines — the reference
-        ``tests/test_fastcache.py`` compares it against after every op;
-        change the two together.
+        once at the end.  A write reads the directory line by line and
+        invalidates after the loop: a one-line write checks each remote
+        copy on ints; a longer one runs ``_invalidate``, whose NumPy calls
+        cost about the same for one sharer or 63, where per-copy checks
+        grow with lines times sharers.  Must leave the same state and
+        return the same cycles as ``_sweep`` on the same lines — the
+        reference ``tests/test_fastcache.py`` compares it against after
+        every op; change the two together.
         """
         rs = self._state.get(region) or self._region_state(region)
         group = self.l2_groups[core]
@@ -749,25 +769,6 @@ class FastMemorySystem:
                     others = sh & othermask
                     if hit and (others or pres & othernodes):
                         n_upg += 1
-                    # Invalidate every remote copy; a still-resident one
-                    # frees an L1 slot on its core (a hole, see _sweep).
-                    while pres:
-                        w2 = (pres & -pres).bit_length() - 1
-                        pres &= pres - 1
-                        masked = others if w2 == word else sharers.item(w2, line)
-                        while masked:
-                            other = w2 * CORES_PER_NODE + (masked & -masked).bit_length() - 1
-                            masked &= masked - 1
-                            if l1_last.item(other, line) >= max(
-                                1, self._clock.item(other) - self.l1_capacity + 1
-                            ):
-                                self._holes[other] += 1
-                        if w2 != word:
-                            sharers[w2, line] = 0
-                    sharers[word, line] = mybit
-                    if nw > 1:
-                        presence[line] = 1 << word
-                    owner[line] = core
                 else:
                     if remote:
                         # Downgrade: the owner's copy stays valid (SHARED)
@@ -807,6 +808,38 @@ class FastMemorySystem:
             # holes, then advance the LRU clock (see _sweep).
             l1_last[core, line] = clock + fills - holes if fills > holes else clock
             l2_last[group, line] = l2_clock + l2_fills
+
+        if is_write and not single:
+            # The loop read the directory as the write found it; now
+            # invalidate what it found.
+            if len(lines) > 1:
+                # One batch, the vector route's own, whatever the sharers.
+                if type(lines) is range:
+                    sel = slice(lines.start, lines.stop)
+                else:
+                    sel = np.asarray(lines, dtype=np.int64)
+                self._invalidate(rs, sel, core, sharers[word, sel])
+            else:
+                # One line (``line``, ``others`` and ``pres`` are from the
+                # loop's one pass): one hole check per remote copy, cheaper
+                # than the batch even with every core sharing.
+                while pres:
+                    w2 = (pres & -pres).bit_length() - 1
+                    pres &= pres - 1
+                    masked = others if w2 == word else sharers.item(w2, line)
+                    while masked:
+                        other = w2 * CORES_PER_NODE + (masked & -masked).bit_length() - 1
+                        masked &= masked - 1
+                        if l1_last.item(other, line) >= max(
+                            1, self._clock.item(other) - self.l1_capacity + 1
+                        ):
+                            self._holes[other] += 1
+                    if w2 != word:
+                        sharers[w2, line] = 0
+                sharers[word, line] = mybit
+                if nw > 1:
+                    presence[line] = 1 << word
+                owner[line] = core
 
         read_hit, write_hit, upgrade, coh, l2_hit, lead, burst = self._line_costs
         cycles = n_l1 * (write_hit if is_write else read_hit)

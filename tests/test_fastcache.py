@@ -12,7 +12,7 @@ from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.cache import CacheConfig, CoherentMemorySystem, MemoryConfig
 from repro.sim.capability import MAX_CORES, DirectoryCapacityError
-from repro.sim.fastcache import SHORT_SWEEP, FastMemorySystem
+from repro.sim.fastcache import SHORT_SWEEP, SHORT_SWEEP_SINGLE, FastMemorySystem
 from repro.sim.machine import BAGLE_27
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
@@ -235,8 +235,8 @@ def test_cross_validation_chunked_traffic(pattern):
 
 # -- short sweeps: scalar _sweep_lines vs the vector _sweep -------------------
 
-# 4-line L1s and 16-line L2s over a 32-line region whose ops all start in
-# its first 12 lines: cores keep colliding on the same lines *and* keep
+# 4-line L1s and 16-line L2s over a region whose ops all start in its
+# first 12 lines: cores keep colliding on the same lines *and* keep
 # overflowing both levels, so the directory and the residency thresholds
 # both decide hits.
 L1_TINY = CacheConfig(size=256, line_size=64, assoc=2, read_latency=2, write_latency=0)
@@ -299,11 +299,16 @@ def _line_op(region, write, shape, line, k, reps):
     single_issuer=st.booleans(),
     ops=st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=3),  # active-core index
+            # active-core index; -1: every core in turn (all then share)
+            st.sampled_from([-1] + [0, 1, 2, 3] * 4),
             st.booleans(),  # write?
             st.sampled_from([0, 1, 2, 2, 3, 3]),  # shape, see _line_op
             st.integers(min_value=0, max_value=11),  # first line
-            st.integers(min_value=1, max_value=10),  # k
+            # k: short sweeps up to one line past the multi-core cut
+            st.one_of(
+                st.integers(min_value=1, max_value=10),
+                st.integers(min_value=11, max_value=SHORT_SWEEP + 1),
+            ),
             st.integers(min_value=1, max_value=3),  # reps
         ),
         min_size=1,
@@ -394,6 +399,25 @@ def _line_op(region, write, shape, line, k, reps):
     ncores=2, extra_words=0, shared_l2=False, single_issuer=False,
     ops=[(0, True, 2, 0, 30, 1), (0, False, 2, 0, 30, 1), (1, False, 0, 0, 1, 1)],
 )
+# A multi-line write over lines every core holds (its holes are credited
+# in one batch), then reads that consume them: on one directory word ...
+@example(
+    ncores=27, extra_words=0, shared_l2=False, single_issuer=False,
+    ops=[
+        (-1, False, 2, 4, 3, 1), (0, True, 2, 4, 3, 1),
+        (-1, False, 2, 2, 5, 1), (2, True, 3, 0, 12, 1),
+        (-1, False, 3, 2, 3, 1),
+    ],
+)
+# ... and on two (70 cores: the writer's node and a remote one):
+@example(
+    ncores=70, extra_words=0, shared_l2=False, single_issuer=False,
+    ops=[
+        (-1, False, 2, 4, 3, 1), (3, True, 2, 4, 3, 1),
+        (-1, False, 2, 2, 5, 1), (0, True, 3, 0, 12, 1),
+        (-1, False, 3, 2, 3, 1),
+    ],
+)
 def test_sweep_lines_state_identical_to_sweep(
     ncores, extra_words, shared_l2, single_issuer, ops
 ):
@@ -402,7 +426,8 @@ def test_sweep_lines_state_identical_to_sweep(
     both sides of the cut interleaved so the holes, upgrades and
     downgrades one path sets up are consumed by the other."""
     space = RegionSpace()
-    region = space.region("R", LINES * 64)
+    # Room for the longest strided op: k lines every other line from 11.
+    region = space.region("R", (12 + 2 * (SHORT_SWEEP + 1)) * 64)
     kw = dict(
         l2_groups=[c // 2 for c in range(ncores)] if shared_l2 else None,
         single_issuer=single_issuer,
@@ -412,10 +437,14 @@ def test_sweep_lines_state_identical_to_sweep(
     reference = _VectorLine(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
     cores = sorted({0, 1 % ncores, ncores // 2, ncores - 1})
     for ci, write, shape, line, k, reps in ops:
-        core = cores[0] if single_issuer else cores[ci % len(cores)]
+        if single_issuer:
+            issuers = cores[:1]
+        else:
+            issuers = range(ncores) if ci < 0 else [cores[ci % len(cores)]]
         s = _line_op(region, write, shape, line, k, reps)
-        assert shipped.run_summary(core, s) == reference.run_summary(core, s)
-        _assert_same_state(shipped, reference)
+        for core in issuers:
+            assert shipped.run_summary(core, s) == reference.run_summary(core, s)
+            _assert_same_state(shipped, reference)
 
 
 class _Spy(FastMemorySystem):
@@ -430,12 +459,16 @@ class _Spy(FastMemorySystem):
 
 @pytest.mark.parametrize("single_issuer", [False, True])
 @pytest.mark.parametrize("stride", [8, 128], ids=["dense", "strided"])
-@pytest.mark.parametrize("nlines", [1, SHORT_SWEEP, SHORT_SWEEP + 1])
+@pytest.mark.parametrize("nlines", [1, 8, 9, "cut", "cut+1"])
 def test_short_sweep_cut(nlines, stride, single_issuer):
-    """Up to ``SHORT_SWEEP`` lines never reach ``_sweep``; one more does."""
-    assert SHORT_SWEEP == 8
+    """Up to the issuer kind's cut — ``SHORT_SWEEP`` lines multi-core,
+    ``SHORT_SWEEP_SINGLE`` single-issuer — never reach ``_sweep``; one
+    more does; 8 and 9 lines stay scalar on both."""
+    assert (SHORT_SWEEP, SHORT_SWEEP_SINGLE) == (32, 16)
+    cut = SHORT_SWEEP_SINGLE if single_issuer else SHORT_SWEEP
+    nlines = {"cut": cut, "cut+1": cut + 1}.get(nlines, nlines)
     space = RegionSpace()
-    region = space.region("R", LINES * 64)
+    region = space.region("R", 2 * (SHORT_SWEEP + 1) * 64)
     fast = _Spy(2, L1_TINY, L2_TINY, MEM, space, single_issuer=single_issuer)
     count = nlines * (8 if stride == 8 else 1)
     for write in (False, True):
@@ -443,7 +476,7 @@ def test_short_sweep_cut(nlines, stride, single_issuer):
         (s.write if write else s.read)(region, count=count, stride=stride)
         fast.run_summary(0, s)
     assert fast.stats[0].accesses == 2 * nlines
-    assert fast.vector == (2 if nlines > SHORT_SWEEP else 0)
+    assert fast.vector == (2 if nlines > cut else 0)
 
 
 @pytest.mark.parametrize("ncores", [2, 4, 6])

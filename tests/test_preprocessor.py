@@ -57,6 +57,17 @@ def test_lexer_line_numbers():
     assert [t.line for t in toks[:3]] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("literal", ['"a\\\nb"', "'a\\\n'"], ids=["str", "char"])
+def test_lexer_counts_a_backslash_newline_inside_a_literal(literal):
+    """A literal continued over a backslash-newline still ends a line:
+    the tokens and errors after it carry the line they are on."""
+    toks = tokenize(f"{literal} x\ny", first_line=5)
+    assert [(t.value, t.line) for t in toks[1:]] == [("x", 6), ("y", 7), ("", 7)]
+    with pytest.raises(DDMSyntaxError) as exc:
+        tokenize(f"{literal} x\n@", first_line=5)
+    assert str(exc.value) == "line 7: unexpected character '@'"
+
+
 def test_lexer_unterminated_comment():
     with pytest.raises(DDMSyntaxError):
         tokenize("/* nope")

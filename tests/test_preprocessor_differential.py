@@ -2,7 +2,9 @@
 
 ``reference_tokens`` is the character-by-character tokenizer as it stood
 before the master pattern: verbatim, except that it yields its tokens,
-so a run that fails still shows what came before.
+so a run that fails still shows what came before, and that it counts the
+newlines inside a string or char literal (a backslash-newline continues
+one), which both tokenizers once skipped.
 ``ReferenceParser.binary`` is the parser's recursion once per precedence
 level.  Both live here only, as oracles.
 
@@ -117,6 +119,7 @@ def reference_tokens(source: str, first_line: int = 1):
             if j >= n:
                 raise DDMSyntaxError("unterminated string literal", line)
             yield Token("str", source[i:j + 1], line)
+            line += source.count("\n", i, j)
             i = j + 1
             continue
         # Character literals become their integer code.
@@ -133,6 +136,7 @@ def reference_tokens(source: str, first_line: int = 1):
             if len(ch) != 1:
                 raise DDMSyntaxError(f"bad char literal {body!r}", line)
             yield Token("num", str(ord(ch)), line)
+            line += body.count("\n")
             i = j + 1
             continue
         # Operators / punctuation.
@@ -253,6 +257,8 @@ sources = st.one_of(
 @example(source="c = '\\x';", first_line=1)
 @example(source='printf("a\nb");', first_line=1)
 @example(source="/* \n */ b\r\n // c\n 'A' \"\\\"\"", first_line=9)
+@example(source='"a\\\nb" x\ny', first_line=1)
+@example(source="'a\\\n' x\n@", first_line=4)
 def test_tokenize_matches_reference(source, first_line):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the codecs' invalid-escape notes

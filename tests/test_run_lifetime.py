@@ -26,6 +26,7 @@ import pytest
 
 import repro.apps  # noqa: F401  (populates the benchmark registry)
 from repro.apps.common import ProblemSize, get_benchmark, problem_sizes
+from repro.check import run_checked
 from repro.core import ProgramBuilder
 from repro.core.graph import GraphBuilder
 from repro.core.program import DDMProgram
@@ -217,6 +218,20 @@ def test_run_whose_body_raises_is_freed_by_refcount(platform, tracked):
             platform.execute(build(), nkernels=4)
 
     assert_freed(run, tracked)
+
+
+# -- the race checker ----------------------------------------------------------------
+@pytest.mark.parametrize("bench", ["trapez", "qsort_rec"])
+def test_run_checked_is_freed_by_refcount(bench, tracked):
+    """The checker wraps every body, the spawned subflows' too, and runs
+    them on a recording environment that points back at its session:
+    once the report is out, the program has its own bodies back and
+    neither the session nor a wrapper is left to the collector."""
+    assert_freed(
+        lambda: run_checked(_build(bench, target="N")),
+        tracked,
+        expect=("program", "env"),
+    )
 
 
 # -- graph validation ----------------------------------------------------------------

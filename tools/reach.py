@@ -201,7 +201,7 @@ ALLOW: dict[str, str] = {
         "an explicit directory_words (test_directory_width pins the width)",
     "sim/fastcache.py::FastMemorySystem._sweep:pres = rs.presence[sel]":
         "two-level directory read path, machines past 64 cores",
-    "sim/fastcache.py::FastMemorySystem._sweep:pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))":
+    "sim/fastcache.py::FastMemorySystem._invalidate:pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))":
         "two-level directory write path, machines past 64 cores",
     "sim/fastcache.py::FastMemorySystem._sweep_lines:presence[line] = presence.item(line) | 1 << word":
         "two-level directory presence bit, machines past 64 cores",
@@ -308,7 +308,7 @@ ALLOW: dict[str, str] = {
     "sim/fastcache.py::FastMemorySystem.__init__:l2_groups = list(range(ncores))":
         "private L2s, the exact model's default too (CoherentMemorySystem)",
     "sim/fastcache.py::FastMemorySystem._sweep:full, burst = n_mem, 0":
-        "a strided sweep of more than eight lines missing to DRAM",
+        "a strided sweep past the short-sweep cut missing to DRAM",
     "sim/fastcache.py::FastMemorySystem._sweep_lines:self._settle(rs)":
         "a short write after a re-streamed range left pending ramps",
     "cell/dma.py::DMAEngine.transfer_cycles:return 0": "a zero-byte DMA transfer",
