@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.cache import CacheConfig, CoherentMemorySystem, MemoryConfig
 from repro.sim.capability import MAX_CORES
-from repro.sim.fastcache import FastMemorySystem
+from repro.sim.fastcache import SHORT_SWEEP, FastMemorySystem
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2 = CacheConfig(size=8192, line_size=64, assoc=4, read_latency=20, write_latency=20)
@@ -41,6 +41,16 @@ def _chunk_op(space, write, chunk, nlines=8):
     return s
 
 
+class _Spy(FastMemorySystem):
+    """Counts the sweeps that reach the vector route, ``_sweep``."""
+
+    vector = 0
+
+    def _sweep(self, *args):
+        self.vector += 1
+        return super()._sweep(*args)
+
+
 def _stats_tuple(model, core):
     s = model.stats[core]
     return (
@@ -59,8 +69,8 @@ def _stats_tuple(model, core):
             st.booleans(),  # write?
             st.integers(min_value=0, max_value=7),  # chunk index
             # lines from the chunk's start: the scalar route up to
-            # SHORT_SWEEP (8), the vector one past it
-            st.sampled_from([1, 3, 8, 8, 12]),
+            # SHORT_SWEEP (32), the vector one past it
+            st.sampled_from([1, 3, 8, 12, 40, 40, 64, 64]),
         ),
         min_size=1,
         max_size=30,
@@ -70,9 +80,9 @@ def test_two_level_bit_identical_to_flat_below_old_ceiling(ncores, words, patter
     """Any ≤63-core config: forcing the multi-word directory paths must
     reproduce the flat single-word mask's cycles bit for bit — on short
     sweeps (``_sweep_lines``) and longer ones (``_sweep``) alike."""
-    space = _space(72)
-    flat = FastMemorySystem(ncores, L1, L2, MEM, space)
-    wide = FastMemorySystem(ncores, L1, L2, MEM, space, directory_words=words)
+    space = _space(8 * 7 + 64)
+    flat = _Spy(ncores, L1, L2, MEM, space)
+    wide = _Spy(ncores, L1, L2, MEM, space, directory_words=words)
     assert flat._nwords == 1 and wide._nwords == words
     cores = sorted({0, ncores // 2, ncores - 1})
     for ci, write, chunk, nlines in pattern:
@@ -82,6 +92,10 @@ def test_two_level_bit_identical_to_flat_below_old_ceiling(ncores, words, patter
     for c in cores:
         assert _stats_tuple(flat, c) == _stats_tuple(wide, c)
     assert flat.bus_transactions == wide.bus_transactions
+    # A first sweep past the cut always takes the vector route (only a
+    # repeat of a range it swept can take the O(1) re-stream instead).
+    if any(nlines > SHORT_SWEEP for *_, nlines in pattern):
+        assert flat.vector and wide.vector
 
 
 def test_boundary_64_cores_single_word():
