@@ -199,8 +199,8 @@ ALLOW: dict[str, str] = {
     # machines past 64 cores (test_fastcache, test_directory_width)
     "sim/fastcache.py::FastMemorySystem.__init__:if directory_words < nwords:":
         "an explicit directory_words (test_directory_width pins the width)",
-    "sim/fastcache.py::FastMemorySystem._sweep:pres = rs.presence[sel]":
-        "two-level directory read path, machines past 64 cores",
+    "sim/fastcache.py::FastMemorySystem._sweep:remote = others | (rs.presence[sel] & self._othernodes[word])":
+        "two-level directory upgrade test, machines past 64 cores",
     "sim/fastcache.py::FastMemorySystem._invalidate:pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))":
         "two-level directory write path, machines past 64 cores",
     "sim/fastcache.py::FastMemorySystem._sweep_lines:presence[line] = presence.item(line) | 1 << word":
@@ -307,7 +307,7 @@ ALLOW: dict[str, str] = {
         "a region a DThread body declares mid-run (a new env array)",
     "sim/fastcache.py::FastMemorySystem.__init__:l2_groups = list(range(ncores))":
         "private L2s, the exact model's default too (CoherentMemorySystem)",
-    "sim/fastcache.py::FastMemorySystem._sweep:full, burst = n_mem, 0":
+    "sim/fastcache.py::FastMemorySystem._sweep:leaders = n_mem":
         "a strided sweep past the short-sweep cut missing to DRAM",
     "sim/fastcache.py::FastMemorySystem._sweep_lines:self._settle(rs)":
         "a short write after a re-streamed range left pending ramps",
