@@ -51,14 +51,10 @@ def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
     while len(work) > 1:
         merged = []
         for j in range(0, len(work) - 1, 2):
-            a, b = work[j], work[j + 1]
-            out = np.empty(len(a) + len(b), dtype=a.dtype)
-            # NumPy-vectorised two-way merge via searchsorted placement.
-            pos = np.searchsorted(a, b, side="right")
-            out[pos + np.arange(len(b))] = b
-            mask = np.ones(len(out), dtype=bool)
-            mask[pos + np.arange(len(b))] = False
-            out[mask] = a
+            # A stable sort of two sorted runs is timsort's linear merge;
+            # ties keep run j's elements first.
+            out = np.concatenate((work[j], work[j + 1]))
+            out.sort(kind="stable")
             merged.append(out)
         if len(work) % 2:
             merged.append(work[-1])

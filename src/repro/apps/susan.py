@@ -46,27 +46,86 @@ def synthetic_image(w: int, h: int) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
+#: Rows of one smoothing block: a block holds its window and four arrays
+#: of pair weights, so this bounds a call's temporaries at any row count.
+BLOCK_ROWS = 32
+
+
 def _smooth_rows(img: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """USAN-weighted 3x3 mean of rows [lo, hi) with edge clamping."""
+    """USAN-weighted 3x3 mean of rows [lo, hi) with edge clamping.
+
+    Pixel p's value is ``sum(w * n) / sum(w)`` over its nine neighbours n
+    (itself included; coordinates clamped at the image edges), summed in
+    row-major (dy, dx) order from zero, with the pair weight
+    ``w = exp(-((n - p) / BRIGHTNESS_T) ** 2)``.  Each pixel depends only
+    on its own window, so rows are smoothed in blocks of ``BLOCK_ROWS``
+    and any split of the rows gives the same bits.  *img* is read by
+    basic row slices only.
+    """
+    out = np.empty((hi - lo, img.shape[1]))
+    for b in range(lo, hi, BLOCK_ROWS):
+        _smooth_block(img, b, min(b + BLOCK_ROWS, hi), out[b - lo:])
+    return out
+
+
+def _pair_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``exp(-((b - a) / BRIGHTNESS_T) ** 2)`` in one buffer.
+
+    Symmetric bit for bit: ``a - b == -(b - a)`` exactly, and the square
+    drops the sign, so one array serves both pixels of every pair.
+    """
+    wgt = np.subtract(b, a)
+    wgt /= BRIGHTNESS_T
+    np.square(wgt, out=wgt)
+    np.negative(wgt, out=wgt)
+    return np.exp(wgt, out=wgt)
+
+
+def _smooth_block(img: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Smooth rows [lo, hi) of *img* into the first ``hi - lo`` rows of
+    *out*, bit for bit as the direct nine-neighbour sum (see
+    :func:`_smooth_rows`)."""
     h, w = img.shape
-    # Build a (hi-lo+2, w+2) window around the rows, clamped at the edges.
-    top = max(lo - 1, 0)
-    bot = min(hi + 1, h)
-    win = np.pad(img[top:bot], ((0, 0), (1, 1)), mode="edge")
+    r = hi - lo
+    # The (r+2, w+2) window around the rows, edges clamped by copying.
+    win = np.empty((r + 2, w + 2))
+    top, bot = max(lo - 1, 0), min(hi + 1, h)
+    first = top - lo + 1
+    win[first:first + bot - top, 1:-1] = img[top:bot]
     if lo == 0:
-        win = np.vstack([win[:1], win])
+        win[0, 1:-1] = win[1, 1:-1]
     if hi == h:
-        win = np.vstack([win, win[-1:]])
-    centre = win[1:-1, 1:-1]
-    num = np.zeros_like(centre)
-    den = np.zeros_like(centre)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            nb = win[1 + dy:win.shape[0] - 1 + dy, 1 + dx:win.shape[1] - 1 + dx]
-            wgt = np.exp(-((nb - centre) / BRIGHTNESS_T) ** 2)
-            num += wgt * nb
+        win[-1, 1:-1] = win[-2, 1:-1]
+    win[:, 0] = win[:, 1]
+    win[:, -1] = win[:, -2]
+    # One weight array per forward direction d over the pairs (a, a + d)
+    # some centre c uses: neighbour d of c is the pair at a = c, neighbour
+    # -d the pair at a = c - d.  Each comment gives the window rows and
+    # columns of a.
+    e = _pair_weights(win[1:-1, :-1], win[1:-1, 1:])  # d=(0, 1): 1..r, 0..w
+    s = _pair_weights(win[:-1, 1:-1], win[1:, 1:-1])  # d=(1, 0): 0..r, 1..w
+    se = _pair_weights(win[:-1, :-1], win[1:, 1:])  # d=(1, 1): 0..r, 0..w
+    sw = _pair_weights(win[:-1, 1:], win[1:, :-1])  # d=(1, -1): 0..r, 1..w+1
+    weights = (
+        se[:-1, :-1], s[:-1], sw[:-1, 1:],
+        e[:, :-1], None, e[:, 1:],
+        sw[1:, :-1], s[1:], se[1:, 1:],
+    )  # row-major (dy, dx); the centre's is exp(-0.0) == 1.0
+    num = out[:r]
+    num[...] = 0.0
+    den = np.zeros((r, w))
+    term = np.empty((r, w))
+    for k, wgt in enumerate(weights):
+        dy, dx = divmod(k, 3)
+        nb = win[dy:r + dy, dx:w + dx]
+        if wgt is None:
+            num += nb
+            den += 1.0
+        else:
+            np.multiply(wgt, nb, out=term)
+            num += term
             den += wgt
-    return num / den
+    np.divide(num, den, out=num)
 
 
 def smooth_oracle(img: np.ndarray) -> np.ndarray:

@@ -135,6 +135,13 @@ class RecordingArray:
     covers the first touch through the Environment; subsequent local
     manipulation of the returned view is the body's private business
     until it writes back through the wrapper.
+
+    Integers and basic slices are recorded from the view's geometry at a
+    cost independent of its size.  A fancy or boolean index is not: the
+    first one builds an int64 position grid as large as the array, and
+    every one maps each selected element through it to a byte interval,
+    then merges the intervals.  Bodies therefore read shared arrays by
+    basic slices and do any gathering on the local copy.
     """
 
     def __init__(self, base: np.ndarray, region: str, sink: AccessSink) -> None:

@@ -11,7 +11,11 @@ import pytest
 from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
 from repro.apps.common import chunk_bounds, nthreads_for
 from repro.apps.qsort import _merge_runs
-from repro.apps.susan import smooth_oracle, synthetic_image
+from repro.apps.susan import (
+    BLOCK_ROWS, BRIGHTNESS_T, _smooth_rows, smooth_oracle, synthetic_image,
+)
+from repro.check import run_checked
+from repro.check.recording import RecordingArray
 from repro.runtime.native import NativeRuntime
 from repro.platforms import TFluxHard
 from repro.runtime.simdriver import SimulatedRuntime
@@ -95,6 +99,24 @@ def test_unroll_preserves_results(name, unroll):
 
 
 # -- app-specific details ----------------------------------------------------------
+def test_trapez_partials_are_the_direct_formula():
+    """The in-place chunk body computes each partial bit for bit as the
+    trapezoid formula over ``f(x) = 4 / (1 + x * x)`` written out."""
+    bench = get_benchmark("trapez")
+    size = problem_sizes("trapez", "S")["small"]
+    for unroll in (1, 3, 64):
+        prog = bench.build(size, unroll=unroll)
+        n = prog.env.get("n_intervals")
+        nparts = len(prog.env.array("parts"))
+        parts = prog.run_sequential().array("parts")
+        h = 1.0 / n
+        for i in range(nparts):
+            lo, hi = chunk_bounds(n, nparts, i)
+            x = 0.0 + h * np.arange(lo, hi + 1)
+            y = 4.0 / (1.0 + x * x)
+            assert parts[i] == h * (y.sum() - 0.5 * (y[0] + y[-1])), (unroll, i)
+
+
 def test_trapez_partials_sum_to_integral():
     bench = get_benchmark("trapez")
     size = problem_sizes("trapez", "S")["small"]
@@ -125,6 +147,40 @@ def test_qsort_merge_single_run():
     np.testing.assert_array_equal(_merge_runs([a]), a)
 
 
+def _searchsorted_merge(runs):
+    """The pairwise tree of two-way merges by ``searchsorted`` placement,
+    each of a run pair's elements after its equals in the first run."""
+    work = list(runs)
+    while len(work) > 1:
+        merged = []
+        for a, b in zip(work[0::2], work[1::2]):
+            out = np.empty(len(a) + len(b))
+            at = np.searchsorted(a, b, side="right") + np.arange(len(b))
+            out[at] = b
+            mask = np.ones(len(out), dtype=bool)
+            mask[at] = False
+            out[mask] = a
+            merged.append(out)
+        if len(work) % 2:
+            merged.append(work[-1])
+        work = merged
+    return work[0]
+
+
+def test_qsort_merge_runs_edge_cases():
+    a = np.array([1.0, 2.0, 2.0, 5.0])
+    b = np.array([2.0, 3.0])
+    c = np.array([-0.0] * 40 + [2.0, 9.0])
+    z = np.zeros(40)
+    empty = np.array([])
+    # an empty run, ties across runs (the signed zeros tie too, and keep
+    # their bits), and odd run counts: the last run waits a level unmerged
+    for runs in ([a, empty, b], [empty, a, b, c, empty], [a, b, c], [c, z, c], [empty]):
+        got = _merge_runs(runs)
+        assert got.tobytes() == _searchsorted_merge(runs).tobytes(), runs
+        np.testing.assert_array_equal(got, np.sort(np.concatenate(runs)))
+
+
 def test_qsort_parts_multiple_of_groups():
     bench = get_benchmark("qsort")
     size = problem_sizes("qsort", "S")["small"]
@@ -135,12 +191,46 @@ def test_qsort_parts_multiple_of_groups():
 
 
 def test_susan_oracle_matches_rowwise():
+    # verify's exact check of the 8-bit output needs every row split to
+    # give the oracle's bits
     img = synthetic_image(64, 48)
-    from repro.apps.susan import _smooth_rows
-
     whole = smooth_oracle(img)
     stitched = np.vstack([_smooth_rows(img, lo, min(lo + 7, 48)) for lo in range(0, 48, 7)])
-    np.testing.assert_allclose(stitched, whole, rtol=1e-12)
+    np.testing.assert_array_equal(stitched, whole)
+
+
+def _direct_smooth(img):
+    """The nine-neighbour sum of the ``_smooth_rows`` docstring, one whole
+    neighbour image at a time: clamped coordinates, row-major (dy, dx)
+    order from zero, weight ``exp(-((n - p) / T) ** 2)``."""
+    h, w = img.shape
+    rows, cols = np.arange(h), np.arange(w)
+    num = np.zeros_like(img)
+    den = np.zeros_like(img)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            nb = img[np.clip(rows + dy, 0, h - 1)][:, np.clip(cols + dx, 0, w - 1)]
+            wgt = np.exp(-((nb - img) / BRIGHTNESS_T) ** 2)
+            num += wgt * nb
+            den += wgt
+    return num / den
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 17])
+def test_susan_rows_bit_identical_to_direct_sum(w):
+    img = synthetic_image(max(w, 8), 12)[:, :w] + np.random.default_rng(w).normal(0, 30, (12, w))
+    direct = _direct_smooth(img)
+    for lo in range(12):
+        for hi in range(lo + 1, 13):
+            np.testing.assert_array_equal(_smooth_rows(img, lo, hi), direct[lo:hi])
+
+
+def test_susan_blocks_bit_identical_to_direct_sum():
+    # taller than one block, so the call is split at BLOCK_ROWS
+    img = synthetic_image(40, 2 * BLOCK_ROWS + 5)
+    direct = _direct_smooth(img)
+    np.testing.assert_array_equal(smooth_oracle(img), direct)
+    np.testing.assert_array_equal(_smooth_rows(img, 3, 2 * BLOCK_ROWS + 1), direct[3:-4])
 
 
 def test_susan_smoothing_preserves_flat_regions():
@@ -153,6 +243,27 @@ def test_susan_smoothing_reduces_noise_variance():
     img = 128 + rng.standard_normal((64, 64)) * 5
     sm = smooth_oracle(img)
     assert sm.var() < img.var()
+
+
+@pytest.mark.parametrize("name", ALL_BENCH)
+def test_checked_bodies_take_no_fancy_index_path(name, monkeypatch):
+    """Under the race checker every app's bodies index env arrays by basic
+    slices and integers.  A fancy index sends RecordingArray to its
+    position-grid path: a grid as large as the array, and every selected
+    element mapped through it."""
+    grids = []
+    record = RecordingArray._record_selection
+
+    def spy(self, index, out, is_write):
+        record(self, index, out, is_write)
+        if self._posgrid is not None:
+            grids.append((self._region, index))
+
+    monkeypatch.setattr(RecordingArray, "_record_selection", spy)
+    bench = get_benchmark(name)
+    report = run_checked(bench.build(problem_sizes(name, "S")["small"], unroll=4))
+    assert report.ok
+    assert grids == []
 
 
 def test_fft_matches_numpy_fft2():
