@@ -88,7 +88,7 @@ class RegionSpace:
         return len(self._regions)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _RangeOp:
     """One strided sweep over a byte range of a region.
 
@@ -97,6 +97,10 @@ class _RangeOp:
     ``offset``, ``count`` of them.  ``reps`` repeats the whole sweep (e.g.
     an in-place sort passes over its chunk ~log n times); repeated sweeps
     hit in cache if the footprint fits, which the models account for.
+
+    Slotted, not frozen: every DThread builds its ops afresh, and a
+    frozen dataclass pays one ``object.__setattr__`` per field.  Nothing
+    writes an op after ``__post_init__`` has checked it.
     """
 
     region: Region
@@ -165,21 +169,21 @@ class _RangeOp:
         return sorted(seen)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Read(_RangeOp):
     """A read sweep."""
 
     is_write = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Write(_RangeOp):
     """A write sweep."""
 
     is_write = True
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessSummary:
     """Ordered collection of range operations performed by one DThread."""
 

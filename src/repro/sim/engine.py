@@ -123,15 +123,19 @@ class Process:
     documented in the module docstring.
     """
 
-    __slots__ = ("engine", "gen", "done", "name")
+    __slots__ = ("engine", "gen", "done", "name", "_callback")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "") -> None:
         self.engine = engine
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done = Event(engine, name=f"done:{self.name}")
+        # Bound once: every timer and wait of this process reuses it.  It
+        # is a cycle (process -> bound method -> process), so _finish and
+        # Engine.clear drop it.
+        self._callback: Optional[Callable[[Any], None]] = self._resume
         engine._live.add(self)
-        engine._schedule(0.0, self._resume, _SEND_NONE)
+        engine._schedule(0.0, self._callback, _SEND_NONE)
 
     @property
     def is_alive(self) -> bool:
@@ -146,18 +150,26 @@ class Process:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._dispatch(target)
+        if type(target) is int:  # plain cycle delay: pushed here, no hop
+            if target < 0:
+                raise SimulationError(f"negative delay {target!r}")
+            engine = self.engine
+            engine._seq = seq = engine._seq + 1
+            heapq.heappush(
+                engine._heap, (engine.now + target, seq, self._callback, _SEND_NONE)
+            )
+        else:
+            self._dispatch(target)
 
     def _finish(self, value: Any) -> None:
         self.engine._live.discard(self)
+        self._callback = None
         self.done.succeed(value)
 
     def _dispatch(self, target: Any) -> None:
-        """Suspend on the yielded target (a delay or an event)."""
-        if type(target) is int:  # plain cycle delay: the hot case
-            self.engine._schedule(target, self._resume, _SEND_NONE)
-        elif isinstance(target, Event):
-            target.add_callback(self._resume)
+        """Suspend on a yielded target that is not a delay (an event)."""
+        if isinstance(target, Event):
+            target.add_callback(self._callback)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported {target!r}"
@@ -175,11 +187,12 @@ _SEND_NONE = object()
 class Resource:
     """FIFO capacity resource (bus arbiter, TSU port, emulator core...).
 
-    Models occupy a slot with ``yield from resource.hold(cycles)``:
-    :meth:`acquire` (a grant :class:`Event`, waited on only if the
-    request had to queue), the hold's cycles, then the holder's own
-    ``release()``.  Grant order is strictly FIFO, which models the
-    paper's bus arbiter behaviour and keeps simulations deterministic.
+    Models occupy a slot with ``yield from resource.hold(cycles)``: a
+    free slot taken on the spot, or :meth:`acquire`'s grant
+    :class:`Event` if the request has to queue, then the hold's cycles,
+    then the holder's own ``release()``.  Grant order is strictly FIFO,
+    which models the paper's bus arbiter behaviour and keeps simulations
+    deterministic.
     """
 
     __slots__ = ("engine", "capacity", "_in_use", "_queue", "name")
@@ -217,16 +230,21 @@ class Resource:
 
         Process fragment (``queued = yield from resource.hold(n)``):
         :meth:`acquire`, the caller's timeout, the caller's ``release()``.
-        An uncontended hold is that one timeout.
+        An uncontended hold is that one timeout; its free slot is taken
+        here, without starting an ``acquire()`` generator.
         """
         if cycles < 0:
             raise SimulationError(
                 f"negative hold {cycles!r} on resource {self.name!r}"
             )
-        engine = self.engine
-        queued_at = engine.now
-        yield from self.acquire()
-        queued = engine.now - queued_at
+        if self._queue or self._in_use >= self.capacity:
+            engine = self.engine
+            queued_at = engine.now
+            yield from self.acquire()
+            queued = engine.now - queued_at
+        else:
+            self._in_use += 1
+            queued = 0.0
         try:
             yield cycles
         finally:
@@ -278,6 +296,10 @@ class Engine:
         """Event that triggers once every one of *events* (at least one,
         each pending and unwaited) has triggered."""
         events = list(events)
+        if not events:
+            # Nothing would ever trigger the result: its waiter would hang
+            # until the run reported a stall.
+            raise SimulationError(f"{name!r}: all_of needs at least one event")
         combined = Event(self, name=name)
         left = len(events)
 
@@ -328,7 +350,9 @@ class Engine:
         """
         live = self._live
         while live:
-            live.pop().gen.close()
+            proc = live.pop()
+            proc.gen.close()
+            proc._callback = None
         self._heap.clear()
 
     @property

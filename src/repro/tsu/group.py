@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.core.block import DDMBlock, split_into_blocks
 from repro.core.dthread import DThreadInstance
@@ -64,7 +63,7 @@ from repro.tsu.policy import PlacementPolicy, contiguous_placement
 from repro.tsu.sm import SynchronizationMemory, ThreadEntry
 from repro.tsu.tkt import ThreadToKernelTable
 
-__all__ = ["FetchKind", "Fetch", "TSUGroup"]
+__all__ = ["FetchKind", "Fetch", "FETCH_EXIT", "FETCH_WAIT", "TSUGroup"]
 
 
 class FetchKind(enum.Enum):
@@ -77,12 +76,20 @@ class FetchKind(enum.Enum):
     EXIT = "exit"
 
 
-@dataclass(frozen=True)
-class Fetch:
+class Fetch(NamedTuple):
+    """The TSU's reply to one FindReadyThread.  A named tuple: the TSU
+    builds one per query, and a tuple is immutable without a per-field
+    ``object.__setattr__``."""
+
     kind: FetchKind
     instance: Optional[DThreadInstance] = None
     local_iid: Optional[int] = None
     block: Optional[DDMBlock] = None
+
+
+#: The two replies that carry nothing but their kind, shared by every query.
+FETCH_WAIT = Fetch(FetchKind.WAIT)
+FETCH_EXIT = Fetch(FetchKind.EXIT)
 
 
 class _Phase(enum.Enum):
@@ -255,7 +262,7 @@ class TSUGroup:
         """FindReadyThread: what should *kernel* execute next?"""
         self.fetches += 1
         if self._phase == _Phase.EXITED:
-            return Fetch(FetchKind.EXIT)
+            return FETCH_EXIT
 
         if self._phase == _Phase.INLET_PENDING:
             # First querying kernel claims the Inlet.
@@ -273,13 +280,11 @@ class TSUGroup:
             if entry is not None:
                 self.threads_dispatched += 1
                 return Fetch(
-                    FetchKind.THREAD,
-                    instance=entry.instance,
-                    local_iid=entry.local_iid,
-                    block=self.current_block,
+                    FetchKind.THREAD, entry.instance, entry.local_iid,
+                    self.current_block,
                 )
             self.waits += 1
-            return Fetch(FetchKind.WAIT)
+            return FETCH_WAIT
 
         if self._phase == _Phase.OUTLET_PENDING:
             self._phase = _Phase.FINISHING
@@ -288,7 +293,7 @@ class TSUGroup:
 
         # LOADING / FINISHING: another kernel is running the Inlet/Outlet.
         self.waits += 1
-        return Fetch(FetchKind.WAIT)
+        return FETCH_WAIT
 
     def has_work(self, kernel: int) -> bool:
         """Cheap peek: would a fetch by *kernel* return something other

@@ -29,11 +29,16 @@ def _place(block: DDMBlock, nkernels: int, rule: Callable[[int, int], int]) -> l
     """Place every instance by its template's ``affinity`` if it has one,
     else by *rule* ``(pos, n)``: the kernel of the *pos*-th of the *n*
     contexts its template has in the block."""
+    instances = block.instances
     groups: dict[int, list[int]] = {}  # template -> its local ids, in context order
-    for local_iid, inst in enumerate(block.instances):
+    for local_iid, inst in enumerate(instances):
         groups.setdefault(inst.template.tid, []).append(local_iid)
     assignment = [0] * block.size
     for locals_ in groups.values():
+        # The block's topological order may permute a template's contexts
+        # (an instance fed by no arc is an entry and comes first); a
+        # template's ids are in context order, so sort by them.
+        locals_.sort(key=lambda local_iid: instances[local_iid].iid)
         n = len(locals_)
         for pos, local_iid in enumerate(locals_):
             inst = block.instances[local_iid]

@@ -22,7 +22,7 @@ from repro.core.dthread import DThreadInstance
 __all__ = ["ThreadEntry", "SynchronizationMemory"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadEntry:
     """Per-instance TSU state (one Synchronization Graph node's Ready
     Count and flags, loaded by the block's Inlet DThread)."""

@@ -346,6 +346,59 @@ def test_all_of_combines_events():
     assert w.done.value == 10
 
 
+def test_all_of_without_events_is_rejected_at_the_call():
+    """Nothing could trigger an empty all_of: its waiter would hang until
+    the run reported a stall, so the call itself fails."""
+    eng = Engine()
+    with pytest.raises(SimulationError, match="at least one event"):
+        eng.all_of([])
+    with pytest.raises(SimulationError, match="at least one event"):
+        eng.all_of(iter(()))
+
+
+def test_finished_process_holds_no_callback():
+    """A process binds its resume callback once and drops it when its
+    generator returns: process -> bound method -> process is a cycle."""
+    eng = Engine()
+    ev = eng.event()
+
+    def waiter():
+        yield 2
+        yield ev
+        yield 3
+
+    proc = eng.process(waiter())
+    eng.run()  # drains with the process waiting on ev
+    assert proc.is_alive and proc._callback is not None
+    ev.succeed()
+    eng.run()
+    assert not proc.is_alive and proc._callback is None
+
+
+def test_cleared_process_holds_no_callback():
+    """Engine.clear drops the callback of every process it closes, on the
+    heap or waiting on an event."""
+    eng = Engine()
+
+    def sleeper():
+        yield 10
+
+    def waiter():
+        yield eng.event()
+
+    def boom():
+        yield 1
+        raise ValueError("boom")
+
+    procs = [eng.process(gen) for gen in (sleeper(), waiter(), boom())]
+    with pytest.raises(ValueError, match="boom"):
+        eng.run()
+    assert all(p._callback is not None for p in procs)
+    eng.clear()
+    assert all(p._callback is None for p in procs)
+    assert not eng._heap and not eng._live
+
+
 def test_negative_delay_rejected():
     eng = Engine()
 

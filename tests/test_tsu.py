@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.block import split_into_blocks
 from repro.core.dthread import DThreadTemplate
 from repro.core.graph import SynchronizationGraph
-from repro.tsu.group import FetchKind, TSUGroup
+from repro.tsu.group import FETCH_EXIT, FETCH_WAIT, FetchKind, TSUGroup
 from repro.tsu.policy import contiguous_placement, round_robin_placement
 from repro.tsu.sm import SynchronizationMemory, ThreadEntry
 from repro.tsu.tkt import ThreadToKernelTable
@@ -252,6 +252,42 @@ def test_group_wait_when_no_local_work():
     # Worker and reduce both land on some kernels; others must WAIT.
     kinds = {k: tsu.fetch(k).kind for k in range(3)}
     assert FetchKind.WAIT in kinds.values()
+
+
+def test_placement_follows_context_order_when_the_block_permutes_it():
+    """Context 1 of ``b`` has no producer, so it is an entry and the
+    block lists it before context 0; each kernel still gets a
+    contiguous range of ``b``'s contexts, the lowest on kernel 0."""
+    g = SynchronizationGraph()
+    g.add_template(DThreadTemplate(tid=1, name="a", contexts=range(2)))
+    g.add_template(DThreadTemplate(tid=2, name="b", contexts=range(4)))
+    g.add_arc(1, 2, lambda ctx: [2 * ctx])
+    block = split_into_blocks(g.expand())[0]
+    names = [inst.name for inst in block.instances]
+    assert names == ["a[0]", "a[1]", "b[1]", "b[3]", "b[0]", "b[2]"]
+    kernel = dict(zip(names, contiguous_placement(block, 2)))
+    assert [kernel[f"b[{c}]"] for c in range(4)] == [0, 0, 1, 1]
+    kernel = dict(zip(names, round_robin_placement(block, 2)))
+    assert [kernel[f"b[{c}]"] for c in range(4)] == [0, 1, 0, 1]
+
+
+def test_wait_and_exit_replies_are_shared_and_immutable():
+    """Every WAIT and EXIT reply is one shared record, so none may be
+    changed in place."""
+    blocks = loop_blocks(width=1)
+    tsu = TSUGroup(3, blocks)
+    assert tsu.fetch(0).kind is FetchKind.INLET
+    assert tsu.fetch(1) is FETCH_WAIT  # the Inlet is loading
+    tsu.complete_inlet(0)
+    drive_to_completion(tsu, 3)
+    assert tsu.fetch(2) is FETCH_EXIT
+    for reply in (FETCH_WAIT, FETCH_EXIT):
+        with pytest.raises(AttributeError):
+            reply.kind = FetchKind.THREAD
+        with pytest.raises(AttributeError):
+            reply.instance = blocks[0].inlet
+    assert FETCH_WAIT.kind is FetchKind.WAIT and FETCH_WAIT.instance is None
+    assert FETCH_EXIT.kind is FetchKind.EXIT and FETCH_EXIT.block is None
 
 
 def test_group_completion_in_wrong_phase_rejected():
