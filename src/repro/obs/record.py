@@ -43,7 +43,8 @@ __all__ = [
 #: v3: added ``topology`` (the fabric wiring of a TFluxDist run)
 #: alongside the per-hop congestion counters ``net.hops`` /
 #: ``net.link_queue_cycles``.
-SCHEMA_VERSION = 3
+#: v4: dropped ``CacheStats.writebacks``, which no model priced.
+SCHEMA_VERSION = 4
 
 
 @dataclass

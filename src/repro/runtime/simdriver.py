@@ -122,9 +122,10 @@ class SimulatedRuntime:
 
     # -- wake management ------------------------------------------------------
     def _wake(self, kernels: Optional[Iterable[int]] = None) -> None:
-        targets = list(self._wait_events) if kernels is None else [
-            k for k in kernels if k in self._wait_events
-        ]
+        # Parked kernels wake, and so fetch, in ascending id whatever
+        # order the adapter names them in (docs/model.md).
+        waiting = self._wait_events
+        targets = sorted(waiting if kernels is None else [k for k in kernels if k in waiting])
         for k in targets:
             ev = self._wait_events.pop(k)
             if not ev.triggered:

@@ -162,7 +162,6 @@ class CacheStats:
     mem_misses: int = 0
     coherence_misses: int = 0
     upgrades: int = 0
-    writebacks: int = 0
     accesses: int = 0
     cycles: int = 0
 
@@ -172,7 +171,6 @@ class CacheStats:
         self.mem_misses += other.mem_misses
         self.coherence_misses += other.coherence_misses
         self.upgrades += other.upgrades
-        self.writebacks += other.writebacks
         self.accesses += other.accesses
         self.cycles += other.cycles
 
@@ -225,7 +223,6 @@ class CoherentMemorySystem:
         self._sharers: dict[int, set[int]] = {}
         self._owner: dict[int, int] = {}  # line -> core holding M
         self.stats = [CacheStats() for _ in range(ncores)]
-        self.bus_transactions = 0
 
         # Region layout: sequential, line-aligned.
         self._bases: dict[str, int] = {}
@@ -267,7 +264,6 @@ class CoherentMemorySystem:
         if victim is not None:
             vline, vstate = victim
             if vstate == MODIFIED:
-                self.stats[core].writebacks += 1
                 # Dirty victim lands in this core's L2; ownership persists.
                 self.l2s[self.l2_groups[core]].insert(vline, MODIFIED)
             self._drop_from_l1(core, vline)
@@ -277,9 +273,7 @@ class CoherentMemorySystem:
         l2 = self.l2s[self.l2_groups[core]]
         if l2.lookup(line) is not None:
             return True
-        victim = l2.insert(line, SHARED)
-        if victim is not None and victim[1] == MODIFIED:
-            self.stats[core].writebacks += 1
+        l2.insert(line, SHARED)
         return False
 
     def _access_line(
@@ -318,7 +312,6 @@ class CoherentMemorySystem:
             self._owner[line] = core
             st.l1_hits += 1
             st.upgrades += 1
-            self.bus_transactions += 1
             lat = cfg.write_latency + self.mem.upgrade_latency
             st.cycles += lat
             return lat, False
@@ -344,7 +337,6 @@ class CoherentMemorySystem:
             self._l2_fill(core, line)
             self._install(core, line, new_state)
             st.coherence_misses += 1
-            self.bus_transactions += 1
             lat = self.mem.cache_to_cache_latency + self.l1cfg.read_latency
             st.cycles += lat
             return lat, False
@@ -354,7 +346,6 @@ class CoherentMemorySystem:
             self._invalidate_others(core, line)
 
         l2_hit = self._l2_fill(core, line)
-        self.bus_transactions += 1
         sharers = self._sharers.get(line)
         other_sharers = bool(sharers) and any(c != core for c in sharers)
         if is_write:
@@ -398,9 +389,7 @@ class CoherentMemorySystem:
         for other in list(sharers):
             if other == core:
                 continue
-            prior = self.l1s[other].invalidate(line)
-            if prior == MODIFIED:
-                self.stats[other].writebacks += 1
+            self.l1s[other].invalidate(line)
             sharers.discard(other)
             if self._owner.get(line) == other:
                 del self._owner[line]

@@ -65,9 +65,10 @@ Such rows are kept as *pending ramps* beside the arrays
 ``_write_ramp``, the one writer of that formula) only when something
 else needs the row.  That is 2,611 of the 22,817 sweeps of a
 ``paper_grid`` repetition and 96 % of its line visits.  The test suite
-requires ``_sweep_lines`` and ``_resweep`` to leave identical (settled)
-state to ``_sweep`` after every op, and ``_sweep`` to match the
-full-mask sweep it replaced (``tests/test_fastcache_differential.py``).
+holds the shipped model, and the model with every sweep sent through
+``_sweep``, to ``tests/reference_memory.py`` after every op: a reference
+written from docs/simulation.md on Python ints that shares no code with
+this module (``tests/test_fastcache_differential.py``).
 
 Settle rules — a pending ramp exists only while nothing has looked at or
 changed what it stands for: ``_sweep`` and ``_sweep_lines`` settle the
@@ -255,7 +256,6 @@ class FastMemorySystem:
         for reg in regions:
             self._state[reg.name] = self._new_region_state(reg.lines(self.line_size))
         self.stats = [CacheStats() for _ in range(ncores)]
-        self.bus_transactions = 0
 
     # -- helpers -----------------------------------------------------------
     def _new_region_state(self, n: int) -> _RegionState:
@@ -526,8 +526,8 @@ class FastMemorySystem:
         lines absent from the L2: DRAM misses are the shorter prefix (one
         streaming run), L2 hits the rest of the longer, and both rows come
         out as ramps again.  Must return the same cycles and leave the same
-        settled state as ``_sweep`` — ``tests/test_fastcache_restream.py``
-        compares the two after every op; change them together.
+        settled state as ``_sweep``: ``tests/test_fastcache_restream.py``
+        holds both to the reference after every op.
         """
         start, stop, base1, k1 = r1
         base2, k2 = r2[2:]
@@ -558,7 +558,6 @@ class FastMemorySystem:
         st.l2_hits += n_l2
         st.mem_misses += n_mem
         st.cycles += cycles
-        self.bus_transactions += n_miss
         return cycles
 
     # -- the vectorised protocol ----------------------------------------------
@@ -719,7 +718,6 @@ class FastMemorySystem:
         st.coherence_misses += n_coh
         st.upgrades += n_upg
         st.cycles += cycles
-        self.bus_transactions += n_miss + n_upg
         return cycles
 
     # -- the same protocol step, line by line, on Python ints --------------------
@@ -734,15 +732,14 @@ class FastMemorySystem:
         The sweep-level semantics are ``_sweep``'s: residency thresholds
         are fixed at entry; the i-th line's L1 stamp is ``clock + max(fills
         so far - holes, 0)`` and its L2 stamp ``l2_clock + L2 fills so
-        far``; clocks, holes, stats and ``bus_transactions`` are written
-        once at the end.  A write reads the directory line by line and
+        far``; clocks, holes and stats are written once at the end.  A write reads the directory line by line and
         invalidates after the loop: a one-line write checks each remote
         copy on ints; a longer one runs ``_invalidate``, whose NumPy calls
         cost about the same for one sharer or 63, where per-copy checks
         grow with lines times sharers.  Must leave the same state and
-        return the same cycles as ``_sweep`` on the same lines — the
-        reference ``tests/test_fastcache.py`` compares it against after
-        every op; change the two together.
+        return the same cycles as ``_sweep`` on the same lines:
+        ``tests/test_fastcache.py`` holds both to the reference after
+        every op.
         """
         rs = self._state.get(region) or self._region_state(region)
         group = self.l2_groups[core]
@@ -885,7 +882,6 @@ class FastMemorySystem:
         st.accesses += n_l1 + fills
         st.l1_hits += n_l1
         st.cycles += cycles
-        self.bus_transactions += fills + n_upg
         return cycles
 
     # -- aggregate ------------------------------------------------------------

@@ -23,8 +23,7 @@ zero-overhead adapter with compute-only threads of positive cost:
   kernel fetches in that cycle.  Then the kernels that just completed
   fetch, in completion order, then the kernels their completions woke,
   in wake order.  One completion wakes the parked kernels it readied
-  work for in ascending kernel order (the simulator iterates a set of
-  kernel ids, which is ascending up to 8 kernels only).  At cycle 0,
+  work for in ascending kernel order (``docs/model.md``).  At cycle 0,
   kernel 0 (back from the Inlet) fetches first, then the rest in kernel
   order.  A kernel whose queue is empty parks until a completion
   readies work for it.  Only the Outlet's kernel depends on this order:

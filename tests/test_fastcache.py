@@ -10,16 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from repro.apps import get_benchmark, problem_sizes
 from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.accesses import AccessSummary, RegionSpace
-from repro.sim.cache import CacheConfig, CoherentMemorySystem, MemoryConfig
+from repro.sim.cache import CacheConfig, CoherentMemorySystem
 from repro.sim.capability import MAX_CORES, DirectoryCapacityError
 from repro.sim.fastcache import SHORT_SWEEP, SHORT_SWEEP_SINGLE, FastMemorySystem
 from repro.sim.machine import BAGLE_27
+from tests.test_fastcache_differential import MEM, Harness, Shipped, assert_models_equal, machine
 
 L1 = CacheConfig(size=1024, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2 = CacheConfig(size=8192, line_size=64, assoc=4, read_latency=20, write_latency=20)
-MEM = MemoryConfig(
-    dram_latency=100, dram_burst_latency=16, cache_to_cache_latency=40, upgrade_latency=8
-)
 
 
 def make_pair(ncores=2, regions=(("R", 64 * 512),), l2_groups=None):
@@ -233,7 +231,7 @@ def test_cross_validation_chunked_traffic(pattern):
         assert abs(se.mem_misses - sf.mem_misses) <= max(8, se.accesses * 0.35)
 
 
-# -- short sweeps: scalar _sweep_lines vs the vector _sweep -------------------
+# -- short sweeps: _sweep_lines and _sweep against the reference -----------------
 
 # 4-line L1s and 16-line L2s over a region whose ops all start in its
 # first 12 lines: cores keep colliding on the same lines *and* keep
@@ -242,35 +240,6 @@ def test_cross_validation_chunked_traffic(pattern):
 L1_TINY = CacheConfig(size=256, line_size=64, assoc=2, read_latency=2, write_latency=0)
 L2_TINY = CacheConfig(size=1024, line_size=64, assoc=4, read_latency=20, write_latency=20)
 LINES = 32
-
-
-class _VectorLine(FastMemorySystem):
-    """The reference: every short sweep through the vector ``_sweep``."""
-
-    def _sweep_lines(self, core, region, lines, is_write, dense):
-        if isinstance(lines, range):
-            sel = slice(lines.start, lines.stop)
-        else:
-            sel = np.asarray(lines, dtype=np.int64)
-        return self._sweep(core, region, sel, len(lines), is_write, dense)
-
-
-def _assert_same_state(a, b, regions=("R",)):
-    """Equal model state, residency through the non-destructive settled
-    view: comparing does not settle the pending ramps under test."""
-    for region in regions:
-        for level, la, lb in zip(
-            ("l1_last", "l2_last"), a._settled(region), b._settled(region)
-        ):
-            assert np.array_equal(la, lb), (region, level)
-        ra, rb = a._state[region], b._state[region]
-        for name in ("owner", "sharers", "presence"):
-            assert np.array_equal(getattr(ra, name), getattr(rb, name)), (region, name)
-    assert np.array_equal(a._clock, b._clock)
-    assert np.array_equal(a._l2_clock, b._l2_clock)
-    assert a._holes == b._holes
-    assert a.stats == b.stats
-    assert a.bus_transactions == b.bus_transactions
 
 
 def _line_op(region, write, shape, line, k, reps):
@@ -421,20 +390,15 @@ def _line_op(region, write, shape, line, k, reps):
 def test_sweep_lines_state_identical_to_sweep(
     ncores, extra_words, shared_l2, single_issuer, ops
 ):
-    """Same op stream through ``_sweep_lines`` and through ``_sweep``:
-    equal cycles and equal model state after every op, with sweeps on
-    both sides of the cut interleaved so the holes, upgrades and
-    downgrades one path sets up are consumed by the other."""
+    """One op stream through the shipped model, ``_sweep`` alone and the
+    reference: equal cycles and state after every op, with sweeps on both
+    sides of the cut interleaved so the holes, upgrades and downgrades
+    one route sets up are consumed by the other."""
     space = RegionSpace()
     # Room for the longest strided op: k lines every other line from 11.
     region = space.region("R", (12 + 2 * (SHORT_SWEEP + 1)) * 64)
-    kw = dict(
-        l2_groups=[c // 2 for c in range(ncores)] if shared_l2 else None,
-        single_issuer=single_issuer,
-        directory_words=-(-ncores // 64) + extra_words if extra_words else None,
-    )
-    shipped = FastMemorySystem(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
-    reference = _VectorLine(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
+    kw = machine(ncores, shared_l2, single_issuer, extra_words)
+    harness = Harness(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
     cores = sorted({0, 1 % ncores, ncores // 2, ncores - 1})
     for ci, write, shape, line, k, reps in ops:
         if single_issuer:
@@ -443,18 +407,7 @@ def test_sweep_lines_state_identical_to_sweep(
             issuers = range(ncores) if ci < 0 else [cores[ci % len(cores)]]
         s = _line_op(region, write, shape, line, k, reps)
         for core in issuers:
-            assert shipped.run_summary(core, s) == reference.run_summary(core, s)
-            _assert_same_state(shipped, reference)
-
-
-class _Spy(FastMemorySystem):
-    """Counts the sweeps that reach the vector route."""
-
-    vector = 0
-
-    def _sweep(self, *args):
-        self.vector += 1
-        return super()._sweep(*args)
+            harness.run_summary(core, s)
 
 
 @pytest.mark.parametrize("single_issuer", [False, True])
@@ -469,14 +422,14 @@ def test_short_sweep_cut(nlines, stride, single_issuer):
     nlines = {"cut": cut, "cut+1": cut + 1}.get(nlines, nlines)
     space = RegionSpace()
     region = space.region("R", 2 * (SHORT_SWEEP + 1) * 64)
-    fast = _Spy(2, L1_TINY, L2_TINY, MEM, space, single_issuer=single_issuer)
+    fast = Shipped(2, L1_TINY, L2_TINY, MEM, space, single_issuer=single_issuer)
     count = nlines * (8 if stride == 8 else 1)
     for write in (False, True):
         s = AccessSummary()
         (s.write if write else s.read)(region, count=count, stride=stride)
         fast.run_summary(0, s)
     assert fast.stats[0].accesses == 2 * nlines
-    assert fast.vector == (2 if nlines > cut else 0)
+    assert fast.routes["sweep"] == (2 if nlines > cut else 0)
 
 
 @pytest.mark.parametrize("ncores", [2, 4, 6])
@@ -497,8 +450,7 @@ def test_partial_sum_false_sharing_matches_exact(ncores):
     r = AccessSummary().read(sums)
     assert exact.run_summary(0, r) == fast.run_summary(0, r)
     for c in range(ncores):
-        # Every field but the write-back tally, which only the exact model keeps.
-        assert replace(exact.stats[c], writebacks=0) == fast.stats[c], f"core {c}"
+        assert exact.stats[c] == fast.stats[c], f"core {c}"
 
 
 @pytest.mark.parametrize("count", [1, 64, 128])
@@ -516,7 +468,7 @@ def test_single_issuer_guard_raises_before_any_write(count):
     second = AccessSummary().write(region, count=count, elem_size=8)
     with pytest.raises(RuntimeError, match="single_issuer but saw traffic"):
         fast.run_summary(1, second)
-    _assert_same_state(fast, untouched)
+    assert_models_equal(fast, untouched, ("R",))
 
 
 # -- 1-based timestamps: cold start, capacity edges, untouched rows ------------
@@ -572,25 +524,22 @@ _EDGE_LAST_OP = {
 @pytest.mark.parametrize("single_issuer", [False, True])
 @pytest.mark.parametrize("stream", sorted(_EDGE_STREAMS))
 def test_time_origin_edges(stream, single_issuer):
-    """``_sweep_lines`` ≡ ``_sweep`` state after every op and fast ≡ exact
-    cycles and stats, on the streams that sit on the time origin."""
+    """Both fast routes ≡ the reference after every op and ≡ the exact
+    model's cycles and stats, on the streams that sit on the time origin."""
     ops = _EDGE_STREAMS[stream]
     if single_issuer and any(core for core, *_ in ops):
         pytest.skip("stream issues from several cores")
     space = RegionSpace()
     region = space.region("R", LINES * 64)
-    kw = dict(single_issuer=single_issuer)
-    shipped = FastMemorySystem(3, L1_TINY, L2_TINY, MEM, space, **kw)
-    reference = _VectorLine(3, L1_TINY, L2_TINY, MEM, space, **kw)
+    harness = Harness(3, L1_TINY, L2_TINY, MEM, space, single_issuer=single_issuer)
+    shipped = harness.shipped
     exact = CoherentMemorySystem(3, L1_TINY, L2_TINY, MEM, space)
     for core, *op in ops:
         s = _edge_op(region, *op)
         before = replace(shipped.stats[core])
-        cycles = shipped.run_summary(core, s)
-        assert cycles == reference.run_summary(core, s) == exact.run_summary(core, s)
-        _assert_same_state(shipped, reference)
+        assert harness.run_summary(core, s) == exact.run_summary(core, s)
     for c in range(3):
-        assert replace(exact.stats[c], writebacks=0) == shipped.stats[c], f"core {c}"
+        assert exact.stats[c] == shipped.stats[c], f"core {c}"
     if stream in _EDGE_LAST_OP:
         after = shipped.stats[core]
         assert (

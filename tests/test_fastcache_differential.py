@@ -1,279 +1,201 @@
-"""The vector sweep against the one it replaced.
+"""The fast memory model against an independent reference.
 
-``ReferenceSweep`` carries ``FastMemorySystem._sweep`` as it stood before
-it learned to skip the work a sweep's lines do not need (an all-hit
-sweep's miss, owner and L2 masks, the owner test of misses nobody owns,
-the cumulative sum of one leading run of fills), verbatim, with the
-helpers it called then: ``_fill_single``, ``_absorb_holes`` with its
-per-bit loop over the sharers and ``_invalidate`` taking the whole sharer
-word.  It lives here only, as an oracle.
-
-Both models send every sweep, short or repeated, through their own
-``_sweep`` and must return equal cycles and leave equal settled state
-after every op.  The named streams each reach one branch of the shipped
-sweep, and say so: a stream whose op never takes its branch fails.
+``tests/reference_memory.py`` is the fast model as ``docs/simulation.md``
+states it, sharing no code with ``repro.sim.fastcache``.  The harness
+feeds every op to three models of one machine: the shipped
+:class:`FastMemorySystem` (each sweep on the route its traffic picks),
+:class:`SweepOnly` (every sweep through ``_sweep``) and the reference.
+After every op both models must equal the reference: the op's cycles,
+every core's ``CacheStats``, clocks, holes, settled residency, owners,
+and sharer sets decoded from the sharer words and the presence word.
+On the app streams, where that would cost more than the run, each op is
+held to the reference on its own lines, the shipped model to
+``SweepOnly`` on the op's region, and all state to the reference when
+the run ends.  ``test_fastcache.py`` and ``test_fastcache_restream.py``
+feed the same harness.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps import BENCHMARKS, get_benchmark, problem_sizes
+from repro.platforms import TFluxHard, TFluxSoft
 from repro.sim.accesses import AccessSummary, RegionSpace
-from repro.sim.cache import CacheConfig
+from repro.sim.cache import CacheConfig, MemoryConfig
 from repro.sim.capability import CORES_PER_NODE
-from repro.sim.fastcache import FastMemorySystem, _RegionState
-from tests.test_fastcache import MEM, _assert_same_state
+from repro.sim.fastcache import FastMemorySystem
+from repro.sim.machine import MachineConfig
+from tests.reference_memory import ReferenceMemory
+
+MEM = MemoryConfig(
+    dram_latency=100, dram_burst_latency=16, cache_to_cache_latency=40, upgrade_latency=8
+)
 
 
-# -- the reference sweep ----------------------------------------------------------
+# -- the harness ----------------------------------------------------------------
 
 
-class ReferenceSweep(FastMemorySystem):
-    """The fast model with the previous vector sweep."""
+class SweepOnly(FastMemorySystem):
+    """Every sweep, short or repeated, through ``_sweep``: no ramps."""
 
-    def _fill_single(self, dst: np.ndarray, miss: np.ndarray, k: int,
-                     base) -> None:
-        """Write post-sweep fill timestamps ``base + cumsum(miss)`` into the
-        contiguous view *dst*, shortcutting the cumulative sum when the
-        misses form a single leading run."""
-        if k == 0 or k == dst.size or bool(miss[:k].all()):
-            self._write_ramp(dst, k, base)
-        else:
-            np.add(np.cumsum(miss, dtype=np.int64), base, out=dst)
+    def _sweep_lines(self, core, region, lines, is_write, dense):
+        sel = (slice(lines.start, lines.stop) if isinstance(lines, range)
+               else np.asarray(lines, dtype=np.int64))
+        return self._sweep(core, region, sel, len(lines), is_write, dense)
 
-    def _absorb_holes(self, rs: _RegionState, sel, masked: np.ndarray,
-                      word: int) -> None:
-        """Credit invalidation holes to every core of directory node *word*
-        whose set bits appear in *masked* (per-line core masks of copies
-        being invalidated): a still-resident invalidated copy frees an L1
-        slot there.  One sharer (the overwhelmingly common case — a single
-        producer) takes a scalar path; several sharers are handled as one
-        vectorised (ncores_sharing, nlines) residency comparison instead
-        of a per-bit Python loop.  Reads other cores' L1 rows straight from
-        the arrays: the writing ``_sweep`` has settled the region."""
-        union = int(np.bitwise_or.reduce(masked)) if masked.size else 0
-        if not union:
-            return
-        base = word * CORES_PER_NODE
-        cap = self.l1_capacity
-        if union & (union - 1) == 0:  # exactly one sharing core
-            other = base + union.bit_length() - 1
-            held = (masked & self._corebit[other]) != 0
-            olast = rs.l1_last[other, sel]
-            resident = held & (olast >= max(1, self._clock[other] - cap + 1))
-            self._holes[other] += int(np.count_nonzero(resident))
-            return
-        cores = []
-        while union:
-            cores.append(base + (union & -union).bit_length() - 1)
-            union &= union - 1
-        carr = np.asarray(cores, dtype=np.int64)
-        bits = self._corebit_arr[carr % CORES_PER_NODE]
-        held = (masked[None, :] & bits[:, None]) != 0
-        thr = np.maximum(1, self._clock[carr] - cap + 1)
-        rows = carr if isinstance(sel, slice) else carr[:, None]
-        resident = held & (rs.l1_last[rows, sel] >= thr[:, None])
-        for core, count in zip(cores, resident.sum(axis=1).tolist()):
-            self._holes[core] += count
+    _sweep_range = _sweep_lines
 
-    def _invalidate(self, rs: _RegionState, sel, core: int,
-                    sh: np.ndarray) -> None:
-        """A write by *core* over *sel*, whose sharer words in *core*'s
-        directory node are *sh*: invalidate every remote copy and make
-        *core* the lines' one sharer and owner.
 
-        Invalidating a *resident* remote copy frees an L1 slot there:
-        ``_absorb_holes`` records it as a hole so the victim's next fills
-        do not advance its LRU clock (matching set-associative behaviour,
-        where a refill reoccupies the invalidated way instead of
-        evicting).  Private data (no remote copies, the common case for
-        each kernel's own output ranges) costs one reduction; otherwise
-        only directory nodes named by the presence union are visited.
-        Reads other cores' L1 rows and clocks, which no sweep by *core*
-        changes, so it may follow the sweep's own residency updates."""
-        word = self._word_of[core]
-        if self._nwords == 1:
-            self._absorb_holes(rs, sel, sh & self._othermask[core], 0)
-        else:
-            pres_union = int(np.bitwise_or.reduce(rs.presence[sel]))
-            while pres_union:
-                w2 = (pres_union & -pres_union).bit_length() - 1
-                pres_union &= pres_union - 1
-                if w2 == word:
-                    self._absorb_holes(rs, sel, sh & self._othermask[core], w2)
-                else:
-                    self._absorb_holes(rs, sel, rs.sharers[w2, sel], w2)
-                    rs.sharers[w2, sel] = 0
-            rs.presence[sel] = self._nodebit[word]
-        rs.sharers[word, sel] = self._corebit[core]
-        rs.owner[sel] = core
+class Shipped(FastMemorySystem):
+    """Counts the route each sweep takes: ``"sweep"`` (also per
+    ``("sweep", region, core)``), ``"lines"`` and ``"ramp"``."""
 
-    def _sweep(
-        self, core: int, region: str, sel: slice | np.ndarray, n: int,
-        is_write: bool, dense: bool = True,
-    ) -> int:
-        rs = self._region_state(region)
-        group = self.l2_groups[core]
-        st = self.stats[core]
-        single = self._single_issuer
-        nw = self._nwords
-        if single and core != self._issuer:
-            self._claim_issuer(core)
-        if rs.ramp1 or rs.ramp2:
-            # Settle what this sweep reads: its own two rows, and before a
-            # write every row (other cores' L1 rows are read for holes, and
-            # their sharer bits — what their ramps rely on — are cleared).
-            if is_write:
-                self._settle(rs)
-            else:
-                self._settle_row(rs.l1_last, rs.ramp1, core)
-                self._settle_row(rs.l2_last, rs.ramp2, group)
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.routes = Counter()
 
-        clock = self._clock[core]
-        l2_clock = self._l2_clock[group]
+    def _sweep(self, core, region, *args):
+        self.routes["sweep"] += 1
+        self.routes["sweep", region, core] += 1
+        return super()._sweep(core, region, *args)
 
-        # Residency is one comparison per level: ``last >= 1`` (ever
-        # filled) ``and clock - last < capacity`` is, for integer clocks,
-        # exactly ``last >= max(1, clock - capacity + 1)``.
-        last = rs.l1_last[core, sel]
-        thr1 = max(1, clock - self.l1_capacity + 1)
-        thr2 = max(1, l2_clock - self.l2_capacity + 1)
-        l2_last = rs.l2_last[group, sel]
+    def _sweep_lines(self, *args):
+        self.routes["lines"] += 1
+        return super()._sweep_lines(*args)
 
-        if single:
-            # One core: nothing invalidates, so "ever filled and still
-            # recent" is the whole residency story — the sharer directory
-            # and owner array are provably inert (no remote copies to
-            # track, no remote owner to downgrade) and never touched.
-            miss = last < thr1
-            n_miss = int(np.count_nonzero(miss))
-            n_l1 = n - n_miss
-            remote_owned = None
-            n_coh = 0
-            mem_miss = miss & (l2_last < thr2)
-            n_mem = int(np.count_nonzero(mem_miss))
-            n_l2 = n_miss - n_mem
-        else:
-            word = self._word_of[core]
-            mybit = self._corebit[core]
-            otherbits = self._othermask[core]
-            sh = rs.sharers[word, sel]
-            own = rs.owner[sel]
-            in_l1 = ((sh & mybit) != 0) & (last >= thr1)
-            miss = ~in_l1
-            # Remote modified owner → cache-to-cache transfer.
-            remote_owned = miss & (own >= 0) & (own != core)
-            plain_miss = miss & ~remote_owned
-            n_coh = int(np.count_nonzero(remote_owned))
-            # L2 residency for plain misses.
-            in_l2 = l2_last >= thr2
-            l2_hit = plain_miss & in_l2
-            mem_miss = plain_miss & ~in_l2
-            n_l1 = int(np.count_nonzero(in_l1))
-            n_l2 = int(np.count_nonzero(l2_hit))
-            n_mem = int(np.count_nonzero(mem_miss))
+    def _resweep(self, *args):
+        self.routes["ramp"] += 1
+        return super()._resweep(*args)
 
-        l1r, l1w = self.l1cfg.read_latency, self.l1cfg.write_latency
-        l2r = self.l2cfg.read_latency
-        cycles = 0
-        n_upg = 0
 
-        if is_write:
-            if single:
-                cycles += n_l1 * l1w  # no remote sharers → no upgrades
-            else:
-                if nw == 1:
-                    remote_any = (sh & otherbits) != 0
-                else:
-                    # Two-level test: other sharers exist in my node's
-                    # word, or the presence word names any other node.
-                    pres = rs.presence[sel]
-                    remote_any = ((sh & otherbits) != 0) | (
-                        (pres & self._othernodes[word]) != 0
-                    )
-                shared_hit = in_l1 & remote_any
-                n_upg = int(np.count_nonzero(shared_hit))
-                cycles += n_upg * (l1w + self.mem.upgrade_latency)
-                cycles += (n_l1 - n_upg) * l1w
-                # All written lines: invalidate remote copies, become owner.
-                self._invalidate(rs, sel, core, sh)
-        else:
-            cycles += n_l1 * l1r
-            if not single:
-                # Reads: remote-owned lines downgrade (owner cleared, shared).
-                if n_coh:
-                    # The owners' L2 rows are stamped below: settle first.
-                    self._settle(rs)
-                    downgrade = self._lines_of(sel)[remote_owned]
-                    # The previous owner's copy stays valid (now SHARED);
-                    # the line also lands in the owner's L2 via writeback.
-                    # ``own`` aliases ``rs.owner`` on dense sweeps, so the
-                    # owner groups must be read before the owner is cleared.
-                    owner_groups = self._group_of[own[remote_owned].astype(np.int64)]
-                    rs.owner[downgrade] = -1
-                    for g in np.unique(owner_groups):
-                        rs.l2_last[g, downgrade[owner_groups == g]] = self._l2_clock[g]
-                rs.sharers[word, sel] |= mybit
-                if nw > 1:
-                    rs.presence[sel] |= self._nodebit[word]
+def machine(ncores, shared_l2=False, single_issuer=False, extra_words=0):
+    """A test machine's keywords: L2s shared by core pairs, and directory
+    words forced past what *ncores* needs."""
+    return dict(
+        l2_groups=[c // 2 for c in range(ncores)] if shared_l2 else None,
+        single_issuer=single_issuer,
+        directory_words=-(-ncores // CORES_PER_NODE) + extra_words if extra_words else None,
+    )
 
-        cycles += n_coh * (self.mem.cache_to_cache_latency + l1r)
-        cycles += n_l2 * (l1r + l2r)
-        # DRAM misses: dense sweeps stream — within each consecutive run of
-        # missing lines only the first pays full latency, the rest the
-        # pipelined burst latency (open-page / prefetch overlap).
-        if n_mem:
-            if dense:
-                mm = mem_miss
-                run_starts = int(mm[0]) + int(np.count_nonzero(mm[1:] & ~mm[:-1]))
-                full, burst = run_starts, n_mem - run_starts
-            else:
-                full, burst = n_mem, 0
-            # Run-leading misses pay the full hierarchy; the pipelined rest
-            # of each run only the per-line burst cost (see cache.py).
-            cycles += full * (l1r + l2r + self.mem.dram_latency)
-            cycles += burst * (l1r + self.mem.dram_burst_latency)
 
-        # Residency updates.  The logical clocks advance only on *fills*
-        # (misses): a hit re-references a resident line without displacing
-        # anything, so time-distance then tracks true LRU stack distance
-        # for the chunked/streaming patterns the workloads produce.  Fills
-        # first consume any invalidation holes (freed slots) before they
-        # start displacing LRU victims.
-        if single and isinstance(sel, slice):
-            # One core never receives invalidation holes, and dense sweeps
-            # almost always miss in one leading run (the streaming shape:
-            # any still-resident tail of the previous pass hits at the
-            # end), so the fill counts 1..k then flat can be written
-            # directly instead of through a cumulative sum.
-            self._fill_single(rs.l1_last[core, sel], miss, n_miss, clock)
-            self._clock[core] = clock + n_miss
-            self._fill_single(rs.l2_last[group, sel], mem_miss, n_mem, l2_clock)
-            self._l2_clock[group] = l2_clock + n_mem
-        else:
-            l1_fills = np.cumsum(miss, dtype=np.int64)
-            total_fills = int(l1_fills[-1])
-            holes_used = min(self._holes[core], total_fills)
-            self._holes[core] -= holes_used
-            rs.l1_last[core, sel] = clock + np.maximum(l1_fills - holes_used, 0)
-            self._clock[core] = clock + total_fills - holes_used
-            l2_fill_mask = mem_miss if single else (mem_miss | remote_owned)
-            l2_fills = np.cumsum(l2_fill_mask, dtype=np.int64)
-            rs.l2_last[group, sel] = l2_clock + l2_fills
-            self._l2_clock[group] = l2_clock + int(l2_fills[-1])
+def _rows(tables, region, nlines):
+    """A reference level's fill times of *region* as the model's array."""
+    out = np.zeros((len(tables), nlines), dtype=np.int64)
+    for row, regions in enumerate(tables):
+        times = regions.get(region)
+        if times:
+            out[row, list(times)] = list(times.values())
+    return out
 
-        st.accesses += n
-        st.l1_hits += n_l1
-        st.l2_hits += n_l2
-        st.mem_misses += n_mem
-        st.coherence_misses += n_coh
-        st.upgrades += n_upg
-        st.cycles += cycles
-        self.bus_transactions += n_coh + n_l2 + n_mem + n_upg
+
+def sharer_sets(model, region):
+    """*region*'s sharers as ``{line: cores}``.  Several words need a
+    presence word naming exactly the nodes holding a copy; one keeps none."""
+    rs = model._state[region]
+    held = rs.sharers != 0
+    nodes = np.arange(model._nwords, dtype=np.uint64)[:, None]
+    named = (rs.presence >> nodes) & np.uint64(1) if model._nwords > 1 else held
+    assert np.array_equal(held, named != 0), "presence word"
+    assert model._nwords > 1 or not rs.presence.any(), "presence word"
+    out = {}
+    for w, line in zip(*np.nonzero(held)):
+        word, cores = int(rs.sharers[w, line]), out.setdefault(int(line), set())
+        while word:
+            cores.add(int(w) * CORES_PER_NODE + (word & -word).bit_length() - 1)
+            word &= word - 1
+    return out
+
+
+def _residency(model, region):
+    """Settled ``(l1_last, l2_last)``: the arrays when no ramp is pending."""
+    rs = model._region_state(region)
+    return model._settled(region) if rs.ramp1 or rs.ramp2 else (rs.l1_last, rs.l2_last)
+
+
+def assert_models_equal(a, b, regions):
+    """Two fast models in the same state over *regions*."""
+    assert a.stats == b.stats and a._holes == b._holes
+    assert np.array_equal(a._clock, b._clock) and np.array_equal(a._l2_clock, b._l2_clock)
+    for region in regions:
+        for la, lb in zip(_residency(a, region), _residency(b, region)):
+            assert np.array_equal(la, lb), region
+        ra, rb = a._state[region], b._state[region]
+        for name in ("owner", "sharers", "presence"):
+            assert np.array_equal(getattr(ra, name), getattr(rb, name)), (region, name)
+
+
+class Harness:
+    """One machine three times, fed the same ops: :class:`Shipped`,
+    :class:`SweepOnly` (or a subclass) and the reference.  The shipped
+    model is held to ``SweepOnly`` array for array, ``SweepOnly`` to the
+    reference."""
+
+    def __init__(self, ncores, l1, l2, mem, space, *, l2_groups=None,
+                 single_issuer=False, directory_words=None, sweep_only=SweepOnly):
+        kw = dict(l2_groups=l2_groups, single_issuer=single_issuer)
+        args = (ncores, l1, l2, mem, space)
+        self.space = space
+        self.shipped = Shipped(*args, directory_words=directory_words, **kw)
+        self.sweep_only = sweep_only(*args, directory_words=directory_words, **kw)
+        self.reference = ReferenceMemory(ncores, l1, l2, mem, **kw)
+
+    def run_summary(self, core, summary):
+        """Each op through the three models, all state checked after each."""
+        total = 0
+        for op in summary:
+            total += self.run_op(core, op)
+            self.check()
+        return total
+
+    def run_op(self, core, op):
+        cycles = self.reference.run_op(core, op)
+        assert self.shipped.run_op(core, op) == cycles, ("shipped", core, op)
+        assert self.sweep_only.run_op(core, op) == cycles, ("sweep-only", core, op)
         return cycles
 
+    def _check_scalars(self):
+        ref, model = self.reference, self.sweep_only
+        assert model.stats == ref.stats and model._holes == ref.holes
+        assert model._clock.tolist() == ref.clock
+        assert model._l2_clock.tolist() == ref.l2_clock
 
-# -- both models, every sweep through _sweep ------------------------------------
+    def check(self):
+        """All state, every region."""
+        regions = [reg.name for reg in self.space]
+        assert_models_equal(self.shipped, self.sweep_only, regions)
+        self._check_scalars()
+        ref, model = self.reference, self.sweep_only
+        for region in regions:
+            nlines = self.space.get(region).lines(ref.line_size)
+            for level, have, want in zip(("l1", "l2"), _residency(model, region), (ref.l1, ref.l2)):
+                assert np.array_equal(have, _rows(want, region, nlines)), (region, level)
+            owner = np.full(nlines, -1)
+            owners = ref.owner.get(region, {})
+            owner[list(owners)] = list(owners.values())
+            assert np.array_equal(model._state[region].owner, owner), (region, "owner")
+            assert sharer_sets(model, region) == ref.sharers.get(region, {}), region
+
+    def check_op(self, core, op):
+        """After one op of a long stream: the scalars; *core*'s L1 row, its
+        L2 row and the owners on the op's lines against the reference; the
+        shipped model against ``SweepOnly`` on the op's region."""
+        region = op.region.name
+        assert_models_equal(self.shipped, self.sweep_only, (region,))
+        self._check_scalars()
+        ref, rs = self.reference, self.sweep_only._state[region]
+        lines, group = list(ref.lines(op)), ref.group[core]
+        for have, times, missing in (
+            (rs.l1_last[core], ref.l1[core].get(region, {}), 0),
+            (rs.l2_last[group], ref.l2[group].get(region, {}), 0),
+            (rs.owner, ref.owner.get(region, {}), -1),
+        ):
+            assert have[lines].tolist() == [times.get(i, missing) for i in lines], region
+
+
+# -- the named branch streams and hypothesis streams of ``_sweep`` ------------------
 
 # A 16-line L1 and a 32-line L2: sweeps of up to 16 lines can hit
 # throughout, the pooled ranges of R (96 lines) overflow both levels, and a
@@ -285,26 +207,7 @@ L2 = CacheConfig(size=2048, line_size=64, assoc=4, read_latency=20, write_latenc
 R_LINES, S_LINES = 96, 32
 
 
-def _sel(lines):
-    if isinstance(lines, range):
-        return slice(lines.start, lines.stop)
-    return np.asarray(lines, dtype=np.int64)
-
-
-class _VectorOnly:
-    """Every sweep, short or repeated, through the model's own ``_sweep``."""
-
-    def _sweep_lines(self, core, region, lines, is_write, dense):
-        return self._sweep(core, region, _sel(lines), len(lines), is_write, dense)
-
-    _sweep_range = _sweep_lines
-
-
-class _Reference(_VectorOnly, ReferenceSweep):
-    pass
-
-
-class _Shipped(_VectorOnly, FastMemorySystem):
+class _Shapes(SweepOnly):
     """Names the shape of every sweep it runs, read off the state the sweep
     finds (no pending ramps: only the re-stream route makes them)."""
 
@@ -359,18 +262,12 @@ def _shapes(m, core, region, sel, n, is_write):
     return tags
 
 
-def _pair(ncores=4, shared_l2=False, single_issuer=False, extra_words=0):
+def _harness(ncores=4, shared_l2=False, single_issuer=False, extra_words=0):
     space = RegionSpace()
     space.region("R", R_LINES * 64)
     space.region("S", S_LINES * 64)
-    kw = dict(
-        l2_groups=[c // 2 for c in range(ncores)] if shared_l2 else None,
-        single_issuer=single_issuer,
-        directory_words=-(-ncores // CORES_PER_NODE) + extra_words if extra_words else None,
-    )
-    shipped = _Shipped(ncores, L1, L2, MEM, space, **kw)
-    reference = _Reference(ncores, L1, L2, MEM, space, **kw)
-    return space, shipped, reference
+    kw = machine(ncores, shared_l2, single_issuer, extra_words)
+    return Harness(ncores, L1, L2, MEM, space, sweep_only=_Shapes, **kw)
 
 
 def _op(space, kind, write, line, nlines, reps=1):
@@ -388,11 +285,9 @@ def _op(space, kind, write, line, nlines, reps=1):
     return s
 
 
-def _run(space, shipped, reference, steps):
+def _run(harness, steps):
     for core, *op in steps:
-        s = _op(space, *op)
-        assert shipped.run_summary(core, s) == reference.run_summary(core, s), (core, op)
-        _assert_same_state(shipped, reference, regions=("R", "S"))
+        harness.run_summary(core, _op(harness.space, *op))
 
 
 def _read(core, line, nlines, kind="dense"):
@@ -481,9 +376,10 @@ _BRANCHES = {
 @pytest.mark.parametrize("name", sorted(_BRANCHES))
 def test_branch_streams(name):
     machine, steps, shape = _BRANCHES[name]
-    space, shipped, reference = _pair(**machine)
-    _run(space, shipped, reference, steps)
-    assert shape in shipped.shapes, (shape, sorted(shipped.shapes))
+    harness = _harness(**machine)
+    _run(harness, steps)
+    shapes = harness.sweep_only.shapes
+    assert shape in shapes, (shape, sorted(shapes))
 
 
 _POOL = [(0, 8), (0, 12), (4, 8), (4, 4), (0, 24), (40, 16), (20, 20)]
@@ -517,10 +413,9 @@ _POOL = [(0, 8), (0, 12), (4, 8), (4, 4), (0, 24), (40, 16), (20, 20)]
            (-1, "dense", False, (0, 12), 1), (0, "strided", True, (0, 8), 1)],
 )
 def test_sweep_identical_to_reference(ncores, extra_words, shared_l2, single_issuer, steps):
-    """Random streams over a few repeating ranges: the shipped ``_sweep``
-    and the reference leave equal cycles and equal settled state after
-    every op."""
-    space, shipped, reference = _pair(ncores, shared_l2, single_issuer, extra_words)
+    """Random streams over a few repeating ranges: both models equal the
+    reference after every op."""
+    harness = _harness(ncores, shared_l2, single_issuer, extra_words)
     cores = sorted({0, 1 % ncores, 2 % ncores, ncores // 2, 65 % ncores, ncores - 1})
     run = []
     for ci, kind, write, (line, nlines), reps in steps:
@@ -529,4 +424,49 @@ def test_sweep_identical_to_reference(ncores, extra_words, shared_l2, single_iss
         else:
             issuers = cores if ci < 0 else [cores[ci % len(cores)]]
         run.extend((core, kind, write, line, nlines, reps) for core in issuers)
-    _run(space, shipped, reference, run)
+    _run(harness, run)
+
+
+# -- one small run of every app, through a forwarding memory system ----------------
+
+_PLATFORMS = {"hard": (TFluxHard, 27), "soft": (TFluxSoft, 6)}
+
+
+class _Forward(Harness):
+    """The memory system a run sees: each op through the three models,
+    checked after every op."""
+
+    def run_summary(self, core, summary):
+        total = 0
+        for op in summary:
+            total += self.run_op(core, op)
+            self.check_op(core, op)
+        return total
+
+    def total_stats(self):
+        return self.shipped.total_stats()
+
+
+@pytest.mark.parametrize("platform", sorted(_PLATFORMS))
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_app_op_stream(name, platform, monkeypatch):
+    """The op stream of one small run (unroll 4) of *name*: the run's own
+    memory system forwards each op to the harness."""
+    make, nkernels = _PLATFORMS[platform]
+    built = []
+
+    def memory_system(m, regions, exact=False, single_issuer=False):
+        built.append(_Forward(
+            m.ncores, m.l1, m.l2, m.mem, regions,
+            l2_groups=m.l2_groups(), single_issuer=single_issuer,
+        ))
+        return built[-1]
+
+    monkeypatch.setattr(MachineConfig, "memory_system", memory_system)
+    plat = make()
+    bench = get_benchmark(name)
+    size = problem_sizes(name, plat.target)["small"]
+    result = plat.execute(bench.build(size, unroll=4), nkernels)
+    bench.verify(result.env, size)
+    (harness,) = built
+    harness.check()

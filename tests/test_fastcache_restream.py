@@ -1,23 +1,20 @@
-"""The O(1) re-stream route of the fast memory model, pinned to ``_sweep``.
+"""The O(1) re-stream route of the fast memory model, against the reference.
 
 ``FastMemorySystem._resweep`` prices a core's repeat sweep of the same
-dense range from two pending-ramp descriptors; here the shipped model runs
-beside a reference that sends every multi-line sweep through the array
-route, and the two must agree — cycles, stats, clocks, holes, directory
-and *settled* residency arrays — after every op.  The streams are biased
-to the shapes that decide the route; the named ones each hold one
-settle/eligibility rule (drop the rule and that stream fails).
-"""
+dense range from two pending-ramp descriptors; here the harness of
+``test_fastcache_differential.py`` holds it to the reference — cycles,
+stats, clocks, holes, directory and *settled* residency — after every op.
+The streams are biased to the shapes that decide the route; the named
+ones each hold one settle/eligibility rule (drop the rule and that stream
+fails)."""
 
-from collections import Counter
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.accesses import AccessSummary, RegionSpace
-from repro.sim.fastcache import FastMemorySystem, _ramp_below
-from tests.test_fastcache import L1_TINY, L2_TINY, MEM, _assert_same_state
+from repro.sim.fastcache import _ramp_below
+from tests.test_fastcache import L1_TINY, L2_TINY, MEM
+from tests.test_fastcache_differential import Harness, machine
 
 # L1_TINY holds 4 lines and L2_TINY 16, so the pooled ranges of R (48
 # lines) fit the L1, fit the L2 only, or overflow both; S is the side
@@ -26,45 +23,12 @@ R_LINES, S_LINES = 48, 24
 POOL = [(0, 40), (0, 12), (4, 10), (0, 3), (10, 20), (30, 18)]
 
 
-class _Counted(FastMemorySystem):
-    """The shipped model, counting which route each multi-line sweep took."""
-
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self.routes = Counter()
-
-    def _sweep(self, core, region, sel, n, is_write, dense=True):
-        self.routes["array", region, core] += 1
-        return super()._sweep(core, region, sel, n, is_write, dense)
-
-    def _resweep(self, *args):
-        self.routes["ramp"] += 1
-        return super()._resweep(*args)
-
-
-class _ArrayOnly(FastMemorySystem):
-    """The reference: no pending ramp is ever created or used."""
-
-    def _sweep_range(self, core, region, lines, is_write, dense):
-        if isinstance(lines, range):
-            sel = slice(lines.start, lines.stop)
-        else:
-            sel = np.asarray(lines, dtype=np.int64)
-        return self._sweep(core, region, sel, len(lines), is_write, dense)
-
-
-def _pair(ncores=4, shared_l2=True, single_issuer=False, extra_words=0):
+def _harness(ncores=4, shared_l2=True, single_issuer=False, extra_words=0):
     space = RegionSpace()
     space.region("R", R_LINES * 64)
     space.region("S", S_LINES * 64)
-    kw = dict(
-        l2_groups=[c // 2 for c in range(ncores)] if shared_l2 else None,
-        single_issuer=single_issuer,
-        directory_words=-(-ncores // 64) + extra_words if extra_words else None,
-    )
-    shipped = _Counted(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
-    reference = _ArrayOnly(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
-    return space, shipped, reference
+    kw = machine(ncores, shared_l2, single_issuer, extra_words)
+    return Harness(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
 
 
 def _op(space, step):
@@ -81,11 +45,9 @@ def _op(space, step):
     return core, s
 
 
-def _run(space, shipped, reference, steps):
+def _run(harness, steps):
     for step in steps:
-        core, s = _op(space, step)
-        assert shipped.run_summary(core, s) == reference.run_summary(core, s), step
-        _assert_same_state(shipped, reference, regions=("R", "S"))
+        harness.run_summary(*_op(harness.space, step))
 
 
 def test_ramp_below_is_the_prefix_count():
@@ -164,11 +126,9 @@ def test_restream_rules(stream, system):
     single_issuer = system == "single"
     if single_issuer:
         steps = [(kind, 0, *rest) for kind, _core, *rest in steps]
-    space, shipped, reference = _pair(
-        single_issuer=single_issuer, extra_words=system == "multi-2-word"
-    )
-    _run(space, shipped, reference, steps)
-    assert shipped.routes["ramp"], "the stream never took the ramp route"
+    harness = _harness(single_issuer=single_issuer, extra_words=system == "multi-2-word")
+    _run(harness, steps)
+    assert harness.shipped.routes["ramp"], "the stream never took the ramp route"
 
 
 @pytest.mark.parametrize("single_issuer", [False, True], ids=["multi", "single"])
@@ -182,18 +142,20 @@ def test_mmult_shaped_stream_takes_the_array_route_twice(single_issuer):
     a = space.region("A", 1024 * 128)
     b = space.region("B", R_LINES * 64)
     c = space.region("C", 1024 * 128)
-    kw = dict(l2_groups=[0, 0, 1][:ncores], single_issuer=single_issuer)
-    shipped = _Counted(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
-    reference = _ArrayOnly(ncores, L1_TINY, L2_TINY, MEM, space, **kw)
+    harness = Harness(
+        ncores, L1_TINY, L2_TINY, MEM, space,
+        l2_groups=[0, 0, 1][:ncores], single_issuer=single_issuer,
+    )
     for row in range(1024):
-        core = row % ncores
         s = AccessSummary()
         s.read(a, offset=row * 128, count=16).read(b).write(c, offset=row * 128, count=16)
-        assert shipped.run_summary(core, s) == reference.run_summary(core, s)
-    _assert_same_state(shipped, reference, regions=("A", "B", "C"))
+        for op in s:
+            harness.run_op(row % ncores, op)
+    harness.check()
+    routes = harness.shipped.routes
     for core in range(ncores):
-        assert shipped.routes["array", "B", core] <= 2
-    assert shipped.routes["ramp"] >= 1024 - 2 * ncores
+        assert routes["sweep", "B", core] <= 2
+    assert routes["ramp"] >= 1024 - 2 * ncores
 
 
 _STEP = st.one_of(
@@ -223,13 +185,14 @@ _STEP = st.one_of(
 def test_resweep_state_identical_to_sweep(
     ncores, extra_words, shared_l2, single_issuer, alphabet, word
 ):
-    """Random streams over a few repeating ops: the ramp route and the
-    array route leave equal cycles and equal settled state after every op."""
-    space, shipped, reference = _pair(ncores, shared_l2, single_issuer, extra_words)
+    """Random streams over a few repeating ops: the ramp route, the array
+    route and the reference leave equal cycles and equal settled state
+    after every op."""
+    harness = _harness(ncores, shared_l2, single_issuer, extra_words)
     cores = sorted({0, 1 % ncores, ncores // 2, ncores - 1})
     steps = []
     for letter in word:
         kind, ci, *rest = alphabet[letter % len(alphabet)]
         core = cores[0] if single_issuer else cores[ci % len(cores)]
         steps.append((kind, core, *rest))
-    _run(space, shipped, reference, steps)
+    _run(harness, steps)

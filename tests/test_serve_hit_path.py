@@ -197,7 +197,7 @@ def test_raw_session_lines_are_canonical_and_unchanged(spawn):
     for line in lines:
         assert line == encode(json.loads(line))
     assert session_digest(lines) == (
-        "892dfcfa28a4f9633042aadcd0e2785a049a33599d016699649042659baac8a9"
+        "5b91c4d9be2fd5e156cc15a4fd0c83c4f4fdbbf3720f0cd5cf1b8c49e34b0626"
     )
 
 

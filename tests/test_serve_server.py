@@ -352,16 +352,39 @@ def test_stop_with_a_connected_client_is_clean(spawn, caplog, monkeypatch):
     assert not unraisable
 
 
-def test_vanished_client_costs_only_what_was_in_flight(spawn, tmp_path):
+#: A file that, once it exists, lets :func:`_run_after_gate` run its job.
+_GATE = None
+
+
+def _until(condition, what):
+    deadline = time.monotonic() + 60
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+def _run_after_gate(spec):
+    """``run_job`` once :data:`_GATE` exists.  Module-level, so the forked
+    worker resolves it (and sees the path set before the fork)."""
+    _until(lambda: os.path.exists(_GATE), "the gate never opened")
+    return run_job(spec)
+
+
+def test_vanished_client_costs_only_what_was_in_flight(spawn, monkeypatch, tmp_path):
     """A client that disconnects after ``accepted``: its queued jobs are
     dropped at dispatch (``serve.client_aborts``), not simulated and
     encoded for nobody; nothing of them is cached, and the next tenant is
-    served as if it had never been there."""
+    served as if it had never been there.  No flight settles before the
+    server has read the client's end of stream: the jobs wait on a gate
+    the test opens only once that connection is gone."""
     jobs = [
         job_to_wire("trapez", nkernels=2, unroll=1, max_threads=64 + i)
         for i in range(12)
     ]
-    cache = ResultCache(tmp_path)
+    gate = tmp_path / "gate"
+    monkeypatch.setattr(sys.modules[__name__], "_GATE", str(gate))
+    monkeypatch.setattr("repro.serve.server.run_job", _run_after_gate)
+    cache = ResultCache(tmp_path / "cache")
     handle = spawn(cache=cache)  # one worker: at most two flights at once
     with socket.create_connection(handle.address) as sock, sock.makefile("rwb") as stream:
         sock.settimeout(60)
@@ -370,14 +393,17 @@ def test_vanished_client_costs_only_what_was_in_flight(spawn, tmp_path):
         stream.flush()
         while json.loads(stream.readline())["type"] != "accepted":
             pass
+    # The handler forgets its connection after marking it closed.
+    _until(lambda: not handle.server._clients, "the server never read the end of stream")
+    gate.touch()
     with ServeClient(handle.address, tenant="survivor") as client:
-        deadline = time.monotonic() + 60
-        while True:
-            stats = client.stats()
-            if stats["queue_depth"] == 0 and stats["lru"]["inflight"] == 0:
-                break
-            assert time.monotonic() < deadline, "scheduler did not drain"
-            time.sleep(0.02)
+        stats = {}
+
+        def drained():
+            stats.update(client.stats())
+            return stats["queue_depth"] == 0 and stats["lru"]["inflight"] == 0
+
+        _until(drained, "scheduler did not drain")
         ran = stats["executed"]
         assert ran <= 2  # the in-flight bound, not 12
         assert stats["counters"]["serve.client_aborts"] == len(jobs) - ran
