@@ -130,7 +130,7 @@ class CellTSUAdapter(ProtocolAdapter):
 
     def _kick(self) -> None:
         if self._ppe_wake is not None and not self._ppe_wake.triggered:
-            self._ppe_wake.succeed()
+            self._ppe_wake.succeed(None)
 
     def _retry_parked(self) -> None:
         """Answer parked next-thread requests that can now be satisfied."""

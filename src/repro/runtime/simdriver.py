@@ -129,7 +129,7 @@ class SimulatedRuntime:
         for k in targets:
             ev = self._wait_events.pop(k)
             if not ev.triggered:
-                ev.succeed()
+                ev.succeed(None)
 
     # -- KernelBackend: time, charging, spans ---------------------------------
     def now(self, kernel: int) -> float:

@@ -10,7 +10,10 @@ Processes are plain Python generators.  A process may ``yield``:
 
 * an ``int`` — advance this process by that many cycles;
 * an :class:`Event` — suspend until the event is triggered (the ``yield``
-  expression evaluates to the event's value).
+  expression evaluates to the event's value);
+* a :class:`Resource` — queue for one of its slots, after
+  :meth:`Resource.take` found none free; the process resumes holding the
+  slot (the ``yield`` evaluates to ``None``).
 
 An event has at most one waiter, which must arrive before the event
 triggers.  Yielding anything else, a second waiter and a late one each
@@ -19,9 +22,12 @@ raise :class:`SimulationError` out of :meth:`Engine.run`.
 Models say "hold this resource for N cycles" (``yield from
 resource.hold(n)``), and a hold has one protocol: a slot granted on the
 spot is not an event, so an uncontended hold is the caller's one
-timeout and only a request that has to queue waits on a grant event.
-There is no second mode: every model, the MMI included
-(:mod:`repro.sim.mmi`), runs its protocol step by step.
+timeout, and a request that has to queue parks its process on the
+resource, whose ``release()`` pushes the process's resume at the
+release's cycle: one callback, and no grant event is built.  There is
+no second mode: every model, the MMI included (:mod:`repro.sim.mmi`,
+which runs its slots in one frame through the same :meth:`Resource.take`
+rule), runs its protocol step by step.
 
 Example
 -------
@@ -82,8 +88,9 @@ class Event:
         self._waiter: Optional[Callable[["Event"], None]] = None
 
     # -- triggering ------------------------------------------------------
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event, delivering *value* to all waiters."""
+    def succeed(self, value: Any) -> "Event":
+        """Trigger the event, delivering *value* (``None`` for a bare
+        wake-up) to its waiter."""
         if self.triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
@@ -167,8 +174,11 @@ class Process:
         self.done.succeed(value)
 
     def _dispatch(self, target: Any) -> None:
-        """Suspend on a yielded target that is not a delay (an event)."""
-        if isinstance(target, Event):
+        """Suspend on a yielded target that is not a delay: an event, or
+        a resource's queue (its ``release()`` resumes the process)."""
+        if isinstance(target, Resource):
+            target._queue.append(self._callback)
+        elif isinstance(target, Event):
             target.add_callback(self._callback)
         else:
             raise SimulationError(
@@ -188,11 +198,12 @@ class Resource:
     """FIFO capacity resource (bus arbiter, TSU port, emulator core...).
 
     Models occupy a slot with ``yield from resource.hold(cycles)``: a
-    free slot taken on the spot, or :meth:`acquire`'s grant
-    :class:`Event` if the request has to queue, then the hold's cycles,
-    then the holder's own ``release()``.  Grant order is strictly FIFO,
-    which models the paper's bus arbiter behaviour and keeps simulations
-    deterministic.
+    free slot taken on the spot (:meth:`take`), or else a wait in the
+    queue, then the hold's cycles, then the holder's own ``release()``.
+    A queued request is its process's bound resume, and ``release()``
+    pushes the longest waiter's at the current cycle.  Grant order is
+    strictly FIFO, which models the paper's bus arbiter behaviour and
+    keeps simulations deterministic.
     """
 
     __slots__ = ("engine", "capacity", "_in_use", "_queue", "name")
@@ -207,23 +218,29 @@ class Resource:
         # deque: grants pop from the head on every release, and the bus
         # arbiter queue grows to O(kernels) under contention — list.pop(0)
         # made release O(n) on exactly the hottest simulations.
-        self._queue: deque[Event] = deque()
+        self._queue: deque[Callable[[Any], None]] = deque()
 
-    def acquire(self) -> Generator[Event, Any, None]:
+    def take(self) -> bool:
+        """The take-or-queue rule: take a free slot on the spot (True), or
+        return False, and the caller then queues by yielding this resource.
+
+        A free slot never jumps the queue: with waiters queued, the
+        caller queues behind them.  A slot taken on the spot is not an
+        event: the caller goes on in the same callback.
+        """
+        if self._queue or self._in_use >= self.capacity:
+            return False
+        self._in_use += 1
+        return True
+
+    def acquire(self) -> Generator["Resource", Any, None]:
         """Take a slot, suspending only if the request has to queue.
 
         Process fragment (``yield from resource.acquire()``), paired with
-        one :meth:`release`.  A slot granted on the spot is not an event:
-        the caller goes on in the same callback, with no zero-delay hop.
-        A free slot never jumps the queue: with waiters queued, the
-        caller queues behind them.
+        one :meth:`release`: :meth:`take`, or a wait in the queue.
         """
-        if self._queue or self._in_use >= self.capacity:
-            grant = Event(self.engine, name=f"grant:{self.name}")
-            self._queue.append(grant)
-            yield grant
-        else:
-            self._in_use += 1
+        if not self.take():
+            yield self
 
     def hold(self, cycles: float) -> Generator[Any, Any, float]:
         """Occupy one slot for *cycles*; returns the cycles spent queued.
@@ -237,14 +254,13 @@ class Resource:
             raise SimulationError(
                 f"negative hold {cycles!r} on resource {self.name!r}"
             )
-        if self._queue or self._in_use >= self.capacity:
+        if self.take():
+            queued = 0.0
+        else:
             engine = self.engine
             queued_at = engine.now
             yield from self.acquire()
             queued = engine.now - queued_at
-        else:
-            self._in_use += 1
-            queued = 0.0
         try:
             yield cycles
         finally:
@@ -252,12 +268,16 @@ class Resource:
         return queued
 
     def release(self) -> None:
-        """Free a slot, granting it to the longest-waiting requester."""
+        """Free a slot, granting it to the longest-waiting requester: its
+        resume is pushed at the current cycle, behind what is already due."""
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._queue:
-            ev = self._queue.popleft()
-            ev.succeed(self)
+            engine = self.engine
+            engine._seq = seq = engine._seq + 1
+            heapq.heappush(
+                engine._heap, (engine.now, seq, self._queue.popleft(), _SEND_NONE)
+            )
         else:
             self._in_use -= 1
 
@@ -307,7 +327,7 @@ class Engine:
             nonlocal left
             left -= 1
             if left == 0:
-                combined.succeed()
+                combined.succeed(None)
 
         for ev in events:
             ev.add_callback(cb)
@@ -342,11 +362,12 @@ class Engine:
         After a run in which every process returned there is nothing to
         clear.  After one that raised or stalled, processes are still
         suspended, on the heap (which holds them while each holds this
-        engine) or on events that will never fire (whose owners the
-        waiting generators hold).  Either is a cycle that keeps the
-        whole simulation alive until the cycle collector runs.  Closing
-        a generator runs its ``finally`` (a :meth:`Resource.hold`
-        releasing its slot may schedule a grant), so the heap goes last.
+        engine) or on events and resource queues that will never fire
+        (whose owners the waiting generators hold).  Either is a cycle
+        that keeps the whole simulation alive until the cycle collector
+        runs.  Closing a generator runs its ``finally`` (a
+        :meth:`Resource.hold` releasing its slot may push a waiter's
+        resume), so the heap goes last.
         """
         live = self._live
         while live:

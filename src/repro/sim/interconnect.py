@@ -13,8 +13,6 @@ transaction of :data:`CYCLES_PER_TRANSACTION` cycles.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.sim.engine import Engine, Resource
 
 __all__ = ["SystemBus"]
@@ -28,21 +26,26 @@ class SystemBus:
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._arbiter = Resource(engine, capacity=1, name="system-bus")
+        #: The bus's one slot; a transaction holds it for
+        #: :data:`CYCLES_PER_TRANSACTION` cycles.
+        self.arbiter = Resource(engine, capacity=1, name="system-bus")
         self.transactions = 0
         self.busy_cycles = 0
 
-    def transfer(self) -> Generator:
-        """DES process fragment: occupy the bus for one transaction.
+    def take(self) -> bool:
+        """Issue one transaction: count it and take the arbiter's slot.
 
-        Usage inside a process generator::
+        The one way to use the bus, inside a process generator::
 
-            yield from bus.transfer()
+            if not bus.take():
+                yield bus.arbiter  # queue for the slot
+            yield CYCLES_PER_TRANSACTION
+            bus.arbiter.release()
 
-        The caller resumes once the transaction (arbitration + occupancy)
-        has completed.  It is counted when issued, and the arbiter's hold
-        is handed back as the fragment itself: one frame, not two.
+        A transaction is counted when issued.  Returns
+        :meth:`Resource.take`'s verdict: False when the caller has to
+        queue, by yielding :attr:`arbiter`.
         """
         self.transactions += 1
         self.busy_cycles += CYCLES_PER_TRANSACTION
-        return self._arbiter.hold(CYCLES_PER_TRANSACTION)
+        return self.arbiter.take()

@@ -19,7 +19,11 @@ Both are DES process fragments (``yield from``), so queueing at the bus
 and at the single TSU command port is modelled faithfully.  There is one
 protocol, run step by step: bus transaction, port grant, processing
 time, the functional *action*, port release, and for a query the reply
-transaction.
+transaction.  The steps run in one generator frame: each slot is taken
+by the engine's one take-or-queue rule (:meth:`Resource.take`, through
+:meth:`SystemBus.take` for the bus), and a request that has to queue
+yields the :class:`~repro.sim.engine.Resource` itself, so every step is
+the same event at the same heap place as a nested ``hold``/``acquire``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.sim.engine import Engine, Resource
-from repro.sim.interconnect import SystemBus
+from repro.sim.interconnect import CYCLES_PER_TRANSACTION, SystemBus
 
 __all__ = ["MemoryMappedInterface"]
 
@@ -62,19 +66,33 @@ class MemoryMappedInterface:
         """One TSU access: bus slot, then the command port for the TSU
         processing time with *action* at its end; a query's *reply*
         travels back over the network as an arbiter-granted write."""
-        yield from self.bus.transfer()
-        yield from self._port.acquire()
+        bus = self.bus
+        arbiter = bus.arbiter
+        if not bus.take():
+            yield arbiter
+        try:
+            yield CYCLES_PER_TRANSACTION
+        finally:
+            arbiter.release()
+        port = self._port
+        if not port.take():
+            yield port
         try:
             yield self.access_cycles
             # The action runs before the port is released, so whatever it
             # wakes is scheduled ahead of the next waiter's port grant.
             result = action()
         finally:
-            self._port.release()
+            port.release()
         if reply:
             # The bus may have been re-taken mid-flight, so the reply
             # leg arbitrates on its own.
-            yield from self.bus.transfer()
+            if not bus.take():
+                yield arbiter
+            try:
+                yield CYCLES_PER_TRANSACTION
+            finally:
+                arbiter.release()
             self.queries += 1
         else:
             self.commands += 1

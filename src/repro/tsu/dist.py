@@ -242,7 +242,7 @@ class DistTSUAdapter(SoftwareTSUAdapter):
                     self.wake_kernels(set(self._node_kernels[t]))
                     self.net.transmit(
                         Message(MsgKind.ACK, src=t, dst=node),
-                        on_deliver=lambda m, ack=ack: ack.succeed(),
+                        on_deliver=lambda m, ack=ack: ack.succeed(None),
                     )
 
                 self.net.transmit(

@@ -44,6 +44,10 @@ from repro.tsu.group import TSUGroup
 __all__ = ["HardwareTSUAdapter"]
 
 
+def _no_action() -> None:
+    """A posted store's action: the TSU state is changed by the caller."""
+
+
 class HardwareTSUAdapter(ProtocolAdapter):
     """Timed wrapper of the TSU Group behind the MMI."""
 
@@ -89,7 +93,7 @@ class HardwareTSUAdapter(ProtocolAdapter):
         independent of the TSU's command processing time (unlike
         queries/completions)."""
         mmi = self._mmi(kernel)
-        yield from mmi.command(lambda: None)
+        yield from mmi.command(_no_action)
         yield (mmi.l1_access_cycles + 2) * max(entries - 1, 0)
 
     def fetch(self, kernel: int) -> Generator:

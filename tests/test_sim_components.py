@@ -18,7 +18,10 @@ def test_bus_serialises_transactions():
     done = []
 
     def user(tag):
-        yield from bus.transfer()
+        if not bus.take():
+            yield bus.arbiter
+        yield CYCLES_PER_TRANSACTION
+        bus.arbiter.release()
         done.append((eng.now, tag))
 
     eng.process(user("a"))
@@ -132,6 +135,81 @@ def test_mmi_commands_match_fifo_oracle(arrivals, tsu_cycles):
     eng.run()
     assert acted == _mmi_command_oracle(arrivals, CYCLES_PER_TRANSACTION, 2 + tsu_cycles)
     assert mmi.commands == len(arrivals)
+
+
+def _mmi_replay(ops, bus_cycles, access_cycles):
+    """(action cycle, done cycle) of each op ``(arrival, is_query)``,
+    replayed cycle by cycle from the device's rules alone: one bus and one
+    TSU port, each a single FIFO server.  An op takes the bus, then the
+    port (its action runs as the port frees); a query then asks for the
+    bus again and is done when that reply transaction ends.  At one
+    cycle, requests reach the bus in this order: arrivals (in issue
+    order), then the reply leg of the op whose port slot ends there.  A
+    server freed at a cycle serves its queue's head at that cycle."""
+    arriving = {}
+    for i, (at, _query) in enumerate(ops):
+        arriving.setdefault(at, []).append(i)
+    acted, done = [None] * len(ops), [None] * len(ops)
+    bus_queue, port_queue = [], []
+    bus_ends = {}  # cycle -> (op, "out" | "reply")
+    port_ends = {}  # cycle -> op
+    bus_free = port_free = 0
+    t = 0
+    while None in done:
+        if t in bus_ends:
+            i, leg = bus_ends.pop(t)
+            if leg == "out":
+                port_queue.append(i)
+            else:
+                done[i] = t
+        bus_queue += [(i, "out") for i in arriving.get(t, ())]
+        if t in port_ends:
+            i = port_ends.pop(t)
+            acted[i] = t
+            if ops[i][1]:
+                bus_queue.append((i, "reply"))
+            else:
+                done[i] = t
+        if bus_queue and bus_free <= t:
+            bus_ends[t + bus_cycles] = bus_queue.pop(0)
+            bus_free = t + bus_cycles
+        if port_queue and port_free <= t:
+            port_ends[t + access_cycles] = port_queue.pop(0)
+            port_free = t + access_cycles
+        t += 1
+    return acted, done
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(st.tuples(st.integers(min_value=0, max_value=12), st.booleans()),
+                 min_size=1, max_size=27),
+    tsu_cycles=st.integers(min_value=0, max_value=8),
+)
+def test_mmi_mixed_ops_match_replay(ops, tsu_cycles):
+    """Queries and commands from 1-27 users, many arriving at the same
+    cycle: every action and every return lands where the replay says,
+    with each query's reply leg queueing for the bus behind the
+    arrivals."""
+    eng = Engine()
+    bus = SystemBus(eng)
+    mmi = MemoryMappedInterface(eng, bus, tsu_processing_cycles=tsu_cycles, l1_access_cycles=2)
+    acted, done = [None] * len(ops), [None] * len(ops)
+
+    def user(i, at, query):
+        yield at
+        op = mmi.query if query else mmi.command
+        value = yield from op(lambda: acted.__setitem__(i, eng.now) or i)
+        assert value == i
+        done[i] = eng.now
+
+    for i, (at, query) in enumerate(ops):
+        eng.process(user(i, at, query))
+    eng.run()
+    assert (acted, done) == _mmi_replay(ops, CYCLES_PER_TRANSACTION, 2 + tsu_cycles)
+    nqueries = sum(query for _at, query in ops)
+    assert (mmi.queries, mmi.commands) == (nqueries, len(ops) - nqueries)
+    assert bus.transactions == len(ops) + nqueries
 
 
 # -- machine configs -------------------------------------------------------------

@@ -200,7 +200,7 @@ def test_resource_try_acquire_respects_queue_fifo():
         yield from res.acquire()
         yield 5
         res.release()
-        # The slot went to the queued waiter, whose grant event has not
+        # The slot went to the queued waiter, whose grant has not
         # run yet; asking again must not take it.
         yield from res.acquire()
         order.append(("holder", eng.now))
@@ -277,6 +277,65 @@ def test_uncontended_hold_is_one_event():
     rows, events = _hold_schedule(1, [(3, 5)])
     assert rows == [(3, 8, 0)]
     assert events == 3
+
+
+def test_same_cycle_grant_takes_its_heap_place():
+    """A release at cycle T hands the slot to its queued waiter W through
+    one callback pushed at T, behind everything already due at T: X's
+    timer runs first, and so does Y, which pushes a timer for T + c (c
+    W's hold) before W is resumed, so at T + c Y runs before W's release.
+    X's ``yield 0`` at T is pushed after the grant and runs after W; the
+    holder asking again at T queues behind W (FIFO)."""
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    c = 3
+    timeline = []
+
+    def log(tag):
+        timeline.append((eng.now, tag))
+
+    def holder():  # releases at T = 5
+        yield from res.hold(5)
+        log("H released")
+        queued = yield from res.hold(1)
+        log(f"H again, queued {queued}")
+
+    def waiter():
+        yield 1
+        yield from res.acquire()
+        log("W granted")
+        yield c
+        res.release()
+        log("W released")
+
+    def early():  # a timer already due at T
+        yield 5
+        log("X due")
+        yield 0
+        log("X after grant")
+
+    def stacker():  # resumed at T before W, pushes T + c
+        yield 5
+        log("Y pushes")
+        yield c
+        log("Y due")
+
+    for gen in (holder(), waiter(), early(), stacker()):
+        eng.process(gen)
+    eng.run()
+    assert timeline == [
+        (5, "H released"),
+        (5, "X due"),
+        (5, "Y pushes"),
+        (5, "W granted"),
+        (5, "X after grant"),
+        (8, "Y due"),
+        (8, "W released"),
+        (9, "H again, queued 3.0"),
+    ]
+    # Four starts, eight timers and the two grants: a grant is one
+    # callback, whatever carries it.
+    assert eng.events_executed == 14
 
 
 @pytest.mark.parametrize("busy", [False, True])
@@ -370,7 +429,7 @@ def test_finished_process_holds_no_callback():
     proc = eng.process(waiter())
     eng.run()  # drains with the process waiting on ev
     assert proc.is_alive and proc._callback is not None
-    ev.succeed()
+    ev.succeed(None)
     eng.run()
     assert not proc.is_alive and proc._callback is None
 
