@@ -26,6 +26,9 @@ __all__ = ["Trapez", "f"]
 BASE_INTERVALS = 64
 
 A, B = 0.0, 1.0
+# The chunk body computes the grid point ``A + h * i`` as ``h * i``: with
+# ``A == 0.0`` and ``h * i >= +0.0`` adding A is exact, so it is skipped.
+assert A == 0.0, "the TRAPEZ chunk body leaves A out of its grid points"
 
 
 def f(x: np.ndarray) -> np.ndarray:
@@ -68,10 +71,11 @@ class Trapez:
         def chunk_body(env, i):
             lo, hi = chunk_bounds(n, nthreads, i)
             x = np.arange(lo, hi + 1, dtype=np.float64)
-            x *= h
-            x += A
+            x *= h  # the grid points A + h * i, A == 0.0 (see above)
             y = f(x)
-            env.array("parts")[i] = h * (y.sum() - 0.5 * (y[0] + y[-1]))
+            env.array("parts")[i] = h * (
+                np.add.reduce(y) - 0.5 * (y[0].item() + y[-1].item())
+            )
 
         def chunk_cost(env, i):
             lo, hi = chunk_bounds(n, nthreads, i)

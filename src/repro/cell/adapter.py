@@ -130,12 +130,10 @@ class CellTSUAdapter(ProtocolAdapter):
 
     def _kick(self) -> None:
         if self._ppe_wake is not None and not self._ppe_wake.triggered:
-            self._ppe_wake.succeed(None)
+            self._ppe_wake.succeed()
 
     def _retry_parked(self) -> None:
         """Answer parked next-thread requests that can now be satisfied."""
-        if not self._parked_fetch:
-            return
         for k in sorted(self._parked_fetch):
             if not self.tsu.has_work(k):
                 continue
@@ -159,29 +157,28 @@ class CellTSUAdapter(ProtocolAdapter):
                 yield costs.ppe_poll_cycles
                 self.ppe_busy_cycles += costs.ppe_poll_cycles
                 self.ppe_polls += 1
-                for cmd in self.command_buffers[k].drain():
+                for opcode, kernel, arg, outcome in self.command_buffers[k].drain():
                     progressed = True
-                    if cmd.opcode == "complete":
-                        nconsumers = self.tsu.fanout(cmd.arg)
+                    if opcode == "complete":
+                        nconsumers = self.tsu.fanout(arg)
                         busy = costs.ppe_per_command + costs.ppe_per_update * nconsumers
                         yield busy
                         self.ppe_busy_cycles += busy
                         self.ppe_commands += 1
-                        self._apply_thread_completion(
-                            cmd.kernel, cmd.arg, cmd.outcome
-                        )
-                    elif cmd.opcode == "fetch":
+                        self._apply_thread_completion(kernel, arg, outcome)
+                    elif opcode == "fetch":
                         yield costs.ppe_per_command
                         self.ppe_busy_cycles += costs.ppe_per_command
                         self.ppe_commands += 1
-                        f = self.tsu.fetch(cmd.kernel)
+                        f = self.tsu.fetch(kernel)
                         if f.kind == FetchKind.WAIT:
-                            self._parked_fetch.add(cmd.kernel)
+                            self._parked_fetch.add(kernel)
                         else:
-                            self.mailboxes[cmd.kernel].send(f)
+                            self.mailboxes[kernel].send(f)
                     else:
-                        raise ValueError(f"unknown command {cmd.opcode!r}")
-                    self._retry_parked()
+                        raise ValueError(f"unknown command {opcode!r}")
+                    if self._parked_fetch:
+                        self._retry_parked()
             if not progressed:
                 # A command may have landed in an already-scanned buffer
                 # during this sweep; re-check before sleeping (the kick
@@ -200,16 +197,17 @@ class CellTSUAdapter(ProtocolAdapter):
                 self._ppe_wake = None
 
     # -- SPE-side protocol ------------------------------------------------------------
-    def _write_command(self, cmd: Command) -> Generator:
-        """SPE writes a command word; backs off while the buffer is full."""
-        cb = self.command_buffers[cmd.kernel]
+    def _write_command(self, kernel: int, cmd: Command) -> Generator:
+        """SPE *kernel* writes a command word; backs off while its buffer
+        is full."""
+        cb = self.command_buffers[kernel]
         yield self.costs.command_write_cycles
         while not cb.try_write(cmd):
             yield self.costs.command_retry_cycles
         self._kick()
 
     def fetch(self, kernel: int) -> Generator:
-        yield from self._write_command(Command("fetch", kernel))
+        yield from self._write_command(kernel, ("fetch", kernel, None, None))
         reply = yield from self.mailboxes[kernel].receive()
         return reply
 
@@ -237,9 +235,8 @@ class CellTSUAdapter(ProtocolAdapter):
         instance: DThreadInstance,
         outcome: object,
     ) -> Generator:
-        yield from self._write_command(
-            Command("complete", kernel, local_iid, outcome=outcome)
-        )
+        # Only delegates: the write's own generator, one frame fewer.
+        return self._write_command(kernel, ("complete", kernel, local_iid, outcome))
 
     def complete_outlet(self, kernel: int, block: DDMBlock) -> Generator:
         yield self.costs.outlet_cycles
@@ -251,11 +248,8 @@ class CellTSUAdapter(ProtocolAdapter):
     def thread_memory_cycles(
         self, kernel: int, instance: DThreadInstance, summary: AccessSummary
     ) -> Optional[int]:
-        dma = self.dma[kernel]
-        ws = dma.working_set_bytes(summary)
-        self.local_stores[kernel].require(ws, what=f"DThread {instance.name}")
-        imports = dma.import_cycles(summary)
-        exports = dma.export_cycles(summary)
-        self.shared_buffer.record_import(summary.bytes_read)
-        self.shared_buffer.record_export(summary.bytes_written)
+        ws, imports, exports, nread, nwritten = self.dma[kernel].price(summary)
+        self.local_stores[kernel].require(ws, what=instance)
+        self.shared_buffer.record_import(nread)
+        self.shared_buffer.record_export(nwritten)
         return imports + exports

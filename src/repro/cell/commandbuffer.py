@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["CommandBuffer", "SharedVariableBuffer", "Command"]
 
@@ -20,17 +20,26 @@ __all__ = ["CommandBuffer", "SharedVariableBuffer", "Command"]
 COMMAND_BYTES = 16
 
 
-@dataclass(frozen=True)
-class Command:
-    """One encoded kernel→TSU command."""
+class Command(NamedTuple):
+    """One encoded kernel→TSU command word.
 
-    opcode: str  # "complete" | "fetch" | "exit_ack"
+    A tuple in this layout: the SPE side writes two per DThread (a
+    fetch, a completion) as plain tuple literals, and the PPE unpacks
+    them; no per-command object is built.
+    """
+
+    opcode: str  # "complete" | "fetch"
     kernel: int
     arg: Any = None
     #: Dynamic outcome riding a "complete" command: a branch key packed
     #: into the command word, or a reference to a spawned Subflow staged
     #: in the SharedVariableBuffer (its transfer is priced separately).
     outcome: Any = None
+
+
+#: What :meth:`CommandBuffer.drain` returns for an empty buffer, shared
+#: by every empty poll.
+_NO_COMMANDS: tuple[Command, ...] = ()
 
 
 class CommandBuffer:
@@ -54,10 +63,13 @@ class CommandBuffer:
         self.writes += 1
         return True
 
-    def drain(self) -> list[Command]:
-        out = list(self._cmds)
-        self._cmds.clear()
-        return out
+    def drain(self) -> "deque[Command] | tuple[Command, ...]":
+        """Take every pending command, oldest first."""
+        cmds = self._cmds
+        if not cmds:
+            return _NO_COMMANDS
+        self._cmds = deque()
+        return cmds
 
     def __len__(self) -> int:
         return len(self._cmds)

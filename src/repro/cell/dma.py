@@ -42,32 +42,37 @@ class DMAEngine:
         self.bytes_moved += nbytes
         return self.setup_cycles * ntransfers + lines * self.cycles_per_line
 
-    def import_cycles(self, summary: AccessSummary) -> int:
-        """DMA-in every range the DThread reads."""
-        return sum(
-            self.transfer_cycles(op.bytes_touched, streamed=not op.resident)
-            for op in summary
-            if not op.is_write
-        )
+    def price(self, summary: AccessSummary) -> tuple[int, int, int, int, int]:
+        """One DThread's DMA, in one pass over its summary.
 
-    def export_cycles(self, summary: AccessSummary) -> int:
-        """DMA-out every range the DThread writes."""
-        return sum(
-            self.transfer_cycles(op.bytes_touched, streamed=not op.resident)
-            for op in summary
-            if op.is_write
-        )
+        Returns ``(working_set, import_cycles, export_cycles, bytes_read,
+        bytes_written)``:
 
-    def working_set_bytes(self, summary: AccessSummary) -> int:
-        """Bytes simultaneously needed in the Local Store.
-
-        Resident ranges count in full (reads are held while outputs are
-        produced); streamed ranges need two tiles (double buffering).
+        * the working set is the bytes simultaneously needed in the Local
+          Store: resident ranges count in full (reads are held while
+          outputs are produced), streamed ranges two tiles (double
+          buffering);
+        * every range the DThread reads is DMA'd in, every range it
+          writes DMA'd out (:meth:`transfer_cycles`, tile by tile when
+          streamed);
+        * the byte totals are the bytes the DThread reads and writes,
+          each op's bytes times its repetitions: what the
+          SharedVariableBuffer accounts.
         """
-        total = 0
-        for op in summary:
+        working_set = imports = exports = nread = nwritten = 0
+        transfer = self.transfer_cycles
+        for op in summary.ops:
+            nbytes = op.bytes_touched
             if op.resident:
-                total += op.bytes_touched
+                working_set += nbytes
+                cycles = transfer(nbytes)
             else:
-                total += min(op.bytes_touched, 2 * STREAM_TILE_BYTES)
-        return total
+                working_set += min(nbytes, 2 * STREAM_TILE_BYTES)
+                cycles = transfer(nbytes, streamed=True)
+            if op.is_write:
+                exports += cycles
+                nwritten += nbytes * op.reps
+            else:
+                imports += cycles
+                nread += nbytes * op.reps
+        return working_set, imports, exports, nread, nwritten

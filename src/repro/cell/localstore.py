@@ -35,10 +35,17 @@ class LocalStore:
     def data_budget(self) -> int:
         return self.capacity - DEFAULT_RESERVED_BYTES
 
-    def require(self, nbytes: int, what: str = "DThread working set") -> None:
-        """Record a working-set demand; raise if it cannot fit."""
-        self.high_watermark = max(self.high_watermark, nbytes)
-        if nbytes > self.data_budget:
+    def require(self, nbytes: int, what: object = "DThread working set") -> None:
+        """Record a working-set demand; raise if it cannot fit.
+
+        *what* names the demand in the error: a label, or the DThread
+        instance whose working set it is (its name is read only then).
+        """
+        if nbytes > self.high_watermark:
+            self.high_watermark = nbytes
+        if nbytes > self.capacity - DEFAULT_RESERVED_BYTES:
+            if not isinstance(what, str):
+                what = f"DThread {what.name}"
             raise CellLocalStoreError(
                 f"{what} needs {nbytes} bytes but only {self.data_budget} of "
                 f"the {self.capacity}-byte Local Store are available "

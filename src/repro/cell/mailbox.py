@@ -43,7 +43,7 @@ class Mailbox:
             self._items.append(value)
             self.messages += 1
             if self._reader is not None and not self._reader.triggered:
-                self._reader.succeed(None)
+                self._reader.succeed()
                 self._reader = None
 
         self.engine._schedule(self.latency, deliver, None)

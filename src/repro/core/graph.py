@@ -160,6 +160,15 @@ class ConsumerRuns:
         self.producers[run] += 1
         self.fanouts[u] += len(self.runs[run])
 
+    def feed_all(self, us: range, run: int) -> None:
+        """Every node of *us* lists *run* once: :meth:`feed` in one loop,
+        for a barrier's shared run."""
+        out, fanouts, width = self.out, self.fanouts, len(self.runs[run])
+        for u in us:
+            out[u].append(run)
+            fanouts[u] += width
+        self.producers[run] += len(us)
+
     def runs_of(self, u: int) -> list[range]:
         """The members of every run *u* feeds, in arc order."""
         runs = self.runs
@@ -354,9 +363,9 @@ class SynchronizationGraph:
             if arc.mapping == "all" and key is None:
                 # A barrier: the consumer template is one run, shared by
                 # every producer instance.
-                shared = consumers.add_run(iids[cons.tid])
-                for src in iids[prod.tid]:
-                    consumers.feed(src, shared)
+                consumers.feed_all(
+                    iids[prod.tid], consumers.add_run(iids[cons.tid])
+                )
                 arc_runs.append(range(first_run, len(consumers.runs)))
                 continue
             cons_ctx_set = set(cons.contexts)

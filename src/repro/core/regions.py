@@ -13,8 +13,8 @@ same geometric primitives:
   neighbours sharing a line, and false conflicts inside one template are
   fatal (self-arcs are illegal).
 
-Both views of one sweep live here.  A sweep becomes its line-index
-vector (:func:`op_line_index`, exactly the representation the owner map
+Both views of one sweep live here.  A sweep's lines become a line-index
+vector (:func:`line_index`, exactly the representation the owner map
 always used) or half-open byte intervals (:func:`sweep_intervals`, for
 many sweeps at once).  A program's footprints are one columnar
 :class:`FootprintTable` — instance, region, side, ``lo``, ``hi`` — put in
@@ -39,7 +39,7 @@ import numpy as np
 from repro.sim.accesses import Region, _RangeOp
 
 __all__ = [
-    "op_line_index",
+    "line_index",
     "concat_ranges",
     "sweep_intervals",
     "merge_intervals",
@@ -60,16 +60,14 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 # -- line view (the owner map's granularity) -----------------------------------
-def op_line_index(
-    op: _RangeOp, line_size: int
-) -> Union[slice, np.ndarray]:
-    """Vector index selecting the lines one sweep touches.
+def line_index(lines: Union[range, List[int]]) -> Union[slice, np.ndarray]:
+    """Vector index selecting the lines of one sweep
+    (:meth:`~repro.sim.accesses._RangeOp.line_indices`).
 
     Dense sweeps (stride <= line size) become a ``slice``; strided sweeps
     an explicit ``np.intp`` index array — both index per-line state
     arrays (:class:`LineTable` rows) directly.
     """
-    lines = op.line_indices(line_size)
     if isinstance(lines, range):
         return slice(lines.start, lines.stop)
     return np.asarray(lines, dtype=np.intp)

@@ -12,8 +12,8 @@ Split of concerns (mirroring :mod:`repro.sim.interconnect`'s precedent —
 DES-level queueing for control traffic, analytic accounting for bulk
 data):
 
-* **control plane** — typed :class:`~repro.net.message.Message` records
-  (remote Ready-Count updates, block Inlet/Outlet broadcasts, the
+* **control plane** — typed messages (a :class:`~repro.net.message.MsgKind`:
+  remote Ready-Count updates, block Inlet/Outlet broadcasts, the
   termination barrier's TERMINATE/ACK pair) travel as DES processes
   through per-node NIC TX resources and per-directed-link resources,
   paying overhead, serialisation and propagation latency;
@@ -28,13 +28,12 @@ top of this; ``net.*`` counters surface all traffic through
 :mod:`repro.obs`.
 """
 
-from repro.net.message import Message, MsgKind, NetParams
+from repro.net.message import MsgKind, NetParams
 from repro.net.fabric import Network
 from repro.net.ownermap import RegionOwnerMap
 from repro.net.topology import FatTree, FullMesh, OversubscribedSpine, Topology
 
 __all__ = [
-    "Message",
     "MsgKind",
     "NetParams",
     "Network",

@@ -4,14 +4,19 @@ One :class:`Network` connects the N nodes of a TFluxDist machine with a
 full mesh of directed links.  The model follows the split established by
 :mod:`repro.sim.interconnect`:
 
-* **control messages** (:meth:`Network.transmit`) are DES processes.  A
-  message first occupies the sender's NIC TX port (fixed per-message
-  overhead plus serialisation at line rate), then the directed link for
-  its serialisation time, then propagates for the link latency.  Both the
-  NIC and each link are FIFO :class:`~repro.sim.engine.Resource`\\ s, so
-  bursts of remote Ready-Count updates queue and the contention shows up
-  in cycle counts — through the same ``Resource.hold`` the system bus
-  uses, so uncontended runs stay one timeout per occupancy.
+* **control messages** (:meth:`Network.transmit`) are DES processes, one
+  per message.  A message first occupies the sender's NIC TX port (fixed
+  per-message overhead plus serialisation at line rate), then the
+  directed link for its serialisation time, then propagates for the link
+  latency.  Both the NIC and each link are FIFO
+  :class:`~repro.sim.engine.Resource`\\ s, so bursts of remote
+  Ready-Count updates queue and the contention shows up in cycle counts.
+  A free slot is taken by the engine's one take-or-queue rule
+  (:meth:`~repro.sim.engine.Resource.take`) in the message's own frame,
+  as the MMI does, and only an occupancy that has to queue runs a
+  ``Resource.hold``: an uncontended occupancy is one timeout and no
+  generator.  A message is its kind, its two nodes and its payload
+  size, and on arrival it calls ``on_deliver(arg)``.
 * **bulk data** (:meth:`Network.pull`) is accounted analytically: the
   destination's RX ingest is a FIFO clock, not an event source.  A
   DThread that must pull operand lines from remote owners stalls for
@@ -35,11 +40,11 @@ NICs and shared links).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Mapping, Optional
+from typing import Any, Callable, Dict, Generator, Mapping, Optional
 
-from repro.net.message import Message, MsgKind, NetParams
+from repro.net.message import MsgKind, NetParams
 from repro.net.topology import FullMesh, LinkId, Topology
-from repro.sim.engine import Engine, Resource
+from repro.sim.engine import Engine, Process, Resource
 
 __all__ = ["Network"]
 
@@ -67,6 +72,11 @@ class Network:
         # Link resources are created lazily: a contiguous placement on a
         # chain-shaped graph only ever uses a few of the possible links.
         self._links: Dict[LinkId, Resource] = {}
+        #: ``_routes[src][dst]``: the link resources of the topology's
+        #: control path, resolved on the pair's first message.
+        self._routes: list[list[Optional[tuple[Resource, ...]]]] = [
+            [None] * nnodes for _ in range(nnodes)
+        ]
         #: Analytic FIFO clocks for the data plane's shared links (pod
         #: uplinks): the time each next becomes free.
         self._link_free: Dict[LinkId, float] = {}
@@ -87,63 +97,111 @@ class Network:
         self.link_queue_cycles = 0
 
     # -- control plane ----------------------------------------------------
-    def _link(self, key: LinkId) -> Resource:
-        link = self._links.get(key)
-        if link is None:
-            link = Resource(self.engine, capacity=1, name=f"link:{key}")
-            self._links[key] = link
-        return link
-
-    def _occupy(self, resource: Resource, hold: int) -> Generator:
-        """Hold *resource* for *hold* cycles, tallying the time queued."""
-        if hold > 0:
-            queued = yield from resource.hold(hold)
-            self.link_queue_cycles += int(queued)
+    def _route(self, src: int, dst: int) -> tuple[Resource, ...]:
+        """The link resources a control message from *src* to *dst*
+        occupies, in order (links are created on first use)."""
+        links = []
+        for key in self.topology.control_path(src, dst):
+            link = self._links.get(key)
+            if link is None:
+                link = Resource(self.engine, capacity=1, name=f"link:{key}")
+                self._links[key] = link
+            links.append(link)
+        route = self._routes[src][dst] = tuple(links)
+        return route
 
     def transmit(
         self,
-        msg: Message,
-        on_deliver: Optional[Callable[[Message], None]] = None,
+        kind: MsgKind,
+        src: int,
+        dst: int,
+        payload_bytes: int = 0,
+        on_deliver: Optional[Callable[[Any], None]] = None,
+        arg: Any = None,
     ) -> None:
-        """Send *msg*; *on_deliver* runs at the destination on arrival.
+        """Send one *kind* message of *payload_bytes* from node *src* to
+        node *dst*; ``on_deliver(arg)`` runs at the destination on arrival.
 
         Fire-and-forget from the sender's perspective (DDM Ready-Count
         updates need no reply); callers that want an acknowledgement send
         an explicit :attr:`~repro.net.message.MsgKind.ACK` back from
         their ``on_deliver``.
         """
-        if not (0 <= msg.src < self.nnodes and 0 <= msg.dst < self.nnodes):
-            raise ValueError(f"message {msg.src}->{msg.dst} outside {self.nnodes} nodes")
-        self.engine.process(
-            self._transmit_proc(msg, on_deliver),
-            name=f"net:{msg.kind.value}:{msg.src}->{msg.dst}",
+        nnodes = self.nnodes
+        if not (0 <= src < nnodes and 0 <= dst < nnodes):
+            raise ValueError(f"message {src}->{dst} outside {nnodes} nodes")
+        if src == dst:
+            raise ValueError(f"message to self (node {src})")
+        if payload_bytes < 0:
+            raise ValueError("negative payload")
+        Process(
+            self.engine,
+            self._transmit_proc(kind, src, dst, payload_bytes, on_deliver, arg),
+            name="net",
         )
 
     def _transmit_proc(
-        self, msg: Message, on_deliver: Optional[Callable[[Message], None]]
+        self,
+        kind: MsgKind,
+        src: int,
+        dst: int,
+        payload_bytes: int,
+        on_deliver: Optional[Callable[[Any], None]],
+        arg: Any,
     ) -> Generator:
+        """One message: NIC hold, then per hop a link hold and the
+        propagation latency, then delivery.
+
+        A hold whose slot is free takes it here (:meth:`Resource.take`)
+        and times out in this frame; one that has to queue is a
+        :meth:`Resource.hold` (whose own ``take()`` fails the same way),
+        which waits in the resource's queue and returns the cycles
+        queued.  Either way the same events, in the same order.
+        """
         params = self.params
-        size = params.message_header_bytes + msg.payload_bytes
+        size = params.message_header_bytes + payload_bytes
         serialize = params.serialize_cycles(size)
         nic_hold = params.nic_overhead_cycles + serialize
-        yield from self._occupy(self._nic_tx[msg.src], nic_hold)
+        if nic_hold > 0:
+            nic = self._nic_tx[src]
+            if nic.take():
+                try:
+                    yield nic_hold
+                finally:
+                    nic.release()
+            else:
+                # Not `+= (yield from ...)`: the left side would be read
+                # before the wait, and lose what others tallied during it.
+                queued = yield from nic.hold(nic_hold)
+                self.link_queue_cycles += int(queued)
         # Store-and-forward: each hop re-serialises onto its link and pays
         # the propagation latency.  A FullMesh path is one link — exactly
         # the historical occupy-then-propagate sequence.
-        path = self.topology.control_path(msg.src, msg.dst)
-        for key in path:
-            yield from self._occupy(self._link(key), serialize)
-            if params.link_latency_cycles > 0:
-                yield params.link_latency_cycles
+        route = self._routes[src][dst] or self._route(src, dst)
+        latency = params.link_latency_cycles
+        for link in route:
+            if serialize > 0:
+                if link.take():
+                    try:
+                        yield serialize
+                    finally:
+                        link.release()
+                else:
+                    queued = yield from link.hold(serialize)
+                    self.link_queue_cycles += int(queued)
+            if latency > 0:
+                yield latency
         self.messages += 1
-        kind = msg.kind.value
-        self.msg_by_kind[kind] = self.msg_by_kind.get(kind, 0) + 1
+        # Keyed by the kind's value, read without the Enum property (a
+        # member also hashes in Python).
+        value = kind._value_
+        self.msg_by_kind[value] = self.msg_by_kind.get(value, 0) + 1
         self.control_bytes += size
         self.nic_busy_cycles += nic_hold
-        self.link_busy_cycles += serialize * len(path)
-        self.hops += len(path)
+        self.link_busy_cycles += serialize * len(route)
+        self.hops += len(route)
         if on_deliver is not None:
-            on_deliver(msg)
+            on_deliver(arg)
 
     # -- data plane -------------------------------------------------------
     def pull(self, dst: int, per_src_bytes: Mapping[int, int]) -> int:

@@ -1,11 +1,14 @@
-"""Typed messages and tunable parameters of the simulated network.
+"""Message kinds and tunable parameters of the simulated network.
 
 Every piece of inter-node TSU traffic is one of a small closed set of
 message kinds, so the network can account (and the tests can assert)
-exactly what crossed a link and why.  Sizes are explicit: a message pays
-for its header plus a payload sized from what it actually carries —
-Ready-Count updates are a few words, an Inlet broadcast carries the
-block's metadata, a data forward carries cache lines.
+exactly what crossed a link and why.  A message is its kind, its two
+nodes and its payload size, handed to
+:meth:`~repro.net.fabric.Network.transmit` as plain arguments.  Sizes
+are explicit: a message pays for its header plus a payload sized from
+what it actually carries — Ready-Count updates are a few words, an
+Inlet broadcast carries the block's metadata, a data forward carries
+cache lines.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-__all__ = ["MsgKind", "Message", "NetParams", "UPDATE_BYTES", "INLET_ENTRY_BYTES"]
+__all__ = ["MsgKind", "NetParams", "UPDATE_BYTES", "INLET_ENTRY_BYTES"]
 
 #: Wire size of one remote Ready-Count update (thread id + decrement).
 UPDATE_BYTES = 16
@@ -37,22 +40,6 @@ class MsgKind(enum.Enum):
     TERMINATE = "terminate"
     #: A node's acknowledgement of TERMINATE (closes the barrier).
     ACK = "ack"
-
-
-@dataclass(frozen=True)
-class Message:
-    """One typed transfer between two nodes."""
-
-    kind: MsgKind
-    src: int
-    dst: int
-    payload_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"message to self (node {self.src})")
-        if self.payload_bytes < 0:
-            raise ValueError("negative payload")
 
 
 @dataclass(frozen=True)

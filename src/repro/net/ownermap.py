@@ -27,10 +27,12 @@ representable machine — up to :data:`~repro.sim.capability.MAX_NODES`
 nodes — without a second level.
 
 The geometry lives in :mod:`repro.core.regions` (the shared region
-algebra): sweeps become line-index vectors through
-:func:`~repro.core.regions.op_line_index` and the per-line state arrays
+algebra): a sweep's lines become a line-index vector through
+:func:`~repro.core.regions.line_index` and the per-line state arrays
 are :class:`~repro.core.regions.LineTable` rows — this module only
-replays the ownership protocol over them.
+replays the ownership protocol over them.  A sweep of one line (a
+DThread's partial-sum slot) replays it on Python scalars: the same
+protocol on one element, without an index vector or a ``uint64`` mask.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from repro.core.regions import LineTable, op_line_index
+from repro.core.regions import LineTable, line_index
 from repro.sim.accesses import AccessSummary, Region
 from repro.sim.capability import check_nodes
 
@@ -70,13 +72,26 @@ class RegionOwnerMap:
         if not 0 <= node < self.nnodes:
             raise ValueError(f"node {node} outside 0..{self.nnodes - 1}")
         pulls: Dict[int, int] = {}
-        mybit = np.uint64(1 << node)
-        for op in summary:
+        line_size = self.line_size
+        for op in summary.ops:
             # Rows materialise lazily for regions declared after map
             # construction (a new array a DThread body adds mid-run).
             owner = self._owner.row(op.region)
             copies = self._copies.row(op.region)
-            idx = op_line_index(op, self.line_size)
+            lines = op.line_indices(line_size)
+            if type(lines) is range and len(lines) == 1:
+                line = lines.start
+                if op.is_write:
+                    owner[line] = node
+                    copies[line] = 1 << node
+                else:
+                    src, mask = owner.item(line), copies.item(line)
+                    if src >= 0 and src != node and not mask >> node & 1:
+                        pulls[src] = pulls.get(src, 0) + line_size
+                        copies[line] = mask | 1 << node
+                continue
+            idx = line_index(lines)
+            mybit = np.uint64(1 << node)
             if op.is_write:
                 owner[idx] = node
                 copies[idx] = mybit
@@ -86,6 +101,6 @@ class RegionOwnerMap:
                 if remote.any():
                     srcs, counts = np.unique(own[remote], return_counts=True)
                     for src, count in zip(srcs.tolist(), counts.tolist()):
-                        pulls[src] = pulls.get(src, 0) + count * self.line_size
+                        pulls[src] = pulls.get(src, 0) + count * line_size
                     copies[idx] |= np.where(remote, mybit, np.uint64(0))
         return pulls

@@ -2,11 +2,14 @@
 
 A :class:`Probe` is the shared span-emission interface.  The simulated
 runtime driver, the native (OS-thread) backend, and the sequential
-baselines all call :meth:`Probe.record` for every scheduled unit they
-execute; what happens to the span is the probe's business.  The base
-class discards everything (so instrumentation is always *emitted* and
-only *collected* on demand); :class:`Tracer` collects spans in memory and
-offers the timeline queries the analysis layer and the examples use.
+baselines all emit a span for every scheduled unit they execute: the
+Kernel loop hands :meth:`Probe.record_instance` the DThread instance
+itself, the baseline hands :meth:`Probe.record` a recorded name; what
+happens to the span is the probe's business.  The base class discards
+everything (so instrumentation is always *emitted* and only *collected*
+on demand), and never formats an instance's name; :class:`Tracer`
+collects spans in memory and offers the timeline queries the analysis
+layer and the examples use.
 
 Time units are backend-defined: simulated backends record **cycles**,
 the native backend records **microseconds** of wall time.  Both are
@@ -53,14 +56,21 @@ class Probe:
     """The span-emission interface; the base class is a no-op sink.
 
     Runtimes hold exactly one probe (:data:`NULL_PROBE` by default) and
-    call :meth:`record` unconditionally — attaching a collecting probe is
-    a caller decision, never a runtime code path.
+    emit unconditionally — attaching a collecting probe is a caller
+    decision, never a runtime code path.  A collecting probe overrides
+    both methods.
     """
 
     def record(
         self, kernel: int, name: str, kind: str, start: float, end: float
     ) -> None:
         """Emit one span.  *start*/*end* are truncated to int by sinks."""
+
+    def record_instance(
+        self, kernel: int, inst, kind: str, start: float, end: float
+    ) -> None:
+        """Emit one span for DThread instance *inst*, named ``inst.name``;
+        only a collecting probe reads (and so formats) the name."""
 
     @property
     def spans(self) -> list[Span]:
@@ -82,6 +92,11 @@ class Tracer(Probe):
         self, kernel: int, name: str, kind: str, start: float, end: float
     ) -> None:
         self._spans.append(Span(kernel, name, kind, int(start), int(end)))
+
+    def record_instance(
+        self, kernel: int, inst, kind: str, start: float, end: float
+    ) -> None:
+        self._spans.append(Span(kernel, inst.name, kind, int(start), int(end)))
 
     @property
     def spans(self) -> list[Span]:

@@ -146,9 +146,10 @@ class KernelBackend(Protocol):
         ...
 
     def emit_span(
-        self, kernel: int, name: str, kind: str, start: float, end: float
+        self, kernel: int, inst: Any, kind: str, start: float, end: float
     ) -> None:
-        """Emit one probe span for a scheduled unit."""
+        """Emit one probe span for the scheduled instance *inst* (a
+        DThread, Inlet or Outlet); the probe names it, if it keeps it."""
         ...
 
 
@@ -213,7 +214,7 @@ def kernel_loop(
             yield from backend.run_inlet(kernel, fetch)
             backend.charge_runtime(kernel, t0)
             backend.emit_span(
-                kernel, fetch.instance.name, "inlet", t0, backend.now(kernel)
+                kernel, fetch.instance, "inlet", t0, backend.now(kernel)
             )
             continue
 
@@ -222,7 +223,7 @@ def kernel_loop(
             yield from backend.run_outlet(kernel, fetch)
             backend.charge_runtime(kernel, t0)
             backend.emit_span(
-                kernel, fetch.instance.name, "outlet", t0, backend.now(kernel)
+                kernel, fetch.instance, "outlet", t0, backend.now(kernel)
             )
             continue
 
@@ -240,9 +241,7 @@ def kernel_loop(
         yield from backend.complete(kernel, fetch, outcome)
         backend.charge_runtime(kernel, t0)
         account.dthreads += 1
-        backend.emit_span(
-            kernel, inst.name, "thread", t_thread, backend.now(kernel)
-        )
+        backend.emit_span(kernel, inst, "thread", t_thread, backend.now(kernel))
 
 
 def run_kernel_blocking(

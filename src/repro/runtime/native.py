@@ -114,12 +114,12 @@ class NativeRuntime:
         self._accounts[kernel].charge_runtime(self._now_us() - since)
 
     def emit_span(
-        self, kernel: int, name: str, kind: str, start: float, end: float
+        self, kernel: int, inst, kind: str, start: float, end: float
     ) -> None:
         # Probe implementations are not required to be thread-safe; the
         # native backend serialises its span stream.
         with self._probe_lock:
-            self.probe.record(kernel, name, kind, start, end)
+            self.probe.record_instance(kernel, inst, kind, start, end)
 
     # -- KernelBackend: protocol steps (blocking, under the TSU mutex) --------
     @blocking_step

@@ -118,6 +118,9 @@ class SimulatedRuntime:
         #: spans through it; pass a collecting probe (e.g.
         #: :class:`repro.obs.Tracer`) to keep them.
         self.probe: Probe = tracer if tracer is not None else NULL_PROBE
+        #: KernelBackend.emit_span is the probe's own method: one call a
+        #: span, and the instance's name is formatted only if it is kept.
+        self.emit_span = self.probe.record_instance
         self._wait_events: dict[int, Event] = {}
 
     # -- wake management ------------------------------------------------------
@@ -129,19 +132,16 @@ class SimulatedRuntime:
         for k in targets:
             ev = self._wait_events.pop(k)
             if not ev.triggered:
-                ev.succeed(None)
+                ev.succeed()
 
-    # -- KernelBackend: time, charging, spans ---------------------------------
+    # -- KernelBackend: time and charging (spans: see __init__) ---------------
     def now(self, kernel: int) -> float:
         return self.engine.now
 
+    # The hot charges add to the account's fields in place: one call
+    # fewer each, on every DThread.
     def charge_runtime(self, kernel: int, since: float) -> None:
-        self.accounts[kernel].charge_runtime(int(self.engine.now - since))
-
-    def emit_span(
-        self, kernel: int, name: str, kind: str, start: float, end: float
-    ) -> None:
-        self.probe.record(kernel, name, kind, start, end)
+        self.accounts[kernel].runtime += int(self.engine.now - since)
 
     # -- KernelBackend: protocol steps (DES process fragments) ----------------
     # A step that only delegates returns the adapter's generator instead of
@@ -183,8 +183,8 @@ class SimulatedRuntime:
         if compute + memory > 0:
             yield compute + memory
         account = self.accounts[kernel]
-        account.charge_compute(compute)
-        account.charge_memory(int(memory))
+        account.compute += compute
+        account.memory += int(memory)
 
     def complete(self, kernel: int, fetch: Fetch, outcome: object) -> Generator:
         assert fetch.local_iid is not None

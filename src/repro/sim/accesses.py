@@ -236,11 +236,3 @@ class AccessSummary:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(op.bytes_touched * op.reps for op in self.ops if not op.is_write)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(op.bytes_touched * op.reps for op in self.ops if op.is_write)

@@ -10,7 +10,7 @@ Processes are plain Python generators.  A process may ``yield``:
 
 * an ``int`` — advance this process by that many cycles;
 * an :class:`Event` — suspend until the event is triggered (the ``yield``
-  expression evaluates to the event's value);
+  expression evaluates to ``None``: events carry no value);
 * a :class:`Resource` — queue for one of its slots, after
   :meth:`Resource.take` found none free; the process resumes holding the
   slot (the ``yield`` evaluates to ``None``).
@@ -32,19 +32,20 @@ rule), runs its protocol step by step.
 Example
 -------
 >>> eng = Engine()
+>>> woken = []
 >>> def pinger(eng, ev):
 ...     yield 10
-...     ev.succeed("pong")
+...     ev.succeed()
 >>> def ponger(eng, ev):
-...     value = yield ev
-...     return (eng.now, value)
+...     yield ev
+...     woken.append(eng.now)
 >>> ev = eng.event()
 >>> eng.process(pinger(eng, ev))
 <Process 'pinger' alive>
 >>> p = eng.process(ponger(eng, ev))
 >>> eng.run()
->>> p.done.value
-(10.0, 'pong')
+>>> woken, p.is_alive
+([10.0], False)
 """
 
 from __future__ import annotations
@@ -75,26 +76,24 @@ class Event:
 
     An event starts *pending*; calling :meth:`succeed` triggers it
     exactly once, resuming its waiter (if any) at the current simulation
-    time.
+    time.  It is a bare wake-up: no model reads a value off an event,
+    so it carries none.
     """
 
-    __slots__ = ("engine", "_value", "triggered", "_waiter", "name")
+    __slots__ = ("engine", "triggered", "_waiter", "name")
 
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         self.name = name
         self.triggered = False
-        self._value: Any = None
         self._waiter: Optional[Callable[["Event"], None]] = None
 
     # -- triggering ------------------------------------------------------
-    def succeed(self, value: Any) -> "Event":
-        """Trigger the event, delivering *value* (``None`` for a bare
-        wake-up) to its waiter."""
+    def succeed(self) -> "Event":
+        """Trigger the event, waking its waiter."""
         if self.triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
-        self._value = value
         cb, self._waiter = self._waiter, None
         if cb is not None:
             # Deliver on the engine queue so resumption order is
@@ -111,12 +110,6 @@ class Event:
             raise SimulationError(f"second waiter: event {self.name!r} already has one")
         self._waiter = cb
 
-    @property
-    def value(self) -> Any:
-        if not self.triggered:
-            raise SimulationError(f"event {self.name!r} not yet triggered")
-        return self._value
-
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state}>"
@@ -125,9 +118,10 @@ class Event:
 class Process:
     """A running simulation process wrapping a generator.
 
-    The process's :attr:`done` event triggers when the generator returns;
-    the generator's return value becomes the event value.  Yielding inside the generator follows the protocol
-    documented in the module docstring.
+    The process's :attr:`done` event triggers when the generator returns
+    (its return value is dropped: events carry none).  Yielding inside
+    the generator follows the protocol documented in the module
+    docstring.
     """
 
     __slots__ = ("engine", "gen", "done", "name", "_callback")
@@ -142,20 +136,18 @@ class Process:
         # Engine.clear drop it.
         self._callback: Optional[Callable[[Any], None]] = self._resume
         engine._live.add(self)
-        engine._schedule(0.0, self._callback, _SEND_NONE)
+        engine._schedule(0.0, self._callback, None)
 
     @property
     def is_alive(self) -> bool:
         return not self.done.triggered
 
-    def _resume(self, item: Any) -> None:
+    def _resume(self, _: Any) -> None:
+        # A timer expiry, a grant and an event all resume with None.
         try:
-            if item is _SEND_NONE:  # timer expiry: the hot case
-                target = self.gen.send(None)
-            else:  # an Event delivering its value
-                target = self.gen.send(item._value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+            target = self.gen.send(None)
+        except StopIteration:
+            self._finish()
             return
         if type(target) is int:  # plain cycle delay: pushed here, no hop
             if target < 0:
@@ -163,15 +155,15 @@ class Process:
             engine = self.engine
             engine._seq = seq = engine._seq + 1
             heapq.heappush(
-                engine._heap, (engine.now + target, seq, self._callback, _SEND_NONE)
+                engine._heap, (engine.now + target, seq, self._callback, None)
             )
         else:
             self._dispatch(target)
 
-    def _finish(self, value: Any) -> None:
+    def _finish(self) -> None:
         self.engine._live.discard(self)
         self._callback = None
-        self.done.succeed(value)
+        self.done.succeed()
 
     def _dispatch(self, target: Any) -> None:
         """Suspend on a yielded target that is not a delay: an event, or
@@ -188,10 +180,6 @@ class Process:
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "done"
         return f"<Process {self.name!r} {state}>"
-
-
-# Sentinel distinguishing "send None" from "event delivery".
-_SEND_NONE = object()
 
 
 class Resource:
@@ -276,7 +264,7 @@ class Resource:
             engine = self.engine
             engine._seq = seq = engine._seq + 1
             heapq.heappush(
-                engine._heap, (engine.now, seq, self._queue.popleft(), _SEND_NONE)
+                engine._heap, (engine.now, seq, self._queue.popleft(), None)
             )
         else:
             self._in_use -= 1
@@ -327,7 +315,7 @@ class Engine:
             nonlocal left
             left -= 1
             if left == 0:
-                combined.succeed(None)
+                combined.succeed()
 
         for ev in events:
             ev.add_callback(cb)

@@ -5,8 +5,8 @@ kernels share one coherent memory and one dedicated TSU-Emulator core
 that drains a node-local TUB (:mod:`repro.tsu.software`).  What changes
 off-chip is *where post-processing lands*: a completing DThread's
 consumers may have their Ready Counts in another node's SMs, and the
-update must then travel as a :class:`~repro.net.message.Message` over
-the :class:`~repro.net.fabric.Network` instead of a locked cache line.
+update must then travel as a message over the
+:class:`~repro.net.fabric.Network` instead of a locked cache line.
 
 The :class:`~repro.tsu.group.TSUGroup` state machine is **never forked**
 (the repo-wide invariant): one group spans all kernels of all nodes, and
@@ -39,16 +39,16 @@ bit-identical (cycles, counters, spans) as a guard.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
 from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
 from repro.net.fabric import Network
-from repro.net.message import INLET_ENTRY_BYTES, UPDATE_BYTES, Message, MsgKind, NetParams
+from repro.net.message import INLET_ENTRY_BYTES, UPDATE_BYTES, MsgKind, NetParams
 from repro.net.ownermap import RegionOwnerMap
 from repro.net.topology import Topology
 from repro.sim.accesses import AccessSummary
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.tsu.group import TSUGroup
 from repro.tsu.software import EmulatorShard, SoftTSUCosts, SoftwareTSUAdapter
 from repro.tsu.tkt import contiguous_partition
@@ -118,74 +118,73 @@ class DistTSUAdapter(SoftwareTSUAdapter):
             # bit-identical to SoftwareTSUAdapter.
             self._apply_thread_completion(kernel, local_iid, outcome)
             return
+        tsu = self.tsu
         node_of_kernel = self._node_of_kernel
         node = node_of_kernel[kernel]
-        assert self.tsu.tkt is not None
+        assert tsu.tkt is not None
         # The block's TKT says whose SM, the partition which node's shard.
-        kernel_of = self.tsu.tkt.kernel_of
-        upd_by_node: dict[int, int] = {}
-        for members in self.tsu.consumers_of(local_iid):
+        kernel_of = tsu.tkt.kernel_of
+        updates = [0] * self.nnodes
+        for members in tsu.consumers_of(local_iid):
             for c in members:
-                t = node_of_kernel[kernel_of(c)]
-                upd_by_node[t] = upd_by_node.get(t, 0) + 1
-        for t, n in upd_by_node.items():
-            if t == node:
-                self.local_updates += n
+                updates[node_of_kernel[kernel_of(c)]] += 1
+        self.local_updates += updates[node]
+        self.remote_updates += sum(updates) - updates[node]
+
+        newly_ready = tsu.complete_thread(kernel, local_iid, outcome)
+        drained = tsu.block_drained
+
+        # Local wake now; remote wakes ride READY_UPDATE messages: every
+        # kernel of every node once the block drained, else the kernels
+        # of each node whose consumers became ready.
+        node_kernels = self._node_kernels
+        ready_by_node: Optional[dict[int, set[int]]] = None
+        if drained:
+            self.wake_kernels(node_kernels[node])
+        elif newly_ready:
+            ready_by_node = {}
+            for c in newly_ready:
+                k = kernel_of(c)
+                ready_by_node.setdefault(node_of_kernel[k], set()).add(k)
+            if node in ready_by_node:
+                self.wake_kernels(ready_by_node[node])
+
+        sends = []
+        for t, n in enumerate(updates):
+            if t == node or not (n or drained):
+                continue
+            if drained:
+                wake = node_kernels[t]
             else:
-                self.remote_updates += n
-
-        newly_ready = self.tsu.complete_thread(kernel, local_iid, outcome)
-        drained = self.tsu.block_drained
-
-        ready_by_node: dict[int, set[int]] = {}
-        for c in newly_ready:
-            k = kernel_of(c)
-            ready_by_node.setdefault(node_of_kernel[k], set()).add(k)
-
-        # Local wake now; remote wakes ride READY_UPDATE messages.
-        if drained:
-            self.wake_kernels(set(self._node_kernels[node]))
-        elif node in ready_by_node:
-            self.wake_kernels(ready_by_node[node])
-
-        targets = set(upd_by_node) - {node}
-        if drained:
-            targets.update(t for t in range(self.nnodes) if t != node)
-        wake_sets = {
-            t: (set(self._node_kernels[t]) if drained else ready_by_node.get(t, set()))
-            for t in targets
-        }
-        payloads = {t: max(upd_by_node.get(t, 0), 1) * UPDATE_BYTES for t in targets}
-        self._fanout_ready(node, sorted(targets), payloads, wake_sets)
+                wake = ready_by_node.get(t) if ready_by_node else None
+            sends.append((t, max(n, 1) * UPDATE_BYTES, wake))
+        if sends:
+            self._fanout_ready(node, sends)
 
     def _send_ready(
-        self, src: int, dst: int, payload_bytes: int, wake_set: set[int]
+        self, src: int, dst: int, payload_bytes: int, wake: Optional[Iterable[int]]
     ) -> None:
+        """One READY_UPDATE; *wake* (kernels of *dst*, or ``None``) wake
+        when it lands."""
         self.net.transmit(
-            Message(
-                MsgKind.READY_UPDATE, src=src, dst=dst, payload_bytes=payload_bytes
-            ),
-            on_deliver=(
-                (lambda msg, ks=wake_set: self.wake_kernels(ks)) if wake_set else None
-            ),
+            MsgKind.READY_UPDATE, src, dst, payload_bytes,
+            self.wake_kernels if wake else None, wake,
         )
 
     def _fanout_ready(
-        self,
-        node: int,
-        targets: list[int],
-        payloads: dict[int, int],
-        wake_sets: dict[int, set[int]],
+        self, node: int, sends: list[tuple[int, int, Optional[Iterable[int]]]]
     ) -> None:
-        """Deliver Ready-Count updates (and their wake signals) to *targets*.
+        """Deliver Ready-Count updates (and their wake signals): *sends*
+        holds one ``(target node, payload bytes, kernels to wake)`` per
+        target, in ascending node order.
 
         The flat adapter sends one point-to-point message per target; the
         hierarchical adapter (:mod:`repro.tsu.hier`) overrides this to
         relay through cluster-head nodes.  Timing-only either way: the
         functional decrements already happened in ``complete_thread``.
         """
-        for t in targets:
-            self._send_ready(node, t, payloads[t], wake_sets[t])
+        for t, payload_bytes, wake in sends:
+            self._send_ready(node, t, payload_bytes, wake)
 
     def _broadcast(self, node: int, kind: MsgKind, payload_bytes: int) -> None:
         """Send *kind* from *node* to every other node, waking each on
@@ -200,10 +199,7 @@ class DistTSUAdapter(SoftwareTSUAdapter):
         """The one wake-on-delivery sender: *dst*'s kernels wake when
         the message lands."""
         self.net.transmit(
-            Message(kind, src=src, dst=dst, payload_bytes=payload_bytes),
-            on_deliver=lambda msg, ks=frozenset(self._node_kernels[dst]): (
-                self.wake_kernels(set(ks))
-            ),
+            kind, src, dst, payload_bytes, self.wake_kernels, self._node_kernels[dst]
         )
 
     # -- protocol costs ----------------------------------------------------
@@ -214,7 +210,7 @@ class DistTSUAdapter(SoftwareTSUAdapter):
             self.wake_kernels()
             return
         node = self._node_of_kernel[kernel]
-        self.wake_kernels(set(self._node_kernels[node]))
+        self.wake_kernels(self._node_kernels[node])
         self._broadcast(
             node, MsgKind.INLET_BCAST, INLET_ENTRY_BYTES * max(block.size, 1)
         )
@@ -226,7 +222,7 @@ class DistTSUAdapter(SoftwareTSUAdapter):
             self.wake_kernels()
             return
         node = self._node_of_kernel[kernel]
-        self.wake_kernels(set(self._node_kernels[node]))
+        self.wake_kernels(self._node_kernels[node])
         if self.tsu.is_exited():
             # Distributed termination barrier: the node that ran the last
             # Outlet tells every other node to drain; it may not exit
@@ -237,22 +233,20 @@ class DistTSUAdapter(SoftwareTSUAdapter):
                     continue
                 ack = self.engine.event(name=f"term-ack:{t}")
                 acks.append(ack)
-
-                def deliver_terminate(msg: Message, t=t, ack=ack) -> None:
-                    self.wake_kernels(set(self._node_kernels[t]))
-                    self.net.transmit(
-                        Message(MsgKind.ACK, src=t, dst=node),
-                        on_deliver=lambda m, ack=ack: ack.succeed(None),
-                    )
-
                 self.net.transmit(
-                    Message(MsgKind.TERMINATE, src=node, dst=t),
-                    on_deliver=deliver_terminate,
+                    MsgKind.TERMINATE, node, t, 0, self._acknowledge, (t, node, ack)
                 )
             if acks:
                 yield self.engine.all_of(acks, name="termination-barrier")
         else:
             self._broadcast(node, MsgKind.OUTLET_BCAST, 0)
+
+    def _acknowledge(self, terminate: tuple[int, int, Event]) -> None:
+        """A TERMINATE landed on node *t*: its kernels wake to drain and
+        exit, and its ACK travels back to the barrier's node."""
+        t, node, ack = terminate
+        self.wake_kernels(self._node_kernels[t])
+        self.net.transmit(MsgKind.ACK, t, node, 0, Event.succeed, ack)
 
     # -- memory pricing ----------------------------------------------------
     def thread_memory_cycles(

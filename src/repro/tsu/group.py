@@ -129,6 +129,11 @@ class TSUGroup:
         self.tkt: Optional[ThreadToKernelTable] = None
 
         self._block_idx = 0
+        #: ``blocks[_block_idx]`` and its graph epoch (``None`` for a
+        #: hand-built block list), read once per call on the hot path;
+        #: the epoch is looked up when the block loads.
+        self._block = blocks[0]
+        self._epoch: Optional[GraphEpoch] = None
         self._phase = _Phase.INLET_PENDING
         self._completed_in_block = 0
         # Dynamic-graph state.  Every block belongs to a graph epoch
@@ -175,7 +180,7 @@ class TSUGroup:
     # -- helpers -----------------------------------------------------------
     @property
     def current_block(self) -> DDMBlock:
-        return self.blocks[self._block_idx]
+        return self._block
 
     @property
     def block_drained(self) -> bool:
@@ -190,12 +195,12 @@ class TSUGroup:
         """Block-local ids of the instances *local_iid* feeds in the
         loaded block, as the block's own runs (a barrier's run is one
         ``range`` shared by every producer, not a copy)."""
-        return self.current_block.consumers.runs_of(local_iid)
+        return self._block.consumers.runs_of(local_iid)
 
     def fanout(self, local_iid: int) -> int:
         """Ready Counts one retirement of *local_iid* updates in the
         loaded block: its instance pairs, whatever runs carry them."""
-        return self.current_block.consumers.fanouts[local_iid]
+        return self._block.consumers.fanouts[local_iid]
 
     # -- the Inlet's work ---------------------------------------------------------
     def _load_block(self, block: DDMBlock) -> None:
@@ -208,7 +213,7 @@ class TSUGroup:
         """
         assignment = self.placement(block, self.nkernels)
         self.tkt = ThreadToKernelTable(assignment, self.nkernels)
-        epoch = self._epoch_of_block.get(block.block_id)
+        self._epoch = epoch = self._epoch_of_block.get(block.block_id)
         need_index = epoch is not None and (epoch.has_cond or epoch.squashed)
         self._local_of_current = {}
         self._run_hits = [0] * len(block.consumers.runs)
@@ -240,7 +245,7 @@ class TSUGroup:
         appended to *newly_ready*.  ``post_updates`` counts one update
         per instance pair, as the hardware performs them."""
         sms, kernel_of = self.sms, self.tkt.kernel_of
-        consumers, hits = self.current_block.consumers, self._run_hits
+        consumers, hits = self._block.consumers, self._run_hits
         runs, producers = consumers.runs, consumers.producers
         for r in consumers.out[local_iid]:
             hits[r] += 1
@@ -267,7 +272,7 @@ class TSUGroup:
         if self._phase == _Phase.INLET_PENDING:
             # First querying kernel claims the Inlet.
             self._phase = _Phase.LOADING
-            block = self.current_block
+            block = self._block
             return Fetch(FetchKind.INLET, instance=block.inlet, block=block)
 
         if self._phase == _Phase.RUNNING:
@@ -280,15 +285,14 @@ class TSUGroup:
             if entry is not None:
                 self.threads_dispatched += 1
                 return Fetch(
-                    FetchKind.THREAD, entry.instance, entry.local_iid,
-                    self.current_block,
+                    FetchKind.THREAD, entry.instance, entry.local_iid, self._block
                 )
             self.waits += 1
             return FETCH_WAIT
 
         if self._phase == _Phase.OUTLET_PENDING:
             self._phase = _Phase.FINISHING
-            block = self.current_block
+            block = self._block
             return Fetch(FetchKind.OUTLET, instance=block.outlet, block=block)
 
         # LOADING / FINISHING: another kernel is running the Inlet/Outlet.
@@ -314,11 +318,12 @@ class TSUGroup:
     def complete_inlet(self, kernel: int) -> None:
         if self._phase != _Phase.LOADING:
             raise RuntimeError(f"inlet completion in phase {self._phase}")
-        self._load_block(self.current_block)
+        block = self._block
+        self._load_block(block)
         # A block with no live application DThreads (empty hand-built
         # block lists, or every instance squashed-at-load) must fall
         # straight through to its Outlet rather than stall in RUNNING.
-        if self._completed_in_block >= self.current_block.size:
+        if self._completed_in_block >= block.size:
             self._phase = _Phase.OUTLET_PENDING
         else:
             self._phase = _Phase.RUNNING
@@ -340,9 +345,9 @@ class TSUGroup:
         assert self.tkt is not None
         self.sms[self.tkt.kernel_of(local_iid)].mark_completed(local_iid)
         newly_ready: list[int] = []
-        epoch = self._epoch_of_block.get(self.current_block.block_id)
+        block, epoch = self._block, self._epoch
         if epoch is not None and epoch.has_cond:
-            giid = self.current_block.instances[local_iid].iid
+            giid = block.instances[local_iid].iid
             key = None if isinstance(outcome, Subflow) else outcome
             newly_squashed = epoch.resolve(giid, key)
             if newly_squashed:
@@ -351,7 +356,7 @@ class TSUGroup:
         if isinstance(outcome, Subflow):
             self._spawn(outcome)
         self._completed_in_block += 1
-        if self._completed_in_block == self.current_block.size:
+        if self._completed_in_block == len(block.instances):
             self._phase = _Phase.OUTLET_PENDING
         return newly_ready
 
@@ -415,6 +420,7 @@ class TSUGroup:
             self._phase = _Phase.EXITED
         else:
             self._block_idx += 1
+            self._block = self.blocks[self._block_idx]
             self._phase = _Phase.INLET_PENDING
 
     # -- invariants (property tests) -------------------------------------------------

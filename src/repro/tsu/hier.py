@@ -33,9 +33,9 @@ Strictly costs only, per the repo invariant:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from repro.net.message import UPDATE_BYTES, Message, MsgKind, NetParams
+from repro.net.message import UPDATE_BYTES, MsgKind, NetParams
 from repro.net.topology import Topology
 from repro.sim.engine import Engine
 from repro.tsu.dist import DistTSUAdapter
@@ -81,43 +81,36 @@ class HierDistTSUAdapter(DistTSUAdapter):
 
     # -- relayed fan-out ---------------------------------------------------
     def _fanout_ready(
-        self,
-        node: int,
-        targets: list[int],
-        payloads: dict[int, int],
-        wake_sets: dict[int, set[int]],
+        self, node: int, sends: list[tuple[int, int, Optional[Iterable[int]]]]
     ) -> None:
         home = self._cluster(node)
-        by_cluster: dict[int, list[int]] = {}
-        for t in targets:
-            by_cluster.setdefault(self._cluster(t), []).append(t)
+        by_cluster: dict[int, list[tuple[int, int, Optional[Iterable[int]]]]] = {}
+        for send in sends:
+            by_cluster.setdefault(self._cluster(send[0]), []).append(send)
         for cluster, members in sorted(by_cluster.items()):
             if cluster == home:
                 # Intra-cluster stays point-to-point (one NIC hop away).
-                for t in members:
-                    self._send_ready(node, t, payloads[t], wake_sets[t])
+                for t, payload_bytes, wake in members:
+                    self._send_ready(node, t, payload_bytes, wake)
                 continue
             head = self._head(cluster)
-            aggregate = sum(payloads[t] for t in members)
-
-            def relay(msg: Message, head=head, members=tuple(members)) -> None:
-                for t in members:
-                    if t == head:
-                        if wake_sets[t]:
-                            self.wake_kernels(wake_sets[t])
-                    else:
-                        self.relayed_messages += 1
-                        self._send_ready(head, t, payloads[t], wake_sets[t])
-
+            aggregate = sum(payload_bytes for _, payload_bytes, _ in members)
             self.net.transmit(
-                Message(
-                    MsgKind.READY_UPDATE,
-                    src=node,
-                    dst=head,
-                    payload_bytes=max(aggregate, UPDATE_BYTES),
-                ),
-                on_deliver=relay,
+                MsgKind.READY_UPDATE, node, head, max(aggregate, UPDATE_BYTES),
+                self._relay_ready, (head, members),
             )
+
+    def _relay_ready(self, relay) -> None:
+        """An aggregate READY_UPDATE landed on cluster head *head*: wake
+        its own kernels, forward every member's share point-to-point."""
+        head, members = relay
+        for t, payload_bytes, wake in members:
+            if t == head:
+                if wake:
+                    self.wake_kernels(wake)
+            else:
+                self.relayed_messages += 1
+                self._send_ready(head, t, payload_bytes, wake)
 
     def _broadcast(self, node: int, kind: MsgKind, payload_bytes: int) -> None:
         home = self._cluster(node)
@@ -130,14 +123,16 @@ class HierDistTSUAdapter(DistTSUAdapter):
                 continue
             head = self._head(cluster)
             others = tuple(t for t in self._members(cluster) if t != head)
-
-            def relay(msg: Message, head=head, others=others) -> None:
-                self.wake_kernels(set(self._node_kernels[head]))
-                for t in others:
-                    self.relayed_messages += 1
-                    self._send_wakeup(head, t, msg.kind, msg.payload_bytes)
-
             self.net.transmit(
-                Message(kind, src=node, dst=head, payload_bytes=payload_bytes),
-                on_deliver=relay,
+                kind, node, head, payload_bytes,
+                self._relay_wakeup, (kind, payload_bytes, head, others),
             )
+
+    def _relay_wakeup(self, relay) -> None:
+        """A phase broadcast landed on cluster head *head*: wake its
+        kernels and re-send to the cluster's *others*."""
+        kind, payload_bytes, head, others = relay
+        self.wake_kernels(self._node_kernels[head])
+        for t in others:
+            self.relayed_messages += 1
+            self._send_wakeup(head, t, kind, payload_bytes)

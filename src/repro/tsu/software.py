@@ -117,7 +117,7 @@ class EmulatorShard:
 
     def _kick(self) -> None:
         if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
+            self._wake.succeed()
 
     def _drain(self, post_process: Callable[[int, int, object], None]) -> Generator:
         """The dedicated-core loop: drain the TUB, apply post-processing."""

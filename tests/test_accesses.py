@@ -85,8 +85,10 @@ def test_summary_builder(space):
     b = space.region("B", 512)
     s = AccessSummary().read(a).write(b, reps=2)
     assert len(s) == 2
-    assert s.bytes_read == 1024
-    assert s.bytes_written == 1024  # 512 * 2 reps
+    assert [(op.is_write, op.bytes_touched, op.reps) for op in s] == [
+        (False, 1024, 1),
+        (True, 512, 2),
+    ]
 
 
 def test_summary_default_count_respects_offset(space):

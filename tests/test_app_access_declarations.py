@@ -76,7 +76,7 @@ def test_fft_cols_strided_bytes():
         lo, hi = chunk_bounds(n, n // 4, i)
         width = hi - lo
         reads, writes = d[f"fft_cols[{i}]"]
-        # reps multiply bytes in AccessSummary.bytes_read but not in our
+        # reps multiply the bytes a DMA price reads but not our
         # single-sweep count here: the strided op touches n slabs of
         # width*16 bytes.
         assert reads == n * width * 16

@@ -29,8 +29,9 @@ from repro.runtime.core import (
     blocking_step,
     run_kernel_blocking,
 )
+from repro.core.dthread import DThreadInstance
 from repro.runtime.native import NativeRuntime
-from repro.platforms import TFluxHard
+from repro.platforms import TFluxCell, TFluxDist, TFluxHard, TFluxSoft
 from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.machine import BAGLE_27
 
@@ -188,6 +189,50 @@ def test_same_dthreads_executed(runs):
 def test_thread_span_names_identical(runs):
     names = {name: span_names(r, "thread") for name, r in runs.items()}
     assert names["sim"] == names["native"] == names["sequential"]
+
+
+# -- the span path: only a collecting probe names an instance ------------------
+@pytest.fixture
+def name_reads(monkeypatch):
+    """Count ``DThreadInstance.name`` reads while the test runs."""
+    reads = []
+    plain = DThreadInstance.name
+
+    def counted(inst):
+        reads.append(inst.iid)
+        return plain.fget(inst)
+
+    monkeypatch.setattr(DThreadInstance, "name", property(counted))
+    return reads
+
+
+@pytest.mark.parametrize(
+    "platform",
+    [TFluxHard(), TFluxSoft(), TFluxCell(), TFluxDist(nnodes=2)],
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("program", ["trapez", "blocked", "dyncond"])
+def test_untraced_sim_run_reads_no_instance_name(platform, program, name_reads):
+    """The Kernel loop hands spans the instance itself: with the default
+    probe no platform's run formats a single DThread, Inlet or Outlet
+    name."""
+    prog, cap = PROGRAMS[program]()
+    result = platform.execute(prog, nkernels=NKERNELS, tsu_capacity=cap)
+    assert result.total_dthreads > 0 and result.spans == []
+    assert name_reads == []
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_traced_spans_identical_sim_native(program, name_reads):
+    """Under a Tracer every span is named when it is recorded, once, and
+    the sim and native backends record the same (name, kind) spans."""
+    sim = run_sim(PROGRAMS[program])
+    assert len(name_reads) == len(sim.spans)
+    native = run_native(PROGRAMS[program])
+    assert Multiset((s.name, s.kind) for s in sim.spans) == Multiset(
+        (s.name, s.kind) for s in native.spans
+    )
+    assert all(type(s.name) is str for s in sim.spans + native.spans)
 
 
 def test_inlet_outlet_span_names_identical_sim_native(runs):

@@ -51,7 +51,7 @@ def test_dma_import_export_split():
     r = space.region("r", 4096)
     dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128)
     s = AccessSummary().read(r, count=256).write(r, count=128)
-    imp, exp = dma.import_cycles(s), dma.export_cycles(s)
+    _, imp, exp, _, _ = dma.price(s)
     assert imp > exp > 0
 
 
@@ -61,8 +61,72 @@ def test_dma_working_set_streamed_vs_resident():
     dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128)
     resident = AccessSummary().read(big)
     streamed = AccessSummary().read(big, resident=False)
-    assert dma.working_set_bytes(resident) == 1 << 20
-    assert dma.working_set_bytes(streamed) == 32 * 1024
+    assert dma.price(resident)[0] == 1 << 20
+    assert dma.price(streamed)[0] == 32 * 1024
+
+
+def _mixed_summary():
+    """Resident and streamed reads and writes, one repeated, one streamed
+    range under two tiles: every rule of the DMA price in one summary."""
+    space = RegionSpace()
+    r = space.region("r", 1 << 17)
+    return (
+        AccessSummary()
+        .read(r, count=256)  # 2 KiB resident
+        .read(r, count=8192, resident=False)  # 64 KiB streamed: 4 tiles
+        .write(r, count=128, reps=3)  # 1 KiB resident, written 3 times
+        .write(r, count=4096, resident=False)  # 32 KiB streamed: 2 tiles
+        .read(r, count=1000, resident=False)  # 8000 B streamed: 1 tile
+    )
+
+
+#: The closed forms of _mixed_summary's price at setup 300, 4 cycles a
+#: 128-byte line: a transfer is setup per tile plus its lines.
+MIXED_IMPORTS = (300 + 16 * 4) + (4 * 300 + 512 * 4) + (300 + 63 * 4)
+MIXED_EXPORTS = (300 + 8 * 4) + (2 * 300 + 256 * 4)
+#: Resident ranges in full, streamed ones at most two 16 KiB tiles.
+MIXED_WORKING_SET = 2048 + 2 * STREAM_TILE_BYTES + 1024 + 32768 + 8000
+MIXED_READ = 2048 + 65536 + 8000
+MIXED_WRITTEN = 3 * 1024 + 32768
+
+
+def test_dma_price_is_the_closed_form():
+    """One pass prices every op of a mixed summary: the working set, the
+    import and export cycles and both byte totals, and counts each
+    transfer and byte moved once."""
+    dma = DMAEngine(setup_cycles=300, cycles_per_line=4, line_size=128)
+    s = _mixed_summary()
+    assert dma.price(s) == (
+        MIXED_WORKING_SET, MIXED_IMPORTS, MIXED_EXPORTS, MIXED_READ, MIXED_WRITTEN
+    )
+    assert dma.transfers == 1 + 4 + 1 + 2 + 1
+    assert dma.bytes_moved == 2048 + 65536 + 1024 + 32768 + 8000
+
+
+def test_cell_adapter_charges_the_dma_price():
+    """On TFluxCell a DThread with the mixed summary is charged its
+    imports plus exports as memory cycles, and the SharedVariableBuffer
+    records its two byte totals."""
+    from repro.cell.adapter import CellCosts, CellTSUAdapter
+    from repro.sim.machine import CellParams
+    from repro.tsu.group import TSUGroup
+
+    b = ProgramBuilder("mixed")
+    b.thread("t", body=lambda env, _: None)
+    prog = b.build()
+    params = CellParams()
+    assert (params.dma_setup_cycles, params.dma_cycles_per_line) == (300, 4)
+    assert params.dma_line_size == 128
+    adapter = CellTSUAdapter(
+        Engine(), TSUGroup(1, prog.blocks(None)), params, CellCosts()
+    )
+    inst = prog.expanded().instances[0]
+    cycles = adapter.thread_memory_cycles(0, inst, _mixed_summary())
+    assert cycles == MIXED_IMPORTS + MIXED_EXPORTS
+    buf = adapter.shared_buffer
+    assert (buf.bytes_imported, buf.bytes_exported) == (MIXED_READ, MIXED_WRITTEN)
+    assert (buf.imports, buf.exports) == (1, 1)
+    assert adapter.local_stores[0].high_watermark == MIXED_WORKING_SET
 
 
 # -- Mailbox --------------------------------------------------------------------
@@ -179,8 +243,9 @@ def test_cell_local_store_rejects_oversized_thread():
         body=lambda env, _: None,
         accesses=lambda env, _: AccessSummary().read(reg),
     )
-    with pytest.raises(CellLocalStoreError, match="Local Store"):
+    with pytest.raises(CellLocalStoreError, match="Local Store") as err:
         TFluxCell().execute(b.build(), nkernels=2)
+    assert "DThread hog[0] needs" in str(err.value)
 
 
 def test_cell_qsort_large_native_size_hits_local_store_wall():

@@ -15,11 +15,12 @@ Three layers:
 """
 
 import pickle
+import random
 
 import pytest
 
 from repro.core import ProgramBuilder
-from repro.net import Message, MsgKind, NetParams, Network, RegionOwnerMap
+from repro.net import MsgKind, NetParams, Network, RegionOwnerMap
 from repro.net.message import UPDATE_BYTES
 from repro.platforms.dist import TFluxDist
 from repro.runtime.simdriver import SimulatedRuntime
@@ -33,10 +34,11 @@ NET = NetParams()  # defaults: latency 400, 16 B/cycle, NIC 120, header 64
 
 # -- message / params ---------------------------------------------------------
 def test_message_validation():
+    net = Network(Engine(), 2, NET)
     with pytest.raises(ValueError):
-        Message(MsgKind.ACK, src=1, dst=1)
+        net.transmit(MsgKind.ACK, src=1, dst=1)
     with pytest.raises(ValueError):
-        Message(MsgKind.ACK, src=0, dst=1, payload_bytes=-1)
+        net.transmit(MsgKind.ACK, src=0, dst=1, payload_bytes=-1)
 
 
 def test_serialize_cycles_is_ceil_at_line_rate():
@@ -52,11 +54,11 @@ def test_transmit_pays_nic_serialisation_and_latency():
     eng = Engine()
     net = Network(eng, 2, NET)
     delivered = []
-    net.transmit(Message(MsgKind.READY_UPDATE, 0, 1, payload_bytes=16), delivered.append)
+    net.transmit(MsgKind.READY_UPDATE, 0, 1, 16, delivered.append, "at node 1")
     eng.run()
     # 80 B at 16 B/cycle = 5; NIC holds 120+5, link 5, then 400 latency.
     assert eng.now == 120 + 5 + 5 + 400
-    assert delivered[0].dst == 1
+    assert delivered == ["at node 1"]
     assert net.messages == 1
     assert net.control_bytes == 80
     assert net.nic_busy_cycles == 125 and net.link_busy_cycles == 5
@@ -69,13 +71,25 @@ def test_sender_nic_serialises_messages():
     times = {}
     for dst in (1, 2):
         net.transmit(
-            Message(MsgKind.READY_UPDATE, 0, dst, payload_bytes=16),
-            lambda m, dst=dst: times.__setitem__(dst, eng.now),
+            MsgKind.READY_UPDATE, 0, dst, 16,
+            lambda dst: times.__setitem__(dst, eng.now), dst,
         )
     eng.run()
     # Distinct links, shared NIC: second delivery is one NIC hold later.
     assert times[1] == 530
     assert times[2] == 530 + 125
+
+
+def test_queued_cycles_of_concurrent_messages_add_up():
+    """Three messages leave one NIC at cycle 0: the second waits one NIC
+    hold (125 cycles), the third two, and the tally keeps both waits
+    although the two wait at once."""
+    eng = Engine()
+    net = Network(eng, 4, NET)
+    for dst in (1, 2, 3):
+        net.transmit(MsgKind.READY_UPDATE, 0, dst, 16)
+    eng.run()
+    assert net.link_queue_cycles == 125 + 2 * 125
 
 
 def test_pull_clocks_the_rx_ingest():
@@ -98,7 +112,7 @@ def test_zero_cost_network_is_free():
     eng = Engine()
     net = Network(eng, 2, NetParams.zero_cost())
     got = []
-    net.transmit(Message(MsgKind.TERMINATE, 0, 1), got.append)
+    net.transmit(MsgKind.TERMINATE, 0, 1, 0, got.append)
     eng.run()
     assert eng.now == 0 and got
     assert net.pull(1, {0: 1 << 20}) == 0
@@ -140,6 +154,56 @@ def test_ownermap_write_read_in_one_summary_is_local():
     om.access(0, AccessSummary().write(A))
     summary = AccessSummary().write(A).read(A)  # rewrite then re-read
     assert om.access(1, summary) == {}
+
+
+def _reference_access(owner, copies, node, summary, line_size):
+    """The forwarding rules on Python dicts, line by line: a write owns
+    its lines and drops every other copy; a read pulls each line a
+    remote node owns and this node holds no copy of, then keeps one."""
+    pulls = {}
+    for op in summary:
+        for line in op.line_indices(line_size):
+            key = (op.region.name, line)
+            if op.is_write:
+                owner[key] = node
+                copies[key] = {node}
+            else:
+                src = owner.get(key, -1)
+                if src >= 0 and src != node and node not in copies[key]:
+                    pulls[src] = pulls.get(src, 0) + line_size
+                    copies[key].add(node)
+    return pulls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ownermap_matches_line_by_line_rules(seed):
+    """One-line ops (the scalar route) and longer or strided ones (the
+    vector route), interleaved on up to 64 nodes, pull exactly what the
+    line-by-line rules pull."""
+    rng = random.Random(seed)
+    rs = RegionSpace()
+    regions = [rs.region("A", 4096), rs.region("B", 640)]
+    nnodes = rng.choice([2, 5, 64])
+    om = RegionOwnerMap(rs, 64, nnodes)
+    owner, copies = {}, {}
+    for _ in range(300):
+        summary = AccessSummary()
+        for _ in range(rng.randint(1, 3)):
+            region = rng.choice(regions)
+            add = summary.write if rng.random() < 0.4 else summary.read
+            shape = rng.random()
+            if shape < 0.5:  # one element: one line
+                add(region, offset=8 * rng.randrange(region.size // 8), count=1)
+            elif shape < 0.8:  # a dense run of lines
+                first = 8 * rng.randrange(region.size // 8)
+                add(region, offset=first,
+                    count=rng.randint(1, (region.size - first) // 8))
+            else:  # one element every two lines
+                add(region, offset=8 * rng.randrange(16), count=4, stride=128)
+        node = rng.randrange(nnodes)
+        assert om.access(node, summary) == _reference_access(
+            owner, copies, node, summary, 64
+        )
 
 
 def test_ownermap_caps_nodes_at_directory_width():

@@ -39,14 +39,16 @@ def test_mmi_query_roundtrip_cost():
     bus = SystemBus(eng)
     mmi = MemoryMappedInterface(eng, bus, tsu_processing_cycles=4, l1_access_cycles=2)
 
+    replies = []
+
     def proc():
         value = yield from mmi.query(lambda: "reply")
-        return (eng.now, value)
+        replies.append((eng.now, value))
 
-    p = eng.process(proc())
+    eng.process(proc())
     eng.run()
     # bus (2) + access (2+4) + reply bus (2) = 10.
-    assert p.done.value == (10, "reply")
+    assert replies == [(10, "reply")]
     assert mmi.queries == 1
 
 
@@ -90,15 +92,15 @@ def test_mmi_uncontended_ops_closed_form():
         eng = Engine()
         mmi = MemoryMappedInterface(eng, SystemBus(eng),
                                     tsu_processing_cycles=4, l1_access_cycles=2)
-        acted = []
+        acted, ended = [], []
 
         def proc():
             yield from getattr(mmi, op)(lambda: acted.append(eng.now))
-            return eng.now
+            ended.append(eng.now)
 
-        p = eng.process(proc())
+        eng.process(proc())
         eng.run()
-        assert (acted, p.done.value, eng.events_executed) == ([8], done_at, events)
+        assert (acted, ended, eng.events_executed) == ([8], [done_at], events)
 
 
 def _mmi_command_oracle(arrivals, bus_cycles, access_cycles):

@@ -15,41 +15,45 @@ def test_clock_starts_at_zero():
 
 def test_timeout_advances_clock():
     eng = Engine()
+    ends = []
 
     def proc(eng):
         yield 5
         yield 7
-        return eng.now
+        ends.append(eng.now)
 
     p = eng.process(proc(eng))
     eng.run()
-    assert p.done.value == 12
+    assert ends == [12] and not p.is_alive
     assert eng.now == 12
 
 
 def test_event_wait_and_value():
+    """A waiter resumes at the trigger's cycle, and the ``yield``
+    evaluates to None: events carry no value."""
     eng = Engine()
     ev = eng.event("ping")
+    woken = []
 
     def producer(eng, ev):
         yield 10
-        ev.succeed("pong")
+        ev.succeed()
 
     def consumer(ev):
-        value = yield ev
-        return value
+        got = yield ev
+        woken.append((eng.now, got))
 
     eng.process(producer(eng, ev))
     c = eng.process(consumer(ev))
     eng.run()
-    assert c.done.value == "pong"
+    assert woken == [(10, None)] and not c.is_alive
 
 
 def test_wait_on_already_triggered_event():
     """A late waiter is a misuse: the run raises instead of hanging."""
     eng = Engine()
     ev = eng.event()
-    ev.succeed(42)
+    ev.succeed()
 
     def consumer(ev):
         yield ev
@@ -76,9 +80,9 @@ def test_second_waiter_rejected():
 def test_event_double_trigger_rejected():
     eng = Engine()
     ev = eng.event()
-    ev.succeed(1)
+    ev.succeed()
     with pytest.raises(SimulationError):
-        ev.succeed(2)
+        ev.succeed()
 
 
 def test_clock_read_mid_run():
@@ -389,20 +393,22 @@ def test_all_of_combines_events():
     eng = Engine()
     evs = [eng.event() for _ in range(3)]
 
-    def trigger(eng, ev, delay, value):
+    def trigger(eng, ev, delay):
         yield delay
-        ev.succeed(value)
+        ev.succeed()
 
     for i, ev in enumerate(evs):
-        eng.process(trigger(eng, ev, 10 - i, i))
+        eng.process(trigger(eng, ev, 10 - i))
+
+    woken = []
 
     def waiter(eng, combined):
         yield combined
-        return eng.now
+        woken.append(eng.now)
 
     w = eng.process(waiter(eng, eng.all_of(evs)))
     eng.run()
-    assert w.done.value == 10
+    assert woken == [10] and not w.is_alive
 
 
 def test_all_of_without_events_is_rejected_at_the_call():
@@ -429,7 +435,7 @@ def test_finished_process_holds_no_callback():
     proc = eng.process(waiter())
     eng.run()  # drains with the process waiting on ev
     assert proc.is_alive and proc._callback is not None
-    ev.succeed(None)
+    ev.succeed()
     eng.run()
     assert not proc.is_alive and proc._callback is None
 

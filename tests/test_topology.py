@@ -22,7 +22,6 @@ from repro.core import ProgramBuilder
 from repro.net import (
     FatTree,
     FullMesh,
-    Message,
     MsgKind,
     NetParams,
     Network,
@@ -84,7 +83,7 @@ def test_transmit_pays_per_hop_latency_on_fattree():
     eng = Engine()
     net = Network(eng, 8, NET, FatTree(pod_size=4))
     done = []
-    net.transmit(Message(MsgKind.READY_UPDATE, 0, 5, payload_bytes=16), done.append)
+    net.transmit(MsgKind.READY_UPDATE, 0, 5, 16, done.append)
     eng.run()
     # 80 B = 5 cycles at line rate; NIC 120+5, then 4 hops of (5 + 400).
     assert eng.now == 125 + 4 * (5 + 400)
@@ -95,7 +94,7 @@ def test_transmit_pays_per_hop_latency_on_fattree():
 def test_intra_pod_is_two_hops():
     eng = Engine()
     net = Network(eng, 8, NET, FatTree(pod_size=4))
-    net.transmit(Message(MsgKind.READY_UPDATE, 0, 3, payload_bytes=16))
+    net.transmit(MsgKind.READY_UPDATE, 0, 3, 16)
     eng.run()
     assert eng.now == 125 + 2 * (5 + 400)
     assert net.hops == 2
