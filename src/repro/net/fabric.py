@@ -67,7 +67,7 @@ class Network:
         self.topology = topology if topology is not None else FullMesh()
         self.topology.validate(nnodes)
         self._nic_tx: list[Resource] = [
-            Resource(engine, capacity=1, name=f"nic-tx:{n}") for n in range(nnodes)
+            Resource(engine, name=f"nic-tx:{n}") for n in range(nnodes)
         ]
         # Link resources are created lazily: a contiguous placement on a
         # chain-shaped graph only ever uses a few of the possible links.
@@ -104,7 +104,7 @@ class Network:
         for key in self.topology.control_path(src, dst):
             link = self._links.get(key)
             if link is None:
-                link = Resource(self.engine, capacity=1, name=f"link:{key}")
+                link = Resource(self.engine, name=f"link:{key}")
                 self._links[key] = link
             links.append(link)
         route = self._routes[src][dst] = tuple(links)

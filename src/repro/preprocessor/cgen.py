@@ -7,6 +7,8 @@ Translation rules:
 * ``CTX`` is the DThread context parameter;
 * ``/`` and ``%`` go through :func:`~repro.preprocessor.shim.cdiv` /
   ``cmod`` so two-integer operands keep C truncation semantics;
+* ``&&`` and ``||`` become ``(1 if L and R else 0)`` / ``(1 if L or R
+  else 0)``: C's 0 or 1, with Python's short-circuit;
 * canonical ``for (i = a; i < b; i += c)`` loops become Python ``range``
   loops (so ``break``/``continue`` behave exactly like C); non-canonical
   ``for`` loops fall back to a ``while`` transform, in which ``continue``
@@ -238,7 +240,7 @@ class CodeGenerator:
             if e.op == "%":
                 return f"_cmod({left}, {right})"
             if e.op in _LOGICAL:
-                return f"({left} {_LOGICAL[e.op]} {right})"
+                return f"(1 if {left} {_LOGICAL[e.op]} {right} else 0)"
             return f"({left} {e.op} {right})"
         if isinstance(e, A.UnaryOp):
             operand = self.expr(e.operand)

@@ -9,14 +9,16 @@ kind.  The lexical grammar (D is ``[0-9]``, blanks are `` \\t\\r``, and
     kw       a KEYWORDS member not followed by [A-Za-z0-9_]
     ident    [A-Za-z_][A-Za-z0-9_]*
     num      (D+ .? D* | . D+) ([eE] [+-]? D+)?
+    octal    0 D+ that a num would not extend: its base-8 value, as C
     str      " ([^"\\] | \\ any)* "           must read as a Python string
     char     ' ([^'\\] | \\ any)* '           one character: the "num" of its code
     op       the longest match of _OPERATOR
 
 Digits, identifier characters and blanks are ASCII.  Anything else
 outside a literal is "unexpected character"; it, an exponent without
-digits (``1e+``), an unterminated comment or literal, and a literal
-Python cannot read are each a :class:`DDMSyntaxError` at its line.
+digits (``1e+``), an unterminated comment or literal, a literal Python
+cannot read and an octal holding 8 or 9 are each a
+:class:`DDMSyntaxError` at its line.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ _TOKEN = re.compile(
     rf"|(?P<kw>(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_]))"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     rf"|(?P<badnum>{_MANTISSA}[eE][+-](?![0-9]))"
+    r"|(?P<octal>0[0-9]+(?![.0-9]|[eE][+-]?[0-9]))"
     rf"|(?P<num>{_MANTISSA}(?:[eE][+-]?[0-9]+)?)"
     r'|(?P<str>"(?:[^"\\]|\\.)*")'
     r"|(?P<char>'(?:[^'\\]|\\.)*')"
@@ -85,6 +88,11 @@ def tokenize(source: str, first_line: int = 1) -> list[Token]:
         elif kind == "char":
             append(new(Token, ("num", str(_char_code(value[1:-1], line)), line)))
             line += value.count("\n")
+        elif kind == "octal":
+            try:
+                append(new(Token, ("num", str(int(value, 8)), line)))
+            except ValueError:
+                raise DDMSyntaxError(f"bad octal literal {value!r}", line) from None
         elif kind == "end":
             break
         elif kind == "open":

@@ -36,9 +36,9 @@ class SharedProxy:
 
 
 def _both_int(a: Any, b: Any) -> bool:
-    return isinstance(a, (int, np.integer)) and not isinstance(a, bool) and isinstance(
-        b, (int, np.integer)
-    ) and not isinstance(b, bool)
+    """A ``bool`` is an int here: generated code gets one only from a
+    comparison or ``!``, whose C value is the int 0 or 1."""
+    return isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
 
 
 def cdiv(a: Any, b: Any) -> Any:

@@ -2,9 +2,9 @@
 
 A minimal but complete DES kernel in the style of SimPy, tailored to the
 needs of the TFlux platform models: cycle-granularity virtual time,
-generator-based processes, one-shot events, and FIFO capacity resources
-(used for the system bus arbiter, the hardware TSU command port, the TSU
-emulator core, Cell mailboxes and the DMA engine).
+generator-based processes, one-shot events, and FIFO resources (the
+system bus arbiter, the hardware TSU command port, NICs and network
+links).
 
 Processes are plain Python generators.  A process may ``yield``:
 
@@ -183,7 +183,7 @@ class Process:
 
 
 class Resource:
-    """FIFO capacity resource (bus arbiter, TSU port, emulator core...).
+    """FIFO resource (bus arbiter, TSU port, NIC, network link).
 
     Models occupy a slot with ``yield from resource.hold(cycles)``: a
     free slot taken on the spot (:meth:`take`), or else a wait in the
@@ -196,11 +196,11 @@ class Resource:
 
     __slots__ = ("engine", "capacity", "_in_use", "_queue", "name")
 
-    def __init__(self, engine: "Engine", capacity: int = 1, name: str = "") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
+    def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
-        self.capacity = capacity
+        #: Every modelled device has one slot; the engine's tests give
+        #: some resources more, to hold the queue to a multi-server one.
+        self.capacity = 1
         self.name = name
         self._in_use = 0
         # deque: grants pop from the head on every release, and the bus
@@ -235,20 +235,16 @@ class Resource:
 
         Process fragment (``queued = yield from resource.hold(n)``):
         :meth:`acquire`, the caller's timeout, the caller's ``release()``.
-        An uncontended hold is that one timeout; its free slot is taken
-        here, without starting an ``acquire()`` generator.
+        An uncontended hold is that one timeout.
         """
         if cycles < 0:
             raise SimulationError(
                 f"negative hold {cycles!r} on resource {self.name!r}"
             )
-        if self.take():
-            queued = 0.0
-        else:
-            engine = self.engine
-            queued_at = engine.now
-            yield from self.acquire()
-            queued = engine.now - queued_at
+        engine = self.engine
+        queued_at = engine.now
+        yield from self.acquire()
+        queued = engine.now - queued_at
         try:
             yield cycles
         finally:

@@ -28,7 +28,7 @@ class SystemBus:
         self.engine = engine
         #: The bus's one slot; a transaction holds it for
         #: :data:`CYCLES_PER_TRANSACTION` cycles.
-        self.arbiter = Resource(engine, capacity=1, name="system-bus")
+        self.arbiter = Resource(engine, name="system-bus")
         self.transactions = 0
         self.busy_cycles = 0
 

@@ -53,7 +53,7 @@ class MemoryMappedInterface:
         self.tsu_processing_cycles = tsu_processing_cycles
         self.l1_access_cycles = l1_access_cycles
         # The TSU Group processes one command at a time.
-        self._port = Resource(engine, capacity=1, name="tsu-port")
+        self._port = Resource(engine, name="tsu-port")
         self.commands = 0
         self.queries = 0
 

@@ -5,8 +5,7 @@ define what its operations cost on a given platform and through which
 shared resources they flow.  The simulated runtime driver
 (:mod:`repro.runtime.simdriver`) calls adapters as DES process fragments
 (``yield from``), so contention — at the hardware TSU's command port, at
-the TUB segments, at the Cell mailboxes — is modelled by the event engine,
-not by constants.
+the Cell mailboxes — is modelled by the event engine, not by constants.
 
 This interface is the sim backend's half of the Kernel step-machine
 contract: the driver's :class:`~repro.runtime.core.KernelBackend` steps

@@ -9,10 +9,11 @@ through the TKT).
 
 Timing mechanics modelled here:
 
-* a completing kernel pushes the completion into a **TUB segment** —
-  a capacity-``nsegments`` resource stands in for the try-lock search
-  (when every segment is locked the kernel stalls, the contention the
-  segmenting was introduced to bound);
+* a completing kernel pushes the completion into the **TUB** for
+  ``tub_push_cycles``.  A push would wait only with every TUB segment
+  try-locked, and on every shipped platform an emulator serves at most
+  6 kernels (TFluxSoft, or one TFluxDist node), fewer than the TUB's 8
+  segments, so the push is that one delay;
 * the **TSU Emulator process** drains the queue: per-item base cost plus a
   per-consumer Ready-Count update cost (TKT lookup + SM decrement).  The
   post-processing of a DThread therefore lands *later* than its
@@ -23,8 +24,8 @@ Timing mechanics modelled here:
 All constants live in :class:`SoftTSUCosts` so the ablation benchmarks can
 sweep them.
 
-The emulator mechanism — TUB resource, completion queue, wake event,
-drain loop, push, occupancy tallies — lives once, in
+The emulator mechanism — completion queue, wake event, drain loop,
+push, occupancy tallies — lives once, in
 :class:`EmulatorShard`.  :class:`SoftwareTSUAdapter` owns one shard;
 :class:`~repro.tsu.dist.DistTSUAdapter` subclasses it with one shard per
 node and overrides only what is distributed, so a change to the emulator
@@ -40,7 +41,7 @@ from typing import Callable, Generator, Optional
 from repro.core.block import DDMBlock
 from repro.core.dthread import DThreadInstance
 from repro.core.dynamic import Subflow
-from repro.sim.engine import Engine, Event, Resource
+from repro.sim.engine import Engine, Event
 from repro.tsu.base import ProtocolAdapter
 from repro.tsu.group import TSUGroup
 
@@ -59,7 +60,6 @@ class SoftTSUCosts:
 
     fetch_cycles: int = 60
     tub_push_cycles: int = 250
-    tub_segments: int = 8
     emulator_per_item: int = 150
     emulator_per_update: int = 120
     emulator_poll_cycles: int = 80
@@ -89,7 +89,6 @@ class EmulatorShard:
         self.tsu = tsu
         self.costs = costs
         self.name = name
-        self.tub = Resource(engine, capacity=costs.tub_segments, name=f"tub{name}")
         # (kernel, local_iid, outcome): the TUB entry carries the dynamic
         # outcome (branch key / spawned Subflow) to the emulator, which
         # applies it during post-processing.
@@ -140,10 +139,8 @@ class EmulatorShard:
                 self._wake = None
 
     def push(self, kernel: int, local_iid: int, outcome: object) -> Generator:
-        """A completing kernel's side: find a free TUB segment (try/lock;
-        blocking only when all segments are simultaneously held), keep
-        it for the push, and kick the emulator."""
-        yield from self.tub.hold(self.costs.tub_push_cycles)
+        """A completing kernel's side: write the TUB, kick the emulator."""
+        yield self.costs.tub_push_cycles
         self._queue.append((kernel, local_iid, outcome))
         self.pushes += 1
         self._kick()

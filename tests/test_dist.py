@@ -19,10 +19,12 @@ import random
 
 import pytest
 
+from repro.apps import get_benchmark, problem_sizes
 from repro.core import ProgramBuilder
 from repro.net import MsgKind, NetParams, Network, RegionOwnerMap
 from repro.net.message import UPDATE_BYTES
 from repro.platforms.dist import TFluxDist
+from repro.platforms.soft import TFluxSoft
 from repro.runtime.simdriver import SimulatedRuntime
 from repro.sim.accesses import AccessSummary, RegionSpace
 from repro.sim.capability import DirectoryCapacityError
@@ -229,6 +231,22 @@ def test_dist_validates_composition():
         with pytest.raises(ValueError, match="cluster_size"):
             TFluxDist(nnodes=4, cluster_size=bad)
     assert TFluxDist(nnodes=4, cluster_size=1).cluster_size == 1
+
+
+@pytest.mark.parametrize(
+    "platform",
+    [TFluxSoft()] + [TFluxDist(nnodes=n, cluster_size=c) for n in (1, 2, 4) for c in (None, 2)],
+    ids=["soft"] + [f"dist{n}{'-cluster2' if c else ''}" for n in (1, 2, 4) for c in (None, 2)],
+)
+def test_emulator_tallies_match_the_tsu(platform):
+    """Each dispatched DThread is pushed to a TUB and drained once, and
+    the emulators' Ready-Count updates are the TSU's post-updates."""
+    for name in ("trapez", "fft", "qsort", "mmult"):
+        size = problem_sizes(name, platform.target)["small"]
+        program = get_benchmark(name).build(size, unroll=4)
+        c = platform.execute(program, nkernels=platform.max_kernels).counters
+        assert c["emulator.updates"] == c["tsu.post_updates"], name
+        assert c["emulator.items"] == c["tub.pushes"] == c["tsu.dispatched"], name
 
 
 def _simple_program(n=24):

@@ -23,8 +23,9 @@ def kinds(src):
 
 
 def test_lexer_numbers():
-    assert kinds("1 2.5 1e3 3.0e-2 .5") == [
+    assert kinds("1 2.5 1e3 3.0e-2 .5 010 00 010.5 08e1") == [
         ("num", "1"), ("num", "2.5"), ("num", "1e3"), ("num", "3.0e-2"), ("num", ".5"),
+        ("num", "8"), ("num", "0"), ("num", "010.5"), ("num", "08e1"),
     ]
 
 
@@ -578,6 +579,8 @@ def test_loop_depth_limit_is_exact(loop):
         ("r = '\\x';", "bad char literal '\\\\x'"),
         ('printf("a\nb");', "bad string literal"),
         ('printf("\\x4");', "bad string literal"),
+        ("r = 08;", "bad octal literal '08'"),
+        ("r = 1 + 019;", "bad octal literal '019'"),
     ],
 )
 def test_malformed_literal_is_a_syntax_error_at_its_line(body, message):

@@ -1,94 +1,12 @@
-"""Property-based tests: random C programs through the preprocessor.
-
-Random arithmetic expression trees are rendered both as DDM C source
-(fed through the full lexer → parser → codegen → exec pipeline) and
-evaluated directly with C semantics in Python.  The two must agree —
-a strong end-to-end check on the whole tool-chain.  Random expressions
-that mix every binary operator also parse to the same tree as the
-reference parser's, which recurses once per precedence level.
-"""
+"""Random loop-threads and ``map(...)`` fan-outs through the
+preprocessor, run and checked against the C loops they came from."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.preprocessor import DDMSyntaxError, compile_to_program
-from repro.preprocessor.lexer import tokenize
-from repro.preprocessor.parser import Parser
-from repro.preprocessor.shim import cdiv, cmod
-from tests.test_preprocessor_differential import ReferenceParser
-
-
-# -- random C expression trees over one variable -----------------------------
-class Node:
-    """(text, value) pairs built bottom-up with C semantics."""
-
-    def __init__(self, text: str, value: int) -> None:
-        self.text = text
-        self.value = value
-
-
-def leaves(rng) -> Node:
-    v = int(rng.integers(-20, 21))
-    if v < 0:
-        return Node(f"(0 - {-v})", v)
-    return Node(str(v), v)
-
-
-_BIN_OPS = ["+", "-", "*", "/", "%"]
-
-
-def combine(rng, a: Node, b: Node) -> Node:
-    op = _BIN_OPS[int(rng.integers(0, len(_BIN_OPS)))]
-    if op in ("/", "%") and b.value == 0:
-        op = "+"
-    if op == "+":
-        return Node(f"({a.text} + {b.text})", a.value + b.value)
-    if op == "-":
-        return Node(f"({a.text} - {b.text})", a.value - b.value)
-    if op == "*":
-        return Node(f"({a.text} * {b.text})", a.value * b.value)
-    if op == "/":
-        return Node(f"({a.text} / {b.text})", cdiv(a.value, b.value))
-    return Node(f"({a.text} % {b.text})", cmod(a.value, b.value))
-
-
-def random_expr(rng, depth: int) -> Node:
-    if depth <= 0:
-        return leaves(rng)
-    a = random_expr(rng, depth - 1)
-    b = random_expr(rng, depth - 1)
-    return combine(rng, a, b)
-
-
-def randexpr_program(seed: int, depth: int) -> tuple[str, list[Node]]:
-    """Three random expressions of *depth* assigned to ``r0..r2``: the
-    DDM source and each expression's C value."""
-    rng = np.random.default_rng(seed)
-    exprs = [random_expr(rng, depth) for _ in range(3)]
-    body = "\n".join(f"  r{i} = {e.text};" for i, e in enumerate(exprs))
-    vars_ = "\n".join(f"#pragma ddm var int r{i}" for i in range(3))
-    src = f"""
-#pragma ddm startprogram name(randexpr)
-{vars_}
-#pragma ddm thread 1
-{body}
-#pragma ddm endthread
-#pragma ddm endprogram
-"""
-    return src, exprs
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000), depth=st.integers(1, 4))
-def test_random_expressions_roundtrip(seed, depth):
-    src, exprs = randexpr_program(seed, depth)
-    env = compile_to_program(src).run_sequential()
-    for i, e in enumerate(exprs):
-        assert env.get(f"r{i}") == e.value, (
-            f"expr {e.text} -> {env.get(f'r{i}')} != {e.value}"
-        )
+from repro.preprocessor import compile_to_program
 
 
 @settings(max_examples=20, deadline=None)
@@ -154,58 +72,3 @@ def fanout_program(width: int, fan: int) -> str:
 #pragma ddm endthread
 #pragma ddm endprogram
 """
-
-
-# -- the parser against the reference parser ------------------------------------
-_BINARY = [
-    "||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=",
-    "<<", ">>", "+", "-", "*", "/", "%",
-]
-
-
-def _sequence(operand):
-    """``x op y op z ...`` over every binary operator, unparenthesised,
-    so the tree's shape is the parser's choice."""
-    return st.tuples(
-        operand, st.lists(st.tuples(st.sampled_from(_BINARY), operand), max_size=6)
-    ).map(lambda t: " ".join([t[0], *(f"{op} {x}" for op, x in t[1])]))
-
-
-def _compound(operand):
-    seq = _sequence(operand)
-    return st.one_of(
-        seq.map(lambda e: f"({e})"),
-        st.tuples(st.sampled_from("-+!~"), operand).map("".join),
-        st.tuples(seq, seq).map(lambda t: f"a[{t[0]}][{t[1]}]"),
-        st.tuples(seq, seq).map(lambda t: f"fmax({t[0]}, {t[1]})"),
-        st.tuples(seq, seq, seq).map(lambda t: f"({t[0]} ? {t[1]} : {t[2]})"),
-    )
-
-
-c_expressions = _sequence(
-    st.recursive(
-        st.sampled_from(["a", "b", "CTX", "0", "7", "2.5"]), _compound, max_leaves=12
-    )
-)
-
-#: tokens in any order: parse errors must match too
-token_soup = st.lists(
-    st.sampled_from(_BINARY + ["a", "1", "(", ")", "[", "]", "?", ":", ",", "-", "!"]),
-    max_size=16,
-).map(" ".join)
-
-
-def _parsed(parser_class, text):
-    """The tree of *text* as one expression, or the error it raises."""
-    parser = parser_class(tokenize(text))
-    try:
-        expr = parser.expression()
-    except DDMSyntaxError as exc:
-        return str(exc)
-    return expr, parser.pos
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=st.one_of(c_expressions, token_soup))
-def test_parser_matches_reference_parser(text):
-    assert _parsed(Parser, text) == _parsed(ReferenceParser, text)

@@ -178,5 +178,5 @@ def test_wire_identity_golden():
     jobs = wire_identity_jobs()
     assert len({encode(job) for job in jobs}) == 196  # the mixes are distinct
     assert wire_identity_digest() == (
-        "3450d11f35309a6e59f7c132293b5534a5420c7baeef0af3ec6a86643c6c50bd"
+        "008ad903d32723c4baf672aa37adcd266933e1c4b1841d61a3c5cae4b3243f5d"
     )

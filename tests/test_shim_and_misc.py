@@ -49,9 +49,10 @@ def test_numpy_integers_treated_as_ints():
     assert cdiv(np.int64(-7), np.int64(2)) == -3
 
 
-def test_bools_not_treated_as_ints():
-    # C has no bool/int confusion here; True/2 is float division.
-    assert cdiv(True, 2) == 0.5
+def test_bools_divide_as_c_ints():
+    # Generated code gets a bool only from a comparison or `!`, whose C
+    # value is the int 0 or 1, so (a < b) / 2 truncates as C does.
+    assert cdiv(True, 2) == 0 and cmod(True, 2) == 1
 
 
 def test_printf_formats(capsys):

@@ -116,7 +116,7 @@ def test_same_time_events_fifo_order():
 
 def test_resource_mutual_exclusion():
     eng = Engine()
-    res = Resource(eng, capacity=1, name="bus")
+    res = Resource(eng, name="bus")
     timeline = []
 
     def user(eng, res, tag, hold):
@@ -142,7 +142,8 @@ def test_resource_capacity_two():
         """*nusers* processes queueing *rounds* times on two slots;
         returns (most slots ever held, events dispatched)."""
         eng = Engine()
-        res = Resource(eng, capacity=2)
+        res = Resource(eng)
+        res.capacity = 2
         active = {"n": 0, "max": 0}
 
         def user(eng, res):
@@ -177,7 +178,7 @@ def test_resource_release_when_idle_rejected():
 
 def test_resource_fifo_grant_order():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     grants = []
 
     def user(eng, res, tag):
@@ -197,7 +198,7 @@ def test_resource_try_acquire_respects_queue_fifo():
     arriving in the very callback that frees the slot (and hands it to
     the waiter) queues behind it."""
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     order = []
 
     def holder(eng, res):
@@ -228,7 +229,8 @@ def _hold_schedule(capacity, arrivals):
     *arrivals* = [(arrival time, hold cycles)] on one capacity-k resource,
     and the events the run dispatched."""
     eng = Engine()
-    res = Resource(eng, capacity=capacity)
+    res = Resource(eng)
+    res.capacity = capacity
     rows = [None] * len(arrivals)
 
     def holder(i, at, cycles):
@@ -291,7 +293,7 @@ def test_same_cycle_grant_takes_its_heap_place():
     X's ``yield 0`` at T is pushed after the grant and runs after W; the
     holder asking again at T queues behind W (FIFO)."""
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     c = 3
     timeline = []
 
@@ -346,7 +348,7 @@ def test_same_cycle_grant_takes_its_heap_place():
 def test_hold_rejects_negative_duration_before_taking_a_slot(busy):
     """Same error on an idle or a busy resource: no slot taken, no queueing."""
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     if busy:
         eng.process(res.hold(10))
     eng.process(res.hold(-1))
@@ -360,7 +362,7 @@ def test_clear_closes_what_a_raising_run_left_suspended():
     event that never fires; clear() closes both (their ``finally`` runs,
     the held slot is released) and leaves nothing scheduled."""
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     closed = []
 
     def holder():

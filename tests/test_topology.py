@@ -119,6 +119,18 @@ def test_data_pulls_queue_on_oversubscribed_uplinks():
     assert net.hops == 8  # two pulls x four hops each
 
 
+def test_senders_queue_once_on_a_shared_uplink():
+    # pod_size 2, oversub 2 -> one uplink per pod: nodes 0 and 1 send on
+    # their own NICs at cycle 0, and the second message waits one
+    # serialisation for the pod-0 uplink and nowhere else.
+    eng = Engine()
+    net = Network(eng, 4, NET, OversubscribedSpine(pod_size=2, oversubscription=2))
+    for src, dst in ((0, 2), (1, 3)):
+        net.transmit(MsgKind.READY_UPDATE, src, dst, 16)
+    eng.run()
+    assert net.link_queue_cycles == NET.serialize_cycles(NET.message_header_bytes + 16)
+
+
 def test_fullmesh_pull_matches_pre_topology_arithmetic():
     eng = Engine()
     net = Network(eng, 3, NET)  # default FullMesh
